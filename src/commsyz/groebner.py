@@ -246,7 +246,6 @@ def buchberger(
     start = time.monotonic()
 
     basis: list[CompiledPoly] = []
-    polys: list[Polynomial] = []
     reducers = DegreeBucketReducers()
     pairs: dict = {}  # (i, j) -> lcm exponent tuple
     heap: list = []
@@ -254,7 +253,7 @@ def buchberger(
 
     def add_element(p: Polynomial):
         nonlocal serial
-        h = len(polys)
+        h = len(basis)
         cp = compile_poly(p.monic(), order, h)
         lmh = cp.lead_exps
         # prune old pairs made redundant by the new lead
@@ -296,7 +295,6 @@ def buchberger(
             heappush(heap, (deg, serial, gi, h))
             serial += 1
         basis.append(cp)
-        polys.append(decompile(ring, [(cp.lead_v, fld.one)] + cp.tail, order))
         reducers.add(cp)
         stats.elements_added += 1
 
@@ -326,24 +324,24 @@ def buchberger(
         else:
             stats.zero_reductions += 1
 
-    stats.seconds = time.monotonic() - start
+    if exhausted is not None and budget.on_exhaustion == "fail":
+        stats.seconds = time.monotonic() - start
+        raise BudgetExhausted(exhausted, stats)
+    basis.sort(key=lambda cp: cp.lead_v)
+    polys = [decompile(ring, [(cp.lead_v, fld.one)] + cp.tail, order) for cp in basis]
     if exhausted is not None:
-        if budget.on_exhaustion == "fail":
-            raise BudgetExhausted(exhausted, stats)
         # Keep every accumulated element: with pairs unprocessed, dropping a
         # lead-redundant element could lose ideal content hiding in its tail.
-        enc = order.encode
+        stats.seconds = time.monotonic() - start
         return GroebnerBasis(
-            ring,
-            sorted(polys, key=lambda p: enc(p.lm())),
-            complete=False,
-            homogeneous=homogeneous,
-            stats=stats,
+            ring, polys, complete=False, homogeneous=homogeneous, stats=stats
         )
     truncated = stats.pairs_truncated > 0
+    elements = interreduce(polys)
+    stats.seconds = time.monotonic() - start
     return GroebnerBasis(
         ring,
-        interreduce(polys),
+        elements,
         complete=not truncated,
         truncation_degree=degree_bound if truncated else None,
         homogeneous=homogeneous,
@@ -356,6 +354,12 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
 
     Applied to a Groebner basis this yields the reduced basis; applied to any
     list it removes lead-redundant members and normalizes the rest.
+
+    Each kept element is compiled once, into one reducer set shared by all
+    tails.  That set also holds the element whose tail is being reduced, and
+    the result is still the same as against the others alone: a lead divides
+    only monomials at or above itself, so no element ever matches a term of
+    its own tail, and the others are searched in the same bucket order.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -371,23 +375,13 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
         if any(mon_divides(q.lm(), lm) for q in kept):
             continue
         kept.append(p)
-    # tail-reduce each against the others
+    # tail-reduce each against the shared set; the leads stay sorted
+    compiled = [compile_poly(p, order, i) for i, p in enumerate(kept)]
+    reducers = DegreeBucketReducers(compiled)
     out = []
-    for k, p in enumerate(kept):
-        others = kept[:k] + kept[k + 1:]
-        if not others:
-            out.append(p.monic())
-            continue
-        reducers = DegreeBucketReducers(
-            compile_poly(q, order, i) for i, q in enumerate(others)
-        )
-        rem = normal_form(
-            [(enc(m), c) for m, c in p.terms], reducers, order, ring.field
-        )
-        q = decompile(ring, rem, order)
-        if not q.is_zero():
-            out.append(q.monic())
-    out.sort(key=lambda p: enc(p.lm()))
+    for cp in compiled:
+        rem = normal_form(cp.tail, reducers, order, ring.field)
+        out.append(decompile(ring, [(cp.lead_v, cp.lc)] + rem, order).monic())
     return out
 
 

@@ -658,11 +658,11 @@ def compile_poly(f: Polynomial, order: MonomialOrder, index: int = -1) -> Compil
 
 
 def decompile(ring: PolyRing, terms, order: MonomialOrder) -> Polynomial:
+    """Polynomial from (V, coeff) terms; sorted on V, which is the order."""
     dec = order.decode
-    fld = ring.field
-    out = [(dec(v), c) for v, c in terms if not fld.is_zero(c)]
-    out.sort(key=lambda t: order.encode(t[0]), reverse=True)
-    return Polynomial(ring, tuple(out))
+    is_zero = ring.field.is_zero
+    live = sorted((t for t in terms if not is_zero(t[1])), key=lambda t: t[0], reverse=True)
+    return Polynomial(ring, tuple((dec(v), c) for v, c in live))
 
 
 class SequentialReducers:

@@ -2,10 +2,16 @@
 
 Everything here is deliberately naive — explicit monomial enumeration,
 sparse Gaussian elimination over a prime field, raw subset enumeration —
-so that it shares no code path with the library engines it checks.
+so that it shares no code path with the library engines it checks.  The one
+exception is `interreduce_against_others`, which reuses the library's
+division kernel on purpose: it checks how `groebner.interreduce` organizes
+its reductions, not the kernel itself.
 """
 
 from itertools import combinations, combinations_with_replacement
+
+from commsyz.groebner import DegreeBucketReducers
+from commsyz.polyring import compile_poly, decompile, mon_divides, normal_form
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -121,3 +127,38 @@ def selection_bidegrees_brute(n: int, cutoff=None) -> dict:
 
 def rotations_brute(w: str) -> set:
     return {w[k:] + w[:k] for k in range(max(len(w), 1))}
+
+
+def interreduce_against_others(polys) -> list:
+    """Reference interreduction: each kept element is reduced against a
+    reducer set compiled afresh from the k-1 others (quadratic compiles)."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    order = ring.order
+    enc = order.encode
+    polys = sorted(polys, key=lambda p: enc(p.lm()))
+    kept = []
+    for p in polys:
+        lm = p.lm()
+        if any(mon_divides(q.lm(), lm) for q in kept):
+            continue
+        kept.append(p)
+    out = []
+    for k, p in enumerate(kept):
+        others = kept[:k] + kept[k + 1:]
+        if not others:
+            out.append(p.monic())
+            continue
+        reducers = DegreeBucketReducers(
+            compile_poly(q, order, i) for i, q in enumerate(others)
+        )
+        rem = normal_form(
+            [(enc(m), c) for m, c in p.terms], reducers, order, ring.field
+        )
+        q = decompile(ring, rem, order)
+        if not q.is_zero():
+            out.append(q.monic())
+    out.sort(key=lambda p: enc(p.lm()))
+    return out

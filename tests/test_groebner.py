@@ -8,6 +8,7 @@ from commsyz.fields import GF, QQ
 from commsyz.groebner import (
     Budget,
     BudgetExhausted,
+    GroebnerBasis,
     IncompleteBasisError,
     buchberger,
     colon_by_element,
@@ -20,7 +21,11 @@ from commsyz.groebner import (
 )
 from commsyz.polyring import PolyRing
 
-from oracles import count_monomials_outside, ideal_component_dim
+from oracles import (
+    count_monomials_outside,
+    ideal_component_dim,
+    interreduce_against_others,
+)
 
 R = PolyRing(2, GF(101))
 
@@ -205,3 +210,54 @@ def test_elimination_rejects_wrong_setup():
 
     with pytest.raises(ValueError):
         eliminate_aux(gb, ring)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("order,naux", [("grevlex", 0), ("lex", 0), ("elim", 1)])
+def test_interreduce_matches_reduction_against_the_others(field, order, naux):
+    """Random non-monic generator lists, mostly not Groebner bases, some with
+    repeated leads: one shared reducer set gives the reference result.
+
+    Leads of degree 2 and 3 in five variables make tail terms that several
+    leads divide, so the bucket order the reducers are searched in matters.
+    """
+    ring = PolyRing(2, field, order=order, naux=naux)
+    enc = ring.order.encode
+    rng = random.Random(f"{order}-{field}")
+    live = (0, 1, 2, naux + 5, ring.nvars - 1)
+
+    def mon(deg):
+        exps = [0] * ring.nvars
+        for _ in range(deg):
+            exps[rng.choice(live)] += 1
+        return tuple(exps)
+
+    def poly_with_lead(lead, nterms):
+        below = [m for m in (mon(sum(lead)) for _ in range(nterms)) if enc(m) < enc(lead)]
+        terms = [(lead, rng.randrange(1, 9))] + [(m, rng.randrange(-9, 10)) for m in below]
+        return ring.poly(terms)
+
+    not_gb = 0
+    for _ in range(30):
+        gens = [poly_with_lead(mon(rng.choice((2, 3))), 6) for _ in range(rng.randrange(3, 9))]
+        gens += [poly_with_lead(g.lm(), 4) for g in gens[:2]]  # repeated leads
+        gens.append(ring.zero)
+        rng.shuffle(gens)
+        got = interreduce(gens)
+        assert repr([p.terms for p in got]) == repr(
+            [p.terms for p in interreduce_against_others(gens)]
+        )
+        not_gb += not verify_basis(GroebnerBasis(ring, got))[0]
+    assert not_gb > 15
+
+
+def test_truncated_n4_basis_does_not_depend_on_generator_order(ctx):
+    gens = list(ctx.system(4).minimal_gens)
+    shuffled = list(gens)
+    random.Random(2).shuffle(shuffled)
+    assert shuffled != gens
+    first = buchberger(gens, degree_bound=4)
+    second = buchberger(shuffled, degree_bound=4)
+    assert len(first) == len(second) == 137
+    assert first.truncation_degree == second.truncation_degree == 4
+    assert first.elements == second.elements

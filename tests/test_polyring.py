@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commsyz.fields import GF, QQ
 from commsyz.polyring import (
+    BlockElimination,
     Grevlex,
     Lex,
     PolyRing,
+    decompile,
     make_order,
     mon_degree,
     mon_divides,
@@ -187,3 +191,42 @@ def test_embed_project_roundtrip():
     t = big.var("t_1")
     with pytest.raises(ValueError):
         big.project(t, R)
+
+
+# -- packed encoding and decompile ------------------------------------------------
+
+ORDERS9 = (Grevlex(9), Lex(9), BlockElimination(9, 1))
+exps9_capped = st.tuples(*[st.integers(0, 255)] * 9)
+
+
+@pytest.mark.parametrize("order", ORDERS9, ids=repr)
+def test_decompile_matches_canonical_sort(order):
+    ring = PolyRing(2, GF(101), order=order, naux=1)
+    rng = random.Random(11)
+    mons = sorted({tuple(rng.randrange(4) for _ in range(9)) for _ in range(60)})
+    terms = [(order.encode(m), rng.randrange(101)) for m in mons]
+    terms[::7] = [(v, 0) for v, _ in terms[::7]]
+    rng.shuffle(terms)
+    want = ring.poly([(order.decode(v), c) for v, c in terms])
+    assert decompile(ring, terms, order).terms == want.terms
+    assert len(want.terms) < len(terms)
+
+
+@settings(max_examples=80)
+@given(a=exps9_capped, b=exps9_capped)
+def test_packed_key_is_additive_up_to_the_exponent_cap(a, b):
+    b = tuple(y % (256 - x) for x, y in zip(a, b))  # keeps every a_i + b_i <= 255
+    for order in ORDERS9:
+        unit = order.encode((0,) * 9)
+        assert unit == order.unit_v
+        assert order.encode(mon_mul(a, b)) == order.encode(a) + order.encode(b) - unit
+
+
+@pytest.mark.parametrize("order", ORDERS9, ids=repr)
+def test_encode_raises_at_exponent_256(order):
+    order.encode((255,) * 9)
+    for i in (0, 8):
+        exps = [0] * 9
+        exps[i] = 256
+        with pytest.raises(OverflowError):
+            order.encode(exps)
