@@ -104,6 +104,8 @@ class PrimeField:
 
     def coerce(self, x):
         if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ZeroDivisionError(f"{x} has no image in GF({self.p})")
             return x.numerator % self.p * pow(x.denominator, self.p - 2, self.p) % self.p
         return int(x) % self.p
 

@@ -57,15 +57,11 @@ class GenericMatrix:
             n = self.size
             if other.size != n:
                 raise ValueError("size mismatch")
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self.ring.zero
-                    for k in range(n):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                rows.append(row)
+            dot, b = self.ring.dot, other.rows
+            rows = [
+                [dot([(a[k], b[k][j]) for k in range(n)]) for j in range(n)]
+                for a in self.rows
+            ]
             return GenericMatrix(self.ring, rows)
         return self.scale(other)
 
@@ -175,7 +171,7 @@ def _det_bareiss(m: GenericMatrix) -> Polynomial:
                 return ring.zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                num = ring.dot([(a[i][j], a[k][k]), (-a[i][k], a[k][j])])
                 a[i][j] = num.exact_div(prev)
             a[i][k] = ring.zero
         prev = a[k][k]

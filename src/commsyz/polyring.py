@@ -11,12 +11,27 @@ monomial into a single integer V such that
 Order comparisons and dictionary keys inside the division/Buchberger kernels
 are therefore plain int operations, which is what makes the pure-Python
 engine fast enough for the desk-scale n=3 runs.
+
+Products go through one kernel, `PolyRing.dot(pairs)`, which returns
+sum(a * b) over the pairs; `*`, matrix entries, Bareiss steps and syzygy
+residuals all call it.  Within one call each distinct input polynomial is
+encoded once, its coefficients scaled to ints over the lcm of their
+denominators (always 1 over GF(p)).  Each term product adds
+numerator * numerator, scaled to one common denominator for the whole call,
+into an int dict keyed by V(a) + V(b) - V(1); over GF(p) the sums are reduced
+once per output term.  Zeros are dropped, the surviving keys sorted once and
+decoded into exponent tuples.  Additivity holds only while every exponent of
+a product stays within the 8-bit cap, so before forming keys the kernel
+raises OverflowError for a pair in which some variable's largest exponents
+add up to more than 255, where a key would otherwise borrow silently from
+the neighbouring field.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from heapq import heappush, heappop
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import QQ, PrimeField, RationalField, field_from_name
@@ -215,6 +230,11 @@ def mon_degree(a):
     return sum(a)
 
 
+def _column_max(f: "Polynomial"):
+    """Largest exponent of each variable over the terms of f."""
+    return map(max, zip(*[mon for mon, _ in f.terms]))
+
+
 class PolyRing:
     """k[t_*, x_i_j, y_i_j] for one matrix size n.
 
@@ -282,6 +302,59 @@ class PolyRing:
         out = [(mon, c) for mon, c in acc.items() if not fld.is_zero(c)]
         out.sort(key=lambda t: enc(t[0]), reverse=True)
         return Polynomial(self, tuple(out))
+
+    def dot(self, pairs) -> "Polynomial":
+        """sum(a * b for a, b in pairs) in one pass; see the module docstring."""
+        enc = self.order.encode
+        packed = {}  # id(f) -> (f, top, den, terms); holding f keeps every id unique
+
+        def pack(f):
+            got = packed.get(id(f))
+            if got is None:
+                if f.ring is not self and not self.same_signature(f.ring):
+                    raise ValueError("polynomials from incompatible rings")
+                terms = f.terms
+                den = lcm(*[c.denominator for _, c in terms])
+                top = max([max(mon) for mon, _ in terms], default=0)
+                packed[id(f)] = got = (f, top, den, [
+                    (enc(mon), c.numerator * (den // c.denominator)) for mon, c in terms
+                ])
+            return got
+
+        work = []
+        common = 1
+        for a, b in pairs:
+            _, top_a, den_a, ta = pack(a)
+            _, top_b, den_b, tb = pack(b)
+            if not ta or not tb:
+                continue
+            if top_a + top_b > _EXP_CAP and any(
+                x + y > _EXP_CAP for x, y in zip(_column_max(a), _column_max(b))
+            ):
+                raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
+            work.append((ta, tb, den_a * den_b))
+            common = lcm(common, den_a * den_b)
+        shift = self.order.unit_v
+        acc = {}
+        get = acc.get
+        for ta, tb, den in work:
+            scale = common // den
+            if len(ta) < len(tb):
+                ta, tb = tb, ta
+            for vb, cb in tb:
+                vb -= shift
+                cb *= scale
+                for va, ca in ta:
+                    v = va + vb
+                    acc[v] = get(v, 0) + ca * cb
+        p = self.field.p
+        if p:
+            live = [(v, r) for v, c in acc.items() if (r := c % p)]
+        else:
+            live = [(v, Fraction(c, common)) for v, c in acc.items() if c]
+        live.sort(reverse=True)
+        dec = self.order.decode
+        return Polynomial(self, tuple([(dec(v), c) for v, c in live]))
 
     def same_signature(self, other: "PolyRing") -> bool:
         return (
@@ -422,28 +495,7 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        acc = {}
-        for mon2, c2 in b:
-            for mon1, c1 in a:
-                mon = tuple(x + y for x, y in zip(mon1, mon2))
-                c = fld.mul(c1, c2)
-                prev = acc.get(mon)
-                if prev is None:
-                    acc[mon] = c
-                else:
-                    s = fld.add(prev, c)
-                    if fld.is_zero(s):
-                        del acc[mon]
-                    else:
-                        acc[mon] = s
-        enc = self.ring.order.encode
-        out = sorted(acc.items(), key=lambda t: enc(t[0]), reverse=True)
-        return Polynomial(self.ring, tuple(out))
+        return self.ring.dot(((self, other),))
 
     __radd__ = __add__
     __rmul__ = __mul__

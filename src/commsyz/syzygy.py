@@ -78,10 +78,7 @@ class SyzygyTuple:
 
     def residual(self) -> Polynomial:
         """sum a_k f_k; the zero polynomial iff this is a genuine syzygy."""
-        acc = self.system.ring.zero
-        for a, f in zip(self.entries, self.system.commutators):
-            acc = acc + a * f
-        return acc
+        return self.system.ring.dot(zip(self.entries, self.system.commutators))
 
     def is_valid(self) -> bool:
         return self.residual().is_zero()

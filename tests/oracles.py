@@ -125,6 +125,21 @@ def selection_bidegrees_brute(n: int, cutoff=None) -> dict:
     return dict(sorted(out.items()))
 
 
+def naive_products(pairs, field) -> dict:
+    """sum(a * b) over the pairs as {exponent tuple: coeff}, zeros dropped.
+
+    Term by term on exponent tuples with the field's own operations; nothing
+    is encoded, so exponents past the packed cap pass through unchecked.
+    """
+    acc = {}
+    for a, b in pairs:
+        for ma, ca in a.terms:
+            for mb, cb in b.terms:
+                mon = tuple(x + y for x, y in zip(ma, mb))
+                acc[mon] = field.add(acc.get(mon, field.zero), field.mul(ca, cb))
+    return {mon: c for mon, c in acc.items() if not field.is_zero(c)}
+
+
 def rotations_brute(w: str) -> set:
     return {w[k:] + w[:k] for k in range(max(len(w), 1))}
 

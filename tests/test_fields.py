@@ -71,6 +71,15 @@ def test_field_from_name():
         field_from_name("banana")
 
 
+def test_gf_coerce_refuses_denominators_divisible_by_p():
+    assert GF(7).coerce(Fraction(1, 3)) == 5
+    assert GF(7).coerce(Fraction(-2, 5)) == 1
+    for x in (Fraction(1, 7), Fraction(3, 14), Fraction(-5, 49)):
+        with pytest.raises(ZeroDivisionError, match=r"GF\(7\)"):
+            GF(7).coerce(x)
+    assert GF(32003).coerce(Fraction(1, 7)) == pow(7, -1, 32003)
+
+
 def test_coeff_str_signs():
     fld = GF(32003)
     assert fld.coeff_str(fld.coerce(-1)) == "32002"

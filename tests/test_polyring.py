@@ -138,6 +138,15 @@ def test_parse_examples():
         RQ.parse("x_1_1 +")
 
 
+def test_parse_refuses_coefficients_with_no_image_mod_p():
+    text = "1/7*x_1_1 + y_1_1"
+    assert RQ.parse(text) == RQ.const("1/7") * RQ.x(1, 1) + RQ.y(1, 1)
+    with pytest.raises(ZeroDivisionError, match=r"GF\(7\)"):
+        PolyRing(2, GF(7)).parse(text)
+    R101 = PolyRing(2, GF(101))
+    assert R101.parse(text) == R101.x(1, 1).scale(pow(7, -1, 101)) + R101.y(1, 1)
+
+
 @settings(max_examples=40)
 @given(da=poly_dicts, db=poly_dicts)
 def test_exact_div_inverts_mul(da, db):

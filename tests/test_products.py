@@ -1,0 +1,168 @@
+"""The product kernel `PolyRing.dot` and every route into it (`*`, matrix
+products, syzygy residuals) against a naive exponent-tuple oracle; its
+exponent-cap guard; and how many order encodings it spends."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commsyz.fields import GF, QQ
+from commsyz.genmat import CommutatorSystem, GenericMatrix, build_system
+from commsyz.polyring import BlockElimination, Grevlex, Lex, PolyRing
+from commsyz.syzygy import SyzygyTuple, trace_residual
+
+from oracles import naive_products
+
+FIELDS = (QQ, GF(32003), GF(7))
+# n = 2 with two aux variables: t_1, t_2, x_1_1, ..., y_2_2 (10 variables)
+RINGS = [
+    PolyRing(2, field, order, naux=2) for field in FIELDS for order in ("grevlex", "lex", "elim")
+]
+# t_1, x_1_1, x_2_2 and y_2_2 only, so that term products collide and cancel
+SUPPORT = (0, 2, 5, 9)
+
+
+def _monomial(exps):
+    mon = [0] * 10
+    for i, e in zip(SUPPORT, exps):
+        mon[i] = e
+    return tuple(mon)
+
+
+monomials = st.tuples(*[st.integers(0, 2)] * len(SUPPORT)).map(_monomial)
+# denominators up to 6: non-unit and mixed over QQ, all invertible mod 7
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def polys(ring):
+    return st.dictionaries(monomials, coeffs, max_size=4).map(lambda d: ring.poly(d.items()))
+
+
+def check(got, ring, pairs):
+    want = ring.poly(naive_products(pairs, ring.field).items())
+    assert got.terms == want.terms
+    assert all(type(c) is type(ring.field.one) for _, c in got.terms)
+
+
+def commutator_system(ring):
+    X = GenericMatrix.from_entries(ring, 2, ring.x)
+    Y = GenericMatrix.from_entries(ring, 2, ring.y)
+    Z = X * Y - Y * X
+    return CommutatorSystem(ring, X, Y, Z, tuple(Z[i, j] for j in (1, 2) for i in (1, 2)))
+
+
+SYSTEMS = [commutator_system(ring) for ring in RINGS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dot_and_mul_match_the_naive_oracle(data):
+    ring = data.draw(st.sampled_from(RINGS), label="ring")
+    pairs = data.draw(st.lists(st.tuples(polys(ring), polys(ring)), max_size=5), label="pairs")
+    check(ring.dot(pairs), ring, pairs)
+    # operands made on the fly and dropped by the caller may reuse an object id
+    shifted = [(a + ring.one, b) for a, b in pairs]
+    check(ring.dot((a + ring.one, b) for a, b in pairs), ring, shifted)
+    squares = [(a, a) for a, _ in pairs]
+    check(ring.dot(squares), ring, squares)
+    for a, b in pairs:
+        check(a * b, ring, [(a, b)])
+    assert ring.dot(pairs + [(-a, b) for a, b in pairs]).is_zero()
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: repr(s.ring))
+def test_commutators_match_the_naive_oracle(system):
+    X, Y, ring = system.X, system.Y, system.ring
+    assert ring.dot([]) == ring.zero
+    assert ring.dot([(ring.zero, X[1, 1]), (Y[1, 1], ring.zero)]) == ring.zero
+    other_field = RINGS[(RINGS.index(ring) + 3) % len(RINGS)]
+    with pytest.raises(ValueError):
+        ring.dot([(X[1, 1], other_field.x(1, 1))])
+    for i in (1, 2):
+        for j in (1, 2):
+            pairs = [(X[i, k], Y[k, j]) for k in (1, 2)] + [(-Y[i, k], X[k, j]) for k in (1, 2)]
+            check(system.Z[i, j], ring, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_matrix_products_and_residuals_match_the_naive_oracle(data):
+    system = data.draw(st.sampled_from(SYSTEMS), label="system")
+    ring = system.ring
+    entries = data.draw(st.lists(polys(ring), min_size=12, max_size=12), label="entries")
+    A = GenericMatrix(ring, [entries[0:2], entries[2:4]])
+    B = GenericMatrix(ring, [entries[4:6], entries[6:8]])
+    AB = A * B
+    for i in (1, 2):
+        for j in (1, 2):
+            check(AB[i, j], ring, [(A[i, k], B[k, j]) for k in (1, 2)])
+    t = SyzygyTuple(entries=tuple(entries[8:]), system=system)
+    check(t.residual(), ring, list(zip(t.entries, system.commutators)))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(32003)), ids=repr)
+@pytest.mark.parametrize("order", (Grevlex(9), Lex(9), BlockElimination(9, 1)), ids=repr)
+def test_products_stop_at_the_exponent_cap(order, field):
+    ring = PolyRing(2, field, order=order, naux=1)
+
+    def power(i, e):
+        exps = [0] * 9
+        exps[i] = e
+        return ring.poly({tuple(exps): 1})
+
+    def entry(f):
+        return GenericMatrix(ring, [[f]])
+
+    for i, other in ((0, 8), (4, 0), (8, 1)):
+        a = power(i, 200)
+        want = power(i, 255)
+        b = power(i, 55)
+        assert a * b == want
+        assert ring.dot([(a, b)]) == want
+        assert (entry(a) * entry(b))[1, 1] == want
+        c = power(i, 56)
+        for product in (lambda: a * c, lambda: ring.dot([(a, c)]), lambda: entry(a) * entry(c)):
+            with pytest.raises(OverflowError):
+                product()
+        # large exponents of different variables add up to nothing
+        f = a + power(other, 1)
+        g = power(other, 200) + b
+        assert f * g == a * power(other, 200) + a * b + power(other, 201) + power(other, 1) * b
+        with pytest.raises(OverflowError):
+            f * (power(other, 1) + c)
+
+
+def test_products_encode_each_input_term_once_per_dot_call(monkeypatch):
+    system = build_system(3)
+    ring, X, Y = system.ring, system.X, system.Y
+    M = X * Y + Y * X
+    seen = {}
+    encode, dot = ring.order.encode, ring.dot
+
+    def counting_encode(exps):
+        seen["encode"] += 1
+        return encode(exps)
+
+    def counting_dot(pairs):
+        pairs = list(pairs)
+        seen["inputs"] += sum({id(f): len(f.terms) for pair in pairs for f in pair}.values())
+        seen["products"] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
+        return dot(pairs)
+
+    monkeypatch.setattr(ring.order, "encode", counting_encode)
+    monkeypatch.setattr(ring, "dot", counting_dot)
+
+    def counts(job):
+        seen.update(encode=0, inputs=0, products=0)
+        job()
+        return dict(seen)
+
+    # X*Y: 9 entries, each one dot over 3 pairs of single-term entries
+    xy = counts(lambda: X * Y)
+    assert xy == {"encode": 54, "inputs": 54, "products": 27}
+    # tr(M(XY-YX)): one dot over 9 pairs (M_ij, Z_ji), 5 or 6 terms times 4 or 6 terms
+    res = counts(lambda: trace_residual(M, system))
+    assert res == {"encode": 99, "inputs": 99, "products": 276}
+    assert xy["encode"] <= xy["inputs"] and res["encode"] <= res["inputs"]
+    assert res["encode"] < res["products"]
+    assert xy["encode"] + res["encode"] < xy["products"] + res["products"]
