@@ -6,7 +6,7 @@ uses; sizes above the desk limit simply skip the Groebner-scale checks unless
 an explicit budget is supplied.  Exit status is nonzero iff any check FAILs.
 
 Example:
-    python3 scripts/desk_verify.py --sizes 2 3 4 --threads 4
+    python3 scripts/desk_verify.py --sizes 2 3 4
 """
 
 import argparse
@@ -22,7 +22,6 @@ def main(argv=None) -> int:
         help="matrix sizes to verify (default: 2 3)",
     )
     parser.add_argument("--field", default="gf:32003", help="q or gf:p (default gf:32003)")
-    parser.add_argument("--threads", type=int, default=1, help="checks run in parallel")
     parser.add_argument("--budget-spairs", type=int, default=None,
                         help="cap on reduced S-pairs per basis (enables big-n runs)")
     parser.add_argument("--budget-seconds", type=float, default=None,
@@ -36,7 +35,6 @@ def main(argv=None) -> int:
             command="verify",
             n=n,
             field=args.field,
-            threads=args.threads,
             budget_spairs=args.budget_spairs,
             budget_seconds=args.budget_seconds,
             json_output=args.json,

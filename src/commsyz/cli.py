@@ -63,15 +63,12 @@ class RunConfig:
     degree_bound: Optional[int] = None
     fixtures: Optional[str] = None
     json_output: bool = False
-    threads: int = 1
     extras: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         field_from_name(self.field)  # raises on a non-prime modulus
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         self.budget()  # validates positivity
 
     def coefficient_field(self):
@@ -381,7 +378,7 @@ def cmd_predict(cfg: RunConfig) -> list:
 
 
 def cmd_verify(cfg: RunConfig) -> list:
-    return run_suite(cfg.context(), cfg.n, threads=cfg.threads)
+    return run_suite(cfg.context(), cfg.n)
 
 
 def run_verify_suite(cfg: RunConfig) -> Report:
@@ -457,12 +454,6 @@ def _shared_parser() -> argparse.ArgumentParser:
         default=_env("JSON", "") not in ("", "0", "false"),
         help="emit the versioned JSON report instead of text",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(_env("THREADS", 1)),
-        help="worker threads for independent checks (verdicts are unaffected)",
-    )
     return p
 
 
@@ -536,7 +527,6 @@ def parse_args(argv) -> RunConfig:
             degree_bound=int(ns.degree_bound) if ns.degree_bound is not None else None,
             fixtures=ns.fixtures,
             json_output=ns.json,
-            threads=ns.threads,
             extras=extras,
         )
     except ValueError as exc:
@@ -576,9 +566,7 @@ def emit(report: Report, fmt: str) -> str:
         return json.dumps(report.as_dict(), sort_keys=True, indent=2)
     lines = [f"commsyz {report.command}"]
     cfg = report.config
-    lines.append(
-        f"  n={cfg['n']} field={cfg['field']} order={cfg['order']} threads={cfg['threads']}"
-    )
+    lines.append(f"  n={cfg['n']} field={cfg['field']} order={cfg['order']}")
     per = report.timing.get("per_result", {})
     for r in report.results:
         lines.append(f"{r['verdict']:8s} {r['name']}  ({per.get(r['name'], 0.0):.2f}s)")

@@ -38,6 +38,10 @@ def fixture_names(directory: Union[str, Path, None] = None) -> list:
     )
 
 
+class FixtureNotFound(ValueError):
+    """No fixture file of the requested name exists in the fixture directory."""
+
+
 def _check(cond: bool, name: str, msg: str) -> None:
     if not cond:
         raise ValueError(f"fixture {name!r}: {msg}")
@@ -50,7 +54,7 @@ def load_raw(name: str, directory: Union[str, Path, None] = None) -> dict:
     try:
         data = json.loads(path.read_text())
     except FileNotFoundError:
-        raise ValueError(
+        raise FixtureNotFound(
             f"fixture {name!r}: not found (available: {', '.join(fixture_names(directory))})"
         ) from None
     _check(isinstance(data, dict), name, "top level must be an object")

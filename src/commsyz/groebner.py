@@ -12,13 +12,13 @@ quotients (via intersection with a principal ideal plus exact division).
 from __future__ import annotations
 
 import time
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Optional, Sequence
 
 from .polyring import (
     CompiledPoly,
+    DegreeBucketReducers,
     PolyRing,
     Polynomial,
     compile_poly,
@@ -27,7 +27,6 @@ from .polyring import (
     mon_divides,
     mon_lcm,
     normal_form,
-    var_mask,
 )
 
 
@@ -86,43 +85,6 @@ class GBStats:
         }
 
 
-class DegreeBucketReducers:
-    """Reducer store bucketed by lead total degree (smallest degree wins)."""
-
-    __slots__ = ("by_deg", "degrees")
-
-    def __init__(self, entries=()):
-        self.by_deg: dict[int, list] = {}
-        self.degrees: list[int] = []
-        for cp in entries:
-            self.add(cp)
-
-    def add(self, cp: CompiledPoly):
-        bucket = self.by_deg.get(cp.lead_deg)
-        if bucket is None:
-            self.by_deg[cp.lead_deg] = [cp]
-            insort(self.degrees, cp.lead_deg)
-        else:
-            bucket.append(cp)
-
-    def find(self, exps, deg, emask):
-        for d in self.degrees:
-            if d > deg:
-                return None
-            for r in self.by_deg[d]:
-                if r.mask & ~emask:
-                    continue
-                le = r.lead_exps
-                ok = True
-                for i in range(len(exps)):
-                    if le[i] > exps[i]:
-                        ok = False
-                        break
-                if ok:
-                    return r
-        return None
-
-
 class GroebnerBasis:
     """A (possibly truncated or partial) Groebner basis with cached reducers.
 
@@ -160,7 +122,7 @@ class GroebnerBasis:
         if self._reducers is None:
             order = self.ring.order
             self._reducers = DegreeBucketReducers(
-                compile_poly(g, order, i) for i, g in enumerate(self.elements)
+                order, (compile_poly(g, order, i) for i, g in enumerate(self.elements))
             )
         return self._reducers
 
@@ -170,9 +132,7 @@ class GroebnerBasis:
             return f
         order = self.ring.order
         enc = order.encode
-        rem = normal_form(
-            [(enc(m), c) for m, c in f.terms], self.reducers, order, self.ring.field
-        )
+        rem = normal_form([(enc(m), c) for m, c in f.terms], self.reducers, self.ring.field)
         return decompile(f.ring, rem, order)
 
     def contains(self, f: Polynomial) -> bool:
@@ -246,7 +206,7 @@ def buchberger(
     start = time.monotonic()
 
     basis: list[CompiledPoly] = []
-    reducers = DegreeBucketReducers()
+    reducers = DegreeBucketReducers(order)
     pairs: dict = {}  # (i, j) -> lcm exponent tuple
     heap: list = []
     serial = 0
@@ -318,7 +278,7 @@ def buchberger(
         stats.spairs_reduced += 1
         if deg > stats.max_degree_processed:
             stats.max_degree_processed = deg
-        rem = normal_form(terms, reducers, order, fld)
+        rem = normal_form(terms, reducers, fld)
         if rem:
             add_element(decompile(ring, rem, order))
         else:
@@ -377,10 +337,10 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
         kept.append(p)
     # tail-reduce each against the shared set; the leads stay sorted
     compiled = [compile_poly(p, order, i) for i, p in enumerate(kept)]
-    reducers = DegreeBucketReducers(compiled)
+    reducers = DegreeBucketReducers(order, compiled)
     out = []
     for cp in compiled:
-        rem = normal_form(cp.tail, reducers, order, ring.field)
+        rem = normal_form(cp.tail, reducers, ring.field)
         out.append(decompile(ring, [(cp.lead_v, cp.lc)] + rem, order).monic())
     return out
 
@@ -403,7 +363,7 @@ def verify_basis(basis: GroebnerBasis, gens: Optional[Sequence[Polynomial]] = No
         for b in range(a + 1, len(elems)):
             l = mon_lcm(compiled[a].lead_exps, compiled[b].lead_exps)
             terms = _spair_terms(compiled[a], compiled[b], order.encode(l))
-            if normal_form(terms, reducers, order, fld):
+            if normal_form(terms, reducers, fld):
                 failures.append(f"S-pair ({a},{b}) does not reduce to zero")
     if gens is not None:
         for k, g in enumerate(gens):
@@ -482,38 +442,3 @@ def colon_ideal(
         nxt = colon_by_element(gens, f, budget=budget)
         result = intersect_ideals(result, nxt, budget=budget)
     return interreduce(result)
-
-
-def minimal_generators(
-    gens: Sequence[Polynomial], *, budget: Optional[Budget] = None
-) -> list:
-    """Greedy minimal generating subset of a homogeneous generator list.
-
-    Processes generators by increasing degree (then lead monomial); a
-    generator is kept iff it is not in the ideal of those already kept,
-    decided by a degree-truncated basis.  For homogeneous ideals the result
-    is a minimal generating set drawn from the input.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not all(g.is_homogeneous() for g in gens):
-        raise ValueError("minimal generator selection needs homogeneous input")
-    if not gens:
-        return []
-    ring = gens[0].ring
-    enc = ring.order.encode
-    ordered = sorted(gens, key=lambda g: (g.degree(), enc(g.lm())))
-    kept: list = []
-    gb = None
-    gb_state = (0, -1)  # (len(kept), truncation degree) the cached basis reflects
-    for g in ordered:
-        d = g.degree()
-        if kept:
-            if gb_state != (len(kept), d):
-                gb = buchberger(kept, budget=budget, degree_bound=d)
-                gb_state = (len(kept), d)
-            rem = gb.reduce(g)
-        else:
-            rem = g
-        if not rem.is_zero():
-            kept.append(g)
-    return kept

@@ -29,12 +29,13 @@ the neighbouring field.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from fractions import Fraction
 from heapq import heappush, heappop
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .fields import QQ, PrimeField, RationalField, field_from_name
+from .fields import QQ
 
 _EXP_BITS = 8
 _EXP_CAP = (1 << _EXP_BITS) - 1
@@ -667,11 +668,14 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 
 # -- division kernel -------------------------------------------------------------
 #
-# Polynomials are compiled to lists of (V, coeff) with V the order encoding.
-# The reducer set exposes find(exps, deg) -> compiled entry or None.
+# Polynomials and module vectors are compiled to lists of (V, coeff) with V the
+# packed order key.  A reducer store answers find(V) -> compiled entry or None,
+# so one normal-form loop serves both.
 
 
 class CompiledPoly:
+    """A nonzero polynomial or module vector as packed (V, coeff) terms."""
+
     __slots__ = ("index", "lead_v", "lead_exps", "lead_deg", "mask", "tail", "lc", "lc_inv")
 
     def __init__(self, index, lead_v, lead_exps, lead_deg, mask, tail, lc, lc_inv):
@@ -693,6 +697,14 @@ def var_mask(exps) -> int:
     return m
 
 
+def compile_terms(terms, lead_exps, field, index: int = -1) -> CompiledPoly:
+    """CompiledPoly from descending (V, coeff) terms and the lead's exponents."""
+    lead_v, lc = terms[0]
+    return CompiledPoly(
+        index, lead_v, lead_exps, sum(lead_exps), var_mask(lead_exps), terms[1:], lc, field.inv(lc)
+    )
+
+
 def compile_poly(f: Polynomial, order: MonomialOrder, index: int = -1) -> CompiledPoly:
     if f.is_zero():
         raise ValueError("cannot compile the zero polynomial")
@@ -700,13 +712,7 @@ def compile_poly(f: Polynomial, order: MonomialOrder, index: int = -1) -> Compil
     terms = [(enc(mon), c) for mon, c in f.terms]
     if any(terms[i][0] <= terms[i + 1][0] for i in range(len(terms) - 1)):
         terms.sort(key=lambda t: t[0], reverse=True)
-    lead_v, lc = terms[0]
-    lead_exps = order.decode(lead_v)
-    fld = f.ring.field
-    lc_inv = fld.inv(lc)
-    return CompiledPoly(
-        index, lead_v, lead_exps, sum(lead_exps), var_mask(lead_exps), terms[1:], lc, lc_inv
-    )
+    return compile_terms(terms, order.decode(terms[0][0]), f.ring.field, index)
 
 
 def decompile(ring: PolyRing, terms, order: MonomialOrder) -> Polynomial:
@@ -717,36 +723,59 @@ def decompile(ring: PolyRing, terms, order: MonomialOrder) -> Polynomial:
     return Polynomial(ring, tuple((dec(v), c) for v, c in live))
 
 
-class SequentialReducers:
-    """Reducer lookup in a fixed listed sequence (first divisor wins)."""
+class DegreeBucketReducers:
+    """Reducer store bucketed by lead total degree (smallest degree wins).
 
-    __slots__ = ("entries",)
+    find(v) decodes the packed key v with the store's order and returns the
+    first reducer, by lead degree and then insertion, whose lead divides it.
+    """
 
-    def __init__(self, entries):
-        self.entries = entries
+    __slots__ = ("decode", "by_deg", "degrees")
 
-    def find(self, exps, deg, emask):
-        for r in self.entries:
-            if r.lead_deg > deg or (r.mask & ~emask):
-                continue
-            ok = True
-            le = r.lead_exps
-            for i in range(len(exps)):
-                if le[i] > exps[i]:
-                    ok = False
-                    break
-            if ok:
-                return r
+    def __init__(self, order: MonomialOrder, entries=()):
+        self.decode = order.decode
+        self.by_deg: dict[int, list] = {}
+        self.degrees: list[int] = []
+        for cp in entries:
+            self.add(cp)
+
+    def add(self, cp: CompiledPoly):
+        bucket = self.by_deg.get(cp.lead_deg)
+        if bucket is None:
+            self.by_deg[cp.lead_deg] = [cp]
+            insort(self.degrees, cp.lead_deg)
+        else:
+            bucket.append(cp)
+
+    def find(self, v):
+        exps = self.decode(v)
+        deg = sum(exps)
+        emask = var_mask(exps)
+        for d in self.degrees:
+            if d > deg:
+                return None
+            for r in self.by_deg[d]:
+                if r.mask & ~emask:
+                    continue
+                le = r.lead_exps
+                ok = True
+                for i in range(len(exps)):
+                    if le[i] > exps[i]:
+                        ok = False
+                        break
+                if ok:
+                    return r
         return None
 
 
-def normal_form(terms, reducers, order, field, record=None):
+def normal_form(terms, reducers, field, record=None):
     """Reduce a compiled term list to normal form against `reducers`.
 
-    terms: iterable of (V, coeff).  Returns the remainder as a descending
-    list of (V, coeff).  When `record` is a list, appends one event
-    (reducer_index, delta_v, coeff) per reduction step, where the subtracted
-    multiple is coeff * monomial(delta_v + V(1)) * reducer.
+    terms: sized iterable of (V, coeff); reducers: any store with find(V).
+    Over GF(p) every coefficient is kept reduced mod p.  Returns the
+    remainder as a descending list of (V, coeff).  When `record` is a list,
+    appends one event (reducer_index, delta_v, coeff) per reduction step,
+    where the subtracted multiple is coeff * monomial(delta_v + V(1)) * reducer.
     """
     p = field.p
     acc = {}
@@ -757,94 +786,66 @@ def normal_form(terms, reducers, order, field, record=None):
             acc[v] = c
             heappush(heap, -v)
         else:
-            s = (prev + c) % p if p else prev + c
-            if (s == 0) if p else field.is_zero(s):
-                del acc[v]
-            else:
+            s = prev + c
+            if p:
+                s %= p
+            if s:
                 acc[v] = s
-    decode = order.decode
+            else:
+                del acc[v]
     rem = []
     find = reducers.find
-    if p:
-        while heap:
-            v = -heappop(heap)
-            c = acc.get(v)
-            if not c:
-                acc.pop(v, None)
-                continue
-            exps = decode(v)
-            red = find(exps, sum(exps), var_mask(exps))
-            if red is None:
-                rem.append((v, c))
-                del acc[v]
-                continue
-            cf = c * red.lc_inv % p
-            del acc[v]
-            delta = v - red.lead_v
-            if record is not None:
-                record.append((red.index, delta, cf))
-            for vt, ct in red.tail:
-                vn = vt + delta
-                prev = acc.get(vn)
-                if prev is None:
-                    acc[vn] = -cf * ct % p
-                    heappush(heap, -vn)
+    while heap:
+        v = -heappop(heap)
+        c = acc.pop(v, None)
+        if not c:
+            continue
+        red = find(v)
+        if red is None:
+            rem.append((v, c))
+            continue
+        cf = c * red.lc_inv
+        if p:
+            cf %= p
+        delta = v - red.lead_v
+        if record is not None:
+            record.append((red.index, delta, cf))
+        for vt, ct in red.tail:
+            vn = vt + delta
+            prev = acc.get(vn)
+            if prev is None:
+                s = -cf * ct
+                if p:
+                    s %= p
+                acc[vn] = s
+                heappush(heap, -vn)
+            else:
+                s = prev - cf * ct
+                if p:
+                    s %= p
+                if s:
+                    acc[vn] = s
                 else:
-                    s = (prev - cf * ct) % p
-                    if s:
-                        acc[vn] = s
-                    else:
-                        del acc[vn]
-    else:
-        while heap:
-            v = -heappop(heap)
-            c = acc.get(v)
-            if c is None or c == 0:
-                acc.pop(v, None)
-                continue
-            exps = decode(v)
-            red = find(exps, sum(exps), var_mask(exps))
-            if red is None:
-                rem.append((v, c))
-                del acc[v]
-                continue
-            cf = c * red.lc_inv
-            del acc[v]
-            delta = v - red.lead_v
-            if record is not None:
-                record.append((red.index, delta, cf))
-            for vt, ct in red.tail:
-                vn = vt + delta
-                prev = acc.get(vn)
-                if prev is None:
-                    acc[vn] = -cf * ct
-                    heappush(heap, -vn)
-                else:
-                    s = prev - cf * ct
-                    if s:
-                        acc[vn] = s
-                    else:
-                        del acc[vn]
+                    del acc[vn]
     return rem
 
 
 def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = None):
     """Multivariate division: f = sum(q_i * g_i) + r.
 
-    Deterministic given the order and the listed sequence of divisors: at each
-    step the first listed divisor whose lead divides the current lead is used.
-    No monomial of r is divisible by any divisor lead.
+    Deterministic given the order and the divisors: at each step the first
+    divisor, by lead degree and then listed position, whose lead divides the
+    current lead is used.  No monomial of r is divisible by any divisor lead.
     """
     ring = f.ring
     order = order or ring.order
     gs = [g for g in divisors]
     if any(g.is_zero() for g in gs):
         raise ValueError("zero divisor in division")
-    compiled = [compile_poly(g, order, i) for i, g in enumerate(gs)]
-    reducers = SequentialReducers(compiled)
+    reducers = DegreeBucketReducers(order, (compile_poly(g, order, i) for i, g in enumerate(gs)))
     record = []
     enc = order.encode
-    rem_terms = normal_form([(enc(m), c) for m, c in f.terms], reducers, order, ring.field, record)
+    rem_terms = normal_form([(enc(m), c) for m, c in f.terms], reducers, ring.field, record)
     r = decompile(ring, rem_terms, order)
     fld = ring.field
     unit = order.unit_v

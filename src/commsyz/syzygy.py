@@ -21,17 +21,19 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .genmat import CommutatorSystem, GenericMatrix
-from .groebner import Budget, BudgetExhausted, DegreeBucketReducers, GBStats
+from .groebner import Budget, BudgetExhausted, GBStats, _spair_terms
 from .polyring import (
+    CompiledPoly,
+    DegreeBucketReducers,
     MonomialOrder,
     PolyRing,
     Polynomial,
     compile_poly,
+    compile_terms,
     decompile,
     mon_degree,
     mon_lcm,
     normal_form,
-    var_mask,
 )
 from .words import WordExpr
 
@@ -194,33 +196,6 @@ class ModuleOrder:
         )
 
 
-class CompiledVector:
-    """A nonzero module vector compiled to integer-encoded terms."""
-
-    __slots__ = (
-        "index",
-        "lead_v",
-        "lead_pos",
-        "lead_exps",
-        "lead_deg",
-        "mask",
-        "tail",
-        "lc",
-        "lc_inv",
-    )
-
-    def __init__(self, index, lead_v, lead_pos, lead_exps, lead_deg, mask, tail, lc, lc_inv):
-        self.index = index
-        self.lead_v = lead_v
-        self.lead_pos = lead_pos
-        self.lead_exps = lead_exps
-        self.lead_deg = lead_deg
-        self.mask = mask
-        self.tail = tail
-        self.lc = lc
-        self.lc_inv = lc_inv
-
-
 def vector_is_zero(vec: Sequence[Polynomial]) -> bool:
     return all(p.is_zero() for p in vec)
 
@@ -248,33 +223,22 @@ def vector_scale(vec, c: Polynomial):
     return tuple(p * c for p in vec)
 
 
-def compile_vector(vec: Sequence[Polynomial], morder: ModuleOrder, index: int = -1) -> CompiledVector:
+def compile_vector(vec: Sequence[Polynomial], morder: ModuleOrder, index: int = -1) -> CompiledPoly:
+    """A nonzero vector as one packed term list; lead_exps is the scalar part."""
     ring = None
+    enc = morder.scalar.encode
     terms = []
     for pos, p in enumerate(vec):
         if p.is_zero():
             continue
         ring = p.ring
-        enc = morder.scalar.encode
         base = (morder.rank - 1 - pos) << morder.shift
         terms.extend((base | enc(mon), c) for mon, c in p.terms)
     if ring is None:
         raise ValueError("cannot compile the zero vector")
     terms.sort(key=lambda t: t[0], reverse=True)
-    lead_v, lc = terms[0]
-    lead_pos, lead_exps = morder.decode(lead_v)
-    fld = ring.field
-    return CompiledVector(
-        index,
-        lead_v,
-        lead_pos,
-        lead_exps,
-        sum(lead_exps),
-        var_mask(lead_exps),
-        terms[1:],
-        lc,
-        fld.inv(lc),
-    )
+    lead_exps = morder.scalar.decode(morder.scalar_part(terms[0][0]))
+    return compile_terms(terms, lead_exps, ring.field, index)
 
 
 def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
@@ -290,112 +254,38 @@ def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
 
 
 class ModuleReducers:
-    """Reducers grouped by lead position, degree-bucketed within."""
+    """Reducers grouped by lead position, degree-bucketed within.
 
-    __slots__ = ("by_pos",)
+    find(v) looks up the scalar part of v among the reducers whose lead sits
+    at v's position, so a reducer applies only at its own lead position.
+    """
 
-    def __init__(self, entries=()):
+    __slots__ = ("morder", "by_pos")
+
+    def __init__(self, morder: ModuleOrder, entries=()):
+        self.morder = morder
         self.by_pos: dict = {}
-        for cv in entries:
-            self.add(cv)
+        for cp in entries:
+            self.add(cp)
 
-    def add(self, cv: CompiledVector):
-        bucket = self.by_pos.get(cv.lead_pos)
-        if bucket is None:
-            bucket = DegreeBucketReducers()
-            self.by_pos[cv.lead_pos] = bucket
-        bucket.add(cv)
-
-    def find(self, pos, exps, deg, emask):
+    def add(self, cp: CompiledPoly):
+        pos = self.morder.position(cp.lead_v)
         bucket = self.by_pos.get(pos)
         if bucket is None:
+            bucket = DegreeBucketReducers(self.morder.scalar)
+            self.by_pos[pos] = bucket
+        bucket.add(cp)
+
+    def find(self, v):
+        bucket = self.by_pos.get(self.morder.position(v))
+        if bucket is None:
             return None
-        return bucket.find(exps, deg, emask)
+        return bucket.find(self.morder.scalar_part(v))
 
 
-def module_normal_form(terms, reducers: ModuleReducers, morder: ModuleOrder, field):
-    """Reduce a compiled module term list to normal form.
-
-    Same lazy-heap scheme as the scalar kernel; a reducer applies only at its
-    own lead position, and the scalar offset keeps every tail term's position.
-    """
-    p = field.p
-    shift = morder.shift
-    rank1 = morder.rank - 1
-    sdecode = morder.scalar.decode
-    smask = (1 << shift) - 1
-    acc = {}
-    heap = []
-    for v, c in terms:
-        prev = acc.get(v)
-        if prev is None:
-            acc[v] = c
-            heappush(heap, -v)
-        else:
-            s = (prev + c) % p if p else field.add(prev, c)
-            if (s == 0) if p else field.is_zero(s):
-                del acc[v]
-            else:
-                acc[v] = s
-    rem = []
-    find = reducers.find
-    if p:
-        while heap:
-            v = -heappop(heap)
-            c = acc.get(v)
-            if not c:
-                acc.pop(v, None)
-                continue
-            exps = sdecode(v & smask)
-            red = find(rank1 - (v >> shift), exps, sum(exps), var_mask(exps))
-            if red is None:
-                rem.append((v, c))
-                del acc[v]
-                continue
-            cf = c * red.lc_inv % p
-            del acc[v]
-            delta = v - red.lead_v
-            for vt, ct in red.tail:
-                vn = vt + delta
-                prev = acc.get(vn)
-                if prev is None:
-                    acc[vn] = -cf * ct % p
-                    heappush(heap, -vn)
-                else:
-                    s = (prev - cf * ct) % p
-                    if s:
-                        acc[vn] = s
-                    else:
-                        del acc[vn]
-    else:
-        while heap:
-            v = -heappop(heap)
-            c = acc.get(v)
-            if c is None or c == 0:
-                acc.pop(v, None)
-                continue
-            exps = sdecode(v & smask)
-            red = find(rank1 - (v >> shift), exps, sum(exps), var_mask(exps))
-            if red is None:
-                rem.append((v, c))
-                del acc[v]
-                continue
-            cf = c * red.lc_inv
-            del acc[v]
-            delta = v - red.lead_v
-            for vt, ct in red.tail:
-                vn = vt + delta
-                prev = acc.get(vn)
-                if prev is None:
-                    acc[vn] = -cf * ct
-                    heappush(heap, -vn)
-                else:
-                    s = prev - cf * ct
-                    if s:
-                        acc[vn] = s
-                    else:
-                        del acc[vn]
-    return rem
+def module_normal_form(terms, reducers: ModuleReducers, field):
+    """Normal form of a compiled module term list; the scalar kernel does it."""
+    return normal_form(terms, reducers, field)
 
 
 class ModuleBasis:
@@ -428,7 +318,7 @@ class ModuleBasis:
     def reducers(self) -> ModuleReducers:
         if self._reducers is None:
             self._reducers = ModuleReducers(
-                compile_vector(v, self.morder, i) for i, v in enumerate(self.vectors)
+                self.morder, (compile_vector(v, self.morder, i) for i, v in enumerate(self.vectors))
             )
         return self._reducers
 
@@ -437,7 +327,7 @@ class ModuleBasis:
             return tuple(vec)
         cv = compile_vector(vec, self.morder)
         terms = [(cv.lead_v, cv.lc)] + cv.tail
-        rem = module_normal_form(terms, self.reducers, self.morder, self.ring.field)
+        rem = module_normal_form(terms, self.reducers, self.ring.field)
         return decompile_vector(self.ring, self.rank, rem, self.morder)
 
     def contains(self, vec) -> bool:
@@ -484,7 +374,7 @@ def module_buchberger(
 
     basis: list = []
     stored: list = []
-    reducers = ModuleReducers()
+    reducers = ModuleReducers(morder)
     heap: list = []
     serial = 0
 
@@ -501,8 +391,9 @@ def module_buchberger(
         vec = monic_vec(vec, cv)
         if cv.lc != fld.one:
             cv = compile_vector(vec, morder, h)
+        pos = morder.position(cv.lead_v)
         for g in basis:
-            if g.lead_pos != cv.lead_pos:
+            if morder.position(g.lead_v) != pos:
                 continue
             l = mon_lcm(g.lead_exps, cv.lead_exps)
             deg = mon_degree(l)
@@ -520,7 +411,6 @@ def module_buchberger(
     for v in vectors:
         add_vector(v)
 
-    enc = morder.scalar.encode
     while heap:
         if budget.max_spairs is not None and stats.spairs_reduced >= budget.max_spairs:
             exhausted = f"S-pair budget ({budget.max_spairs}) exhausted"
@@ -530,15 +420,12 @@ def module_buchberger(
             break
         deg, _, i, j, l = heappop(heap)
         a, b = basis[i], basis[j]
-        vlcm = ((morder.rank - 1 - a.lead_pos) << morder.shift) | enc(l)
-        da = vlcm - a.lead_v
-        db = vlcm - b.lead_v
-        terms = [(vt + da, ct) for vt, ct in a.tail]
-        terms.extend((vt + db, -ct) for vt, ct in b.tail)
+        vlcm = morder.encode(morder.position(a.lead_v), l)
+        terms = _spair_terms(a, b, vlcm)
         stats.spairs_reduced += 1
         if deg > stats.max_degree_processed:
             stats.max_degree_processed = deg
-        rem = module_normal_form(terms, reducers, morder, fld)
+        rem = module_normal_form(terms, reducers, fld)
         if rem:
             add_vector(decompile_vector(ring, rank, rem, morder))
         else:
@@ -632,10 +519,9 @@ def _tracked_pair_syzygies(gens: Sequence[Polynomial], lcm_bound: int, budget: B
     basis: list = []
     polys: list = []
     reps: list = []
-    reducers = DegreeBucketReducers()
+    reducers = DegreeBucketReducers(order)
     heap: list = []
     serial = 0
-    zero_vec = tuple(ring.zero for _ in range(m))
 
     def unit_vec(i):
         return tuple(ring.one if k == i else ring.zero for k in range(m))
@@ -686,17 +572,15 @@ def _tracked_pair_syzygies(gens: Sequence[Polynomial], lcm_bound: int, budget: B
             syzygies.append(syz)
             stats.pairs_pruned += 1
             continue
-        l = mon_lcm(a.lead_exps, b.lead_exps)
-        vlcm = order.encode(l)
-        da = vlcm - a.lead_v
-        db = vlcm - b.lead_v
-        terms = [(vt + da, ct) for vt, ct in a.tail]
-        terms.extend((vt + db, -ct) for vt, ct in b.tail)
+        vlcm = order.encode(mon_lcm(a.lead_exps, b.lead_exps))
+        terms = _spair_terms(a, b, vlcm)
         record: list = []
         stats.spairs_reduced += 1
         if deg > stats.max_degree_processed:
             stats.max_degree_processed = deg
-        rem = normal_form(terms, reducers, order, fld, record)
+        rem = normal_form(terms, reducers, fld, record)
+        da = vlcm - a.lead_v
+        db = vlcm - b.lead_v
         mult_a = decompile(ring, [(da + unit, fld.one)], order)
         mult_b = decompile(ring, [(db + unit, fld.one)], order)
         expr = vector_sub(vector_scale(reps[i], mult_a), vector_scale(reps[j], mult_b))

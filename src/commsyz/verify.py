@@ -11,7 +11,6 @@ same configuration produce identical result payloads.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
@@ -87,7 +86,7 @@ class CheckResult:
 
 class DeskContext:
     """Lazy cache of the expensive shared objects (systems, bases, colon
-    ideals, syzygy runs), safe to share across worker threads."""
+    ideals, syzygy runs)."""
 
     def __init__(
         self,
@@ -101,14 +100,11 @@ class DeskContext:
         self.budget = budget
         self.fixture_dir = fixture_dir
         self._cache: dict = {}
-        # reentrant: cache builders freely call back into other getters
-        self._lock = threading.RLock()
 
     def _get(self, key, make: Callable):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = make()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
     # -- shared objects ------------------------------------------------------
 
@@ -182,7 +178,8 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
     Candidates are taken in increasing degree; one is kept iff it is not in
     the ideal of the base plus those already kept, decided by a
     degree-truncated basis.  For homogeneous input the count is the number of
-    minimal generators of the quotient module (ideal / base ideal).
+    minimal generators of the quotient module (ideal / base ideal); with an
+    empty base it is a minimal generating set of the ideal drawn from `gens`.
     """
     base = [g for g in base_gens if not g.is_zero()]
     cand = [g for g in gens if not g.is_zero()]
@@ -197,11 +194,13 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
     state = None
     for g in cand:
         d = g.degree()
-        if state != (len(kept), d):
-            gb = buchberger(base + kept, budget=budget, degree_bound=d)
-            state = (len(kept), d)
-        if not gb.reduce(g).is_zero():
-            kept.append(g)
+        if base or kept:
+            if state != (len(kept), d):
+                gb = buchberger(base + kept, budget=budget, degree_bound=d)
+                state = (len(kept), d)
+            if gb.reduce(g).is_zero():
+                continue
+        kept.append(g)
     return kept
 
 
@@ -308,6 +307,15 @@ def check_first_syzygies(ctx: DeskContext, n: int):
     return ("PARTIAL" if fs.partial else _verdict(ok)), detail
 
 
+def _determinant_members(system: CommutatorSystem, basis: GroebnerBasis) -> list:
+    """Membership in `basis` of each determinant candidate of degree <= 3."""
+    return [
+        {"columns": list(labels), "bidegree": list(bideg), "in_colon": basis.contains(det_poly)}
+        for labels, det_poly, bideg in knutson_candidates(system, 2)
+        if sum(bideg) <= 3
+    ]
+
+
 def check_colon_ideal(ctx: DeskContext, n: int):
     """n=3: the colon ideal adds exactly five minimal generators beyond the
     off-diagonal ideal, with the predicted bidegrees; the determinant
@@ -320,17 +328,7 @@ def check_colon_ideal(ctx: DeskContext, n: int):
     expected = sorted([(1, 1), (3, 0), (2, 1), (1, 2), (0, 3)])
     ok_gens = len(new_gens) == 5 and bidegs == expected
 
-    basis = ctx.colon_basis(n)
-    members = []
-    for labels, det_poly, bideg in knutson_candidates(system, 2):
-        if sum(bideg) <= 3:
-            members.append(
-                {
-                    "columns": list(labels),
-                    "bidegree": list(bideg),
-                    "in_colon": basis.contains(det_poly),
-                }
-            )
+    members = _determinant_members(system, ctx.colon_basis(n))
     ok_members = all(m["in_colon"] for m in members)
 
     from commsyz.genmat import det, matrix_from_columns
@@ -590,17 +588,7 @@ def check_knutson(ctx: DeskContext, n: int):
         return _verdict(feas_ok), detail
 
     system = ctx.system(3)
-    basis = ctx.colon_basis(3)
-    members = []
-    for labels, det_poly, bideg in knutson_candidates(system, 2):
-        if sum(bideg) <= 3:
-            members.append(
-                {
-                    "columns": list(labels),
-                    "bidegree": list(bideg),
-                    "in_colon": basis.contains(det_poly),
-                }
-            )
+    members = _determinant_members(system, ctx.colon_basis(3))
     detail["candidates_in_colon"] = members
     ok = feas_ok and all(m["in_colon"] for m in members)
     return _verdict(ok), detail
@@ -655,35 +643,22 @@ def run_check(check: CheckDef, ctx: DeskContext, n: int) -> CheckResult:
         verdict, detail = "PARTIAL", {"reason": f"budget exhausted: {exc}"}
     except IncompleteBasisError as exc:
         verdict, detail = "PARTIAL", {"reason": f"incomplete basis: {exc}"}
+    except fixture_store.FixtureNotFound as exc:
+        verdict, detail = "PARTIAL", {"reason": str(exc)}
     except ValueError as exc:
-        if "not found" in str(exc):
-            verdict, detail = "PARTIAL", {"reason": str(exc)}
-        else:
-            verdict, detail = "FAIL", {"error": str(exc)}
+        verdict, detail = "FAIL", {"error": str(exc)}
     except Exception as exc:  # pragma: no cover - defensive
         verdict, detail = "FAIL", {"error": f"{type(exc).__name__}: {exc}"}
     return CheckResult(check.name, verdict, detail, perf_counter() - start)
 
 
-def run_suite(ctx: DeskContext, n: int, threads: int = 1) -> list:
+def run_suite(ctx: DeskContext, n: int) -> list:
     """All checks that apply to matrix size n, in registry order."""
-    plan = [(check, check.applies(n)) for check in CHECKS]
-    plan = [(check, mode) for check, mode in plan if mode]
-    results: list = [None] * len(plan)
-
-    def run_one(idx: int):
-        check, mode = plan[idx]
+    results = []
+    for check in CHECKS:
+        mode = check.applies(n)
         if mode == "skip":
-            results[idx] = CheckResult(check.name, "SKIPPED", {"reason": _SKIP_GB}, 0.0)
-        else:
-            results[idx] = run_check(check, ctx, n)
-
-    if threads > 1 and len(plan) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(len(plan))))
-    else:
-        for idx in range(len(plan)):
-            run_one(idx)
+            results.append(CheckResult(check.name, "SKIPPED", {"reason": _SKIP_GB}, 0.0))
+        elif mode:
+            results.append(run_check(check, ctx, n))
     return results

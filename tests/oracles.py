@@ -2,16 +2,14 @@
 
 Everything here is deliberately naive — explicit monomial enumeration,
 sparse Gaussian elimination over a prime field, raw subset enumeration —
-so that it shares no code path with the library engines it checks.  The one
-exception is `interreduce_against_others`, which reuses the library's
-division kernel on purpose: it checks how `groebner.interreduce` organizes
-its reductions, not the kernel itself.
+so that it shares no code path with the library engines it checks.  The
+division oracle works on exponent tuples with sort keys written out from the
+orders' definitions; it reads only an order's name, never its packed keys.
 """
 
 from itertools import combinations, combinations_with_replacement
 
-from commsyz.groebner import DegreeBucketReducers
-from commsyz.polyring import compile_poly, decompile, mon_divides, normal_form
+from commsyz.polyring import Polynomial
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -144,36 +142,92 @@ def rotations_brute(w: str) -> set:
     return {w[k:] + w[:k] for k in range(max(len(w), 1))}
 
 
+def _grevlex_key(exps):
+    # higher degree wins; on a tie the smaller last differing exponent wins
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def order_key(order):
+    """Sort key on exponent tuples that ranks monomials as `order` does."""
+    if order.name == "grevlex":
+        return _grevlex_key
+    if order.name == "lex":
+        return tuple
+    if order.name == "elim":
+        k = order.front
+        return lambda exps: (_grevlex_key(exps[:k]), _grevlex_key(exps[k:]))
+    raise ValueError(f"no reference key for order {order.name!r}")
+
+
+def naive_division(f: dict, divisors: list, key, field):
+    """Full reduction of f by the divisors, term by term on exponent tuples.
+
+    f and every divisor are {(position, exps): coeff} dicts; a polynomial
+    sits at position 0.  Position over term: a smaller position is larger,
+    and `key` ranks exponent tuples within one position.  The largest
+    remaining term is reduced by the first divisor, by lead degree and then
+    listed position, whose lead sits at its position and divides it; a term
+    no lead divides moves to the remainder.  Returns (remainder, quotients)
+    with quotients[i] = {exps: coeff}, so f = sum q_i g_i + remainder.
+    """
+    term_key = lambda t: (-t[0], key(t[1]))
+    leads = [max(g, key=term_key) for g in divisors]
+    search = sorted(range(len(divisors)), key=lambda i: sum(leads[i][1]))
+    work = {t: c for t, c in f.items() if not field.is_zero(c)}
+    rem = {}
+    quotients = [{} for _ in divisors]
+    while work:
+        t = max(work, key=term_key)
+        c = work.pop(t)
+        pos, exps = t
+        for i in search:
+            lpos, lexps = leads[i]
+            if lpos == pos and all(a <= b for a, b in zip(lexps, exps)):
+                break
+        else:
+            rem[t] = c
+            continue
+        g = divisors[i]
+        q = tuple(b - a for a, b in zip(lexps, exps))
+        cf = field.mul(c, field.inv(g[leads[i]]))
+        quotients[i][q] = field.add(quotients[i].get(q, field.zero), cf)
+        for (gpos, gexps), gc in g.items():
+            if (gpos, gexps) == leads[i]:
+                continue
+            m = (gpos, tuple(a + b for a, b in zip(gexps, q)))
+            v = field.sub(work.get(m, field.zero), field.mul(cf, gc))
+            if field.is_zero(v):
+                work.pop(m, None)
+            else:
+                work[m] = v
+    return rem, quotients
+
+
 def interreduce_against_others(polys) -> list:
-    """Reference interreduction: each kept element is reduced against a
-    reducer set compiled afresh from the k-1 others (quadratic compiles)."""
+    """Reference interreduction: drop every element whose lead another kept
+    lead divides, then reduce each kept element against the others alone."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     ring = polys[0].ring
-    order = ring.order
-    enc = order.encode
-    polys = sorted(polys, key=lambda p: enc(p.lm()))
+    fld = ring.field
+    key = order_key(ring.order)
+    lead = lambda p: max((mon for mon, _ in p.terms), key=key)
+    as_terms = lambda p: {(0, mon): c for mon, c in p.terms}
+    polys = sorted(polys, key=lambda p: key(lead(p)))
     kept = []
     for p in polys:
-        lm = p.lm()
-        if any(mon_divides(q.lm(), lm) for q in kept):
+        lm = lead(p)
+        if any(all(a <= b for a, b in zip(lead(q), lm)) for q in kept):
             continue
         kept.append(p)
     out = []
     for k, p in enumerate(kept):
-        others = kept[:k] + kept[k + 1:]
-        if not others:
-            out.append(p.monic())
-            continue
-        reducers = DegreeBucketReducers(
-            compile_poly(q, order, i) for i, q in enumerate(others)
-        )
-        rem = normal_form(
-            [(enc(m), c) for m, c in p.terms], reducers, order, ring.field
-        )
-        q = decompile(ring, rem, order)
-        if not q.is_zero():
-            out.append(q.monic())
-    out.sort(key=lambda p: enc(p.lm()))
+        others = [as_terms(q) for q in kept[:k] + kept[k + 1:]]
+        rem, _ = naive_division(as_terms(p), others, key, fld)
+        if rem:
+            terms = sorted(((e, c) for (_, e), c in rem.items()), key=lambda t: key(t[0]))
+            inv = fld.inv(terms[-1][1])
+            out.append(Polynomial(ring, tuple((e, fld.mul(c, inv)) for e, c in reversed(terms))))
+    out.sort(key=lambda p: key(p.terms[0][0]))
     return out

@@ -37,7 +37,6 @@ def test_defaults():
     assert cfg.n == 3
     assert cfg.field == "gf:32003"
     assert cfg.order == "grevlex"
-    assert cfg.threads == 1
     assert not cfg.json_output
     assert cfg.budget() is None
 
@@ -73,8 +72,6 @@ def test_run_config_validation():
         RunConfig(command="verify", field="gf:6")
     with pytest.raises(ValueError):
         RunConfig(command="verify", n=0)
-    with pytest.raises(ValueError):
-        RunConfig(command="verify", threads=0)
     with pytest.raises(ValueError):
         RunConfig(command="verify", budget_seconds=-1)
     cfg = RunConfig(command="verify", budget_spairs=10)

@@ -5,6 +5,7 @@ import pytest
 from commsyz.fixtures import (
     KINDS,
     SCHEMA,
+    FixtureNotFound,
     fixture_n,
     fixture_names,
     load_betti_table,
@@ -48,7 +49,7 @@ def test_missing_fixture_lists_available():
         load_raw("nope")
     try:
         load_raw("nope")
-    except ValueError as e:
+    except FixtureNotFound as e:
         assert "n4_conjectured_betti" in str(e)
 
 

@@ -1,0 +1,164 @@
+"""The reduction kernel `normal_form` against a naive exponent-tuple division.
+
+Scalar polynomials go through `DegreeBucketReducers`, module vectors through
+`ModuleReducers`; both feed the same loop.  Each case checks the remainder,
+the quotients rebuilt from the recorded reduction steps, and the identity
+f = sum q_i g_i + r recomputed term by term on exponent tuples.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from commsyz.fields import GF, QQ
+from commsyz.polyring import (
+    DegreeBucketReducers,
+    PolyRing,
+    compile_poly,
+    decompile,
+    divide,
+    normal_form,
+)
+from commsyz.syzygy import (
+    ModuleOrder,
+    ModuleReducers,
+    compile_vector,
+    decompile_vector,
+    module_normal_form,
+)
+
+from oracles import naive_division, order_key
+
+FIELDS = [QQ, GF(32003), GF(7)]
+
+
+def _random_poly(ring, rng, live, degrees, nterms):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * ring.nvars
+        for _ in range(rng.choice(degrees)):
+            exps[rng.choice(live)] += 1
+        terms[tuple(exps)] = Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 4))
+    return ring.poly(terms)
+
+
+def _quotients(record, decode_offset, count):
+    """{exps: coeff} per reducer from (index, delta, coeff) events.
+
+    Each step reduces a smaller term than the one before, so no reducer is
+    used twice with one multiplier, and every coefficient is kept exactly
+    as it was recorded.
+    """
+    out = [{} for _ in range(count)]
+    for idx, delta, cf in record:
+        q = decode_offset(delta)
+        assert q not in out[idx]
+        out[idx][q] = cf
+    return out
+
+
+def _recombine(rem: dict, quotients, divisors, field) -> dict:
+    """sum q_i g_i + r over {(position, exps): coeff} terms, zeros dropped."""
+    acc = dict(rem)
+    for q_i, g in zip(quotients, divisors):
+        for qe, qc in q_i.items():
+            for (pos, ge), gc in g.items():
+                t = (pos, tuple(a + b for a, b in zip(qe, ge)))
+                acc[t] = field.add(acc.get(t, field.zero), field.mul(qc, gc))
+    return {t: c for t, c in acc.items() if not field.is_zero(c)}
+
+
+def _as_terms(vec) -> dict:
+    return {(pos, mon): c for pos, p in enumerate(vec) for mon, c in p.terms}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("order,naux", [("grevlex", 0), ("lex", 0), ("elim", 1)])
+def test_normal_form_matches_naive_division(field, order, naux):
+    """Inhomogeneous divisor sets that are not Groebner bases, so the result
+    depends on which divisor each step picks; every other case also feeds a
+    repeated key whose coefficients cancel."""
+    ring = PolyRing(2, field, order=order, naux=naux)
+    o = ring.order
+    key = order_key(o)
+    rng = random.Random(f"nf-{order}-{field}")
+    live = (0, 1, 2, naux + 5, ring.nvars - 1)
+    steps = nonzero = 0
+    for case in range(25):
+        gs = [_random_poly(ring, rng, live, (1, 2, 3), 4) for _ in range(rng.randrange(2, 6))]
+        gs = [g for g in gs if g]
+        f = _random_poly(ring, rng, live, (2, 3, 4), 8)
+        terms = [(o.encode(m), c) for m, c in f.terms]
+        want_f = _as_terms([f])
+        if case % 2 and len(terms) > 1:
+            v, c = terms[len(terms) // 2]
+            terms.append((v, field.neg(c)))
+            del want_f[(0, o.decode(v))]
+        reducers = DegreeBucketReducers(o, [compile_poly(g, o, i) for i, g in enumerate(gs)])
+        record = []
+        rem = normal_form(terms, reducers, field, record)
+
+        divisors = [_as_terms([g]) for g in gs]
+        want_rem, want_q = naive_division(want_f, divisors, key, field)
+        assert [v for v, _ in rem] == sorted({v for v, _ in rem}, reverse=True)
+        assert _as_terms([decompile(ring, rem, o)]) == want_rem
+        got_q = _quotients(record, lambda d: o.decode(d + o.unit_v), len(gs))
+        assert got_q == want_q
+        assert _recombine(want_rem, got_q, divisors, field) == want_f
+        if case % 2 == 0:
+            qs, r = divide(f, gs)
+            assert [dict(q.terms) for q in qs] == want_q
+            assert _as_terms([r]) == want_rem
+        steps += len(record)
+        nonzero += bool(rem)
+    assert steps > 40 and nonzero > 10
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_module_normal_form_matches_naive_division(field, order):
+    """Rank-3 vectors with some zero components: a reducer applies only at
+    its own lead position, and its tail may sit at any position."""
+    ring = PolyRing(2, field, order=order)
+    o = ring.order
+    rank = 3
+    morder = ModuleOrder(o, rank)
+    key = order_key(o)
+    rng = random.Random(f"module-{order}-{field}")
+    live = (0, 1, 4, 5, ring.nvars - 1)
+    x = ring.x(1, 1)
+    at_one = ModuleReducers(morder, [compile_vector((ring.zero, x, ring.zero), morder, 0)])
+    assert at_one.find(morder.encode(1, x.lm())).index == 0
+    assert at_one.find(morder.encode(0, x.lm())) is None
+
+    def vector(degrees, nterms):
+        while True:
+            vec = tuple(
+                _random_poly(ring, rng, live, degrees, nterms) if rng.random() < 0.7 else ring.zero
+                for _ in range(rank)
+            )
+            if any(vec):
+                return vec
+
+    steps = nonzero = 0
+    for _ in range(25):
+        gs = [vector((1, 2), 3) for _ in range(rng.randrange(2, 7))]
+        f = vector((2, 3), 5)
+        cf = compile_vector(f, morder)
+        terms = [(cf.lead_v, cf.lc)] + cf.tail
+        reducers = ModuleReducers(morder, [compile_vector(g, morder, i) for i, g in enumerate(gs)])
+        record = []
+        rem = normal_form(terms, reducers, field, record)
+        assert module_normal_form(terms, reducers, field) == rem
+
+        divisors = [_as_terms(g) for g in gs]
+        want_rem, want_q = naive_division(_as_terms(f), divisors, key, field)
+        assert _as_terms(decompile_vector(ring, rank, rem, morder)) == want_rem
+        got_q = _quotients(record, lambda d: o.decode(d + o.unit_v), len(gs))
+        assert got_q == want_q
+        assert _recombine(want_rem, got_q, divisors, field) == _as_terms(f)
+        steps += len(record)
+        nonzero += bool(rem)
+    assert steps > 40 and nonzero > 10
+    assert normal_form([], reducers, field) == []

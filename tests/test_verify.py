@@ -1,5 +1,6 @@
 import pytest
 
+from commsyz import fixtures as fixture_store
 from commsyz.fields import GF
 from commsyz.groebner import Budget, BudgetExhausted, IncompleteBasisError
 from commsyz.hilbert import GradedBettiTable
@@ -92,21 +93,18 @@ def test_suite_three_by_three_all_pass(ctx):
     assert all(r.seconds >= 0 for r in results)
 
 
-def test_suite_is_thread_count_invariant(ctx):
-    seq = run_suite(ctx, 3, threads=1)
-    par = run_suite(ctx, 3, threads=4)
-    assert [(r.name, r.verdict) for r in seq] == [(r.name, r.verdict) for r in par]
-
-
 def test_run_check_maps_failures_to_verdicts(ctx):
     def boom(ctx, n):
         raise BudgetExhausted("out of budget", None)
 
     def lost(ctx, n):
-        raise ValueError("fixture 'zzz': not found (available: )")
+        fixture_store.load_raw("zzz-no-such-fixture", ctx.fixture_dir)
 
     def broken(ctx, n):
         raise ValueError("inconsistent input")
+
+    def mislabeled(ctx, n):
+        raise ValueError("pivot not found in column 3")
 
     def incomplete(ctx, n):
         raise IncompleteBasisError("partial basis")
@@ -115,6 +113,8 @@ def test_run_check_maps_failures_to_verdicts(ctx):
     assert run_check(mk(boom), ctx, 2).verdict == "PARTIAL"
     assert run_check(mk(lost), ctx, 2).verdict == "PARTIAL"
     assert run_check(mk(broken), ctx, 2).verdict == "FAIL"
+    # only the loader's typed error is a missing fixture, whatever a message says
+    assert run_check(mk(mislabeled), ctx, 2).verdict == "FAIL"
     assert run_check(mk(incomplete), ctx, 2).verdict == "PARTIAL"
     ok = run_check(
         CheckDef(name="t", func=lambda c, n: ("PASS", {"x": 1}), applies=lambda n: "run"),
