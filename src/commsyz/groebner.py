@@ -21,8 +21,10 @@ from .polyring import (
     DegreeBucketReducers,
     PolyRing,
     Polynomial,
+    check_multiple,
     compile_poly,
     decompile,
+    mon_div,
     mon_degree,
     mon_divides,
     mon_lcm,
@@ -120,9 +122,8 @@ class GroebnerBasis:
     @property
     def reducers(self) -> DegreeBucketReducers:
         if self._reducers is None:
-            order = self.ring.order
             self._reducers = DegreeBucketReducers(
-                order, (compile_poly(g, order, i) for i, g in enumerate(self.elements))
+                self.ring.order, (compile_poly(g, i) for i, g in enumerate(self.elements))
             )
         return self._reducers
 
@@ -130,10 +131,7 @@ class GroebnerBasis:
         """Normal form of f against this basis (no completeness requirement)."""
         if f.is_zero() or not self.elements:
             return f
-        order = self.ring.order
-        enc = order.encode
-        rem = normal_form([(enc(m), c) for m, c in f.terms], self.reducers, self.ring.field)
-        return decompile(f.ring, rem, order)
+        return decompile(f.ring, normal_form(f.terms, self.reducers, self.ring.field))
 
     def contains(self, f: Polynomial) -> bool:
         """Ideal membership.  Needs a complete basis, or a truncated one that
@@ -168,8 +166,11 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements, {kind})"
 
 
-def _spair_terms(a: CompiledPoly, b: CompiledPoly, vlcm: int):
-    """Term list of the S-polynomial of two monic compiled polynomials."""
+def _spair_terms(a: CompiledPoly, b: CompiledPoly, lcm, vlcm: int, order):
+    """Term list of the S-polynomial of two monic compiled polynomials whose
+    leads have lcm `lcm` (exponents) and scalar or module key vlcm."""
+    check_multiple(mon_div(lcm, a.lead_exps), a, order)
+    check_multiple(mon_div(lcm, b.lead_exps), b, order)
     da = vlcm - a.lead_v
     db = vlcm - b.lead_v
     terms = [(vt + da, ct) for vt, ct in a.tail]
@@ -214,7 +215,7 @@ def buchberger(
     def add_element(p: Polynomial):
         nonlocal serial
         h = len(basis)
-        cp = compile_poly(p.monic(), order, h)
+        cp = compile_poly(p.monic(), h)
         lmh = cp.lead_exps
         # prune old pairs made redundant by the new lead
         for key in list(pairs):
@@ -274,13 +275,13 @@ def buchberger(
         if lij is None:
             continue  # pruned after enqueueing
         vlcm = order.encode(lij)
-        terms = _spair_terms(basis[i], basis[j], vlcm)
+        terms = _spair_terms(basis[i], basis[j], lij, vlcm, order)
         stats.spairs_reduced += 1
         if deg > stats.max_degree_processed:
             stats.max_degree_processed = deg
         rem = normal_form(terms, reducers, fld)
         if rem:
-            add_element(decompile(ring, rem, order))
+            add_element(decompile(ring, rem))
         else:
             stats.zero_reductions += 1
 
@@ -288,7 +289,7 @@ def buchberger(
         stats.seconds = time.monotonic() - start
         raise BudgetExhausted(exhausted, stats)
     basis.sort(key=lambda cp: cp.lead_v)
-    polys = [decompile(ring, [(cp.lead_v, fld.one)] + cp.tail, order) for cp in basis]
+    polys = [decompile(ring, ((cp.lead_v, fld.one),) + cp.tail) for cp in basis]
     if exhausted is not None:
         # Keep every accumulated element: with pairs unprocessed, dropping a
         # lead-redundant element could lose ideal content hiding in its tail.
@@ -325,23 +326,18 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
     if not polys:
         return []
     ring = polys[0].ring
-    order = ring.order
-    enc = order.encode
-    polys = sorted(polys, key=lambda p: enc(p.lm()))
     # drop any element whose lead is divisible by another kept lead
     kept = []
-    for p in polys:
+    for p in sorted(polys, key=lambda p: p.terms[0][0]):
         lm = p.lm()
-        if any(mon_divides(q.lm(), lm) for q in kept):
-            continue
-        kept.append(p)
+        if not any(mon_divides(q.lead_exps, lm) for q in kept):
+            kept.append(compile_poly(p, len(kept)))
     # tail-reduce each against the shared set; the leads stay sorted
-    compiled = [compile_poly(p, order, i) for i, p in enumerate(kept)]
-    reducers = DegreeBucketReducers(order, compiled)
+    reducers = DegreeBucketReducers(ring.order, kept)
     out = []
-    for cp in compiled:
+    for cp in kept:
         rem = normal_form(cp.tail, reducers, ring.field)
-        out.append(decompile(ring, [(cp.lead_v, cp.lc)] + rem, order).monic())
+        out.append(decompile(ring, [(cp.lead_v, cp.lc)] + rem).monic())
     return out
 
 
@@ -357,12 +353,12 @@ def verify_basis(basis: GroebnerBasis, gens: Optional[Sequence[Polynomial]] = No
     ring = basis.ring
     order = ring.order
     fld = ring.field
-    compiled = [compile_poly(g, order, i) for i, g in enumerate(elems)]
+    compiled = [compile_poly(g, i) for i, g in enumerate(elems)]
     reducers = basis.reducers
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
             l = mon_lcm(compiled[a].lead_exps, compiled[b].lead_exps)
-            terms = _spair_terms(compiled[a], compiled[b], order.encode(l))
+            terms = _spair_terms(compiled[a], compiled[b], l, order.encode(l), order)
             if normal_form(terms, reducers, fld):
                 failures.append(f"S-pair ({a},{b}) does not reduce to zero")
     if gens is not None:

@@ -1,30 +1,29 @@
 """Sparse multivariate polynomials over Q or GF(p) with pluggable monomial orders.
 
 Variables describe entries of n x n generic matrices: x_i_j and y_i_j,
-optionally preceded by auxiliary elimination variables t_k.  A monomial is an
-exponent tuple over the ring's variable sequence.  Every order encodes a
-monomial into a single integer V such that
+optionally preceded by auxiliary elimination variables t_k.  Every order
+packs an exponent tuple into one integer V such that
 
     V(m1) > V(m2)  iff  m1 > m2 in the order, and
-    V(m1 * m2) = V(m1) + V(m2) - V(1).
+    V(m1 * m2) = V(m1) + V(m2) - V(1),
 
-Order comparisons and dictionary keys inside the division/Buchberger kernels
-are therefore plain int operations, which is what makes the pure-Python
-engine fast enough for the desk-scale n=3 runs.
+and a monomial *is* its key: `Polynomial.terms` is a strictly descending
+tuple of (V, coeff).  Sums merge keys, a monomial multiple shifts them, the
+total degree is read off a key, and the division kernel runs on the same
+keys.  Exponent tuples exist only at the edges: `PolyRing.poly`, `var` and
+`parse` encode (refusing exponents outside 0..255); printing, `lm`,
+bidegrees, substitution, Hilbert leads and pair criteria decode; and
+`embed`/`project` decode and re-encode across orders.
 
-Products go through one kernel, `PolyRing.dot(pairs)`, which returns
-sum(a * b) over the pairs; `*`, matrix entries, Bareiss steps and syzygy
-residuals all call it.  Within one call each distinct input polynomial is
-encoded once, its coefficients scaled to ints over the lcm of their
-denominators (always 1 over GF(p)).  Each term product adds
-numerator * numerator, scaled to one common denominator for the whole call,
-into an int dict keyed by V(a) + V(b) - V(1); over GF(p) the sums are reduced
-once per output term.  Zeros are dropped, the surviving keys sorted once and
-decoded into exponent tuples.  Additivity holds only while every exponent of
-a product stays within the 8-bit cap, so before forming keys the kernel
-raises OverflowError for a pair in which some variable's largest exponents
-add up to more than 255, where a key would otherwise borrow silently from
-the neighbouring field.
+Products go through one kernel, `PolyRing.dot(pairs)` = sum(a * b): per call
+each distinct input has its coefficients scaled to ints over one denominator
+(1 over GF(p)), term products accumulate in an int dict keyed by
+V(a) + V(b) - V(1), and the surviving keys are sorted once.  Additivity holds
+only while every exponent stays within the 8-bit cap, so every key sum
+(products, monomial shifts, reduction steps, S-polynomials) first raises
+OverflowError if some variable would pass 255, where a key would otherwise
+borrow silently from its neighbour; total degrees read from the keys settle
+almost every check without decoding.
 """
 from __future__ import annotations
 
@@ -75,8 +74,9 @@ class MonomialOrder:
     def decode(self, v: int) -> tuple:
         raise NotImplementedError
 
-    def key(self, exps: Sequence[int]) -> int:
-        return self.encode(exps)
+    def degree(self, v: int) -> int:
+        """Total degree of the monomial whose key is v."""
+        return sum(self.decode(v))
 
     def greater(self, e1, e2) -> bool:
         return self.encode(e1) > self.encode(e2)
@@ -91,12 +91,18 @@ class MonomialOrder:
         return f"{self.name}({self.nvars})"
 
 
+def _bad_exponent(e):
+    if e < 0:
+        return ValueError(f"negative exponent {e}")
+    return OverflowError(f"exponent {e} exceeds order capacity {_EXP_CAP}")
+
+
 def _grevlex_encode(exps, n):
     deg = 0
     v = 0
     for e in reversed(exps):
-        if e > _EXP_CAP:
-            raise OverflowError(f"exponent {e} exceeds order capacity {_EXP_CAP}")
+        if not 0 <= e <= _EXP_CAP:
+            raise _bad_exponent(e)
         deg += e
         v = (v << _EXP_BITS) | (_EXP_CAP - e)
     if deg >= 1 << _DEG_BITS:
@@ -128,6 +134,9 @@ class Grevlex(MonomialOrder):
     def decode(self, v):
         return _grevlex_decode(v, self.nvars)
 
+    def degree(self, v):
+        return v >> (_EXP_BITS * self.nvars)
+
 
 class Lex(MonomialOrder):
     """Pure lexicographic on the ring's variable priority sequence."""
@@ -142,8 +151,8 @@ class Lex(MonomialOrder):
     def encode(self, exps):
         v = 0
         for e in exps:
-            if e > _EXP_CAP:
-                raise OverflowError(f"exponent {e} exceeds order capacity {_EXP_CAP}")
+            if not 0 <= e <= _EXP_CAP:
+                raise _bad_exponent(e)
             v = (v << _EXP_BITS) | e
         return v
 
@@ -185,6 +194,10 @@ class BlockElimination(MonomialOrder):
         ef = _grevlex_decode(v >> self._rest_bits, self.front)
         er = _grevlex_decode(v & ((1 << self._rest_bits) - 1), self._rest)
         return ef + er
+
+    def degree(self, v):
+        vf, vr = v >> self._rest_bits, v & ((1 << self._rest_bits) - 1)
+        return (vf >> (_EXP_BITS * self.front)) + (vr >> (_EXP_BITS * self._rest))
 
     def __repr__(self):
         return f"elim({self.front}|{self._rest})"
@@ -233,7 +246,7 @@ def mon_degree(a):
 
 def _column_max(f: "Polynomial"):
     """Largest exponent of each variable over the terms of f."""
-    return map(max, zip(*[mon for mon, _ in f.terms]))
+    return map(max, zip(*[mon for mon, _ in f.exponent_terms()]))
 
 
 class PolyRing:
@@ -257,9 +270,8 @@ class PolyRing:
         self.nvars = len(vids)
         self.order = make_order(order, self.nvars, naux)
         self._index = {v.name: i for i, v in enumerate(vids)}
-        self._zero_mon = (0,) * self.nvars
         self.zero = Polynomial(self, ())
-        self.one = Polynomial(self, ((self._zero_mon, field.one),))
+        self.one = Polynomial(self, ((self.order.unit_v, field.one),))
 
     # -- construction -----------------------------------------------------
 
@@ -270,7 +282,7 @@ class PolyRing:
             raise ValueError(f"no variable {name!r} in this ring") from None
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, ((tuple(exps), self.field.one),))
+        return Polynomial(self, ((self.order.encode(exps), self.field.one),))
 
     def x(self, i: int, j: int) -> "Polynomial":
         return self.var(f"x_{i}_{j}")
@@ -282,31 +294,26 @@ class PolyRing:
         c = self.field.coerce(c)
         if self.field.is_zero(c):
             return self.zero
-        return Polynomial(self, ((self._zero_mon, c),))
+        return Polynomial(self, ((self.order.unit_v, c),))
 
     def poly(self, terms) -> "Polynomial":
-        """Canonicalize a {monomial: coeff} dict or iterable of pairs."""
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+        """Canonicalize a {exponent tuple: coeff} dict or iterable of pairs."""
+        items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         fld = self.field
+        enc = self.order.encode
         for mon, c in items:
-            mon = tuple(mon)
             if len(mon) != self.nvars:
                 raise ValueError("monomial arity does not match ring")
+            v = enc(mon)
             c = fld.coerce(c)
-            prev = acc.get(mon)
-            acc[mon] = c if prev is None else fld.add(prev, c)
-        enc = self.order.encode
-        out = [(mon, c) for mon, c in acc.items() if not fld.is_zero(c)]
-        out.sort(key=lambda t: enc(t[0]), reverse=True)
-        return Polynomial(self, tuple(out))
+            prev = acc.get(v)
+            acc[v] = c if prev is None else fld.add(prev, c)
+        return decompile(self, acc.items())
 
     def dot(self, pairs) -> "Polynomial":
         """sum(a * b for a, b in pairs) in one pass; see the module docstring."""
-        enc = self.order.encode
+        p = self.field.p
         packed = {}  # id(f) -> (f, top, den, terms); holding f keeps every id unique
 
         def pack(f):
@@ -314,12 +321,11 @@ class PolyRing:
             if got is None:
                 if f.ring is not self and not self.same_signature(f.ring):
                     raise ValueError("polynomials from incompatible rings")
-                terms = f.terms
-                den = lcm(*[c.denominator for _, c in terms])
-                top = max([max(mon) for mon, _ in terms], default=0)
-                packed[id(f)] = got = (f, top, den, [
-                    (enc(mon), c.numerator * (den // c.denominator)) for mon, c in terms
-                ])
+                terms, den = f.terms, 1
+                if not p:
+                    den = lcm(*[c.denominator for _, c in terms])
+                    terms = [(v, c.numerator * (den // c.denominator)) for v, c in terms]
+                packed[id(f)] = got = (f, f.degree(), den, terms)
             return got
 
         work = []
@@ -348,14 +354,12 @@ class PolyRing:
                 for va, ca in ta:
                     v = va + vb
                     acc[v] = get(v, 0) + ca * cb
-        p = self.field.p
         if p:
             live = [(v, r) for v, c in acc.items() if (r := c % p)]
         else:
             live = [(v, Fraction(c, common)) for v, c in acc.items() if c]
         live.sort(reverse=True)
-        dec = self.order.decode
-        return Polynomial(self, tuple([(dec(v), c) for v, c in live]))
+        return Polynomial(self, tuple(live))
 
     def same_signature(self, other: "PolyRing") -> bool:
         return (
@@ -385,7 +389,7 @@ class PolyRing:
         if pad < 0 or target.n != self.n or target.field != self.field:
             raise ValueError("incompatible target ring")
         zeros = (0,) * pad
-        return target.poly([(zeros + mon, c) for mon, c in f.terms])
+        return target.poly([(zeros + mon, c) for mon, c in f.exponent_terms()])
 
     def project(self, f: "Polynomial", target: "PolyRing") -> "Polynomial":
         """Drop leading aux exponents (they must all be zero in f)."""
@@ -393,7 +397,7 @@ class PolyRing:
         if drop < 0 or target.n != self.n or target.field != self.field:
             raise ValueError("incompatible target ring")
         out = []
-        for mon, c in f.terms:
+        for mon, c in f.exponent_terms():
             if any(mon[:drop]):
                 raise ValueError("polynomial still involves eliminated variables")
             out.append((mon[drop:], c))
@@ -409,7 +413,7 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: terms sorted strictly descending."""
+    """Immutable sparse polynomial: (V, coeff) terms, keys strictly descending."""
 
     __slots__ = ("ring", "terms")
 
@@ -426,24 +430,26 @@ class Polynomial:
         """Leading monomial (exponent tuple)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return self.ring.order.decode(self.terms[0][0])
 
     def lc(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
+    def exponent_terms(self) -> list:
+        """(exponent tuple, coeff) pairs, leading term first."""
+        dec = self.ring.order.decode
+        return [(dec(v), c) for v, c in self.terms]
+
     def degree(self):
         """Total degree, or -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(mon) for mon, _ in self.terms)
+        deg = self.ring.order.degree
+        return max([deg(v) for v, _ in self.terms], default=-1)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(mon) for mon, _ in self.terms}
-        return len(degs) == 1
+        deg = self.ring.order.degree
+        return len({deg(v) for v, _ in self.terms}) <= 1
 
     def bidegree(self):
         """Common (x-degree, y-degree) of all terms, else a marker string.
@@ -453,7 +459,7 @@ class Polynomial:
         if not self.terms:
             return (0, 0)
         ring = self.ring
-        seen = {ring.mon_bidegree(mon) for mon, _ in self.terms}
+        seen = {ring.mon_bidegree(mon) for mon, _ in self.exponent_terms()}
         if len(seen) > 1:
             return NOT_BIHOMOGENEOUS
         return seen.pop()
@@ -470,23 +476,21 @@ class Polynomial:
         self._check(other)
         fld = self.ring.field
         acc = dict(self.terms)
-        for mon, c in other.terms:
-            prev = acc.get(mon)
+        for v, c in other.terms:
+            prev = acc.get(v)
             if prev is None:
-                acc[mon] = c
+                acc[v] = c
             else:
                 s = fld.add(prev, c)
                 if fld.is_zero(s):
-                    del acc[mon]
+                    del acc[v]
                 else:
-                    acc[mon] = s
-        enc = self.ring.order.encode
-        out = sorted(acc.items(), key=lambda t: enc(t[0]), reverse=True)
-        return Polynomial(self.ring, tuple(out))
+                    acc[v] = s
+        return Polynomial(self.ring, tuple(sorted(acc.items(), reverse=True)))
 
     def __neg__(self):
         neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((mon, neg(c)) for mon, c in self.terms))
+        return Polynomial(self.ring, tuple((v, neg(c)) for v, c in self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -521,7 +525,7 @@ class Polynomial:
         if self.ring.field.is_zero(c):
             return self.ring.zero
         mul = self.ring.field.mul
-        return Polynomial(self.ring, tuple((mon, mul(cc, c)) for mon, cc in self.terms))
+        return Polynomial(self.ring, tuple((v, mul(cc, c)) for v, cc in self.terms))
 
     def monic(self):
         if not self.terms:
@@ -529,16 +533,18 @@ class Polynomial:
         return self.scale(self.ring.field.inv(self.lc()))
 
     def mul_monomial(self, mon, c=None):
-        """Multiply by c * x^mon without re-sorting (monomials shift uniformly)."""
+        """Multiply by c * x^mon: every key shifts by V(mon) - V(1), no re-sort."""
         fld = self.ring.field
         c = fld.one if c is None else fld.coerce(c)
         if fld.is_zero(c):
             return self.ring.zero
-        mon = tuple(mon)
-        out = tuple(
-            (tuple(x + y for x, y in zip(m, mon)), fld.mul(cc, c)) for m, cc in self.terms
-        )
-        return Polynomial(self.ring, out)
+        order = self.ring.order
+        shift = order.encode(mon) - order.unit_v
+        if self.degree() + sum(mon) > _EXP_CAP and any(
+            x + y > _EXP_CAP for x, y in zip(_column_max(self), mon)
+        ):
+            raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
+        return Polynomial(self.ring, tuple((v + shift, fld.mul(cc, c)) for v, cc in self.terms))
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """Quotient self / g, raising if the division is not exact."""
@@ -552,7 +558,7 @@ class Polynomial:
         fld = self.ring.field
         vals = [fld.coerce(values[v.name]) for v in self.ring.variables]
         total = fld.zero
-        for mon, c in self.terms:
+        for mon, c in self.exponent_terms():
             term = c
             for e, val in zip(mon, vals):
                 for _ in range(e):
@@ -595,7 +601,7 @@ def format_polynomial(f: Polynomial) -> str:
     fld = f.ring.field
     names = [v.name for v in f.ring.variables]
     chunks = []
-    for k, (mon, c) in enumerate(f.terms):
+    for k, (mon, c) in enumerate(f.exponent_terms()):
         neg = False
         if fld.p is None and c < 0:
             neg, c = True, -c
@@ -668,25 +674,31 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 
 # -- division kernel -------------------------------------------------------------
 #
-# Polynomials and module vectors are compiled to lists of (V, coeff) with V the
-# packed order key.  A reducer store answers find(V) -> compiled entry or None,
-# so one normal-form loop serves both.
+# Polynomials and module vectors run through the kernel as (V, coeff) terms.
+# A reducer store answers find(V) -> compiled entry or None, so one
+# normal-form loop serves both.
 
 
 class CompiledPoly:
-    """A nonzero polynomial or module vector as packed (V, coeff) terms."""
+    """A nonzero polynomial or module vector as packed (V, coeff) terms.
 
-    __slots__ = ("index", "lead_v", "lead_exps", "lead_deg", "mask", "tail", "lc", "lc_inv")
+    Built from its descending terms, the lead's exponents and tail_deg, the
+    largest total degree among the other terms.
+    """
 
-    def __init__(self, index, lead_v, lead_exps, lead_deg, mask, tail, lc, lc_inv):
+    __slots__ = (
+        "index", "lead_v", "lead_exps", "lead_deg", "mask", "tail", "tail_deg", "lc", "lc_inv"
+    )
+
+    def __init__(self, terms, lead_exps, tail_deg, field, index: int = -1):
         self.index = index
-        self.lead_v = lead_v
+        self.lead_v, self.lc = terms[0]
         self.lead_exps = lead_exps
-        self.lead_deg = lead_deg
-        self.mask = mask
-        self.tail = tail
-        self.lc = lc
-        self.lc_inv = lc_inv
+        self.lead_deg = sum(lead_exps)
+        self.mask = var_mask(lead_exps)
+        self.tail = terms[1:]
+        self.tail_deg = tail_deg
+        self.lc_inv = field.inv(self.lc)
 
 
 def var_mask(exps) -> int:
@@ -697,43 +709,44 @@ def var_mask(exps) -> int:
     return m
 
 
-def compile_terms(terms, lead_exps, field, index: int = -1) -> CompiledPoly:
-    """CompiledPoly from descending (V, coeff) terms and the lead's exponents."""
-    lead_v, lc = terms[0]
-    return CompiledPoly(
-        index, lead_v, lead_exps, sum(lead_exps), var_mask(lead_exps), terms[1:], lc, field.inv(lc)
-    )
-
-
-def compile_poly(f: Polynomial, order: MonomialOrder, index: int = -1) -> CompiledPoly:
+def compile_poly(f: Polynomial, index: int = -1) -> CompiledPoly:
+    """CompiledPoly over f's own terms, which are already keyed and sorted."""
     if f.is_zero():
         raise ValueError("cannot compile the zero polynomial")
-    enc = order.encode
-    terms = [(enc(mon), c) for mon, c in f.terms]
-    if any(terms[i][0] <= terms[i + 1][0] for i in range(len(terms) - 1)):
-        terms.sort(key=lambda t: t[0], reverse=True)
-    return compile_terms(terms, order.decode(terms[0][0]), f.ring.field, index)
+    deg = f.ring.order.degree
+    tail_deg = max([deg(v) for v, _ in f.terms[1:]], default=0)
+    return CompiledPoly(f.terms, f.lm(), tail_deg, f.ring.field, index)
 
 
-def decompile(ring: PolyRing, terms, order: MonomialOrder) -> Polynomial:
-    """Polynomial from (V, coeff) terms; sorted on V, which is the order."""
-    dec = order.decode
+def check_multiple(q, cp: CompiledPoly, order: MonomialOrder):
+    """Raise OverflowError if x^q times a tail term of cp would pass the cap;
+    past the bound deg(q) + cp.tail_deg the tail is decoded (decoders read
+    only the exponent fields, so a module key decodes to its scalar part)."""
+    if sum(q) + cp.tail_deg <= _EXP_CAP:
+        return
+    for t, _ in cp.tail:
+        if any(x + y > _EXP_CAP for x, y in zip(q, order.decode(t))):
+            raise OverflowError(f"reduction exponent exceeds order capacity {_EXP_CAP}")
+
+
+def decompile(ring: PolyRing, terms) -> Polynomial:
+    """Polynomial from (V, coeff) terms with distinct keys: drop zeros, sort on V."""
     is_zero = ring.field.is_zero
-    live = sorted((t for t in terms if not is_zero(t[1])), key=lambda t: t[0], reverse=True)
-    return Polynomial(ring, tuple((dec(v), c) for v, c in live))
+    return Polynomial(ring, tuple(sorted([t for t in terms if not is_zero(t[1])], reverse=True)))
 
 
 class DegreeBucketReducers:
     """Reducer store bucketed by lead total degree (smallest degree wins).
 
     find(v) decodes the packed key v with the store's order and returns the
-    first reducer, by lead degree and then insertion, whose lead divides it.
+    first reducer, by lead degree and then insertion, whose lead divides it,
+    after `check_multiple` has cleared the step.
     """
 
-    __slots__ = ("decode", "by_deg", "degrees")
+    __slots__ = ("order", "by_deg", "degrees")
 
     def __init__(self, order: MonomialOrder, entries=()):
-        self.decode = order.decode
+        self.order = order
         self.by_deg: dict[int, list] = {}
         self.degrees: list[int] = []
         for cp in entries:
@@ -748,7 +761,7 @@ class DegreeBucketReducers:
             bucket.append(cp)
 
     def find(self, v):
-        exps = self.decode(v)
+        exps = self.order.decode(v)
         deg = sum(exps)
         emask = var_mask(exps)
         for d in self.degrees:
@@ -764,6 +777,8 @@ class DegreeBucketReducers:
                         ok = False
                         break
                 if ok:
+                    if deg - d + r.tail_deg > _EXP_CAP:
+                        check_multiple(mon_div(exps, le), r, self.order)
                     return r
         return None
 
@@ -830,30 +845,24 @@ def normal_form(terms, reducers, field, record=None):
     return rem
 
 
-def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = None):
+def divide(f: Polynomial, divisors: Sequence[Polynomial]):
     """Multivariate division: f = sum(q_i * g_i) + r.
 
-    Deterministic given the order and the divisors: at each step the first
-    divisor, by lead degree and then listed position, whose lead divides the
-    current lead is used.  No monomial of r is divisible by any divisor lead.
+    Deterministic given the ring's order and the divisors: at each step the
+    first divisor, by lead degree and then listed position, whose lead
+    divides the current lead is used.  No monomial of r is divisible by any
+    divisor lead.
     """
     ring = f.ring
-    order = order or ring.order
-    gs = [g for g in divisors]
+    gs = list(divisors)
     if any(g.is_zero() for g in gs):
         raise ValueError("zero divisor in division")
-    reducers = DegreeBucketReducers(order, (compile_poly(g, order, i) for i, g in enumerate(gs)))
+    reducers = DegreeBucketReducers(ring.order, (compile_poly(g, i) for i, g in enumerate(gs)))
     record = []
-    enc = order.encode
-    rem_terms = normal_form([(enc(m), c) for m, c in f.terms], reducers, ring.field, record)
-    r = decompile(ring, rem_terms, order)
-    fld = ring.field
-    unit = order.unit_v
-    qacc = [dict() for _ in gs]
+    r = decompile(ring, normal_form(f.terms, reducers, ring.field, record))
+    # each step reduces a smaller term, so no quotient key repeats
+    unit = ring.order.unit_v
+    qacc = [[] for _ in gs]
     for idx, delta, cf in record:
-        mon = order.decode(delta + unit)
-        d = qacc[idx]
-        prev = d.get(mon)
-        d[mon] = cf if prev is None else fld.add(prev, cf)
-    qs = [ring.poly(d) for d in qacc]
-    return qs, r
+        qacc[idx].append((delta + unit, cf))
+    return [decompile(ring, q) for q in qacc], r

@@ -29,7 +29,6 @@ from .polyring import (
     PolyRing,
     Polynomial,
     compile_poly,
-    compile_terms,
     decompile,
     mon_degree,
     mon_lcm,
@@ -163,9 +162,9 @@ def restrict_to_minimal(t: SyzygyTuple) -> tuple:
 class ModuleOrder:
     """Position-over-term: e_0 > e_1 > ...; the scalar order breaks ties.
 
-    A module monomial (position p, scalar monomial m) encodes as
-    ((rank-1-p) << shift) | scalar_encode(m), so integer comparison is the
-    module order and adding a scalar multiplier's offset preserves position.
+    A module monomial (position p, scalar monomial with key v) encodes as
+    ((rank-1-p) << shift) | v, so integer comparison is the module order and
+    adding a scalar multiplier's offset preserves position.
     """
 
     def __init__(self, scalar: MonomialOrder, rank: int):
@@ -176,11 +175,12 @@ class ModuleOrder:
         self.shift = scalar.total_bits
         self._smask = (1 << self.shift) - 1
 
-    def encode(self, pos: int, exps) -> int:
-        return ((self.rank - 1 - pos) << self.shift) | self.scalar.encode(exps)
+    def encode(self, pos: int, v: int) -> int:
+        return ((self.rank - 1 - pos) << self.shift) | v
 
     def decode(self, v: int):
-        return (self.rank - 1 - (v >> self.shift), self.scalar.decode(v & self._smask))
+        """(position, scalar key) of a module key."""
+        return (self.rank - 1 - (v >> self.shift), v & self._smask)
 
     def scalar_part(self, v: int) -> int:
         return v & self._smask
@@ -223,34 +223,28 @@ def vector_scale(vec, c: Polynomial):
     return tuple(p * c for p in vec)
 
 
+def vector_terms(vec: Sequence[Polynomial], morder: ModuleOrder) -> list:
+    """Descending module (V, coeff) terms: positions in order, each descending."""
+    top, shift = morder.rank - 1, morder.shift
+    return [((top - pos) << shift | v, c) for pos, p in enumerate(vec) for v, c in p.terms]
+
+
 def compile_vector(vec: Sequence[Polynomial], morder: ModuleOrder, index: int = -1) -> CompiledPoly:
     """A nonzero vector as one packed term list; lead_exps is the scalar part."""
-    ring = None
-    enc = morder.scalar.encode
-    terms = []
-    for pos, p in enumerate(vec):
-        if p.is_zero():
-            continue
-        ring = p.ring
-        base = (morder.rank - 1 - pos) << morder.shift
-        terms.extend((base | enc(mon), c) for mon, c in p.terms)
-    if ring is None:
+    terms = vector_terms(vec, morder)
+    if not terms:
         raise ValueError("cannot compile the zero vector")
-    terms.sort(key=lambda t: t[0], reverse=True)
-    lead_exps = morder.scalar.decode(morder.scalar_part(terms[0][0]))
-    return compile_terms(terms, lead_exps, ring.field, index)
+    scalar, part = morder.scalar, morder.scalar_part
+    tail_deg = max([scalar.degree(part(v)) for v, _ in terms[1:]], default=0)
+    return CompiledPoly(terms, scalar.decode(part(terms[0][0])), tail_deg, vec[0].ring.field, index)
 
 
 def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
-    buckets = [dict() for _ in range(rank)]
-    fld = ring.field
+    buckets = [[] for _ in range(rank)]
     for v, c in terms:
-        if fld.is_zero(c):
-            continue
-        pos, exps = morder.decode(v)
-        prev = buckets[pos].get(exps)
-        buckets[pos][exps] = c if prev is None else fld.add(prev, c)
-    return tuple(ring.poly(b) for b in buckets)
+        pos, sv = morder.decode(v)
+        buckets[pos].append((sv, c))
+    return tuple(decompile(ring, b) for b in buckets)
 
 
 class ModuleReducers:
@@ -325,9 +319,7 @@ class ModuleBasis:
     def reduce(self, vec):
         if vector_is_zero(vec) or not self.vectors:
             return tuple(vec)
-        cv = compile_vector(vec, self.morder)
-        terms = [(cv.lead_v, cv.lc)] + cv.tail
-        rem = module_normal_form(terms, self.reducers, self.ring.field)
+        rem = module_normal_form(vector_terms(vec, self.morder), self.reducers, self.ring.field)
         return decompile_vector(self.ring, self.rank, rem, self.morder)
 
     def contains(self, vec) -> bool:
@@ -420,8 +412,8 @@ def module_buchberger(
             break
         deg, _, i, j, l = heappop(heap)
         a, b = basis[i], basis[j]
-        vlcm = morder.encode(morder.position(a.lead_v), l)
-        terms = _spair_terms(a, b, vlcm)
+        vlcm = morder.encode(morder.position(a.lead_v), ring.order.encode(l))
+        terms = _spair_terms(a, b, l, vlcm, ring.order)
         stats.spairs_reduced += 1
         if deg > stats.max_degree_processed:
             stats.max_degree_processed = deg
@@ -534,7 +526,7 @@ def _tracked_pair_syzygies(gens: Sequence[Polynomial], lcm_bound: int, budget: B
             inv = fld.inv(lc)
             p = p.scale(inv)
             rep = tuple(r.scale(inv) for r in rep)
-        cp = compile_poly(p, order, h)
+        cp = compile_poly(p, h)
         for g in basis:
             l = mon_lcm(g.lead_exps, cp.lead_exps)
             deg = mon_degree(l)
@@ -572,8 +564,9 @@ def _tracked_pair_syzygies(gens: Sequence[Polynomial], lcm_bound: int, budget: B
             syzygies.append(syz)
             stats.pairs_pruned += 1
             continue
-        vlcm = order.encode(mon_lcm(a.lead_exps, b.lead_exps))
-        terms = _spair_terms(a, b, vlcm)
+        l = mon_lcm(a.lead_exps, b.lead_exps)
+        vlcm = order.encode(l)
+        terms = _spair_terms(a, b, l, vlcm, order)
         record: list = []
         stats.spairs_reduced += 1
         if deg > stats.max_degree_processed:
@@ -581,14 +574,14 @@ def _tracked_pair_syzygies(gens: Sequence[Polynomial], lcm_bound: int, budget: B
         rem = normal_form(terms, reducers, fld, record)
         da = vlcm - a.lead_v
         db = vlcm - b.lead_v
-        mult_a = decompile(ring, [(da + unit, fld.one)], order)
-        mult_b = decompile(ring, [(db + unit, fld.one)], order)
+        mult_a = decompile(ring, [(da + unit, fld.one)])
+        mult_b = decompile(ring, [(db + unit, fld.one)])
         expr = vector_sub(vector_scale(reps[i], mult_a), vector_scale(reps[j], mult_b))
         for idx, delta, cf in record:
-            mon = decompile(ring, [(delta + unit, cf)], order)
+            mon = decompile(ring, [(delta + unit, cf)])
             expr = vector_sub(expr, vector_scale(reps[idx], mon))
         if rem:
-            add_element(decompile(ring, rem, order), expr)
+            add_element(decompile(ring, rem), expr)
         else:
             stats.zero_reductions += 1
             if not vector_is_zero(expr):

@@ -187,8 +187,7 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
         raise ValueError("minimal generator selection needs homogeneous input")
     if not cand:
         return []
-    enc = cand[0].ring.order.encode
-    cand.sort(key=lambda g: (g.degree(), enc(g.lm())))
+    cand.sort(key=lambda g: (g.degree(), g.terms[0][0]))
     kept: list = []
     gb = None
     state = None

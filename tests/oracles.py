@@ -5,11 +5,12 @@ sparse Gaussian elimination over a prime field, raw subset enumeration —
 so that it shares no code path with the library engines it checks.  The
 division oracle works on exponent tuples with sort keys written out from the
 orders' definitions; it reads only an order's name, never its packed keys.
+Polynomials are read and built only through the edge API
+(`Polynomial.exponent_terms`, `PolyRing.poly`), so nothing here depends on
+how a ring lays out its keys.
 """
 
 from itertools import combinations, combinations_with_replacement
-
-from commsyz.polyring import Polynomial
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -65,7 +66,7 @@ def ideal_component_dim(gens, degree: int, p: int) -> int:
             continue
         for m in monomials_of_degree(g.ring.nvars, shift):
             row = {}
-            for mon, c in g.terms:
+            for mon, c in g.exponent_terms():
                 key = tuple(a + b for a, b in zip(m, mon))
                 row[key] = row.get(key, 0) + c
             rows.append(row)
@@ -123,6 +124,26 @@ def selection_bidegrees_brute(n: int, cutoff=None) -> dict:
     return dict(sorted(out.items()))
 
 
+def naive_combine(terms, field) -> dict:
+    """{exponent tuple: coeff} from (exponent tuple, coeff) pairs, equal
+    monomials merged with the field's addition and zeros dropped."""
+    acc = {}
+    for mon, c in terms:
+        mon = tuple(mon)
+        acc[mon] = field.add(acc.get(mon, field.zero), field.coerce(c))
+    return {mon: c for mon, c in acc.items() if not field.is_zero(c)}
+
+
+def largest_product_exponent(pairs) -> int:
+    """Largest single exponent over every term product a_i * b_j of the pairs,
+    cancelled or not; 0 when there is no product."""
+    return max(
+        (x + y for a, b in pairs for ma, _ in a.exponent_terms() for mb, _ in b.exponent_terms()
+         for x, y in zip(ma, mb)),
+        default=0,
+    )
+
+
 def naive_products(pairs, field) -> dict:
     """sum(a * b) over the pairs as {exponent tuple: coeff}, zeros dropped.
 
@@ -131,8 +152,8 @@ def naive_products(pairs, field) -> dict:
     """
     acc = {}
     for a, b in pairs:
-        for ma, ca in a.terms:
-            for mb, cb in b.terms:
+        for ma, ca in a.exponent_terms():
+            for mb, cb in b.exponent_terms():
                 mon = tuple(x + y for x, y in zip(ma, mb))
                 acc[mon] = field.add(acc.get(mon, field.zero), field.mul(ca, cb))
     return {mon: c for mon, c in acc.items() if not field.is_zero(c)}
@@ -159,7 +180,7 @@ def order_key(order):
     raise ValueError(f"no reference key for order {order.name!r}")
 
 
-def naive_division(f: dict, divisors: list, key, field):
+def naive_division(f: dict, divisors: list, key, field, cap=None):
     """Full reduction of f by the divisors, term by term on exponent tuples.
 
     f and every divisor are {(position, exps): coeff} dicts; a polynomial
@@ -168,7 +189,9 @@ def naive_division(f: dict, divisors: list, key, field):
     remaining term is reduced by the first divisor, by lead degree and then
     listed position, whose lead sits at its position and divides it; a term
     no lead divides moves to the remainder.  Returns (remainder, quotients)
-    with quotients[i] = {exps: coeff}, so f = sum q_i g_i + remainder.
+    with quotients[i] = {exps: coeff}, so f = sum q_i g_i + remainder.  With
+    a `cap`, a step whose multiple q * g has an exponent past it raises
+    OverflowError.
     """
     term_key = lambda t: (-t[0], key(t[1]))
     leads = [max(g, key=term_key) for g in divisors]
@@ -189,6 +212,8 @@ def naive_division(f: dict, divisors: list, key, field):
             continue
         g = divisors[i]
         q = tuple(b - a for a, b in zip(lexps, exps))
+        if cap is not None and any(a + b > cap for _, ge in g for a, b in zip(q, ge)):
+            raise OverflowError(f"step exponent past {cap}")
         cf = field.mul(c, field.inv(g[leads[i]]))
         quotients[i][q] = field.add(quotients[i].get(q, field.zero), cf)
         for (gpos, gexps), gc in g.items():
@@ -212,8 +237,8 @@ def interreduce_against_others(polys) -> list:
     ring = polys[0].ring
     fld = ring.field
     key = order_key(ring.order)
-    lead = lambda p: max((mon for mon, _ in p.terms), key=key)
-    as_terms = lambda p: {(0, mon): c for mon, c in p.terms}
+    lead = lambda p: max((mon for mon, _ in p.exponent_terms()), key=key)
+    as_terms = lambda p: {(0, mon): c for mon, c in p.exponent_terms()}
     polys = sorted(polys, key=lambda p: key(lead(p)))
     kept = []
     for p in polys:
@@ -226,8 +251,7 @@ def interreduce_against_others(polys) -> list:
         others = [as_terms(q) for q in kept[:k] + kept[k + 1:]]
         rem, _ = naive_division(as_terms(p), others, key, fld)
         if rem:
-            terms = sorted(((e, c) for (_, e), c in rem.items()), key=lambda t: key(t[0]))
-            inv = fld.inv(terms[-1][1])
-            out.append(Polynomial(ring, tuple((e, fld.mul(c, inv)) for e, c in reversed(terms))))
-    out.sort(key=lambda p: key(p.terms[0][0]))
+            inv = fld.inv(rem[max(rem, key=lambda t: key(t[1]))])
+            out.append(ring.poly([(e, fld.mul(c, inv)) for (_, e), c in rem.items()]))
+    out.sort(key=lambda p: key(lead(p)))
     return out

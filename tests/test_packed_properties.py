@@ -1,0 +1,153 @@
+"""Packed-key arithmetic against exponent-tuple oracles, up to the 8-bit cap.
+
+`Polynomial.terms` holds packed order keys; these properties rebuild every
+operation on plain exponent tuples (`tests/oracles.py`) and demand the same
+answer, or an OverflowError exactly when some exponent of the naive
+computation passes 255.  Exponents are drawn near 0, near 128 and near 255,
+so products and division steps land on both sides of the cap.  Three
+variables (t_1, x_1_1, y_1_1) under grevlex, lex and elim, over QQ and GF(7).
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from commsyz.fields import GF, QQ
+from commsyz.groebner import buchberger
+from commsyz.polyring import PolyRing, divide
+from commsyz.syzygy import module_buchberger
+
+from oracles import (
+    largest_product_exponent,
+    naive_combine,
+    naive_division,
+    naive_products,
+    order_key,
+)
+
+CAP = 255
+RINGS = [
+    PolyRing(1, field, order, naux=1) for field in (QQ, GF(7)) for order in ("grevlex", "lex", "elim")
+]
+
+exponents = st.one_of(st.integers(0, 2), st.integers(126, 130), st.integers(252, 255))
+monomials = st.tuples(exponents, exponents, exponents)
+# denominators up to 3 stay invertible mod 7
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+term_lists = st.lists(st.tuples(monomials, coeffs), max_size=4)
+PROPERTY = settings(max_examples=120, deadline=None)
+
+
+def as_dict(f) -> dict:
+    return dict(f.exponent_terms())
+
+
+@st.composite
+def ring_and_terms(draw, count):
+    ring = draw(st.sampled_from(RINGS), label="ring")
+    return ring, [draw(term_lists) for _ in range(count)]
+
+
+@PROPERTY
+@given(case=ring_and_terms(2))
+def test_poly_str_and_parse_match_the_oracle(case):
+    ring, (terms, _) = case
+    f = ring.poly(terms)
+    assert as_dict(f) == naive_combine(terms, ring.field)
+    assert [v for v, _ in f.terms] == sorted({v for v, _ in f.terms}, reverse=True)
+    assert ring.parse(str(f)) == f
+
+
+@PROPERTY
+@given(case=ring_and_terms(2))
+def test_sums_match_the_oracle(case):
+    ring, (ta, tb) = case
+    a, b = ring.poly(ta), ring.poly(tb)
+    assert as_dict(a + b) == naive_combine(ta + tb, ring.field)
+    assert as_dict(a - b) == naive_combine(ta + [(m, -c) for m, c in tb], ring.field)
+    assert (a - b) + b == a
+
+
+@PROPERTY
+@given(case=ring_and_terms(4))
+def test_products_match_the_oracle_or_raise_past_the_cap(case):
+    ring, terms = case
+    a, b, c, d = [ring.poly(t) for t in terms]
+    for pairs in ([(a, b)], [(a, b), (c, d)], [(a, a)]):
+        if largest_product_exponent(pairs) > CAP:
+            with pytest.raises(OverflowError):
+                ring.dot(pairs)
+            continue
+        want = naive_products(pairs, ring.field)
+        assert as_dict(ring.dot(pairs)) == want
+        if len(pairs) == 1:
+            assert as_dict(pairs[0][0] * pairs[0][1]) == want
+
+
+@PROPERTY
+@given(case=ring_and_terms(1), mon=monomials, c=st.integers(1, 6))
+def test_mul_monomial_matches_the_oracle_or_raises_past_the_cap(case, mon, c):
+    ring, (terms,) = case
+    f = ring.poly(terms)
+    m = ring.poly({mon: c})
+    if largest_product_exponent([(f, m)]) > CAP:
+        with pytest.raises(OverflowError):
+            f.mul_monomial(mon, c)
+    else:
+        assert as_dict(f.mul_monomial(mon, c)) == naive_products([(f, m)], ring.field)
+
+
+@PROPERTY
+@given(case=ring_and_terms(3))
+def test_divide_matches_the_oracle_or_raises_past_the_cap(case):
+    ring, (tf, *tgs) = case
+    f = ring.poly(tf)
+    gs = [g for g in (ring.poly(t) for t in tgs) if g]
+    assume(gs)
+    fld = ring.field
+    as_terms = lambda p: {(0, mon): c for mon, c in p.exponent_terms()}
+    try:
+        rem, quotients = naive_division(
+            as_terms(f), [as_terms(g) for g in gs], order_key(ring.order), fld, cap=CAP
+        )
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            divide(f, gs)
+        return
+    qs, r = divide(f, gs)
+    assert as_dict(r) == {mon: c for (_, mon), c in rem.items()}
+    assert [as_dict(q) for q in qs] == quotients
+
+
+@PROPERTY
+@given(case=ring_and_terms(1))
+def test_embed_and_project_match_the_oracle(case):
+    ring, (terms,) = case
+    f = ring.poly(terms)
+    big = ring.with_elimination_vars(1)
+    up = ring.embed(f, big)
+    assert as_dict(up) == {(0,) + mon: c for mon, c in as_dict(f).items()}
+    assert big.project(up, ring) == f
+    if f:
+        with pytest.raises(ValueError):
+            big.project(up * big.var("t_1"), ring)
+
+
+def test_s_polynomials_past_the_cap_raise():
+    ring = PolyRing(1, QQ, "lex")
+    x, y = ring.x(1, 1), ring.y(1, 1)
+    # S(x^2 - y^b, x*y^60) multiplies y^b by y^60
+    assert y**255 in buchberger([x**2 - y**195, x * y**60]).elements
+    with pytest.raises(OverflowError):
+        buchberger([x**2 - y**196, x * y**60])
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex", "elim"))
+def test_module_reduction_steps_past_the_cap_raise(order):
+    ring = PolyRing(1, QQ, order, naux=1)
+    t, x, y = ring.var("t_1"), ring.x(1, 1), ring.y(1, 1)
+    lead = t**100 * x**100  # leads t^100*x^100 - y^200 in all three orders
+    basis = module_buchberger([(lead - y**200, ring.zero)])
+    assert basis.reduce((lead * y**55, ring.zero)) == (y**255, ring.zero)
+    with pytest.raises(OverflowError):
+        basis.reduce((lead * y**56, ring.zero))

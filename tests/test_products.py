@@ -1,6 +1,6 @@
 """The product kernel `PolyRing.dot` and every route into it (`*`, matrix
 products, syzygy residuals) against a naive exponent-tuple oracle; its
-exponent-cap guard; and how many order encodings it spends."""
+exponent-cap guard; and that it never encodes or decodes a monomial."""
 
 import pytest
 from hypothesis import given, settings
@@ -105,10 +105,11 @@ def test_matrix_products_and_residuals_match_the_naive_oracle(data):
 def test_products_stop_at_the_exponent_cap(order, field):
     ring = PolyRing(2, field, order=order, naux=1)
 
+    def exps(i, e):
+        return tuple(e if k == i else 0 for k in range(9))
+
     def power(i, e):
-        exps = [0] * 9
-        exps[i] = e
-        return ring.poly({tuple(exps): 1})
+        return ring.poly({exps(i, e): 1})
 
     def entry(f):
         return GenericMatrix(ring, [[f]])
@@ -120,28 +121,40 @@ def test_products_stop_at_the_exponent_cap(order, field):
         assert a * b == want
         assert ring.dot([(a, b)]) == want
         assert (entry(a) * entry(b))[1, 1] == want
+        assert a.mul_monomial(exps(i, 55)) == want
         c = power(i, 56)
-        for product in (lambda: a * c, lambda: ring.dot([(a, c)]), lambda: entry(a) * entry(c)):
+        for product in (
+            lambda: a * c,
+            lambda: ring.dot([(a, c)]),
+            lambda: entry(a) * entry(c),
+            lambda: a.mul_monomial(exps(i, 56)),
+        ):
             with pytest.raises(OverflowError):
                 product()
         # large exponents of different variables add up to nothing
         f = a + power(other, 1)
         g = power(other, 200) + b
         assert f * g == a * power(other, 200) + a * b + power(other, 201) + power(other, 1) * b
+        assert f.mul_monomial(exps(other, 200), 3) == f * power(other, 200).scale(3)
+        with pytest.raises(OverflowError):
+            f.mul_monomial(exps(other, 255))
         with pytest.raises(OverflowError):
             f * (power(other, 1) + c)
 
 
-def test_products_encode_each_input_term_once_per_dot_call(monkeypatch):
+def test_products_neither_encode_nor_decode(monkeypatch):
+    """Terms are keyed already, so products make no order encodings or decodings."""
     system = build_system(3)
     ring, X, Y = system.ring, system.X, system.Y
     M = X * Y + Y * X
     seen = {}
-    encode, dot = ring.order.encode, ring.dot
+    order, dot = ring.order, ring.dot
 
-    def counting_encode(exps):
-        seen["encode"] += 1
-        return encode(exps)
+    def counting(name, fn):
+        def wrapped(arg):
+            seen[name] += 1
+            return fn(arg)
+        return wrapped
 
     def counting_dot(pairs):
         pairs = list(pairs)
@@ -149,20 +162,17 @@ def test_products_encode_each_input_term_once_per_dot_call(monkeypatch):
         seen["products"] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
         return dot(pairs)
 
-    monkeypatch.setattr(ring.order, "encode", counting_encode)
+    monkeypatch.setattr(order, "encode", counting("encode", order.encode))
+    monkeypatch.setattr(order, "decode", counting("decode", order.decode))
     monkeypatch.setattr(ring, "dot", counting_dot)
 
     def counts(job):
-        seen.update(encode=0, inputs=0, products=0)
+        seen.update(encode=0, decode=0, inputs=0, products=0)
         job()
         return dict(seen)
 
     # X*Y: 9 entries, each one dot over 3 pairs of single-term entries
-    xy = counts(lambda: X * Y)
-    assert xy == {"encode": 54, "inputs": 54, "products": 27}
+    assert counts(lambda: X * Y) == {"encode": 0, "decode": 0, "inputs": 54, "products": 27}
     # tr(M(XY-YX)): one dot over 9 pairs (M_ij, Z_ji), 5 or 6 terms times 4 or 6 terms
     res = counts(lambda: trace_residual(M, system))
-    assert res == {"encode": 99, "inputs": 99, "products": 276}
-    assert xy["encode"] <= xy["inputs"] and res["encode"] <= res["inputs"]
-    assert res["encode"] < res["products"]
-    assert xy["encode"] + res["encode"] < xy["products"] + res["products"]
+    assert res == {"encode": 0, "decode": 0, "inputs": 99, "products": 276}

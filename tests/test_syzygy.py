@@ -113,9 +113,11 @@ exps = st.tuples(*[st.integers(0, 2)] * 8)
 
 @given(pos=st.integers(0, 7), e=exps)
 def test_module_order_roundtrip(pos, e):
-    morder = ModuleOrder(Grevlex(8), rank=8)
-    v = morder.encode(pos, e)
-    assert morder.decode(v) == (pos, tuple(e))
+    scalar = Grevlex(8)
+    morder = ModuleOrder(scalar, rank=8)
+    v = morder.encode(pos, scalar.encode(e))
+    assert morder.decode(v) == (pos, scalar.encode(e))
+    assert scalar.decode(morder.scalar_part(v)) == tuple(e)
     assert morder.position(v) == pos
 
 
