@@ -1,28 +1,39 @@
-"""Buchberger engine with budgets, degree truncation, and ideal operations.
+"""The Buchberger engine, with budgets, degree truncation and ideal operations.
 
-The engine is deterministic: pairs are processed in increasing lcm total
-degree with FIFO tie-breaking, and the returned basis is the reduced
-Groebner basis (minimal leads, tails in normal form, monic, sorted), which
-is unique for a given ideal and monomial order.
+One pair loop, `Engine`, serves every Groebner computation in the package:
+ideals and free-module vectors alike run as packed term lists against a
+reducer store that answers find(V) on the packed key.  Pairs are processed
+in increasing lcm total degree with FIFO tie-breaking, so for homogeneous
+input the loop works degree by degree: `run(d)` completes the basis through
+degree d, and `select` decides minimal generators against it (a candidate
+of degree d is minimal iff its normal form against the degree-d basis is
+nonzero).  With tracking on, every element also carries its representation
+over the input as packed module terms, and each pair whose S-polynomial
+reduces to zero, or whose leads are coprime, yields a syzygy.
 
-Ideal operations built on top: elimination of auxiliary variables,
+Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
+tails in normal form, monic, sorted), which is unique for a given ideal and
+monomial order.  Built on it: elimination of auxiliary variables,
 intersection of ideals (single auxiliary variable splitting), and ideal
 quotients (via intersection with a principal ideal plus exact division).
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heappush, heappop
 from typing import Optional, Sequence
 
 from .polyring import (
+    _EXP_CAP,
     CompiledPoly,
     DegreeBucketReducers,
     PolyRing,
     Polynomial,
     check_multiple,
+    check_product,
     compile_poly,
+    compile_terms,
     decompile,
     mon_div,
     mon_degree,
@@ -46,8 +57,10 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for one Buchberger run.
+    """Resource limits for one engine run.
 
+    A budget caps one engine run as a whole: a complete basis, or a whole
+    minimal-generator selection with every degree it passes through.
     on_exhaustion: 'fail' raises BudgetExhausted; 'partial' returns whatever
     basis has been accumulated, flagged incomplete.
     """
@@ -76,15 +89,7 @@ class GBStats:
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "spairs_reduced": self.spairs_reduced,
-            "zero_reductions": self.zero_reductions,
-            "pairs_pruned": self.pairs_pruned,
-            "pairs_truncated": self.pairs_truncated,
-            "elements_added": self.elements_added,
-            "max_degree_processed": self.max_degree_processed,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 class GroebnerBasis:
@@ -178,6 +183,212 @@ def _spair_terms(a: CompiledPoly, b: CompiledPoly, lcm, vlcm: int, order):
     return terms
 
 
+class Engine:
+    """The Buchberger pair loop over monic packed elements.
+
+    `reducers` is the store the elements enter: a DegreeBucketReducers for
+    polynomials, or a module store for vectors, whose keys carry a position
+    above the scalar order's bits.  The pair policy follows from the input:
+    polynomials drop the old pairs a new lead makes redundant and filter new
+    pairs by the chain, equal-lcm and coprime criteria; vectors pair only
+    within a lead position, with no criteria; with `track` on, every pair is
+    reduced and a coprime pair yields its Koszul relation.  Pairs of lcm degree past `degree_bound` are dropped
+    and counted as truncated.  `exhausted` holds the reason once the budget
+    has cut the run.
+    """
+
+    def __init__(self, ring: PolyRing, reducers=None, *, degree_bound=None, budget=None, track=False):
+        self.ring = ring
+        self.reducers = DegreeBucketReducers(ring.order) if reducers is None else reducers
+        self.degree_bound = degree_bound
+        self.budget = budget or Budget()
+        self.stats = GBStats()
+        self.start = time.monotonic()
+        self.elements: list = []  # monic descending term lists
+        self.basis: list[CompiledPoly] = []
+        self.reps = [] if track else None
+        self.syzygies: list = []
+        self.criteria = not track and isinstance(self.reducers, DegreeBucketReducers)
+        self.pairs: dict = {}  # (i, j) -> lcm exponent tuple
+        self.heap: list = []  # (lcm degree, serial, i, j)
+        self.serial = 0
+        self.exhausted = None
+        self._pos_bits = ring.order.total_bits
+
+    def add(self, terms, rep=None):
+        """Enter a nonzero element (descending packed terms), made monic,
+        with its representation `rep` when tracking."""
+        fld = self.ring.field
+        lc = terms[0][1]
+        if lc != fld.one:
+            inv = fld.inv(lc)
+            terms = [(v, fld.mul(c, inv)) for v, c in terms]
+            if rep is not None:
+                rep = [(v, fld.mul(c, inv)) for v, c in rep]
+        h = len(self.basis)
+        cp = compile_terms(terms, self.ring, h)
+        if self.reps is not None:
+            degree = self.ring.order.degree
+            if any(degree(v) != cp.lead_deg for v, _ in cp.tail):
+                raise ValueError("syzygy tracking needs homogeneous elements")
+            self.reps.append(rep)
+        if self.criteria:
+            self._criteria_pairs(cp)
+        else:
+            pos, bits = cp.lead_v >> self._pos_bits, self._pos_bits
+            for g in self.basis:
+                if g.lead_v >> bits == pos:
+                    self._push(g.index, h, mon_lcm(g.lead_exps, cp.lead_exps))
+        self.basis.append(cp)
+        self.elements.append(terms)
+        self.reducers.add(cp)
+        self.stats.elements_added += 1
+
+    def _push(self, i, j, lcm):
+        deg = mon_degree(lcm)
+        if self.degree_bound is not None and deg > self.degree_bound:
+            self.stats.pairs_truncated += 1
+            return
+        self.pairs[(i, j)] = lcm
+        heappush(self.heap, (deg, self.serial, i, j))
+        self.serial += 1
+
+    def _criteria_pairs(self, cp: CompiledPoly):
+        pairs, basis, stats = self.pairs, self.basis, self.stats
+        lmh = cp.lead_exps
+        # prune old pairs made redundant by the new lead
+        for key in list(pairs):
+            i, j = key
+            lij = pairs[key]
+            if mon_divides(lmh, lij):
+                li = basis[i].lead_exps
+                lj = basis[j].lead_exps
+                if mon_lcm(li, lmh) != lij and mon_lcm(lj, lmh) != lij:
+                    del pairs[key]
+                    stats.pairs_pruned += 1
+        # new pairs, filtered by the chain/equal-lcm/coprime criteria
+        cand = [(g.index, mon_lcm(g.lead_exps, lmh), (g.mask & cp.mask) == 0) for g in basis]
+        kept = []
+        while cand:
+            gi, l, coprime = cand.pop()
+            if not coprime:
+                shadowed = any(mon_divides(l2, l) for _, l2, _ in cand) or any(
+                    mon_divides(l2, l) for _, l2, _ in kept
+                )
+                if shadowed:
+                    stats.pairs_pruned += 1
+                    continue
+            kept.append((gi, l, coprime))
+        for gi, l, coprime in kept:
+            if coprime:
+                stats.pairs_pruned += 1
+            else:
+                self._push(gi, cp.index, l)
+
+    def run(self, through: Optional[int] = None) -> bool:
+        """Process the waiting pairs of lcm degree <= through (all of them
+        when None).  Returns False once the budget has cut the run under
+        'partial'; under 'fail' the cut raises BudgetExhausted."""
+        heap, pairs, basis, stats, budget = self.heap, self.pairs, self.basis, self.stats, self.budget
+        order, fld, bits = self.ring.order, self.ring.field, self._pos_bits
+        tracking = self.reps is not None
+        unit, one = order.unit_v, fld.one
+        while heap and (through is None or heap[0][0] <= through):
+            if budget.max_spairs is not None and stats.spairs_reduced >= budget.max_spairs:
+                return self._cut(f"S-pair budget ({budget.max_spairs}) exhausted")
+            if budget.max_seconds is not None and time.monotonic() - self.start > budget.max_seconds:
+                return self._cut(f"time budget ({budget.max_seconds}s) exhausted")
+            deg, _, i, j = heappop(heap)
+            lcm = pairs.pop((i, j), None)
+            if lcm is None:
+                continue  # pruned after enqueueing
+            a, b = basis[i], basis[j]
+            if tracking and (a.mask & b.mask) == 0:
+                # coprime leads: the pair's syzygy is the Koszul relation
+                stats.pairs_pruned += 1
+                syz = self._combine(deg, [(i, self.elements[j], 1), (j, self.elements[i], -1)])
+                if syz:
+                    self.syzygies.append(syz)
+                continue
+            vlcm = (a.lead_v >> bits << bits) | order.encode(lcm)
+            terms = _spair_terms(a, b, lcm, vlcm, order)
+            stats.spairs_reduced += 1
+            if deg > stats.max_degree_processed:
+                stats.max_degree_processed = deg
+            record = [] if tracking else None
+            rem = normal_form(terms, self.reducers, fld, record)
+            rep = None
+            if tracking:
+                parts = [(i, ((vlcm - a.lead_v + unit, one),), 1), (j, ((vlcm - b.lead_v + unit, one),), -1)]
+                parts += [(idx, ((delta + unit, cf),), -1) for idx, delta, cf in record]
+                rep = self._combine(deg, parts)
+            if rem:
+                self.add(rem, rep)
+            else:
+                stats.zero_reductions += 1
+                if rep:
+                    self.syzygies.append(rep)
+        stats.seconds = time.monotonic() - self.start
+        return self.exhausted is None
+
+    def _cut(self, reason: str) -> bool:
+        self.exhausted = reason
+        self.stats.seconds = time.monotonic() - self.start
+        if self.budget.on_exhaustion == "fail":
+            raise BudgetExhausted(reason, self.stats)
+        return False
+
+    def _combine(self, deg: int, parts) -> list:
+        """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
+        scalar term list, as descending packed module terms.  Every product
+        term has degree <= deg, the pair's degree, since tracked input is
+        homogeneous; past the cap each product is checked."""
+        order, p, reps = self.ring.order, self.ring.field.p, self.reps
+        if deg > _EXP_CAP:
+            for idx, m, _ in parts:
+                check_product(reps[idx], m, order)
+        unit = order.unit_v
+        acc: dict = {}
+        get = acc.get
+        for idx, m, sign in parts:
+            for vm, cm in m:
+                shift, cm = vm - unit, sign * cm
+                for v, c in reps[idx]:
+                    k = v + shift
+                    acc[k] = get(k, 0) + cm * c
+        if p:
+            live = [(k, r) for k, c in acc.items() if (r := c % p)]
+        else:
+            live = [(k, c) for k, c in acc.items() if c]
+        live.sort(reverse=True)
+        return live
+
+    def select(self, candidates, *, strict: bool = True) -> list:
+        """Indices of the minimal generators among `candidates`, homogeneous
+        (degree, terms) pairs in nondecreasing degree, beyond what the engine
+        holds.
+
+        Each candidate is decided against the basis completed through its
+        degree: it is kept iff its normal form is nonzero, and that normal
+        form enters the basis.  A decision against a budget-cut basis raises
+        IncompleteBasisError when `strict`; otherwise the candidate is
+        dropped, so the kept list undercounts.
+        """
+        kept = []
+        for k, (d, terms) in enumerate(candidates):
+            if self.degree_bound is not None and d > self.degree_bound:
+                raise ValueError(f"candidate of degree {d} is past the degree bound")
+            if not self.run(d):
+                if strict:
+                    raise IncompleteBasisError(f"basis cut below degree {d}: {self.exhausted}")
+                continue
+            rem = normal_form(terms, self.reducers, self.ring.field)
+            if rem:
+                kept.append(k)
+                self.add(rem)
+        return kept
+
+
 def buchberger(
     gens: Sequence[Polynomial],
     *,
@@ -197,109 +408,22 @@ def buchberger(
     for g in gens[1:]:
         if g.ring is not ring and not g.ring.same_signature(ring):
             raise ValueError("generators from incompatible rings")
-    order = ring.order
-    fld = ring.field
     homogeneous = all(g.is_homogeneous() for g in gens)
     if degree_bound is not None and not homogeneous:
         raise ValueError("degree_bound requires homogeneous generators")
-    budget = budget or Budget()
-    stats = GBStats()
-    start = time.monotonic()
-
-    basis: list[CompiledPoly] = []
-    reducers = DegreeBucketReducers(order)
-    pairs: dict = {}  # (i, j) -> lcm exponent tuple
-    heap: list = []
-    serial = 0
-
-    def add_element(p: Polynomial):
-        nonlocal serial
-        h = len(basis)
-        cp = compile_poly(p.monic(), h)
-        lmh = cp.lead_exps
-        # prune old pairs made redundant by the new lead
-        for key in list(pairs):
-            i, j = key
-            lij = pairs[key]
-            if mon_divides(lmh, lij):
-                li = basis[i].lead_exps
-                lj = basis[j].lead_exps
-                if mon_lcm(li, lmh) != lij and mon_lcm(lj, lmh) != lij:
-                    del pairs[key]
-                    stats.pairs_pruned += 1
-        # new pairs, filtered by the chain/equal-lcm/coprime criteria
-        cand = []
-        for g in basis:
-            l = mon_lcm(g.lead_exps, lmh)
-            coprime = (g.mask & cp.mask) == 0
-            cand.append((g.index, l, coprime))
-        kept = []
-        while cand:
-            gi, l, coprime = cand.pop()
-            if not coprime:
-                shadowed = any(mon_divides(l2, l) for _, l2, _ in cand) or any(
-                    mon_divides(l2, l) for _, l2, _ in kept
-                )
-                if shadowed:
-                    stats.pairs_pruned += 1
-                    continue
-            kept.append((gi, l, coprime))
-        for gi, l, coprime in kept:
-            if coprime:
-                stats.pairs_pruned += 1
-                continue
-            deg = mon_degree(l)
-            if degree_bound is not None and deg > degree_bound:
-                stats.pairs_truncated += 1
-                continue
-            pairs[(gi, h)] = l
-            heappush(heap, (deg, serial, gi, h))
-            serial += 1
-        basis.append(cp)
-        reducers.add(cp)
-        stats.elements_added += 1
-
-    exhausted = None
+    engine = Engine(ring, degree_bound=degree_bound, budget=budget)
     for g in gens:
-        add_element(g)
-
-    while heap:
-        if budget.max_spairs is not None and stats.spairs_reduced >= budget.max_spairs:
-            exhausted = f"S-pair budget ({budget.max_spairs}) exhausted"
-            break
-        if budget.max_seconds is not None and time.monotonic() - start > budget.max_seconds:
-            exhausted = f"time budget ({budget.max_seconds}s) exhausted"
-            break
-        deg, _, i, j = heappop(heap)
-        lij = pairs.pop((i, j), None)
-        if lij is None:
-            continue  # pruned after enqueueing
-        vlcm = order.encode(lij)
-        terms = _spair_terms(basis[i], basis[j], lij, vlcm, order)
-        stats.spairs_reduced += 1
-        if deg > stats.max_degree_processed:
-            stats.max_degree_processed = deg
-        rem = normal_form(terms, reducers, fld)
-        if rem:
-            add_element(decompile(ring, rem))
-        else:
-            stats.zero_reductions += 1
-
-    if exhausted is not None and budget.on_exhaustion == "fail":
-        stats.seconds = time.monotonic() - start
-        raise BudgetExhausted(exhausted, stats)
-    basis.sort(key=lambda cp: cp.lead_v)
-    polys = [decompile(ring, ((cp.lead_v, fld.one),) + cp.tail) for cp in basis]
-    if exhausted is not None:
+        engine.add(g.terms)
+    complete = engine.run()
+    stats = engine.stats
+    polys = [Polynomial(ring, tuple(t)) for t in sorted(engine.elements, key=lambda t: t[0][0])]
+    if not complete:
         # Keep every accumulated element: with pairs unprocessed, dropping a
         # lead-redundant element could lose ideal content hiding in its tail.
-        stats.seconds = time.monotonic() - start
-        return GroebnerBasis(
-            ring, polys, complete=False, homogeneous=homogeneous, stats=stats
-        )
+        return GroebnerBasis(ring, polys, complete=False, homogeneous=homogeneous, stats=stats)
     truncated = stats.pairs_truncated > 0
     elements = interreduce(polys)
-    stats.seconds = time.monotonic() - start
+    stats.seconds = time.monotonic() - engine.start
     return GroebnerBasis(
         ring,
         elements,
@@ -343,29 +467,6 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
 
 def membership(f: Polynomial, basis: GroebnerBasis) -> bool:
     return basis.contains(f)
-
-
-def verify_basis(basis: GroebnerBasis, gens: Optional[Sequence[Polynomial]] = None):
-    """Brute-force check: every S-pair reduces to zero (no criteria applied),
-    and every original generator lies in the span.  Returns (ok, failures)."""
-    failures = []
-    elems = basis.elements
-    ring = basis.ring
-    order = ring.order
-    fld = ring.field
-    compiled = [compile_poly(g, i) for i, g in enumerate(elems)]
-    reducers = basis.reducers
-    for a in range(len(elems)):
-        for b in range(a + 1, len(elems)):
-            l = mon_lcm(compiled[a].lead_exps, compiled[b].lead_exps)
-            terms = _spair_terms(compiled[a], compiled[b], l, order.encode(l), order)
-            if normal_form(terms, reducers, fld):
-                failures.append(f"S-pair ({a},{b}) does not reduce to zero")
-    if gens is not None:
-        for k, g in enumerate(gens):
-            if not basis.reduce(g).is_zero():
-                failures.append(f"generator {k} is not in the basis ideal")
-    return (not failures, failures)
 
 
 # -- elimination / intersection / quotient ------------------------------------

@@ -244,9 +244,13 @@ def mon_degree(a):
     return sum(a)
 
 
-def _column_max(f: "Polynomial"):
-    """Largest exponent of each variable over the terms of f."""
-    return map(max, zip(*[mon for mon, _ in f.exponent_terms()]))
+def check_product(a, b, order: MonomialOrder):
+    """Raise OverflowError if a product of a term of `a` and a term of `b`
+    (packed term lists) could pass the cap, judged on each side's largest
+    exponent per variable; a module key decodes to its scalar part."""
+    tops = [map(max, zip(*[order.decode(v) for v, _ in t])) for t in (a, b)]
+    if any(x + y > _EXP_CAP for x, y in zip(*tops)):
+        raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
 
 
 class PolyRing:
@@ -335,10 +339,8 @@ class PolyRing:
             _, top_b, den_b, tb = pack(b)
             if not ta or not tb:
                 continue
-            if top_a + top_b > _EXP_CAP and any(
-                x + y > _EXP_CAP for x, y in zip(_column_max(a), _column_max(b))
-            ):
-                raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
+            if top_a + top_b > _EXP_CAP:
+                check_product(ta, tb, self.order)
             work.append((ta, tb, den_a * den_b))
             common = lcm(common, den_a * den_b)
         shift = self.order.unit_v
@@ -539,11 +541,10 @@ class Polynomial:
         if fld.is_zero(c):
             return self.ring.zero
         order = self.ring.order
-        shift = order.encode(mon) - order.unit_v
-        if self.degree() + sum(mon) > _EXP_CAP and any(
-            x + y > _EXP_CAP for x, y in zip(_column_max(self), mon)
-        ):
-            raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
+        v = order.encode(mon)
+        if self.degree() + sum(mon) > _EXP_CAP:
+            check_product(self.terms, ((v, c),), order)
+        shift = v - order.unit_v
         return Polynomial(self.ring, tuple((v + shift, fld.mul(cc, c)) for v, cc in self.terms))
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
@@ -709,13 +710,20 @@ def var_mask(exps) -> int:
     return m
 
 
+def compile_terms(terms, ring: PolyRing, index: int = -1) -> CompiledPoly:
+    """CompiledPoly over nonempty descending packed terms of a polynomial or
+    of a module vector, whose position bits sit above the order's keys."""
+    order = ring.order
+    scalar = (1 << order.total_bits) - 1
+    tail_deg = max([order.degree(v & scalar) for v, _ in terms[1:]], default=0)
+    return CompiledPoly(terms, order.decode(terms[0][0]), tail_deg, ring.field, index)
+
+
 def compile_poly(f: Polynomial, index: int = -1) -> CompiledPoly:
     """CompiledPoly over f's own terms, which are already keyed and sorted."""
     if f.is_zero():
         raise ValueError("cannot compile the zero polynomial")
-    deg = f.ring.order.degree
-    tail_deg = max([deg(v) for v, _ in f.terms[1:]], default=0)
-    return CompiledPoly(f.terms, f.lm(), tail_deg, f.ring.field, index)
+    return compile_terms(f.terms, f.ring, index)
 
 
 def check_multiple(q, cp: CompiledPoly, order: MonomialOrder):

@@ -5,33 +5,31 @@ sum a_k f_k = 0 over the commutator entries f_k.  Reading a matrix A row by
 row produces such a vector exactly when tr(A(XY-YX)) = 0, which links the
 word rules to honest module elements.
 
-The module half of the file is a position-over-term Groebner engine for
-free-module vectors: enough to compute a generating set of the first-syzygy
-module of the minimal generators (with cofactor tracking through S-pair
-reduction), count its minimal generators degree by degree, and decide
-membership of candidate syzygies.
+The module half of the file holds the position-over-term module order, the
+vector <-> packed-term conversions and the callers of the Groebner engine
+(`groebner.Engine`) on free-module vectors: module bases and membership,
+and the first-syzygy module of the minimal generators.  Its generators come
+from one tracked engine run over the generators (the syzygy of every pair
+through the bound), and one selection run keeps a minimal set of them
+degree by degree.
 """
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappush, heappop
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .genmat import CommutatorSystem, GenericMatrix
-from .groebner import Budget, BudgetExhausted, GBStats, _spair_terms
+from .groebner import Budget, Engine, GBStats, IncompleteBasisError
 from .polyring import (
     CompiledPoly,
     DegreeBucketReducers,
     MonomialOrder,
     PolyRing,
     Polynomial,
-    compile_poly,
+    compile_terms,
     decompile,
-    mon_degree,
-    mon_lcm,
     normal_form,
 )
 from .words import WordExpr
@@ -84,15 +82,6 @@ class SyzygyTuple:
     def is_valid(self) -> bool:
         return self.residual().is_zero()
 
-    def coefficient_degree(self) -> int:
-        """Common total degree of the nonzero entries, or -1 if all zero."""
-        degs = {a.degree() for a in self.entries if not a.is_zero()}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise ValueError("entries are not of a single degree")
-        return degs.pop()
-
 
 def tuple_from_matrix(a: GenericMatrix, system: CommutatorSystem) -> SyzygyTuple:
     """Row-major flattening of A, so that sum a_k f_k = tr(A(XY-YX))."""
@@ -125,15 +114,7 @@ def is_trace_syzygy(source, system: CommutatorSystem) -> bool:
 
 def koszul(system: CommutatorSystem) -> list:
     """The C(n^2, 2) relations f_i e_j - f_j e_i on the full entry list."""
-    nsq = system.n ** 2
-    zero = system.ring.zero
-    out = []
-    for i, j in combinations(range(nsq), 2):
-        entries = [zero] * nsq
-        entries[j] = system.commutators[i]
-        entries[i] = -system.commutators[j]
-        out.append(SyzygyTuple(entries=tuple(entries), system=system))
-    return out
+    return [SyzygyTuple(entries=v, system=system) for v in _koszul_vectors(system.commutators)]
 
 
 def restrict_to_minimal(t: SyzygyTuple) -> tuple:
@@ -215,14 +196,6 @@ def vector_degree(vec: Sequence[Polynomial]) -> int:
     return degs.pop()
 
 
-def vector_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vector_scale(vec, c: Polynomial):
-    return tuple(p * c for p in vec)
-
-
 def vector_terms(vec: Sequence[Polynomial], morder: ModuleOrder) -> list:
     """Descending module (V, coeff) terms: positions in order, each descending."""
     top, shift = morder.rank - 1, morder.shift
@@ -234,9 +207,7 @@ def compile_vector(vec: Sequence[Polynomial], morder: ModuleOrder, index: int = 
     terms = vector_terms(vec, morder)
     if not terms:
         raise ValueError("cannot compile the zero vector")
-    scalar, part = morder.scalar, morder.scalar_part
-    tail_deg = max([scalar.degree(part(v)) for v, _ in terms[1:]], default=0)
-    return CompiledPoly(terms, scalar.decode(part(terms[0][0])), tail_deg, vec[0].ring.field, index)
+    return compile_terms(terms, vec[0].ring, index)
 
 
 def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
@@ -283,38 +254,22 @@ def module_normal_form(terms, reducers: ModuleReducers, field):
 
 
 class ModuleBasis:
-    """A (possibly truncated or partial) module Groebner basis."""
+    """A (possibly truncated or partial) module Groebner basis: the elements
+    of a finished engine run, with its reducer store."""
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        rank: int,
-        vectors: Sequence,
-        morder: ModuleOrder,
-        *,
-        complete: bool = True,
-        truncation_degree: Optional[int] = None,
-        stats: Optional[GBStats] = None,
-    ):
-        self.ring = ring
-        self.rank = rank
-        self.vectors = tuple(vectors)
+    def __init__(self, engine: Engine, morder: ModuleOrder):
+        self.ring = engine.ring
+        self.rank = morder.rank
+        self.vectors = tuple(decompile_vector(self.ring, self.rank, t, morder) for t in engine.elements)
         self.morder = morder
-        self.complete = complete
-        self.truncation_degree = truncation_degree
-        self.stats = stats or GBStats()
-        self._reducers = None
+        self.complete = engine.exhausted is None
+        truncated = self.complete and engine.stats.pairs_truncated > 0
+        self.truncation_degree = engine.degree_bound if truncated else None
+        self.stats = engine.stats
+        self.reducers = engine.reducers
 
     def __len__(self):
         return len(self.vectors)
-
-    @property
-    def reducers(self) -> ModuleReducers:
-        if self._reducers is None:
-            self._reducers = ModuleReducers(
-                self.morder, (compile_vector(v, self.morder, i) for i, v in enumerate(self.vectors))
-            )
-        return self._reducers
 
     def reduce(self, vec):
         if vector_is_zero(vec) or not self.vectors:
@@ -326,10 +281,10 @@ class ModuleBasis:
         if vector_is_zero(vec):
             return True
         if not self.complete:
-            raise RuntimeError("module basis is partial; membership is undecidable")
+            raise IncompleteBasisError("module basis is partial; membership is undecidable")
         if self.truncation_degree is not None:
             if vector_degree(vec) > self.truncation_degree:
-                raise RuntimeError(
+                raise IncompleteBasisError(
                     f"module basis only valid through degree {self.truncation_degree}"
                 )
         return vector_is_zero(self.reduce(vec))
@@ -356,93 +311,21 @@ def module_buchberger(
         raise ValueError("vectors of mixed rank")
     ring = next(p for p in vectors[0] if not p.is_zero()).ring
     morder = ModuleOrder(ring.order, rank)
-    fld = ring.field
     if degree_bound is not None:
         for v in vectors:
             vector_degree(v)  # raises on inhomogeneous input
-    budget = budget or Budget()
-    stats = GBStats()
-    start = time.monotonic()
-
-    basis: list = []
-    stored: list = []
-    reducers = ModuleReducers(morder)
-    heap: list = []
-    serial = 0
-
-    def monic_vec(vec, cv):
-        if cv.lc == fld.one:
-            return vec
-        inv = cv.lc_inv
-        return tuple(p.scale(inv) for p in vec)
-
-    def add_vector(vec):
-        nonlocal serial
-        h = len(basis)
-        cv = compile_vector(vec, morder, h)
-        vec = monic_vec(vec, cv)
-        if cv.lc != fld.one:
-            cv = compile_vector(vec, morder, h)
-        pos = morder.position(cv.lead_v)
-        for g in basis:
-            if morder.position(g.lead_v) != pos:
-                continue
-            l = mon_lcm(g.lead_exps, cv.lead_exps)
-            deg = mon_degree(l)
-            if degree_bound is not None and deg > degree_bound:
-                stats.pairs_truncated += 1
-                continue
-            heappush(heap, (deg, serial, g.index, h, l))
-            serial += 1
-        basis.append(cv)
-        stored.append(vec)
-        reducers.add(cv)
-        stats.elements_added += 1
-
-    exhausted = None
+    engine = Engine(ring, ModuleReducers(morder), degree_bound=degree_bound, budget=budget)
     for v in vectors:
-        add_vector(v)
-
-    while heap:
-        if budget.max_spairs is not None and stats.spairs_reduced >= budget.max_spairs:
-            exhausted = f"S-pair budget ({budget.max_spairs}) exhausted"
-            break
-        if budget.max_seconds is not None and time.monotonic() - start > budget.max_seconds:
-            exhausted = f"time budget ({budget.max_seconds}s) exhausted"
-            break
-        deg, _, i, j, l = heappop(heap)
-        a, b = basis[i], basis[j]
-        vlcm = morder.encode(morder.position(a.lead_v), ring.order.encode(l))
-        terms = _spair_terms(a, b, l, vlcm, ring.order)
-        stats.spairs_reduced += 1
-        if deg > stats.max_degree_processed:
-            stats.max_degree_processed = deg
-        rem = module_normal_form(terms, reducers, fld)
-        if rem:
-            add_vector(decompile_vector(ring, rank, rem, morder))
-        else:
-            stats.zero_reductions += 1
-
-    stats.seconds = time.monotonic() - start
-    if exhausted is not None:
-        if budget.on_exhaustion == "fail":
-            raise BudgetExhausted(exhausted, stats)
-        return ModuleBasis(ring, rank, stored, morder, complete=False, stats=stats)
-    return ModuleBasis(
-        ring,
-        rank,
-        stored,
-        morder,
-        complete=True,
-        truncation_degree=degree_bound if stats.pairs_truncated > 0 else None,
-        stats=stats,
-    )
+        engine.add(vector_terms(v, morder))
+    engine.run()
+    return ModuleBasis(engine, morder)
 
 
 def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = None) -> bool:
     """Is vec in the submodule generated by `generators`?
 
     With coefficient-homogeneous input the basis is truncated at vec's degree.
+    A budget-cut basis raises IncompleteBasisError instead of answering.
     """
     vec = tuple(vec)
     if vector_is_zero(vec):
@@ -456,8 +339,7 @@ def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = N
             vector_degree(g)
     except ValueError:
         bound = None  # inhomogeneous input: no safe truncation
-    mgb = module_buchberger(generators, degree_bound=bound, budget=budget)
-    return vector_is_zero(mgb.reduce(vec))
+    return module_buchberger(generators, degree_bound=bound, budget=budget).contains(vec)
 
 
 def syzygy_membership(
@@ -489,110 +371,6 @@ def _koszul_vectors(gens: Sequence[Polynomial]):
     return out
 
 
-def _tracked_pair_syzygies(gens: Sequence[Polynomial], lcm_bound: int, budget: Budget):
-    """Run Buchberger keeping, for every basis element, its expression over
-    the original generators; collect one syzygy vector per processed pair.
-
-    Coprime-lead pairs contribute their Koszul relation directly (that is
-    exactly what full reduction of their S-polynomial yields); every other
-    pair is reduced with the standard division steps recorded.  Processing
-    all pairs with lcm degree <= lcm_bound yields generators for every
-    syzygy of the original (homogeneous) generators through that degree.
-    """
-    ring = gens[0].ring
-    order = ring.order
-    fld = ring.field
-    m = len(gens)
-    if any(not g.is_homogeneous() for g in gens):
-        raise ValueError("syzygy tracking needs homogeneous generators")
-    stats = GBStats()
-    start = time.monotonic()
-
-    basis: list = []
-    polys: list = []
-    reps: list = []
-    reducers = DegreeBucketReducers(order)
-    heap: list = []
-    serial = 0
-
-    def unit_vec(i):
-        return tuple(ring.one if k == i else ring.zero for k in range(m))
-
-    def add_element(p: Polynomial, rep):
-        nonlocal serial
-        h = len(basis)
-        lc = p.lc()
-        if lc != fld.one:
-            inv = fld.inv(lc)
-            p = p.scale(inv)
-            rep = tuple(r.scale(inv) for r in rep)
-        cp = compile_poly(p, h)
-        for g in basis:
-            l = mon_lcm(g.lead_exps, cp.lead_exps)
-            deg = mon_degree(l)
-            if deg > lcm_bound:
-                stats.pairs_truncated += 1
-                continue
-            heappush(heap, (deg, serial, g.index, h))
-            serial += 1
-        basis.append(cp)
-        polys.append(p)
-        reps.append(rep)
-        reducers.add(cp)
-        stats.elements_added += 1
-
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            raise ValueError("zero generator")
-        add_element(g, unit_vec(i))
-
-    syzygies = []
-    exhausted = None
-    unit = order.unit_v
-    while heap:
-        if budget.max_spairs is not None and stats.spairs_reduced >= budget.max_spairs:
-            exhausted = f"S-pair budget ({budget.max_spairs}) exhausted"
-            break
-        if budget.max_seconds is not None and time.monotonic() - start > budget.max_seconds:
-            exhausted = f"time budget ({budget.max_seconds}s) exhausted"
-            break
-        deg, _, i, j = heappop(heap)
-        a, b = basis[i], basis[j]
-        if (a.mask & b.mask) == 0:
-            # coprime leads: the pair's syzygy is the Koszul relation
-            syz = vector_sub(vector_scale(reps[i], polys[j]), vector_scale(reps[j], polys[i]))
-            syzygies.append(syz)
-            stats.pairs_pruned += 1
-            continue
-        l = mon_lcm(a.lead_exps, b.lead_exps)
-        vlcm = order.encode(l)
-        terms = _spair_terms(a, b, l, vlcm, order)
-        record: list = []
-        stats.spairs_reduced += 1
-        if deg > stats.max_degree_processed:
-            stats.max_degree_processed = deg
-        rem = normal_form(terms, reducers, fld, record)
-        da = vlcm - a.lead_v
-        db = vlcm - b.lead_v
-        mult_a = decompile(ring, [(da + unit, fld.one)])
-        mult_b = decompile(ring, [(db + unit, fld.one)])
-        expr = vector_sub(vector_scale(reps[i], mult_a), vector_scale(reps[j], mult_b))
-        for idx, delta, cf in record:
-            mon = decompile(ring, [(delta + unit, cf)])
-            expr = vector_sub(expr, vector_scale(reps[idx], mon))
-        if rem:
-            add_element(decompile(ring, rem), expr)
-        else:
-            stats.zero_reductions += 1
-            if not vector_is_zero(expr):
-                syzygies.append(expr)
-    stats.seconds = time.monotonic() - start
-    partial = exhausted is not None
-    if partial and budget.on_exhaustion == "fail":
-        raise BudgetExhausted(exhausted, stats)
-    return syzygies, partial, stats
-
-
 @dataclass
 class FirstSyzygies:
     """Minimal first-syzygy data for the minimal generators."""
@@ -602,7 +380,6 @@ class FirstSyzygies:
     counts: dict          # coefficient degree -> number of minimal generators
     generators: list      # the kept minimal generating vectors (rank-length tuples)
     sources: list         # parallel to generators: 'koszul' or 'pair'
-    module_basis: Optional[ModuleBasis]
     partial: bool         # True when a budget cut makes counts lower bounds
     stats: GBStats
 
@@ -617,6 +394,14 @@ def first_syzygies(
 
     Counts are per coefficient degree (a 'linear' syzygy has degree 1).  The
     default bound is n: one degree past the conjectured maximum, n - 1.
+
+    The candidates are the Koszul relations and the syzygies of a tracked
+    engine run over the generators: every pair with lcm degree <= bound + 2
+    is reduced with its division steps recorded, and every syzygy of the
+    generators through the bound is a combination of the resulting ones.
+    One module engine then selects the minimal ones, Koszul relations first
+    within each degree; `stats` are the tracked run's.  The budget caps each
+    of the two runs; a cut makes the counts lower bounds and sets `partial`.
     """
     n = system.n
     bound = n if degree_bound is None else degree_bound
@@ -629,52 +414,35 @@ def first_syzygies(
             counts={},
             generators=[],
             sources=[],
-            module_basis=None,
             partial=False,
             stats=GBStats(),
         )
+    ring = gens[0].ring
     m = len(gens)
-    pair_syzygies, partial, stats = _tracked_pair_syzygies(gens, bound + 2, budget)
+    morder = ModuleOrder(ring.order, m)
+    tracked = Engine(ring, degree_bound=bound + 2, budget=budget, track=True)
+    for i, g in enumerate(gens):
+        tracked.add(g.terms, [(morder.encode(i, ring.order.unit_v), ring.field.one)])
+    tracked.run()
 
     # Components of a syzygy vector are the cofactors, so the vector's own
     # homogeneous degree is the coefficient degree used for grading/counting.
-    candidates = [(2, 0, k, v, "koszul") for k, v in enumerate(_koszul_vectors(gens))]
-    for k, v in enumerate(pair_syzygies):
-        if vector_is_zero(v):
-            continue
-        d = vector_degree(v)
+    koszul_vecs = _koszul_vectors(gens) if bound >= 2 else []
+    candidates = [(2, vector_terms(v, morder), "koszul") for v in koszul_vecs]
+    for terms in tracked.syzygies:
+        d = ring.order.degree(morder.scalar_part(terms[0][0]))
         if d <= bound:
-            candidates.append((d, 1, k, v, "pair"))
-    candidates.sort(key=lambda t: t[:3])
+            candidates.append((d, terms, "pair"))
+    candidates.sort(key=lambda c: c[0])
 
-    kept: list = []
-    sources: list = []
-    counts: Counter = Counter()
-    mgb = None
-    state = None
-    for d, _, _, vec, src in candidates:
-        if kept:
-            if state != (len(kept), d):
-                mgb = module_buchberger(kept, degree_bound=d, budget=budget)
-                state = (len(kept), d)
-            if not mgb.complete:
-                partial = True
-                continue  # conservative: treat as dependent, keep counts lower bounds
-            if vector_is_zero(mgb.reduce(vec)):
-                continue
-        kept.append(vec)
-        sources.append(src)
-        counts[d] += 1
-    module_basis = (
-        module_buchberger(kept, degree_bound=bound, budget=budget) if kept else None
-    )
+    selection = Engine(ring, ModuleReducers(morder), degree_bound=bound, budget=budget)
+    kept = [candidates[k] for k in selection.select([c[:2] for c in candidates], strict=False)]
     return FirstSyzygies(
         rank=m,
         degree_bound=bound,
-        counts=dict(sorted(counts.items())),
-        generators=kept,
-        sources=sources,
-        module_basis=module_basis,
-        partial=partial,
-        stats=stats,
+        counts=dict(sorted(Counter(d for d, _, _ in kept).items())),
+        generators=[decompile_vector(ring, m, terms, morder) for _, terms, _ in kept],
+        sources=[src for _, _, src in kept],
+        partial=tracked.exhausted is not None or selection.exhausted is not None,
+        stats=tracked.stats,
     )

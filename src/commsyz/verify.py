@@ -11,6 +11,7 @@ same configuration produce identical result payloads.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
@@ -37,6 +38,7 @@ from commsyz.genmat import (
 from commsyz.groebner import (
     Budget,
     BudgetExhausted,
+    Engine,
     GroebnerBasis,
     IncompleteBasisError,
     buchberger,
@@ -176,10 +178,12 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
     """Minimal homogeneous generators that `gens` adds beyond `base_gens`.
 
     Candidates are taken in increasing degree; one is kept iff it is not in
-    the ideal of the base plus those already kept, decided by a
-    degree-truncated basis.  For homogeneous input the count is the number of
-    minimal generators of the quotient module (ideal / base ideal); with an
-    empty base it is a minimal generating set of the ideal drawn from `gens`.
+    the ideal of the base plus those already kept, decided by one engine run
+    that holds the base and the kept normal forms (`Engine.select`).  For
+    homogeneous input the count is the number of minimal generators of the
+    quotient module (ideal / base ideal); with an empty base it is a minimal
+    generating set of the ideal drawn from `gens`.  A decision that a budget
+    cut would leave open raises IncompleteBasisError.
     """
     base = [g for g in base_gens if not g.is_zero()]
     cand = [g for g in gens if not g.is_zero()]
@@ -188,19 +192,10 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
     if not cand:
         return []
     cand.sort(key=lambda g: (g.degree(), g.terms[0][0]))
-    kept: list = []
-    gb = None
-    state = None
-    for g in cand:
-        d = g.degree()
-        if base or kept:
-            if state != (len(kept), d):
-                gb = buchberger(base + kept, budget=budget, degree_bound=d)
-                state = (len(kept), d)
-            if gb.reduce(g).is_zero():
-                continue
-        kept.append(g)
-    return kept
+    engine = Engine(cand[0].ring, degree_bound=cand[-1].degree(), budget=budget)
+    for g in base:
+        engine.add(g.terms)
+    return [cand[k] for k in engine.select([(g.degree(), g.terms) for g in cand])]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +478,7 @@ def check_splice_euler(ctx: DeskContext, n: int):
         residuals = residual_relations(constraints)
         degrees = [g.degree() for g in ctx.new_colon_generators(3)]
         dual = GradedBettiTable(
-            {(0, d): c for d, c in sorted(_degree_counts(degrees).items())}
+            {(0, d): c for d, c in sorted(Counter(degrees).items())}
         )
         tail = splice_tail(dual, codim=6, sigma=canonical_splice_shift(3))
         tail_ok = all(table.entry(i, j) == v for (i, j), v in tail.cells.items())
@@ -541,13 +536,6 @@ def check_splice_euler(ctx: DeskContext, n: int):
         "totals_notes": totals_notes + dual_notes + part_notes,
     }
     return _verdict(ok), detail
-
-
-def _degree_counts(degrees) -> dict:
-    out: dict = {}
-    for d in degrees:
-        out[d] = out.get(d, 0) + 1
-    return out
 
 
 def _totals_consistent(table: GradedBettiTable, known: dict) -> tuple:

@@ -8,6 +8,11 @@ orders' definitions; it reads only an order's name, never its packed keys.
 Polynomials are read and built only through the edge API
 (`Polynomial.exponent_terms`, `PolyRing.poly`), so nothing here depends on
 how a ring lays out its keys.
+
+The one exception is `restart_selection`, the reference for the engine's
+minimal-generator selection: it is the older algorithm, which builds a fresh
+truncated basis with the library for every (kept, degree) state, and the
+selection it is compared with decides everything within one engine run.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -255,3 +260,54 @@ def interreduce_against_others(polys) -> list:
             out.append(ring.poly([(e, fld.mul(c, inv)) for (_, e), c in rem.items()]))
     out.sort(key=lambda p: key(lead(p)))
     return out
+
+
+def verify_basis(basis, gens=None):
+    """Brute-force check on exponent tuples: every S-polynomial of two basis
+    elements (no criteria applied) and every given generator leaves no
+    remainder under naive division by the basis.  Returns (ok, failures)."""
+    ring = basis.ring
+    fld = ring.field
+    key = order_key(ring.order)
+    as_terms = lambda p: {(0, mon): c for mon, c in p.exponent_terms()}
+    elems = [as_terms(g) for g in basis.elements]
+    leads = [max(g, key=lambda t: key(t[1])) for g in elems]
+
+    def multiple(g, lead, lcm):
+        q = tuple(a - b for a, b in zip(lcm, lead[1]))
+        inv = fld.inv(g[lead])
+        return {(0, tuple(a + b for a, b in zip(e, q))): fld.mul(c, inv) for (_, e), c in g.items()}
+
+    failures = []
+    for a, b in combinations(range(len(elems)), 2):
+        lcm = tuple(max(x, y) for x, y in zip(leads[a][1], leads[b][1]))
+        s = multiple(elems[a], leads[a], lcm)
+        for t, c in multiple(elems[b], leads[b], lcm).items():
+            s[t] = fld.sub(s.get(t, fld.zero), c)
+        s = {t: c for t, c in s.items() if not fld.is_zero(c)}
+        if naive_division(s, elems, key, fld)[0]:
+            failures.append(f"S-pair ({a},{b}) does not reduce to zero")
+    for k, g in enumerate(gens or ()):
+        if naive_division(as_terms(g), elems, key, fld)[0]:
+            failures.append(f"generator {k} is not in the basis ideal")
+    return (not failures, failures)
+
+
+def restart_selection(base, candidates, basis_at, degree, is_zero) -> list:
+    """Reference minimal-generator selection by restarts.
+
+    Walks the candidates in the given (nondecreasing degree) order and keeps
+    one iff it does not reduce to zero against `basis_at(base + kept, d)`, a
+    fresh basis truncated at its degree d, built once per (number kept, d)
+    state; with nothing to reduce against, the candidate is kept.
+    """
+    kept, basis, state = [], None, None
+    for g in candidates:
+        d = degree(g)
+        if base or kept:
+            if state != (len(kept), d):
+                basis, state = basis_at(base + kept, d), (len(kept), d)
+            if is_zero(basis.reduce(g)):
+                continue
+        kept.append(g)
+    return kept

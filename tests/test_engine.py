@@ -1,0 +1,201 @@
+"""The one Buchberger engine: its minimal-generator selection against the
+restart-based reference, the absence of restarts, budget cuts that must not
+answer silently, and the 8-bit guard on tracked representations."""
+
+import random
+
+import pytest
+
+from commsyz import groebner, syzygy, verify
+from commsyz.fields import GF, QQ
+from commsyz.genmat import build_system
+from commsyz.groebner import Budget, Engine, IncompleteBasisError, buchberger
+from commsyz.polyring import PolyRing
+from commsyz.syzygy import (
+    ModuleOrder,
+    ModuleReducers,
+    decompile_vector,
+    first_syzygies,
+    module_buchberger,
+    module_membership,
+    vector_degree,
+    vector_is_zero,
+    vector_terms,
+)
+from commsyz.verify import minimal_new_generators
+
+from oracles import naive_products, restart_selection
+
+FIELDS = (GF(7), GF(32003), QQ)
+CUT = Budget(max_spairs=0, on_exhaustion="partial")
+
+
+def _forms(ring, rng, degree, nterms):
+    """A random form of the given degree in four of the ring's variables."""
+    live = [ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(2, 1)]
+    f = ring.zero
+    for _ in range(nterms):
+        m = ring.const(rng.randint(1, 6))
+        for _ in range(degree):
+            m = m * rng.choice(live)
+        f = f + m
+    return f
+
+
+def _with_dependents(rng, items, combine):
+    """items, then three rounds of one repeated item and one combination of
+    earlier items (dependent candidates)."""
+    out = list(items)
+    for _ in range(3):
+        out.append(rng.choice(out))
+        out.append(combine(rng.sample(out, min(2, len(out)))))
+    return out
+
+
+def _scalar_case(field, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(2, field)
+    base = [_forms(ring, rng, rng.randint(1, 2), 2) for _ in range(rng.randint(0, 2))]
+    gens = [_forms(ring, rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(5)]
+
+    def combine(parts):
+        d = max(p.degree() for p in parts)
+        return sum((p * _forms(ring, rng, d - p.degree(), 2) if d > p.degree() else p * ring.const(3)
+                    for p in parts if not p.is_zero()), ring.zero)
+
+    return base, _with_dependents(rng, base + gens, combine)[len(base):]
+
+
+def _module_case(field, rank, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(2, field)
+    vecs = []
+    for _ in range(5):
+        d = rng.randint(1, 2)
+        vecs.append(tuple(_forms(ring, rng, d, 2) if rng.random() < 0.7 else ring.zero
+                          for _ in range(rank)))
+
+    def combine(parts):
+        d = max(vector_degree(v) for v in parts) + 1
+        acc = [ring.zero] * rank
+        for v in parts:
+            c = _forms(ring, rng, d - vector_degree(v), 1)
+            acc = [a + c * x for a, x in zip(acc, v)]
+        return tuple(acc)
+
+    vecs = [v for v in _with_dependents(rng, vecs, combine) if not vector_is_zero(v)]
+    return sorted(vecs, key=vector_degree)
+
+
+def _engine_vector_selection(vecs):
+    ring = next(p for p in vecs[0] if not p.is_zero()).ring
+    morder = ModuleOrder(ring.order, len(vecs[0]))
+    engine = Engine(ring, ModuleReducers(morder))
+    return [vecs[k] for k in engine.select([(vector_degree(v), vector_terms(v, morder)) for v in vecs])]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_scalar_selection_matches_the_restart_reference(field):
+    kept_counts = []
+    for seed in range(12):
+        base, gens = _scalar_case(field, seed)
+        cand = sorted((g for g in gens if not g.is_zero()), key=lambda g: (g.degree(), g.terms[0][0]))
+        want = restart_selection(
+            base, cand, lambda gs, d: buchberger(gs, degree_bound=d),
+            lambda g: g.degree(), lambda g: g.is_zero(),
+        )
+        got = minimal_new_generators(base, gens)
+        assert got == want, seed
+        kept_counts.append((len(cand), len(got)))
+    # the cases mix kept and dropped candidates
+    assert any(k < c for c, k in kept_counts) and all(k > 0 for _, k in kept_counts)
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_vector_selection_matches_the_restart_reference(field, rank):
+    dropped = 0
+    for seed in range(8):
+        vecs = _module_case(field, rank, 100 * rank + seed)
+        want = restart_selection(
+            [], vecs, lambda gs, d: module_buchberger(gs, degree_bound=d),
+            vector_degree, vector_is_zero,
+        )
+        got = _engine_vector_selection(vecs)
+        assert got == want, seed
+        dropped += len(vecs) - len(got)
+    assert dropped > 0
+
+
+def test_selections_never_restart_a_basis(ctx, monkeypatch):
+    system = build_system(3, GF(32003))
+    base = list(ctx.system(3).off_diagonal_gens)
+    colon = ctx.colon_generators(3)
+
+    def restart(*args, **kwargs):
+        raise AssertionError("a selection rebuilt a basis")
+
+    monkeypatch.setattr(syzygy, "module_buchberger", restart)
+    monkeypatch.setattr(groebner, "buchberger", restart)
+    monkeypatch.setattr(verify, "buchberger", restart)
+    assert first_syzygies(system, degree_bound=4).counts == {1: 2, 2: 31}
+    assert len(minimal_new_generators(base, colon)) == 5
+
+
+def test_membership_against_a_cut_basis_raises():
+    ring = PolyRing(2, GF(32003))
+    a, b = ring.x(1, 1), ring.y(1, 1)
+    gens = [((a + b) * a,), (a * a,)]
+    assert module_membership((b * a,), gens)
+    with pytest.raises(IncompleteBasisError):
+        module_membership((b * a,), gens, budget=CUT)
+
+
+def test_selection_against_a_cut_basis_raises():
+    ring = PolyRing(2, GF(32003))
+    a, b, c = ring.x(1, 1), ring.y(1, 1), ring.x(1, 2)
+    cand = [a * a + b * c, a * b, b * b * c]  # b^2c = b(a^2 + bc) - a(ab)
+    assert len(minimal_new_generators([], cand)) == 2
+    with pytest.raises(IncompleteBasisError):
+        minimal_new_generators([], cand, budget=CUT)
+
+
+def test_first_syzygies_under_a_cut_report_lower_bounds():
+    fs = first_syzygies(build_system(3, GF(32003)), degree_bound=4, budget=CUT)
+    assert fs.partial
+    assert all(fs.counts.get(d, 0) <= c for d, c in {1: 2, 2: 31}.items())
+    assert set(fs.counts) <= {1, 2}
+
+
+def _tracked(k):
+    """Tracked run over x^200 - y^200, x^199*y, x^k*y in lex: the element
+    y^201 carries x*e_2 in its representation, and its pair with x^k*y
+    shifts that by x^k, past the cap at k = 255, while every polynomial
+    step stays within it."""
+    ring = PolyRing(1, QQ, "lex")
+    x, y = ring.x(1, 1), ring.y(1, 1)
+    gens = [x**200 - y**200, x**199 * y, x**k * y]
+    morder = ModuleOrder(ring.order, len(gens))
+    engine = Engine(ring, track=True)
+    for i, g in enumerate(gens):
+        engine.add(g.terms, [(morder.encode(i, ring.order.unit_v), ring.field.one)])
+    engine.run()
+    return ring, gens, morder, engine
+
+
+def test_tracked_representations_are_guarded_at_the_cap():
+    ring, gens, morder, engine = _tracked(254)
+    assert engine.stats.max_degree_processed == 455
+    for terms in engine.syzygies:
+        vec = decompile_vector(ring, len(gens), terms, morder)
+        assert naive_products(zip(vec, gens), ring.field) == {}
+    with pytest.raises(OverflowError):
+        _tracked(255)
+
+
+def test_tracking_refuses_inhomogeneous_input():
+    ring = PolyRing(1, GF(101))
+    x, y = ring.x(1, 1), ring.y(1, 1)
+    engine = Engine(ring, track=True)
+    with pytest.raises(ValueError):
+        engine.add((x * x + y).terms, [(0, 1)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commsyz import fixtures
 from commsyz.fields import GF, QQ
 from commsyz.genmat import GenericMatrix, build_system
 from commsyz.groebner import Budget
@@ -219,3 +220,18 @@ def test_three_by_three_counts_and_sources(ctx):
         for a, f in zip(vec, gens):
             total = total + a * f
         assert total.is_zero()
+
+
+def test_koszul_candidates_respect_the_degree_bound():
+    fs = first_syzygies(build_system(3, GF(P)), degree_bound=1)
+    assert fs.counts == {1: 2}
+    assert set(fs.sources) == {"pair"} and not fs.partial
+
+
+def test_four_by_four_linear_and_quadratic_syzygies_match_the_fixture():
+    """Fixture cells (2,3) and (2,4) of the partial n=4 resolution are the
+    minimal first syzygies of coefficient degree 1 and 2."""
+    cells = fixtures.load_betti_table("n4_resolution_partial").cells
+    fs = first_syzygies(build_system(4, GF(P)), degree_bound=2)
+    assert fs.counts == {1: cells[(2, 3)], 2: cells[(2, 4)]}
+    assert not fs.partial
