@@ -22,9 +22,11 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from heapq import heappush, heappop
+from itertools import chain
 from typing import Optional, Sequence
 
 from .polyring import (
+    _EXP_BITS,
     _EXP_CAP,
     CompiledPoly,
     DegreeBucketReducers,
@@ -35,10 +37,6 @@ from .polyring import (
     compile_poly,
     compile_terms,
     decompile,
-    mon_div,
-    mon_degree,
-    mon_divides,
-    mon_lcm,
     normal_form,
 )
 
@@ -171,18 +169,6 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements, {kind})"
 
 
-def _spair_terms(a: CompiledPoly, b: CompiledPoly, lcm, vlcm: int, order):
-    """Term list of the S-polynomial of two monic compiled polynomials whose
-    leads have lcm `lcm` (exponents) and scalar or module key vlcm."""
-    check_multiple(mon_div(lcm, a.lead_exps), a, order)
-    check_multiple(mon_div(lcm, b.lead_exps), b, order)
-    da = vlcm - a.lead_v
-    db = vlcm - b.lead_v
-    terms = [(vt + da, ct) for vt, ct in a.tail]
-    terms.extend((vt + db, -ct) for vt, ct in b.tail)
-    return terms
-
-
 class Engine:
     """The Buchberger pair loop over monic packed elements.
 
@@ -192,9 +178,11 @@ class Engine:
     polynomials drop the old pairs a new lead makes redundant and filter new
     pairs by the chain, equal-lcm and coprime criteria; vectors pair only
     within a lead position, with no criteria; with `track` on, every pair is
-    reduced and a coprime pair yields its Koszul relation.  Pairs of lcm degree past `degree_bound` are dropped
-    and counted as truncated.  `exhausted` holds the reason once the budget
-    has cut the run.
+    reduced and a coprime pair yields its Koszul relation.  Every lcm,
+    divisibility and coprime test runs on the leads' packed exponents
+    (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
+    `degree_bound` are dropped and counted as truncated.  `exhausted` holds
+    the reason once the budget has cut the run.
     """
 
     def __init__(self, ring: PolyRing, reducers=None, *, degree_bound=None, budget=None, track=False):
@@ -209,8 +197,8 @@ class Engine:
         self.reps = [] if track else None
         self.syzygies: list = []
         self.criteria = not track and isinstance(self.reducers, DegreeBucketReducers)
-        self.pairs: dict = {}  # (i, j) -> lcm exponent tuple
-        self.heap: list = []  # (lcm degree, serial, i, j)
+        self.pairs: dict = {}  # (i, j) -> packed lcm
+        self.heap: list = []  # (lcm degree, serial, i, j, scalar key of the lcm)
         self.serial = 0
         self.exhausted = None
         self._pos_bits = ring.order.total_bits
@@ -235,50 +223,55 @@ class Engine:
         if self.criteria:
             self._criteria_pairs(cp)
         else:
-            pos, bits = cp.lead_v >> self._pos_bits, self._pos_bits
+            pos, bits, lcm = cp.lead_v >> self._pos_bits, self._pos_bits, self.ring.order.lcm
             for g in self.basis:
                 if g.lead_v >> bits == pos:
-                    self._push(g.index, h, mon_lcm(g.lead_exps, cp.lead_exps))
+                    self._push(g.index, h, lcm(g.packed, cp.packed))
         self.basis.append(cp)
         self.elements.append(terms)
         self.reducers.add(cp)
         self.stats.elements_added += 1
 
     def _push(self, i, j, lcm):
-        deg = mon_degree(lcm)
+        order = self.ring.order
+        v = order.key(lcm)
+        deg = order.degree(v)
         if self.degree_bound is not None and deg > self.degree_bound:
             self.stats.pairs_truncated += 1
             return
         self.pairs[(i, j)] = lcm
-        heappush(self.heap, (deg, self.serial, i, j))
+        heappush(self.heap, (deg, self.serial, i, j, v))
         self.serial += 1
 
     def _criteria_pairs(self, cp: CompiledPoly):
+        """Drop the old pairs the new lead makes redundant, then push the new
+        pairs that pass the chain, equal-lcm and coprime criteria, all on
+        packed exponents: l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0."""
         pairs, basis, stats = self.pairs, self.basis, self.stats
-        lmh = cp.lead_exps
-        # prune old pairs made redundant by the new lead
+        order = self.ring.order
+        lcm, borrow = order.lcm, order.low << _EXP_BITS
+        h = cp.packed
         for key in list(pairs):
-            i, j = key
             lij = pairs[key]
-            if mon_divides(lmh, lij):
-                li = basis[i].lead_exps
-                lj = basis[j].lead_exps
-                if mon_lcm(li, lmh) != lij and mon_lcm(lj, lmh) != lij:
+            if not (lij ^ h ^ (lij - h)) & borrow:
+                i, j = key
+                if lcm(basis[i].packed, h) != lij and lcm(basis[j].packed, h) != lij:
                     del pairs[key]
                     stats.pairs_pruned += 1
-        # new pairs, filtered by the chain/equal-lcm/coprime criteria
-        cand = [(g.index, mon_lcm(g.lead_exps, lmh), (g.mask & cp.mask) == 0) for g in basis]
-        kept = []
+        cand = [(g.index, lcm(g.packed, h), not g.support & cp.support) for g in basis]
+        waiting = [l for _, l, _ in cand]
+        kept, kept_lcms = [], []
         while cand:
             gi, l, coprime = cand.pop()
-            if not coprime:
-                shadowed = any(mon_divides(l2, l) for _, l2, _ in cand) or any(
-                    mon_divides(l2, l) for _, l2, _ in kept
-                )
-                if shadowed:
+            waiting.pop()
+            # chain and equal-lcm criteria: another waiting or kept lcm divides l
+            for l2 in () if coprime else chain(waiting, kept_lcms):
+                if not (l ^ l2 ^ (l - l2)) & borrow:
                     stats.pairs_pruned += 1
-                    continue
-            kept.append((gi, l, coprime))
+                    break
+            else:
+                kept.append((gi, l, coprime))
+                kept_lcms.append(l)
         for gi, l, coprime in kept:
             if coprime:
                 stats.pairs_pruned += 1
@@ -298,20 +291,25 @@ class Engine:
                 return self._cut(f"S-pair budget ({budget.max_spairs}) exhausted")
             if budget.max_seconds is not None and time.monotonic() - self.start > budget.max_seconds:
                 return self._cut(f"time budget ({budget.max_seconds}s) exhausted")
-            deg, _, i, j = heappop(heap)
+            deg, _, i, j, v = heappop(heap)
             lcm = pairs.pop((i, j), None)
             if lcm is None:
                 continue  # pruned after enqueueing
             a, b = basis[i], basis[j]
-            if tracking and (a.mask & b.mask) == 0:
+            if tracking and not a.support & b.support:
                 # coprime leads: the pair's syzygy is the Koszul relation
                 stats.pairs_pruned += 1
                 syz = self._combine(deg, [(i, self.elements[j], 1), (j, self.elements[i], -1)])
                 if syz:
                     self.syzygies.append(syz)
                 continue
-            vlcm = (a.lead_v >> bits << bits) | order.encode(lcm)
-            terms = _spair_terms(a, b, lcm, vlcm, order)
+            # the S-polynomial, each multiple x^(lcm - lead) checked at the cap
+            check_multiple(lcm - a.packed, deg - a.lead_deg, a, order)
+            check_multiple(lcm - b.packed, deg - b.lead_deg, b, order)
+            vlcm = (a.lead_v >> bits << bits) | v
+            da, db = vlcm - a.lead_v, vlcm - b.lead_v
+            terms = [(vt + da, ct) for vt, ct in a.tail]
+            terms.extend((vt + db, -ct) for vt, ct in b.tail)
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
@@ -319,7 +317,7 @@ class Engine:
             rem = normal_form(terms, self.reducers, fld, record)
             rep = None
             if tracking:
-                parts = [(i, ((vlcm - a.lead_v + unit, one),), 1), (j, ((vlcm - b.lead_v + unit, one),), -1)]
+                parts = [(i, ((da + unit, one),), 1), (j, ((db + unit, one),), -1)]
                 parts += [(idx, ((delta + unit, cf),), -1) for idx, delta, cf in record]
                 rep = self._combine(deg, parts)
             if rem:
@@ -450,11 +448,12 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
     if not polys:
         return []
     ring = polys[0].ring
+    order = ring.order
     # drop any element whose lead is divisible by another kept lead
     kept = []
     for p in sorted(polys, key=lambda p: p.terms[0][0]):
-        lm = p.lm()
-        if not any(mon_divides(q.lead_exps, lm) for q in kept):
+        e = order.packed(p.terms[0][0])
+        if not any(order.divides(q.packed, e) for q in kept):
             kept.append(compile_poly(p, len(kept)))
     # tail-reduce each against the shared set; the leads stay sorted
     reducers = DegreeBucketReducers(ring.order, kept)

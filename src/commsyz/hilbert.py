@@ -52,13 +52,6 @@ def _poly_shift(a: Sequence[int], k: int) -> list:
     return [0] * k + list(a) if a else []
 
 
-def _one_minus_t_power(k: int) -> list:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, [1, -1])
-    return out
-
-
 def divide_by_one_minus_t(num: Sequence[int]) -> Optional[list]:
     """Quotient num / (1-t) as a coefficient list, or None when t=1 is not
     a root."""

@@ -12,8 +12,11 @@ tuple of (V, coeff).  Sums merge keys, a monomial multiple shifts them, the
 total degree is read off a key, and the division kernel runs on the same
 keys.  Exponent tuples exist only at the edges: `PolyRing.poly`, `var` and
 `parse` encode (refusing exponents outside 0..255); printing, `lm`,
-bidegrees, substitution, Hilbert leads and pair criteria decode; and
-`embed`/`project` decode and re-encode across orders.
+bidegrees, substitution and Hilbert leads decode; and `embed`/`project`
+decode and re-encode across orders.  Divisibility, lcm and support tests
+(reducer lookup, pair criteria, cap checks) run on `MonomialOrder.packed(V)`,
+one int per monomial with each exponent in its own byte, read off the key
+with one `&` and one `^` (see `MonomialOrder`).
 
 Products go through one kernel, `PolyRing.dot(pairs)` = sum(a * b): per call
 each distinct input has its coefficients scaled to ints over one denominator
@@ -30,6 +33,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from fractions import Fraction
+from functools import reduce
 from heapq import heappush, heappop
 from math import lcm
 from typing import NamedTuple, Sequence
@@ -59,24 +63,80 @@ class VarId(NamedTuple):
 
 
 class MonomialOrder:
-    """Base class: a total multiplicative well-order on exponent tuples."""
+    """Base class: a total multiplicative well-order on exponent tuples.
+
+    A key holds each exponent in a byte of its own (as 255 - e in the bytes
+    `flip` covers) beside degree fields.  packed(v) = (v & exp_mask) ^ flip
+    is the int whose bytes are the exponents, with a module key's position
+    bits dropped, and `low` has the low bit of each exponent byte set.  On
+    packed ints a divides b iff b - a borrows out of no byte, and a + b
+    passes the cap iff it carries out of one: (b ^ a ^ (b -/+ a)) & (low << 8)
+    is nonzero exactly then, for every exponent 0..255.
+    """
 
     name = "?"
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self.unit_v = 0  # V(1); subclasses overwrite
-        self.total_bits = 0  # every encoding fits in this many bits
+        self.total_bits = 0  # every encoding fits in this many bits; subclasses overwrite
+
+    def _layout(self, blocks, flip: bool):
+        """Packed-exponent constants from the exponent blocks: (shift, count,
+        shift of the block's degree field or None)."""
+        fields = [(((1 << (_EXP_BITS * count)) - 1) << shift, d) for shift, count, d in blocks]
+        self.exp_mask = sum(field for field, _ in fields)
+        self.low = self.exp_mask // _EXP_CAP
+        self.flip = self.exp_mask if flip else 0
+        self.unit_v = self.flip  # V(1)
+        self._degree_fields = [(field, d) for field, d in fields if d is not None]
+        self._nbytes = self.total_bits // _EXP_BITS
+        # lcm works on alternate bytes, each with the next byte as its guard
+        even = int("00ff" * (self._nbytes // 2 + 1), 16) & self.exp_mask
+        self._lanes = [(m, (self.low & m) << _EXP_BITS) for m in (even, self.exp_mask ^ even)]
+        units = [[int(i == k) for i in range(self.nvars)] for k in range(self.nvars)]
+        self._var_bytes = [self.packed(self.encode(u)).bit_length() // _EXP_BITS for u in units]
 
     def encode(self, exps: Sequence[int]) -> int:
         raise NotImplementedError
 
     def decode(self, v: int) -> tuple:
-        raise NotImplementedError
+        """Exponent tuple of the monomial whose (scalar or module) key is v."""
+        b = self.packed(v).to_bytes(self._nbytes, "little")
+        return tuple(map(b.__getitem__, self._var_bytes))
+
+    def packed(self, v: int) -> int:
+        """Packed exponents of the monomial whose (scalar or module) key is v."""
+        return (v & self.exp_mask) ^ self.flip
+
+    def key(self, e: int) -> int:
+        """Scalar key of the monomial with packed exponents e."""
+        v = e ^ self.flip
+        for field, shift in self._degree_fields:
+            v |= sum((e & field).to_bytes(self._nbytes, "little")) << shift
+        return v
 
     def degree(self, v: int) -> int:
         """Total degree of the monomial whose key is v."""
-        return sum(self.decode(v))
+        return sum(self.packed(v).to_bytes(self._nbytes, "little"))
+
+    def divides(self, a: int, b: int) -> bool:
+        """Packed a divides packed b: no byte of b - a borrows."""
+        return not (b ^ a ^ (b - a)) & (self.low << _EXP_BITS)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm: the larger exponent of each byte."""
+        out = 0
+        for lanes, guard in self._lanes:
+            x, y = a & lanes, b & lanes
+            t = ((x | guard) - y) & guard  # guard kept iff x >= y
+            out |= y ^ ((x ^ y) & (t - (t >> _EXP_BITS)))
+        return out
+
+    def support(self, e: int) -> int:
+        """The low bit of every nonzero byte of packed e."""
+        s = e | e >> 4
+        s |= s >> 2
+        return (s | s >> 1) & self.low
 
     def greater(self, e1, e2) -> bool:
         return self.encode(e1) > self.encode(e2)
@@ -110,14 +170,6 @@ def _grevlex_encode(exps, n):
     return (deg << (_EXP_BITS * n)) | v
 
 
-def _grevlex_decode(v, n):
-    exps = []
-    for _ in range(n):
-        exps.append(_EXP_CAP - (v & _EXP_CAP))
-        v >>= _EXP_BITS
-    return tuple(exps)
-
-
 class Grevlex(MonomialOrder):
     """Graded reverse lexicographic; ties go to the smaller trailing exponent."""
 
@@ -125,14 +177,11 @@ class Grevlex(MonomialOrder):
 
     def __init__(self, nvars: int):
         super().__init__(nvars)
-        self.unit_v = (1 << (_EXP_BITS * nvars)) - 1
         self.total_bits = _EXP_BITS * nvars + _DEG_BITS
+        self._layout([(0, nvars, _EXP_BITS * nvars)], flip=True)
 
     def encode(self, exps):
         return _grevlex_encode(exps, self.nvars)
-
-    def decode(self, v):
-        return _grevlex_decode(v, self.nvars)
 
     def degree(self, v):
         return v >> (_EXP_BITS * self.nvars)
@@ -145,8 +194,8 @@ class Lex(MonomialOrder):
 
     def __init__(self, nvars: int):
         super().__init__(nvars)
-        self.unit_v = 0
         self.total_bits = _EXP_BITS * nvars
+        self._layout([(0, nvars, None)], flip=False)
 
     def encode(self, exps):
         v = 0
@@ -155,13 +204,6 @@ class Lex(MonomialOrder):
                 raise _bad_exponent(e)
             v = (v << _EXP_BITS) | e
         return v
-
-    def decode(self, v):
-        exps = []
-        for _ in range(self.nvars):
-            exps.append(v & _EXP_CAP)
-            v >>= _EXP_BITS
-        return tuple(reversed(exps))
 
 
 class BlockElimination(MonomialOrder):
@@ -181,19 +223,18 @@ class BlockElimination(MonomialOrder):
         self._rest = nvars - front
         self._rest_bits = _EXP_BITS * self._rest + _DEG_BITS
         self.total_bits = self._rest_bits + _EXP_BITS * front + _DEG_BITS
-        self.unit_v = (((1 << (_EXP_BITS * front)) - 1) << self._rest_bits) | (
-            (1 << (_EXP_BITS * self._rest)) - 1
+        self._layout(
+            [
+                (0, self._rest, _EXP_BITS * self._rest),
+                (self._rest_bits, front, self._rest_bits + _EXP_BITS * front),
+            ],
+            flip=True,
         )
 
     def encode(self, exps):
         vf = _grevlex_encode(exps[: self.front], self.front)
         vr = _grevlex_encode(exps[self.front:], self._rest)
         return (vf << self._rest_bits) | vr
-
-    def decode(self, v):
-        ef = _grevlex_decode(v >> self._rest_bits, self.front)
-        er = _grevlex_decode(v & ((1 << self._rest_bits) - 1), self._rest)
-        return ef + er
 
     def degree(self, v):
         vf, vr = v >> self._rest_bits, v & ((1 << self._rest_bits) - 1)
@@ -219,37 +260,12 @@ def make_order(spec, nvars: int, naux: int = 0) -> MonomialOrder:
     raise ValueError(f"unknown monomial order {spec!r}")
 
 
-def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mon_divides(a, b):
-    """True if monomial a divides b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def mon_div(a, b):
-    """Exponent tuple of a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mon_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mon_degree(a):
-    return sum(a)
-
-
 def check_product(a, b, order: MonomialOrder):
     """Raise OverflowError if a product of a term of `a` and a term of `b`
     (packed term lists) could pass the cap, judged on each side's largest
-    exponent per variable; a module key decodes to its scalar part."""
-    tops = [map(max, zip(*[order.decode(v) for v, _ in t])) for t in (a, b)]
-    if any(x + y > _EXP_CAP for x, y in zip(*tops)):
+    exponent per variable (the lcm of its packed exponents) by a carry test."""
+    ta, tb = (reduce(order.lcm, [order.packed(v) for v, _ in t], 0) for t in (a, b))
+    if (ta ^ tb ^ (ta + tb)) & (order.low << _EXP_BITS):
         raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
 
 
@@ -683,31 +699,25 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 class CompiledPoly:
     """A nonzero polynomial or module vector as packed (V, coeff) terms.
 
-    Built from its descending terms, the lead's exponents and tail_deg, the
-    largest total degree among the other terms.
+    Built from its descending terms, the scalar order, the lead's total
+    degree and tail_deg, the largest total degree among the other terms.
+    The lead's packed exponents (`packed`) and their support mask serve
+    every divisibility test.
     """
 
     __slots__ = (
-        "index", "lead_v", "lead_exps", "lead_deg", "mask", "tail", "tail_deg", "lc", "lc_inv"
+        "index", "lead_v", "packed", "support", "lead_deg", "tail", "tail_deg", "lc", "lc_inv"
     )
 
-    def __init__(self, terms, lead_exps, tail_deg, field, index: int = -1):
+    def __init__(self, terms, order: MonomialOrder, lead_deg, tail_deg, field, index: int = -1):
         self.index = index
         self.lead_v, self.lc = terms[0]
-        self.lead_exps = lead_exps
-        self.lead_deg = sum(lead_exps)
-        self.mask = var_mask(lead_exps)
+        self.packed = order.packed(self.lead_v)
+        self.support = order.support(self.packed)
+        self.lead_deg = lead_deg
         self.tail = terms[1:]
         self.tail_deg = tail_deg
         self.lc_inv = field.inv(self.lc)
-
-
-def var_mask(exps) -> int:
-    m = 0
-    for i, e in enumerate(exps):
-        if e:
-            m |= 1 << i
-    return m
 
 
 def compile_terms(terms, ring: PolyRing, index: int = -1) -> CompiledPoly:
@@ -715,8 +725,8 @@ def compile_terms(terms, ring: PolyRing, index: int = -1) -> CompiledPoly:
     of a module vector, whose position bits sit above the order's keys."""
     order = ring.order
     scalar = (1 << order.total_bits) - 1
-    tail_deg = max([order.degree(v & scalar) for v, _ in terms[1:]], default=0)
-    return CompiledPoly(terms, order.decode(terms[0][0]), tail_deg, ring.field, index)
+    degs = [order.degree(v & scalar) for v, _ in terms]
+    return CompiledPoly(terms, order, degs[0], max(degs[1:], default=0), ring.field, index)
 
 
 def compile_poly(f: Polynomial, index: int = -1) -> CompiledPoly:
@@ -726,14 +736,16 @@ def compile_poly(f: Polynomial, index: int = -1) -> CompiledPoly:
     return compile_terms(f.terms, f.ring, index)
 
 
-def check_multiple(q, cp: CompiledPoly, order: MonomialOrder):
-    """Raise OverflowError if x^q times a tail term of cp would pass the cap;
-    past the bound deg(q) + cp.tail_deg the tail is decoded (decoders read
-    only the exponent fields, so a module key decodes to its scalar part)."""
-    if sum(q) + cp.tail_deg <= _EXP_CAP:
+def check_multiple(q: int, qdeg: int, cp: CompiledPoly, order: MonomialOrder):
+    """Raise OverflowError if x^q (packed, of degree qdeg) times a tail term
+    of cp would pass the cap.  Only past the bound qdeg + cp.tail_deg are the
+    tail terms' packed exponents added to q and tested for a carry."""
+    if qdeg + cp.tail_deg <= _EXP_CAP:
         return
+    carry = order.low << _EXP_BITS
     for t, _ in cp.tail:
-        if any(x + y > _EXP_CAP for x, y in zip(q, order.decode(t))):
+        e = order.packed(t)
+        if (e ^ q ^ (e + q)) & carry:
             raise OverflowError(f"reduction exponent exceeds order capacity {_EXP_CAP}")
 
 
@@ -746,9 +758,11 @@ def decompile(ring: PolyRing, terms) -> Polynomial:
 class DegreeBucketReducers:
     """Reducer store bucketed by lead total degree (smallest degree wins).
 
-    find(v) decodes the packed key v with the store's order and returns the
-    first reducer, by lead degree and then insertion, whose lead divides it,
-    after `check_multiple` has cleared the step.
+    find(v) returns the first reducer, by lead degree and then insertion,
+    whose lead divides the scalar key v, after `check_multiple` has cleared
+    the step.  It decodes nothing: a reducer whose support mask is not
+    within v's is skipped, and the rest face the borrow test on packed
+    exponents (`MonomialOrder`).
     """
 
     __slots__ = ("order", "by_deg", "degrees")
@@ -769,25 +783,23 @@ class DegreeBucketReducers:
             bucket.append(cp)
 
     def find(self, v):
-        exps = self.order.decode(v)
-        deg = sum(exps)
-        emask = var_mask(exps)
+        order = self.order
+        e = order.packed(v)
+        deg = order.degree(v)
+        absent = order.low ^ order.support(e)
+        borrow = order.low << _EXP_BITS
         for d in self.degrees:
             if d > deg:
                 return None
             for r in self.by_deg[d]:
-                if r.mask & ~emask:
+                if r.support & absent:
                     continue
-                le = r.lead_exps
-                ok = True
-                for i in range(len(exps)):
-                    if le[i] > exps[i]:
-                        ok = False
-                        break
-                if ok:
-                    if deg - d + r.tail_deg > _EXP_CAP:
-                        check_multiple(mon_div(exps, le), r, self.order)
-                    return r
+                a = r.packed
+                if (e ^ a ^ (e - a)) & borrow:
+                    continue
+                if deg - d + r.tail_deg > _EXP_CAP:
+                    check_multiple(e - a, deg - d, r, order)
+                return r
         return None
 
 

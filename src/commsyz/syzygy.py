@@ -28,7 +28,6 @@ from .polyring import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    compile_terms,
     decompile,
     normal_form,
 )
@@ -202,14 +201,6 @@ def vector_terms(vec: Sequence[Polynomial], morder: ModuleOrder) -> list:
     return [((top - pos) << shift | v, c) for pos, p in enumerate(vec) for v, c in p.terms]
 
 
-def compile_vector(vec: Sequence[Polynomial], morder: ModuleOrder, index: int = -1) -> CompiledPoly:
-    """A nonzero vector as one packed term list; lead_exps is the scalar part."""
-    terms = vector_terms(vec, morder)
-    if not terms:
-        raise ValueError("cannot compile the zero vector")
-    return compile_terms(terms, vec[0].ring, index)
-
-
 def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
     buckets = [[] for _ in range(rank)]
     for v, c in terms:
@@ -255,16 +246,17 @@ def module_normal_form(terms, reducers: ModuleReducers, field):
 
 class ModuleBasis:
     """A (possibly truncated or partial) module Groebner basis: the elements
-    of a finished engine run, with its reducer store."""
+    of a finished engine run, with its reducer store, flagged complete,
+    truncated or (neither) partial as a `GroebnerBasis` is."""
 
     def __init__(self, engine: Engine, morder: ModuleOrder):
         self.ring = engine.ring
         self.rank = morder.rank
         self.vectors = tuple(decompile_vector(self.ring, self.rank, t, morder) for t in engine.elements)
         self.morder = morder
-        self.complete = engine.exhausted is None
-        truncated = self.complete and engine.stats.pairs_truncated > 0
-        self.truncation_degree = engine.degree_bound if truncated else None
+        cut, truncated = engine.exhausted is not None, engine.stats.pairs_truncated > 0
+        self.complete = not cut and not truncated
+        self.truncation_degree = engine.degree_bound if truncated and not cut else None
         self.stats = engine.stats
         self.reducers = engine.reducers
 
@@ -281,8 +273,8 @@ class ModuleBasis:
         if vector_is_zero(vec):
             return True
         if not self.complete:
-            raise IncompleteBasisError("module basis is partial; membership is undecidable")
-        if self.truncation_degree is not None:
+            if self.truncation_degree is None:
+                raise IncompleteBasisError("module basis is partial; membership is undecidable")
             if vector_degree(vec) > self.truncation_degree:
                 raise IncompleteBasisError(
                     f"module basis only valid through degree {self.truncation_degree}"

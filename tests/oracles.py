@@ -13,6 +13,8 @@ The one exception is `restart_selection`, the reference for the engine's
 minimal-generator selection: it is the older algorithm, which builds a fresh
 truncated basis with the library for every (kept, degree) state, and the
 selection it is compared with decides everything within one engine run.
+`criteria_pairs` is the engine's pair-criteria step as it was written on
+exponent tuples, the reference for the packed one.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -127,6 +129,31 @@ def selection_bidegrees_brute(n: int, cutoff=None) -> dict:
         if dx + dy <= cutoff:
             out.setdefault(dx + dy, set()).add((dx, dy))
     return dict(sorted(out.items()))
+
+
+# -- monomials as exponent tuples ----------------------------------------------
+
+
+def mon_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mon_divides(a, b):
+    """True if monomial a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mon_div(a, b):
+    """Exponent tuple of a / b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mon_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mon_degree(a):
+    return sum(a)
 
 
 def naive_combine(terms, field) -> dict:
@@ -311,3 +338,54 @@ def restart_selection(base, candidates, basis_at, degree, is_zero) -> list:
                 continue
         kept.append(g)
     return kept
+
+
+def criteria_pairs(pairs: dict, leads: list, degree_bound=None):
+    """Reference for `Engine._criteria_pairs`, on exponent tuples.
+
+    pairs: the waiting pairs {(i, j): lcm}; leads: the lead of every basis
+    element by index, the new element last.  Drops the old pairs the new lead
+    makes redundant, then filters the new pairs by the chain, equal-lcm and
+    coprime criteria.  Returns (waiting pairs after the step, the pairs
+    offered to the queue in order as (i, j, lcm), pruned count, truncated
+    count); an offered pair past `degree_bound` is truncated, not queued.
+    """
+    pairs = dict(pairs)
+    h = len(leads) - 1
+    lmh = leads[h]
+    pruned = truncated = 0
+    # prune old pairs made redundant by the new lead
+    for key in list(pairs):
+        i, j = key
+        lij = pairs[key]
+        if mon_divides(lmh, lij):
+            if mon_lcm(leads[i], lmh) != lij and mon_lcm(leads[j], lmh) != lij:
+                del pairs[key]
+                pruned += 1
+    # new pairs, filtered by the chain/equal-lcm/coprime criteria
+    cand = [
+        (g, mon_lcm(leads[g], lmh), not any(x and y for x, y in zip(leads[g], lmh)))
+        for g in range(h)
+    ]
+    kept = []
+    while cand:
+        gi, l, coprime = cand.pop()
+        if not coprime:
+            shadowed = any(mon_divides(l2, l) for _, l2, _ in cand) or any(
+                mon_divides(l2, l) for _, l2, _ in kept
+            )
+            if shadowed:
+                pruned += 1
+                continue
+        kept.append((gi, l, coprime))
+    offered = []
+    for gi, l, coprime in kept:
+        if coprime:
+            pruned += 1
+            continue
+        offered.append((gi, h, l))
+        if degree_bound is not None and mon_degree(l) > degree_bound:
+            truncated += 1
+        else:
+            pairs[(gi, h)] = l
+    return pairs, offered, pruned, truncated

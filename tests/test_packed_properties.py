@@ -6,6 +6,12 @@ answer, or an OverflowError exactly when some exponent of the naive
 computation passes 255.  Exponents are drawn near 0, near 128 and near 255,
 so products and division steps land on both sides of the cap.  Three
 variables (t_1, x_1_1, y_1_1) under grevlex, lex and elim, over QQ and GF(7).
+
+The packed-exponent primitives (divisibility, lcm, support mask, key and
+degree, and the carry test of `check_multiple`) are compared with tuple
+oracles in five variables, where elim's two blocks (3 | 2 and 2 | 3) have a
+degree field between them, and on module keys whose position bits sit above
+the scalar key.
 """
 
 import pytest
@@ -14,11 +20,21 @@ from hypothesis import strategies as st
 
 from commsyz.fields import GF, QQ
 from commsyz.groebner import buchberger
-from commsyz.polyring import PolyRing, divide
-from commsyz.syzygy import module_buchberger
+from commsyz.polyring import (
+    BlockElimination,
+    Grevlex,
+    Lex,
+    PolyRing,
+    check_multiple,
+    compile_terms,
+    divide,
+)
+from commsyz.syzygy import ModuleOrder, module_buchberger
 
 from oracles import (
     largest_product_exponent,
+    mon_divides,
+    mon_lcm,
     naive_combine,
     naive_division,
     naive_products,
@@ -151,3 +167,64 @@ def test_module_reduction_steps_past_the_cap_raise(order):
     assert basis.reduce((lead * y**55, ring.zero)) == (y**255, ring.zero)
     with pytest.raises(OverflowError):
         basis.reduce((lead * y**56, ring.zero))
+
+
+# -- packed exponents ----------------------------------------------------------
+
+ORDERS5 = [Grevlex(5), Lex(5), BlockElimination(5, 3), BlockElimination(5, 2)]
+RINGS5 = [PolyRing(1, GF(7), order, naux=3) for order in ("grevlex", "lex", "elim")]
+monomials5 = st.tuples(*[exponents] * 5)
+
+
+def _packed(order, exps):
+    return order.packed(order.encode(exps))
+
+
+@PROPERTY
+@given(order=st.sampled_from(ORDERS5), a=monomials5, b=monomials5, k=st.integers(0, 4))
+def test_packed_divisibility_and_lcm_match_the_tuples(order, a, b, k):
+    pa, pb = _packed(order, a), _packed(order, b)
+    assert order.divides(pa, pb) == mon_divides(a, b)
+    lcm = mon_lcm(a, b)
+    assert order.lcm(pa, pb) == order.lcm(pb, pa) == _packed(order, lcm)
+    assert order.divides(pa, _packed(order, lcm)) and order.divides(pb, _packed(order, lcm))
+    if a[k] < CAP:
+        up = a[:k] + (a[k] + 1,) + a[k + 1:]
+        assert order.divides(pa, _packed(order, up)) and not order.divides(_packed(order, up), pa)
+
+
+@PROPERTY
+@given(order=st.sampled_from(ORDERS5), a=monomials5, b=monomials5, pos=st.integers(0, 2))
+def test_packed_keys_degrees_and_supports_match_the_tuples(order, a, b, pos):
+    v = order.encode(a)
+    pa, pb = order.packed(v), _packed(order, b)
+    assert order.key(pa) == v
+    assert order.degree(v) == sum(a)
+    units = [_packed(order, tuple(int(i == k) for i in range(5))) for k in range(5)]
+    assert order.support(pa) == sum(u for u, x in zip(units, a) if x)
+    coprime = not any(x and y for x, y in zip(a, b))
+    assert (not order.support(pa) & order.support(pb)) == coprime
+    # a module key's position bits drop out of its packed exponents
+    assert order.packed(ModuleOrder(order, 3).encode(pos, v)) == pa
+
+
+@PROPERTY
+@given(
+    ring=st.sampled_from(RINGS5),
+    q=monomials5,
+    terms=st.lists(st.tuples(st.integers(0, 2), monomials5), min_size=2, max_size=5, unique=True),
+)
+def test_cap_check_matches_the_tuples(ring, q, terms):
+    order = ring.order
+    morder = ModuleOrder(order, 3)
+    keys = sorted({morder.encode(pos, order.encode(e)) for pos, e in terms}, reverse=True)
+    cp = compile_terms([(v, 1) for v in keys], ring)
+    tails = [order.decode(morder.scalar_part(v)) for v, _ in cp.tail]
+    assert cp.tail_deg == max(sum(t) for t in tails)
+    assert cp.packed == order.packed(keys[0])
+    assert cp.lead_deg == sum(order.decode(morder.scalar_part(keys[0])))
+    if any(x + y > CAP for t in tails for x, y in zip(q, t)):
+        with pytest.raises(OverflowError):
+            check_multiple(_packed(order, q), sum(q), cp, order)
+    else:
+        check_multiple(_packed(order, q), sum(q), cp, order)

@@ -1,0 +1,174 @@
+"""The engine's pair criteria on packed exponents, pinned to the tuple version.
+
+`Engine._criteria_pairs` tests divisibility, lcm and support on packed ints.
+Each of its steps is compared here with `oracles.criteria_pairs`, the same
+step written on exponent tuples, from the same waiting pairs and leads: the
+waiting pairs after the step, the pairs offered to the queue (in order, so
+the pop order is the same) and the pruned and truncated counts must agree.
+The inputs are seeded random homogeneous ideals under grevlex, lex and elim,
+binomial ideals whose exponents sit near 128 and 255, and shuffled n=3
+generators.  The work counts of two commutator bases are pinned, and the
+reducer lookup and the criteria must decode and encode nothing.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from commsyz.fields import GF
+from commsyz.groebner import Engine, buchberger
+from commsyz.polyring import DegreeBucketReducers, Grevlex, PolyRing
+
+from oracles import criteria_pairs
+
+ORDERS = ("grevlex", "lex", "elim")
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Run every criteria step beside the tuple reference; returns the list
+    that records each checked step."""
+    steps = []
+    step, push = Engine._criteria_pairs, Engine._push
+
+    def as_tuple(order, e):
+        return order.decode(order.key(e))
+
+    def recorded_push(self, i, j, lcm):
+        self.offered.append((i, j, as_tuple(self.ring.order, lcm)))
+        push(self, i, j, lcm)
+
+    def checked_step(self, cp):
+        order = self.ring.order
+        leads = [order.decode(g.lead_v) for g in self.basis] + [order.decode(cp.lead_v)]
+        waiting = {k: as_tuple(order, l) for k, l in self.pairs.items()}
+        want = criteria_pairs(waiting, leads, self.degree_bound)
+        before = (self.stats.pairs_pruned, self.stats.pairs_truncated)
+        self.offered = []
+        step(self, cp)
+        got = (
+            {k: as_tuple(order, l) for k, l in self.pairs.items()},
+            self.offered,
+            self.stats.pairs_pruned - before[0],
+            self.stats.pairs_truncated - before[1],
+        )
+        assert got == want
+        steps.append(len(leads))
+
+    monkeypatch.setattr(Engine, "_push", recorded_push)
+    monkeypatch.setattr(Engine, "_criteria_pairs", checked_step)
+    return steps
+
+
+def _random_ideal(order, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
+    live = [ring.var(v.name) for v in rng.sample(ring.variables, 6)]
+    gens = []
+    for _ in range(rng.randint(4, 7)):
+        degree = rng.randint(2, 3)
+        f = ring.zero
+        for _ in range(rng.randint(1, 3)):
+            m = ring.const(rng.randint(1, 100))
+            for _ in range(degree):
+                m = m * rng.choice(live)
+            f = f + m
+        gens.append(f)
+    return gens
+
+
+def _near_cap_binomials(order, seed):
+    """Homogeneous binomials of degree 383 in three variables whose exponents
+    lie near 0, 128 and 255."""
+    rng = random.Random(seed)
+    ring = PolyRing(1, GF(101), order, naux=1)
+    near = [0, 1, 2, 126, 127, 128, 129, 253, 254, 255]
+    monomials = set()
+    while len(monomials) < 12:
+        a, b = rng.choice(near), rng.choice(near)
+        if 0 <= 383 - a - b <= 255:
+            monomials.add((a, b, 383 - a - b))
+    monomials = sorted(monomials)
+    rng.shuffle(monomials)
+    return [
+        ring.poly({monomials[k]: 1, monomials[k + 1]: rng.randint(1, 100)})
+        for k in range(0, len(monomials), 2)
+    ]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("seed", range(6))
+def test_criteria_match_the_tuple_reference_on_random_ideals(checked, order, seed):
+    gens = _random_ideal(order, seed)
+    buchberger(gens, degree_bound=5)
+    assert len(checked) >= len(gens)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("bound", (383, 400))
+def test_criteria_match_the_tuple_reference_near_the_cap(checked, order, seed, bound):
+    gens = _near_cap_binomials(order, seed)
+    try:
+        buchberger(gens, degree_bound=bound)
+    except OverflowError:
+        pass  # a reduction step past the cap; the steps before it were checked
+    assert len(checked) >= len(gens)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_criteria_match_the_tuple_reference_on_shuffled_n3_generators(checked, ctx, seed):
+    gens = list(ctx.system(3).minimal_gens)
+    random.Random(seed).shuffle(gens)
+    basis = buchberger(gens)
+    assert len(checked) == basis.stats.elements_added == 27
+
+
+def _counts(basis):
+    s = basis.stats
+    return (s.spairs_reduced, s.zero_reductions, s.pairs_pruned, s.pairs_truncated, s.elements_added)
+
+
+def test_commutator_basis_work_counts_are_pinned(ctx):
+    gens = list(ctx.system(3).minimal_gens)
+    assert _counts(buchberger(gens)) == (90, 71, 261, 0, 27)
+    gens = list(ctx.system(4).minimal_gens)
+    assert _counts(buchberger(gens, degree_bound=4)) == (286, 163, 8149, 1018, 138)
+
+
+def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
+    calls = Counter()
+    inside = [0]
+
+    def counting(name):
+        original = getattr(Grevlex, name)
+
+        def wrapper(self, arg):
+            if inside[0]:
+                calls[name] += 1
+            return original(self, arg)
+
+        return wrapper
+
+    def entering(name, owner):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[owner.__name__ + "." + name] += 1
+            inside[0] += 1
+            try:
+                return original(*args)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    for name in ("encode", "decode"):
+        monkeypatch.setattr(Grevlex, name, counting(name))
+    monkeypatch.setattr(DegreeBucketReducers, "find", entering("find", DegreeBucketReducers))
+    monkeypatch.setattr(Engine, "_criteria_pairs", entering("_criteria_pairs", Engine))
+    buchberger(list(ctx.system(3).minimal_gens))
+    assert calls["DegreeBucketReducers.find"] > 1000
+    assert calls["Engine._criteria_pairs"] == 27
+    assert calls["encode"] == calls["decode"] == 0

@@ -12,12 +12,9 @@ from commsyz.polyring import (
     PolyRing,
     decompile,
     make_order,
-    mon_degree,
-    mon_divides,
-    mon_div,
-    mon_lcm,
-    mon_mul,
 )
+
+from oracles import mon_degree, mon_div, mon_divides, mon_lcm, mon_mul
 
 R = PolyRing(2, GF(101))  # 8 variables
 RQ = PolyRing(2, QQ)

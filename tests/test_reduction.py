@@ -16,6 +16,7 @@ from commsyz.polyring import (
     DegreeBucketReducers,
     PolyRing,
     compile_poly,
+    compile_terms,
     decompile,
     divide,
     normal_form,
@@ -23,9 +24,9 @@ from commsyz.polyring import (
 from commsyz.syzygy import (
     ModuleOrder,
     ModuleReducers,
-    compile_vector,
     decompile_vector,
     module_normal_form,
+    vector_terms,
 )
 
 from oracles import naive_division, order_key
@@ -128,7 +129,8 @@ def test_module_normal_form_matches_naive_division(field, order):
     rng = random.Random(f"module-{order}-{field}")
     live = (0, 1, 4, 5, ring.nvars - 1)
     x = ring.x(1, 1)
-    at_one = ModuleReducers(morder, [compile_vector((ring.zero, x, ring.zero), morder, 0)])
+    at_x = compile_terms(vector_terms((ring.zero, x, ring.zero), morder), ring, 0)
+    at_one = ModuleReducers(morder, [at_x])
     assert at_one.find(morder.encode(1, x.terms[0][0])).index == 0
     assert at_one.find(morder.encode(0, x.terms[0][0])) is None
 
@@ -145,9 +147,10 @@ def test_module_normal_form_matches_naive_division(field, order):
     for _ in range(25):
         gs = [vector((1, 2), 3) for _ in range(rng.randrange(2, 7))]
         f = vector((2, 3), 5)
-        cf = compile_vector(f, morder)
-        terms = [(cf.lead_v, cf.lc)] + cf.tail
-        reducers = ModuleReducers(morder, [compile_vector(g, morder, i) for i, g in enumerate(gs)])
+        terms = vector_terms(f, morder)
+        reducers = ModuleReducers(
+            morder, [compile_terms(vector_terms(g, morder), ring, i) for i, g in enumerate(gs)]
+        )
         record = []
         rem = normal_form(terms, reducers, field, record)
         assert module_normal_form(terms, reducers, field) == rem

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from commsyz import fixtures
 from commsyz.fields import GF, QQ
 from commsyz.genmat import GenericMatrix, build_system
-from commsyz.groebner import Budget
-from commsyz.polyring import Grevlex
+from commsyz.groebner import Budget, IncompleteBasisError, buchberger
+from commsyz.polyring import Grevlex, PolyRing
 from commsyz.syzygy import (
     ModuleOrder,
     SyzygyTuple,
@@ -18,6 +18,7 @@ from commsyz.syzygy import (
     is_trace_syzygy,
     koszul,
     matrix_from_tuple,
+    module_buchberger,
     module_membership,
     restrict_to_minimal,
     syzygy_membership,
@@ -196,6 +197,28 @@ def test_membership_queries():
         syzygy_membership(unit, [gens[0] + (ring.zero,)])
     assert module_membership((ring.zero,) * 3, [])
     assert not module_membership(unit, [])
+
+
+def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
+    ring = PolyRing(1, GF(101))
+    a, b = ring.x(1, 1), ring.y(1, 1)
+    zero = ring.zero
+    vecs = [(a * a, b * b), (a * b, a * a)]
+    ideal = buchberger([a * a + b * b, a * b], degree_bound=2)
+    module = module_buchberger(vecs, degree_bound=2)
+    assert module.stats.pairs_truncated > 0
+    assert (module.complete, module.truncation_degree) == (False, 2)
+    assert (ideal.complete, ideal.truncation_degree) == (False, 2)
+    # within the bound the truncated basis still answers
+    assert module.contains(vecs[1]) and not module.contains((a * a, zero))
+    with pytest.raises(IncompleteBasisError):
+        module.contains((a * a * b, zero))
+    full = module_buchberger(vecs)
+    assert (full.complete, full.truncation_degree) == (True, None)
+    cut = module_buchberger(vecs, budget=Budget(max_spairs=0, on_exhaustion="partial"))
+    assert (cut.complete, cut.truncation_degree) == (False, None)
+    with pytest.raises(IncompleteBasisError):
+        cut.contains(vecs[0])
 
 
 def test_first_syzygies_respects_budget():
