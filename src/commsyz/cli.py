@@ -1,21 +1,27 @@
 """Command-line entry point: build commutator systems, run bases, syzygies,
 colon ideals, Hilbert series, predictors, and the verification suite.
 
+Each subcommand other than `verify` is one function (cfg, ctx, n) ->
+(verdict, detail) in `COMMANDS`, listed with what it computes when that is
+Groebner-scale work.  `run_command` is the one dispatcher: `verify` runs the
+suite, and any other subcommand runs as one check named after it, reported
+SKIPPED past the desk limit when it is Groebner-scale work with no budget.
+
 Every run produces a Report; `--json` emits it under the versioned schema
 with all wall-clock numbers quarantined in the `timing` block, so reports
 from identical configurations are byte-identical apart from that block.
 Flags can also be set through `COMMSYZ_*` environment variables (the
-command-line value wins).  Exit status is 0 exactly when no check reports
-FAIL; argparse usage errors exit 2.
+command-line value wins); a preset is parsed and validated as the flag is.
+Exit status is 0 exactly when no check reports FAIL; usage errors, bad
+presets included, exit 2.
 """
-
 from __future__ import annotations
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from time import perf_counter
 from typing import Optional
 
@@ -29,6 +35,7 @@ from commsyz.conjecture import (
     selection_params,
 )
 from commsyz.fields import field_from_name
+from commsyz.genmat import GenericMatrix
 from commsyz.groebner import Budget, buchberger
 from commsyz.hilbert import hilbert_of_basis
 from commsyz.syzygy import first_syzygies, is_trace_syzygy, trace_residual
@@ -48,6 +55,8 @@ ENV_PREFIX = "COMMSYZ_"
 
 #: the fixed trace-form candidate set used for word verdicts
 WORD_DEGREE = 5
+
+ORDERS = ("grevlex", "lex")
 
 
 @dataclass(frozen=True)
@@ -69,23 +78,18 @@ class RunConfig:
         field_from_name(self.field)  # raises on a non-prime modulus
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be one of {', '.join(ORDERS)}, not {self.order!r}")
         self.budget()  # validates positivity
-
-    def coefficient_field(self):
-        return field_from_name(self.field)
 
     def budget(self) -> Optional[Budget]:
         if self.budget_seconds is None and self.budget_spairs is None:
             return None
-        return Budget(
-            max_spairs=self.budget_spairs,
-            max_seconds=self.budget_seconds,
-            on_exhaustion="partial",
-        )
+        return Budget(max_spairs=self.budget_spairs, max_seconds=self.budget_seconds)
 
     def context(self) -> DeskContext:
         return DeskContext(
-            field=self.coefficient_field(),
+            field=field_from_name(self.field),
             order=self.order,
             budget=self.budget(),
             fixture_dir=self.fixtures,
@@ -106,31 +110,10 @@ class Report:
     schema: str = REPORT_SCHEMA
 
     def as_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "config": self.config,
-            "results": self.results,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def exit_code(self) -> int:
         return 1 if any(r["verdict"] == "FAIL" for r in self.results) else 0
-
-
-def _report(cfg: RunConfig, results: list, total_seconds: float) -> Report:
-    """Assemble a Report from CheckResults, splitting timing out."""
-    return Report(
-        command=cfg.command,
-        config=cfg.as_dict(),
-        results=[
-            {"name": r.name, "verdict": r.verdict, "detail": r.detail} for r in results
-        ],
-        timing={
-            "total_seconds": round(total_seconds, 3),
-            "per_result": {r.name: round(r.seconds, 3) for r in results},
-        },
-    )
 
 
 def _stats_detail(stats) -> dict:
@@ -139,267 +122,223 @@ def _stats_detail(stats) -> dict:
     return d
 
 
-def _desk_guard(cfg: RunConfig, what: str) -> Optional[CheckResult]:
-    """SKIPPED result for Groebner-sized work past the desk limit, unless an
-    explicit budget turns the attempt into a bounded partial run."""
-    if cfg.n <= DESK_LIMIT or cfg.budget() is not None:
-        return None
-    reason = (
-        f"{what} at n={cfg.n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
-        "pass --budget-seconds or --budget-spairs to attempt a bounded partial run"
-    )
-    return CheckResult("desk-limit", "SKIPPED", {"reason": reason}, 0.0)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: cfg -> list of CheckResult
+# subcommands: (cfg, ctx, n) -> (verdict, detail), dispatched by run_command
 # ---------------------------------------------------------------------------
 
 
-def cmd_commutator(cfg: RunConfig) -> list:
-    def run(ctx, n):
-        system = ctx.system(n)
-        entries = [
+def _commutator(cfg: RunConfig, ctx: DeskContext, n: int):
+    system = ctx.system(n)
+    entries = [
+        {
+            "index": k,
+            "bidegree": list(system.f(k).bidegree()),
+            "entry": str(system.f(k)),
+        }
+        for k in range(1, n * n + 1)
+    ]
+    detail = {
+        "n": n,
+        "entries": entries,
+        "diagonal_indices": list(system.diagonal_indices),
+    }
+    return "PASS", detail
+
+
+def _candidates(cfg: RunConfig, ctx: DeskContext, n: int):
+    exprs = word_candidates(cfg.extras["max_degree"])
+    rows = []
+    for e in exprs:
+        bideg = e.bidegree()
+        rows.append(
             {
-                "index": k,
-                "bidegree": list(system.f(k).bidegree()),
-                "entry": str(system.f(k)),
+                "expr": str(e),
+                "rule": e.rule,
+                "degree": e.degree,
+                "bidegree": None if bideg is None else list(bideg),
             }
-            for k in range(1, n * n + 1)
-        ]
+        )
+    return "PASS", {"max_degree": cfg.extras["max_degree"], "candidates": rows}
+
+
+def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
+    system = ctx.system(n)
+    which = cfg.extras["ideal"]
+    gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
+    basis = buchberger(gens, budget=cfg.budget(), degree_bound=cfg.degree_bound)
+    degs = {}
+    for g in basis:
+        degs[g.degree()] = degs.get(g.degree(), 0) + 1
+    detail = {
+        "ideal": which,
+        "size": len(basis),
+        "complete": basis.complete,
+        "truncation_degree": basis.truncation_degree,
+        "lead_degree_counts": {str(d): c for d, c in sorted(degs.items())},
+        "stats": _stats_detail(basis.stats),
+    }
+    return ("PASS" if basis.complete else "PARTIAL"), detail
+
+
+def _colon(cfg: RunConfig, ctx: DeskContext, n: int):
+    new_gens = ctx.new_colon_generators(n)
+    detail = {
+        "base_generators": len(list(ctx.system(n).off_diagonal_gens)),
+        "new_generators": [
+            {
+                "bidegree": list(g.bidegree()),
+                "degree": g.degree(),
+                "generator": str(g),
+            }
+            for g in new_gens
+        ],
+    }
+    return "PASS", detail
+
+
+def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
+    fs = first_syzygies(ctx.system(n), degree_bound=cfg.degree_bound, budget=cfg.budget())
+    words = []
+    if n <= 4:
+        system_qq = ctx.system_qq(n)
+        for e in word_candidates(WORD_DEGREE):
+            words.append({"expr": str(e), "syzygy": is_trace_syzygy(e, system_qq)})
+    detail = {
+        "rank": fs.rank,
+        "degree_bound": fs.degree_bound,
+        "counts": {str(k): v for k, v in sorted(fs.counts.items())},
+        "counts_are_lower_bounds": fs.partial,
+        "word_candidates": words,
+        "stats": _stats_detail(fs.stats),
+    }
+    return ("PARTIAL" if fs.partial else "PASS"), detail
+
+
+def _syzygy_check(cfg: RunConfig, ctx: DeskContext, n: int):
+    system = ctx.system(n)
+    text = cfg.extras["matrix_text"]
+    rows = [line for line in text.strip().splitlines() if line.strip()]
+    if len(rows) != n:
+        raise ValueError(f"matrix file must have n={n} nonempty lines, got {len(rows)}")
+    parsed = []
+    for line in rows:
+        cells = line.split(";")
+        if len(cells) != n:
+            raise ValueError(f"each line needs n={n} ';'-separated entries, got {len(cells)}")
+        parsed.append([system.ring.parse(c) for c in cells])
+    residual = trace_residual(GenericMatrix(system.ring, parsed), system)
+    ok = residual.is_zero()
+    detail = {"syzygy": ok, "residual": "0" if ok else str(residual)}
+    return ("PASS" if ok else "FAIL"), detail
+
+
+def _hilbert(cfg: RunConfig, ctx: DeskContext, n: int):
+    which = cfg.extras["ideal"]
+    basis = ctx.gb_off_diagonal(n) if which == "J" else ctx.gb_commutator(n)
+    series = hilbert_of_basis(basis)
+    detail = {
+        "ideal": which,
+        "numerator": list(series.numerator),
+        "nvars": series.nvars,
+        "dimension": series.dimension,
+        "multiplicity": series.multiplicity,
+        "series": str(series),
+    }
+    return "PASS", detail
+
+
+def _predict(cfg: RunConfig, ctx: DeskContext, n: int):
+    target = cfg.extras["target"]
+    if target == "betti":
+        prediction = first_betti_prediction(n)
         detail = {
-            "n": n,
-            "entries": entries,
-            "diagonal_indices": list(system.diagonal_indices),
+            "first_syzygies_by_degree": {str(k): v for k, v in sorted(prediction.items())},
+            "total": first_betti_total(n) if n >= 3 else sum(prediction.values()),
         }
-        return "PASS", detail
-
-    return [run_check(CheckDef("commutator", run, lambda n: "run"), cfg.context(), cfg.n)]
-
-
-def cmd_candidates(cfg: RunConfig) -> list:
-    def run(ctx, n):
-        exprs = word_candidates(cfg.extras["max_degree"])
-        rows = []
-        for e in exprs:
-            bideg = e.bidegree()
-            rows.append(
-                {
-                    "expr": str(e),
-                    "rule": e.rule,
-                    "degree": e.degree,
-                    "bidegree": None if bideg is None else list(bideg),
-                }
-            )
-        return "PASS", {"max_degree": cfg.extras["max_degree"], "candidates": rows}
-
-    return [run_check(CheckDef("candidates", run, lambda n: "run"), cfg.context(), cfg.n)]
-
-
-def cmd_groebner(cfg: RunConfig) -> list:
-    guard = _desk_guard(cfg, "a Groebner basis")
-    if guard:
-        return [guard]
-
-    def run(ctx, n):
-        system = ctx.system(n)
-        which = cfg.extras["ideal"]
-        gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
-        basis = buchberger(gens, budget=cfg.budget(), degree_bound=cfg.degree_bound)
-        degs = {}
-        for g in basis:
-            degs[g.degree()] = degs.get(g.degree(), 0) + 1
+    elif target == "colon-degrees":
+        params = selection_params(n)
+        table = colon_bidegrees(n, degree_cutoff=cfg.degree_bound)
         detail = {
-            "ideal": which,
-            "size": len(basis),
-            "complete": basis.complete,
-            "truncation_degree": basis.truncation_degree,
-            "lead_degree_counts": {str(d): c for d, c in sorted(degs.items())},
-            "stats": _stats_detail(basis.stats),
+            "params": asdict(params),
+            "bidegrees_by_degree": {
+                str(d): sorted([list(b) for b in bs]) for d, bs in table.items()
+            },
         }
-        return ("PASS" if basis.complete else "PARTIAL"), detail
-
-    return [run_check(CheckDef("groebner", run, lambda n: "run"), cfg.context(), cfg.n)]
-
-
-def cmd_colon(cfg: RunConfig) -> list:
-    guard = _desk_guard(cfg, "a colon ideal")
-    if guard:
-        return [guard]
-
-    def run(ctx, n):
-        new_gens = ctx.new_colon_generators(n)
+    elif target == "shape":
+        shape = resolution_shape(n)
         detail = {
-            "base_generators": len(list(ctx.system(n).off_diagonal_gens)),
-            "new_generators": [
-                {
-                    "bidegree": list(g.bidegree()),
-                    "degree": g.degree(),
-                    "generator": str(g),
-                }
-                for g in new_gens
+            "display": shape.display(),
+            "cells": [
+                {"i": i, "j": j, "count": v} for (i, j), v in sorted(shape.cells.items())
             ],
         }
-        return "PASS", detail
-
-    return [run_check(CheckDef("colon", run, lambda n: "run"), cfg.context(), cfg.n)]
-
-
-def cmd_syzygies(cfg: RunConfig) -> list:
-    guard = _desk_guard(cfg, "a first-syzygy computation")
-    if guard:
-        return [guard]
-
-    def run(ctx, n):
-        fs = first_syzygies(
-            ctx.system(n), degree_bound=cfg.degree_bound, budget=cfg.budget()
-        )
-        words = []
-        if n <= 4:
-            system_qq = ctx.system_qq(n)
-            for e in word_candidates(WORD_DEGREE):
-                words.append(
-                    {"expr": str(e), "syzygy": is_trace_syzygy(e, system_qq)}
-                )
-        detail = {
-            "rank": fs.rank,
-            "degree_bound": fs.degree_bound,
-            "counts": {str(k): v for k, v in sorted(fs.counts.items())},
-            "counts_are_lower_bounds": fs.partial,
-            "word_candidates": words,
-            "stats": _stats_detail(fs.stats),
-        }
-        return ("PARTIAL" if fs.partial else "PASS"), detail
-
-    return [run_check(CheckDef("syzygies", run, lambda n: "run"), cfg.context(), cfg.n)]
+    else:  # knutson
+        system = ctx.system_qq(n)
+        rows = []
+        for labels, det_poly, bideg in knutson_candidates(system, n - 1):
+            rows.append(
+                {
+                    "columns": list(labels),
+                    "bidegree": list(bideg),
+                    "degree": sum(bideg),
+                    "feasible": knutson_bidegree_feasible(n, bideg),
+                }
+            )
+        detail = {"candidates": rows}
+    detail["status"] = "CONJECTURE"
+    return "PASS", detail
 
 
-def cmd_syzygy_check(cfg: RunConfig) -> list:
-    def run(ctx, n):
-        system = ctx.system(n)
-        text = cfg.extras["matrix_text"]
-        rows = [line for line in text.strip().splitlines() if line.strip()]
-        if len(rows) != n:
-            raise ValueError(f"matrix file must have n={n} nonempty lines, got {len(rows)}")
-        parsed = []
-        for line in rows:
-            cells = line.split(";")
-            if len(cells) != n:
-                raise ValueError(
-                    f"each line needs n={n} ';'-separated entries, got {len(cells)}"
-                )
-            parsed.append([system.ring.parse(c) for c in cells])
-        from commsyz.genmat import GenericMatrix
-
-        mat = GenericMatrix(system.ring, parsed)
-        residual = trace_residual(mat, system)
-        ok = residual.is_zero()
-        detail = {"syzygy": ok, "residual": "0" if ok else str(residual)}
-        return ("PASS" if ok else "FAIL"), detail
-
-    return [
-        run_check(CheckDef("syzygy-check", run, lambda n: "run"), cfg.context(), cfg.n)
-    ]
+#: subcommand -> (what it computes when that is Groebner-scale work, which the
+#: desk limit guards, else None; its (cfg, ctx, n) -> (verdict, detail))
+COMMANDS = {
+    "commutator": (None, _commutator),
+    "candidates": (None, _candidates),
+    "groebner": ("a Groebner basis", _groebner),
+    "colon": ("a colon ideal", _colon),
+    "syzygies": ("a first-syzygy computation", _syzygies),
+    "syzygy-check": (None, _syzygy_check),
+    "hilbert": ("a Hilbert series", _hilbert),
+    "check-splice": (None, lambda cfg, ctx, n: check_splice_euler(ctx, n)),
+    "predict": (None, _predict),
+}
 
 
-def cmd_hilbert(cfg: RunConfig) -> list:
-    guard = _desk_guard(cfg, "a Hilbert series")
-    if guard:
-        return [guard]
-
-    def run(ctx, n):
-        which = cfg.extras["ideal"]
-        basis = ctx.gb_off_diagonal(n) if which == "J" else ctx.gb_commutator(n)
-        series = hilbert_of_basis(basis)
-        detail = {
-            "ideal": which,
-            "numerator": list(series.numerator),
-            "nvars": series.nvars,
-            "dimension": series.dimension,
-            "multiplicity": series.multiplicity,
-            "series": str(series),
-        }
-        return "PASS", detail
-
-    return [run_check(CheckDef("hilbert", run, lambda n: "run"), cfg.context(), cfg.n)]
-
-
-def cmd_check_splice(cfg: RunConfig) -> list:
-    check = CheckDef("check-splice", check_splice_euler, lambda n: "run")
-    return [run_check(check, cfg.context(), cfg.n)]
-
-
-def cmd_predict(cfg: RunConfig) -> list:
-    target = cfg.extras["target"]
-
-    def run(ctx, n):
-        if target == "betti":
-            prediction = first_betti_prediction(n)
-            detail = {
-                "first_syzygies_by_degree": {str(k): v for k, v in sorted(prediction.items())},
-                "total": first_betti_total(n) if n >= 3 else sum(prediction.values()),
-            }
-        elif target == "colon-degrees":
-            params = selection_params(n)
-            table = colon_bidegrees(n, degree_cutoff=cfg.degree_bound)
-            detail = {
-                "params": asdict(params),
-                "bidegrees_by_degree": {
-                    str(d): sorted([list(b) for b in bs]) for d, bs in table.items()
-                },
-            }
-        elif target == "shape":
-            shape = resolution_shape(n)
-            detail = {
-                "display": shape.display(),
-                "cells": [
-                    {"i": i, "j": j, "count": v} for (i, j), v in sorted(shape.cells.items())
-                ],
-            }
-        else:  # knutson
-            system = ctx.system_qq(n)
-            rows = []
-            for labels, det_poly, bideg in knutson_candidates(system, n - 1):
-                rows.append(
-                    {
-                        "columns": list(labels),
-                        "bidegree": list(bideg),
-                        "degree": sum(bideg),
-                        "feasible": knutson_bidegree_feasible(n, bideg),
-                    }
-                )
-            detail = {"candidates": rows}
-        detail["status"] = "CONJECTURE"
-        return "PASS", detail
-
-    return [
-        run_check(CheckDef(f"predict-{target}", run, lambda n: "run"), cfg.context(), cfg.n)
-    ]
-
-
-def cmd_verify(cfg: RunConfig) -> list:
-    return run_suite(cfg.context(), cfg.n)
+def run_command(cfg: RunConfig) -> Report:
+    """Run the configured subcommand as a Report: the verify suite, or one
+    check named after the subcommand, SKIPPED when it is Groebner-scale work
+    past the desk limit and no budget bounds it."""
+    start = perf_counter()
+    if cfg.command == "verify":
+        results = run_suite(cfg.context(), cfg.n)
+    else:
+        what, func = COMMANDS[cfg.command]
+        if what and cfg.n > DESK_LIMIT and cfg.budget() is None:
+            reason = (
+                f"{what} at n={cfg.n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
+                "pass --budget-seconds or --budget-spairs to attempt a bounded partial run"
+            )
+            results = [CheckResult("desk-limit", "SKIPPED", {"reason": reason}, 0.0)]
+        else:
+            name = f"predict-{cfg.extras['target']}" if cfg.command == "predict" else cfg.command
+            check = CheckDef(name, lambda ctx, n: func(cfg, ctx, n), lambda n: "run")
+            results = [run_check(check, cfg.context(), cfg.n)]
+    return Report(
+        command=cfg.command,
+        config=cfg.as_dict(),
+        results=[
+            {"name": r.name, "verdict": r.verdict, "detail": r.detail} for r in results
+        ],
+        timing={
+            "total_seconds": round(perf_counter() - start, 3),
+            "per_result": {r.name: round(r.seconds, 3) for r in results},
+        },
+    )
 
 
 def run_verify_suite(cfg: RunConfig) -> Report:
     """The full verification suite for the configured n, as a Report."""
-    start = perf_counter()
-    results = cmd_verify(cfg)
-    return _report(cfg, results, perf_counter() - start)
-
-
-HANDLERS = {
-    "commutator": cmd_commutator,
-    "candidates": cmd_candidates,
-    "groebner": cmd_groebner,
-    "colon": cmd_colon,
-    "syzygies": cmd_syzygies,
-    "syzygy-check": cmd_syzygy_check,
-    "hilbert": cmd_hilbert,
-    "check-splice": cmd_check_splice,
-    "predict": cmd_predict,
-    "verify": cmd_verify,
-}
+    return run_command(replace(cfg, command="verify"))
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +350,26 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
+#: (flag, type, default, choices, help) of the flags every subcommand takes;
+#: each can be preset as COMMSYZ_<FLAG>, e.g. COMMSYZ_BUDGET_SPAIRS
+_SHARED_FLAGS = (
+    ("-n", int, "3", None, "matrix size (default 3)"),
+    ("--field", str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
+    ("--order", str, "grevlex", ORDERS, "monomial order (default grevlex)"),
+    ("--budget-seconds", float, None, None, "wall-clock budget; exceeding it yields a PARTIAL result"),
+    ("--budget-spairs", int, None, None, "s-pair reduction budget; exceeding it yields a PARTIAL result"),
+    ("--degree-bound", int, None, None, "truncation degree for bases / syzygy runs"),
+    ("--fixtures", str, None, None, "directory of fixture JSON files (default: the shipped set)"),
+)
+
+
 def _shared_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("-n", type=int, default=int(_env("N", 3)), help="matrix size (default 3)")
-    p.add_argument(
-        "--field",
-        default=_env("FIELD", "gf:32003"),
-        help="coefficient field: q or gf:<prime> (default gf:32003)",
-    )
-    p.add_argument(
-        "--order",
-        default=_env("ORDER", "grevlex"),
-        choices=("grevlex", "lex"),
-        help="monomial order (default grevlex)",
-    )
-    p.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=_env("BUDGET_SECONDS"),
-        help="wall-clock budget; exceeding it yields a PARTIAL result",
-    )
-    p.add_argument(
-        "--budget-spairs",
-        type=int,
-        default=_env("BUDGET_SPAIRS"),
-        help="s-pair reduction budget; exceeding it yields a PARTIAL result",
-    )
-    p.add_argument(
-        "--degree-bound",
-        type=int,
-        default=_env("DEGREE_BOUND"),
-        help="truncation degree for bases / syzygy runs",
-    )
-    p.add_argument(
-        "--fixtures",
-        default=_env("FIXTURES"),
-        help="directory of fixture JSON files (default: the shipped set)",
-    )
+    # A preset is a string default, which argparse passes through `type` as it
+    # does a flag's value; it skips `choices`, which RunConfig checks instead.
+    for flag, kind, default, choices, text in _SHARED_FLAGS:
+        preset = _env(flag.lstrip("-").replace("-", "_").upper(), default)
+        p.add_argument(flag, type=kind, default=preset, choices=choices, help=text)
     p.add_argument(
         "--json",
         action="store_true",
@@ -522,9 +444,9 @@ def parse_args(argv) -> RunConfig:
             n=ns.n,
             field=ns.field,
             order=ns.order,
-            budget_seconds=float(ns.budget_seconds) if ns.budget_seconds is not None else None,
-            budget_spairs=int(ns.budget_spairs) if ns.budget_spairs is not None else None,
-            degree_bound=int(ns.degree_bound) if ns.degree_bound is not None else None,
+            budget_seconds=ns.budget_seconds,
+            budget_spairs=ns.budget_spairs,
+            degree_bound=ns.degree_bound,
             fixtures=ns.fixtures,
             json_output=ns.json,
             extras=extras,
@@ -577,9 +499,7 @@ def emit(report: Report, fmt: str) -> str:
 
 def main(argv=None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    start = perf_counter()
-    results = HANDLERS[cfg.command](cfg)
-    report = _report(cfg, results, perf_counter() - start)
+    report = run_command(cfg)
     print(emit(report, "json" if cfg.json_output else "text"))
     return report.exit_code()
 

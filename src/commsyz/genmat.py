@@ -179,45 +179,13 @@ def _det_bareiss(m: GenericMatrix) -> Polynomial:
     return d if sign == 1 else -d
 
 
-def _det_cofactor(m: GenericMatrix) -> Polynomial:
-    """First-row expansion memoized on the surviving column set."""
-    ring = m.ring
-    n = m.size
-    rows = m.rows
-    memo: dict = {}
-
-    def minor(cols: tuple) -> Polynomial:
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        r = n - len(cols)
-        if len(cols) == 1:
-            val = rows[r][cols[0]]
-        else:
-            val = ring.zero
-            for pos, c in enumerate(cols):
-                entry = rows[r][c]
-                if entry.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1:])
-                term = entry * sub
-                val = val + term if pos % 2 == 0 else val - term
-        memo[cols] = val
-        return val
-
-    return minor(tuple(range(n)))
-
-
 def det(m: GenericMatrix) -> Polynomial:
-    """Determinant; for small sizes two independent evaluations must agree."""
+    """Determinant, by fraction-free elimination."""
     if m.size == 0:
         return m.ring.one
     if m.size == 1:
         return m.rows[0][0]
-    d = _det_bareiss(m)
-    if __debug__ and m.size <= 4:
-        assert d == _det_cofactor(m), "determinant routines disagree"
-    return d
+    return _det_bareiss(m)
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,24 @@ class IncompleteBasisError(RuntimeError):
     """Raised when an operation needs a complete basis but has a partial one."""
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised when a computation hits its budget and on_exhaustion='fail'."""
+def require(basis, degree: Optional[int] = None, *, partial: str, truncated: Optional[str] = None):
+    """The one rule for what a cut or truncated basis may answer.
 
-    def __init__(self, message: str, stats: "GBStats"):
-        super().__init__(message)
-        self.stats = stats
+    `basis` is anything with `complete` and `truncation_degree`: a finished
+    `Engine`, a `GroebnerBasis` or a `ModuleBasis`.  A complete basis answers
+    everything.  A basis truncated at d answers a question of degree <= d;
+    `degree` None asks about the whole ideal (a Hilbert series, an
+    elimination) and is refused.  A budget-cut basis answers nothing.  A
+    refusal raises IncompleteBasisError with `partial` for a cut basis and
+    `truncated` (default `partial`), formatted with d, for a truncated one.
+    """
+    if basis.complete:
+        return
+    d = basis.truncation_degree
+    if d is None:
+        raise IncompleteBasisError(partial)
+    if degree is None or degree > d:
+        raise IncompleteBasisError((truncated or partial).format(d=d))
 
 
 @dataclass(frozen=True)
@@ -58,18 +70,16 @@ class Budget:
     """Resource limits for one engine run.
 
     A budget caps one engine run as a whole: a complete basis, or a whole
-    minimal-generator selection with every degree it passes through.
-    on_exhaustion: 'fail' raises BudgetExhausted; 'partial' returns whatever
-    basis has been accumulated, flagged incomplete.
+    minimal-generator selection with every degree it passes through.  A cut
+    never raises: the run stops and its result is flagged partial
+    (`complete` False, no `truncation_degree`), so any later question put to
+    it is refused by `require`.
     """
 
     max_spairs: Optional[int] = None
     max_seconds: Optional[float] = None
-    on_exhaustion: str = "fail"
 
     def __post_init__(self):
-        if self.on_exhaustion not in ("fail", "partial"):
-            raise ValueError("on_exhaustion must be 'fail' or 'partial'")
         if self.max_spairs is not None and self.max_spairs < 0:
             raise ValueError("max_spairs must be nonnegative")
         if self.max_seconds is not None and self.max_seconds <= 0:
@@ -94,8 +104,9 @@ class GroebnerBasis:
     """A (possibly truncated or partial) Groebner basis with cached reducers.
 
     complete=True: full reduced basis.  truncation_degree=d: correct through
-    total degree d (only produced for homogeneous input).  Neither: a partial
-    basis from an exhausted budget; membership queries refuse to answer.
+    total degree d (`buchberger` truncates only homogeneous input).  Neither:
+    a partial basis from an exhausted budget.  The flags are the finished
+    engine run's, and `require` decides which questions the basis answers.
     """
 
     def __init__(
@@ -105,14 +116,12 @@ class GroebnerBasis:
         *,
         complete: bool = True,
         truncation_degree: Optional[int] = None,
-        homogeneous: bool = False,
         stats: Optional[GBStats] = None,
     ):
         self.ring = ring
         self.elements = tuple(elements)
         self.complete = complete
         self.truncation_degree = truncation_degree
-        self.homogeneous = homogeneous
         self.stats = stats or GBStats()
         self._reducers = None
 
@@ -138,18 +147,15 @@ class GroebnerBasis:
 
     def contains(self, f: Polynomial) -> bool:
         """Ideal membership.  Needs a complete basis, or a truncated one that
-        covers deg(f) for a homogeneous ideal."""
+        covers deg(f)."""
         if f.is_zero():
             return True
-        if not self.complete:
-            if self.truncation_degree is None:
-                raise IncompleteBasisError(
-                    "basis is partial (budget exhausted); membership is undecidable"
-                )
-            if not self.homogeneous or f.degree() > self.truncation_degree:
-                raise IncompleteBasisError(
-                    f"basis is only valid through degree {self.truncation_degree}"
-                )
+        require(
+            self,
+            f.degree(),
+            partial="basis is partial (budget exhausted); membership is undecidable",
+            truncated="basis is only valid through degree {d}",
+        )
         return self.reduce(f).is_zero()
 
     def lead_exponents(self) -> list:
@@ -182,7 +188,9 @@ class Engine:
     divisibility and coprime test runs on the leads' packed exponents
     (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
     `degree_bound` are dropped and counted as truncated.  `exhausted` holds
-    the reason once the budget has cut the run.
+    the reason once the budget has cut the run.  What a finished run can
+    answer is stated once, by `complete` and `truncation_degree`; after
+    `run(d)` the same two values say whether degree d can be decided.
     """
 
     def __init__(self, ring: PolyRing, reducers=None, *, degree_bound=None, budget=None, track=False):
@@ -202,6 +210,18 @@ class Engine:
         self.serial = 0
         self.exhausted = None
         self._pos_bits = ring.order.total_bits
+
+    @property
+    def complete(self) -> bool:
+        """Neither cut by the budget nor truncated at the degree bound."""
+        return self.exhausted is None and not self.stats.pairs_truncated
+
+    @property
+    def truncation_degree(self) -> Optional[int]:
+        """The degree bound, when pairs past it were dropped and no cut came."""
+        if self.exhausted is None and self.stats.pairs_truncated:
+            return self.degree_bound
+        return None
 
     def add(self, terms, rep=None):
         """Enter a nonzero element (descending packed terms), made monic,
@@ -278,10 +298,9 @@ class Engine:
             else:
                 self._push(gi, cp.index, l)
 
-    def run(self, through: Optional[int] = None) -> bool:
+    def run(self, through: Optional[int] = None) -> None:
         """Process the waiting pairs of lcm degree <= through (all of them
-        when None).  Returns False once the budget has cut the run under
-        'partial'; under 'fail' the cut raises BudgetExhausted."""
+        when None), until the budget cuts the run."""
         heap, pairs, basis, stats, budget = self.heap, self.pairs, self.basis, self.stats, self.budget
         order, fld, bits = self.ring.order, self.ring.field, self._pos_bits
         tracking = self.reps is not None
@@ -327,14 +346,10 @@ class Engine:
                 if rep:
                     self.syzygies.append(rep)
         stats.seconds = time.monotonic() - self.start
-        return self.exhausted is None
 
-    def _cut(self, reason: str) -> bool:
+    def _cut(self, reason: str) -> None:
         self.exhausted = reason
         self.stats.seconds = time.monotonic() - self.start
-        if self.budget.on_exhaustion == "fail":
-            raise BudgetExhausted(reason, self.stats)
-        return False
 
     def _combine(self, deg: int, parts) -> list:
         """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
@@ -368,17 +383,24 @@ class Engine:
 
         Each candidate is decided against the basis completed through its
         degree: it is kept iff its normal form is nonzero, and that normal
-        form enters the basis.  A decision against a budget-cut basis raises
-        IncompleteBasisError when `strict`; otherwise the candidate is
-        dropped, so the kept list undercounts.
+        form enters the basis.  A decision `require` refuses, against a
+        budget-cut basis or one truncated below the candidate's degree,
+        raises IncompleteBasisError when `strict`; otherwise the candidate
+        is dropped, so the kept list undercounts.
         """
         kept = []
         for k, (d, terms) in enumerate(candidates):
-            if self.degree_bound is not None and d > self.degree_bound:
-                raise ValueError(f"candidate of degree {d} is past the degree bound")
-            if not self.run(d):
+            self.run(d)
+            try:
+                require(
+                    self,
+                    d,
+                    partial=f"basis cut below degree {d}: {self.exhausted}",
+                    truncated="basis is only valid through degree {d}",
+                )
+            except IncompleteBasisError:
                 if strict:
-                    raise IncompleteBasisError(f"basis cut below degree {d}: {self.exhausted}")
+                    raise
                 continue
             rem = normal_form(terms, self.reducers, self.ring.field)
             if rem:
@@ -406,29 +428,24 @@ def buchberger(
     for g in gens[1:]:
         if g.ring is not ring and not g.ring.same_signature(ring):
             raise ValueError("generators from incompatible rings")
-    homogeneous = all(g.is_homogeneous() for g in gens)
-    if degree_bound is not None and not homogeneous:
+    if degree_bound is not None and not all(g.is_homogeneous() for g in gens):
         raise ValueError("degree_bound requires homogeneous generators")
     engine = Engine(ring, degree_bound=degree_bound, budget=budget)
     for g in gens:
         engine.add(g.terms)
-    complete = engine.run()
-    stats = engine.stats
+    engine.run()
     polys = [Polynomial(ring, tuple(t)) for t in sorted(engine.elements, key=lambda t: t[0][0])]
-    if not complete:
-        # Keep every accumulated element: with pairs unprocessed, dropping a
-        # lead-redundant element could lose ideal content hiding in its tail.
-        return GroebnerBasis(ring, polys, complete=False, homogeneous=homogeneous, stats=stats)
-    truncated = stats.pairs_truncated > 0
-    elements = interreduce(polys)
-    stats.seconds = time.monotonic() - engine.start
+    # A cut run keeps every accumulated element: with pairs unprocessed,
+    # dropping a lead-redundant element could lose ideal content in its tail.
+    if engine.exhausted is None:
+        polys = interreduce(polys)
+        engine.stats.seconds = time.monotonic() - engine.start
     return GroebnerBasis(
         ring,
-        elements,
-        complete=not truncated,
-        truncation_degree=degree_bound if truncated else None,
-        homogeneous=homogeneous,
-        stats=stats,
+        polys,
+        complete=engine.complete,
+        truncation_degree=engine.truncation_degree,
+        stats=engine.stats,
     )
 
 
@@ -474,8 +491,7 @@ def membership(f: Polynomial, basis: GroebnerBasis) -> bool:
 def eliminate_aux(basis: GroebnerBasis, target: PolyRing) -> list:
     """Generators of (ideal intersect target ring) from a complete basis in an
     elimination order whose front block is the aux variables being dropped."""
-    if not basis.complete:
-        raise IncompleteBasisError("elimination needs a complete basis")
+    require(basis, partial="elimination needs a complete basis")
     ring = basis.ring
     drop = ring.naux - target.naux
     if drop <= 0:
@@ -508,8 +524,7 @@ def intersect_ideals(
     lifted = [t * ring.embed(f, ext) for f in gens_a]
     lifted += [one_minus_t * ring.embed(g, ext) for g in gens_b]
     gb = buchberger(lifted, budget=budget)
-    if not gb.complete:
-        raise IncompleteBasisError("intersection needs a complete basis")
+    require(gb, partial="intersection needs a complete basis")
     return interreduce(eliminate_aux(gb, ring))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .groebner import IncompleteBasisError
+from .groebner import require
 
 Cell = Union[int, str]
 
@@ -215,8 +215,7 @@ def dimension(h: HilbertSeries) -> int:
 
 def hilbert_of_basis(basis) -> HilbertSeries:
     """Hilbert series of the quotient by the ideal of a full Groebner basis."""
-    if not basis.complete or basis.truncation_degree is not None:
-        raise IncompleteBasisError("Hilbert series needs a complete, untruncated basis")
+    require(basis, partial="Hilbert series needs a complete, untruncated basis")
     leads = minimalize_monomials(basis.lead_exponents())
     return hilbert_numerator(leads, basis.ring.nvars)
 

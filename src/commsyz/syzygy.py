@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .genmat import CommutatorSystem, GenericMatrix
-from .groebner import Budget, Engine, GBStats, IncompleteBasisError
+from .groebner import Budget, Engine, GBStats, require
 from .polyring import (
     CompiledPoly,
     DegreeBucketReducers,
@@ -254,9 +254,8 @@ class ModuleBasis:
         self.rank = morder.rank
         self.vectors = tuple(decompile_vector(self.ring, self.rank, t, morder) for t in engine.elements)
         self.morder = morder
-        cut, truncated = engine.exhausted is not None, engine.stats.pairs_truncated > 0
-        self.complete = not cut and not truncated
-        self.truncation_degree = engine.degree_bound if truncated and not cut else None
+        self.complete = engine.complete
+        self.truncation_degree = engine.truncation_degree
         self.stats = engine.stats
         self.reducers = engine.reducers
 
@@ -272,13 +271,13 @@ class ModuleBasis:
     def contains(self, vec) -> bool:
         if vector_is_zero(vec):
             return True
-        if not self.complete:
-            if self.truncation_degree is None:
-                raise IncompleteBasisError("module basis is partial; membership is undecidable")
-            if vector_degree(vec) > self.truncation_degree:
-                raise IncompleteBasisError(
-                    f"module basis only valid through degree {self.truncation_degree}"
-                )
+        # only a truncated basis reads the degree; a mixed-degree vector has none
+        require(
+            self,
+            None if self.truncation_degree is None else vector_degree(vec),
+            partial="module basis is partial; membership is undecidable",
+            truncated="module basis only valid through degree {d}",
+        )
         return vector_is_zero(self.reduce(vec))
 
 

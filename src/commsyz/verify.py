@@ -37,7 +37,6 @@ from commsyz.genmat import (
 )
 from commsyz.groebner import (
     Budget,
-    BudgetExhausted,
     Engine,
     GroebnerBasis,
     IncompleteBasisError,
@@ -626,8 +625,6 @@ def run_check(check: CheckDef, ctx: DeskContext, n: int) -> CheckResult:
     start = perf_counter()
     try:
         verdict, detail = check.func(ctx, n)
-    except BudgetExhausted as exc:
-        verdict, detail = "PARTIAL", {"reason": f"budget exhausted: {exc}"}
     except IncompleteBasisError as exc:
         verdict, detail = "PARTIAL", {"reason": f"incomplete basis: {exc}"}
     except fixture_store.FixtureNotFound as exc:

@@ -14,7 +14,8 @@ minimal-generator selection: it is the older algorithm, which builds a fresh
 truncated basis with the library for every (kept, degree) state, and the
 selection it is compared with decides everything within one engine run.
 `criteria_pairs` is the engine's pair-criteria step as it was written on
-exponent tuples, the reference for the packed one.
+exponent tuples, the reference for the packed one.  `det_cofactor` expands
+a determinant with ring arithmetic alone: no elimination, no exact division.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -389,3 +390,32 @@ def criteria_pairs(pairs: dict, leads: list, degree_bound=None):
         else:
             pairs[(gi, h)] = l
     return pairs, offered, pruned, truncated
+
+
+def det_cofactor(m):
+    """Determinant by first-row expansion, memoized on the surviving column
+    set; the reference for `genmat.det`'s fraction-free elimination."""
+    ring = m.ring
+    n = m.size
+    rows = m.rows
+    memo: dict = {}
+
+    def minor(cols: tuple):
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        r = n - len(cols)
+        if len(cols) == 1:
+            val = rows[r][cols[0]]
+        else:
+            val = ring.zero
+            for pos, c in enumerate(cols):
+                entry = rows[r][c]
+                if entry.is_zero():
+                    continue
+                term = entry * minor(cols[:pos] + cols[pos + 1:])
+                val = val + term if pos % 2 == 0 else val - term
+        memo[cols] = val
+        return val
+
+    return ring.one if n == 0 else minor(tuple(range(n)))

@@ -74,10 +74,33 @@ def test_run_config_validation():
         RunConfig(command="verify", n=0)
     with pytest.raises(ValueError):
         RunConfig(command="verify", budget_seconds=-1)
+    with pytest.raises(ValueError):
+        RunConfig(command="verify", order="elim")
     cfg = RunConfig(command="verify", budget_spairs=10)
     budget = cfg.budget()
     assert budget.max_spairs == 10
-    assert budget.on_exhaustion == "partial"
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("N", "abc", ["verify"]),
+        ("ORDER", "elim", ["groebner", "-n", "2"]),
+        ("BUDGET_SPAIRS", "-1", ["groebner", "-n", "2"]),
+        ("DEGREE_BOUND", "two", ["groebner", "-n", "2"]),
+    ],
+)
+def test_bad_environment_presets_are_usage_errors(name, value, argv, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_PREFIX + name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_explicit_flag_wins_over_a_bad_preset(monkeypatch):
+    monkeypatch.setenv(f"{ENV_PREFIX}N", "abc")
+    assert parse_args(["commutator", "-n", "2"]).n == 2
 
 
 def test_env_overrides(monkeypatch):

@@ -9,7 +9,16 @@ import pytest
 from commsyz import groebner, syzygy, verify
 from commsyz.fields import GF, QQ
 from commsyz.genmat import build_system
-from commsyz.groebner import Budget, Engine, IncompleteBasisError, buchberger
+from commsyz.groebner import (
+    Budget,
+    Engine,
+    GroebnerBasis,
+    IncompleteBasisError,
+    buchberger,
+    eliminate_aux,
+    intersect_ideals,
+)
+from commsyz.hilbert import hilbert_of_basis
 from commsyz.polyring import PolyRing
 from commsyz.syzygy import (
     ModuleOrder,
@@ -27,7 +36,7 @@ from commsyz.verify import minimal_new_generators
 from oracles import naive_products, restart_selection
 
 FIELDS = (GF(7), GF(32003), QQ)
-CUT = Budget(max_spairs=0, on_exhaustion="partial")
+CUT = Budget(max_spairs=0)
 
 
 def _forms(ring, rng, degree, nterms):
@@ -158,6 +167,80 @@ def test_selection_against_a_cut_basis_raises():
     assert len(minimal_new_generators([], cand)) == 2
     with pytest.raises(IncompleteBasisError):
         minimal_new_generators([], cand, budget=CUT)
+
+
+# -- one gate for cut and truncated bases --------------------------------------
+
+R = PolyRing(1, GF(101))
+A, B = R.x(1, 1), R.y(1, 1)
+GENS = [A * A + B * B, A * B]  # their one S-pair, of degree 3, adds B^3
+VECS = [(A * A, B * B), (A * B, A * A)]
+#: engine arguments of each kind of basis; "truncated" drops every pair past 2
+KINDS = {"complete": {}, "cut": {"budget": CUT}, "truncated": {"degree_bound": 2}}
+
+
+def _select(kind, f):
+    """Select f against a finished run over GENS (a cut one cut at degree 3)."""
+    engine = Engine(R, **KINDS[kind])
+    for g in GENS:
+        engine.add(g.terms)
+    engine.run()
+    return engine.select([(f.degree(), f.terms)], strict=True)
+
+
+def _eliminate(kind):
+    ext = R.with_elimination_vars(1)
+    t = ext.var("t_1")
+    lifted = [t * R.embed(A, ext), t * R.embed(B, ext) - R.embed(A * A, ext)]
+    return eliminate_aux(buchberger(lifted, **KINDS[kind]), R)
+
+
+def _intersect(kind):
+    if kind != "truncated":
+        return intersect_ideals([A], [B], **KINDS[kind])
+    # intersect_ideals builds its own basis; hand it one flagged truncated
+    def flagged(gens, **kw):
+        gb = buchberger(gens, **kw)
+        return GroebnerBasis(gb.ring, gb.elements, complete=False, truncation_degree=9, stats=gb.stats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "buchberger", flagged)
+        return intersect_ideals([A], [B])
+
+
+#: consumer -> (its questions of degree <= 2, or None when it only asks about
+#: the whole ideal; a question past degree 2), each a function of the kind
+GATE = {
+    "GroebnerBasis.contains": (
+        lambda k: [buchberger(GENS, **KINDS[k]).contains(f) for f in (A * B, A * A)],
+        lambda k: buchberger(GENS, **KINDS[k]).contains(B ** 3),
+    ),
+    "ModuleBasis.contains": (
+        lambda k: [module_buchberger(VECS, **KINDS[k]).contains(v) for v in (VECS[1], (A * A, R.zero))],
+        lambda k: module_buchberger(VECS, **KINDS[k]).contains((A * A * B, R.zero)),
+    ),
+    "hilbert_of_basis": (None, lambda k: hilbert_of_basis(buchberger(GENS, **KINDS[k]))),
+    "eliminate_aux": (None, _eliminate),
+    "intersect_ideals": (None, _intersect),
+    "Engine.select": (
+        lambda k: [_select(k, f) for f in (A * B, A * A)],
+        lambda k: _select(k, B ** 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", list(GATE))
+def test_every_consumer_asks_the_one_gate(consumer):
+    within, past = GATE[consumer]
+    past("complete")
+    for ask in (within, past):
+        if ask is not None:
+            with pytest.raises(IncompleteBasisError):
+                ask("cut")
+    with pytest.raises(IncompleteBasisError):
+        past("truncated")
+    if within is not None:
+        assert within("truncated") == within("complete")
 
 
 def test_first_syzygies_under_a_cut_report_lower_bounds():

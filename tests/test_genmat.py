@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commsyz import conjecture
+from commsyz.conjecture import knutson_candidates
 from commsyz.fields import GF, QQ
 from commsyz.genmat import (
     GenericMatrix,
@@ -16,6 +18,8 @@ from commsyz.genmat import (
     matrix_from_columns,
     product_rewrite_residue_2x2,
 )
+
+from oracles import det_cofactor
 
 
 def test_commutator_entries_enumerated_column_major():
@@ -167,4 +171,21 @@ def test_det_by_both_routes_on_random_matrices(seed):
     expected = (
         m[1, 1] * minors[0] - m[1, 2] * minors[1] + m[1, 3] * minors[2]
     )
-    assert det(m) == expected
+    assert det(m) == expected == det_cofactor(m)
+
+
+def test_det_by_both_routes_on_the_checks_matrices(monkeypatch):
+    """Every matrix whose determinant a check takes: the knutson_candidates
+    matrices at n = 2, 3, 4 and the three determinants of check_colon_ideal."""
+    seen = []
+    monkeypatch.setattr(conjecture, "det", lambda m: seen.append(m) or det(m))
+    for n, field in ((2, QQ), (3, GF(32003)), (4, QQ)):
+        knutson_candidates(build_system(n, field), n - 1)
+    sys = build_system(3, GF(32003))
+    X, Y = sys.X, sys.Y
+    E = GenericMatrix.identity(sys.ring, 3)
+    for ms in ((E, X, X * Y + Y * X), (E, Y, X * X), (E, X, Y)):
+        seen.append(matrix_from_columns(sys.ring, [diagonal_entries(m) for m in ms]))
+    assert [m.size for m in seen].count(4) == 20
+    for m in seen:
+        assert det(m) == det_cofactor(m)

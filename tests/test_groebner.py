@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from commsyz.fields import GF, QQ
 from commsyz.groebner import (
     Budget,
-    BudgetExhausted,
     GroebnerBasis,
     IncompleteBasisError,
     buchberger,
@@ -107,9 +106,7 @@ def test_budget_exhaustion_modes():
     gens = []
     for i in range(4):
         gens.append(xs[i] * xs[i + 1] - xs[i + 2] * xs[i + 3])
-    with pytest.raises(BudgetExhausted):
-        buchberger(gens, budget=Budget(max_spairs=1))
-    gb = buchberger(gens, budget=Budget(max_spairs=1, on_exhaustion="partial"))
+    gb = buchberger(gens, budget=Budget(max_spairs=1))
     assert not gb.complete
     assert gb.stats.spairs_reduced <= 1
     with pytest.raises(IncompleteBasisError):
@@ -118,8 +115,6 @@ def test_budget_exhaustion_modes():
         Budget(max_spairs=-1)
     with pytest.raises(ValueError):
         Budget(max_seconds=0)
-    with pytest.raises(ValueError):
-        Budget(on_exhaustion="explode")
 
 
 def test_degree_truncated_basis_answers_bounded_queries():
@@ -128,8 +123,7 @@ def test_degree_truncated_basis_answers_bounded_queries():
     gens = [a * a - b * b, a * b]
     full = buchberger(gens)
     trunc = buchberger(gens, degree_bound=3)
-    if trunc.truncation_degree is not None:
-        assert trunc.truncation_degree == 3
+    assert (trunc.complete, trunc.truncation_degree) == (False, 3)
     for f in (a * a, a * b, b * b * b, a * a * a - b * b * a):
         assert trunc.reduce(f).is_zero() == full.reduce(f).is_zero()
     inhomog = [a * a - b]

@@ -138,13 +138,13 @@ def test_hilbert_of_basis_refuses_partial_input(ctx):
     from commsyz.groebner import Budget, IncompleteBasisError, buchberger
 
     gens = ctx.system(2).minimal_gens
-    partial = buchberger(gens, budget=Budget(max_spairs=1, on_exhaustion="partial"))
+    partial = buchberger(gens, budget=Budget(max_spairs=1))
     with pytest.raises(IncompleteBasisError):
         hilbert_of_basis(partial)
     truncated = buchberger(gens, degree_bound=2)
-    if truncated.truncation_degree is not None:
-        with pytest.raises(IncompleteBasisError):
-            hilbert_of_basis(truncated)
+    assert (truncated.complete, truncated.truncation_degree) == (False, 2)
+    with pytest.raises(IncompleteBasisError):
+        hilbert_of_basis(truncated)
 
 
 # -- graded tables ----------------------------------------------------------------

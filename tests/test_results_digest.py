@@ -1,9 +1,12 @@
-"""The JSON `results` of four quick CLI runs, pinned by sha256.
+"""The JSON `results` of ten quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
-these digests were recorded before the monomial representation changed and
-cover a verify suite, both n=3 bases and the n=3 colon ideal.  A digest
-that moves means some computed object or its printed form changed.
+the first four digests were recorded before the monomial representation
+changed and cover a verify suite, both n=3 bases and the n=3 colon ideal.
+The six budgeted runs pin the partial path: the budget-cut bases, their
+PARTIAL verdicts and the refusal texts in `reason`, recorded before the
+refusal rule moved into one gate.  A digest that moves means some computed
+object or its printed form changed.
 """
 
 import hashlib
@@ -21,6 +24,12 @@ DIGESTS = {
     "groebner -n 3 --ideal I": "79b9011e6469ee0dcbd92a34cdbf28bba304ad78b2e00e1d851fe32c146f9f16",
     "groebner -n 3 --ideal J": "147292547ff7f5be4b5ed32343567e364b230e3967763061131b13c45b7f1aa8",
     "colon -n 3": "dc34ae4c6e1fddd641d4fb865674b07080551cfb06494a95c7e46df8d77bc654",
+    "groebner -n 3 --budget-spairs 50": "9b539a389cdb64313437198c87cb70344f34fdf6c3796eb015b181aac11af38d",
+    "colon -n 3 --budget-spairs 50": "5532248c9a462bd36e380706cba1e4085add39c4460bfb7b69c3de5de24c512c",
+    "syzygies -n 3 --budget-spairs 20": "15b821aeb5a0cb45f4b9fdedc5e50a7ff51faff129161a6112d6c7c94c2fa4f6",
+    "hilbert -n 3 --budget-spairs 50": "d85b0d81ec235d528c8f25c4e3b952e7dbd366f6af6a56ec63ef50d3f8c1e75f",
+    "verify -n 3 --budget-spairs 20": "c760d8f02d8ff80f14a764219cfb7991d8de767d88d92f121a0db8fdbf9aaf95",
+    "groebner -n 4 --budget-spairs 60": "cc1e37d4fa6cb1520f32f46c82465158efdf5fb9d72e221016fd26f62ef358df",
 }
 
 

@@ -215,7 +215,7 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
         module.contains((a * a * b, zero))
     full = module_buchberger(vecs)
     assert (full.complete, full.truncation_degree) == (True, None)
-    cut = module_buchberger(vecs, budget=Budget(max_spairs=0, on_exhaustion="partial"))
+    cut = module_buchberger(vecs, budget=Budget(max_spairs=0))
     assert (cut.complete, cut.truncation_degree) == (False, None)
     with pytest.raises(IncompleteBasisError):
         cut.contains(vecs[0])
@@ -223,9 +223,7 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
 
 def test_first_syzygies_respects_budget():
     sys = build_system(3, GF(P))
-    fs = first_syzygies(
-        sys, budget=Budget(max_spairs=5, on_exhaustion="partial")
-    )
+    fs = first_syzygies(sys, budget=Budget(max_spairs=5))
     assert fs.partial
     # counts are lower bounds in partial mode; koszul relations still present
     assert sum(fs.counts.values()) <= 33
