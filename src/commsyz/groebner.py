@@ -459,7 +459,8 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
     tails.  That set also holds the element whose tail is being reduced, and
     the result is still the same as against the others alone: a lead divides
     only monomials at or above itself, so no element ever matches a term of
-    its own tail, and the others are searched in the same bucket order.
+    its own tail, and among the others find picks the same reducer, the
+    first by lead degree and then insertion.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:

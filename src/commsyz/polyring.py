@@ -43,6 +43,7 @@ from .fields import QQ
 _EXP_BITS = 8
 _EXP_CAP = (1 << _EXP_BITS) - 1
 _DEG_BITS = 24
+_SERIAL_BITS = 32  # insertion serials in a reducer store's ranks
 
 NOT_BIHOMOGENEOUS = "not bihomogeneous"
 
@@ -756,31 +757,41 @@ def decompile(ring: PolyRing, terms) -> Polynomial:
 
 
 class DegreeBucketReducers:
-    """Reducer store bucketed by lead total degree (smallest degree wins).
+    """Reducer store indexed by anchor variable (smallest lead degree wins).
 
     find(v) returns the first reducer, by lead degree and then insertion,
     whose lead divides the scalar key v, after `check_multiple` has cleared
-    the step.  It decodes nothing: a reducer whose support mask is not
-    within v's is skipped, and the rest face the borrow test on packed
-    exponents (`MonomialOrder`).
+    the step.  Each reducer sits in the group of its anchor, the low bit of
+    the highest nonzero byte of its lead's packed exponents (0 for a
+    constant lead), kept sorted by rank = (lead degree, insertion serial).
+    A group whose anchor variable is absent from v is skipped with one test;
+    a group that is scanned stops at its first divisor or at the best rank
+    found so far, so the least rank among the groups' first divisors is the
+    answer.  It decodes nothing: a reducer whose support mask is not within
+    v's is skipped, and the rest face the borrow test on packed exponents
+    (`MonomialOrder`).
     """
 
-    __slots__ = ("order", "by_deg", "degrees")
+    __slots__ = ("order", "groups", "serial")
 
     def __init__(self, order: MonomialOrder, entries=()):
         self.order = order
-        self.by_deg: dict[int, list] = {}
-        self.degrees: list[int] = []
+        self.groups: list = []  # (anchor bit, [(rank, reducer)] sorted)
+        self.serial = 0
         for cp in entries:
             self.add(cp)
 
     def add(self, cp: CompiledPoly):
-        bucket = self.by_deg.get(cp.lead_deg)
-        if bucket is None:
-            self.by_deg[cp.lead_deg] = [cp]
-            insort(self.degrees, cp.lead_deg)
+        anchor = cp.support and 1 << (cp.support.bit_length() - 1)
+        for bit, group in self.groups:
+            if bit == anchor:
+                break
         else:
-            bucket.append(cp)
+            group = []
+            self.groups.append((anchor, group))
+        # ranks are unique, so insort never compares two reducers
+        insort(group, (cp.lead_deg << _SERIAL_BITS | self.serial, cp))
+        self.serial += 1
 
     def find(self, v):
         order = self.order
@@ -788,29 +799,38 @@ class DegreeBucketReducers:
         deg = order.degree(v)
         absent = order.low ^ order.support(e)
         borrow = order.low << _EXP_BITS
-        for d in self.degrees:
-            if d > deg:
-                return None
-            for r in self.by_deg[d]:
+        best = None
+        limit = (deg + 1) << _SERIAL_BITS
+        for anchor, group in self.groups:
+            if anchor & absent:
+                continue
+            for rank, r in group:
+                if rank >= limit:
+                    break
                 if r.support & absent:
                     continue
                 a = r.packed
                 if (e ^ a ^ (e - a)) & borrow:
                     continue
-                if deg - d + r.tail_deg > _EXP_CAP:
-                    check_multiple(e - a, deg - d, r, order)
-                return r
-        return None
+                best, limit = r, rank
+                break
+        if best is not None and deg - best.lead_deg + best.tail_deg > _EXP_CAP:
+            check_multiple(e - best.packed, deg - best.lead_deg, best, order)
+        return best
 
 
 def normal_form(terms, reducers, field, record=None):
     """Reduce a compiled term list to normal form against `reducers`.
 
     terms: sized iterable of (V, coeff); reducers: any store with find(V).
-    Over GF(p) every coefficient is kept reduced mod p.  Returns the
-    remainder as a descending list of (V, coeff).  When `record` is a list,
-    appends one event (reducer_index, delta_v, coeff) per reduction step,
-    where the subtracted multiple is coeff * monomial(delta_v + V(1)) * reducer.
+    Returns the remainder as a descending list of (V, coeff).  When `record`
+    is a list, appends one event (reducer_index, delta_v, coeff) per
+    reduction step, where the subtracted multiple is
+    coeff * monomial(delta_v + V(1)) * reducer.  Every key enters the
+    accumulator once: a step adds only keys below the one it reduces, which
+    was popped for good.  Over GF(p) a key's int sum is reduced mod p once,
+    when it is popped, so the remainder and the recorded coefficients are
+    residues in 1..p-1 and a key whose sum is a multiple of p is dropped.
     """
     p = field.p
     acc = {}
@@ -821,18 +841,14 @@ def normal_form(terms, reducers, field, record=None):
             acc[v] = c
             heappush(heap, -v)
         else:
-            s = prev + c
-            if p:
-                s %= p
-            if s:
-                acc[v] = s
-            else:
-                del acc[v]
+            acc[v] = prev + c
     rem = []
     find = reducers.find
     while heap:
         v = -heappop(heap)
-        c = acc.pop(v, None)
+        c = acc.pop(v)
+        if p:
+            c %= p
         if not c:
             continue
         red = find(v)
@@ -845,23 +861,15 @@ def normal_form(terms, reducers, field, record=None):
         delta = v - red.lead_v
         if record is not None:
             record.append((red.index, delta, cf))
+        neg = -cf
         for vt, ct in red.tail:
             vn = vt + delta
             prev = acc.get(vn)
             if prev is None:
-                s = -cf * ct
-                if p:
-                    s %= p
-                acc[vn] = s
+                acc[vn] = neg * ct
                 heappush(heap, -vn)
             else:
-                s = prev - cf * ct
-                if p:
-                    s %= p
-                if s:
-                    acc[vn] = s
-                else:
-                    del acc[vn]
+                acc[vn] = prev + neg * ct
     return rem
 
 

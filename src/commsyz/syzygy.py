@@ -210,7 +210,7 @@ def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
 
 
 class ModuleReducers:
-    """Reducers grouped by lead position, degree-bucketed within.
+    """Reducers grouped by lead position, one `DegreeBucketReducers` each.
 
     find(v) looks up the scalar part of v among the reducers whose lead sits
     at v's position, so a reducer applies only at its own lead position.

@@ -5,9 +5,10 @@ sparse Gaussian elimination over a prime field, raw subset enumeration —
 so that it shares no code path with the library engines it checks.  The
 division oracle works on exponent tuples with sort keys written out from the
 orders' definitions; it reads only an order's name, never its packed keys.
-Polynomials are read and built only through the edge API
-(`Polynomial.exponent_terms`, `PolyRing.poly`), so nothing here depends on
-how a ring lays out its keys.
+`first_divisor` is the reducer choice it makes at each step, on its own: the
+reference for a reducer store's `find`.  Polynomials are read and built only
+through the edge API (`Polynomial.exponent_terms`, `PolyRing.poly`), so
+nothing here depends on how a ring lays out its keys.
 
 The one exception is `restart_selection`, the reference for the engine's
 minimal-generator selection: it is the older algorithm, which builds a fresh
@@ -155,6 +156,19 @@ def mon_lcm(a, b):
 
 def mon_degree(a):
     return sum(a)
+
+
+def first_divisor(leads, query):
+    """Index of the reducer a store's find(query) must return, or None.
+
+    leads: the reducers' leads in insertion order and query, each a
+    (position, exps) pair (a polynomial sits at position 0).  Among the leads
+    at the query's position that divide it, the one of least total degree
+    wins, and on a tie the one inserted first.
+    """
+    pos, exps = query
+    hits = [(sum(e), i) for i, (p, e) in enumerate(leads) if p == pos and mon_divides(e, exps)]
+    return min(hits)[1] if hits else None
 
 
 def naive_combine(terms, field) -> dict:

@@ -8,7 +8,8 @@ the pop order is the same) and the pruned and truncated counts must agree.
 The inputs are seeded random homogeneous ideals under grevlex, lex and elim,
 binomial ideals whose exponents sit near 128 and 255, and shuffled n=3
 generators.  The work counts of two commutator bases are pinned, and the
-reducer lookup and the criteria must decode and encode nothing.
+reducer store and the criteria must decode and encode nothing, under grevlex
+and under elim.
 """
 
 import random
@@ -17,8 +18,8 @@ from collections import Counter
 import pytest
 
 from commsyz.fields import GF
-from commsyz.groebner import Engine, buchberger
-from commsyz.polyring import DegreeBucketReducers, Grevlex, PolyRing
+from commsyz.groebner import Engine, buchberger, colon_ideal
+from commsyz.polyring import BlockElimination, DegreeBucketReducers, Grevlex, PolyRing
 
 from oracles import criteria_pairs
 
@@ -138,11 +139,14 @@ def test_commutator_basis_work_counts_are_pinned(ctx):
 
 
 def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
+    """The n=3 basis of I under grevlex, then the n=3 colon, whose
+    intersections run elimination bases and whose quotients divide under
+    grevlex: no reducer `add`, `find` or criteria step encodes or decodes."""
     calls = Counter()
     inside = [0]
 
-    def counting(name):
-        original = getattr(Grevlex, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(self, arg):
             if inside[0]:
@@ -154,21 +158,33 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     def entering(name, owner):
         original = getattr(owner, name)
 
-        def wrapper(*args):
-            calls[owner.__name__ + "." + name] += 1
+        def wrapper(self, *args):
+            order = self.order if owner is DegreeBucketReducers else self.ring.order
+            calls[f"{owner.__name__}.{name}@{order.name}"] += 1
             inside[0] += 1
             try:
-                return original(*args)
+                return original(self, *args)
             finally:
                 inside[0] -= 1
 
         return wrapper
 
-    for name in ("encode", "decode"):
-        monkeypatch.setattr(Grevlex, name, counting(name))
-    monkeypatch.setattr(DegreeBucketReducers, "find", entering("find", DegreeBucketReducers))
+    for order in (Grevlex, BlockElimination):
+        for name in ("encode", "decode"):
+            monkeypatch.setattr(order, name, counting(order, name))
+    for name in ("add", "find"):
+        monkeypatch.setattr(DegreeBucketReducers, name, entering(name, DegreeBucketReducers))
     monkeypatch.setattr(Engine, "_criteria_pairs", entering("_criteria_pairs", Engine))
     buchberger(list(ctx.system(3).minimal_gens))
-    assert calls["DegreeBucketReducers.find"] > 1000
-    assert calls["Engine._criteria_pairs"] == 27
+    assert calls["DegreeBucketReducers.find@grevlex"] > 1000
+    assert calls["Engine._criteria_pairs@grevlex"] == 27
+    assert calls["encode"] == calls["decode"] == 0
+
+    calls.clear()
+    system = ctx.system(3)
+    diag = [system.f(k) for k in system.diagonal_indices[:-1]]
+    colon_ideal(list(system.off_diagonal_gens), diag)
+    assert calls["DegreeBucketReducers.add@elim"] > 100
+    assert calls["DegreeBucketReducers.find@elim"] > 1000
+    assert calls["Engine._criteria_pairs@elim"] == 240
     assert calls["encode"] == calls["decode"] == 0
