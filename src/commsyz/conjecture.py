@@ -76,12 +76,12 @@ def colon_bidegrees(n: int, degree_cutoff: Optional[int] = None) -> dict:
     contribute m*r to the total degree and any x-sum in
     [C(m,2), m*r - C(m,2)], so a row-count profile is enough state for the
     enumeration (this scales to n in the dozens, where the raw cell-subset
-    enumeration would not).
+    enumeration would not).  Each state keeps its x-sums as an int bitset.
     """
     params = selection_params(n)
     cutoff = params.d_max if degree_cutoff is None else degree_cutoff
-    # state: (cells used, total degree) -> set of achievable x-degree sums
-    states = {(1, 0): {0}}  # row 0 is the single forced cell (0, 0)
+    # state: (cells used, total degree) -> bitset of achievable x-degree sums
+    states = {(1, 0): 1}  # row 0 is the single forced cell (0, 0)
     for r in range(1, n):
         nxt: dict = {}
         for (used, deg), xsums in states.items():
@@ -90,20 +90,23 @@ def colon_bidegrees(n: int, degree_cutoff: Optional[int] = None) -> dict:
                 if ndeg > cutoff:
                     break
                 lo = comb(m, 2)
-                hi = m * r - lo
+                span = m * r - 2 * lo
+                # xsums moved by every offset 0..span: double the run of
+                # offsets 0..width-1, then one overlapping shift reaches span
+                spread, width = xsums, 1
+                while 2 * width <= span + 1:
+                    spread |= spread << width
+                    width *= 2
+                spread |= spread << (span + 1 - width)
                 key = (used + m, ndeg)
-                bucket = nxt.setdefault(key, set())
-                if m == 0:
-                    bucket.update(xsums)
-                else:
-                    for x in xsums:
-                        bucket.update(range(x + lo, x + hi + 1))
+                nxt[key] = nxt.get(key, 0) | spread << lo
         states = nxt
     out: dict = {}
     for (used, deg), xsums in states.items():
         if used != n or deg > cutoff:
             continue
-        out.setdefault(deg, set()).update((x, deg - x) for x in xsums)
+        bits = bin(xsums)[:1:-1]
+        out.setdefault(deg, set()).update((x, deg - x) for x, b in enumerate(bits) if b == "1")
     return dict(sorted(out.items()))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from heapq import heappush, heappop
-from itertools import chain
 from typing import Optional, Sequence
 
 from .polyring import (
@@ -181,16 +180,18 @@ class Engine:
     `reducers` is the store the elements enter: a DegreeBucketReducers for
     polynomials, or a module store for vectors, whose keys carry a position
     above the scalar order's bits.  The pair policy follows from the input:
-    polynomials drop the old pairs a new lead makes redundant and filter new
-    pairs by the chain, equal-lcm and coprime criteria; vectors pair only
-    within a lead position, with no criteria; with `track` on, every pair is
-    reduced and a coprime pair yields its Koszul relation.  Every lcm,
-    divisibility and coprime test runs on the leads' packed exponents
-    (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
-    `degree_bound` are dropped and counted as truncated.  `exhausted` holds
-    the reason once the budget has cut the run.  What a finished run can
-    answer is stated once, by `complete` and `truncation_degree`; after
-    `run(d)` the same two values say whether degree d can be decided.
+    polynomials run the Gebauer-Moeller update (`_criteria_pairs`): the B
+    criterion on the waiting pairs, the M and F criteria on the new pairs in
+    ascending packed lcm, and coprime pairs settled by lead divisibility;
+    vectors pair only within a lead position, with no criteria; with `track`
+    on, every pair is reduced and a coprime pair yields its Koszul
+    relation.  Every lcm, divisibility and coprime test runs on the leads'
+    packed exponents (`MonomialOrder`), so the loop decodes no key.  Pairs
+    of lcm degree past `degree_bound` are dropped and counted as truncated.
+    `exhausted` holds the reason once the budget has cut the run.  What a
+    finished run can answer is stated once, by `complete` and
+    `truncation_degree`; after `run(d)` the same two values say whether
+    degree d can be decided.
     """
 
     def __init__(self, ring: PolyRing, reducers=None, *, degree_bound=None, budget=None, track=False):
@@ -206,6 +207,7 @@ class Engine:
         self.syzygies: list = []
         self.criteria = not track and isinstance(self.reducers, DegreeBucketReducers)
         self.pairs: dict = {}  # (i, j) -> packed lcm
+        self.divisors: list = []  # per element, the other elements whose leads divide its lead
         self.heap: list = []  # (lcm degree, serial, i, j, scalar key of the lcm)
         self.serial = 0
         self.exhausted = None
@@ -264,13 +266,25 @@ class Engine:
         self.serial += 1
 
     def _criteria_pairs(self, cp: CompiledPoly):
-        """Drop the old pairs the new lead makes redundant, then push the new
-        pairs that pass the chain, equal-lcm and coprime criteria, all on
-        packed exponents: l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0."""
-        pairs, basis, stats = self.pairs, self.basis, self.stats
+        """The Gebauer-Moeller update for a new lead h, on packed exponents:
+        l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
+
+        B criterion on the waiting pairs: (i, j) is dropped when h divides
+        its lcm and that lcm differs from lcm(i, h) and from lcm(j, h).  M
+        and F criteria in ascending packed lcm: the new pairs (g, h) run in
+        (lcm, index) order, and one is kept only if no lcm kept before it
+        divides its own.  A divisor of a packed lcm is never a larger int,
+        so no later lcm divides an earlier one, and among equal lcms the
+        lowest index stays.  Coprime pairs by lead divisibility: a pair with
+        coprime leads is never queued, and lcm(c, h) = c + h divides
+        lcm(g, h) iff lead(c) divides lead(g), so (g, h) is also dropped
+        when a lead in `divisors[g]` is coprime to h.  The survivors are
+        queued in descending index.
+        """
+        pairs, basis, stats, divisors = self.pairs, self.basis, self.stats, self.divisors
         order = self.ring.order
         lcm, borrow = order.lcm, order.low << _EXP_BITS
-        h = cp.packed
+        h, hi = cp.packed, cp.index
         for key in list(pairs):
             lij = pairs[key]
             if not (lij ^ h ^ (lij - h)) & borrow:
@@ -278,25 +292,30 @@ class Engine:
                 if lcm(basis[i].packed, h) != lij and lcm(basis[j].packed, h) != lij:
                     del pairs[key]
                     stats.pairs_pruned += 1
-        cand = [(g.index, lcm(g.packed, h), not g.support & cp.support) for g in basis]
-        waiting = [l for _, l, _ in cand]
-        kept, kept_lcms = [], []
-        while cand:
-            gi, l, coprime = cand.pop()
-            waiting.pop()
-            # chain and equal-lcm criteria: another waiting or kept lcm divides l
-            for l2 in () if coprime else chain(waiting, kept_lcms):
+        coprime = [not g.support & cp.support for g in basis]
+        cand = sorted((lcm(g.packed, h), g.index) for g in basis if not coprime[g.index])
+        stats.pairs_pruned += len(basis) - len(cand)
+        kept = []
+        for l, gi in cand:
+            for _, l2 in kept:
                 if not (l ^ l2 ^ (l - l2)) & borrow:
-                    stats.pairs_pruned += 1
                     break
             else:
-                kept.append((gi, l, coprime))
-                kept_lcms.append(l)
-        for gi, l, coprime in kept:
-            if coprime:
-                stats.pairs_pruned += 1
-            else:
-                self._push(gi, cp.index, l)
+                if not any(coprime[c] for c in divisors[gi]):
+                    kept.append((gi, l))
+                    continue
+            stats.pairs_pruned += 1
+        for gi, l in sorted(kept, reverse=True):
+            self._push(gi, hi, l)
+        # h enters the divisor lists only now: `coprime` has no entry for it
+        below = []
+        for g in basis:
+            e = g.packed
+            if not (h ^ e ^ (h - e)) & borrow:
+                below.append(g.index)
+            if not (e ^ h ^ (e - h)) & borrow:
+                divisors[g.index].append(hi)
+        divisors.append(below)
 
     def run(self, through: Optional[int] = None) -> None:
         """Process the waiting pairs of lcm degree <= through (all of them

@@ -6,8 +6,10 @@ step written on exponent tuples, from the same waiting pairs and leads: the
 waiting pairs after the step, the pairs offered to the queue (in order, so
 the pop order is the same) and the pruned and truncated counts must agree.
 The inputs are seeded random homogeneous ideals under grevlex, lex and elim,
-binomial ideals whose exponents sit near 128 and 255, and shuffled n=3
-generators.  The work counts of two commutator bases are pinned, and the
+binomial ideals whose exponents sit near 128 and 255, binomials whose leads
+divide one another (so that a new pair is dropped only because a lead
+coprime to the new one divides its partner's lead), and shuffled n=3
+generators.  The work counts of three commutator bases are pinned, and the
 reducer store and the criteria must decode and encode nothing, under grevlex
 and under elim.
 """
@@ -21,7 +23,7 @@ from commsyz.fields import GF
 from commsyz.groebner import Engine, buchberger, colon_ideal
 from commsyz.polyring import BlockElimination, DegreeBucketReducers, Grevlex, PolyRing
 
-from oracles import criteria_pairs
+from oracles import criteria_pairs, mon_divides, mon_lcm
 
 ORDERS = ("grevlex", "lex", "elim")
 
@@ -60,6 +62,106 @@ def checked(monkeypatch):
     monkeypatch.setattr(Engine, "_push", recorded_push)
     monkeypatch.setattr(Engine, "_criteria_pairs", checked_step)
     return steps
+
+
+def _dropped_by_a_coprime_lead(leads, offered):
+    """The new pairs (g, h) of one step that no other new pair with h rules
+    out, yet were not offered: only a lead c coprime to h with lead(c) |
+    lead(g) drops such a pair.  One flag each: lcm(c, h) == lcm(g, h)."""
+    h = len(leads) - 1
+    coprime = [g for g in range(h) if not any(x and y for x, y in zip(leads[g], leads[h]))]
+    lcms = {g: mon_lcm(leads[g], leads[h]) for g in range(h) if g not in coprime}
+    offered = {g for g, _, _ in offered}
+    flags = []
+    for g, l in lcms.items():
+        if g in offered or any(
+            mon_divides(l2, l) and (l2 != l or j < g) for j, l2 in lcms.items() if j != g
+        ):
+            continue
+        flags.append(any(mon_lcm(leads[c], leads[h]) == l for c in coprime))
+    return flags
+
+
+@pytest.fixture
+def dropped(checked, monkeypatch):
+    """Beside the tuple reference, collect `_dropped_by_a_coprime_lead` of
+    every step."""
+    flags = []
+    step = Engine._criteria_pairs
+
+    def counted(self, cp):
+        order = self.ring.order
+        leads = [order.decode(g.lead_v) for g in self.basis] + [order.decode(cp.lead_v)]
+        step(self, cp)
+        flags.extend(_dropped_by_a_coprime_lead(leads, self.offered))
+
+    monkeypatch.setattr(Engine, "_criteria_pairs", counted)
+    return flags
+
+
+def _binomial(ring, rng, lead):
+    """lead + k * (lead with one degree of its first variable moved to the
+    last variable): the moved term is lower under grevlex, lex and elim alike,
+    so every order keeps `lead` as the lead."""
+    tail = list(lead)
+    tail[next(k for k, e in enumerate(lead) if e)] -= 1
+    tail[-1] += 1
+    return ring.poly({tuple(lead): 1, tuple(tail): rng.randint(1, 100)})
+
+
+def _divisible_leads(order, seed):
+    """Binomials in the order c, c * a (or the two swapped), ..., then h: c
+    lies in x_2_1, x_2_2 and a, h in x_1_1, x_1_2, so c is coprime to h
+    while c divides the lead of its multiple."""
+    rng = random.Random(seed)
+    ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
+    names = [v.name for v in ring.variables]
+    left = [names.index(f"x_1_{j}") for j in (1, 2)]
+    right = [names.index(f"x_2_{j}") for j in (1, 2)]
+
+    def monomial(variables, degree):
+        e = [0] * len(names)
+        for _ in range(degree):
+            e[rng.choice(variables)] += 1
+        return e
+
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        c = monomial(right, rng.randint(1, 2))
+        multiple = [x + y for x, y in zip(c, monomial(left, rng.randint(1, 2)))]
+        pair = [_binomial(ring, rng, c), _binomial(ring, rng, multiple)]
+        rng.shuffle(pair)
+        gens += pair
+    gens += [_binomial(ring, rng, monomial(left, rng.randint(1, 2))) for _ in range(2)]
+    return gens
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("seed", range(6))
+def test_a_coprime_lead_dividing_a_lead_drops_pairs(checked, dropped, order, seed):
+    gens = _divisible_leads(order, seed)
+    buchberger(gens, degree_bound=5)
+    assert len(checked) >= len(gens)
+    assert dropped
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("swap", (False, True))
+def test_a_coprime_lead_drops_a_pair_of_equal_lcm(checked, dropped, order, swap):
+    """c = x_2_1, g = x_1_1 x_2_1, h = x_1_1^2: lcm(g, h) = lcm(c, h)."""
+    ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
+    rng = random.Random(1)
+    names = [v.name for v in ring.variables]
+
+    def lead(**exps):
+        return [exps.get(name, 0) for name in names]
+
+    pair = [_binomial(ring, rng, lead(x_2_1=1)), _binomial(ring, rng, lead(x_1_1=1, x_2_1=1))]
+    if swap:
+        pair.reverse()
+    buchberger(pair + [_binomial(ring, rng, lead(x_1_1=2))], degree_bound=5)
+    assert len(checked) >= 3
+    assert any(dropped)
 
 
 def _random_ideal(order, seed):
@@ -136,6 +238,13 @@ def test_commutator_basis_work_counts_are_pinned(ctx):
     assert _counts(buchberger(gens)) == (90, 71, 261, 0, 27)
     gens = list(ctx.system(4).minimal_gens)
     assert _counts(buchberger(gens, degree_bound=4)) == (286, 163, 8149, 1018, 138)
+
+
+def test_shuffled_n4_degree_5_work_counts_are_pinned(ctx):
+    """The `gb-n4-d5` benchmark job at seed 3."""
+    gens = list(ctx.system(4).minimal_gens)
+    random.Random(3).shuffle(gens)
+    assert _counts(buchberger(gens, degree_bound=5)) == (919, 713, 22095, 1296, 221)
 
 
 def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
