@@ -16,6 +16,10 @@ tails in normal form, monic, sorted), which is unique for a given ideal and
 monomial order.  Built on it: elimination of auxiliary variables,
 intersection of ideals (single auxiliary variable splitting), and ideal
 quotients (via intersection with a principal ideal plus exact division).
+A quotient by several elements eliminates the first element quotient only;
+each later element is settled by membership in a complete basis of the
+ideal when the result so far already lies in its quotient, and falls back
+to eliminating its quotient and the meet otherwise.
 """
 from __future__ import annotations
 
@@ -563,13 +567,31 @@ def colon_ideal(
     fs: Sequence[Polynomial],
     *,
     budget: Optional[Budget] = None,
+    basis: Optional[GroebnerBasis] = None,
 ) -> list:
-    """Generators of (ideal : (f_1, ..., f_m)) as the meet of element quotients."""
+    """Reduced Groebner basis of (ideal : (f_1, ..., f_m)), the meet of the
+    element quotients (ideal : f_k).
+
+    The first quotient is eliminated.  Each later f is first settled by
+    membership: when g*f lies in the ideal for every generator g of the
+    result so far, that result already lies in (ideal : f), so the meet is
+    the result itself and neither the quotient nor the meet is eliminated.
+    Otherwise both are, as for the first.  Membership is asked of `basis`, a
+    Groebner basis of the ideal `gens` generate (built here, under `budget`,
+    when omitted and a second quotient comes up); a basis that is not
+    complete, as a budget-cut one, answers nothing and every quotient is
+    eliminated.  The eliminations always start from the raw `gens`.  Either
+    way the result is the interreduced Groebner basis of the same ideal,
+    which is unique.
+    """
     fs = [f for f in fs if not f.is_zero()]
     if not fs:
         raise ValueError("quotient by the zero ideal is undefined here")
     result = colon_by_element(gens, fs[0], budget=budget)
     for f in fs[1:]:
-        nxt = colon_by_element(gens, f, budget=budget)
-        result = intersect_ideals(result, nxt, budget=budget)
+        if basis is None:
+            basis = buchberger(gens, budget=budget)
+        if not (basis.complete and all(basis.contains(g * f) for g in result)):
+            nxt = colon_by_element(gens, f, budget=budget)
+            result = intersect_ideals(result, nxt, budget=budget)
     return interreduce(result)

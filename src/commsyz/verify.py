@@ -103,9 +103,18 @@ class DeskContext:
         self._cache: dict = {}
 
     def _get(self, key, make: Callable):
+        """The object under `key`, built once.  A build the budget refuses
+        is stored as its IncompleteBasisError and raised again on every
+        later request, since the same budget would refuse it again."""
         if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
+            try:
+                self._cache[key] = make()
+            except IncompleteBasisError as exc:
+                self._cache[key] = exc
+        got = self._cache[key]
+        if isinstance(got, IncompleteBasisError):
+            raise got
+        return got
 
     # -- shared objects ------------------------------------------------------
 
@@ -137,14 +146,15 @@ class DeskContext:
         """Interreduced generators of (off-diagonal ideal : commutator ideal).
 
         The diagonal entries sum to zero, so the quotient by the full ideal is
-        the meet of the quotients by the first n-1 diagonal entries.
+        the meet of the quotients by the first n-1 diagonal entries.  The
+        cached off-diagonal basis settles the later quotients by membership.
         """
 
         def make():
             system = self.system(n)
             base = list(system.off_diagonal_gens)
             diag = [system.f(k) for k in system.diagonal_indices[:-1]]
-            return colon_ideal(base, diag, budget=self.budget)
+            return colon_ideal(base, diag, budget=self.budget, basis=self.gb_off_diagonal(n))
 
         return self._get(("colon", n), make)
 

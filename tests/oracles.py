@@ -14,12 +14,17 @@ The one exception is `restart_selection`, the reference for the engine's
 minimal-generator selection: it is the older algorithm, which builds a fresh
 truncated basis with the library for every (kept, degree) state, and the
 selection it is compared with decides everything within one engine run.
-`criteria_pairs` is the engine's pair-criteria step as it was written on
-exponent tuples, the reference for the packed one.  `det_cofactor` expands
-a determinant with ring arithmetic alone: no elimination, no exact division.
+`colon_by_meets` is likewise the older colon: it eliminates every element
+quotient and meets them all, the reference for a colon that settles later
+quotients by membership.  `criteria_pairs` is the engine's pair-criteria
+step as it was written on exponent tuples, the reference for the packed
+one.  `det_cofactor` expands a determinant with ring arithmetic alone: no
+elimination, no exact division.
 """
 
 from itertools import combinations, combinations_with_replacement
+
+from commsyz.groebner import colon_by_element, interreduce, intersect_ideals
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -353,6 +358,15 @@ def restart_selection(base, candidates, basis_at, degree, is_zero) -> list:
                 continue
         kept.append(g)
     return kept
+
+
+def colon_by_meets(gens, fs) -> list:
+    """Reference (ideal : (f_1, ..., f_m)): the interreduced meet of every
+    element quotient, each one eliminated."""
+    result = colon_by_element(gens, fs[0])
+    for f in fs[1:]:
+        result = intersect_ideals(result, colon_by_element(gens, f))
+    return interreduce(result)
 
 
 def criteria_pairs(pairs: dict, leads: list, degree_bound=None):

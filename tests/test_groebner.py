@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commsyz import groebner
 from commsyz.fields import GF, QQ
 from commsyz.groebner import (
     Budget,
@@ -17,9 +18,10 @@ from commsyz.groebner import (
     membership,
 )
 from commsyz.polyring import PolyRing
-from commsyz.verify import minimal_new_generators
+from commsyz.verify import DeskContext, minimal_new_generators
 
 from oracles import (
+    colon_by_meets,
     count_monomials_outside,
     ideal_component_dim,
     interreduce_against_others,
@@ -167,6 +169,95 @@ def test_colon_ideal_known_answer():
     assert not membership(b, gb)
     with pytest.raises(ValueError):
         colon_ideal([a], [ring.zero])
+
+
+def _count_meets(monkeypatch) -> list:
+    """Record each `intersect_ideals` call: a colon by m elements makes
+    1 + 2k of them, k the later quotients not settled by membership."""
+    calls = []
+    original = groebner.intersect_ideals
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "intersect_ideals", counting)
+    return calls
+
+
+def test_colon_ideal_n3_settles_the_second_quotient_by_membership(ctx, monkeypatch):
+    system = ctx.system(3)
+    base = list(system.off_diagonal_gens)
+    diag = [system.f(k) for k in system.diagonal_indices[:-1]]
+    want = colon_by_meets(base, diag)
+    calls = _count_meets(monkeypatch)
+    assert colon_ideal(base, diag) == want
+    assert len(calls) == 1
+    assert colon_ideal(base, diag, basis=ctx.gb_off_diagonal(3)) == want
+    assert len(calls) == 2
+    # the verify suite's colon asks its cached basis of J
+    assert DeskContext(field=GF(32003)).colon_generators(3) == want
+    assert len(calls) == 3
+    # a budget-cut basis answers nothing: every quotient is eliminated
+    cut = buchberger(base, budget=Budget(max_spairs=5))
+    assert not cut.complete
+    assert colon_ideal(base, diag, basis=cut) == want
+    assert len(calls) == 6
+
+
+def test_colon_ideal_falls_back_to_the_meet(monkeypatch):
+    ring = PolyRing(2, GF(101))
+    a, b, c, d = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(1, 2)
+    # (a) : a = (1), and b is not in (a)
+    assert colon_ideal([a], [a, b]) == colon_by_meets([a], [a, b]) == [a]
+    # (ac, bd) : cd = (a, b), where a*c is a member and b*c is not, and
+    # the other way round for d: each colon needs every generator tested
+    base = [a * c, b * d]
+    assert colon_ideal(base, [c * d, c]) == colon_by_meets(base, [c * d, c]) == [a, b * d]
+    assert colon_ideal(base, [c * d, d]) == colon_by_meets(base, [c * d, d]) == [b, a * c]
+    calls = _count_meets(monkeypatch)
+    colon_ideal([a], [a, b])
+    colon_ideal(base, [c * d, c])
+    colon_ideal(base, [c * d, d])
+    assert len(calls) == 9
+
+
+def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
+    """Seeded ideals, three fs each: a later f is a multiple of the one
+    before (its quotient contains the earlier one), a member of the ideal
+    (its quotient is the ring) or a random form.  Both branches occur."""
+    ring = PolyRing(2, GF(101))
+    xs = [ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(2, 1), ring.x(2, 2)]
+
+    def form(rng, degree):
+        f = ring.zero
+        for _ in range(rng.randint(1, 2)):
+            m = ring.const(rng.randint(1, 100))
+            for _ in range(degree):
+                m = m * rng.choice(xs)
+            f = f + m
+        return f
+
+    calls = _count_meets(monkeypatch)
+    settled = eliminated = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        gens = [form(rng, 2) for _ in range(3)]
+        fs = [form(rng, 1)]
+        for _ in range(2):
+            kind = rng.choice(("multiple", "member", "random"))
+            if kind == "multiple":
+                fs.append(fs[-1] * rng.choice(xs))
+            elif kind == "member":
+                fs.append(rng.choice(gens) * rng.choice(xs))
+            else:
+                fs.append(form(rng, 1))
+        calls.clear()
+        got = colon_ideal(gens, fs)
+        k = (len(calls) - 1) // 2
+        settled, eliminated = settled + 2 - k, eliminated + k
+        assert got == colon_by_meets(gens, fs), seed
+    assert settled > 0 and eliminated > 0
 
 
 def test_minimal_generators_greedy():

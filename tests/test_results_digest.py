@@ -1,11 +1,14 @@
-"""The JSON `results` of ten quick CLI runs, pinned by sha256.
+"""The JSON `results` of twelve quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
 changed and cover a verify suite, both n=3 bases and the n=3 colon ideal.
 The six budgeted runs pin the partial path: the budget-cut bases, their
 PARTIAL verdicts and the refusal texts in `reason`, recorded before the
-refusal rule moved into one gate.  A digest that moves means some computed
+refusal rule moved into one gate.  The two full n=3 verify runs, one
+complete and one cut at 300 S-pairs, pin the colon ideal as the verify
+suite builds it and the refusals a cut leaves behind; they were recorded
+before the colon shortcut and the cached refusals.  A digest that moves means some computed
 object or its printed form changed.
 """
 
@@ -30,6 +33,8 @@ DIGESTS = {
     "hilbert -n 3 --budget-spairs 50": "d85b0d81ec235d528c8f25c4e3b952e7dbd366f6af6a56ec63ef50d3f8c1e75f",
     "verify -n 3 --budget-spairs 20": "c760d8f02d8ff80f14a764219cfb7991d8de767d88d92f121a0db8fdbf9aaf95",
     "groebner -n 4 --budget-spairs 60": "cc1e37d4fa6cb1520f32f46c82465158efdf5fb9d72e221016fd26f62ef358df",
+    "verify -n 3": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
+    "verify -n 3 --budget-spairs 300": "1264a6e307c448b996cf8f2ccc2dbb58681c89df3001319cec3eb151175a7286",
 }
 
 

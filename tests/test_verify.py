@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from commsyz import cli, verify
 from commsyz import fixtures as fixture_store
 from commsyz.fields import GF
 from commsyz.groebner import Budget, IncompleteBasisError
@@ -126,6 +129,25 @@ def test_desk_context_caches_and_reuses(ctx):
     assert ctx.syzygies(3) is ctx.syzygies(3)
     fresh = DeskContext(field=GF(32003))
     assert fresh.system(2) is not ctx.system(2)
+
+
+def test_a_refused_build_is_not_rebuilt(monkeypatch, capsys):
+    """At 300 S-pairs the colon's first elimination is cut; every check
+    that asks for the colon afterwards gets the stored refusal."""
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    calls = []
+    original = verify.colon_ideal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "colon_ideal", counting)
+    assert cli.main(["verify", "-n", "3", "--budget-spairs", "300", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_minimal_new_generators_toy_case():
