@@ -1,13 +1,13 @@
 """The Buchberger engine, with budgets, degree truncation and ideal operations.
 
 One pair loop, `Engine`, serves every Groebner computation in the package:
-ideals and free-module vectors alike run as packed term lists against a
-reducer store that answers find(V) on the packed key.  Pairs are processed
-in increasing lcm total degree with FIFO tie-breaking, so for homogeneous
-input the loop works degree by degree: `run(d)` completes the basis through
-degree d, and `select` decides minimal generators against it (a candidate
-of degree d is minimal iff its normal form against the degree-d basis is
-nonzero).  With tracking on, every element also carries its representation
+ideals and free-module vectors alike run as packed term lists against one
+`DegreeBucketReducers`, which answers find(V) on the packed key.  Pairs are
+processed in increasing lcm total degree with FIFO tie-breaking, so for
+homogeneous input the loop works degree by degree: `run(d)` completes the
+basis through degree d, and `select` decides minimal generators against it
+(a candidate of degree d is minimal iff its normal form against the
+degree-d basis is nonzero).  With tracking on, every element also carries its representation
 over the input as packed module terms, and each pair whose S-polynomial
 reduces to zero, or whose leads are coprime, yields a syzygy.
 
@@ -41,6 +41,7 @@ from .polyring import (
     compile_terms,
     decompile,
     normal_form,
+    sum_of_products,
 )
 
 
@@ -181,26 +182,27 @@ class GroebnerBasis:
 class Engine:
     """The Buchberger pair loop over monic packed elements.
 
-    `reducers` is the store the elements enter: a DegreeBucketReducers for
-    polynomials, or a module store for vectors, whose keys carry a position
-    above the scalar order's bits.  The pair policy follows from the input:
-    polynomials run the Gebauer-Moeller update (`_criteria_pairs`): the B
-    criterion on the waiting pairs, the M and F criteria on the new pairs in
-    ascending packed lcm, and coprime pairs settled by lead divisibility;
-    vectors pair only within a lead position, with no criteria; with `track`
-    on, every pair is reduced and a coprime pair yields its Koszul
-    relation.  Every lcm, divisibility and coprime test runs on the leads'
-    packed exponents (`MonomialOrder`), so the loop decodes no key.  Pairs
-    of lcm degree past `degree_bound` are dropped and counted as truncated.
-    `exhausted` holds the reason once the budget has cut the run.  What a
-    finished run can answer is stated once, by `complete` and
+    The elements enter one `DegreeBucketReducers`; a module vector's keys
+    carry position bits above the scalar order's (`syzygy.ModuleOrder`), a
+    polynomial's carry none.  The pair policy follows from each element: in
+    a tracked run, or for a lead with position bits, it pairs only within a
+    lead position, with no criteria, and with `track` on every pair is
+    reduced and a coprime pair yields its Koszul relation; every other
+    element runs the Gebauer-Moeller update (`_criteria_pairs`): the B
+    criterion on the waiting pairs, the M and F criteria on the new pairs
+    in ascending packed lcm, and coprime pairs settled by lead
+    divisibility.  Every lcm, divisibility and coprime test runs on the
+    leads' packed exponents (`MonomialOrder`), so the loop decodes no key.
+    Pairs of lcm degree past `degree_bound` are dropped and counted as
+    truncated.  `exhausted` holds the reason once the budget has cut the
+    run.  What a finished run can answer is stated once, by `complete` and
     `truncation_degree`; after `run(d)` the same two values say whether
     degree d can be decided.
     """
 
-    def __init__(self, ring: PolyRing, reducers=None, *, degree_bound=None, budget=None, track=False):
+    def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None, track=False):
         self.ring = ring
-        self.reducers = DegreeBucketReducers(ring.order) if reducers is None else reducers
+        self.reducers = DegreeBucketReducers(ring.order)
         self.degree_bound = degree_bound
         self.budget = budget or Budget()
         self.stats = GBStats()
@@ -209,7 +211,6 @@ class Engine:
         self.basis: list[CompiledPoly] = []
         self.reps = [] if track else None
         self.syzygies: list = []
-        self.criteria = not track and isinstance(self.reducers, DegreeBucketReducers)
         self.pairs: dict = {}  # (i, j) -> packed lcm
         self.divisors: list = []  # per element, the other elements whose leads divide its lead
         self.heap: list = []  # (lcm degree, serial, i, j, scalar key of the lcm)
@@ -246,10 +247,12 @@ class Engine:
             if any(degree(v) != cp.lead_deg for v, _ in cp.tail):
                 raise ValueError("syzygy tracking needs homogeneous elements")
             self.reps.append(rep)
-        if self.criteria:
+        bits = self._pos_bits
+        pos = cp.lead_v >> bits
+        if self.reps is None and not pos:
             self._criteria_pairs(cp)
         else:
-            pos, bits, lcm = cp.lead_v >> self._pos_bits, self._pos_bits, self.ring.order.lcm
+            lcm = self.ring.order.lcm
             for g in self.basis:
                 if g.lead_v >> bits == pos:
                     self._push(g.index, h, lcm(g.packed, cp.packed))
@@ -376,28 +379,16 @@ class Engine:
 
     def _combine(self, deg: int, parts) -> list:
         """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
-        scalar term list, as descending packed module terms.  Every product
-        term has degree <= deg, the pair's degree, since tracked input is
-        homogeneous; past the cap each product is checked."""
-        order, p, reps = self.ring.order, self.ring.field.p, self.reps
+        scalar term list, as descending packed module terms, by the product
+        kernel `sum_of_products`.  Every product term has degree <= deg, the
+        pair's degree, since tracked input is homogeneous; past the cap each
+        product is checked."""
+        order, reps = self.ring.order, self.reps
         if deg > _EXP_CAP:
             for idx, m, _ in parts:
                 check_product(reps[idx], m, order)
-        unit = order.unit_v
-        acc: dict = {}
-        get = acc.get
-        for idx, m, sign in parts:
-            for vm, cm in m:
-                shift, cm = vm - unit, sign * cm
-                for v, c in reps[idx]:
-                    k = v + shift
-                    acc[k] = get(k, 0) + cm * c
-        if p:
-            live = [(k, r) for k, c in acc.items() if (r := c % p)]
-        else:
-            live = [(k, c) for k, c in acc.items() if c]
-        live.sort(reverse=True)
-        return live
+        work = [(reps[idx], m, sign) for idx, m, sign in parts]
+        return sum_of_products(work, order.unit_v, self.ring.field.p)
 
     def select(self, candidates, *, strict: bool = True) -> list:
         """Indices of the minimal generators among `candidates`, homogeneous
@@ -475,8 +466,10 @@ def buchberger(
 def interreduce(polys: Sequence[Polynomial]) -> list:
     """Minimal, tail-reduced, monic, sorted form of a generating set.
 
-    Applied to a Groebner basis this yields the reduced basis; applied to any
-    list it removes lead-redundant members and normalizes the rest.
+    Applied to a Groebner basis this yields the reduced basis.  Applied to a
+    list that is not a Groebner basis in the ring's order it may lose part
+    of the ideal: a member whose lead another lead divides is dropped with
+    its tail, which the others need not generate.
 
     Each kept element is compiled once, into one reducer set shared by all
     tails.  That set also holds the element whose tail is being reduced, and
@@ -505,24 +498,22 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
     return out
 
 
-def membership(f: Polynomial, basis: GroebnerBasis) -> bool:
-    return basis.contains(f)
-
-
 # -- elimination / intersection / quotient ------------------------------------
 
 
 def eliminate_aux(basis: GroebnerBasis, target: PolyRing) -> list:
-    """Generators of (ideal intersect target ring) from a complete basis in an
-    elimination order whose front block is the aux variables being dropped."""
+    """Groebner basis, in the target ring's order, of (ideal intersect target
+    ring) from a complete basis in the order `target.with_elimination_vars`
+    builds, which eliminates the dropped aux variables and refines the
+    target's order on the rest.  Only a ring without aux variables, or a lex
+    one, has such an extension."""
     require(basis, partial="elimination needs a complete basis")
     ring = basis.ring
     drop = ring.naux - target.naux
     if drop <= 0:
         raise ValueError("target ring does not drop any auxiliary variables")
-    from .polyring import BlockElimination
-
-    if not isinstance(ring.order, BlockElimination) or ring.order.front != drop:
+    refinable = target.naux == 0 or target.order.name == "lex"
+    if not refinable or ring.order != target.with_elimination_vars(drop).order:
         raise ValueError("basis order does not eliminate exactly the dropped variables")
     out = []
     for g in basis.elements:
@@ -538,7 +529,8 @@ def intersect_ideals(
     *,
     budget: Optional[Budget] = None,
 ) -> list:
-    """Generators of (A intersect B), by eliminating t from t*A + (1-t)*B."""
+    """Reduced Groebner basis of (A intersect B) in the ring's order, by
+    eliminating t from t*A + (1-t)*B."""
     if not gens_a or not gens_b:
         raise ValueError("both ideals need at least one generator")
     ring = gens_a[0].ring
@@ -581,8 +573,9 @@ def colon_ideal(
     when omitted and a second quotient comes up); a basis that is not
     complete, as a budget-cut one, answers nothing and every quotient is
     eliminated.  The eliminations always start from the raw `gens`.  Either
-    way the result is the interreduced Groebner basis of the same ideal,
-    which is unique.
+    way the result is the reduced Groebner basis of the same ideal in the
+    ring's own order, which is unique: each elimination order refines it
+    (`eliminate_aux`), so every meet and quotient is already a basis there.
     """
     fs = [f for f in fs if not f.is_zero()]
     if not fs:

@@ -209,15 +209,10 @@ def hilbert_numerator(lead, nvars: int) -> HilbertSeries:
     )
 
 
-def dimension(h: HilbertSeries) -> int:
-    return h.dimension
-
-
 def hilbert_of_basis(basis) -> HilbertSeries:
     """Hilbert series of the quotient by the ideal of a full Groebner basis."""
     require(basis, partial="Hilbert series needs a complete, untruncated basis")
-    leads = minimalize_monomials(basis.lead_exponents())
-    return hilbert_numerator(leads, basis.ring.nvars)
+    return hilbert_numerator(basis.lead_exponents(), basis.ring.nvars)
 
 
 # -- graded Betti tables -------------------------------------------------------

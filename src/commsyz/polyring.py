@@ -18,15 +18,15 @@ decode and re-encode across orders.  Divisibility, lcm and support tests
 one int per monomial with each exponent in its own byte, read off the key
 with one `&` and one `^` (see `MonomialOrder`).
 
-Products go through one kernel, `PolyRing.dot(pairs)` = sum(a * b): per call
-each distinct input has its coefficients scaled to ints over one denominator
-(1 over GF(p)), term products accumulate in an int dict keyed by
-V(a) + V(b) - V(1), and the surviving keys are sorted once.  Additivity holds
-only while every exponent stays within the 8-bit cap, so every key sum
-(products, monomial shifts, reduction steps, S-polynomials) first raises
-OverflowError if some variable would pass 255, where a key would otherwise
-borrow silently from its neighbour; total degrees read from the keys settle
-almost every check without decoding.
+Products go through one kernel, `sum_of_products`, which accumulates term
+products in a dict keyed by V(a) + V(b) - V(1) and sorts the keys once; it
+serves `PolyRing.dot(pairs)` = sum(a * b) and the engine's tracked module
+representations.  Additivity holds only while every exponent stays within
+the 8-bit cap, so every key sum (products, monomial shifts, reduction
+steps, S-polynomials) first raises OverflowError if some variable would
+pass 255, where a key would otherwise borrow silently from its neighbour;
+total degrees read from the keys settle almost every check without
+decoding.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .fields import QQ
 _EXP_BITS = 8
 _EXP_CAP = (1 << _EXP_BITS) - 1
 _DEG_BITS = 24
+_DEG_MASK = (1 << _DEG_BITS) - 1
 _SERIAL_BITS = 32  # insertion serials in a reducer store's ranks
 
 NOT_BIHOMOGENEOUS = "not bihomogeneous"
@@ -117,7 +118,7 @@ class MonomialOrder:
         return v
 
     def degree(self, v: int) -> int:
-        """Total degree of the monomial whose key is v."""
+        """Total degree of the monomial whose (scalar or module) key is v."""
         return sum(self.packed(v).to_bytes(self._nbytes, "little"))
 
     def divides(self, a: int, b: int) -> bool:
@@ -179,13 +180,14 @@ class Grevlex(MonomialOrder):
     def __init__(self, nvars: int):
         super().__init__(nvars)
         self.total_bits = _EXP_BITS * nvars + _DEG_BITS
-        self._layout([(0, nvars, _EXP_BITS * nvars)], flip=True)
+        self._deg_shift = _EXP_BITS * nvars
+        self._layout([(0, nvars, self._deg_shift)], flip=True)
 
     def encode(self, exps):
         return _grevlex_encode(exps, self.nvars)
 
     def degree(self, v):
-        return v >> (_EXP_BITS * self.nvars)
+        return (v >> self._deg_shift) & _DEG_MASK
 
 
 class Lex(MonomialOrder):
@@ -239,7 +241,7 @@ class BlockElimination(MonomialOrder):
 
     def degree(self, v):
         vf, vr = v >> self._rest_bits, v & ((1 << self._rest_bits) - 1)
-        return (vf >> (_EXP_BITS * self.front)) + (vr >> (_EXP_BITS * self._rest))
+        return ((vf >> (_EXP_BITS * self.front)) & _DEG_MASK) + (vr >> (_EXP_BITS * self._rest))
 
     def __repr__(self):
         return f"elim({self.front}|{self._rest})"
@@ -259,6 +261,29 @@ def make_order(spec, nvars: int, naux: int = 0) -> MonomialOrder:
             raise ValueError("elimination order needs auxiliary variables up front")
         return BlockElimination(nvars, naux)
     raise ValueError(f"unknown monomial order {spec!r}")
+
+
+def sum_of_products(work, unit: int, p, common=1) -> list:
+    """sum(scale * a * b) over `work` items (a, b, scale) of term lists, as
+    a descending term list keyed by V(a) + V(b) - unit.  Each sum is reduced
+    mod p over GF(p) and divided by `common` over QQ; callers check the cap."""
+    acc = {}
+    get = acc.get
+    for ta, tb, scale in work:
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        for vb, cb in tb:
+            vb -= unit
+            cb *= scale
+            for va, ca in ta:
+                v = va + vb
+                acc[v] = get(v, 0) + ca * cb
+    if p:
+        live = [(v, r) for v, c in acc.items() if (r := c % p)]
+    else:
+        live = [(v, Fraction(c, common)) for v, c in acc.items() if c]
+    live.sort(reverse=True)
+    return live
 
 
 def check_product(a, b, order: MonomialOrder):
@@ -360,25 +385,8 @@ class PolyRing:
                 check_product(ta, tb, self.order)
             work.append((ta, tb, den_a * den_b))
             common = lcm(common, den_a * den_b)
-        shift = self.order.unit_v
-        acc = {}
-        get = acc.get
-        for ta, tb, den in work:
-            scale = common // den
-            if len(ta) < len(tb):
-                ta, tb = tb, ta
-            for vb, cb in tb:
-                vb -= shift
-                cb *= scale
-                for va, ca in ta:
-                    v = va + vb
-                    acc[v] = get(v, 0) + ca * cb
-        if p:
-            live = [(v, r) for v, c in acc.items() if (r := c % p)]
-        else:
-            live = [(v, Fraction(c, common)) for v, c in acc.items() if c]
-        live.sort(reverse=True)
-        return Polynomial(self, tuple(live))
+        work = [(ta, tb, common // den) for ta, tb, den in work]
+        return Polynomial(self, tuple(sum_of_products(work, self.order.unit_v, p, common)))
 
     def same_signature(self, other: "PolyRing") -> bool:
         return (
@@ -400,7 +408,10 @@ class PolyRing:
     # -- ring extension for elimination ------------------------------------
 
     def with_elimination_vars(self, extra: int = 1) -> "PolyRing":
-        return PolyRing(self.n, self.field, "elim", naux=self.naux + extra)
+        """This ring with `extra` more aux variables in front, in an order that
+        eliminates them: pure lex for a lex ring, else two grevlex blocks."""
+        order = "lex" if self.order.name == "lex" else "elim"
+        return PolyRing(self.n, self.field, order, naux=self.naux + extra)
 
     def embed(self, f: "Polynomial", target: "PolyRing") -> "Polynomial":
         """Map f into target, which has the same x/y blocks and >= naux."""
@@ -693,8 +704,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 # -- division kernel -------------------------------------------------------------
 #
 # Polynomials and module vectors run through the kernel as (V, coeff) terms.
-# A reducer store answers find(V) -> compiled entry or None, so one
-# normal-form loop serves both.
+# One reducer store, `DegreeBucketReducers`, answers find(V) -> compiled
+# entry or None for both, so one normal-form loop serves both.
 
 
 class CompiledPoly:
@@ -725,8 +736,7 @@ def compile_terms(terms, ring: PolyRing, index: int = -1) -> CompiledPoly:
     """CompiledPoly over nonempty descending packed terms of a polynomial or
     of a module vector, whose position bits sit above the order's keys."""
     order = ring.order
-    scalar = (1 << order.total_bits) - 1
-    degs = [order.degree(v & scalar) for v, _ in terms]
+    degs = [order.degree(v) for v, _ in terms]
     return CompiledPoly(terms, order, degs[0], max(degs[1:], default=0), ring.field, index)
 
 
@@ -757,51 +767,59 @@ def decompile(ring: PolyRing, terms) -> Polynomial:
 
 
 class DegreeBucketReducers:
-    """Reducer store indexed by anchor variable (smallest lead degree wins).
+    """Reducer store indexed by lead position, then anchor variable
+    (smallest lead degree wins).
 
     find(v) returns the first reducer, by lead degree and then insertion,
-    whose lead divides the scalar key v, after `check_multiple` has cleared
-    the step.  Each reducer sits in the group of its anchor, the low bit of
-    the highest nonzero byte of its lead's packed exponents (0 for a
-    constant lead), kept sorted by rank = (lead degree, insertion serial).
-    A group whose anchor variable is absent from v is skipped with one test;
-    a group that is scanned stops at its first divisor or at the best rank
-    found so far, so the least rank among the groups' first divisors is the
-    answer.  It decodes nothing: a reducer whose support mask is not within
-    v's is skipped, and the rest face the borrow test on packed exponents
-    (`MonomialOrder`).
+    whose lead sits at v's position and divides v's monomial, after
+    `check_multiple` has cleared the step.  A reducer is filed under its
+    lead's position bits, `lead_v >> order.total_bits`: 0 for a polynomial,
+    never 0 for a module vector (`syzygy.ModuleOrder`), so a reducer applies
+    only at its own lead position.  Within a position each reducer sits in
+    the group of its anchor, the low bit of the highest nonzero byte of its
+    lead's packed exponents (0 for a constant lead), kept sorted by rank =
+    (lead degree, insertion serial).  A group whose anchor variable is
+    absent from v is skipped with one test; a group that is scanned stops at
+    its first divisor or at the best rank found so far, so the least rank
+    among the groups' first divisors is the answer.  It decodes nothing: a
+    reducer whose support mask is not within v's is skipped, and the rest
+    face the borrow test on packed exponents (`MonomialOrder`).
     """
 
-    __slots__ = ("order", "groups", "serial")
+    __slots__ = ("order", "positions", "serial")
 
     def __init__(self, order: MonomialOrder, entries=()):
         self.order = order
-        self.groups: list = []  # (anchor bit, [(rank, reducer)] sorted)
+        self.positions: dict = {}  # position bits -> [(anchor bit, [(rank, reducer)] sorted)]
         self.serial = 0
         for cp in entries:
             self.add(cp)
 
     def add(self, cp: CompiledPoly):
         anchor = cp.support and 1 << (cp.support.bit_length() - 1)
-        for bit, group in self.groups:
+        groups = self.positions.setdefault(cp.lead_v >> self.order.total_bits, [])
+        for bit, group in groups:
             if bit == anchor:
                 break
         else:
             group = []
-            self.groups.append((anchor, group))
+            groups.append((anchor, group))
         # ranks are unique, so insort never compares two reducers
         insort(group, (cp.lead_deg << _SERIAL_BITS | self.serial, cp))
         self.serial += 1
 
     def find(self, v):
         order = self.order
+        groups = self.positions.get(v >> order.total_bits)
+        if groups is None:
+            return None
         e = order.packed(v)
         deg = order.degree(v)
         absent = order.low ^ order.support(e)
         borrow = order.low << _EXP_BITS
         best = None
         limit = (deg + 1) << _SERIAL_BITS
-        for anchor, group in self.groups:
+        for anchor, group in groups:
             if anchor & absent:
                 continue
             for rank, r in group:

@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Union
 from .genmat import CommutatorSystem, GenericMatrix
 from .groebner import Budget, Engine, GBStats, require
 from .polyring import (
-    CompiledPoly,
     DegreeBucketReducers,
     MonomialOrder,
     PolyRing,
@@ -143,37 +142,25 @@ class ModuleOrder:
     """Position-over-term: e_0 > e_1 > ...; the scalar order breaks ties.
 
     A module monomial (position p, scalar monomial with key v) encodes as
-    ((rank-1-p) << shift) | v, so integer comparison is the module order and
-    adding a scalar multiplier's offset preserves position.
+    ((rank - p) << shift) | v, so integer comparison is the module order and
+    adding a scalar multiplier's offset preserves position.  The position
+    bits are never 0, so every vector key carries them and no polynomial
+    key does.
     """
 
     def __init__(self, scalar: MonomialOrder, rank: int):
         if rank < 1:
             raise ValueError("rank must be positive")
-        self.scalar = scalar
         self.rank = rank
         self.shift = scalar.total_bits
         self._smask = (1 << self.shift) - 1
 
     def encode(self, pos: int, v: int) -> int:
-        return ((self.rank - 1 - pos) << self.shift) | v
+        return ((self.rank - pos) << self.shift) | v
 
     def decode(self, v: int):
         """(position, scalar key) of a module key."""
-        return (self.rank - 1 - (v >> self.shift), v & self._smask)
-
-    def scalar_part(self, v: int) -> int:
-        return v & self._smask
-
-    def position(self, v: int) -> int:
-        return self.rank - 1 - (v >> self.shift)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleOrder)
-            and self.rank == other.rank
-            and self.scalar == other.scalar
-        )
+        return (self.rank - (v >> self.shift), v & self._smask)
 
 
 def vector_is_zero(vec: Sequence[Polynomial]) -> bool:
@@ -197,8 +184,8 @@ def vector_degree(vec: Sequence[Polynomial]) -> int:
 
 def vector_terms(vec: Sequence[Polynomial], morder: ModuleOrder) -> list:
     """Descending module (V, coeff) terms: positions in order, each descending."""
-    top, shift = morder.rank - 1, morder.shift
-    return [((top - pos) << shift | v, c) for pos, p in enumerate(vec) for v, c in p.terms]
+    encode = morder.encode
+    return [(encode(pos, v), c) for pos, p in enumerate(vec) for v, c in p.terms]
 
 
 def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
@@ -209,37 +196,7 @@ def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
     return tuple(decompile(ring, b) for b in buckets)
 
 
-class ModuleReducers:
-    """Reducers grouped by lead position, one `DegreeBucketReducers` each.
-
-    find(v) looks up the scalar part of v among the reducers whose lead sits
-    at v's position, so a reducer applies only at its own lead position.
-    """
-
-    __slots__ = ("morder", "by_pos")
-
-    def __init__(self, morder: ModuleOrder, entries=()):
-        self.morder = morder
-        self.by_pos: dict = {}
-        for cp in entries:
-            self.add(cp)
-
-    def add(self, cp: CompiledPoly):
-        pos = self.morder.position(cp.lead_v)
-        bucket = self.by_pos.get(pos)
-        if bucket is None:
-            bucket = DegreeBucketReducers(self.morder.scalar)
-            self.by_pos[pos] = bucket
-        bucket.add(cp)
-
-    def find(self, v):
-        bucket = self.by_pos.get(self.morder.position(v))
-        if bucket is None:
-            return None
-        return bucket.find(self.morder.scalar_part(v))
-
-
-def module_normal_form(terms, reducers: ModuleReducers, field):
+def module_normal_form(terms, reducers: DegreeBucketReducers, field):
     """Normal form of a compiled module term list; the scalar kernel does it."""
     return normal_form(terms, reducers, field)
 
@@ -305,7 +262,7 @@ def module_buchberger(
     if degree_bound is not None:
         for v in vectors:
             vector_degree(v)  # raises on inhomogeneous input
-    engine = Engine(ring, ModuleReducers(morder), degree_bound=degree_bound, budget=budget)
+    engine = Engine(ring, degree_bound=degree_bound, budget=budget)
     for v in vectors:
         engine.add(vector_terms(v, morder))
     engine.run()
@@ -421,12 +378,12 @@ def first_syzygies(
     koszul_vecs = _koszul_vectors(gens) if bound >= 2 else []
     candidates = [(2, vector_terms(v, morder), "koszul") for v in koszul_vecs]
     for terms in tracked.syzygies:
-        d = ring.order.degree(morder.scalar_part(terms[0][0]))
+        d = ring.order.degree(terms[0][0])
         if d <= bound:
             candidates.append((d, terms, "pair"))
     candidates.sort(key=lambda c: c[0])
 
-    selection = Engine(ring, ModuleReducers(morder), degree_bound=bound, budget=budget)
+    selection = Engine(ring, degree_bound=bound, budget=budget)
     kept = [candidates[k] for k in selection.select([c[:2] for c in candidates], strict=False)]
     return FirstSyzygies(
         rank=m,

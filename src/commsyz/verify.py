@@ -57,7 +57,7 @@ from commsyz.syzygy import (
     eval_word,
     first_syzygies,
     is_trace_syzygy,
-    module_membership,
+    module_buchberger,
     restrict_to_minimal,
     tuple_from_matrix,
     vector_degree,
@@ -159,9 +159,9 @@ class DeskContext:
         return self._get(("colon", n), make)
 
     def colon_basis(self, n: int) -> GroebnerBasis:
+        """The colon generators, which are the reduced basis in the ring's order."""
         return self._get(
-            ("colon_gb", n),
-            lambda: buchberger(self.colon_generators(n), budget=self.budget),
+            ("colon_gb", n), lambda: GroebnerBasis(self.system(n).ring, self.colon_generators(n))
         )
 
     def new_colon_generators(self, n: int) -> list:
@@ -289,15 +289,24 @@ def check_first_syzygies(ctx: DeskContext, n: int):
     trace_quads = [trace_vec(X * X), trace_vec(Y * Y), trace_vec(X * Y + Y * X)]
     base = koszul_vecs + linear
 
+    bases = {}
+
+    def member(v, name, gens):
+        # one basis per module, built when first asked; the vectors asked of
+        # one module share a degree, which truncates it
+        if name not in bases:
+            bases[name] = module_buchberger(gens, degree_bound=vector_degree(v), budget=ctx.budget)
+        return bases[name].contains(v)
+
     span_ok = True
     for v in trace_quads:
-        span_ok = span_ok and module_membership(v, base + quad_pair, budget=ctx.budget)
-        span_ok = span_ok and not module_membership(v, base, budget=ctx.budget)
+        span_ok = span_ok and member(v, "base+pair", base + quad_pair)
+        span_ok = span_ok and not member(v, "base", base)
     for v in quad_pair:
-        span_ok = span_ok and module_membership(v, base + trace_quads, budget=ctx.budget)
+        span_ok = span_ok and member(v, "base+trace", base + trace_quads)
 
     xyx = trace_vec(eval_word("XYX", system))
-    xyx_ok = module_membership(xyx, list(fs.generators), budget=ctx.budget)
+    xyx_ok = member(xyx, "all", list(fs.generators))
 
     ok = ok_counts and len(quad_pair) == 3 and span_ok and xyx_ok and not fs.partial
     detail = {

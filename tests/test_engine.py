@@ -22,7 +22,6 @@ from commsyz.hilbert import hilbert_of_basis
 from commsyz.polyring import PolyRing
 from commsyz.syzygy import (
     ModuleOrder,
-    ModuleReducers,
     decompile_vector,
     first_syzygies,
     module_buchberger,
@@ -99,7 +98,7 @@ def _module_case(field, rank, seed):
 def _engine_vector_selection(vecs):
     ring = next(p for p in vecs[0] if not p.is_zero()).ring
     morder = ModuleOrder(ring.order, len(vecs[0]))
-    engine = Engine(ring, ModuleReducers(morder))
+    engine = Engine(ring)
     return [vecs[k] for k in engine.select([(vector_degree(v), vector_terms(v, morder)) for v in vecs])]
 
 
@@ -149,6 +148,18 @@ def test_selections_never_restart_a_basis(ctx, monkeypatch):
     monkeypatch.setattr(verify, "buchberger", restart)
     assert first_syzygies(system, degree_bound=4).counts == {1: 2, 2: 31}
     assert len(minimal_new_generators(base, colon)) == 5
+
+
+def test_rank_one_vectors_keep_the_vector_pair_policy():
+    """A rank-1 vector's keys carry position bits like any vector's, so the
+    engine pairs it by lead position and reduces a coprime pair, where the
+    same polynomials run the criteria and prune it."""
+    ring = PolyRing(1, GF(101))
+    x, y = ring.x(1, 1), ring.y(1, 1)
+    stats = module_buchberger([(x,), (y,)]).stats
+    assert (stats.spairs_reduced, stats.zero_reductions, stats.pairs_pruned) == (1, 1, 0)
+    stats = buchberger([x, y]).stats
+    assert (stats.spairs_reduced, stats.pairs_pruned) == (0, 1)
 
 
 def test_membership_against_a_cut_basis_raises():

@@ -15,7 +15,6 @@ from commsyz.groebner import (
     colon_ideal,
     intersect_ideals,
     interreduce,
-    membership,
 )
 from commsyz.polyring import PolyRing
 from commsyz.verify import DeskContext, minimal_new_generators
@@ -59,9 +58,9 @@ def test_known_lex_basis_for_a_twisted_pair():
     elems = {str(g) for g in gb}
     assert elems == {"x_1_1^2 - y_1_1", "x_1_1*y_1_1", "y_1_1^2"}
     assert verify_basis(gb, [a * a - b, a * b])[0]
-    assert membership(b * b, gb)
-    assert not membership(a, gb)
-    assert not membership(b, gb)
+    assert gb.contains(b * b)
+    assert not gb.contains(a)
+    assert not gb.contains(b)
 
 
 def test_reduce_is_idempotent_and_linear():
@@ -71,7 +70,7 @@ def test_reduce_is_idempotent_and_linear():
     for f in (a * a * a, a * a * b + b, (a + b) ** 3):
         r = gb.reduce(f)
         assert gb.reduce(r) == r
-        assert membership(f - r, gb)
+        assert gb.contains(f - r)
 
 
 @settings(max_examples=30, deadline=None)
@@ -99,7 +98,7 @@ def test_random_combinations_reduce_to_zero(seed):
     combo = ring.zero
     for g in gens:
         combo = combo + g * rand_poly(1, 2)
-    assert membership(combo, gb)
+    assert gb.contains(combo)
 
 
 def test_budget_exhaustion_modes():
@@ -112,7 +111,7 @@ def test_budget_exhaustion_modes():
     assert not gb.complete
     assert gb.stats.spairs_reduced <= 1
     with pytest.raises(IncompleteBasisError):
-        membership(xs[0], gb)
+        gb.contains(xs[0])
     with pytest.raises(ValueError):
         Budget(max_spairs=-1)
     with pytest.raises(ValueError):
@@ -154,8 +153,8 @@ def test_colon_by_element_known_answer():
     a, b = ring.x(1, 1), ring.y(1, 1)
     out = colon_by_element([a * a, a * b], a)
     gb = buchberger(out)
-    assert membership(a, gb) and membership(b, gb)
-    assert not membership(ring.one, gb)
+    assert gb.contains(a) and gb.contains(b)
+    assert not gb.contains(ring.one)
 
 
 def test_colon_ideal_known_answer():
@@ -164,9 +163,9 @@ def test_colon_ideal_known_answer():
     a, b = ring.x(1, 1), ring.y(1, 1)
     out = colon_ideal([a], [a, b])
     gb = buchberger(out)
-    assert membership(a, gb)
-    assert not membership(ring.one, gb)
-    assert not membership(b, gb)
+    assert gb.contains(a)
+    assert not gb.contains(ring.one)
+    assert not gb.contains(b)
     with pytest.raises(ValueError):
         colon_ideal([a], [ring.zero])
 
@@ -295,6 +294,29 @@ def test_elimination_rejects_wrong_setup():
 
     with pytest.raises(ValueError):
         eliminate_aux(gb, ring)
+    # a grevlex elimination basis projects to no basis of a lex target
+    ext = ring.with_elimination_vars(1)
+    lifted = buchberger([ext.var("t_1") * ring.embed(a, ext)])
+    assert eliminate_aux(lifted, ring) == []
+    with pytest.raises(ValueError):
+        eliminate_aux(lifted, PolyRing(1, QQ, order="lex"))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_colon_generators_are_the_reduced_basis(order):
+    """At n=3 the colon generators are the reduced Groebner basis in the
+    ring's own order, so a Buchberger run returns them unchanged and the
+    context's colon basis is the generators themselves.  Under lex this
+    needs an elimination order that refines lex, and the lex result is the
+    lex basis of the grevlex colon, the same ideal by a second route."""
+    ctx = DeskContext(order=order)
+    gens = ctx.colon_generators(3)
+    assert list(buchberger(gens).elements) == gens
+    assert ctx.colon_basis(3).elements == tuple(gens)
+    if order == "lex":
+        ring = gens[0].ring
+        grevlex = DeskContext().colon_generators(3)
+        assert list(buchberger([ring.poly(g.exponent_terms()) for g in grevlex]).elements) == gens
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])

@@ -204,8 +204,9 @@ def test_packed_keys_degrees_and_supports_match_the_tuples(order, a, b, pos):
     assert order.support(pa) == sum(u for u, x in zip(units, a) if x)
     coprime = not any(x and y for x, y in zip(a, b))
     assert (not order.support(pa) & order.support(pb)) == coprime
-    # a module key's position bits drop out of its packed exponents
-    assert order.packed(ModuleOrder(order, 3).encode(pos, v)) == pa
+    # a module key's position bits drop out of its packed exponents and degree
+    mv = ModuleOrder(order, 3).encode(pos, v)
+    assert order.packed(mv) == pa and order.degree(mv) == sum(a)
 
 
 @PROPERTY
@@ -219,10 +220,10 @@ def test_cap_check_matches_the_tuples(ring, q, terms):
     morder = ModuleOrder(order, 3)
     keys = sorted({morder.encode(pos, order.encode(e)) for pos, e in terms}, reverse=True)
     cp = compile_terms([(v, 1) for v in keys], ring)
-    tails = [order.decode(morder.scalar_part(v)) for v, _ in cp.tail]
+    tails = [order.decode(morder.decode(v)[1]) for v, _ in cp.tail]
     assert cp.tail_deg == max(sum(t) for t in tails)
     assert cp.packed == order.packed(keys[0])
-    assert cp.lead_deg == sum(order.decode(morder.scalar_part(keys[0])))
+    assert cp.lead_deg == sum(order.decode(morder.decode(keys[0])[1]))
     if any(x + y > CAP for t in tails for x, y in zip(q, t)):
         with pytest.raises(OverflowError):
             check_multiple(_packed(order, q), sum(q), cp, order)

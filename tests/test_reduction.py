@@ -1,11 +1,11 @@
 """The reduction kernel `normal_form` against a naive exponent-tuple division.
 
-Scalar polynomials go through `DegreeBucketReducers`, module vectors through
-`ModuleReducers`; both feed the same loop.  Each case checks the remainder,
+Scalar polynomials and module vectors go through the one store,
+`DegreeBucketReducers`, and the same loop.  Each case checks the remainder,
 the quotients rebuilt from the recorded reduction steps, and the identity
-f = sum q_i g_i + r recomputed term by term on exponent tuples.  Both stores'
-`find` are compared with `oracles.first_divisor`, and the cap check with the
-reducer it picks.
+f = sum q_i g_i + r recomputed term by term on exponent tuples.  The
+store's `find` is compared with `oracles.first_divisor` on polynomials and
+on vectors, and the cap check with the reducer it picks.
 """
 
 import random
@@ -26,7 +26,6 @@ from commsyz.polyring import (
 )
 from commsyz.syzygy import (
     ModuleOrder,
-    ModuleReducers,
     decompile_vector,
     module_normal_form,
     vector_terms,
@@ -146,7 +145,7 @@ def test_module_normal_form_matches_naive_division(field, order):
     live = (0, 1, 4, 5, ring.nvars - 1)
     x = ring.x(1, 1)
     at_x = compile_terms(vector_terms((ring.zero, x, ring.zero), morder), ring, 0)
-    at_one = ModuleReducers(morder, [at_x])
+    at_one = DegreeBucketReducers(o, [at_x])
     assert at_one.find(morder.encode(1, x.terms[0][0])).index == 0
     assert at_one.find(morder.encode(0, x.terms[0][0])) is None
 
@@ -164,8 +163,8 @@ def test_module_normal_form_matches_naive_division(field, order):
         gs = [vector((1, 2), 3) for _ in range(rng.randrange(2, 7))]
         f = vector((2, 3), 5)
         terms = vector_terms(f, morder)
-        reducers = ModuleReducers(
-            morder, [compile_terms(vector_terms(g, morder), ring, i) for i, g in enumerate(gs)]
+        reducers = DegreeBucketReducers(
+            o, [compile_terms(vector_terms(g, morder), ring, i) for i, g in enumerate(gs)]
         )
         record = []
         rem = normal_form(terms, reducers, field, record)
@@ -197,8 +196,8 @@ def _monomial(rng, nvars, live, degree):
 @pytest.mark.parametrize("order,naux", [("grevlex", 0), ("lex", 0), ("elim", 2)])
 def test_find_returns_the_first_divisor(order, naux, rank):
     """find on stores of 30-120 random reducers in the n=4 ring against
-    `oracles.first_divisor`; rank 0 fills a `DegreeBucketReducers`, rank 3 a
-    `ModuleReducers` with each reducer at a random position.  Reducers enter
+    `oracles.first_divisor`; rank 0 fills the store with polynomials, rank 3
+    with vectors, each reducer at a random position.  Reducers enter
     out of lead-degree order; some repeat an earlier lead, and every other
     store holds a constant, which must match every query at its position.
     Queries are multiples of leads, random monomials and monomials below
@@ -237,7 +236,7 @@ def test_find_returns_the_first_divisor(order, naux, rank):
         assert any(a > b for a, b in zip(degrees, degrees[1:]))
         if rank:
             cps = [compile_terms(vector_terms(v, morder), ring, i) for i, v in enumerate(vecs)]
-            store = ModuleReducers(morder, cps)
+            store = DegreeBucketReducers(o, cps)
         else:
             store = DegreeBucketReducers(o, [compile_poly(g, i) for i, g in enumerate(vecs)])
 
@@ -284,7 +283,7 @@ def test_find_checks_the_cap_on_the_reducer_it_picks():
     def store(*gs):
         return DegreeBucketReducers(o, [compile_poly(g, i) for i, g in enumerate(gs)])
 
-    assert [anchor for anchor, _ in store(a * b + b, b + c).groups] == [
+    assert [anchor for anchor, _ in store(a * b + b, b + c).positions[0]] == [
         o.support(o.packed(v.terms[0][0])) for v in (a, b)
     ]
     with pytest.raises(OverflowError):

@@ -1,4 +1,4 @@
-"""The JSON `results` of twelve quick CLI runs, pinned by sha256.
+"""The JSON `results` of thirteen quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -8,8 +8,11 @@ PARTIAL verdicts and the refusal texts in `reason`, recorded before the
 refusal rule moved into one gate.  The two full n=3 verify runs, one
 complete and one cut at 300 S-pairs, pin the colon ideal as the verify
 suite builds it and the refusals a cut leaves behind; they were recorded
-before the colon shortcut and the cached refusals.  A digest that moves means some computed
-object or its printed form changed.
+before the colon shortcut and the cached refusals.  The n=3 verify run
+under lex reports the same results as under grevlex; it failed its colon,
+splice and Knutson checks while the elimination order did not refine lex.
+A digest that moves means some computed object or its printed form
+changed.
 """
 
 import hashlib
@@ -35,6 +38,7 @@ DIGESTS = {
     "groebner -n 4 --budget-spairs 60": "cc1e37d4fa6cb1520f32f46c82465158efdf5fb9d72e221016fd26f62ef358df",
     "verify -n 3": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
     "verify -n 3 --budget-spairs 300": "1264a6e307c448b996cf8f2ccc2dbb58681c89df3001319cec3eb151175a7286",
+    "verify -n 3 --order lex": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
 }
 
 
