@@ -268,9 +268,7 @@ def _predict(cfg: RunConfig, ctx: DeskContext, n: int):
         shape = resolution_shape(n)
         detail = {
             "display": shape.display(),
-            "cells": [
-                {"i": i, "j": j, "count": v} for (i, j), v in sorted(shape.cells.items())
-            ],
+            "cells": shape.to_entries(),
         }
     else:  # knutson
         system = ctx.system_qq(n)

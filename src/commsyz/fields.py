@@ -50,9 +50,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -63,9 +60,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
 
     def is_zero(self, a):
         return a == 0
@@ -112,9 +106,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -125,9 +116,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

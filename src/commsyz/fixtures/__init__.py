@@ -12,7 +12,7 @@ import json
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from commsyz.hilbert import GradedBettiTable, HilbertSeries
 
@@ -112,7 +112,3 @@ def load_hilbert_series(name: str, directory: Union[str, Path, None] = None) -> 
     if data["kind"] != "hilbert-numerator":
         raise ValueError(f"fixture {name!r} is not a hilbert-numerator")
     return HilbertSeries(numerator=tuple(data["numerator"]), nvars=data["nvars"])
-
-
-def fixture_n(name: str, directory: Union[str, Path, None] = None) -> int:
-    return load_raw(name, directory)["n"]

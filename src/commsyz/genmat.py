@@ -13,10 +13,9 @@ diagonal entry leaves n^2 - 1 generators of the same ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .polyring import PolyRing, Polynomial
 
 
@@ -94,14 +93,6 @@ class GenericMatrix:
             c = self.ring.const(c)
         return GenericMatrix(self.ring, [[a * c for a in row] for row in self.rows])
 
-    def power(self, k: int) -> "GenericMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power")
-        out = GenericMatrix.identity(self.ring, self.size)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def trace(self) -> Polynomial:
         acc = self.ring.zero
         for i in range(self.size):
@@ -110,10 +101,6 @@ class GenericMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
-
-    def column(self, j: int) -> list:
-        """1-based column as a list of entries."""
-        return [self.rows[i][j - 1] for i in range(self.size)]
 
     def __eq__(self, other):
         return isinstance(other, GenericMatrix) and self.rows == other.rows
@@ -213,11 +200,6 @@ class CommutatorSystem:
         """1-based positions of Z_ii among the f_k: 1, n+2, 2n+3, ..."""
         n = self.n
         return tuple((i - 1) * (n + 1) + 1 for i in range(1, n + 1))
-
-    @property
-    def full_gens(self) -> list:
-        """All n^2 commutator entries."""
-        return list(self.commutators)
 
     @property
     def off_diagonal_gens(self) -> list:

@@ -35,12 +35,12 @@ from .polyring import (
     DegreeBucketReducers,
     PolyRing,
     Polynomial,
-    check_multiple,
     check_product,
     compile_poly,
     compile_terms,
     decompile,
     normal_form,
+    packed_lcm,
     sum_of_products,
 )
 
@@ -349,8 +349,9 @@ class Engine:
                     self.syzygies.append(syz)
                 continue
             # the S-polynomial, each multiple x^(lcm - lead) checked at the cap
-            check_multiple(lcm - a.packed, deg - a.lead_deg, a, order)
-            check_multiple(lcm - b.packed, deg - b.lead_deg, b, order)
+            for g in (a, b):
+                if deg - g.lead_deg + g.tail_deg > _EXP_CAP:
+                    check_product(lcm - g.packed, g.tail, order)
             vlcm = (a.lead_v >> bits << bits) | v
             da, db = vlcm - a.lead_v, vlcm - b.lead_v
             terms = [(vt + da, ct) for vt, ct in a.tail]
@@ -386,7 +387,7 @@ class Engine:
         order, reps = self.ring.order, self.reps
         if deg > _EXP_CAP:
             for idx, m, _ in parts:
-                check_product(reps[idx], m, order)
+                check_product(packed_lcm(m, order), reps[idx], order)
         work = [(reps[idx], m, sign) for idx, m, sign in parts]
         return sum_of_products(work, order.unit_v, self.ring.field.p)
 
@@ -541,7 +542,9 @@ def intersect_ideals(
     lifted += [one_minus_t * ring.embed(g, ext) for g in gens_b]
     gb = buchberger(lifted, budget=budget)
     require(gb, partial="intersection needs a complete basis")
-    return interreduce(eliminate_aux(gb, ring))
+    # the aux-free elements of a reduced basis in an order that eliminates t
+    # and refines the ring's are the reduced basis of the meet
+    return eliminate_aux(gb, ring)
 
 
 def colon_by_element(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional, Sequence, Union
 
 from .groebner import require
@@ -177,15 +176,6 @@ class HilbertSeries:
     def multiplicity(self) -> int:
         q, _ = self.reduced()
         return sum(q)
-
-    def hilbert_function(self, d: int) -> int:
-        """Dimension of the degree-d graded component."""
-        nv = self.nvars
-        return sum(
-            c * comb(nv - 1 + d - k, nv - 1)
-            for k, c in enumerate(self.numerator)
-            if k <= d
-        )
 
     def __str__(self):
         parts = []

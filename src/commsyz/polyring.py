@@ -12,21 +12,23 @@ tuple of (V, coeff).  Sums merge keys, a monomial multiple shifts them, the
 total degree is read off a key, and the division kernel runs on the same
 keys.  Exponent tuples exist only at the edges: `PolyRing.poly`, `var` and
 `parse` encode (refusing exponents outside 0..255); printing, `lm`,
-bidegrees, substitution and Hilbert leads decode; and `embed`/`project`
-decode and re-encode across orders.  Divisibility, lcm and support tests
-(reducer lookup, pair criteria, cap checks) run on `MonomialOrder.packed(V)`,
-one int per monomial with each exponent in its own byte, read off the key
-with one `&` and one `^` (see `MonomialOrder`).
+bidegrees and Hilbert leads decode; and `embed`/`project` decode and
+re-encode across orders.  Divisibility, lcm and support tests (reducer
+lookup, pair criteria, cap checks) run on `MonomialOrder.packed(V)`, one int
+per monomial with each exponent in its own byte, read off the key with one
+`&` and one `^` (see `MonomialOrder`).
 
 Products go through one kernel, `sum_of_products`, which accumulates term
 products in a dict keyed by V(a) + V(b) - V(1) and sorts the keys once; it
 serves `PolyRing.dot(pairs)` = sum(a * b) and the engine's tracked module
 representations.  Additivity holds only while every exponent stays within
-the 8-bit cap, so every key sum (products, monomial shifts, reduction
-steps, S-polynomials) first raises OverflowError if some variable would
-pass 255, where a key would otherwise borrow silently from its neighbour;
-total degrees read from the keys settle almost every check without
-decoding.
+the 8-bit cap, where a key would otherwise borrow silently from its
+neighbour.  So every key sum (products, reduction steps, S-polynomials)
+first passes the one cap rule, `check_product(e, terms, order)`, which
+raises OverflowError if packed exponents e plus those of some term pass
+255 in a variable.  Products pass the lcm of one side's exponents; a
+reduction step or an S-polynomial passes the multiplier, lcm - lead.  Total
+degrees read from the keys settle almost every check before it is called.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heappush, heappop
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .fields import QQ
 
@@ -47,21 +49,6 @@ _DEG_MASK = (1 << _DEG_BITS) - 1
 _SERIAL_BITS = 32  # insertion serials in a reducer store's ranks
 
 NOT_BIHOMOGENEOUS = "not bihomogeneous"
-
-
-class VarId(NamedTuple):
-    """One ring variable: matrix entry x_i_j / y_i_j or an auxiliary t_k."""
-
-    block: str          # 'x', 'y' or 't'
-    row: int            # 1-based; 0 for aux
-    col: int            # 1-based; 0 for aux
-    aux_index: int = 0  # 1-based position among aux vars; 0 for matrix entries
-
-    @property
-    def name(self) -> str:
-        if self.block == "t":
-            return f"t_{self.aux_index}"
-        return f"{self.block}_{self.row}_{self.col}"
 
 
 class MonomialOrder:
@@ -139,9 +126,6 @@ class MonomialOrder:
         s = e | e >> 4
         s |= s >> 2
         return (s | s >> 1) & self.low
-
-    def greater(self, e1, e2) -> bool:
-        return self.encode(e1) > self.encode(e2)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
@@ -286,13 +270,21 @@ def sum_of_products(work, unit: int, p, common=1) -> list:
     return live
 
 
-def check_product(a, b, order: MonomialOrder):
-    """Raise OverflowError if a product of a term of `a` and a term of `b`
-    (packed term lists) could pass the cap, judged on each side's largest
-    exponent per variable (the lcm of its packed exponents) by a carry test."""
-    ta, tb = (reduce(order.lcm, [order.packed(v) for v, _ in t], 0) for t in (a, b))
-    if (ta ^ tb ^ (ta + tb)) & (order.low << _EXP_BITS):
-        raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
+def check_product(e: int, terms, order: MonomialOrder):
+    """The one cap rule: raise OverflowError if the packed exponents `e` plus
+    those of some term of `terms` (a scalar or module term list) pass 255 in
+    some variable, which is a carry out of that variable's byte."""
+    carry = order.low << _EXP_BITS
+    for v, _ in terms:
+        t = order.packed(v)
+        if (e ^ t ^ (e + t)) & carry:
+            raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
+
+
+def packed_lcm(terms, order: MonomialOrder) -> int:
+    """Each variable's largest exponent over a term list, packed: a product
+    with it passes the cap iff a product with one of the terms does."""
+    return reduce(order.lcm, [order.packed(v) for v, _ in terms], 0)
 
 
 class PolyRing:
@@ -309,13 +301,12 @@ class PolyRing:
         self.n = n
         self.field = field
         self.naux = naux
-        vids = [VarId("t", 0, 0, k + 1) for k in range(naux)]
-        vids += [VarId("x", i + 1, j + 1) for i in range(n) for j in range(n)]
-        vids += [VarId("y", i + 1, j + 1) for i in range(n) for j in range(n)]
-        self.variables = tuple(vids)
-        self.nvars = len(vids)
+        names = [f"t_{k + 1}" for k in range(naux)]
+        names += [f"{b}_{i + 1}_{j + 1}" for b in "xy" for i in range(n) for j in range(n)]
+        self.names = tuple(names)
+        self.nvars = len(names)
         self.order = make_order(order, self.nvars, naux)
-        self._index = {v.name: i for i, v in enumerate(vids)}
+        self._index = {name: i for i, name in enumerate(names)}
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((self.order.unit_v, field.one),))
 
@@ -382,7 +373,7 @@ class PolyRing:
             if not ta or not tb:
                 continue
             if top_a + top_b > _EXP_CAP:
-                check_product(ta, tb, self.order)
+                check_product(packed_lcm(ta, self.order), tb, self.order)
             work.append((ta, tb, den_a * den_b))
             common = lcm(common, den_a * den_b)
         work = [(ta, tb, common // den) for ta, tb, den in work]
@@ -562,38 +553,12 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(self.lc()))
 
-    def mul_monomial(self, mon, c=None):
-        """Multiply by c * x^mon: every key shifts by V(mon) - V(1), no re-sort."""
-        fld = self.ring.field
-        c = fld.one if c is None else fld.coerce(c)
-        if fld.is_zero(c):
-            return self.ring.zero
-        order = self.ring.order
-        v = order.encode(mon)
-        if self.degree() + sum(mon) > _EXP_CAP:
-            check_product(self.terms, ((v, c),), order)
-        shift = v - order.unit_v
-        return Polynomial(self.ring, tuple((v + shift, fld.mul(cc, c)) for v, cc in self.terms))
-
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """Quotient self / g, raising if the division is not exact."""
         qs, r = divide(self, [g])
         if not r.is_zero():
             raise ValueError("division is not exact")
         return qs[0]
-
-    def substitute(self, values: dict):
-        """Evaluate at {var name: field element}; all variables must be given."""
-        fld = self.ring.field
-        vals = [fld.coerce(values[v.name]) for v in self.ring.variables]
-        total = fld.zero
-        for mon, c in self.exponent_terms():
-            term = c
-            for e, val in zip(mon, vals):
-                for _ in range(e):
-                    term = fld.mul(term, val)
-            total = fld.add(total, term)
-        return total
 
     # -- comparisons / hashing ------------------------------------------------
 
@@ -628,7 +593,7 @@ def format_polynomial(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     fld = f.ring.field
-    names = [v.name for v in f.ring.variables]
+    names = f.ring.names
     chunks = []
     for k, (mon, c) in enumerate(f.exponent_terms()):
         neg = False
@@ -747,19 +712,6 @@ def compile_poly(f: Polynomial, index: int = -1) -> CompiledPoly:
     return compile_terms(f.terms, f.ring, index)
 
 
-def check_multiple(q: int, qdeg: int, cp: CompiledPoly, order: MonomialOrder):
-    """Raise OverflowError if x^q (packed, of degree qdeg) times a tail term
-    of cp would pass the cap.  Only past the bound qdeg + cp.tail_deg are the
-    tail terms' packed exponents added to q and tested for a carry."""
-    if qdeg + cp.tail_deg <= _EXP_CAP:
-        return
-    carry = order.low << _EXP_BITS
-    for t, _ in cp.tail:
-        e = order.packed(t)
-        if (e ^ q ^ (e + q)) & carry:
-            raise OverflowError(f"reduction exponent exceeds order capacity {_EXP_CAP}")
-
-
 def decompile(ring: PolyRing, terms) -> Polynomial:
     """Polynomial from (V, coeff) terms with distinct keys: drop zeros, sort on V."""
     is_zero = ring.field.is_zero
@@ -772,7 +724,7 @@ class DegreeBucketReducers:
 
     find(v) returns the first reducer, by lead degree and then insertion,
     whose lead sits at v's position and divides v's monomial, after
-    `check_multiple` has cleared the step.  A reducer is filed under its
+    `check_product` has cleared the step.  A reducer is filed under its
     lead's position bits, `lead_v >> order.total_bits`: 0 for a polynomial,
     never 0 for a module vector (`syzygy.ModuleOrder`), so a reducer applies
     only at its own lead position.  Within a position each reducer sits in
@@ -833,7 +785,7 @@ class DegreeBucketReducers:
                 best, limit = r, rank
                 break
         if best is not None and deg - best.lead_deg + best.tail_deg > _EXP_CAP:
-            check_multiple(e - best.packed, deg - best.lead_deg, best, order)
+            check_product(e - best.packed, best.tail, order)
         return best
 
 

@@ -1,9 +1,10 @@
 """Trace-form syzygies of the commutator entries and the first-syzygy module.
 
-A syzygy here is a vector (a_1, ..., a_{n^2}) of polynomials with
-sum a_k f_k = 0 over the commutator entries f_k.  Reading a matrix A row by
-row produces such a vector exactly when tr(A(XY-YX)) = 0, which links the
-word rules to honest module elements.
+A syzygy here is a plain tuple (a_1, ..., a_{n^2}) of polynomials with
+sum a_k f_k = 0 over the commutator entries f_k, the same vectors every
+module routine below takes.  Reading a matrix A row by row produces such a
+tuple exactly when tr(A(XY-YX)) = 0, which links the word rules to honest
+module elements.
 
 The module half of the file holds the position-over-term module order, the
 vector <-> packed-term conversions and the callers of the Groebner engine
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .genmat import CommutatorSystem, GenericMatrix
 from .groebner import Budget, Engine, GBStats, require
@@ -61,48 +62,20 @@ def eval_expr(expr: WordExpr, system: CommutatorSystem) -> GenericMatrix:
     return acc
 
 
-@dataclass(frozen=True)
-class SyzygyTuple:
-    """Coefficient vector (a_1, ..., a_{n^2}) against the commutator entries."""
-
-    entries: tuple
-    system: CommutatorSystem
-
-    def __post_init__(self):
-        nsq = self.system.n ** 2
-        if len(self.entries) != nsq:
-            raise ValueError(f"expected {nsq} entries, got {len(self.entries)}")
-
-    def residual(self) -> Polynomial:
-        """sum a_k f_k; the zero polynomial iff this is a genuine syzygy."""
-        return self.system.ring.dot(zip(self.entries, self.system.commutators))
-
-    def is_valid(self) -> bool:
-        return self.residual().is_zero()
-
-
-def tuple_from_matrix(a: GenericMatrix, system: CommutatorSystem) -> SyzygyTuple:
+def tuple_from_matrix(a: GenericMatrix, system: CommutatorSystem) -> tuple:
     """Row-major flattening of A, so that sum a_k f_k = tr(A(XY-YX))."""
     n = system.n
     if a.size != n:
         raise ValueError(f"matrix size {a.size} does not match system size {n}")
-    entries = tuple(a[i, j] for i in range(1, n + 1) for j in range(1, n + 1))
-    return SyzygyTuple(entries=entries, system=system)
-
-
-def matrix_from_tuple(t: SyzygyTuple) -> GenericMatrix:
-    """Inverse of tuple_from_matrix."""
-    n = t.system.n
-    rows = [[t.entries[(i - 1) * n + (j - 1)] for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return GenericMatrix(t.system.ring, rows)
+    return tuple(a[i, j] for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def trace_residual(source, system: CommutatorSystem) -> Polynomial:
-    """tr(A(XY-YX)) computed through the tuple pairing; A may be a matrix or
-    a word expression."""
+    """tr(A(XY-YX)) = sum a_k f_k over the row-major entries of A; A may be a
+    matrix or a word expression."""
     if isinstance(source, WordExpr):
         source = eval_expr(source, system)
-    return tuple_from_matrix(source, system).residual()
+    return system.ring.dot(zip(tuple_from_matrix(source, system), system.commutators))
 
 
 def is_trace_syzygy(source, system: CommutatorSystem) -> bool:
@@ -110,29 +83,18 @@ def is_trace_syzygy(source, system: CommutatorSystem) -> bool:
     return trace_residual(source, system).is_zero()
 
 
-def koszul(system: CommutatorSystem) -> list:
-    """The C(n^2, 2) relations f_i e_j - f_j e_i on the full entry list."""
-    return [SyzygyTuple(entries=v, system=system) for v in _koszul_vectors(system.commutators)]
-
-
-def restrict_to_minimal(t: SyzygyTuple) -> tuple:
-    """Rewrite a full-rank syzygy over the n^2 - 1 minimal generators.
+def restrict_to_minimal(entries: Sequence[Polynomial], system: CommutatorSystem) -> tuple:
+    """Rewrite a syzygy over all n^2 entries as one over the n^2 - 1 minimal
+    generators.
 
     The dropped entry is the last diagonal one, f_{n^2} = -(sum of the other
     diagonal entries); its coefficient folds into the other diagonals.
     """
-    system = t.system
-    n = system.n
-    last = n * n  # 1-based position of the last diagonal entry
-    a_last = t.entries[last - 1]
+    last = system.n ** 2  # 1-based position of the last diagonal entry
+    a_last = entries[last - 1]
     diag = set(system.diagonal_indices)
-    out = []
-    for k in range(1, last):
-        a = t.entries[k - 1]
-        if k in diag:
-            a = a - a_last
-        out.append(a)
-    return tuple(out)
+    head = enumerate(entries[: last - 1], start=1)
+    return tuple(a - a_last if k in diag else a for k, a in head)
 
 
 # -- free-module vectors with a position-over-term order ----------------------
@@ -209,7 +171,7 @@ class ModuleBasis:
     def __init__(self, engine: Engine, morder: ModuleOrder):
         self.ring = engine.ring
         self.rank = morder.rank
-        self.vectors = tuple(decompile_vector(self.ring, self.rank, t, morder) for t in engine.elements)
+        self.size = len(engine.elements)
         self.morder = morder
         self.complete = engine.complete
         self.truncation_degree = engine.truncation_degree
@@ -217,10 +179,12 @@ class ModuleBasis:
         self.reducers = engine.reducers
 
     def __len__(self):
-        return len(self.vectors)
+        return self.size
 
     def reduce(self, vec):
-        if vector_is_zero(vec) or not self.vectors:
+        if len(vec) != self.rank:
+            raise ValueError(f"vector of rank {len(vec)} in a module of rank {self.rank}")
+        if vector_is_zero(vec) or not self.size:
             return tuple(vec)
         rem = module_normal_form(vector_terms(vec, self.morder), self.reducers, self.ring.field)
         return decompile_vector(self.ring, self.rank, rem, self.morder)
@@ -288,19 +252,6 @@ def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = N
     except ValueError:
         bound = None  # inhomogeneous input: no safe truncation
     return module_buchberger(generators, degree_bound=bound, budget=budget).contains(vec)
-
-
-def syzygy_membership(
-    t: Union[SyzygyTuple, Sequence],
-    gens: Sequence,
-    budget: Optional[Budget] = None,
-) -> bool:
-    """Module membership of one syzygy among others (any common rank)."""
-    target = tuple(t.entries) if isinstance(t, SyzygyTuple) else tuple(t)
-    vectors = [tuple(g.entries) if isinstance(g, SyzygyTuple) else tuple(g) for g in gens]
-    if any(len(v) != len(target) for v in vectors):
-        raise ValueError("generators and target have mixed ranks")
-    return module_membership(target, vectors, budget=budget)
 
 
 # -- first syzygies of the minimal generators ---------------------------------

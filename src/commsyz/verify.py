@@ -283,7 +283,7 @@ def check_first_syzygies(ctx: DeskContext, n: int):
     ]
 
     def trace_vec(mat):
-        return restrict_to_minimal(tuple_from_matrix(mat, system))
+        return restrict_to_minimal(tuple_from_matrix(mat, system), system)
 
     X, Y = system.X, system.Y
     trace_quads = [trace_vec(X * X), trace_vec(Y * Y), trace_vec(X * Y + Y * X)]

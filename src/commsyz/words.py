@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Optional
 
 MONOMIAL = "monomial"
 BINOMIAL_SUM = "binomial-sum"

@@ -19,10 +19,13 @@ quotient and meets them all, the reference for a colon that settles later
 quotients by membership.  `criteria_pairs` is the engine's pair-criteria
 step as it was written on exponent tuples, the reference for the packed
 one.  `det_cofactor` expands a determinant with ring arithmetic alone: no
-elimination, no exact division.
+elimination, no exact division.  `evaluate` and `hilbert_function` are the
+point evaluation and the Hilbert function of a numerator, which only tests
+ask for.
 """
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from commsyz.groebner import colon_by_element, interreduce, intersect_ideals
 
@@ -111,6 +114,26 @@ def count_monomials_outside(leads, nvars: int, degree: int) -> int:
         if not any(all(e >= f for e, f in zip(mon, lead)) for lead in leads):
             count += 1
     return count
+
+
+def hilbert_function(numerator, nvars: int, degree: int) -> int:
+    """Dimension of the degree-`degree` component of a quotient whose
+    Hilbert series is numerator / (1-t)^nvars."""
+    terms = enumerate(numerator[: degree + 1])
+    return sum(c * comb(nvars - 1 + degree - k, nvars - 1) for k, c in terms)
+
+
+def evaluate(f, point):
+    """f at `point`, one field element per ring variable, by repeated
+    multiplication over its exponent tuples."""
+    fld = f.ring.field
+    total = fld.zero
+    for mon, c in f.exponent_terms():
+        for e, x in zip(mon, point):
+            for _ in range(e):
+                c = fld.mul(c, x)
+        total = fld.add(total, c)
+    return total
 
 
 def selection_bidegrees_brute(n: int, cutoff=None) -> dict:
@@ -272,7 +295,7 @@ def naive_division(f: dict, divisors: list, key, field, cap=None):
             if (gpos, gexps) == leads[i]:
                 continue
             m = (gpos, tuple(a + b for a, b in zip(gexps, q)))
-            v = field.sub(work.get(m, field.zero), field.mul(cf, gc))
+            v = field.add(work.get(m, field.zero), field.neg(field.mul(cf, gc)))
             if field.is_zero(v):
                 work.pop(m, None)
             else:
@@ -330,7 +353,7 @@ def verify_basis(basis, gens=None):
         lcm = tuple(max(x, y) for x, y in zip(leads[a][1], leads[b][1]))
         s = multiple(elems[a], leads[a], lcm)
         for t, c in multiple(elems[b], leads[b], lcm).items():
-            s[t] = fld.sub(s.get(t, fld.zero), c)
+            s[t] = fld.add(s.get(t, fld.zero), fld.neg(c))
         s = {t: c for t, c in s.items() if not fld.is_zero(c)}
         if naive_division(s, elems, key, fld)[0]:
             failures.append(f"S-pair ({a},{b}) does not reduce to zero")

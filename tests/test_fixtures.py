@@ -6,7 +6,6 @@ from commsyz.fixtures import (
     KINDS,
     SCHEMA,
     FixtureNotFound,
-    fixture_n,
     fixture_names,
     load_betti_table,
     load_hilbert_series,
@@ -34,7 +33,7 @@ def test_every_fixture_loads_and_validates():
         data = load_raw(name)
         assert data["schema"] == SCHEMA
         assert data["kind"] in KINDS
-        assert fixture_n(name) == int(name[1])
+        assert data["n"] == int(name[1])
 
 
 def test_kind_mismatch_is_rejected():

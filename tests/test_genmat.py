@@ -22,6 +22,11 @@ from commsyz.genmat import (
 from oracles import det_cofactor
 
 
+def column(m, j):
+    """1-based column j of m as a list of entries."""
+    return [m[i, j] for i in range(1, m.size + 1)]
+
+
 def test_commutator_entries_enumerated_column_major():
     for n in (2, 3):
         sys = build_system(n, GF(32003))
@@ -39,7 +44,7 @@ def test_commutator_entries_enumerated_column_major():
 def test_diagonal_indices_and_generator_slices():
     sys3 = build_system(3, GF(32003))
     assert sys3.diagonal_indices == (1, 5, 9)
-    assert len(sys3.full_gens) == 9
+    assert len(sys3.commutators) == 9
     assert len(sys3.off_diagonal_gens) == 6
     assert len(sys3.minimal_gens) == 8
     sys2 = build_system(2, GF(32003))
@@ -67,13 +72,10 @@ def test_matrix_algebra_basics():
     E = GenericMatrix.identity(sys.ring, 2)
     assert (X + Y) - Y == X
     assert X * E == X and E * X == X
-    assert X.power(3) == X * X * X
-    assert X.power(0) == E
     assert (-X) + X == X - X
     assert (X * Y).trace() == (Y * X).trace()
     assert X.scale(sys.ring.const(2)) == X + X
-    assert X.column(2) == [X[1, 2], X[2, 2]]
-    assert matrix_from_columns(sys.ring, [X.column(1), X.column(2)]) == X
+    assert matrix_from_columns(sys.ring, [column(X, 1), column(X, 2)]) == X
 
 
 def test_det_known_values():
@@ -83,7 +85,7 @@ def test_det_known_values():
     assert det(E) == ring.one
     assert det(sys.X) == ring.x(1, 1) * ring.x(2, 2) - ring.x(1, 2) * ring.x(2, 1)
     # repeated column
-    m = matrix_from_columns(ring, [sys.X.column(1), sys.X.column(1)])
+    m = matrix_from_columns(ring, [column(sys.X, 1), column(sys.X, 1)])
     assert det(m).is_zero()
 
 
@@ -95,7 +97,7 @@ def test_det_is_multiplicative():
 
 def test_det_alternates_on_column_swap():
     sys = build_system(3, QQ)
-    cols = [sys.X.column(j) for j in (1, 2, 3)]
+    cols = [column(sys.X, j) for j in (1, 2, 3)]
     d = det(matrix_from_columns(sys.ring, cols))
     swapped = det(matrix_from_columns(sys.ring, [cols[1], cols[0], cols[2]]))
     assert swapped == -d

@@ -31,7 +31,7 @@ R = PolyRing(2, GF(101))
 
 
 def _vars(ring):
-    return [ring.var(v.name) for v in ring.variables]
+    return [ring.var(name) for name in ring.names]
 
 
 def test_buchberger_rejects_empty_input():
@@ -308,11 +308,16 @@ def test_colon_generators_are_the_reduced_basis(order):
     ring's own order, so a Buchberger run returns them unchanged and the
     context's colon basis is the generators themselves.  Under lex this
     needs an elimination order that refines lex, and the lex result is the
-    lex basis of the grevlex colon, the same ideal by a second route."""
+    lex basis of the grevlex colon, the same ideal by a second route.  The
+    first meet the colon eliminates is already reduced as it comes out of
+    the elimination basis: interreducing it changes nothing."""
     ctx = DeskContext(order=order)
     gens = ctx.colon_generators(3)
     assert list(buchberger(gens).elements) == gens
     assert ctx.colon_basis(3).elements == tuple(gens)
+    system = ctx.system(3)
+    meet = intersect_ideals(system.off_diagonal_gens, [system.f(1)])
+    assert len(meet) > 1 and interreduce(meet) == meet
     if order == "lex":
         ring = gens[0].ring
         grevlex = DeskContext().colon_generators(3)

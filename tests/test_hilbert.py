@@ -19,7 +19,7 @@ from commsyz.hilbert import (
     splice_tail,
 )
 
-from oracles import count_monomials_outside
+from oracles import count_monomials_outside, hilbert_function
 
 # -- series arithmetic ----------------------------------------------------------
 
@@ -45,7 +45,7 @@ def test_monomial_numerator_matches_direct_count(gens, d):
     series = HilbertSeries(
         numerator=tuple(monomial_quotient_numerator(gens, 4)), nvars=4
     )
-    assert series.hilbert_function(d) == count_monomials_outside(gens, 4, d)
+    assert hilbert_function(series.numerator, 4, d) == count_monomials_outside(gens, 4, d)
 
 
 @settings(max_examples=30)
@@ -70,7 +70,7 @@ def test_polynomial_ring_series():
     assert s.dimension == 4
     assert s.multiplicity == 1
     for d in range(5):
-        assert s.hilbert_function(d) == comb(d + 3, 3)
+        assert hilbert_function(s.numerator, 4, d) == comb(d + 3, 3)
 
 
 def test_complete_intersection_products():
@@ -129,7 +129,7 @@ def test_quotient_series_matches_monomial_count_oracle(ctx):
         nvars = gb.ring.nvars
         leads = minimalize_monomials(gb.lead_exponents())
         for d in range(dmax + 1):
-            assert series.hilbert_function(d) == count_monomials_outside(
+            assert hilbert_function(series.numerator, nvars, d) == count_monomials_outside(
                 leads, nvars, d
             )
 

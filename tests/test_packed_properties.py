@@ -8,7 +8,7 @@ so products and division steps land on both sides of the cap.  Three
 variables (t_1, x_1_1, y_1_1) under grevlex, lex and elim, over QQ and GF(7).
 
 The packed-exponent primitives (divisibility, lcm, support mask, key and
-degree, and the carry test of `check_multiple`) are compared with tuple
+degree, and the carry test of `check_product`) are compared with tuple
 oracles in five variables, where elim's two blocks (3 | 2 and 2 | 3) have a
 degree field between them, and on module keys whose position bits sit above
 the scalar key.
@@ -25,7 +25,7 @@ from commsyz.polyring import (
     Grevlex,
     Lex,
     PolyRing,
-    check_multiple,
+    check_product,
     compile_terms,
     divide,
 )
@@ -102,15 +102,16 @@ def test_products_match_the_oracle_or_raise_past_the_cap(case):
 
 @PROPERTY
 @given(case=ring_and_terms(1), mon=monomials, c=st.integers(1, 6))
-def test_mul_monomial_matches_the_oracle_or_raises_past_the_cap(case, mon, c):
+def test_monomial_multiples_match_the_oracle_or_raise_past_the_cap(case, mon, c):
     ring, (terms,) = case
     f = ring.poly(terms)
     m = ring.poly({mon: c})
-    if largest_product_exponent([(f, m)]) > CAP:
-        with pytest.raises(OverflowError):
-            f.mul_monomial(mon, c)
-    else:
-        assert as_dict(f.mul_monomial(mon, c)) == naive_products([(f, m)], ring.field)
+    for pairs in ([(f, m)], [(m, f)]):
+        if largest_product_exponent(pairs) > CAP:
+            with pytest.raises(OverflowError):
+                ring.dot(pairs)
+        else:
+            assert as_dict(ring.dot(pairs)) == naive_products(pairs, ring.field)
 
 
 @PROPERTY
@@ -226,6 +227,6 @@ def test_cap_check_matches_the_tuples(ring, q, terms):
     assert cp.lead_deg == sum(order.decode(morder.decode(keys[0])[1]))
     if any(x + y > CAP for t in tails for x, y in zip(q, t)):
         with pytest.raises(OverflowError):
-            check_multiple(_packed(order, q), sum(q), cp, order)
+            check_product(_packed(order, q), cp.tail, order)
     else:
-        check_multiple(_packed(order, q), sum(q), cp, order)
+        check_product(_packed(order, q), cp.tail, order)

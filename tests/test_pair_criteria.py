@@ -115,7 +115,7 @@ def _divisible_leads(order, seed):
     while c divides the lead of its multiple."""
     rng = random.Random(seed)
     ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
-    names = [v.name for v in ring.variables]
+    names = list(ring.names)
     left = [names.index(f"x_1_{j}") for j in (1, 2)]
     right = [names.index(f"x_2_{j}") for j in (1, 2)]
 
@@ -151,7 +151,7 @@ def test_a_coprime_lead_drops_a_pair_of_equal_lcm(checked, dropped, order, swap)
     """c = x_2_1, g = x_1_1 x_2_1, h = x_1_1^2: lcm(g, h) = lcm(c, h)."""
     ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
     rng = random.Random(1)
-    names = [v.name for v in ring.variables]
+    names = list(ring.names)
 
     def lead(**exps):
         return [exps.get(name, 0) for name in names]
@@ -167,7 +167,7 @@ def test_a_coprime_lead_drops_a_pair_of_equal_lcm(checked, dropped, order, swap)
 def _random_ideal(order, seed):
     rng = random.Random(seed)
     ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
-    live = [ring.var(v.name) for v in rng.sample(ring.variables, 6)]
+    live = [ring.var(name) for name in rng.sample(ring.names, 6)]
     gens = []
     for _ in range(rng.randint(4, 7)):
         degree = rng.randint(2, 3)

@@ -14,7 +14,7 @@ from commsyz.polyring import (
     make_order,
 )
 
-from oracles import mon_degree, mon_div, mon_divides, mon_lcm, mon_mul
+from oracles import evaluate, mon_degree, mon_div, mon_divides, mon_lcm, mon_mul
 
 R = PolyRing(2, GF(101))  # 8 variables
 RQ = PolyRing(2, QQ)
@@ -45,6 +45,10 @@ def test_monomial_helpers(a, b):
 # -- monomial orders -----------------------------------------------------------
 
 
+def greater(order, a, b) -> bool:
+    return order.encode(a) > order.encode(b)
+
+
 @given(e=exps8)
 def test_order_encode_decode_roundtrip(e):
     for order in (Grevlex(8), Lex(8), make_order("grevlex", 8, naux=2)):
@@ -57,26 +61,26 @@ def test_order_encode_decode_roundtrip(e):
 def test_order_is_total_and_multiplicative(a, b, c):
     for order in (Grevlex(8), Lex(8)):
         if a == b:
-            assert not order.greater(a, b) and not order.greater(b, a)
+            assert not greater(order, a, b) and not greater(order, b, a)
         else:
-            assert order.greater(a, b) != order.greater(b, a)
-        if order.greater(a, b):
-            assert order.greater(mon_mul(a, c), mon_mul(b, c))
+            assert greater(order, a, b) != greater(order, b, a)
+        if greater(order, a, b):
+            assert greater(order, mon_mul(a, c), mon_mul(b, c))
 
 
 def test_grevlex_tie_break():
     order = Grevlex(3)
     # same degree: higher degree wins first, then smaller last exponent wins
-    assert order.greater((2, 0, 0), (1, 1, 0))  # x^2 > xy? grevlex: compare
-    assert order.greater((1, 1, 0), (1, 0, 1))
-    assert order.greater((0, 2, 1), (0, 1, 2))
-    assert order.greater((1, 0, 0), (0, 0, 0))
+    assert greater(order, (2, 0, 0), (1, 1, 0))  # x^2 > xy? grevlex: compare
+    assert greater(order, (1, 1, 0), (1, 0, 1))
+    assert greater(order, (0, 2, 1), (0, 1, 2))
+    assert greater(order, (1, 0, 0), (0, 0, 0))
 
 
 def test_lex_order():
     order = Lex(3)
-    assert order.greater((1, 0, 0), (0, 5, 5))
-    assert order.greater((1, 1, 0), (1, 0, 5))
+    assert greater(order, (1, 0, 0), (0, 5, 5))
+    assert greater(order, (1, 1, 0), (1, 0, 5))
 
 
 def test_elimination_order_blocks():
@@ -84,7 +88,7 @@ def test_elimination_order_blocks():
     order = ring.order
     aux = (1,) + (0,) * 8
     big = (0,) + (3,) * 8
-    assert order.greater(aux, big)
+    assert greater(order, aux, big)
     with pytest.raises(ValueError):
         make_order("elim", 8, naux=0)
     with pytest.raises(ValueError):
@@ -155,21 +159,12 @@ def test_exact_div_inverts_mul(da, db):
 
 
 @settings(max_examples=40)
-@given(d=poly_dicts, m=exps8, c=st.integers(1, 100))
-def test_mul_monomial_matches_poly_mul(d, m, c):
-    f = mk(d)
-    assert f.mul_monomial(m, R.field.coerce(c)) == f * R.poly({m: c})
-
-
-@settings(max_examples=40)
 @given(da=poly_dicts, db=poly_dicts, point=st.lists(st.integers(0, 100), min_size=8, max_size=8))
 def test_substitution_is_a_homomorphism(da, db, point):
     f, g = mk(da), mk(db)
-    vals = {v.name: c for v, c in zip(R.variables, point)}
-    lhs = (f * g).substitute(vals)
-    rhs = R.field.mul(f.substitute(vals), g.substitute(vals))
-    assert lhs == rhs
-    assert (f + g).substitute(vals) == R.field.add(f.substitute(vals), g.substitute(vals))
+    fld = R.field
+    assert evaluate(f * g, point) == fld.mul(evaluate(f, point), evaluate(g, point))
+    assert evaluate(f + g, point) == fld.add(evaluate(f, point), evaluate(g, point))
 
 
 def test_degrees_and_bidegrees():
@@ -249,5 +244,3 @@ def test_encode_refuses_negative_exponents(order):
             order.encode(exps)
         with pytest.raises(ValueError, match="negative exponent"):
             ring.poly({tuple(exps): 1})
-        with pytest.raises(ValueError, match="negative exponent"):
-            ring.one.mul_monomial(exps)

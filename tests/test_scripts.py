@@ -1,0 +1,30 @@
+"""Each script in `scripts/` runs to exit status 0 on its smallest input.
+
+The scripts import library names (`RunConfig`, `run_verify_suite`,
+`is_trace_syzygy`, `colon_bidegrees`, ...) that refactors may move; this
+runs each `main()` in-process so a broken import or call fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,argv",
+    [
+        ("desk_verify", ["--sizes", "2"]),
+        ("trace_rule_scan", ["--degree", "3", "--sizes", "2"]),
+        ("colon_degree_survey", ["--max-n", "4"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_script_main_exits_zero(script, argv, capsys):
+    spec = importlib.util.spec_from_file_location(f"scripts_{script}", SCRIPTS / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(argv) == 0
+    assert capsys.readouterr().out
