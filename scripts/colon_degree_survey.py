@@ -4,7 +4,8 @@
 For each size the script prints the closed-form selection parameters, then
 the enumerated bidegree table (degree by degree, as contiguous runs of
 (x, y) splits), and cross-checks the two: the enumeration must realize the
-closed-form degree window and the extreme-degree counts exactly.
+closed-form degree window and the extreme-degree counts exactly, with one
+contiguous run of splits per degree.
 
 Example:
     python3 scripts/colon_degree_survey.py --max-n 12
@@ -14,7 +15,7 @@ Example:
 import argparse
 import sys
 
-from commsyz.conjecture import colon_bidegrees, selection_params
+from commsyz.conjecture import colon_bidegrees, selection_params, selection_problems
 
 
 def survey_one(n: int, uncapped: bool) -> bool:
@@ -30,13 +31,7 @@ def survey_one(n: int, uncapped: bool) -> bool:
         runs = f"x in {xs[0]}..{xs[-1]}" if len(xs) > 1 else f"x = {xs[0]}"
         print(f"  degree {d:3d}: {len(table[d]):3d} bidegrees  ({runs})")
 
-    visible = {d: cells for d, cells in table.items() if d <= params.d_max}
-    ok = (
-        min(visible) == params.d_min
-        and max(visible) == params.d_max
-        and len(visible[params.d_min]) == params.count_min
-        and len(visible[params.d_max]) == params.count_max
-    )
+    ok = not selection_problems(n, table)
     print(f"  closed forms vs enumeration: {'ok' if ok else 'MISMATCH'}")
     return ok
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the whole verification suite across a range of matrix sizes.
 
-Each size gets the same per-size check plan the `commsyz verify` subcommand
-uses; sizes above the desk limit simply skip the Groebner-scale checks unless
-an explicit budget is supplied.  Exit status is nonzero iff any check FAILs.
+Each size runs through `run_command` exactly as `commsyz verify -n N` does,
+so it gets the same per-size check plan and the same desk-limit rule.  Exit
+status is nonzero iff any check FAILs.
 
 Example:
     python3 scripts/desk_verify.py --sizes 2 3 4
@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from commsyz.cli import RunConfig, emit, run_verify_suite
+from commsyz.cli import RunConfig, emit, run_command
 
 
 def main(argv=None) -> int:
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
             budget_seconds=args.budget_seconds,
             json_output=args.json,
         )
-        report = run_verify_suite(cfg)
+        report = run_command(cfg)
         print(emit(report, "json" if args.json else "text"))
         print()
         if any(r["verdict"] == "FAIL" for r in report.results):

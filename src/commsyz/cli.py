@@ -3,9 +3,9 @@ colon ideals, Hilbert series, predictors, and the verification suite.
 
 Each subcommand other than `verify` is one function (cfg, ctx, n) ->
 (verdict, detail) in `COMMANDS`, listed with what it computes when that is
-Groebner-scale work.  `run_command` is the one dispatcher: `verify` runs the
-suite, and any other subcommand runs as one check named after it, reported
-SKIPPED past the desk limit when it is Groebner-scale work with no budget.
+Groebner-scale work.  `run_command` is the one dispatcher: it hands
+`verify.run_suite` the suite's checks, or one check named after the
+subcommand, and that planner's desk limit rule decides what is SKIPPED.
 
 Every run produces a Report; `--json` emits it under the versioned schema
 with all wall-clock numbers quarantined in the `timing` block, so reports
@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from time import perf_counter
 from typing import Optional
 
@@ -38,23 +38,19 @@ from commsyz.fields import field_from_name
 from commsyz.genmat import GenericMatrix
 from commsyz.groebner import Budget, buchberger
 from commsyz.hilbert import hilbert_of_basis
-from commsyz.syzygy import first_syzygies, is_trace_syzygy, trace_residual
+from commsyz.syzygy import is_trace_syzygy, trace_residual
 from commsyz.verify import (
-    DESK_LIMIT,
+    CHECKS,
+    WORD_DEGREE,
     CheckDef,
-    CheckResult,
     DeskContext,
     check_splice_euler,
-    run_check,
     run_suite,
 )
 from commsyz.words import candidates as word_candidates
 
 REPORT_SCHEMA = "commsyz-report/1"
 ENV_PREFIX = "COMMSYZ_"
-
-#: the fixed trace-form candidate set used for word verdicts
-WORD_DEGREE = 5
 
 ORDERS = ("grevlex", "lex")
 
@@ -80,6 +76,8 @@ class RunConfig:
             raise ValueError("n must be at least 1")
         if self.order not in ORDERS:
             raise ValueError(f"order must be one of {', '.join(ORDERS)}, not {self.order!r}")
+        if self.degree_bound is not None and self.degree_bound < 0:
+            raise ValueError("degree bound must be nonnegative")
         self.budget()  # validates positivity
 
     def budget(self) -> Optional[Budget]:
@@ -117,9 +115,8 @@ class Report:
 
 
 def _stats_detail(stats) -> dict:
-    d = stats.as_dict()
-    d.pop("seconds", None)
-    return d
+    """The engine's work counts; its wall-clock seconds stay out of results."""
+    return {k: v for k, v in asdict(stats).items() if k != "seconds"}
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,7 @@ def _colon(cfg: RunConfig, ctx: DeskContext, n: int):
 
 
 def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
-    fs = first_syzygies(ctx.system(n), degree_bound=cfg.degree_bound, budget=cfg.budget())
+    fs = ctx.syzygies(n, cfg.degree_bound)
     words = []
     if n <= 4:
         system_qq = ctx.system_qq(n)
@@ -287,40 +284,31 @@ def _predict(cfg: RunConfig, ctx: DeskContext, n: int):
     return "PASS", detail
 
 
-#: subcommand -> (what it computes when that is Groebner-scale work, which the
-#: desk limit guards, else None; its (cfg, ctx, n) -> (verdict, detail))
+#: subcommand -> (its (cfg, ctx, n) -> (verdict, detail); what it computes
+#: when that is Groebner-scale work, which the desk limit guards, else None)
 COMMANDS = {
-    "commutator": (None, _commutator),
-    "candidates": (None, _candidates),
-    "groebner": ("a Groebner basis", _groebner),
-    "colon": ("a colon ideal", _colon),
-    "syzygies": ("a first-syzygy computation", _syzygies),
-    "syzygy-check": (None, _syzygy_check),
-    "hilbert": ("a Hilbert series", _hilbert),
-    "check-splice": (None, lambda cfg, ctx, n: check_splice_euler(ctx, n)),
-    "predict": (None, _predict),
+    "commutator": (_commutator, None),
+    "candidates": (_candidates, None),
+    "groebner": (_groebner, "a Groebner basis"),
+    "colon": (_colon, "a colon ideal"),
+    "syzygies": (_syzygies, "a first-syzygy computation"),
+    "syzygy-check": (_syzygy_check, None),
+    "hilbert": (_hilbert, "a Hilbert series"),
+    "check-splice": (lambda cfg, ctx, n: check_splice_euler(ctx, n), None),
+    "predict": (_predict, None),
 }
 
 
 def run_command(cfg: RunConfig) -> Report:
     """Run the configured subcommand as a Report: the verify suite, or one
-    check named after the subcommand, SKIPPED when it is Groebner-scale work
-    past the desk limit and no budget bounds it."""
+    check named after the subcommand, planned by `run_suite`."""
     start = perf_counter()
-    if cfg.command == "verify":
-        results = run_suite(cfg.context(), cfg.n)
-    else:
-        what, func = COMMANDS[cfg.command]
-        if what and cfg.n > DESK_LIMIT and cfg.budget() is None:
-            reason = (
-                f"{what} at n={cfg.n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
-                "pass --budget-seconds or --budget-spairs to attempt a bounded partial run"
-            )
-            results = [CheckResult("desk-limit", "SKIPPED", {"reason": reason}, 0.0)]
-        else:
-            name = f"predict-{cfg.extras['target']}" if cfg.command == "predict" else cfg.command
-            check = CheckDef(name, lambda ctx, n: func(cfg, ctx, n), lambda n: "run")
-            results = [run_check(check, cfg.context(), cfg.n)]
+    checks = CHECKS
+    if cfg.command != "verify":
+        func, what = COMMANDS[cfg.command]
+        name = f"predict-{cfg.extras['target']}" if cfg.command == "predict" else cfg.command
+        checks = (CheckDef(name, lambda ctx, n: func(cfg, ctx, n), what=what),)
+    results = run_suite(cfg.context(), cfg.n, checks)
     return Report(
         command=cfg.command,
         config=cfg.as_dict(),
@@ -332,11 +320,6 @@ def run_command(cfg: RunConfig) -> Report:
             "per_result": {r.name: round(r.seconds, 3) for r in results},
         },
     )
-
-
-def run_verify_suite(cfg: RunConfig) -> Report:
-    """The full verification suite for the configured n, as a Report."""
-    return run_command(replace(cfg, command="verify"))
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +417,12 @@ def parse_args(argv) -> RunConfig:
             parser.error(f"cannot read matrix file: {exc}")
     elif ns.command == "predict":
         extras["target"] = ns.target
-    if ns.command == "check-splice" and ns.n not in (3, 4):
+    splice = next(c for c in CHECKS if c.name == "splice-euler")
+    if ns.command == "check-splice" and not splice.applies(ns.n):
         parser.error("check-splice is defined for -n 3 (computed) and -n 4 (fixtures)")
+    shared = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if f.name in vars(ns)}
     try:
-        return RunConfig(
-            command=ns.command,
-            n=ns.n,
-            field=ns.field,
-            order=ns.order,
-            budget_seconds=ns.budget_seconds,
-            budget_spairs=ns.budget_spairs,
-            degree_bound=ns.degree_bound,
-            fixtures=ns.fixtures,
-            json_output=ns.json,
-            extras=extras,
-        )
+        return RunConfig(**shared, json_output=ns.json, extras=extras)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -110,6 +110,28 @@ def colon_bidegrees(n: int, degree_cutoff: Optional[int] = None) -> dict:
     return dict(sorted(out.items()))
 
 
+def selection_problems(n: int, table: Optional[dict] = None) -> list:
+    """Problems of the bidegree table at n (`colon_bidegrees(n)` unless given),
+    read through d_max, against the closed forms: the degree window, the
+    extreme-degree counts and one contiguous x-run per degree."""
+    params = selection_params(n)
+    if table is None:
+        table = colon_bidegrees(n)
+    table = {d: cells for d, cells in table.items() if d <= params.d_max}
+    if (min(table, default=None), max(table, default=None)) != (params.d_min, params.d_max):
+        return [f"degree range at n={n}"]
+    problems = []
+    if len(table[params.d_min]) != params.count_min:
+        problems.append(f"minimum-degree count at n={n}")
+    if len(table[params.d_max]) != params.count_max:
+        problems.append(f"maximum-degree count at n={n}")
+    for d, cells in table.items():
+        xs = sorted(x for x, _ in cells)
+        if xs != list(range(xs[0], xs[0] + len(xs))):
+            problems.append(f"non-contiguous bidegree run at n={n}, degree {d}")
+    return problems
+
+
 def first_betti_prediction(n: int) -> dict:
     """Conjectured minimal first-syzygy counts, keyed by coefficient degree.
 

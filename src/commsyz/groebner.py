@@ -24,7 +24,7 @@ to eliminating its quotient and the meet otherwise.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Optional, Sequence
 
@@ -99,9 +99,6 @@ class GBStats:
     elements_added: int = 0
     max_degree_processed: int = 0
     seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 class GroebnerBasis:
@@ -207,8 +204,7 @@ class Engine:
         self.budget = budget or Budget()
         self.stats = GBStats()
         self.start = time.monotonic()
-        self.elements: list = []  # monic descending term lists
-        self.basis: list[CompiledPoly] = []
+        self.basis: list[CompiledPoly] = []  # the monic elements, lead and tail
         self.reps = [] if track else None
         self.syzygies: list = []
         self.pairs: dict = {}  # (i, j) -> packed lcm
@@ -257,7 +253,6 @@ class Engine:
                 if g.lead_v >> bits == pos:
                     self._push(g.index, h, lcm(g.packed, cp.packed))
         self.basis.append(cp)
-        self.elements.append(terms)
         self.reducers.add(cp)
         self.stats.elements_added += 1
 
@@ -344,7 +339,8 @@ class Engine:
             if tracking and not a.support & b.support:
                 # coprime leads: the pair's syzygy is the Koszul relation
                 stats.pairs_pruned += 1
-                syz = self._combine(deg, [(i, self.elements[j], 1), (j, self.elements[i], -1)])
+                ta, tb = ((a.lead_v, a.lc), *a.tail), ((b.lead_v, b.lc), *b.tail)
+                syz = self._combine(deg, [(i, tb, 1), (j, ta, -1)])
                 if syz:
                     self.syzygies.append(syz)
                 continue
@@ -449,7 +445,8 @@ def buchberger(
     for g in gens:
         engine.add(g.terms)
     engine.run()
-    polys = [Polynomial(ring, tuple(t)) for t in sorted(engine.elements, key=lambda t: t[0][0])]
+    basis = sorted(engine.basis, key=lambda g: g.lead_v)
+    polys = [Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in basis]
     # A cut run keeps every accumulated element: with pairs unprocessed,
     # dropping a lead-redundant element could lose ideal content in its tail.
     if engine.exhausted is None:

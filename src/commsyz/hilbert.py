@@ -11,7 +11,7 @@ canonical module onto the tail of the quotient's resolution.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .groebner import require
@@ -207,7 +207,7 @@ def hilbert_of_basis(basis) -> HilbertSeries:
 
 # -- graded Betti tables -------------------------------------------------------
 
-_BOUND_RE = re.compile(r"^(\d+)\+$")
+_BOUND_RE = re.compile(r"^\d+\+$")
 
 
 class GradedBettiTable:
@@ -324,7 +324,6 @@ class EulerConstraint:
     constant: int
     coeffs: dict
     target: int
-    bounds: dict = field(default_factory=dict)
 
     @property
     def determined(self) -> bool:
@@ -351,16 +350,6 @@ class EulerConstraint:
         return f"degree {self.degree}: {txt} = {self.target - self.constant}"
 
 
-def _classify_cell(v: Cell, i: int, j: int):
-    """(constant, symbol, lower bound) for one table cell."""
-    if isinstance(v, int):
-        return v, None, None
-    m = _BOUND_RE.match(v)
-    if m:
-        return 0, f"b{i}_{j}", int(m.group(1))
-    return 0, v, None
-
-
 def euler_constraints(table: GradedBettiTable, series: HilbertSeries) -> list:
     """Per-degree alternating-sum constraints between a Betti table and the
     Hilbert numerator.
@@ -375,24 +364,21 @@ def euler_constraints(table: GradedBettiTable, series: HilbertSeries) -> list:
     for j in sorted(degrees):
         constant = 0
         coeffs: dict = {}
-        bounds: dict = {}
         for (ci, cj), v in table.cells.items():
             if cj != j:
                 continue
             sign = -1 if ci % 2 else 1
-            const, sym, bound = _classify_cell(v, ci, cj)
-            constant += sign * const
-            if sym is not None:
+            if isinstance(v, int):
+                constant += sign * v
+            else:  # an unknown; a lower bound 'N+' is named b{i}_{j}
+                sym = f"b{ci}_{cj}" if _BOUND_RE.match(v) else v
                 coeffs[sym] = coeffs.get(sym, 0) + sign
-                if bound is not None:
-                    bounds[sym] = bound
         coeffs = {s: c for s, c in coeffs.items() if c != 0}
         con = EulerConstraint(
             degree=j,
             constant=constant,
             coeffs=coeffs,
             target=series.coefficient(j),
-            bounds=bounds,
         )
         if con.satisfied is False:
             violations.append(con)

@@ -171,7 +171,7 @@ class ModuleBasis:
     def __init__(self, engine: Engine, morder: ModuleOrder):
         self.ring = engine.ring
         self.rank = morder.rank
-        self.size = len(engine.elements)
+        self.size = len(engine.basis)
         self.morder = morder
         self.complete = engine.complete
         self.truncation_degree = engine.truncation_degree

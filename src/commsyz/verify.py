@@ -1,11 +1,13 @@
 """Desk-scale verification suite shared by the CLI and the acceptance tests.
 
 Each check verifies one published claim about the commutator systems, sliced
-by matrix size n: for a configured n a check either runs, is reported SKIPPED
-when it sits behind a declared desk-scale limit (Groebner-sized work at
-n >= 4), or is omitted when it says nothing about that n.  All verdicts are
-deterministic; wall-clock timing is reported separately so two runs with the
-same configuration produce identical result payloads.
+by matrix size n.  `run_suite` is the one planner, for the suite and for each
+CLI subcommand, which runs as a suite of one check: a check runs where it
+applies and is omitted where it says nothing about n.  The one desk limit
+rule reports a check SKIPPED when it does Groebner-scale work at n past
+DESK_LIMIT and either does not apply there or has no budget to bound it.
+All verdicts are deterministic; wall-clock timing is reported separately so
+two runs with the same configuration produce identical result payloads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from commsyz.conjecture import (
     knutson_bidegree_feasible,
     knutson_candidates,
     selection_params,
+    selection_problems,
 )
 from commsyz.fields import GF, QQ
 from commsyz.genmat import (
@@ -67,8 +70,11 @@ from commsyz.words import candidates as word_candidates
 VERDICTS = ("PASS", "FAIL", "PARTIAL", "SKIPPED")
 
 #: Largest n whose Groebner-sized computations are desk-scale.  Beyond this,
-#: checks that need a basis, a colon ideal, or a syzygy run report SKIPPED.
+#: a check that needs a basis, a colon ideal or a syzygy run needs a budget.
 DESK_LIMIT = 3
+
+#: Degree of the fixed trace-form candidate set behind every word verdict.
+WORD_DEGREE = 5
 
 _RANDOM_SEED = 20260816
 
@@ -254,10 +260,10 @@ def check_identities(ctx: DeskContext, n: int):
 
 
 def check_trace_rules(ctx: DeskContext, n: int):
-    """Every generated trace-form candidate through degree 5 is an exact
+    """Every generated trace-form candidate through WORD_DEGREE is an exact
     syzygy of the n x n system."""
     system = ctx.system_qq(n)
-    exprs = word_candidates(5)
+    exprs = word_candidates(WORD_DEGREE)
     failures = [str(expr) for expr in exprs if not is_trace_syzygy(expr, system)]
     detail = {"n": n, "candidates": len(exprs), "failures": failures}
     return _verdict(not failures), detail
@@ -442,20 +448,7 @@ def check_predictors(ctx: DeskContext, n: int):
         problems.append("bidegree table at n=4")
 
     for m in range(2, 13):
-        params = selection_params(m)
-        table = colon_bidegrees(m)
-        degrees = sorted(table)
-        if degrees[0] != params.d_min or degrees[-1] != params.d_max:
-            problems.append(f"degree range at n={m}")
-            continue
-        if len(table[params.d_min]) != params.count_min:
-            problems.append(f"minimum-degree count at n={m}")
-        if len(table[params.d_max]) != params.count_max:
-            problems.append(f"maximum-degree count at n={m}")
-        for d, runs in table.items():
-            xs = sorted(x for x, _ in runs)
-            if xs != list(range(xs[0], xs[0] + len(xs))):
-                problems.append(f"non-contiguous bidegree run at n={m}, degree {d}")
+        problems.extend(selection_problems(m))
         if m >= 3 and first_betti_total(m) != sum(first_betti_prediction(m).values()):
             problems.append(f"total formula at n={m}")
 
@@ -611,32 +604,28 @@ _SKIP_GB = (
 
 @dataclass(frozen=True)
 class CheckDef:
+    """`func(ctx, n) -> (verdict, detail)`, the sizes it `applies` to, and
+    `what` Groebner-scale work it does (None when none)."""
+
     name: str
     func: Callable
-    applies: Callable  # n -> 'run' | 'skip' | None
-
-
-def _run_for(ns) -> Callable:
-    return lambda n: "run" if n in ns else None
-
-
-def _run_or_skip(ns) -> Callable:
-    return lambda n: "run" if n in ns else ("skip" if n > DESK_LIMIT else None)
+    applies: Callable = lambda n: True
+    what: Optional[str] = None
 
 
 CHECKS = (
-    CheckDef("presentation", check_presentation, _run_for((2,))),
-    CheckDef("matrix-identities", check_identities, _run_for((2,))),
-    CheckDef("trace-rules", check_trace_rules, _run_for((2, 3, 4))),
-    CheckDef("first-syzygies", check_first_syzygies, _run_or_skip((3,))),
-    CheckDef("colon-ideal", check_colon_ideal, _run_or_skip((3,))),
-    CheckDef("dimension", check_dimension, _run_or_skip((2, 3))),
-    CheckDef("cofactor-identity", check_cofactor, _run_for((3,))),
-    CheckDef("predictors", check_predictors, lambda n: "run"),
+    CheckDef("presentation", check_presentation, lambda n: n == 2),
+    CheckDef("matrix-identities", check_identities, lambda n: n == 2),
+    CheckDef("trace-rules", check_trace_rules, lambda n: n in (2, 3, 4)),
     CheckDef(
-        "splice-euler", check_splice_euler, lambda n: "run" if n in (3, 4) else None
+        "first-syzygies", check_first_syzygies, lambda n: n == 3, "a first-syzygy computation"
     ),
-    CheckDef("knutson", check_knutson, lambda n: "run" if n >= 3 else None),
+    CheckDef("colon-ideal", check_colon_ideal, lambda n: n == 3, "a colon ideal"),
+    CheckDef("dimension", check_dimension, lambda n: n in (2, 3), "a Hilbert series"),
+    CheckDef("cofactor-identity", check_cofactor, lambda n: n == 3),
+    CheckDef("predictors", check_predictors),
+    CheckDef("splice-euler", check_splice_euler, lambda n: n in (3, 4)),
+    CheckDef("knutson", check_knutson, lambda n: n >= 3),
 )
 
 
@@ -655,13 +644,19 @@ def run_check(check: CheckDef, ctx: DeskContext, n: int) -> CheckResult:
     return CheckResult(check.name, verdict, detail, perf_counter() - start)
 
 
-def run_suite(ctx: DeskContext, n: int) -> list:
-    """All checks that apply to matrix size n, in registry order."""
+def run_suite(ctx: DeskContext, n: int, checks=CHECKS) -> list:
+    """The checks that apply to matrix size n, in order.  The one desk limit
+    rule: past DESK_LIMIT a check with Groebner-scale work is SKIPPED where
+    it does not apply, or where it does and no `ctx.budget` bounds it."""
     results = []
-    for check in CHECKS:
-        mode = check.applies(n)
-        if mode == "skip":
-            results.append(CheckResult(check.name, "SKIPPED", {"reason": _SKIP_GB}, 0.0))
-        elif mode:
+    for check in checks:
+        applies = check.applies(n)
+        if check.what and n > DESK_LIMIT and not (applies and ctx.budget is not None):
+            reason = _SKIP_GB if not applies else (
+                f"{check.what} at n={n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
+                "pass --budget-seconds or --budget-spairs to attempt a bounded partial run"
+            )
+            results.append(CheckResult(check.name, "SKIPPED", {"reason": reason}, 0.0))
+        elif applies:
             results.append(run_check(check, ctx, n))
     return results

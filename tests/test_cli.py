@@ -13,7 +13,7 @@ from commsyz.cli import (
     emit,
     main,
     parse_args,
-    run_verify_suite,
+    run_command,
 )
 
 
@@ -76,6 +76,9 @@ def test_run_config_validation():
         RunConfig(command="verify", budget_seconds=-1)
     with pytest.raises(ValueError):
         RunConfig(command="verify", order="elim")
+    with pytest.raises(ValueError):
+        RunConfig(command="groebner", degree_bound=-1)
+    assert RunConfig(command="groebner", degree_bound=0).degree_bound == 0
     cfg = RunConfig(command="verify", budget_spairs=10)
     budget = cfg.budget()
     assert budget.max_spairs == 10
@@ -88,6 +91,7 @@ def test_run_config_validation():
         ("ORDER", "elim", ["groebner", "-n", "2"]),
         ("BUDGET_SPAIRS", "-1", ["groebner", "-n", "2"]),
         ("DEGREE_BOUND", "two", ["groebner", "-n", "2"]),
+        ("DEGREE_BOUND", "-1", ["groebner", "-n", "2"]),
     ],
 )
 def test_bad_environment_presets_are_usage_errors(name, value, argv, monkeypatch, capsys):
@@ -214,8 +218,8 @@ def test_desk_guard_refuses_big_runs_without_budget(capsys):
     code, rep = run_json(["groebner", "-n", "4"], capsys)
     assert code == 0
     (res,) = rep["results"]
-    assert res["verdict"] == "SKIPPED"
-    assert "budget" in res["detail"]["reason"]
+    assert (res["name"], res["verdict"]) == ("groebner", "SKIPPED")
+    assert "--budget-seconds or --budget-spairs" in res["detail"]["reason"]
 
 
 def test_desk_guard_lifts_with_explicit_budget(capsys):
@@ -249,13 +253,11 @@ def test_verify_command_smallest_size(capsys):
     assert set(rep["timing"]["per_result"]) == set(names)
 
 
-def test_run_verify_suite_matches_main(capsys):
-    report = run_verify_suite(RunConfig(command="verify", n=2))
+def test_run_command_matches_main(capsys):
+    report = run_command(RunConfig(command="verify", n=2))
     assert report.exit_code() == 0
     code, rep = run_json(["verify", "-n", "2"], capsys)
-    got = {r["name"]: r["verdict"] for r in rep["results"]}
-    want = {r["name"]: r["verdict"] for r in report.results}
-    assert got == want
+    assert rep["results"] == report.results
 
 
 def test_predict_commands_flag_conjecture_status(capsys):

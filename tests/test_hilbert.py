@@ -213,11 +213,11 @@ def test_euler_constraints_carry_symbolic_residuals():
     assert c.target == -1
     assert c.satisfied is None
     assert str(c) == "degree 2: - c + d = -1"
-    # lower-bound cells become named unknowns with recorded bounds
+    # lower-bound cells become named unknowns
     t2 = GradedBettiTable({(0, 0): 1, (1, 2): "5+"})
     cons2 = euler_constraints(t2, series)
     res2 = residual_relations(cons2)
-    assert res2 and res2[0].bounds == {"b1_2": 5}
+    assert res2 and res2[0].coeffs == {"b1_2": -1}
 
 
 def test_splice_shift_values():

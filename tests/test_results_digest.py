@@ -1,4 +1,4 @@
-"""The JSON `results` of thirteen quick CLI runs, pinned by sha256.
+"""The JSON `results` of sixteen quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -11,6 +11,10 @@ suite builds it and the refusals a cut leaves behind; they were recorded
 before the colon shortcut and the cached refusals.  The n=3 verify run
 under lex reports the same results as under grevlex; it failed its colon,
 splice and Knutson checks while the elimination order did not refine lex.
+The three runs past the desk limit pin which checks run, which are SKIPPED
+and the SKIPPED reasons; they were recorded before the suite and the
+subcommands shared one check plan.  A budget changes nothing at n=4, since
+the checks behind the limit only apply at n <= 3.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -39,6 +43,9 @@ DIGESTS = {
     "verify -n 3": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
     "verify -n 3 --budget-spairs 300": "1264a6e307c448b996cf8f2ccc2dbb58681c89df3001319cec3eb151175a7286",
     "verify -n 3 --order lex": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
+    "verify -n 4": "2e3cf024f21ef00da56cf0196301b3fa9405cb44b0375dd0d118c46e7cf72797",
+    "verify -n 4 --budget-spairs 50": "2e3cf024f21ef00da56cf0196301b3fa9405cb44b0375dd0d118c46e7cf72797",
+    "verify -n 5": "d9c78850aff622eba6c971b81d414f61fd4bb6fd632d21ce473f8ae37b50100a",
 }
 
 

@@ -1,6 +1,6 @@
 """Each script in `scripts/` runs to exit status 0 on its smallest input.
 
-The scripts import library names (`RunConfig`, `run_verify_suite`,
+The scripts import library names (`RunConfig`, `run_command`,
 `is_trace_syzygy`, `colon_bidegrees`, ...) that refactors may move; this
 runs each `main()` in-process so a broken import or call fails here.
 """

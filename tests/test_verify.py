@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -34,43 +35,70 @@ def test_registry_names_are_unique_and_ordered():
 
 
 def test_per_size_plan_is_frozen():
-    def plan(n):
-        return {c.name: c.applies(n) for c in CHECKS if c.applies(n) is not None}
+    def plan(n, budget=None):
+        # run_suite over stand-ins that compute nothing
+        stubs = [replace(c, func=lambda ctx, n: ("PASS", {})) for c in CHECKS]
+        results = run_suite(DeskContext(budget=budget), n, stubs)
+        assert all(r.detail == {"reason": verify._SKIP_GB} for r in results if r.detail)
+        return {r.name: "skip" if r.verdict == "SKIPPED" else "run" for r in results}
 
-    assert plan(2) == {
-        "presentation": "run",
-        "matrix-identities": "run",
-        "trace-rules": "run",
-        "dimension": "run",
-        "predictors": "run",
+    assert {c.name: c.what for c in CHECKS if c.what} == {
+        "first-syzygies": "a first-syzygy computation",
+        "colon-ideal": "a colon ideal",
+        "dimension": "a Hilbert series",
     }
-    assert plan(3) == {
-        "trace-rules": "run",
-        "first-syzygies": "run",
-        "colon-ideal": "run",
-        "dimension": "run",
-        "cofactor-identity": "run",
-        "predictors": "run",
-        "splice-euler": "run",
-        "knutson": "run",
-    }
-    assert plan(4) == {
-        "trace-rules": "run",
-        "first-syzygies": "skip",
-        "colon-ideal": "skip",
-        "dimension": "skip",
-        "predictors": "run",
-        "splice-euler": "run",
-        "knutson": "run",
-    }
-    assert plan(5) == {
-        "first-syzygies": "skip",
-        "colon-ideal": "skip",
-        "dimension": "skip",
-        "predictors": "run",
-        "knutson": "run",
-    }
+    for budget in (None, Budget(max_spairs=50)):
+        assert plan(2, budget) == {
+            "presentation": "run",
+            "matrix-identities": "run",
+            "trace-rules": "run",
+            "dimension": "run",
+            "predictors": "run",
+        }
+        assert plan(3, budget) == {
+            "trace-rules": "run",
+            "first-syzygies": "run",
+            "colon-ideal": "run",
+            "dimension": "run",
+            "cofactor-identity": "run",
+            "predictors": "run",
+            "splice-euler": "run",
+            "knutson": "run",
+        }
+        assert plan(4, budget) == {
+            "trace-rules": "run",
+            "first-syzygies": "skip",
+            "colon-ideal": "skip",
+            "dimension": "skip",
+            "predictors": "run",
+            "splice-euler": "run",
+            "knutson": "run",
+        }
+        assert plan(5, budget) == {
+            "first-syzygies": "skip",
+            "colon-ideal": "skip",
+            "dimension": "skip",
+            "predictors": "run",
+            "knutson": "run",
+        }
     assert DESK_LIMIT == 3
+
+
+def test_desk_limit_rule_reads_the_budget():
+    def basis_work(ctx, n):
+        return "PASS", {"n": n}
+
+    check = CheckDef("t", basis_work, lambda n: n >= 2, "a Groebner basis")
+    assert run_suite(DeskContext(), 3, [check])[0].verdict == "PASS"
+    (skipped,) = run_suite(DeskContext(), 4, [check])
+    assert skipped.verdict == "SKIPPED"
+    assert skipped.detail["reason"].startswith("a Groebner basis at n=4 exceeds")
+    assert "--budget-seconds or --budget-spairs" in skipped.detail["reason"]
+    (ran,) = run_suite(DeskContext(budget=Budget(max_spairs=1)), 4, [check])
+    assert (ran.verdict, ran.detail) == ("PASS", {"n": 4})
+    # with no Groebner-scale work the limit does not apply
+    (free,) = run_suite(DeskContext(), 4, [replace(check, what=None)])
+    assert free.verdict == "PASS"
 
 
 def test_suite_smallest_size_all_pass(ctx):
@@ -109,14 +137,14 @@ def test_run_check_maps_failures_to_verdicts(ctx):
     def incomplete(ctx, n):
         raise IncompleteBasisError("partial basis")
 
-    mk = lambda f: CheckDef(name="t", func=f, applies=lambda n: "run")
+    mk = lambda f: CheckDef(name="t", func=f)
     assert run_check(mk(lost), ctx, 2).verdict == "PARTIAL"
     assert run_check(mk(broken), ctx, 2).verdict == "FAIL"
     # only the loader's typed error is a missing fixture, whatever a message says
     assert run_check(mk(mislabeled), ctx, 2).verdict == "FAIL"
     assert run_check(mk(incomplete), ctx, 2).verdict == "PARTIAL"
     ok = run_check(
-        CheckDef(name="t", func=lambda c, n: ("PASS", {"x": 1}), applies=lambda n: "run"),
+        CheckDef(name="t", func=lambda c, n: ("PASS", {"x": 1})),
         ctx,
         2,
     )
