@@ -1,17 +1,19 @@
 """Command-line entry point: build commutator systems, run bases, syzygies,
 colon ideals, Hilbert series, predictors, and the verification suite.
 
-Each subcommand other than `verify` is one function (cfg, ctx, n) ->
-(verdict, detail) in `COMMANDS`, listed with what it computes when that is
-Groebner-scale work.  `run_command` is the one dispatcher: it hands
-`verify.run_suite` the suite's checks, or one check named after the
-subcommand, and that planner's desk limit rule decides what is SKIPPED.
+`COMMANDS` defines each subcommand in one row: its handler (cfg, ctx, n) ->
+(verdict, detail), what it computes when that is Groebner-scale work, the
+shared flags it reads and its own arguments.  A subcommand takes no other
+flag.  `run_command` is the one dispatcher: it hands `verify.run_suite` the
+suite's checks, or one check named after the subcommand, and that planner's
+desk limit rule decides what is SKIPPED.
 
 Every run produces a Report; `--json` emits it under the versioned schema
 with all wall-clock numbers quarantined in the `timing` block, so reports
 from identical configurations are byte-identical apart from that block.
-Flags can also be set through `COMMSYZ_*` environment variables (the
-command-line value wins); a preset is parsed and validated as the flag is.
+Shared flags can also be set through `COMMSYZ_*` environment variables (the
+command-line value wins), for the subcommands that read them; a preset is
+parsed and validated as the flag is.
 Exit status is 0 exactly when no check reports FAIL; usage errors, bad
 presets included, exit 2.
 """
@@ -21,9 +23,10 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from time import perf_counter
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from commsyz.conjecture import (
     colon_bidegrees,
@@ -134,11 +137,7 @@ def _commutator(cfg: RunConfig, ctx: DeskContext, n: int):
         }
         for k in range(1, n * n + 1)
     ]
-    detail = {
-        "n": n,
-        "entries": entries,
-        "diagonal_indices": list(system.diagonal_indices),
-    }
+    detail = {"n": n, "entries": entries, "diagonal_indices": list(system.diagonal_indices)}
     return "PASS", detail
 
 
@@ -162,10 +161,8 @@ def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
     system = ctx.system(n)
     which = cfg.extras["ideal"]
     gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
-    basis = buchberger(gens, budget=cfg.budget(), degree_bound=cfg.degree_bound)
-    degs = {}
-    for g in basis:
-        degs[g.degree()] = degs.get(g.degree(), 0) + 1
+    basis = buchberger(gens, budget=ctx.budget, degree_bound=cfg.degree_bound)
+    degs = Counter(g.degree() for g in basis)
     detail = {
         "ideal": which,
         "size": len(basis),
@@ -263,39 +260,89 @@ def _predict(cfg: RunConfig, ctx: DeskContext, n: int):
         }
     elif target == "shape":
         shape = resolution_shape(n)
-        detail = {
-            "display": shape.display(),
-            "cells": shape.to_entries(),
-        }
+        detail = {"display": shape.display(), "cells": shape.to_entries()}
     else:  # knutson
-        system = ctx.system_qq(n)
-        rows = []
-        for labels, det_poly, bideg in knutson_candidates(system, n - 1):
-            rows.append(
-                {
-                    "columns": list(labels),
-                    "bidegree": list(bideg),
-                    "degree": sum(bideg),
-                    "feasible": knutson_bidegree_feasible(n, bideg),
-                }
-            )
+        rows = [
+            {
+                "columns": list(labels),
+                "bidegree": list(bideg),
+                "degree": sum(bideg),
+                "feasible": knutson_bidegree_feasible(n, bideg),
+            }
+            for labels, _, bideg in knutson_candidates(ctx.system_qq(n), n - 1)
+        ]
         detail = {"candidates": rows}
     detail["status"] = "CONJECTURE"
     return "PASS", detail
 
 
-#: subcommand -> (its (cfg, ctx, n) -> (verdict, detail); what it computes
-#: when that is Groebner-scale work, which the desk limit guards, else None)
+def _nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {text}")
+    return int(text)
+
+
+def _file_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read matrix file: {exc}") from exc
+
+
+#: flag -> (type, default, choices, help) of the flags RunConfig holds; a
+#: subcommand that reads one also takes it preset as COMMSYZ_<FLAG>
+FLAGS = {
+    "-n": (int, "3", None, "matrix size (default 3)"),
+    "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
+    "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
+    "--budget-seconds": (float, None, None, "wall-clock budget; exceeding it yields PARTIAL"),
+    "--budget-spairs": (int, None, None, "s-pair reduction budget; exceeding it yields PARTIAL"),
+    "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
+    "--fixtures": (str, None, None, "directory of fixture JSON files (default: the shipped set)"),
+}
+RING = ("-n", "--field", "--order")
+BUDGET = RING + ("--budget-seconds", "--budget-spairs")
+
+# the subcommands' own arguments, as (name, add_argument keywords)
+IDEAL = ("--ideal", dict(choices=("I", "J"), default="I", help="full (I) or off-diagonal (J)"))
+MAX_DEGREE = ("--max-degree", dict(type=_nonnegative, default=5, help="maximum word degree"))
+MATRIX = ("--matrix", dict(type=_file_text, dest="matrix_text", required=True,
+                           help="file with n lines of n ';'-separated polynomial entries"))
+TARGET = ("target", dict(choices=("betti", "colon-degrees", "shape", "knutson"),
+                         help="which prediction to print"))
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler (cfg, ctx, n) -> (verdict, detail), or None
+    for `verify`, which runs CHECKS; the Groebner-scale work it does, which the
+    desk limit guards; the FLAGS it reads; and its own arguments."""
+
+    help: str
+    func: Optional[Callable]
+    what: Optional[str]
+    flags: tuple
+    args: tuple = ()
+
+
 COMMANDS = {
-    "commutator": (_commutator, None),
-    "candidates": (_candidates, None),
-    "groebner": (_groebner, "a Groebner basis"),
-    "colon": (_colon, "a colon ideal"),
-    "syzygies": (_syzygies, "a first-syzygy computation"),
-    "syzygy-check": (_syzygy_check, None),
-    "hilbert": (_hilbert, "a Hilbert series"),
-    "check-splice": (lambda cfg, ctx, n: check_splice_euler(ctx, n), None),
-    "predict": (_predict, None),
+    "commutator": Command("list the commutator entries", _commutator, None, RING),
+    "candidates": Command("trace-form word candidates", _candidates, None, (), (MAX_DEGREE,)),
+    "groebner": Command("basis of a commutator ideal", _groebner, "a Groebner basis",
+                        BUDGET + ("--degree-bound",), (IDEAL,)),
+    "colon": Command("colon ideal generators beyond the base", _colon, "a colon ideal", BUDGET),
+    "syzygies": Command("minimal first-syzygy counts", _syzygies, "a first-syzygy computation",
+                        BUDGET + ("--degree-bound",)),
+    "syzygy-check": Command("test a matrix file for the trace-syzygy property", _syzygy_check,
+                            None, RING, (MATRIX,)),
+    "hilbert": Command("Hilbert series of a quotient", _hilbert, "a Hilbert series", BUDGET,
+                       (IDEAL,)),
+    "check-splice": Command("dual-table splice and alternating-sum checks",
+                            lambda cfg, ctx, n: check_splice_euler(ctx, n), None,
+                            BUDGET + ("--fixtures",)),
+    "predict": Command("conjectured invariants (labeled)", _predict, None,
+                       ("-n", "--degree-bound"), (TARGET,)),
+    "verify": Command("run the verification suite for n", None, None, BUDGET + ("--fixtures",)),
 }
 
 
@@ -303,11 +350,11 @@ def run_command(cfg: RunConfig) -> Report:
     """Run the configured subcommand as a Report: the verify suite, or one
     check named after the subcommand, planned by `run_suite`."""
     start = perf_counter()
+    command = COMMANDS[cfg.command]
     checks = CHECKS
-    if cfg.command != "verify":
-        func, what = COMMANDS[cfg.command]
+    if command.func is not None:
         name = f"predict-{cfg.extras['target']}" if cfg.command == "predict" else cfg.command
-        checks = (CheckDef(name, lambda ctx, n: func(cfg, ctx, n), what=what),)
+        checks = (CheckDef(name, lambda ctx, n: command.func(cfg, ctx, n), what=command.what),)
     results = run_suite(cfg.context(), cfg.n, checks)
     return Report(
         command=cfg.command,
@@ -331,98 +378,45 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
-#: (flag, type, default, choices, help) of the flags every subcommand takes;
-#: each can be preset as COMMSYZ_<FLAG>, e.g. COMMSYZ_BUDGET_SPAIRS
-_SHARED_FLAGS = (
-    ("-n", int, "3", None, "matrix size (default 3)"),
-    ("--field", str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
-    ("--order", str, "grevlex", ORDERS, "monomial order (default grevlex)"),
-    ("--budget-seconds", float, None, None, "wall-clock budget; exceeding it yields a PARTIAL result"),
-    ("--budget-spairs", int, None, None, "s-pair reduction budget; exceeding it yields a PARTIAL result"),
-    ("--degree-bound", int, None, None, "truncation degree for bases / syzygy runs"),
-    ("--fixtures", str, None, None, "directory of fixture JSON files (default: the shipped set)"),
-)
-
-
-def _shared_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    # A preset is a string default, which argparse passes through `type` as it
-    # does a flag's value; it skips `choices`, which RunConfig checks instead.
-    for flag, kind, default, choices, text in _SHARED_FLAGS:
-        preset = _env(flag.lstrip("-").replace("-", "_").upper(), default)
-        p.add_argument(flag, type=kind, default=preset, choices=choices, help=text)
-    p.add_argument(
-        "--json",
-        action="store_true",
-        default=_env("JSON", "") not in ("", "0", "false"),
-        help="emit the versioned JSON report instead of text",
-    )
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    shared = _shared_parser()
     parser = argparse.ArgumentParser(
         prog="commsyz",
         description="Commutator ideals of generic matrices: exact bases, "
         "syzygies, colon ideals, Hilbert series, and conjecture checks.",
-        epilog=f"Every flag can be preset via {ENV_PREFIX}<NAME> environment "
-        "variables, e.g. COMMSYZ_FIELD=q COMMSYZ_N=2.",
+        epilog=f"Each shared flag and --json can be preset via {ENV_PREFIX}<NAME> "
+        "environment variables, e.g. COMMSYZ_FIELD=q COMMSYZ_N=2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("commutator", parents=[shared], help="list the commutator entries")
-    c = sub.add_parser("candidates", parents=[shared], help="trace-form word candidates")
-    c.add_argument("--max-degree", type=int, default=5, help="maximum word degree")
-    g = sub.add_parser("groebner", parents=[shared], help="basis of a commutator ideal")
-    g.add_argument("--ideal", choices=("I", "J"), default="I", help="full (I) or off-diagonal (J)")
-    sub.add_parser("colon", parents=[shared], help="colon ideal generators beyond the base")
-    sub.add_parser("syzygies", parents=[shared], help="minimal first-syzygy counts")
-    sc = sub.add_parser(
-        "syzygy-check", parents=[shared], help="test a matrix file for the trace-syzygy property"
-    )
-    sc.add_argument(
-        "--matrix",
-        required=True,
-        help="file with n lines of n ';'-separated polynomial entries",
-    )
-    h = sub.add_parser("hilbert", parents=[shared], help="Hilbert series of a quotient")
-    h.add_argument("--ideal", choices=("I", "J"), default="I", help="full (I) or off-diagonal (J)")
-    sub.add_parser(
-        "check-splice", parents=[shared], help="dual-table splice and alternating-sum checks"
-    )
-    pr = sub.add_parser("predict", parents=[shared], help="conjectured invariants (labeled)")
-    pr.add_argument(
-        "target",
-        choices=("betti", "colon-degrees", "shape", "knutson"),
-        help="which prediction to print",
-    )
-    sub.add_parser("verify", parents=[shared], help="run the verification suite for n")
+    # One parent parser per shared flag, copied into each subcommand that reads it,
+    # as a copy costs less than `add_argument`.  A preset is a string default, which
+    # argparse passes through `type`; it skips `choices`, which RunConfig checks.
+    shared = {flag: argparse.ArgumentParser(add_help=False) for flag in (*FLAGS, "--json")}
+    for flag, (kind, default, choices, text) in FLAGS.items():
+        preset = _env(flag.lstrip("-").replace("-", "_").upper(), default)
+        shared[flag].add_argument(flag, type=kind, default=preset, choices=choices, help=text)
+    shared["--json"].add_argument("--json", action="store_true", dest="json_output",
+                                  default=_env("JSON", "") not in ("", "0", "false"),
+                                  help="emit the versioned JSON report instead of text")
+    for name, command in COMMANDS.items():
+        parents = [shared[flag] for flag in (*command.flags, "--json")]
+        p = sub.add_parser(name, help=command.help, parents=parents)
+        for arg, spec in command.args:
+            p.add_argument(arg, **spec)
     return parser
 
 
 def parse_args(argv) -> RunConfig:
+    """The RunConfig of a command line; each value outside RunConfig's own
+    fields is one of the subcommand's arguments and goes into `extras`."""
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    extras = {}
-    if ns.command == "candidates":
-        extras["max_degree"] = ns.max_degree
-    elif ns.command in ("groebner", "hilbert"):
-        extras["ideal"] = ns.ideal
-    elif ns.command == "syzygy-check":
-        try:
-            with open(ns.matrix) as fh:
-                extras["matrix_text"] = fh.read()
-        except OSError as exc:
-            parser.error(f"cannot read matrix file: {exc}")
-    elif ns.command == "predict":
-        extras["target"] = ns.target
+    values = vars(parser.parse_args(argv))
     splice = next(c for c in CHECKS if c.name == "splice-euler")
-    if ns.command == "check-splice" and not splice.applies(ns.n):
+    if values["command"] == "check-splice" and not splice.applies(values["n"]):
         parser.error("check-splice is defined for -n 3 (computed) and -n 4 (fixtures)")
-    shared = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if f.name in vars(ns)}
+    shared = {f.name for f in fields(RunConfig)}
+    extras = {k: values.pop(k) for k in list(values) if k not in shared}
     try:
-        return RunConfig(**shared, json_output=ns.json, extras=extras)
+        return RunConfig(extras=extras, **values)
     except ValueError as exc:
         parser.error(str(exc))
 

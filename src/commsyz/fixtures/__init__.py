@@ -9,7 +9,6 @@ format conventions.
 from __future__ import annotations
 
 import json
-import re
 from importlib import resources
 from pathlib import Path
 from typing import Union
@@ -18,8 +17,6 @@ from commsyz.hilbert import GradedBettiTable, HilbertSeries
 
 SCHEMA = "commsyz-fixture/1"
 KINDS = ("betti-table", "hilbert-numerator")
-
-_TOTAL_RE = re.compile(r"^\d+\+$")
 
 
 def _fixture_dir(directory: Union[str, Path, None]):
@@ -90,7 +87,8 @@ def load_raw(name: str, directory: Union[str, Path, None] = None) -> dict:
     if totals is not None:
         _check(isinstance(totals, list) and totals, name, "stated_totals must be a list")
         for t in totals:
-            ok = (isinstance(t, int) and t >= 0) or (isinstance(t, str) and _TOTAL_RE.match(t))
+            bound = isinstance(t, str) and GradedBettiTable.LOWER_BOUND_RE.match(t)
+            ok = (isinstance(t, int) and t >= 0) or bound
             _check(ok, name, f"bad stated total {t!r}")
     return data
 

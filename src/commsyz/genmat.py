@@ -140,10 +140,13 @@ def first_row_expansion_residual(ring: PolyRing, columns) -> Polynomial:
     return acc
 
 
-def _det_bareiss(m: GenericMatrix) -> Polynomial:
-    """Fraction-free elimination; divisions are exact by construction."""
+def det(m: GenericMatrix) -> Polynomial:
+    """Determinant, by fraction-free (Bareiss) elimination; divisions are
+    exact by construction."""
     ring = m.ring
     n = m.size
+    if n == 0:
+        return ring.one
     a = [list(row) for row in m.rows]
     sign = 1
     prev = ring.one
@@ -164,15 +167,6 @@ def _det_bareiss(m: GenericMatrix) -> Polynomial:
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-def det(m: GenericMatrix) -> Polynomial:
-    """Determinant, by fraction-free elimination."""
-    if m.size == 0:
-        return m.ring.one
-    if m.size == 1:
-        return m.rows[0][0]
-    return _det_bareiss(m)
 
 
 @dataclass(frozen=True)

@@ -207,9 +207,6 @@ def hilbert_of_basis(basis) -> HilbertSeries:
 
 # -- graded Betti tables -------------------------------------------------------
 
-_BOUND_RE = re.compile(r"^\d+\+$")
-
-
 class GradedBettiTable:
     """Map (homological degree i, internal degree j) -> count or symbol.
 
@@ -271,6 +268,9 @@ class GradedBettiTable:
             else:
                 symbols.append(v)
         return base, symbols
+
+    #: a lower bound 'N+', as a symbolic cell, a stated total or one of `totals`
+    LOWER_BOUND_RE = re.compile(r"^\d+\+$")
 
     def totals(self) -> list:
         """Recomputed column totals; 'N+' when symbolic cells are present."""
@@ -371,7 +371,7 @@ def euler_constraints(table: GradedBettiTable, series: HilbertSeries) -> list:
             if isinstance(v, int):
                 constant += sign * v
             else:  # an unknown; a lower bound 'N+' is named b{i}_{j}
-                sym = f"b{ci}_{cj}" if _BOUND_RE.match(v) else v
+                sym = f"b{ci}_{cj}" if GradedBettiTable.LOWER_BOUND_RE.match(v) else v
                 coeffs[sym] = coeffs.get(sym, 0) + sign
         coeffs = {s: c for s, c in coeffs.items() if c != 0}
         con = EulerConstraint(

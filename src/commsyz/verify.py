@@ -34,8 +34,10 @@ from commsyz.genmat import (
     GenericMatrix,
     build_system,
     cayley_hamilton_residue,
+    det,
     diagonal_entries,
     first_row_expansion_residual,
+    matrix_from_columns,
     product_rewrite_residue_2x2,
 )
 from commsyz.groebner import (
@@ -348,8 +350,6 @@ def check_colon_ideal(ctx: DeskContext, n: int):
 
     members = _determinant_members(system, ctx.colon_basis(n))
     ok_members = all(m["in_colon"] for m in members)
-
-    from commsyz.genmat import det, matrix_from_columns
 
     E = GenericMatrix.identity(ring, n)
     X, Y = system.X, system.Y

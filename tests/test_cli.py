@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from commsyz.cli import (
+    COMMANDS,
     ENV_PREFIX,
     REPORT_SCHEMA,
     Report,
@@ -100,6 +103,100 @@ def test_bad_environment_presets_are_usage_errors(name, value, argv, monkeypatch
         main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_negative_max_degree_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["candidates", "--max-degree", "-1"])
+    assert exc.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+RING = ("-n", "--field", "--order")
+BUDGET = RING + ("--budget-seconds", "--budget-spairs")
+#: the shared flags each subcommand's computation reads
+READS = {
+    "commutator": RING,
+    "syzygy-check": RING,
+    "candidates": (),
+    "groebner": BUDGET + ("--degree-bound",),
+    "syzygies": BUDGET + ("--degree-bound",),
+    "colon": BUDGET,
+    "hilbert": BUDGET,
+    "check-splice": BUDGET + ("--fixtures",),
+    "verify": BUDGET + ("--fixtures",),
+    "predict": ("-n", "--degree-bound"),
+}
+VALUES = {
+    "-n": "3",
+    "--field": "q",
+    "--order": "lex",
+    "--budget-seconds": "2.5",
+    "--budget-spairs": "10",
+    "--degree-bound": "2",
+    "--fixtures": "elsewhere",
+}
+
+
+def test_every_subcommand_has_a_row_of_flags_it_reads():
+    assert set(READS) == set(COMMANDS)
+    assert sum(len(flags) for flags in READS.values()) == 42
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in VALUES])
+def test_each_subcommand_takes_exactly_the_flags_it_reads(command, flag, tmp_path):
+    argv = [command]
+    if command == "syzygy-check":
+        matrix = tmp_path / "m.mat"
+        matrix.write_text("0; 0\n0; 0\n0; 0\n")
+        argv += ["--matrix", str(matrix)]
+    elif command == "predict":
+        argv += ["betti"]
+    argv += [flag, VALUES[flag]]
+    if flag in READS[command]:
+        cfg = parse_args(argv)
+        assert str(getattr(cfg, flag.lstrip("-").replace("-", "_"))) == VALUES[flag]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "hilbert -n 2 --degree-bound 1",
+        "colon -n 2 --degree-bound 0",
+        "verify -n 3 --degree-bound 2",
+        "candidates -n 3",
+        "predict betti -n 5 --field q",
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_presets_reach_only_the_subcommands_that_read_them(monkeypatch):
+    monkeypatch.setenv(f"{ENV_PREFIX}FIELD", "gf:4")
+    monkeypatch.setenv(f"{ENV_PREFIX}FIXTURES", "elsewhere")
+    cfg = parse_args(["predict", "betti"])
+    assert cfg.field == "gf:32003" and cfg.fixtures is None
+    with pytest.raises(SystemExit):
+        parse_args(["commutator"])
+
+
+def test_benchmark_command_lines_parse():
+    jobs_py = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", jobs_py)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    cfg = parse_args(jobs.cli_argv("gb-n4-d5"))
+    assert (cfg.n, cfg.degree_bound, cfg.extras) == (4, 5, {"ideal": "I"})
+    for workload in jobs.WORKLOADS:
+        assert parse_args(jobs.cli_argv(workload)).command in COMMANDS
 
 
 def test_explicit_flag_wins_over_a_bad_preset(monkeypatch):

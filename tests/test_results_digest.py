@@ -1,4 +1,4 @@
-"""The JSON `results` of sixteen quick CLI runs, pinned by sha256.
+"""The JSON `results` of twenty-six quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -15,6 +15,10 @@ The three runs past the desk limit pin which checks run, which are SKIPPED
 and the SKIPPED reasons; they were recorded before the suite and the
 subcommands shared one check plan.  A budget changes nothing at n=4, since
 the checks behind the limit only apply at n <= 3.
+The last ten cover the subcommands no other digest reaches: the commutator
+listing, word candidates, n=3 syzygies, the off-diagonal Hilbert series,
+both splice sizes and the four predictions; they were recorded before each
+subcommand took only the flags it reads.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -46,6 +50,18 @@ DIGESTS = {
     "verify -n 4": "2e3cf024f21ef00da56cf0196301b3fa9405cb44b0375dd0d118c46e7cf72797",
     "verify -n 4 --budget-spairs 50": "2e3cf024f21ef00da56cf0196301b3fa9405cb44b0375dd0d118c46e7cf72797",
     "verify -n 5": "d9c78850aff622eba6c971b81d414f61fd4bb6fd632d21ce473f8ae37b50100a",
+    "commutator -n 3": "5f2f7c95e8504db14dcd69d4a43e06a33fad9d91b65cfc6236125ced6fd640d0",
+    "candidates --max-degree 5": "f8f7cbe2c9894d8243b72b9b3364dfc44791725df5b27149035b56f1d8fdcd97",
+    "syzygies -n 3": "d931d9fec28ef05d22c850557365bc076a81a7442551dd4e812130e60baa82bf",
+    "hilbert -n 3 --ideal J": "b6fbe673d223e3ad40898e5a4073bad99da2dd31d67a997f6602bc934b7de4c4",
+    "check-splice -n 3": "fd986dfb062b006ee9fda81fc12747f48b07858f33ccaf5779ffcf13c12a0a36",
+    "check-splice -n 4": "5a8c410845d7a4a4c1398097789820a2950428a522284d7bce11ab27c7af144a",
+    "predict betti -n 6": "4c62ef7596d54fbbe1b8cd86b3a354c95ac648b03d235f78530d3a4d6001b581",
+    "predict colon-degrees -n 5 --degree-bound 7": (
+        "4e73211f3b43b078e0c79aece13810b246ef2b146eeecce6d3ec0eb871ea85a4"
+    ),
+    "predict shape -n 4": "e2116eac343640043d8cc29bb4fc6de04d75798101470d1ac3692194c89579bd",
+    "predict knutson -n 3": "4e4ae0057c6f1f4e1f45a7996b02d2529314dac3e0e448998abb36699f847a2b",
 }
 
 
