@@ -9,8 +9,11 @@ suite's checks, or one check named after the subcommand, and that planner's
 desk limit rule decides what is SKIPPED.
 
 Every run produces a Report; `--json` emits it under the versioned schema
-with all wall-clock numbers quarantined in the `timing` block, so reports
-from identical configurations are byte-identical apart from that block.
+with all wall-clock numbers and the engines' work counts (`stats`)
+quarantined in the `timing` block, so reports from identical configurations
+are byte-identical apart from that block, and a change of engine that keeps
+the answers keeps `results`.  `config` echoes only the settings the
+subcommand takes.
 Shared flags can also be set through `COMMSYZ_*` environment variables (the
 command-line value wins), for the subcommands that read them; a preset is
 parsed and validated as the flag is.
@@ -97,9 +100,11 @@ class RunConfig:
         )
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("command")
-        return d
+        """The settings the subcommand takes: the shared flags its `COMMANDS`
+        row names, --json and its own arguments (`extras`)."""
+        taken = {flag.lstrip("-").replace("-", "_") for flag in COMMANDS[self.command].flags}
+        taken |= {"json_output", "extras"}
+        return {k: v for k, v in asdict(self).items() if k in taken}
 
 
 @dataclass
@@ -117,9 +122,9 @@ class Report:
         return 1 if any(r["verdict"] == "FAIL" for r in self.results) else 0
 
 
-def _stats_detail(stats) -> dict:
-    """The engine's work counts; its wall-clock seconds stay out of results."""
-    return {k: v for k, v in asdict(stats).items() if k != "seconds"}
+def _stats(stats) -> dict:
+    """An engine's work counts, which `run_command` moves to the timing block."""
+    return {**asdict(stats), "seconds": round(stats.seconds, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +174,7 @@ def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
         "complete": basis.complete,
         "truncation_degree": basis.truncation_degree,
         "lead_degree_counts": {str(d): c for d, c in sorted(degs.items())},
-        "stats": _stats_detail(basis.stats),
+        "stats": _stats(basis.stats),
     }
     return ("PASS" if basis.complete else "PARTIAL"), detail
 
@@ -203,7 +208,7 @@ def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
         "counts": {str(k): v for k, v in sorted(fs.counts.items())},
         "counts_are_lower_bounds": fs.partial,
         "word_candidates": words,
-        "stats": _stats_detail(fs.stats),
+        "stats": _stats(fs.stats),
     }
     return ("PARTIAL" if fs.partial else "PASS"), detail
 
@@ -297,7 +302,9 @@ FLAGS = {
     "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
     "--budget-seconds": (float, None, None, "wall-clock budget; exceeding it yields PARTIAL"),
-    "--budget-spairs": (int, None, None, "s-pair reduction budget; exceeding it yields PARTIAL"),
+    "--budget-spairs": (int, None, None, "pairs one engine run may reduce (S-pairs; for a "
+                        "homogeneous basis, signature J-pairs and generators); exceeding it "
+                        "yields PARTIAL"),
     "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
     "--fixtures": (str, None, None, "directory of fixture JSON files (default: the shipped set)"),
 }
@@ -356,6 +363,8 @@ def run_command(cfg: RunConfig) -> Report:
         name = f"predict-{cfg.extras['target']}" if cfg.command == "predict" else cfg.command
         checks = (CheckDef(name, lambda ctx, n: command.func(cfg, ctx, n), what=command.what),)
     results = run_suite(cfg.context(), cfg.n, checks)
+    # an engine's work counts describe the path to a result, not the result
+    stats = {r.name: r.detail.pop("stats") for r in results if "stats" in r.detail}
     return Report(
         command=cfg.command,
         config=cfg.as_dict(),
@@ -365,6 +374,7 @@ def run_command(cfg: RunConfig) -> Report:
         timing={
             "total_seconds": round(perf_counter() - start, 3),
             "per_result": {r.name: round(r.seconds, 3) for r in results},
+            "stats": stats,
         },
     )
 
@@ -453,12 +463,14 @@ def emit(report: Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.as_dict(), sort_keys=True, indent=2)
     lines = [f"commsyz {report.command}"]
-    cfg = report.config
-    lines.append(f"  n={cfg['n']} field={cfg['field']} order={cfg['order']}")
-    per = report.timing.get("per_result", {})
+    ring = " ".join(f"{k}={report.config[k]}" for k in ("n", "field", "order") if k in report.config)
+    lines.append(ring and f"  {ring}")
+    per, stats = report.timing.get("per_result", {}), report.timing.get("stats", {})
     for r in report.results:
         lines.append(f"{r['verdict']:8s} {r['name']}  ({per.get(r['name'], 0.0):.2f}s)")
         lines.append(_text_detail(r["detail"]))
+        if r["name"] in stats:
+            lines.append(_text_detail({"stats": stats[r["name"]]}))
     lines.append(f"total: {report.timing['total_seconds']:.2f}s")
     return "\n".join(line for line in lines if line)
 

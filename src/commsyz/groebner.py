@@ -1,15 +1,33 @@
-"""The Buchberger engine, with budgets, degree truncation and ideal operations.
+"""The Buchberger engines, with budgets, degree truncation and ideal operations.
 
-One pair loop, `Engine`, serves every Groebner computation in the package:
-ideals and free-module vectors alike run as packed term lists against one
-`DegreeBucketReducers`, which answers find(V) on the packed key.  Pairs are
-processed in increasing lcm total degree with FIFO tie-breaking, so for
-homogeneous input the loop works degree by degree: `run(d)` completes the
-basis through degree d, and `select` decides minimal generators against it
-(a candidate of degree d is minimal iff its normal form against the
-degree-d basis is nonzero).  With tracking on, every element also carries its representation
-over the input as packed module terms, and each pair whose S-polynomial
-reduces to zero, or whose leads are coprime, yields a syzygy.
+Two pair loops share one reducer store, `DegreeBucketReducers`, which
+answers find(V) on the packed key, and one normal-form kernel.
+
+`SignatureLoop` computes every basis of homogeneous polynomials that
+`buchberger` is asked for: the bases of the commutator ideals, the J basis
+a colon ideal asks for membership, and the `groebner` and `hilbert`
+subcommands.  It is the GVW signature loop: each element carries the
+signature of one representation over the generators, pairs are processed in
+ascending signature, each one is reduced by regular top reduction only, and
+the F5, syzygy and cover criteria drop the pairs whose reduction would add
+nothing, most of which reduce to zero without signatures.
+
+`Engine` is the Gebauer-Moeller loop for everything else: ideals and
+free-module vectors alike run as packed term lists, tracked runs, the
+minimal-generator selection, and inhomogeneous input (an elimination).
+Pairs are processed in increasing lcm total degree with FIFO tie-breaking,
+so for homogeneous input the loop works degree by degree: `run(d)`
+completes the basis through degree d, and `select` decides minimal
+generators against it (a candidate of degree d is minimal iff its normal
+form against the degree-d basis is nonzero).  With tracking on, every
+element also carries its representation over the input as packed module
+terms, and each pair whose S-polynomial reduces to zero, or whose
+polynomial leads are coprime, yields a syzygy.
+
+A budget counts the pairs a run reduces.  In `Engine` that is its reduced
+S-pairs.  In `SignatureLoop` it is the J-pairs that pass the criteria and
+are reduced, each generator's own entry included, since a generator is
+top-reduced on entry too.  Pairs the criteria drop are not counted.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
@@ -74,7 +92,10 @@ class Budget:
     """Resource limits for one engine run.
 
     A budget caps one engine run as a whole: a complete basis, or a whole
-    minimal-generator selection with every degree it passes through.  A cut
+    minimal-generator selection with every degree it passes through.
+    `max_spairs` counts the pairs the run reduces: S-pairs in `Engine`; in
+    `SignatureLoop` (every `buchberger` call on homogeneous input) the
+    J-pairs that pass its criteria, each generator's entry included.  A cut
     never raises: the run stops and its result is flagged partial
     (`complete` False, no `truncation_degree`), so any later question put to
     it is refused by `require`.
@@ -92,6 +113,8 @@ class Budget:
 
 @dataclass
 class GBStats:
+    """One run's work counts; both loops fill the same fields (see each)."""
+
     spairs_reduced: int = 0
     zero_reductions: int = 0
     pairs_pruned: int = 0
@@ -107,7 +130,8 @@ class GroebnerBasis:
     complete=True: full reduced basis.  truncation_degree=d: correct through
     total degree d (`buchberger` truncates only homogeneous input).  Neither:
     a partial basis from an exhausted budget.  The flags are the finished
-    engine run's, and `require` decides which questions the basis answers.
+    engine run's, as `buchberger` settles them, and `require` decides which
+    questions the basis answers.
     """
 
     def __init__(
@@ -176,28 +200,14 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements, {kind})"
 
 
-class Engine:
-    """The Buchberger pair loop over monic packed elements.
+class _PairLoop:
+    """What both pair loops share: the monic packed elements and their one
+    `DegreeBucketReducers`, the degree bound, the budget, the work counts
+    and the flags of a finished run.  `exhausted` holds the reason once the
+    budget has cut the run.  What a finished run can answer is stated once,
+    by `complete` and `truncation_degree`."""
 
-    The elements enter one `DegreeBucketReducers`; a module vector's keys
-    carry position bits above the scalar order's (`syzygy.ModuleOrder`), a
-    polynomial's carry none.  The pair policy follows from each element: in
-    a tracked run, or for a lead with position bits, it pairs only within a
-    lead position, with no criteria, and with `track` on every pair is
-    reduced and a coprime pair yields its Koszul relation; every other
-    element runs the Gebauer-Moeller update (`_criteria_pairs`): the B
-    criterion on the waiting pairs, the M and F criteria on the new pairs
-    in ascending packed lcm, and coprime pairs settled by lead
-    divisibility.  Every lcm, divisibility and coprime test runs on the
-    leads' packed exponents (`MonomialOrder`), so the loop decodes no key.
-    Pairs of lcm degree past `degree_bound` are dropped and counted as
-    truncated.  `exhausted` holds the reason once the budget has cut the
-    run.  What a finished run can answer is stated once, by `complete` and
-    `truncation_degree`; after `run(d)` the same two values say whether
-    degree d can be decided.
-    """
-
-    def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None, track=False):
+    def __init__(self, ring: PolyRing, degree_bound, budget):
         self.ring = ring
         self.reducers = DegreeBucketReducers(ring.order)
         self.degree_bound = degree_bound
@@ -205,14 +215,9 @@ class Engine:
         self.stats = GBStats()
         self.start = time.monotonic()
         self.basis: list[CompiledPoly] = []  # the monic elements, lead and tail
-        self.reps = [] if track else None
-        self.syzygies: list = []
-        self.pairs: dict = {}  # (i, j) -> packed lcm
-        self.divisors: list = []  # per element, the other elements whose leads divide its lead
-        self.heap: list = []  # (lcm degree, serial, i, j, scalar key of the lcm)
+        self.heap: list = []  # the queued pairs, each with a unique serial
         self.serial = 0
         self.exhausted = None
-        self._pos_bits = ring.order.total_bits
 
     @property
     def complete(self) -> bool:
@@ -226,9 +231,35 @@ class Engine:
             return self.degree_bound
         return None
 
-    def add(self, terms, rep=None):
-        """Enter a nonzero element (descending packed terms), made monic,
-        with its representation `rep` when tracking."""
+    def _spent(self) -> Optional[str]:
+        """Why the budget stops the run before its next pair, or None."""
+        budget = self.budget
+        if budget.max_spairs is not None and self.stats.spairs_reduced >= budget.max_spairs:
+            return f"S-pair budget ({budget.max_spairs}) exhausted"
+        if budget.max_seconds is not None and time.monotonic() - self.start > budget.max_seconds:
+            return f"time budget ({budget.max_seconds}s) exhausted"
+        return None
+
+    def _cut(self, reason: str) -> None:
+        self.exhausted = reason
+        self.stats.seconds = time.monotonic() - self.start
+
+    def _spoly(self, a, b, deg: int, v: int):
+        """The S-polynomial of monic a and b, whose lcm has key v (with a's
+        position bits) and degree deg, as unsorted terms, and the key
+        offsets da, db of its two multiples.  Each multiple x^(lcm - lead)
+        is checked at the cap."""
+        order = self.ring.order
+        for g in (a, b):
+            if deg - g.lead_deg + g.tail_deg > _EXP_CAP:
+                check_product(order.packed(v) - g.packed, g.tail, order)
+        da, db = v - a.lead_v, v - b.lead_v
+        terms = [(vt + da, ct) for vt, ct in a.tail]
+        terms.extend((vt + db, -ct) for vt, ct in b.tail)
+        return terms, da, db
+
+    def _monic(self, terms, rep=None):
+        """Terms, and the representation rep when given, divided by the lead coefficient."""
         fld = self.ring.field
         lc = terms[0][1]
         if lc != fld.one:
@@ -236,6 +267,40 @@ class Engine:
             terms = [(v, fld.mul(c, inv)) for v, c in terms]
             if rep is not None:
                 rep = [(v, fld.mul(c, inv)) for v, c in rep]
+        return terms, rep
+
+
+class Engine(_PairLoop):
+    """The Buchberger pair loop over monic packed elements.
+
+    The elements enter one `DegreeBucketReducers`; a module vector's keys
+    carry position bits above the scalar order's (`syzygy.ModuleOrder`), a
+    polynomial's carry none.  The pair policy follows from each element: in
+    a tracked run, or for a lead with position bits, it pairs only within a
+    lead position, with no criteria, and with `track` on every pair is
+    reduced and a coprime pair of polynomial leads yields its Koszul
+    relation; every other element runs the Gebauer-Moeller update
+    (`_criteria_pairs`): the B criterion on the waiting pairs, the M and F
+    criteria on the new pairs in ascending packed lcm, and coprime pairs
+    settled by lead divisibility.  Every lcm, divisibility and coprime test
+    runs on the leads' packed exponents (`MonomialOrder`), so the loop
+    decodes no key.  Pairs of lcm degree past `degree_bound` are dropped and
+    counted as truncated.  The budget counts reduced S-pairs.  After `run(d)`
+    `complete` and `truncation_degree` say whether degree d can be decided.
+    """
+
+    def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None, track=False):
+        super().__init__(ring, degree_bound, budget)
+        self.reps = [] if track else None
+        self.syzygies: list = []
+        self.pairs: dict = {}  # (i, j) -> packed lcm
+        self.divisors: list = []  # per element, the other elements whose leads divide its lead
+        self._pos_bits = ring.order.total_bits
+
+    def add(self, terms, rep=None):
+        """Enter a nonzero element (descending packed terms), made monic,
+        with its representation `rep` when tracking."""
+        terms, rep = self._monic(terms, rep)
         h = len(self.basis)
         cp = compile_terms(terms, self.ring, h)
         if self.reps is not None:
@@ -322,36 +387,28 @@ class Engine:
     def run(self, through: Optional[int] = None) -> None:
         """Process the waiting pairs of lcm degree <= through (all of them
         when None), until the budget cuts the run."""
-        heap, pairs, basis, stats, budget = self.heap, self.pairs, self.basis, self.stats, self.budget
+        heap, pairs, basis, stats = self.heap, self.pairs, self.basis, self.stats
         order, fld, bits = self.ring.order, self.ring.field, self._pos_bits
         tracking = self.reps is not None
         unit, one = order.unit_v, fld.one
         while heap and (through is None or heap[0][0] <= through):
-            if budget.max_spairs is not None and stats.spairs_reduced >= budget.max_spairs:
-                return self._cut(f"S-pair budget ({budget.max_spairs}) exhausted")
-            if budget.max_seconds is not None and time.monotonic() - self.start > budget.max_seconds:
-                return self._cut(f"time budget ({budget.max_seconds}s) exhausted")
+            reason = self._spent()
+            if reason:
+                return self._cut(reason)
             deg, _, i, j, v = heappop(heap)
-            lcm = pairs.pop((i, j), None)
-            if lcm is None:
+            if pairs.pop((i, j), None) is None:
                 continue  # pruned after enqueueing
             a, b = basis[i], basis[j]
-            if tracking and not a.support & b.support:
-                # coprime leads: the pair's syzygy is the Koszul relation
+            if tracking and not a.lead_v >> bits and not a.support & b.support:
+                # coprime polynomial leads: the pair's syzygy is the Koszul
+                # relation, which vectors in one lead position do not have
                 stats.pairs_pruned += 1
                 ta, tb = ((a.lead_v, a.lc), *a.tail), ((b.lead_v, b.lc), *b.tail)
                 syz = self._combine(deg, [(i, tb, 1), (j, ta, -1)])
                 if syz:
                     self.syzygies.append(syz)
                 continue
-            # the S-polynomial, each multiple x^(lcm - lead) checked at the cap
-            for g in (a, b):
-                if deg - g.lead_deg + g.tail_deg > _EXP_CAP:
-                    check_product(lcm - g.packed, g.tail, order)
-            vlcm = (a.lead_v >> bits << bits) | v
-            da, db = vlcm - a.lead_v, vlcm - b.lead_v
-            terms = [(vt + da, ct) for vt, ct in a.tail]
-            terms.extend((vt + db, -ct) for vt, ct in b.tail)
+            terms, da, db = self._spoly(a, b, deg, (a.lead_v >> bits << bits) | v)
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
@@ -369,10 +426,6 @@ class Engine:
                 if rep:
                     self.syzygies.append(rep)
         stats.seconds = time.monotonic() - self.start
-
-    def _cut(self, reason: str) -> None:
-        self.exhausted = reason
-        self.stats.seconds = time.monotonic() - self.start
 
     def _combine(self, deg: int, parts) -> list:
         """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
@@ -420,6 +473,143 @@ class Engine:
         return kept
 
 
+class SignatureLoop(_PairLoop):
+    """The signature loop (GVW: Gao, Volny & Wang, Math. Comp. 85, 2016) for
+    homogeneous polynomials.
+
+    Each element h carries a signature t*e_i, the leading module monomial of
+    one representation h = sum(c_k * f_k) over the generators.  Its key is
+    i above the scalar key of t (the position bits of a module key), and
+    signatures compare as (total degree, key): by degree, which is the
+    element's own, then generator index, then t.  The generators take their
+    indices from a canonical sort, on degree and then their monic terms, so
+    no count depends on the input order.
+
+    The queue holds J-pairs in ascending (degree, signature, lcm): generator
+    i with signature e_i, and for a pair (g, h) with lcm L the larger of the
+    multiplied signatures (L / lead g) sig(g) and (L / lead h) sig(h) with
+    their S-polynomial.  A pair whose two are equal is dropped, and so is
+    every pair past `degree_bound`, counted as truncated.  Of equal
+    signatures, which pop in sequence, only the first is examined.  A
+    J-pair of signature t*e_i is dropped, and counted as pruned, when
+      - F5: the lead of an element of smaller index divides t, so t*e_i is
+        the signature of a principal syzygy (checked when queued, and again
+        when popped);
+      - syzygy: the signature of an earlier zero reduction divides it;
+      - cover: an element whose signature divides it, multiplied into it,
+        has a lead below L.
+    A survivor counts as one reduced pair, and the budget counts those.  It
+    is reduced by regular top reduction (`normal_form` with a signature):
+    zero records its signature as a syzygy's, anything else enters the
+    basis, made monic, with the J-pair's signature.  Every signature key
+    that is multiplied is cleared by `check_product` past the cap.  A cut
+    run also holds the generators it had not reached, so its elements still
+    generate the ideal.
+    """
+
+    def __init__(self, ring: PolyRing, gens: Sequence[Polynomial], *, degree_bound=None, budget=None):
+        super().__init__(ring, degree_bound, budget)
+        order = ring.order
+        self.bits = order.total_bits
+        self.sigs: list = []  # per element, its signature key
+        self.gens = sorted((order.degree(f.terms[0][0]), f.monic().terms) for f in gens)
+        self.reached = 0  # generators popped
+        self.covers = [[] for _ in self.gens]  # per index: (packed t, signature, lead) of its elements
+        self.syz = [[] for _ in self.gens]  # per index: packed t of the zero reductions
+        for i, (deg, terms) in enumerate(self.gens):
+            self._queue(deg, i << self.bits | order.unit_v, terms[0][0], -1, i)
+
+    def _queue(self, deg, sig, v, i, j):
+        heappush(self.heap, (deg, sig, v, self.serial, i, j))
+        self.serial += 1
+
+    def _rewritable(self, deg, sig, v, cover: bool) -> bool:
+        """The F5 and syzygy criteria, and with `cover` the cover criterion,
+        for a J-pair of degree deg, signature key sig and lead key v."""
+        order, bits = self.ring.order, self.bits
+        index, e = sig >> bits, order.packed(sig)
+        divides = order.divides
+        if any(divides(u, e) for u in self.syz[index]):
+            return True
+        if cover:
+            for u, s, lead in self.covers[index]:
+                if divides(u, e):
+                    if deg > _EXP_CAP:
+                        check_product(e - u, ((lead, 0),), order)
+                    if lead + sig - s < v:
+                        return True
+        t = sig & ((1 << bits) - 1)
+        return self.reducers.find(t, (index << bits, self.sigs)) is not None
+
+    def _add(self, terms, sig) -> None:
+        """Enter a reduced nonzero element of signature key sig, made monic,
+        and queue its J-pairs with every element before it."""
+        terms, _ = self._monic(terms)
+        order, bits, sigs, stats = self.ring.order, self.bits, self.sigs, self.stats
+        cp = compile_terms(terms, self.ring, len(self.basis))
+        lcm, key, degree, bound = order.lcm, order.key, order.degree, self.degree_bound
+        h, absent = cp.packed, order.low ^ cp.support
+        # a variable of lead g absent from lead h adds at least 1 to the lcm
+        slack = None if bound is None else bound - cp.lead_deg
+        for g in self.basis:
+            if slack is not None and (g.support & absent).bit_count() > slack:
+                stats.pairs_truncated += 1
+                continue
+            l = lcm(g.packed, h)
+            v = key(l)
+            deg = degree(v)
+            if bound is not None and deg > bound:
+                stats.pairs_truncated += 1
+                continue
+            if deg > _EXP_CAP:
+                check_product(l - g.packed, ((sigs[g.index], 0),), order)
+                check_product(l - h, ((sig, 0),), order)
+            sg, sh = sigs[g.index] + v - g.lead_v, sig + v - cp.lead_v
+            if sg == sh:
+                stats.pairs_pruned += 1
+                continue
+            top, i, j = (sg, g.index, cp.index) if sg > sh else (sh, cp.index, g.index)
+            if self._rewritable(deg, top, v, cover=False):
+                stats.pairs_pruned += 1
+                continue
+            self._queue(deg, top, v, i, j)
+        self.basis.append(cp)
+        self.reducers.add(cp)
+        sigs.append(sig)
+        self.covers[sig >> bits].append((order.packed(sig), sig, cp.lead_v))
+        stats.elements_added += 1
+
+    def run(self) -> None:
+        """Process every J-pair, until the budget cuts the run."""
+        heap, basis, stats = self.heap, self.basis, self.stats
+        order, fld = self.ring.order, self.ring.field
+        last = None
+        while heap:
+            reason = self._spent()
+            if reason:
+                for _, terms in self.gens[self.reached:]:
+                    basis.append(compile_terms(terms, self.ring, len(basis)))
+                return self._cut(reason)
+            deg, sig, v, _, i, j = heappop(heap)
+            if i < 0:
+                self.reached += 1
+            seen, last = sig == last, sig
+            if seen or self._rewritable(deg, sig, v, cover=True):
+                stats.pairs_pruned += 1
+                continue
+            terms = self.gens[j][1] if i < 0 else self._spoly(basis[i], basis[j], deg, v)[0]
+            stats.spairs_reduced += 1
+            if deg > stats.max_degree_processed:
+                stats.max_degree_processed = deg
+            rem = normal_form(terms, self.reducers, fld, signature=(sig, self.sigs))
+            if rem:
+                self._add(rem, sig)
+            else:
+                stats.zero_reductions += 1
+                self.syz[sig >> self.bits].append(order.packed(sig))
+        stats.seconds = time.monotonic() - self.start
+
+
 def buchberger(
     gens: Sequence[Polynomial],
     *,
@@ -428,9 +618,17 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    degree_bound: process only S-pairs of lcm total degree <= bound; requires
+    Homogeneous input runs the signature loop, except under a degree bound
+    below some generator's degree, whose truncated basis keeps that
+    generator as the Gebauer-Moeller loop leaves it; everything else runs
+    `Engine`.  Both loops give the same reduced basis.
+
+    degree_bound: process only pairs of lcm total degree <= bound; requires
     homogeneous generators and returns a basis flagged as truncated (correct
-    through that degree) unless no pair was actually dropped.
+    through that degree) unless no pair was dropped, or the Gebauer-Moeller
+    update over the reduced basis queues none past the bound (`_settled`).
+    So whether a run that dropped pairs is complete is read off the reduced
+    basis alone, whatever the loop and the order of `gens`.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -439,26 +637,52 @@ def buchberger(
     for g in gens[1:]:
         if g.ring is not ring and not g.ring.same_signature(ring):
             raise ValueError("generators from incompatible rings")
-    if degree_bound is not None and not all(g.is_homogeneous() for g in gens):
+    homogeneous = all(g.is_homogeneous() for g in gens)
+    if degree_bound is not None and not homogeneous:
         raise ValueError("degree_bound requires homogeneous generators")
-    engine = Engine(ring, degree_bound=degree_bound, budget=budget)
-    for g in gens:
-        engine.add(g.terms)
+    if homogeneous and (degree_bound is None or max(g.degree() for g in gens) <= degree_bound):
+        engine = SignatureLoop(ring, gens, degree_bound=degree_bound, budget=budget)
+    else:
+        engine = Engine(ring, degree_bound=degree_bound, budget=budget)
+        for g in gens:
+            engine.add(g.terms)
     engine.run()
-    basis = sorted(engine.basis, key=lambda g: g.lead_v)
-    polys = [Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in basis]
-    # A cut run keeps every accumulated element: with pairs unprocessed,
-    # dropping a lead-redundant element could lose ideal content in its tail.
-    if engine.exhausted is None:
-        polys = interreduce(polys)
-        engine.stats.seconds = time.monotonic() - engine.start
+    stats, cut, truncation_degree = engine.stats, engine.exhausted, engine.truncation_degree
+    elements = sorted(engine.basis, key=lambda g: g.lead_v)
+    del engine  # its reducer store, signatures and queue
+    if cut:
+        # A cut run keeps every accumulated element: with pairs unprocessed,
+        # dropping a lead-redundant element could lose ideal content in its tail.
+        polys = [Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements]
+    else:
+        start = time.monotonic()
+        # the elements whose leads are not minimal are freed before
+        # `interreduce` builds the reduced basis, which bounds peak memory
+        elements = _minimal(elements, ring.order)
+        polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+        if truncation_degree is not None and _settled(polys, truncation_degree):
+            truncation_degree = None
+        stats.seconds += time.monotonic() - start
     return GroebnerBasis(
         ring,
         polys,
-        complete=engine.complete,
-        truncation_degree=engine.truncation_degree,
-        stats=engine.stats,
+        complete=cut is None and truncation_degree is None,
+        truncation_degree=truncation_degree,
+        stats=stats,
     )
+
+
+def _settled(polys, bound: int) -> bool:
+    """Whether the Gebauer-Moeller update, run over the reduced basis of a
+    run truncated at `bound`, queues no pair past the bound.  Every pair it
+    queues within the bound reduces to zero, since the basis is complete
+    through the bound, so the basis is then complete."""
+    engine = Engine(polys[0].ring, degree_bound=bound)
+    for g in polys:
+        engine.add(g.terms)
+        if engine.stats.pairs_truncated:
+            return False
+    return True
 
 
 def interreduce(polys: Sequence[Polynomial]) -> list:
@@ -469,24 +693,18 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
     of the ideal: a member whose lead another lead divides is dropped with
     its tail, which the others need not generate.
 
-    Each kept element is compiled once, into one reducer set shared by all
-    tails.  That set also holds the element whose tail is being reduced, and
-    the result is still the same as against the others alone: a lead divides
-    only monomials at or above itself, so no element ever matches a term of
-    its own tail, and among the others find picks the same reducer, the
-    first by lead degree and then insertion.
+    Each element is compiled once, and the kept ones go into one reducer
+    set shared by all tails.  That set also holds the element whose tail is
+    being reduced, and the result is still the same as against the others
+    alone: a lead divides only monomials at or above itself, so no element
+    ever matches a term of its own tail, and among the others find picks
+    the same reducer, the first by lead degree and then insertion.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     ring = polys[0].ring
-    order = ring.order
-    # drop any element whose lead is divisible by another kept lead
-    kept = []
-    for p in sorted(polys, key=lambda p: p.terms[0][0]):
-        e = order.packed(p.terms[0][0])
-        if not any(order.divides(q.packed, e) for q in kept):
-            kept.append(compile_poly(p, len(kept)))
+    kept = _minimal(sorted((compile_poly(p) for p in polys), key=lambda g: g.lead_v), ring.order)
     # tail-reduce each against the shared set; the leads stay sorted
     reducers = DegreeBucketReducers(ring.order, kept)
     out = []
@@ -494,6 +712,19 @@ def interreduce(polys: Sequence[Polynomial]) -> list:
         rem = normal_form(cp.tail, reducers, ring.field)
         out.append(decompile(ring, [(cp.lead_v, cp.lc)] + rem).monic())
     return out
+
+
+def _minimal(elements, order) -> list:
+    """The compiled elements, sorted by lead, whose lead no kept lead
+    divides: the leads of the reduced basis, when `elements` is a basis."""
+    borrow = order.low << _EXP_BITS
+    kept, leads = [], []
+    for g in elements:
+        e = g.packed
+        if all((e ^ a ^ (e - a)) & borrow for a in leads):
+            kept.append(g)
+            leads.append(e)
+    return kept
 
 
 # -- elimination / intersection / quotient ------------------------------------

@@ -736,6 +736,13 @@ class DegreeBucketReducers:
     among the groups' first divisors is the answer.  It decodes nothing: a
     reducer whose support mask is not within v's is skipped, and the rest
     face the borrow test on packed exponents (`MonomialOrder`).
+
+    find(v, signature) is the regular lookup of the signature loop, for a
+    polynomial whose signature key is s, with signature = (s, sigs) and
+    sigs[r.index] the signature key of reducer r: a divisor qualifies only
+    if its multiplied signature sigs[r.index] + v - r.lead_v is below s.
+    That sum is the key of (v / lead) times the reducer's signature, so past
+    the cap `check_product` clears it first.
     """
 
     __slots__ = ("order", "positions", "serial")
@@ -760,7 +767,7 @@ class DegreeBucketReducers:
         insort(group, (cp.lead_deg << _SERIAL_BITS | self.serial, cp))
         self.serial += 1
 
-    def find(self, v):
+    def find(self, v, signature=None):
         order = self.order
         groups = self.positions.get(v >> order.total_bits)
         if groups is None:
@@ -782,6 +789,13 @@ class DegreeBucketReducers:
                 a = r.packed
                 if (e ^ a ^ (e - a)) & borrow:
                     continue
+                if signature is not None:
+                    s, sigs = signature
+                    sig = sigs[r.index]
+                    if deg > _EXP_CAP:
+                        check_product(e - a, ((sig, 0),), order)
+                    if sig + v - r.lead_v >= s:
+                        continue
                 best, limit = r, rank
                 break
         if best is not None and deg - best.lead_deg + best.tail_deg > _EXP_CAP:
@@ -789,7 +803,7 @@ class DegreeBucketReducers:
         return best
 
 
-def normal_form(terms, reducers, field, record=None):
+def normal_form(terms, reducers, field, record=None, signature=None):
     """Reduce a compiled term list to normal form against `reducers`.
 
     terms: sized iterable of (V, coeff); reducers: any store with find(V).
@@ -801,6 +815,11 @@ def normal_form(terms, reducers, field, record=None):
     was popped for good.  Over GF(p) a key's int sum is reduced mod p once,
     when it is popped, so the remainder and the recorded coefficients are
     residues in 1..p-1 and a key whose sum is a multiple of p is dropped.
+
+    With `signature` = (s, sigs) it is regular top reduction in the
+    signature loop: each step takes `reducers.find(V, signature)`, a reducer
+    of multiplied signature below s, and the loop stops at the first term
+    that has none, returning it and every term below it as they stand.
     """
     p = field.p
     acc = {}
@@ -821,9 +840,16 @@ def normal_form(terms, reducers, field, record=None):
             c %= p
         if not c:
             continue
-        red = find(v)
+        red = find(v) if signature is None else find(v, signature)
         if red is None:
             rem.append((v, c))
+            if signature is not None:  # top reduction ends here
+                for w, d in sorted(acc.items(), reverse=True):
+                    if p:
+                        d %= p
+                    if d:
+                        rem.append((w, d))
+                return rem
             continue
         cf = c * red.lc_inv
         if p:

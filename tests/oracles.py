@@ -18,16 +18,23 @@ selection it is compared with decides everything within one engine run.
 quotient and meets them all, the reference for a colon that settles later
 quotients by membership.  `criteria_pairs` is the engine's pair-criteria
 step as it was written on exponent tuples, the reference for the packed
-one.  `det_cofactor` expands a determinant with ring arithmetic alone: no
+one.  `engine_run` drives the Gebauer-Moeller `Engine` over polynomials, as
+`buchberger` did for homogeneous input before the signature loop, and
+`engine_basis` is the reduced basis it gives: the reference route for the
+signature loop.  `near_cap_binomials` is input data for both near the 8-bit
+cap.  `det_cofactor` expands a determinant with ring arithmetic alone: no
 elimination, no exact division.  `evaluate` and `hilbert_function` are the
 point evaluation and the Hilbert function of a numerator, which only tests
 ask for.
 """
 
+import random
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from commsyz.groebner import colon_by_element, interreduce, intersect_ideals
+from commsyz.fields import GF
+from commsyz.groebner import Engine, colon_by_element, interreduce, intersect_ideals
+from commsyz.polyring import PolyRing, Polynomial
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -441,6 +448,42 @@ def criteria_pairs(pairs: dict, leads: list, degree_bound=None):
         else:
             pairs[(gi, h)] = l
     return pairs, offered, pruned, truncated
+
+
+def near_cap_binomials(order, seed):
+    """Homogeneous binomials of degree 383 in three variables whose exponents
+    lie near 0, 128 and 255: products and reductions among them pass the
+    8-bit cap in some variable, which `check_product` must catch."""
+    rng = random.Random(seed)
+    ring = PolyRing(1, GF(101), order, naux=1)
+    near = [0, 1, 2, 126, 127, 128, 129, 253, 254, 255]
+    monomials = set()
+    while len(monomials) < 12:
+        a, b = rng.choice(near), rng.choice(near)
+        if 0 <= 383 - a - b <= 255:
+            monomials.add((a, b, 383 - a - b))
+    monomials = sorted(monomials)
+    rng.shuffle(monomials)
+    return [
+        ring.poly({monomials[k]: 1, monomials[k + 1]: rng.randint(1, 100)})
+        for k in range(0, len(monomials), 2)
+    ]
+
+
+def engine_run(gens, bound=None) -> Engine:
+    """A finished Gebauer-Moeller `Engine` run over the polynomials gens."""
+    engine = Engine(gens[0].ring, degree_bound=bound)
+    for g in gens:
+        engine.add(g.terms)
+    engine.run()
+    return engine
+
+
+def engine_basis(gens, bound=None) -> list:
+    """The reduced basis of an `engine_run`, as `buchberger` returns it."""
+    ring = gens[0].ring
+    elements = sorted(engine_run(gens, bound).basis, key=lambda g: g.lead_v)
+    return interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
 
 
 def det_cofactor(m):

@@ -179,6 +179,25 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", list(READS))
+def test_config_and_header_show_only_the_settings_a_subcommand_takes(command, tmp_path):
+    argv = [command]
+    if command == "syzygy-check":
+        matrix = tmp_path / "m.mat"
+        matrix.write_text("0; 0; 0\n0; 0; 0\n0; 0; 0\n")
+        argv += ["--matrix", str(matrix)]
+    elif command == "predict":
+        argv += ["betti"]
+    cfg = parse_args(argv)
+    taken = {flag.lstrip("-").replace("-", "_") for flag in READS[command]}
+    config = cfg.as_dict()
+    assert set(config) == taken | {"json_output", "extras"}
+    report = Report(command=command, config=config, results=[], timing={"total_seconds": 0.0})
+    header = emit(report, "text").splitlines()[1:]
+    shown = {k for k in ("n", "field", "order") if any(f" {k}=" in f" {h}" for h in header)}
+    assert shown == taken & {"n", "field", "order"}
+
+
 def test_presets_reach_only_the_subcommands_that_read_them(monkeypatch):
     monkeypatch.setenv(f"{ENV_PREFIX}FIELD", "gf:4")
     monkeypatch.setenv(f"{ENV_PREFIX}FIXTURES", "elsewhere")
@@ -273,7 +292,7 @@ def test_json_reports_are_identical_modulo_timing(capsys):
     assert code1 == code2 == 0
     t1, t2 = rep1.pop("timing"), rep2.pop("timing")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-    assert set(t1) == {"total_seconds", "per_result"}
+    assert set(t1) == {"total_seconds", "per_result", "stats"}
 
 
 def test_commutator_listing(capsys):
@@ -302,13 +321,22 @@ def test_hilbert_off_diagonal_quotient(capsys):
     assert detail["dimension"] == 6
 
 
-def test_groebner_command_reports_stats_without_seconds(capsys):
+def test_groebner_command_reports_stats_in_timing(capsys):
+    """The engine's work counts depend on the engine, so they sit in the
+    timing block, beside the seconds, and `results` keep the answer only."""
     code, rep = run_json(["groebner", "-n", "2", "--ideal", "I"], capsys)
     assert code == 0
     detail = rep["results"][0]["detail"]
     assert detail["complete"] is True
-    assert "seconds" not in detail["stats"]
+    assert "stats" not in detail
     assert detail["size"] >= 3
+    stats = rep["timing"]["stats"]["groebner"]
+    assert stats["spairs_reduced"] >= stats["zero_reductions"] >= 0
+    assert "seconds" in stats
+    code, rep = run_json(["syzygies", "-n", "2"], capsys)
+    assert "stats" not in rep["results"][0]["detail"]
+    assert rep["timing"]["stats"]["syzygies"]["spairs_reduced"] > 0
+    assert "stats:" in run_cli(["groebner", "-n", "2"], capsys)[1]
 
 
 def test_desk_guard_refuses_big_runs_without_budget(capsys):

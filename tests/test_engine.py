@@ -158,8 +158,30 @@ def test_rank_one_vectors_keep_the_vector_pair_policy():
     x, y = ring.x(1, 1), ring.y(1, 1)
     stats = module_buchberger([(x,), (y,)]).stats
     assert (stats.spairs_reduced, stats.zero_reductions, stats.pairs_pruned) == (1, 1, 0)
-    stats = buchberger([x, y]).stats
-    assert (stats.spairs_reduced, stats.pairs_pruned) == (0, 1)
+    engine = Engine(ring)
+    for f in (x, y):
+        engine.add(f.terms)
+    engine.run()
+    assert (engine.stats.spairs_reduced, engine.stats.pairs_pruned) == (0, 1)
+
+
+def test_tracked_vectors_with_coprime_leads_are_reduced():
+    """The Koszul relation of two coprime leads is a syzygy of polynomials
+    only.  (x_1_1, y_1_1) and (x_2_2, y_2_2) have coprime leads in one
+    position and no syzygy at all: their S-pair is reduced, to the vector
+    (0, x_2_2*y_1_1 - x_1_1*y_2_2), and no syzygy is reported."""
+    ring = PolyRing(2, GF(32003))
+    x, y = ring.x, ring.y
+    vecs = [(x(1, 1), y(1, 1)), (x(2, 2), y(2, 2))]
+    morder = ModuleOrder(ring.order, 2)
+    engine = Engine(ring, track=True)
+    for i, vec in enumerate(vecs):
+        engine.add(vector_terms(vec, morder), [(morder.encode(i, ring.order.unit_v), 1)])
+    engine.run()
+    assert (engine.stats.spairs_reduced, engine.stats.elements_added) == (1, 3)
+    assert engine.syzygies == []
+    g = engine.basis[2]
+    assert decompile_vector(ring, 2, [(g.lead_v, g.lc), *g.tail], morder) == (ring.zero, x(2, 2) * y(1, 1) - x(1, 1) * y(2, 2))
 
 
 def test_membership_against_a_cut_basis_raises():

@@ -5,13 +5,17 @@ Each of its steps is compared here with `oracles.criteria_pairs`, the same
 step written on exponent tuples, from the same waiting pairs and leads: the
 waiting pairs after the step, the pairs offered to the queue (in order, so
 the pop order is the same) and the pruned and truncated counts must agree.
+`buchberger` hands homogeneous input to the signature loop, so these tests
+drive an `Engine` directly (`oracles.engine_run`).
 The inputs are seeded random homogeneous ideals under grevlex, lex and elim,
 binomial ideals whose exponents sit near 128 and 255, binomials whose leads
 divide one another (so that a new pair is dropped only because a lead
 coprime to the new one divides its partner's lead), and shuffled n=3
-generators.  The work counts of three commutator bases are pinned, and the
-reducer store and the criteria must decode and encode nothing, under grevlex
-and under elim.
+generators.  The work counts of three commutator bases are pinned on the
+Gebauer-Moeller engine, and those of the signature loop are pinned too and
+must not depend on the order of the generators.  The reducer store, the
+criteria and the signature loop must decode and encode nothing, under
+grevlex and under elim.
 """
 
 import random
@@ -20,10 +24,10 @@ from collections import Counter
 import pytest
 
 from commsyz.fields import GF
-from commsyz.groebner import Engine, buchberger, colon_ideal
+from commsyz.groebner import Engine, SignatureLoop, buchberger, colon_ideal
 from commsyz.polyring import BlockElimination, DegreeBucketReducers, Grevlex, PolyRing
 
-from oracles import criteria_pairs, mon_divides, mon_lcm
+from oracles import criteria_pairs, engine_run, mon_divides, mon_lcm, near_cap_binomials
 
 ORDERS = ("grevlex", "lex", "elim")
 
@@ -140,7 +144,7 @@ def _divisible_leads(order, seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_a_coprime_lead_dividing_a_lead_drops_pairs(checked, dropped, order, seed):
     gens = _divisible_leads(order, seed)
-    buchberger(gens, degree_bound=5)
+    engine_run(gens, 5)
     assert len(checked) >= len(gens)
     assert dropped
 
@@ -159,7 +163,7 @@ def test_a_coprime_lead_drops_a_pair_of_equal_lcm(checked, dropped, order, swap)
     pair = [_binomial(ring, rng, lead(x_2_1=1)), _binomial(ring, rng, lead(x_1_1=1, x_2_1=1))]
     if swap:
         pair.reverse()
-    buchberger(pair + [_binomial(ring, rng, lead(x_1_1=2))], degree_bound=5)
+    engine_run(pair + [_binomial(ring, rng, lead(x_1_1=2))], 5)
     assert len(checked) >= 3
     assert any(dropped)
 
@@ -181,30 +185,11 @@ def _random_ideal(order, seed):
     return gens
 
 
-def _near_cap_binomials(order, seed):
-    """Homogeneous binomials of degree 383 in three variables whose exponents
-    lie near 0, 128 and 255."""
-    rng = random.Random(seed)
-    ring = PolyRing(1, GF(101), order, naux=1)
-    near = [0, 1, 2, 126, 127, 128, 129, 253, 254, 255]
-    monomials = set()
-    while len(monomials) < 12:
-        a, b = rng.choice(near), rng.choice(near)
-        if 0 <= 383 - a - b <= 255:
-            monomials.add((a, b, 383 - a - b))
-    monomials = sorted(monomials)
-    rng.shuffle(monomials)
-    return [
-        ring.poly({monomials[k]: 1, monomials[k + 1]: rng.randint(1, 100)})
-        for k in range(0, len(monomials), 2)
-    ]
-
-
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("seed", range(6))
 def test_criteria_match_the_tuple_reference_on_random_ideals(checked, order, seed):
     gens = _random_ideal(order, seed)
-    buchberger(gens, degree_bound=5)
+    engine_run(gens, 5)
     assert len(checked) >= len(gens)
 
 
@@ -212,9 +197,9 @@ def test_criteria_match_the_tuple_reference_on_random_ideals(checked, order, see
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("bound", (383, 400))
 def test_criteria_match_the_tuple_reference_near_the_cap(checked, order, seed, bound):
-    gens = _near_cap_binomials(order, seed)
+    gens = near_cap_binomials(order, seed)
     try:
-        buchberger(gens, degree_bound=bound)
+        engine_run(gens, bound)
     except OverflowError:
         pass  # a reduction step past the cap; the steps before it were checked
     assert len(checked) >= len(gens)
@@ -224,34 +209,69 @@ def test_criteria_match_the_tuple_reference_near_the_cap(checked, order, seed, b
 def test_criteria_match_the_tuple_reference_on_shuffled_n3_generators(checked, ctx, seed):
     gens = list(ctx.system(3).minimal_gens)
     random.Random(seed).shuffle(gens)
-    basis = buchberger(gens)
-    assert len(checked) == basis.stats.elements_added == 27
+    engine = engine_run(gens)
+    assert len(checked) == engine.stats.elements_added == 27
 
 
-def _counts(basis):
-    s = basis.stats
+def _counts(stats):
+    s = stats
     return (s.spairs_reduced, s.zero_reductions, s.pairs_pruned, s.pairs_truncated, s.elements_added)
 
 
 def test_commutator_basis_work_counts_are_pinned(ctx):
     gens = list(ctx.system(3).minimal_gens)
-    assert _counts(buchberger(gens)) == (90, 71, 261, 0, 27)
+    assert _counts(engine_run(gens).stats) == (90, 71, 261, 0, 27)
     gens = list(ctx.system(4).minimal_gens)
-    assert _counts(buchberger(gens, degree_bound=4)) == (286, 163, 8149, 1018, 138)
+    assert _counts(engine_run(gens, 4).stats) == (286, 163, 8149, 1018, 138)
 
 
 def test_shuffled_n4_degree_5_work_counts_are_pinned(ctx):
-    """The `gb-n4-d5` benchmark job at seed 3."""
+    """The `gb-n4-d5` benchmark job at seed 3, on the Gebauer-Moeller engine."""
     gens = list(ctx.system(4).minimal_gens)
     random.Random(3).shuffle(gens)
-    assert _counts(buchberger(gens, degree_bound=5)) == (919, 713, 22095, 1296, 221)
+    assert _counts(engine_run(gens, 5).stats) == (919, 713, 22095, 1296, 221)
+
+
+def test_signature_loop_work_counts_are_pinned(ctx):
+    """The signature loop's counts on the bases `buchberger` computes: the
+    n=3 bases of I and J, and I at n=4 through degree 4.  Each generator's
+    own entry counts as one reduced pair."""
+    system = ctx.system(3)
+    assert _counts(buchberger(list(system.minimal_gens)).stats) == (114, 27, 3635, 0, 87)
+    assert _counts(buchberger(list(system.off_diagonal_gens)).stats) == (48, 0, 1086, 0, 48)
+    gens = list(ctx.system(4).minimal_gens)
+    assert _counts(buchberger(gens, degree_bound=4).stats) == N4_D4_COUNTS
+
+
+N4_D4_COUNTS = (213, 10, 279, 20026, 203)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_signature_loop_counts_do_not_depend_on_the_generator_order(ctx, seed):
+    """The generators take their signature indices from a canonical sort,
+    so every shuffle of the n=4 generators gives the same counts."""
+    gens = list(ctx.system(4).minimal_gens)
+    random.Random(seed).shuffle(gens)
+    assert _counts(buchberger(gens, degree_bound=4).stats) == N4_D4_COUNTS
+
+
+@pytest.mark.parametrize("seed", (1, 3, 9001))
+def test_shuffled_n4_degree_5_signature_counts_are_pinned(ctx, seed):
+    """The `gb-n4-d5` benchmark job at three seeds: 56 of its 629 reduced
+    pairs reduce to zero, where the Gebauer-Moeller engine has 713 of 919."""
+    gens = list(ctx.system(4).minimal_gens)
+    random.Random(seed).shuffle(gens)
+    basis = buchberger(gens, degree_bound=5)
+    assert _counts(basis.stats) == (629, 56, 2881, 160383, 573)
+    assert (len(basis), basis.complete, basis.truncation_degree) == (220, False, 5)
 
 
 def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
-    """The n=3 basis of I under grevlex, then the n=3 colon, whose one
-    intersection runs an elimination basis, whose quotient divides under
-    grevlex and whose second quotient is settled by membership in a grevlex
-    basis of J: no reducer `add`, `find` or criteria step encodes or
+    """The n=3 basis of I under grevlex, by the Gebauer-Moeller engine and
+    by the signature loop, then the n=3 colon, whose one intersection runs
+    an elimination basis, whose quotient divides under grevlex and whose
+    second quotient is settled by membership in a grevlex basis of J: no
+    reducer `add`, `find`, criteria step or signature-loop step encodes or
     decodes."""
     calls = Counter()
     inside = [0]
@@ -269,12 +289,12 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     def entering(name, owner):
         original = getattr(owner, name)
 
-        def wrapper(self, *args):
+        def wrapper(self, *args, **kwargs):
             order = self.order if owner is DegreeBucketReducers else self.ring.order
             calls[f"{owner.__name__}.{name}@{order.name}"] += 1
             inside[0] += 1
             try:
-                return original(self, *args)
+                return original(self, *args, **kwargs)
             finally:
                 inside[0] -= 1
 
@@ -286,9 +306,18 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     for name in ("add", "find"):
         monkeypatch.setattr(DegreeBucketReducers, name, entering(name, DegreeBucketReducers))
     monkeypatch.setattr(Engine, "_criteria_pairs", entering("_criteria_pairs", Engine))
-    buchberger(list(ctx.system(3).minimal_gens))
+    for name in ("_add", "_rewritable"):
+        monkeypatch.setattr(SignatureLoop, name, entering(name, SignatureLoop))
+    engine_run(list(ctx.system(3).minimal_gens))
     assert calls["DegreeBucketReducers.find@grevlex"] > 1000
     assert calls["Engine._criteria_pairs@grevlex"] == 27
+    assert calls["encode"] == calls["decode"] == 0
+
+    calls.clear()
+    buchberger(list(ctx.system(3).minimal_gens))
+    assert calls["DegreeBucketReducers.find@grevlex"] > 1000
+    assert calls["SignatureLoop._add@grevlex"] == 87
+    assert calls["SignatureLoop._rewritable@grevlex"] > 1000
     assert calls["encode"] == calls["decode"] == 0
 
     calls.clear()

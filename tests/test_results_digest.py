@@ -19,6 +19,11 @@ The last ten cover the subcommands no other digest reaches: the commutator
 listing, word candidates, n=3 syzygies, the off-diagonal Hilbert series,
 both splice sizes and the four predictions; they were recorded before each
 subcommand took only the flags it reads.
+Six were recorded again when the engines' work counts moved from `detail`
+to the report's timing block: both n=3 `groebner` bases and both
+`syzygies` runs, whose answers did not change, and the two budgeted
+`groebner` runs, whose partial bases changed because the budget now cuts
+the signature loop, which reaches other elements first.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -35,15 +40,15 @@ from commsyz import cli
 
 DIGESTS = {
     "verify -n 2": "179726f6b900d843bba2bda2141d46ce7dc03547cc995fab2f2a4b6af46a4a65",
-    "groebner -n 3 --ideal I": "79b9011e6469ee0dcbd92a34cdbf28bba304ad78b2e00e1d851fe32c146f9f16",
-    "groebner -n 3 --ideal J": "147292547ff7f5be4b5ed32343567e364b230e3967763061131b13c45b7f1aa8",
+    "groebner -n 3 --ideal I": "1c9e77c25df6a487772ed324e66ebac997e3c9862293ca5d8786b93cd0bd85d0",
+    "groebner -n 3 --ideal J": "23946bfdd8924fb9e433cf122c583ca73f76090f680e19f5496295e109c2cae8",
     "colon -n 3": "dc34ae4c6e1fddd641d4fb865674b07080551cfb06494a95c7e46df8d77bc654",
-    "groebner -n 3 --budget-spairs 50": "9b539a389cdb64313437198c87cb70344f34fdf6c3796eb015b181aac11af38d",
+    "groebner -n 3 --budget-spairs 50": "1ebe091d75c9e1eafd4316a006452c74ca98f910fa8ef39c1f71070f5bd11e2a",
     "colon -n 3 --budget-spairs 50": "5532248c9a462bd36e380706cba1e4085add39c4460bfb7b69c3de5de24c512c",
-    "syzygies -n 3 --budget-spairs 20": "15b821aeb5a0cb45f4b9fdedc5e50a7ff51faff129161a6112d6c7c94c2fa4f6",
+    "syzygies -n 3 --budget-spairs 20": "460bda0ad3aad4acd3a44ba5549623fc7dcdd8690f7d3ed2d485b216e7b18b04",
     "hilbert -n 3 --budget-spairs 50": "d85b0d81ec235d528c8f25c4e3b952e7dbd366f6af6a56ec63ef50d3f8c1e75f",
     "verify -n 3 --budget-spairs 20": "c760d8f02d8ff80f14a764219cfb7991d8de767d88d92f121a0db8fdbf9aaf95",
-    "groebner -n 4 --budget-spairs 60": "cc1e37d4fa6cb1520f32f46c82465158efdf5fb9d72e221016fd26f62ef358df",
+    "groebner -n 4 --budget-spairs 60": "e00e1a0d7353ffeafccf340ec7b532fc66ad36b29978bed7f7759519f9eb72d9",
     "verify -n 3": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
     "verify -n 3 --budget-spairs 300": "1264a6e307c448b996cf8f2ccc2dbb58681c89df3001319cec3eb151175a7286",
     "verify -n 3 --order lex": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
@@ -52,7 +57,7 @@ DIGESTS = {
     "verify -n 5": "d9c78850aff622eba6c971b81d414f61fd4bb6fd632d21ce473f8ae37b50100a",
     "commutator -n 3": "5f2f7c95e8504db14dcd69d4a43e06a33fad9d91b65cfc6236125ced6fd640d0",
     "candidates --max-degree 5": "f8f7cbe2c9894d8243b72b9b3364dfc44791725df5b27149035b56f1d8fdcd97",
-    "syzygies -n 3": "d931d9fec28ef05d22c850557365bc076a81a7442551dd4e812130e60baa82bf",
+    "syzygies -n 3": "c8cbf52629e1aeaa0bd07b4c27507bfd85c53198f3fd650972ac3e0eaff95ac2",
     "hilbert -n 3 --ideal J": "b6fbe673d223e3ad40898e5a4073bad99da2dd31d67a997f6602bc934b7de4c4",
     "check-splice -n 3": "fd986dfb062b006ee9fda81fc12747f48b07858f33ccaf5779ffcf13c12a0a36",
     "check-splice -n 4": "5a8c410845d7a4a4c1398097789820a2950428a522284d7bce11ab27c7af144a",

@@ -1,0 +1,126 @@
+"""The signature loop against the Gebauer-Moeller engine.
+
+`buchberger` hands homogeneous input to `SignatureLoop`.  Its reduced basis
+must be the one the Gebauer-Moeller `Engine` gives (`oracles.engine_basis`),
+which is unique for the ideal, the order and the degree bound.  The inputs
+are 306 seeded random homogeneous ideals over GF(7), GF(32003) and QQ under
+grevlex, lex and elim, with and without a degree bound; 40 ideals of 2 to 5
+generators of degree 2-3 in all 8 variables of n=2, bound 6, the shape on
+which a signature loop that rewrites by addition order and drops singular
+results loses leads; and binomials near the 8-bit cap, where a product past
+the cap must raise OverflowError exactly where the engine raises it.  A
+shuffle of the generators changes neither the basis, the flags nor the work
+counts, and a bounded basis flagged complete is the unbounded one.
+"""
+
+import random
+from dataclasses import astuple
+
+import pytest
+
+from commsyz.fields import GF, QQ
+from commsyz.groebner import Budget, Engine, buchberger
+from commsyz.polyring import PolyRing
+
+from oracles import engine_basis, near_cap_binomials
+
+FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
+ORDERS = ("grevlex", "lex", "elim")
+
+
+def _random_ideal(rng, field, order, nvars=6, ngens=(3, 6)):
+    """Forms of degree 2-3 with 1-4 terms in `nvars` of the n=2 variables."""
+    ring = PolyRing(2, field, order, naux=2 if order == "elim" else 0)
+    live = [ring.var(name) for name in rng.sample(ring.names[ring.naux:], nvars)]
+    gens = []
+    for _ in range(rng.randint(*ngens)):
+        degree = rng.randint(2, 3)
+        f = ring.zero
+        for _ in range(rng.randint(1, 4)):
+            m = ring.const(rng.randint(1, 100))
+            for _ in range(degree):
+                m = m * rng.choice(live)
+            f = f + m
+        if f:
+            gens.append(f)
+    return gens
+
+
+def _signature_route(gens, bound, monkeypatch):
+    """`buchberger` on gens, with `Engine.run` barred, so the signature
+    loop computes it."""
+
+    def barred(self, through=None):
+        raise AssertionError("homogeneous input ran the Gebauer-Moeller loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(Engine, "run", barred)
+        return buchberger(gens, degree_bound=bound)
+
+
+def _terms(basis):
+    return [g.terms for g in basis]
+
+
+def _check(gens, bound, rng, monkeypatch):
+    got = _signature_route(gens, bound, monkeypatch)
+    assert _terms(got) == _terms(engine_basis(gens, bound))
+    shuffled = _signature_route(rng.sample(gens, len(gens)), bound, monkeypatch)
+    assert _terms(shuffled) == _terms(got)
+    flags = (got.complete, got.truncation_degree)
+    assert (shuffled.complete, shuffled.truncation_degree) == flags
+    assert astuple(shuffled.stats)[:-1] == astuple(got.stats)[:-1]  # all but seconds
+    if bound is not None and got.complete:
+        assert _terms(got) == _terms(engine_basis(gens))
+    return got
+
+
+@pytest.mark.parametrize("bounded", (False, True), ids=("unbounded", "bounded"))
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_signature_loop_gives_the_engine_basis(field, order, bounded, monkeypatch):
+    """17 random ideals per field, order and bound kind: 306 in all."""
+    for seed in range(17):
+        rng = random.Random(f"{field}-{order}-{bounded}-{seed}")
+        gens = _random_ideal(rng, FIELDS[field], order)
+        if gens:
+            _check(gens, rng.choice((4, 5, 6)) if bounded else None, rng, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(9000, 9040))
+def test_few_generators_in_every_variable_bound_6(seed, monkeypatch):
+    rng = random.Random(seed)
+    gens = _random_ideal(rng, GF(32003), "grevlex", nvars=8, ngens=(2, 5))
+    _check(gens, 6, rng, monkeypatch)
+
+
+@pytest.mark.parametrize("bound", (None, 383, 400))
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("seed", range(6))
+def test_near_the_cap_both_routes_raise_or_agree(seed, order, bound, monkeypatch):
+    gens = near_cap_binomials(order, seed)
+    try:
+        want = _terms(engine_basis(gens, bound))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _signature_route(gens, bound, monkeypatch)
+        return
+    assert _terms(_signature_route(gens, bound, monkeypatch)) == want
+
+
+def test_a_constant_generator_gives_the_unit_ideal():
+    ring = PolyRing(2, GF(101))
+    x, y = ring.x(1, 1), ring.y(2, 2)
+    basis = buchberger([x * x + y * y, ring.const(3), x * y])
+    assert _terms(basis) == [ring.one.terms]
+    assert basis.complete
+
+
+def test_a_cut_run_keeps_the_generators_it_did_not_reach(ctx):
+    """A budget of one reduced pair reaches the first generator only; the
+    partial basis still holds all eight, so it generates the ideal."""
+    gens = list(ctx.system(3).minimal_gens)
+    basis = buchberger(gens, budget=Budget(max_spairs=1))
+    assert not basis.complete and basis.truncation_degree is None
+    assert basis.stats.spairs_reduced == 1
+    assert {g.monic() for g in gens} <= set(basis.elements)
