@@ -191,6 +191,7 @@ def _colon(cfg: RunConfig, ctx: DeskContext, n: int):
             }
             for g in new_gens
         ],
+        "stats": _stats(ctx.colon_generators(n).stats),
     }
     return "PASS", detail
 

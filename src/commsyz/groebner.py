@@ -6,11 +6,13 @@ answers find(V) on the packed key, and one normal-form kernel.
 `SignatureLoop` computes every basis of homogeneous polynomials that
 `buchberger` is asked for: the bases of the commutator ideals, the J basis
 a colon ideal asks for membership, and the `groebner` and `hilbert`
-subcommands.  It is the GVW signature loop: each element carries the
-signature of one representation over the generators, pairs are processed in
-ascending signature, each one is reduced by regular top reduction only, and
-the F5, syzygy and cover criteria drop the pairs whose reduction would add
-nothing, most of which reduce to zero without signatures.
+subcommands.  With a quotient generator f it also gives the element
+quotient (J : f) of a colon ideal.  It is the GVW signature loop: each
+element carries the signature of one representation over the generators,
+pairs are processed in ascending signature, each one is reduced by regular
+top reduction only, and the F5, syzygy and cover criteria drop the pairs
+whose reduction would add nothing, most of which reduce to zero without
+signatures.
 
 `Engine` is the Gebauer-Moeller loop for everything else: ideals and
 free-module vectors alike run as packed term lists, tracked runs, the
@@ -27,17 +29,18 @@ polynomial leads are coprime, yields a syzygy.
 A budget counts the pairs a run reduces.  In `Engine` that is its reduced
 S-pairs.  In `SignatureLoop` it is the J-pairs that pass the criteria and
 are reduced, each generator's own entry included, since a generator is
-top-reduced on entry too.  Pairs the criteria drop are not counted.
+top-reduced on entry too; for a colon ideal, those of its quotient loop.
+Pairs the criteria drop are not counted.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
-monomial order.  Built on it: elimination of auxiliary variables,
-intersection of ideals (single auxiliary variable splitting), and ideal
-quotients (via intersection with a principal ideal plus exact division).
-A quotient by several elements eliminates the first element quotient only;
-each later element is settled by membership in a complete basis of the
-ideal when the result so far already lies in its quotient, and falls back
-to eliminating its quotient and the meet otherwise.
+monomial order.  Built on it: elimination of auxiliary variables and
+intersection of ideals (single auxiliary variable splitting).  A colon
+ideal takes its first element quotient from one signature loop with a
+quotient generator; each later element is settled by membership in a
+complete basis of the ideal when the result so far already lies in its
+quotient, and otherwise its quotient comes from the same loop and the meet
+of the two is eliminated.  Elimination is left for that meet alone.
 """
 from __future__ import annotations
 
@@ -91,14 +94,15 @@ def require(basis, degree: Optional[int] = None, *, partial: str, truncated: Opt
 class Budget:
     """Resource limits for one engine run.
 
-    A budget caps one engine run as a whole: a complete basis, or a whole
-    minimal-generator selection with every degree it passes through.
-    `max_spairs` counts the pairs the run reduces: S-pairs in `Engine`; in
-    `SignatureLoop` (every `buchberger` call on homogeneous input) the
-    J-pairs that pass its criteria, each generator's entry included.  A cut
-    never raises: the run stops and its result is flagged partial
-    (`complete` False, no `truncation_degree`), so any later question put to
-    it is refused by `require`.
+    A budget caps one engine run as a whole: a complete basis, a whole
+    minimal-generator selection with every degree it passes through, or
+    one element quotient of a colon ideal.  `max_spairs` counts the pairs
+    the run reduces: S-pairs in `Engine`; in `SignatureLoop` (every
+    `buchberger` call on homogeneous input, and each quotient loop of a
+    colon) the J-pairs that pass its criteria, each generator's entry
+    included.  A cut never raises: the run stops and its result is flagged
+    partial (`complete` False, no `truncation_degree`), so any later
+    question put to it is refused by `require`.
     """
 
     max_spairs: Optional[int] = None
@@ -122,6 +126,13 @@ class GBStats:
     elements_added: int = 0
     max_degree_processed: int = 0
     seconds: float = 0.0
+
+    def add(self, other: "GBStats") -> None:
+        """Add another run's counts; the highest degree is the larger one."""
+        for name in ("spairs_reduced", "zero_reductions", "pairs_pruned", "pairs_truncated",
+                     "elements_added", "seconds"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.max_degree_processed = max(self.max_degree_processed, other.max_degree_processed)
 
 
 class GroebnerBasis:
@@ -202,10 +213,11 @@ class GroebnerBasis:
 
 class _PairLoop:
     """What both pair loops share: the monic packed elements and their one
-    `DegreeBucketReducers`, the degree bound, the budget, the work counts
-    and the flags of a finished run.  `exhausted` holds the reason once the
-    budget has cut the run.  What a finished run can answer is stated once,
-    by `complete` and `truncation_degree`."""
+    `DegreeBucketReducers`, the tracked representations and the product
+    kernel that combines them, the degree bound, the budget, the work
+    counts and the flags of a finished run.  `exhausted` holds the reason
+    once the budget has cut the run.  What a finished run can answer is
+    stated once, by `complete` and `truncation_degree`."""
 
     def __init__(self, ring: PolyRing, degree_bound, budget):
         self.ring = ring
@@ -218,6 +230,7 @@ class _PairLoop:
         self.heap: list = []  # the queued pairs, each with a unique serial
         self.serial = 0
         self.exhausted = None
+        self.reps = None  # per element, the representation the loop tracks
 
     @property
     def complete(self) -> bool:
@@ -268,6 +281,19 @@ class _PairLoop:
             if rep is not None:
                 rep = [(v, fld.mul(c, inv)) for v, c in rep]
         return terms, rep
+
+    def _combine(self, deg: int, parts) -> list:
+        """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
+        scalar term list, as descending packed terms, by the product kernel
+        `sum_of_products`.  Every product term has degree <= deg, the pair's
+        degree, since the input is homogeneous; past the cap each product is
+        checked."""
+        order, reps = self.ring.order, self.reps
+        if deg > _EXP_CAP:
+            for idx, m, _ in parts:
+                check_product(packed_lcm(m, order), reps[idx], order)
+        work = [(reps[idx], m, sign) for idx, m, sign in parts]
+        return sum_of_products(work, order.unit_v, self.ring.field.p)
 
 
 class Engine(_PairLoop):
@@ -427,19 +453,6 @@ class Engine(_PairLoop):
                     self.syzygies.append(rep)
         stats.seconds = time.monotonic() - self.start
 
-    def _combine(self, deg: int, parts) -> list:
-        """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
-        scalar term list, as descending packed module terms, by the product
-        kernel `sum_of_products`.  Every product term has degree <= deg, the
-        pair's degree, since tracked input is homogeneous; past the cap each
-        product is checked."""
-        order, reps = self.ring.order, self.reps
-        if deg > _EXP_CAP:
-            for idx, m, _ in parts:
-                check_product(packed_lcm(m, order), reps[idx], order)
-        work = [(reps[idx], m, sign) for idx, m, sign in parts]
-        return sum_of_products(work, order.unit_v, self.ring.field.p)
-
     def select(self, candidates, *, strict: bool = True) -> list:
         """Indices of the minimal generators among `candidates`, homogeneous
         (degree, terms) pairs in nondecreasing degree, beyond what the engine
@@ -505,15 +518,41 @@ class SignatureLoop(_PairLoop):
     that is multiplied is cleared by `check_product` past the cap.  A cut
     run also holds the generators it had not reached, so its elements still
     generate the ideal.
+
+    With a `quotient` f, the incremental G2V step (Gao, Guan & Volny, ISSAC
+    2010) gives the colon (ideal : f) as a by-product.  f takes the last
+    index, after the canonical sort of `gens`, and each element h of that
+    index carries its coefficient u of monic f in one representation, as
+    packed scalar terms (`reps`; None at a lower index, whose coefficient
+    is 0): 1 for f's own entry, x^da u_a - x^db u_b for a J-pair, less
+    c x^delta u_r for each reduction step by an element r of f's index.
+    The lead of u is t, the signature's monomial.  A zero reduction at f's
+    index gives u*f in the ideal, and records u in `quotients`.  Once the
+    run is complete, those u and the elements of lower index, a basis of
+    the ideal, form a Groebner basis of the colon (`quotient_generators`).
+    Under a degree bound D the colon is complete through degree D - deg f.
     """
 
-    def __init__(self, ring: PolyRing, gens: Sequence[Polynomial], *, degree_bound=None, budget=None):
+    def __init__(
+        self,
+        ring: PolyRing,
+        gens: Sequence[Polynomial],
+        *,
+        degree_bound=None,
+        budget=None,
+        quotient: Optional[Polynomial] = None,
+    ):
         super().__init__(ring, degree_bound, budget)
         order = ring.order
         self.bits = order.total_bits
         self.sigs: list = []  # per element, its signature key
         self.gens = sorted((order.degree(f.terms[0][0]), f.monic().terms) for f in gens)
-        self.reached = 0  # generators popped
+        self.quotients: list = []  # coefficients of f recorded at zero reductions
+        if quotient is not None:
+            if quotient.is_zero():
+                raise ValueError("cannot form a quotient by the zero element")
+            self.gens.append((order.degree(quotient.terms[0][0]), quotient.monic().terms))
+            self.reps = []
         self.covers = [[] for _ in self.gens]  # per index: (packed t, signature, lead) of its elements
         self.syz = [[] for _ in self.gens]  # per index: packed t of the zero reductions
         for i, (deg, terms) in enumerate(self.gens):
@@ -541,10 +580,13 @@ class SignatureLoop(_PairLoop):
         t = sig & ((1 << bits) - 1)
         return self.reducers.find(t, (index << bits, self.sigs)) is not None
 
-    def _add(self, terms, sig) -> None:
-        """Enter a reduced nonzero element of signature key sig, made monic,
-        and queue its J-pairs with every element before it."""
-        terms, _ = self._monic(terms)
+    def _add(self, terms, sig, rep=None) -> None:
+        """Enter a reduced nonzero element of signature key sig, made monic
+        with its coefficient of the quotient `rep` when it has one, and
+        queue its J-pairs with every element before it."""
+        terms, rep = self._monic(terms, rep)
+        if self.reps is not None:
+            self.reps.append(rep)
         order, bits, sigs, stats = self.ring.order, self.bits, self.sigs, self.stats
         cp = compile_terms(terms, self.ring, len(self.basis))
         lcm, key, degree, bound = order.lcm, order.key, order.degree, self.degree_bound
@@ -581,33 +623,64 @@ class SignatureLoop(_PairLoop):
 
     def run(self) -> None:
         """Process every J-pair, until the budget cuts the run."""
-        heap, basis, stats = self.heap, self.basis, self.stats
-        order, fld = self.ring.order, self.ring.field
+        heap, basis, stats, reps = self.heap, self.basis, self.stats, self.reps
+        order, fld, bits = self.ring.order, self.ring.field, self.bits
+        q = len(self.gens) - 1 if reps is not None else -1  # the quotient's index
         last = None
         while heap:
             reason = self._spent()
             if reason:
-                for _, terms in self.gens[self.reached:]:
-                    basis.append(compile_terms(terms, self.ring, len(basis)))
+                for j in sorted(entry[5] for entry in heap if entry[4] < 0):
+                    basis.append(compile_terms(self.gens[j][1], self.ring, len(basis)))
                 return self._cut(reason)
             deg, sig, v, _, i, j = heappop(heap)
-            if i < 0:
-                self.reached += 1
             seen, last = sig == last, sig
             if seen or self._rewritable(deg, sig, v, cover=True):
                 stats.pairs_pruned += 1
                 continue
-            terms = self.gens[j][1] if i < 0 else self._spoly(basis[i], basis[j], deg, v)[0]
+            if i < 0:
+                terms, da, db = self.gens[j][1], 0, 0
+            else:
+                terms, da, db = self._spoly(basis[i], basis[j], deg, v)
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
-            rem = normal_form(terms, self.reducers, fld, signature=(sig, self.sigs))
+            record = [] if sig >> bits == q else None
+            rem = normal_form(terms, self.reducers, fld, record, signature=(sig, self.sigs))
+            rep = None if record is None else self._coefficient(deg, i, j, da, db, record)
             if rem:
-                self._add(rem, sig)
+                self._add(rem, sig, rep)
             else:
                 stats.zero_reductions += 1
-                self.syz[sig >> self.bits].append(order.packed(sig))
+                self.syz[sig >> bits].append(order.packed(sig))
+                if rep is not None:
+                    self.quotients.append(rep)
         stats.seconds = time.monotonic() - self.start
+
+    def _coefficient(self, deg, i, j, da, db, record) -> list:
+        """The coefficient of the quotient in a reduced J-pair of its index:
+        1 for its own entry (i < 0), which no element of its index reduces,
+        else x^da reps[i] - x^db reps[j], less each recorded step's multiple
+        of an element that has a coefficient."""
+        unit, one, reps = self.ring.order.unit_v, self.ring.field.one, self.reps
+        if i < 0:
+            return [(unit, one)]
+        parts = [(i, ((da + unit, one),), 1), (j, ((db + unit, one),), -1)]
+        parts += [(idx, ((delta + unit, cf),), -1) for idx, delta, cf in record]
+        return self._combine(deg, [part for part in parts if reps[part[0]] is not None])
+
+    def quotient_generators(self) -> list:
+        """The recorded coefficients of the quotient and the elements of
+        lower index, as polynomials: a Groebner basis of (ideal : quotient)
+        once the run is complete."""
+        ring, below = self.ring, (len(self.gens) - 1) << self.bits
+        out = [Polynomial(ring, tuple(u)) for u in self.quotients]
+        out += [
+            Polynomial(ring, ((g.lead_v, g.lc), *g.tail))
+            for g, sig in zip(self.basis, self.sigs)
+            if sig < below
+        ]
+        return out
 
 
 def buchberger(
@@ -775,14 +848,23 @@ def intersect_ideals(
     return eliminate_aux(gb, ring)
 
 
-def colon_by_element(
-    gens: Sequence[Polynomial], f: Polynomial, *, budget: Optional[Budget] = None
-) -> list:
-    """Generators of (ideal : f) = (1/f) * (ideal intersect (f))."""
-    if f.is_zero():
-        raise ValueError("cannot form a quotient by the zero element")
-    meet = intersect_ideals(gens, [f], budget=budget)
-    return [g.exact_div(f) for g in meet]
+class ColonBasis(list):
+    """The reduced Groebner basis of a colon ideal, as a list, with `stats`,
+    the summed work counts of the quotient loops that built it."""
+
+    def __init__(self, polys, stats: GBStats):
+        super().__init__(polys)
+        self.stats = stats
+
+
+def _element_quotient(gens, f: Polynomial, budget, stats: GBStats) -> list:
+    """The reduced Groebner basis of (ideal : f) from one run of the
+    signature loop with quotient f; its work counts are added to `stats`."""
+    loop = SignatureLoop(f.ring, gens, budget=budget, quotient=f)
+    loop.run()
+    stats.add(loop.stats)
+    require(loop, partial=f"quotient needs a complete signature loop ({loop.exhausted})")
+    return interreduce(loop.quotient_generators())
 
 
 def colon_ideal(
@@ -793,29 +875,38 @@ def colon_ideal(
     basis: Optional[GroebnerBasis] = None,
 ) -> list:
     """Reduced Groebner basis of (ideal : (f_1, ..., f_m)), the meet of the
-    element quotients (ideal : f_k).
+    element quotients (ideal : f_k), for homogeneous input, as a
+    `ColonBasis`.
 
-    The first quotient is eliminated.  Each later f is first settled by
-    membership: when g*f lies in the ideal for every generator g of the
-    result so far, that result already lies in (ideal : f), so the meet is
-    the result itself and neither the quotient nor the meet is eliminated.
-    Otherwise both are, as for the first.  Membership is asked of `basis`, a
+    The first quotient comes from one signature loop over (gens, f_1) with
+    f_1 last (`SignatureLoop` with a quotient); a budget cut raises
+    IncompleteBasisError.  Each later f is first settled by membership: when
+    g*f lies in the ideal for every generator g of the result so far, that
+    result already lies in (ideal : f), so the meet is the result itself.
+    Otherwise the quotient by f is computed as the first, and the meet is
+    eliminated (`intersect_ideals`).  Membership is asked of `basis`, a
     Groebner basis of the ideal `gens` generate (built here, under `budget`,
     when omitted and a second quotient comes up); a basis that is not
-    complete, as a budget-cut one, answers nothing and every quotient is
-    eliminated.  The eliminations always start from the raw `gens`.  Either
-    way the result is the reduced Groebner basis of the same ideal in the
-    ring's own order, which is unique: each elimination order refines it
-    (`eliminate_aux`), so every meet and quotient is already a basis there.
+    complete, as a budget-cut one, answers nothing, and every quotient is
+    computed and met.  Either way the result is the reduced Groebner basis
+    of the same ideal in the ring's own order, which is unique: the quotient
+    is interreduced from a basis in that order, and each elimination order
+    refines it (`eliminate_aux`), so every meet is already a basis there.
     """
+    gens = [g for g in gens if not g.is_zero()]
     fs = [f for f in fs if not f.is_zero()]
     if not fs:
         raise ValueError("quotient by the zero ideal is undefined here")
-    result = colon_by_element(gens, fs[0], budget=budget)
+    if not gens:
+        raise ValueError("the ideal needs at least one nonzero generator")
+    if not all(g.is_homogeneous() for g in gens + fs):
+        raise ValueError("colon ideals need homogeneous input")
+    stats = GBStats()
+    result = _element_quotient(gens, fs[0], budget, stats)
     for f in fs[1:]:
         if basis is None:
             basis = buchberger(gens, budget=budget)
         if not (basis.complete and all(basis.contains(g * f) for g in result)):
-            nxt = colon_by_element(gens, f, budget=budget)
+            nxt = _element_quotient(gens, f, budget, stats)
             result = intersect_ideals(result, nxt, budget=budget)
-    return interreduce(result)
+    return ColonBasis(result, stats)

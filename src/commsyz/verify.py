@@ -155,7 +155,10 @@ class DeskContext:
 
         The diagonal entries sum to zero, so the quotient by the full ideal is
         the meet of the quotients by the first n-1 diagonal entries.  The
-        cached off-diagonal basis settles the later quotients by membership.
+        first comes from the signature loop with that entry as its quotient
+        generator, and the cached off-diagonal basis settles the later ones
+        by membership.  The result is a `ColonBasis`, whose `stats` are the
+        quotient loops' work counts.
         """
 
         def make():

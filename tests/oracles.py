@@ -15,8 +15,10 @@ minimal-generator selection: it is the older algorithm, which builds a fresh
 truncated basis with the library for every (kept, degree) state, and the
 selection it is compared with decides everything within one engine run.
 `colon_by_meets` is likewise the older colon: it eliminates every element
-quotient and meets them all, the reference for a colon that settles later
-quotients by membership.  `criteria_pairs` is the engine's pair-criteria
+quotient (`colon_by_element`, by intersection with a principal ideal and
+exact division) and meets them all, the reference for a colon whose
+quotients come from the signature loop and whose later quotients are
+settled by membership.  `criteria_pairs` is the engine's pair-criteria
 step as it was written on exponent tuples, the reference for the packed
 one.  `engine_run` drives the Gebauer-Moeller `Engine` over polynomials, as
 `buchberger` did for homogeneous input before the signature loop, and
@@ -33,7 +35,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from commsyz.fields import GF
-from commsyz.groebner import Engine, colon_by_element, interreduce, intersect_ideals
+from commsyz.groebner import Engine, interreduce, intersect_ideals
 from commsyz.polyring import PolyRing, Polynomial
 
 
@@ -388,6 +390,14 @@ def restart_selection(base, candidates, basis_at, degree, is_zero) -> list:
                 continue
         kept.append(g)
     return kept
+
+
+def colon_by_element(gens, f) -> list:
+    """Generators of (ideal : f) = (1/f) * (ideal intersect (f)), by
+    elimination."""
+    if f.is_zero():
+        raise ValueError("cannot form a quotient by the zero element")
+    return [g.exact_div(f) for g in intersect_ideals(gens, [f])]
 
 
 def colon_by_meets(gens, fs) -> list:

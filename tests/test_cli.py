@@ -339,6 +339,25 @@ def test_groebner_command_reports_stats_in_timing(capsys):
     assert "stats:" in run_cli(["groebner", "-n", "2"], capsys)[1]
 
 
+def test_colon_command_reports_the_quotient_loop_counts(capsys):
+    """The n=3 colon runs one signature loop with a quotient: 150 reduced
+    pairs, 12 of them zero reductions, which record the quotient's new
+    generators, and 138 elements.  The counts sit in the timing block."""
+    code, rep = run_json(["colon", "-n", "3"], capsys)
+    assert code == 0
+    assert "stats" not in rep["results"][0]["detail"]
+    stats = rep["timing"]["stats"]["colon"]
+    counts = {k: stats[k] for k in stats if k != "seconds"}
+    assert counts == {
+        "spairs_reduced": 150,
+        "zero_reductions": 12,
+        "pairs_pruned": 9310,
+        "pairs_truncated": 0,
+        "elements_added": 138,
+        "max_degree_processed": 9,
+    }
+
+
 def test_desk_guard_refuses_big_runs_without_budget(capsys):
     code, rep = run_json(["groebner", "-n", "4"], capsys)
     assert code == 0

@@ -11,7 +11,6 @@ from commsyz.groebner import (
     GroebnerBasis,
     IncompleteBasisError,
     buchberger,
-    colon_by_element,
     colon_ideal,
     intersect_ideals,
     interreduce,
@@ -20,6 +19,7 @@ from commsyz.polyring import PolyRing
 from commsyz.verify import DeskContext, minimal_new_generators
 
 from oracles import (
+    colon_by_element,
     colon_by_meets,
     count_monomials_outside,
     ideal_component_dim,
@@ -148,11 +148,11 @@ def test_intersection_of_principal_ideals_is_lcm():
 
 
 def test_colon_by_element_known_answer():
-    # ((a^2, a*b) : a) = (a, b)
+    # ((a^2, a*b) : a) = (a, b), by the quotient loop and by elimination
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)
-    out = colon_by_element([a * a, a * b], a)
-    gb = buchberger(out)
+    assert colon_ideal([a * a, a * b], [a]) == [b, a]
+    gb = buchberger(colon_by_element([a * a, a * b], a))
     assert gb.contains(a) and gb.contains(b)
     assert not gb.contains(ring.one)
 
@@ -170,17 +170,18 @@ def test_colon_ideal_known_answer():
         colon_ideal([a], [ring.zero])
 
 
-def _count_meets(monkeypatch) -> list:
-    """Record each `intersect_ideals` call: a colon by m elements makes
-    1 + 2k of them, k the later quotients not settled by membership."""
+def _count_quotient_loops(monkeypatch) -> list:
+    """Record each element quotient a colon computes, one signature-loop run
+    each: a colon by m elements makes 1 + k of them, k the later quotients
+    not settled by membership, and k meets."""
     calls = []
-    original = groebner.intersect_ideals
+    original = groebner._element_quotient
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "intersect_ideals", counting)
+    monkeypatch.setattr(groebner, "_element_quotient", counting)
     return calls
 
 
@@ -189,7 +190,7 @@ def test_colon_ideal_n3_settles_the_second_quotient_by_membership(ctx, monkeypat
     base = list(system.off_diagonal_gens)
     diag = [system.f(k) for k in system.diagonal_indices[:-1]]
     want = colon_by_meets(base, diag)
-    calls = _count_meets(monkeypatch)
+    calls = _count_quotient_loops(monkeypatch)
     assert colon_ideal(base, diag) == want
     assert len(calls) == 1
     assert colon_ideal(base, diag, basis=ctx.gb_off_diagonal(3)) == want
@@ -197,11 +198,11 @@ def test_colon_ideal_n3_settles_the_second_quotient_by_membership(ctx, monkeypat
     # the verify suite's colon asks its cached basis of J
     assert DeskContext(field=GF(32003)).colon_generators(3) == want
     assert len(calls) == 3
-    # a budget-cut basis answers nothing: every quotient is eliminated
+    # a budget-cut basis answers nothing: every quotient is computed
     cut = buchberger(base, budget=Budget(max_spairs=5))
     assert not cut.complete
     assert colon_ideal(base, diag, basis=cut) == want
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_colon_ideal_falls_back_to_the_meet(monkeypatch):
@@ -214,11 +215,11 @@ def test_colon_ideal_falls_back_to_the_meet(monkeypatch):
     base = [a * c, b * d]
     assert colon_ideal(base, [c * d, c]) == colon_by_meets(base, [c * d, c]) == [a, b * d]
     assert colon_ideal(base, [c * d, d]) == colon_by_meets(base, [c * d, d]) == [b, a * c]
-    calls = _count_meets(monkeypatch)
+    calls = _count_quotient_loops(monkeypatch)
     colon_ideal([a], [a, b])
     colon_ideal(base, [c * d, c])
     colon_ideal(base, [c * d, d])
-    assert len(calls) == 9
+    assert len(calls) == 6
 
 
 def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
@@ -237,7 +238,7 @@ def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
             f = f + m
         return f
 
-    calls = _count_meets(monkeypatch)
+    calls = _count_quotient_loops(monkeypatch)
     settled = eliminated = 0
     for seed in range(12):
         rng = random.Random(seed)
@@ -253,7 +254,7 @@ def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
                 fs.append(form(rng, 1))
         calls.clear()
         got = colon_ideal(gens, fs)
-        k = (len(calls) - 1) // 2
+        k = len(calls) - 1
         settled, eliminated = settled + 2 - k, eliminated + k
         assert got == colon_by_meets(gens, fs), seed
     assert settled > 0 and eliminated > 0
@@ -306,11 +307,13 @@ def test_elimination_rejects_wrong_setup():
 def test_colon_generators_are_the_reduced_basis(order):
     """At n=3 the colon generators are the reduced Groebner basis in the
     ring's own order, so a Buchberger run returns them unchanged and the
-    context's colon basis is the generators themselves.  Under lex this
-    needs an elimination order that refines lex, and the lex result is the
-    lex basis of the grevlex colon, the same ideal by a second route.  The
-    first meet the colon eliminates is already reduced as it comes out of
-    the elimination basis: interreducing it changes nothing."""
+    context's colon basis is the generators themselves.  The quotient comes
+    from the signature loop, which runs in the ring's order, and the lex
+    result is the lex basis of the grevlex colon, the same ideal by a second
+    route.  Elimination is left only for the meet of two quotients, which
+    needs an elimination order that refines the ring's: the meet of J and
+    the first diagonal entry comes out of the elimination basis already
+    reduced, so interreducing it changes nothing."""
     ctx = DeskContext(order=order)
     gens = ctx.colon_generators(3)
     assert list(buchberger(gens).elements) == gens

@@ -24,7 +24,7 @@ from collections import Counter
 import pytest
 
 from commsyz.fields import GF
-from commsyz.groebner import Engine, SignatureLoop, buchberger, colon_ideal
+from commsyz.groebner import Engine, SignatureLoop, buchberger, colon_ideal, intersect_ideals
 from commsyz.polyring import BlockElimination, DegreeBucketReducers, Grevlex, PolyRing
 
 from oracles import criteria_pairs, engine_run, mon_divides, mon_lcm, near_cap_binomials
@@ -268,11 +268,13 @@ def test_shuffled_n4_degree_5_signature_counts_are_pinned(ctx, seed):
 
 def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     """The n=3 basis of I under grevlex, by the Gebauer-Moeller engine and
-    by the signature loop, then the n=3 colon, whose one intersection runs
-    an elimination basis, whose quotient divides under grevlex and whose
-    second quotient is settled by membership in a grevlex basis of J: no
-    reducer `add`, `find`, criteria step or signature-loop step encodes or
-    decodes."""
+    by the signature loop; the n=3 colon, whose first quotient is one run
+    of the signature loop with a quotient (138 elements, each of the
+    quotient's index with its coefficient), under grevlex and with no
+    elimination, and whose second quotient is settled by membership in a
+    grevlex basis of J; and the meet a colon falls back to, one elimination
+    basis under elim: no reducer `add`, `find`, criteria step or
+    signature-loop step encodes or decodes."""
     calls = Counter()
     inside = [0]
 
@@ -306,7 +308,7 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     for name in ("add", "find"):
         monkeypatch.setattr(DegreeBucketReducers, name, entering(name, DegreeBucketReducers))
     monkeypatch.setattr(Engine, "_criteria_pairs", entering("_criteria_pairs", Engine))
-    for name in ("_add", "_rewritable"):
+    for name in ("_add", "_rewritable", "_coefficient"):
         monkeypatch.setattr(SignatureLoop, name, entering(name, SignatureLoop))
     engine_run(list(ctx.system(3).minimal_gens))
     assert calls["DegreeBucketReducers.find@grevlex"] > 1000
@@ -320,10 +322,21 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     assert calls["SignatureLoop._rewritable@grevlex"] > 1000
     assert calls["encode"] == calls["decode"] == 0
 
-    calls.clear()
     system = ctx.system(3)
+    base = list(system.off_diagonal_gens)
+    basis = buchberger(base)
     diag = [system.f(k) for k in system.diagonal_indices[:-1]]
-    colon_ideal(list(system.off_diagonal_gens), diag)
+    calls.clear()
+    colon_ideal(base, diag, basis=basis)
+    assert calls["SignatureLoop._add@grevlex"] == 138
+    assert calls["SignatureLoop._coefficient@grevlex"] > 100
+    assert calls["SignatureLoop._rewritable@grevlex"] > 1000
+    assert calls["DegreeBucketReducers.find@grevlex"] > 1000
+    assert not any(name.endswith("@elim") for name in calls)
+    assert calls["encode"] == calls["decode"] == 0
+
+    calls.clear()
+    intersect_ideals(base, [diag[0]])
     assert calls["DegreeBucketReducers.add@elim"] > 100
     assert calls["DegreeBucketReducers.find@elim"] > 1000
     assert calls["Engine._criteria_pairs@elim"] == 80
