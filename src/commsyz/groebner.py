@@ -16,7 +16,8 @@ signatures.
 
 `Engine` is the Gebauer-Moeller loop for everything else: ideals and
 free-module vectors alike run as packed term lists, tracked runs, the
-minimal-generator selection, and inhomogeneous input (an elimination).
+minimal-generator selection, inhomogeneous input and the meet of two
+ideals.
 Pairs are processed in increasing lcm total degree with FIFO tie-breaking,
 so for homogeneous input the loop works degree by degree: `run(d)`
 completes the basis through degree d, and `select` decides minimal
@@ -34,13 +35,12 @@ Pairs the criteria drop are not counted.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
-monomial order.  Built on it: elimination of auxiliary variables and
-intersection of ideals (single auxiliary variable splitting).  A colon
-ideal takes its first element quotient from one signature loop with a
-quotient generator; each later element is settled by membership in a
-complete basis of the ideal when the result so far already lies in its
-quotient, and otherwise its quotient comes from the same loop and the meet
-of the two is eliminated.  Elimination is left for that meet alone.
+monomial order.  `intersect_ideals` takes the meet of two ideals from one
+module run over rank-2 vectors.  A colon ideal takes its first element
+quotient from one signature loop with a quotient generator; each later
+element is settled by membership in a complete basis of the ideal when the
+result so far already lies in its quotient, and otherwise its quotient
+comes from the same loop and is met with the result.
 """
 from __future__ import annotations
 
@@ -54,15 +54,18 @@ from .polyring import (
     _EXP_CAP,
     CompiledPoly,
     DegreeBucketReducers,
+    ModuleOrder,
     PolyRing,
     Polynomial,
     check_product,
     compile_poly,
     compile_terms,
     decompile,
+    decompile_vector,
     normal_form,
     packed_lcm,
     sum_of_products,
+    vector_terms,
 )
 
 
@@ -76,10 +79,10 @@ def require(basis, degree: Optional[int] = None, *, partial: str, truncated: Opt
     `basis` is anything with `complete` and `truncation_degree`: a finished
     `Engine`, a `GroebnerBasis` or a `ModuleBasis`.  A complete basis answers
     everything.  A basis truncated at d answers a question of degree <= d;
-    `degree` None asks about the whole ideal (a Hilbert series, an
-    elimination) and is refused.  A budget-cut basis answers nothing.  A
-    refusal raises IncompleteBasisError with `partial` for a cut basis and
-    `truncated` (default `partial`), formatted with d, for a truncated one.
+    `degree` None asks about the whole ideal (a Hilbert series, a meet) and
+    is refused.  A budget-cut basis answers nothing.  A refusal raises
+    IncompleteBasisError with `partial` for a cut basis and `truncated`
+    (default `partial`), formatted with d, for a truncated one.
     """
     if basis.complete:
         return
@@ -300,19 +303,17 @@ class Engine(_PairLoop):
     """The Buchberger pair loop over monic packed elements.
 
     The elements enter one `DegreeBucketReducers`; a module vector's keys
-    carry position bits above the scalar order's (`syzygy.ModuleOrder`), a
-    polynomial's carry none.  The pair policy follows from each element: in
-    a tracked run, or for a lead with position bits, it pairs only within a
-    lead position, with no criteria, and with `track` on every pair is
-    reduced and a coprime pair of polynomial leads yields its Koszul
-    relation; every other element runs the Gebauer-Moeller update
-    (`_criteria_pairs`): the B criterion on the waiting pairs, the M and F
-    criteria on the new pairs in ascending packed lcm, and coprime pairs
-    settled by lead divisibility.  Every lcm, divisibility and coprime test
-    runs on the leads' packed exponents (`MonomialOrder`), so the loop
-    decodes no key.  Pairs of lcm degree past `degree_bound` are dropped and
-    counted as truncated.  The budget counts reduced S-pairs.  After `run(d)`
-    `complete` and `truncation_degree` say whether degree d can be decided.
+    carry position bits above the scalar order's (`ModuleOrder`), a
+    polynomial's carry none.  An element pairs only with the elements whose
+    leads share its position (`groups`).  In a tracked run every such pair
+    is reduced, and a coprime pair of polynomial leads yields its Koszul
+    relation; in an untracked run each element runs the Gebauer-Moeller
+    update within its position (`_criteria_pairs`).  Every lcm,
+    divisibility and coprime test runs on the leads' packed exponents
+    (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
+    `degree_bound` are dropped and counted as truncated.  The budget counts
+    reduced S-pairs.  After `run(d)` `complete` and `truncation_degree` say
+    whether degree d can be decided.
     """
 
     def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None, track=False):
@@ -320,7 +321,8 @@ class Engine(_PairLoop):
         self.reps = [] if track else None
         self.syzygies: list = []
         self.pairs: dict = {}  # (i, j) -> packed lcm
-        self.divisors: list = []  # per element, the other elements whose leads divide its lead
+        self.groups: dict = {}  # lead position bits -> the elements whose leads sit there
+        self.divisors: list = []  # per element, those of its group whose leads divide its lead
         self._pos_bits = ring.order.total_bits
 
     def add(self, terms, rep=None):
@@ -334,15 +336,14 @@ class Engine(_PairLoop):
             if any(degree(v) != cp.lead_deg for v, _ in cp.tail):
                 raise ValueError("syzygy tracking needs homogeneous elements")
             self.reps.append(rep)
-        bits = self._pos_bits
-        pos = cp.lead_v >> bits
-        if self.reps is None and not pos:
-            self._criteria_pairs(cp)
+        group = self.groups.setdefault(cp.lead_v >> self._pos_bits, [])
+        if self.reps is None:
+            self._criteria_pairs(cp, group)
         else:
             lcm = self.ring.order.lcm
-            for g in self.basis:
-                if g.lead_v >> bits == pos:
-                    self._push(g.index, h, lcm(g.packed, cp.packed))
+            for g in group:
+                self._push(g.index, h, lcm(g.packed, cp.packed))
+        group.append(cp)
         self.basis.append(cp)
         self.reducers.add(cp)
         self.stats.elements_added += 1
@@ -358,43 +359,45 @@ class Engine(_PairLoop):
         heappush(self.heap, (deg, self.serial, i, j, v))
         self.serial += 1
 
-    def _criteria_pairs(self, cp: CompiledPoly):
-        """The Gebauer-Moeller update for a new lead h, on packed exponents:
-        l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
+    def _criteria_pairs(self, cp: CompiledPoly, group: list):
+        """The Gebauer-Moeller update for a new lead h among `group`, the
+        elements whose leads share its position, where the criteria hold, on
+        packed exponents: l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
 
-        B criterion on the waiting pairs: (i, j) is dropped when h divides
-        its lcm and that lcm differs from lcm(i, h) and from lcm(j, h).  M
-        and F criteria in ascending packed lcm: the new pairs (g, h) run in
-        (lcm, index) order, and one is kept only if no lcm kept before it
-        divides its own.  A divisor of a packed lcm is never a larger int,
-        so no later lcm divides an earlier one, and among equal lcms the
-        lowest index stays.  Coprime pairs by lead divisibility: a pair with
-        coprime leads is never queued, and lcm(c, h) = c + h divides
+        B criterion on the waiting pairs of h's position: (i, j) is dropped
+        when h divides its lcm and that lcm differs from lcm(i, h) and from
+        lcm(j, h).  M and F criteria in ascending packed lcm: the new pairs
+        (g, h) run in (lcm, index) order, and one is kept only if no lcm
+        kept before it divides its own.  A divisor of a packed lcm is never
+        a larger int, so no later lcm divides an earlier one, and among
+        equal lcms the lowest index stays.  Coprime pairs by lead
+        divisibility, for polynomial leads only (no position bits): a pair
+        with coprime leads is never queued, and lcm(c, h) = c + h divides
         lcm(g, h) iff lead(c) divides lead(g), so (g, h) is also dropped
         when a lead in `divisors[g]` is coprime to h.  The survivors are
         queued in descending index.
         """
         pairs, basis, stats, divisors = self.pairs, self.basis, self.stats, self.divisors
-        order = self.ring.order
+        order, bits = self.ring.order, self._pos_bits
         lcm, borrow = order.lcm, order.low << _EXP_BITS
-        h, hi = cp.packed, cp.index
+        h, hi, pos = cp.packed, cp.index, cp.lead_v >> bits
         for key in list(pairs):
             lij = pairs[key]
             if not (lij ^ h ^ (lij - h)) & borrow:
-                i, j = key
-                if lcm(basis[i].packed, h) != lij and lcm(basis[j].packed, h) != lij:
+                a, b = basis[key[0]], basis[key[1]]
+                if a.lead_v >> bits == pos and lcm(a.packed, h) != lij and lcm(b.packed, h) != lij:
                     del pairs[key]
                     stats.pairs_pruned += 1
-        coprime = [not g.support & cp.support for g in basis]
-        cand = sorted((lcm(g.packed, h), g.index) for g in basis if not coprime[g.index])
-        stats.pairs_pruned += len(basis) - len(cand)
+        coprime = set() if pos else {g.index for g in group if not g.support & cp.support}
+        cand = sorted((lcm(g.packed, h), g.index) for g in group if g.index not in coprime)
+        stats.pairs_pruned += len(group) - len(cand)
         kept = []
         for l, gi in cand:
             for _, l2 in kept:
                 if not (l ^ l2 ^ (l - l2)) & borrow:
                     break
             else:
-                if not any(coprime[c] for c in divisors[gi]):
+                if coprime.isdisjoint(divisors[gi]):
                     kept.append((gi, l))
                     continue
             stats.pairs_pruned += 1
@@ -402,7 +405,7 @@ class Engine(_PairLoop):
             self._push(gi, hi, l)
         # h enters the divisor lists only now: `coprime` has no entry for it
         below = []
-        for g in basis:
+        for g in group:
             e = g.packed
             if not (h ^ e ^ (h - e)) & borrow:
                 below.append(g.index)
@@ -800,29 +803,7 @@ def _minimal(elements, order) -> list:
     return kept
 
 
-# -- elimination / intersection / quotient ------------------------------------
-
-
-def eliminate_aux(basis: GroebnerBasis, target: PolyRing) -> list:
-    """Groebner basis, in the target ring's order, of (ideal intersect target
-    ring) from a complete basis in the order `target.with_elimination_vars`
-    builds, which eliminates the dropped aux variables and refines the
-    target's order on the rest.  Only a ring without aux variables, or a lex
-    one, has such an extension."""
-    require(basis, partial="elimination needs a complete basis")
-    ring = basis.ring
-    drop = ring.naux - target.naux
-    if drop <= 0:
-        raise ValueError("target ring does not drop any auxiliary variables")
-    refinable = target.naux == 0 or target.order.name == "lex"
-    if not refinable or ring.order != target.with_elimination_vars(drop).order:
-        raise ValueError("basis order does not eliminate exactly the dropped variables")
-    out = []
-    for g in basis.elements:
-        if any(g.lm()[:drop]):
-            continue
-        out.append(ring.project(g, target))
-    return out
+# -- intersection / quotient ---------------------------------------------------
 
 
 def intersect_ideals(
@@ -831,21 +812,27 @@ def intersect_ideals(
     *,
     budget: Optional[Budget] = None,
 ) -> list:
-    """Reduced Groebner basis of (A intersect B) in the ring's order, by
-    eliminating t from t*A + (1-t)*B."""
+    """Reduced Groebner basis of (A intersect B) in the ring's order, from
+    one `Engine` run over the rank-2 vectors (a, a), a in A, and (b, 0), b
+    in B, in position-over-term order.  c lies in both ideals exactly when
+    (0, c) is a combination of them, so the second components of the basis
+    elements whose leads sit at position 1 form a Groebner basis of the
+    meet.  Any input is taken; a budget cut raises IncompleteBasisError."""
     if not gens_a or not gens_b:
         raise ValueError("both ideals need at least one generator")
     ring = gens_a[0].ring
-    ext = ring.with_elimination_vars(1)
-    t = ext.var("t_1")
-    one_minus_t = ext.one - t
-    lifted = [t * ring.embed(f, ext) for f in gens_a]
-    lifted += [one_minus_t * ring.embed(g, ext) for g in gens_b]
-    gb = buchberger(lifted, budget=budget)
-    require(gb, partial="intersection needs a complete basis")
-    # the aux-free elements of a reduced basis in an order that eliminates t
-    # and refines the ring's are the reduced basis of the meet
-    return eliminate_aux(gb, ring)
+    morder = ModuleOrder(ring.order, 2)
+    engine = Engine(ring, budget=budget)
+    for vec in [(f, f) for f in gens_a] + [(g, ring.zero) for g in gens_b]:
+        if vec[0]:
+            engine.add(vector_terms(vec, morder))
+    engine.run()
+    require(engine, partial=f"intersection needs a complete module basis ({engine.exhausted})")
+    return interreduce([
+        decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), morder)[1]
+        for g in engine.basis
+        if morder.decode(g.lead_v)[0] == 1
+    ])
 
 
 class ColonBasis(list):
@@ -883,15 +870,14 @@ def colon_ideal(
     IncompleteBasisError.  Each later f is first settled by membership: when
     g*f lies in the ideal for every generator g of the result so far, that
     result already lies in (ideal : f), so the meet is the result itself.
-    Otherwise the quotient by f is computed as the first, and the meet is
-    eliminated (`intersect_ideals`).  Membership is asked of `basis`, a
+    Otherwise the quotient by f is computed as the first, and the two are
+    met (`intersect_ideals`).  Membership is asked of `basis`, a
     Groebner basis of the ideal `gens` generate (built here, under `budget`,
     when omitted and a second quotient comes up); a basis that is not
     complete, as a budget-cut one, answers nothing, and every quotient is
     computed and met.  Either way the result is the reduced Groebner basis
-    of the same ideal in the ring's own order, which is unique: the quotient
-    is interreduced from a basis in that order, and each elimination order
-    refines it (`eliminate_aux`), so every meet is already a basis there.
+    of the same ideal in the ring's own order, which is unique: each
+    quotient and each meet is interreduced from a basis in that order.
     """
     gens = [g for g in gens if not g.is_zero()]
     fs = [f for f in fs if not f.is_zero()]

@@ -1,8 +1,7 @@
 """Sparse multivariate polynomials over Q or GF(p) with pluggable monomial orders.
 
-Variables describe entries of n x n generic matrices: x_i_j and y_i_j,
-optionally preceded by auxiliary elimination variables t_k.  Every order
-packs an exponent tuple into one integer V such that
+Variables describe entries of n x n generic matrices: x_i_j and y_i_j.
+Every order packs an exponent tuple into one integer V such that
 
     V(m1) > V(m2)  iff  m1 > m2 in the order, and
     V(m1 * m2) = V(m1) + V(m2) - V(1),
@@ -12,11 +11,11 @@ tuple of (V, coeff).  Sums merge keys, a monomial multiple shifts them, the
 total degree is read off a key, and the division kernel runs on the same
 keys.  Exponent tuples exist only at the edges: `PolyRing.poly`, `var` and
 `parse` encode (refusing exponents outside 0..255); printing, `lm`,
-bidegrees and Hilbert leads decode; and `embed`/`project` decode and
-re-encode across orders.  Divisibility, lcm and support tests (reducer
-lookup, pair criteria, cap checks) run on `MonomialOrder.packed(V)`, one int
-per monomial with each exponent in its own byte, read off the key with one
-`&` and one `^` (see `MonomialOrder`).
+bidegrees and Hilbert leads decode.  A free-module vector's keys carry
+position bits above its scalar order's (`ModuleOrder`).  Divisibility, lcm
+and support tests (reducer lookup, pair criteria, cap checks) run on
+`MonomialOrder.packed(V)`, one int per monomial with each exponent in its
+own byte, read off the key with one `&` and one `^` (see `MonomialOrder`).
 
 Products go through one kernel, `sum_of_products`, which accumulates term
 products in a dict keyed by V(a) + V(b) - V(1) and sorts the keys once; it
@@ -198,6 +197,7 @@ class BlockElimination(MonomialOrder):
 
     The first `front` variables form the elimination block, so any monomial
     containing one of them beats every monomial in the remaining variables.
+    `make_order` has no spec for it: a ring takes it as an instance.
     """
 
     name = "elim"
@@ -231,7 +231,47 @@ class BlockElimination(MonomialOrder):
         return f"elim({self.front}|{self._rest})"
 
 
-def make_order(spec, nvars: int, naux: int = 0) -> MonomialOrder:
+class ModuleOrder:
+    """Position-over-term: e_0 > e_1 > ...; the scalar order breaks ties.
+
+    A module monomial (position p, scalar monomial with key v) encodes as
+    ((rank - p) << shift) | v, so integer comparison is the module order and
+    adding a scalar multiplier's offset preserves position.  The position
+    bits are never 0, so every vector key carries them and no polynomial
+    key does.
+    """
+
+    def __init__(self, scalar: MonomialOrder, rank: int):
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        self.rank = rank
+        self.shift = scalar.total_bits
+        self._smask = (1 << self.shift) - 1
+
+    def encode(self, pos: int, v: int) -> int:
+        return ((self.rank - pos) << self.shift) | v
+
+    def decode(self, v: int):
+        """(position, scalar key) of a module key."""
+        return (self.rank - (v >> self.shift), v & self._smask)
+
+
+def vector_terms(vec: Sequence["Polynomial"], morder: ModuleOrder) -> list:
+    """Descending module (V, coeff) terms: positions in order, each descending."""
+    encode = morder.encode
+    return [(encode(pos, v), c) for pos, p in enumerate(vec) for v, c in p.terms]
+
+
+def decompile_vector(ring: "PolyRing", rank: int, terms, morder: ModuleOrder):
+    """The rank-length tuple of polynomials whose module terms are `terms`."""
+    buckets = [[] for _ in range(rank)]
+    for v, c in terms:
+        pos, sv = morder.decode(v)
+        buckets[pos].append((sv, c))
+    return tuple(decompile(ring, b) for b in buckets)
+
+
+def make_order(spec, nvars: int) -> MonomialOrder:
     if isinstance(spec, MonomialOrder):
         if spec.nvars != nvars:
             raise ValueError("order arity does not match ring")
@@ -240,10 +280,6 @@ def make_order(spec, nvars: int, naux: int = 0) -> MonomialOrder:
         return Grevlex(nvars)
     if spec == "lex":
         return Lex(nvars)
-    if spec == "elim":
-        if naux == 0:
-            raise ValueError("elimination order needs auxiliary variables up front")
-        return BlockElimination(nvars, naux)
     raise ValueError(f"unknown monomial order {spec!r}")
 
 
@@ -288,25 +324,21 @@ def packed_lcm(terms, order: MonomialOrder) -> int:
 
 
 class PolyRing:
-    """k[t_*, x_i_j, y_i_j] for one matrix size n.
+    """k[x_i_j, y_i_j] for one matrix size n.
 
-    Variable priority is aux vars first (highest), then x entries row-major,
-    then y entries row-major, matching the default grevlex priority
-    x_1_1 > x_1_2 > ... > y_n_n with any aux variables above all of them.
+    Variable priority is the x entries row-major, then the y entries
+    row-major: x_1_1 > x_1_2 > ... > y_n_n.
     """
 
-    def __init__(self, n: int, field=QQ, order="grevlex", naux: int = 0):
+    def __init__(self, n: int, field=QQ, order="grevlex"):
         if n < 1:
             raise ValueError("matrix size must be >= 1")
         self.n = n
         self.field = field
-        self.naux = naux
-        names = [f"t_{k + 1}" for k in range(naux)]
-        names += [f"{b}_{i + 1}_{j + 1}" for b in "xy" for i in range(n) for j in range(n)]
-        self.names = tuple(names)
-        self.nvars = len(names)
-        self.order = make_order(order, self.nvars, naux)
-        self._index = {name: i for i, name in enumerate(names)}
+        self.names = tuple(f"{b}_{i + 1}_{j + 1}" for b in "xy" for i in range(n) for j in range(n))
+        self.nvars = len(self.names)
+        self.order = make_order(order, self.nvars)
+        self._index = {name: i for i, name in enumerate(self.names)}
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((self.order.unit_v, field.one),))
 
@@ -380,49 +412,14 @@ class PolyRing:
         return Polynomial(self, tuple(sum_of_products(work, self.order.unit_v, p, common)))
 
     def same_signature(self, other: "PolyRing") -> bool:
-        return (
-            self.n == other.n
-            and self.naux == other.naux
-            and self.field == other.field
-            and self.order == other.order
-        )
+        return self.n == other.n and self.field == other.field and self.order == other.order
 
     # -- gradings ----------------------------------------------------------
 
     def mon_bidegree(self, mon) -> tuple:
-        """(x-degree, y-degree) of a monomial; aux exponents must be zero."""
-        na, nsq = self.naux, self.n * self.n
-        if any(mon[:na]):
-            raise ValueError("bidegree undefined for auxiliary variables")
-        return (sum(mon[na: na + nsq]), sum(mon[na + nsq:]))
-
-    # -- ring extension for elimination ------------------------------------
-
-    def with_elimination_vars(self, extra: int = 1) -> "PolyRing":
-        """This ring with `extra` more aux variables in front, in an order that
-        eliminates them: pure lex for a lex ring, else two grevlex blocks."""
-        order = "lex" if self.order.name == "lex" else "elim"
-        return PolyRing(self.n, self.field, order, naux=self.naux + extra)
-
-    def embed(self, f: "Polynomial", target: "PolyRing") -> "Polynomial":
-        """Map f into target, which has the same x/y blocks and >= naux."""
-        pad = target.naux - self.naux
-        if pad < 0 or target.n != self.n or target.field != self.field:
-            raise ValueError("incompatible target ring")
-        zeros = (0,) * pad
-        return target.poly([(zeros + mon, c) for mon, c in f.exponent_terms()])
-
-    def project(self, f: "Polynomial", target: "PolyRing") -> "Polynomial":
-        """Drop leading aux exponents (they must all be zero in f)."""
-        drop = self.naux - target.naux
-        if drop < 0 or target.n != self.n or target.field != self.field:
-            raise ValueError("incompatible target ring")
-        out = []
-        for mon, c in f.exponent_terms():
-            if any(mon[:drop]):
-                raise ValueError("polynomial still involves eliminated variables")
-            out.append((mon[drop:], c))
-        return target.poly(out)
+        """(x-degree, y-degree) of a monomial."""
+        nsq = self.n * self.n
+        return (sum(mon[:nsq]), sum(mon[nsq:]))
 
     # -- text format --------------------------------------------------------
 
@@ -430,7 +427,7 @@ class PolyRing:
         return parse_polynomial(self, text)
 
     def __repr__(self):
-        return f"PolyRing(n={self.n}, field={self.field!r}, order={self.order!r}, naux={self.naux})"
+        return f"PolyRing(n={self.n}, field={self.field!r}, order={self.order!r})"
 
 
 class Polynomial:
@@ -584,7 +581,7 @@ class Polynomial:
 
 # -- text format ---------------------------------------------------------------
 
-_VAR_RE = re.compile(r"^([xy])_(\d+)_(\d+)$|^t_(\d+)$")
+_VAR_RE = re.compile(r"^[xy]_\d+_\d+$")
 _COEFF_RE = re.compile(r"^\d+(/\d+)?$")
 
 
@@ -726,7 +723,7 @@ class DegreeBucketReducers:
     whose lead sits at v's position and divides v's monomial, after
     `check_product` has cleared the step.  A reducer is filed under its
     lead's position bits, `lead_v >> order.total_bits`: 0 for a polynomial,
-    never 0 for a module vector (`syzygy.ModuleOrder`), so a reducer applies
+    never 0 for a module vector (`ModuleOrder`), so a reducer applies
     only at its own lead position.  Within a position each reducer sits in
     the group of its anchor, the low bit of the highest nonzero byte of its
     lead's packed exponents (0 for a constant lead), kept sorted by rank =

@@ -6,10 +6,10 @@ module routine below takes.  Reading a matrix A row by row produces such a
 tuple exactly when tr(A(XY-YX)) = 0, which links the word rules to honest
 module elements.
 
-The module half of the file holds the position-over-term module order, the
-vector <-> packed-term conversions and the callers of the Groebner engine
-(`groebner.Engine`) on free-module vectors: module bases and membership,
-and the first-syzygy module of the minimal generators.  Its generators come
+The module half of the file holds the callers of the Groebner engine
+(`groebner.Engine`) on free-module vectors, keyed in the position-over-term
+order (`polyring.ModuleOrder`, `vector_terms`): module bases and
+membership, and the first-syzygy module of the minimal generators.  Its generators come
 from one tracked engine run over the generators (the syzygy of every pair
 through the bound), and one selection run keeps a minimal set of them
 degree by degree.
@@ -25,11 +25,12 @@ from .genmat import CommutatorSystem, GenericMatrix
 from .groebner import Budget, Engine, GBStats, require
 from .polyring import (
     DegreeBucketReducers,
-    MonomialOrder,
+    ModuleOrder,
     PolyRing,
     Polynomial,
-    decompile,
+    decompile_vector,
     normal_form,
+    vector_terms,
 )
 from .words import WordExpr
 
@@ -100,31 +101,6 @@ def restrict_to_minimal(entries: Sequence[Polynomial], system: CommutatorSystem)
 # -- free-module vectors with a position-over-term order ----------------------
 
 
-class ModuleOrder:
-    """Position-over-term: e_0 > e_1 > ...; the scalar order breaks ties.
-
-    A module monomial (position p, scalar monomial with key v) encodes as
-    ((rank - p) << shift) | v, so integer comparison is the module order and
-    adding a scalar multiplier's offset preserves position.  The position
-    bits are never 0, so every vector key carries them and no polynomial
-    key does.
-    """
-
-    def __init__(self, scalar: MonomialOrder, rank: int):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
-        self.shift = scalar.total_bits
-        self._smask = (1 << self.shift) - 1
-
-    def encode(self, pos: int, v: int) -> int:
-        return ((self.rank - pos) << self.shift) | v
-
-    def decode(self, v: int):
-        """(position, scalar key) of a module key."""
-        return (self.rank - (v >> self.shift), v & self._smask)
-
-
 def vector_is_zero(vec: Sequence[Polynomial]) -> bool:
     return all(p.is_zero() for p in vec)
 
@@ -142,20 +118,6 @@ def vector_degree(vec: Sequence[Polynomial]) -> int:
     if len(degs) > 1:
         raise ValueError("vector components have mixed degrees")
     return degs.pop()
-
-
-def vector_terms(vec: Sequence[Polynomial], morder: ModuleOrder) -> list:
-    """Descending module (V, coeff) terms: positions in order, each descending."""
-    encode = morder.encode
-    return [(encode(pos, v), c) for pos, p in enumerate(vec) for v, c in p.terms]
-
-
-def decompile_vector(ring: PolyRing, rank: int, terms, morder: ModuleOrder):
-    buckets = [[] for _ in range(rank)]
-    for v, c in terms:
-        pos, sv = morder.decode(v)
-        buckets[pos].append((sv, c))
-    return tuple(decompile(ring, b) for b in buckets)
 
 
 def module_normal_form(terms, reducers: DegreeBucketReducers, field):
@@ -210,10 +172,11 @@ def module_buchberger(
 ) -> ModuleBasis:
     """Buchberger over a free module with the position-over-term order.
 
-    Pairs exist only between vectors whose leads share a position; no pair
-    criteria are applied (the scalar coprime shortcut is not valid for module
-    leads).  degree_bound truncates by coefficient degree and requires every
-    input vector to be coefficient-homogeneous.
+    Pairs exist only between vectors whose leads share a position, and the
+    Gebauer-Moeller criteria run among them; the scalar coprime shortcut is
+    not valid for module leads and is not taken.  degree_bound truncates by
+    coefficient degree and requires every input vector to be
+    coefficient-homogeneous.
     """
     vectors = [tuple(v) for v in vectors if not vector_is_zero(v)]
     if not vectors:

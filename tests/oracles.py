@@ -14,18 +14,24 @@ The one exception is `restart_selection`, the reference for the engine's
 minimal-generator selection: it is the older algorithm, which builds a fresh
 truncated basis with the library for every (kept, degree) state, and the
 selection it is compared with decides everything within one engine run.
-`colon_by_meets` is likewise the older colon: it eliminates every element
-quotient (`colon_by_element`, by intersection with a principal ideal and
-exact division) and meets them all, the reference for a colon whose
+`colon_by_meets` is likewise the older colon: it computes every element
+quotient by a meet with a principal ideal and exact division
+(`colon_by_element`) and meets them all, the reference for a colon whose
 quotients come from the signature loop and whose later quotients are
-settled by membership.  `criteria_pairs` is the engine's pair-criteria
-step as it was written on exponent tuples, the reference for the packed
-one.  `engine_run` drives the Gebauer-Moeller `Engine` over polynomials, as
-`buchberger` did for homogeneous input before the signature loop, and
-`engine_basis` is the reduced basis it gives: the reference route for the
-signature loop.  `near_cap_binomials` is input data for both near the 8-bit
-cap.  `det_cofactor` expands a determinant with ring arithmetic alone: no
-elimination, no exact division.  `evaluate` and `hilbert_function` are the
+settled by membership.  Its meets are the library's `intersect_ideals`, so
+it checks the quotient loop, not the meet.  `criteria_pairs` is the
+engine's pair-criteria step as it was written on exponent tuples, the
+reference for the packed one, and `module_basis_all_pairs` is a module
+Groebner basis over every same-position pair with no criteria at all, the
+reference for the criteria in module runs.  `engine_run` drives the
+Gebauer-Moeller `Engine` over polynomials, as `buchberger` did for
+homogeneous input before the signature loop, and `engine_basis` is the
+reduced basis it gives: the reference route for the signature loop.
+`near_cap_binomials` is input data for both near the 8-bit cap, in three
+variables of n=2 (`spread`), and `n2_ring` builds the n=2 rings the tests
+run under grevlex, lex and a block elimination order.  `det_cofactor`
+expands a determinant with ring arithmetic alone: no elimination, no exact
+division.  `evaluate` and `hilbert_function` are the
 point evaluation and the Hilbert function of a numerator, which only tests
 ask for.
 """
@@ -36,7 +42,7 @@ from math import comb
 
 from commsyz.fields import GF
 from commsyz.groebner import Engine, interreduce, intersect_ideals
-from commsyz.polyring import PolyRing, Polynomial
+from commsyz.polyring import BlockElimination, PolyRing, Polynomial
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -393,8 +399,8 @@ def restart_selection(base, candidates, basis_at, degree, is_zero) -> list:
 
 
 def colon_by_element(gens, f) -> list:
-    """Generators of (ideal : f) = (1/f) * (ideal intersect (f)), by
-    elimination."""
+    """Generators of (ideal : f) = (1/f) * (ideal intersect (f)), by a meet
+    with the principal ideal (f) and exact division."""
     if f.is_zero():
         raise ValueError("cannot form a quotient by the zero element")
     return [g.exact_div(f) for g in intersect_ideals(gens, [f])]
@@ -402,7 +408,7 @@ def colon_by_element(gens, f) -> list:
 
 def colon_by_meets(gens, fs) -> list:
     """Reference (ideal : (f_1, ..., f_m)): the interreduced meet of every
-    element quotient, each one eliminated."""
+    element quotient, each one a meet with a principal ideal."""
     result = colon_by_element(gens, fs[0])
     for f in fs[1:]:
         result = intersect_ideals(result, colon_by_element(gens, f))
@@ -460,12 +466,32 @@ def criteria_pairs(pairs: dict, leads: list, degree_bound=None):
     return pairs, offered, pruned, truncated
 
 
+def n2_ring(field, order, front=1):
+    """PolyRing(2, field) under `order`, where "elim" stands for two grevlex
+    blocks with the first `front` variables (x_1_1, ...) in front."""
+    return PolyRing(2, field, BlockElimination(8, front) if order == "elim" else order)
+
+
+#: positions of x_1_1, x_1_2 and y_1_1 among the 8 variables of n=2: in this
+#: order under lex, and x_1_1 alone in front of an "elim" n2_ring
+THREE = (0, 1, 4)
+
+
+def spread(exps) -> tuple:
+    """An exponent triple as the exponents of x_1_1, x_1_2, y_1_1 at n=2."""
+    out = [0] * 8
+    for i, e in zip(THREE, exps):
+        out[i] = e
+    return tuple(out)
+
+
 def near_cap_binomials(order, seed):
-    """Homogeneous binomials of degree 383 in three variables whose exponents
-    lie near 0, 128 and 255: products and reductions among them pass the
-    8-bit cap in some variable, which `check_product` must catch."""
+    """Homogeneous binomials of degree 383 in three variables (`spread`)
+    whose exponents lie near 0, 128 and 255: products and reductions among
+    them pass the 8-bit cap in some variable, which `check_product` must
+    catch."""
     rng = random.Random(seed)
-    ring = PolyRing(1, GF(101), order, naux=1)
+    ring = n2_ring(GF(101), order)
     near = [0, 1, 2, 126, 127, 128, 129, 253, 254, 255]
     monomials = set()
     while len(monomials) < 12:
@@ -475,9 +501,43 @@ def near_cap_binomials(order, seed):
     monomials = sorted(monomials)
     rng.shuffle(monomials)
     return [
-        ring.poly({monomials[k]: 1, monomials[k + 1]: rng.randint(1, 100)})
+        ring.poly({spread(monomials[k]): 1, spread(monomials[k + 1]): rng.randint(1, 100)})
         for k in range(0, len(monomials), 2)
     ]
+
+
+def module_basis_all_pairs(vectors, key, field) -> list:
+    """Reference module Groebner basis in position-over-term order, on
+    exponent tuples: Buchberger over every pair of elements whose leads
+    share a position, with no criteria, each S-vector reduced by
+    `naive_division`.  vectors: {(position, exps): coeff} dicts, as
+    `naive_division` takes them; so are the elements returned."""
+    term_key = lambda t: (-t[0], key(t[1]))
+    basis = [dict(v) for v in vectors if v]
+    leads = [max(g, key=term_key) for g in basis]
+
+    def multiple(k, lcm):
+        pos, lead = leads[k]
+        q = tuple(a - b for a, b in zip(lcm, lead))
+        inv = field.inv(basis[k][leads[k]])
+        return {(p, mon_mul(e, q)): field.mul(c, inv) for (p, e), c in basis[k].items()}
+
+    pairs = list(combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        if leads[i][0] != leads[j][0]:
+            continue
+        lcm = mon_lcm(leads[i][1], leads[j][1])
+        s = multiple(i, lcm)
+        for t, c in multiple(j, lcm).items():
+            s[t] = field.add(s.get(t, field.zero), field.neg(c))
+        s = {t: c for t, c in s.items() if not field.is_zero(c)}
+        rem, _ = naive_division(s, basis, key, field)
+        if rem:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(rem)
+            leads.append(max(rem, key=term_key))
+    return basis
 
 
 def engine_run(gens, bound=None) -> Engine:

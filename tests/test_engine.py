@@ -12,10 +12,8 @@ from commsyz.genmat import build_system
 from commsyz.groebner import (
     Budget,
     Engine,
-    GroebnerBasis,
     IncompleteBasisError,
     buchberger,
-    eliminate_aux,
     intersect_ideals,
 )
 from commsyz.hilbert import hilbert_of_basis
@@ -221,23 +219,13 @@ def _select(kind, f):
     return engine.select([(f.degree(), f.terms)], strict=True)
 
 
-def _eliminate(kind):
-    ext = R.with_elimination_vars(1)
-    t = ext.var("t_1")
-    lifted = [t * R.embed(A, ext), t * R.embed(B, ext) - R.embed(A * A, ext)]
-    return eliminate_aux(buchberger(lifted, **KINDS[kind]), R)
-
-
 def _intersect(kind):
     if kind != "truncated":
         return intersect_ideals([A], [B], **KINDS[kind])
-    # intersect_ideals builds its own basis; hand it one flagged truncated
-    def flagged(gens, **kw):
-        gb = buchberger(gens, **kw)
-        return GroebnerBasis(gb.ring, gb.elements, complete=False, truncation_degree=9, stats=gb.stats)
-
+    # intersect_ideals runs its own engine, with no bound; flag it truncated
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "buchberger", flagged)
+        mp.setattr(Engine, "complete", False)
+        mp.setattr(Engine, "truncation_degree", 9)
         return intersect_ideals([A], [B])
 
 
@@ -253,7 +241,6 @@ GATE = {
         lambda k: module_buchberger(VECS, **KINDS[k]).contains((A * A * B, R.zero)),
     ),
     "hilbert_of_basis": (None, lambda k: hilbert_of_basis(buchberger(GENS, **KINDS[k]))),
-    "eliminate_aux": (None, _eliminate),
     "intersect_ideals": (None, _intersect),
     "Engine.select": (
         lambda k: [_select(k, f) for f in (A * B, A * A)],

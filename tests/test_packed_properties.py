@@ -5,13 +5,14 @@ operation on plain exponent tuples (`tests/oracles.py`) and demand the same
 answer, or an OverflowError exactly when some exponent of the naive
 computation passes 255.  Exponents are drawn near 0, near 128 and near 255,
 so products and division steps land on both sides of the cap.  Three
-variables (t_1, x_1_1, y_1_1) under grevlex, lex and elim, over QQ and GF(7).
+variables (x_1_1, x_1_2, y_1_1 of n=2, `oracles.spread`) under grevlex, lex
+and elim (x_1_1 in front of the other seven), over QQ and GF(7).
 
 The packed-exponent primitives (divisibility, lcm, support mask, key and
-degree, and the carry test of `check_product`) are compared with tuple
-oracles in five variables, where elim's two blocks (3 | 2 and 2 | 3) have a
-degree field between them, and on module keys whose position bits sit above
-the scalar key.
+degree) are compared with tuple oracles in five variables, where elim's two
+blocks (3 | 2 and 2 | 3) have a degree field between them, and on module
+keys whose position bits sit above the scalar key; the carry test of
+`check_product` in the eight variables of n=2, elim's blocks 3 | 5.
 """
 
 import pytest
@@ -24,12 +25,13 @@ from commsyz.polyring import (
     BlockElimination,
     Grevlex,
     Lex,
+    ModuleOrder,
     PolyRing,
     check_product,
     compile_terms,
     divide,
 )
-from commsyz.syzygy import ModuleOrder, module_buchberger
+from commsyz.syzygy import module_buchberger
 
 from oracles import (
     largest_product_exponent,
@@ -37,17 +39,17 @@ from oracles import (
     mon_lcm,
     naive_combine,
     naive_division,
+    n2_ring,
     naive_products,
     order_key,
+    spread,
 )
 
 CAP = 255
-RINGS = [
-    PolyRing(1, field, order, naux=1) for field in (QQ, GF(7)) for order in ("grevlex", "lex", "elim")
-]
+RINGS = [n2_ring(field, order) for field in (QQ, GF(7)) for order in ("grevlex", "lex", "elim")]
 
 exponents = st.one_of(st.integers(0, 2), st.integers(126, 130), st.integers(252, 255))
-monomials = st.tuples(exponents, exponents, exponents)
+monomials = st.tuples(exponents, exponents, exponents).map(spread)
 # denominators up to 3 stay invertible mod 7
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 term_lists = st.lists(st.tuples(monomials, coeffs), max_size=4)
@@ -136,20 +138,6 @@ def test_divide_matches_the_oracle_or_raises_past_the_cap(case):
     assert [as_dict(q) for q in qs] == quotients
 
 
-@PROPERTY
-@given(case=ring_and_terms(1))
-def test_embed_and_project_match_the_oracle(case):
-    ring, (terms,) = case
-    f = ring.poly(terms)
-    big = ring.with_elimination_vars(1)
-    up = ring.embed(f, big)
-    assert as_dict(up) == {(0,) + mon: c for mon, c in as_dict(f).items()}
-    assert big.project(up, ring) == f
-    if f:
-        with pytest.raises(ValueError):
-            big.project(up * big.var("t_1"), ring)
-
-
 def test_s_polynomials_past_the_cap_raise():
     ring = PolyRing(1, QQ, "lex")
     x, y = ring.x(1, 1), ring.y(1, 1)
@@ -161,8 +149,8 @@ def test_s_polynomials_past_the_cap_raise():
 
 @pytest.mark.parametrize("order", ("grevlex", "lex", "elim"))
 def test_module_reduction_steps_past_the_cap_raise(order):
-    ring = PolyRing(1, QQ, order, naux=1)
-    t, x, y = ring.var("t_1"), ring.x(1, 1), ring.y(1, 1)
+    ring = n2_ring(QQ, order)
+    t, x, y = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
     lead = t**100 * x**100  # leads t^100*x^100 - y^200 in all three orders
     basis = module_buchberger([(lead - y**200, ring.zero)])
     assert basis.reduce((lead * y**55, ring.zero)) == (y**255, ring.zero)
@@ -173,8 +161,9 @@ def test_module_reduction_steps_past_the_cap_raise(order):
 # -- packed exponents ----------------------------------------------------------
 
 ORDERS5 = [Grevlex(5), Lex(5), BlockElimination(5, 3), BlockElimination(5, 2)]
-RINGS5 = [PolyRing(1, GF(7), order, naux=3) for order in ("grevlex", "lex", "elim")]
 monomials5 = st.tuples(*[exponents] * 5)
+RINGS8 = [n2_ring(GF(7), order, front=3) for order in ("grevlex", "lex", "elim")]
+monomials8 = st.tuples(*[exponents] * 8)
 
 
 def _packed(order, exps):
@@ -212,9 +201,9 @@ def test_packed_keys_degrees_and_supports_match_the_tuples(order, a, b, pos):
 
 @PROPERTY
 @given(
-    ring=st.sampled_from(RINGS5),
-    q=monomials5,
-    terms=st.lists(st.tuples(st.integers(0, 2), monomials5), min_size=2, max_size=5, unique=True),
+    ring=st.sampled_from(RINGS8),
+    q=monomials8,
+    terms=st.lists(st.tuples(st.integers(0, 2), monomials8), min_size=2, max_size=5, unique=True),
 )
 def test_cap_check_matches_the_tuples(ring, q, terms):
     order = ring.order

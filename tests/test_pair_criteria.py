@@ -14,8 +14,8 @@ coprime to the new one divides its partner's lead), and shuffled n=3
 generators.  The work counts of three commutator bases are pinned on the
 Gebauer-Moeller engine, and those of the signature loop are pinned too and
 must not depend on the order of the generators.  The reducer store, the
-criteria and the signature loop must decode and encode nothing, under
-grevlex and under elim.
+criteria and the signature loop must decode and encode nothing, in
+polynomial runs and in the module run of a meet.
 """
 
 import random
@@ -25,9 +25,20 @@ import pytest
 
 from commsyz.fields import GF
 from commsyz.groebner import Engine, SignatureLoop, buchberger, colon_ideal, intersect_ideals
-from commsyz.polyring import BlockElimination, DegreeBucketReducers, Grevlex, PolyRing
+from commsyz.polyring import DegreeBucketReducers, Grevlex, ModuleOrder, PolyRing
+from commsyz.syzygy import ModuleBasis, vector_terms
 
-from oracles import criteria_pairs, engine_run, mon_divides, mon_lcm, near_cap_binomials
+from oracles import (
+    criteria_pairs,
+    engine_run,
+    module_basis_all_pairs,
+    mon_divides,
+    mon_lcm,
+    n2_ring,
+    naive_division,
+    near_cap_binomials,
+    order_key,
+)
 
 ORDERS = ("grevlex", "lex", "elim")
 
@@ -46,14 +57,14 @@ def checked(monkeypatch):
         self.offered.append((i, j, as_tuple(self.ring.order, lcm)))
         push(self, i, j, lcm)
 
-    def checked_step(self, cp):
+    def checked_step(self, cp, group):
         order = self.ring.order
         leads = [order.decode(g.lead_v) for g in self.basis] + [order.decode(cp.lead_v)]
         waiting = {k: as_tuple(order, l) for k, l in self.pairs.items()}
         want = criteria_pairs(waiting, leads, self.degree_bound)
         before = (self.stats.pairs_pruned, self.stats.pairs_truncated)
         self.offered = []
-        step(self, cp)
+        step(self, cp, group)
         got = (
             {k: as_tuple(order, l) for k, l in self.pairs.items()},
             self.offered,
@@ -93,10 +104,10 @@ def dropped(checked, monkeypatch):
     flags = []
     step = Engine._criteria_pairs
 
-    def counted(self, cp):
+    def counted(self, cp, group):
         order = self.ring.order
         leads = [order.decode(g.lead_v) for g in self.basis] + [order.decode(cp.lead_v)]
-        step(self, cp)
+        step(self, cp, group)
         flags.extend(_dropped_by_a_coprime_lead(leads, self.offered))
 
     monkeypatch.setattr(Engine, "_criteria_pairs", counted)
@@ -118,7 +129,7 @@ def _divisible_leads(order, seed):
     lies in x_2_1, x_2_2 and a, h in x_1_1, x_1_2, so c is coprime to h
     while c divides the lead of its multiple."""
     rng = random.Random(seed)
-    ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
+    ring = n2_ring(GF(32003), order, front=2)
     names = list(ring.names)
     left = [names.index(f"x_1_{j}") for j in (1, 2)]
     right = [names.index(f"x_2_{j}") for j in (1, 2)]
@@ -153,7 +164,7 @@ def test_a_coprime_lead_dividing_a_lead_drops_pairs(checked, dropped, order, see
 @pytest.mark.parametrize("swap", (False, True))
 def test_a_coprime_lead_drops_a_pair_of_equal_lcm(checked, dropped, order, swap):
     """c = x_2_1, g = x_1_1 x_2_1, h = x_1_1^2: lcm(g, h) = lcm(c, h)."""
-    ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
+    ring = n2_ring(GF(32003), order, front=2)
     rng = random.Random(1)
     names = list(ring.names)
 
@@ -170,7 +181,7 @@ def test_a_coprime_lead_drops_a_pair_of_equal_lcm(checked, dropped, order, swap)
 
 def _random_ideal(order, seed):
     rng = random.Random(seed)
-    ring = PolyRing(2, GF(32003), order, naux=2 if order == "elim" else 0)
+    ring = n2_ring(GF(32003), order, front=2)
     live = [ring.var(name) for name in rng.sample(ring.names, 6)]
     gens = []
     for _ in range(rng.randint(4, 7)):
@@ -271,20 +282,21 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     by the signature loop; the n=3 colon, whose first quotient is one run
     of the signature loop with a quotient (138 elements, each of the
     quotient's index with its coefficient), under grevlex and with no
-    elimination, and whose second quotient is settled by membership in a
-    grevlex basis of J; and the meet a colon falls back to, one elimination
-    basis under elim: no reducer `add`, `find`, criteria step or
-    signature-loop step encodes or decodes."""
+    meet, and whose second quotient is settled by membership in a grevlex
+    basis of J; and the meet a colon falls back to, one module run whose 80
+    elements each run the criteria within their lead position: no reducer
+    `add`, `find`, criteria step or signature-loop step encodes or decodes
+    a monomial or a module key."""
     calls = Counter()
     inside = [0]
 
     def counting(owner, name):
         original = getattr(owner, name)
 
-        def wrapper(self, arg):
+        def wrapper(self, *args):
             if inside[0]:
                 calls[name] += 1
-            return original(self, arg)
+            return original(self, *args)
 
         return wrapper
 
@@ -302,7 +314,7 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
 
         return wrapper
 
-    for order in (Grevlex, BlockElimination):
+    for order in (Grevlex, ModuleOrder):
         for name in ("encode", "decode"):
             monkeypatch.setattr(order, name, counting(order, name))
     for name in ("add", "find"):
@@ -332,12 +344,135 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     assert calls["SignatureLoop._coefficient@grevlex"] > 100
     assert calls["SignatureLoop._rewritable@grevlex"] > 1000
     assert calls["DegreeBucketReducers.find@grevlex"] > 1000
-    assert not any(name.endswith("@elim") for name in calls)
+    assert calls["Engine._criteria_pairs@grevlex"] == 0
     assert calls["encode"] == calls["decode"] == 0
 
     calls.clear()
     intersect_ideals(base, [diag[0]])
-    assert calls["DegreeBucketReducers.add@elim"] > 100
-    assert calls["DegreeBucketReducers.find@elim"] > 1000
-    assert calls["Engine._criteria_pairs@elim"] == 80
+    assert calls["DegreeBucketReducers.add@grevlex"] > 100
+    assert calls["DegreeBucketReducers.find@grevlex"] > 1000
+    assert calls["Engine._criteria_pairs@grevlex"] == 80
     assert calls["encode"] == calls["decode"] == 0
+
+
+# -- module runs: the criteria within one lead position ------------------------
+
+
+def _as_dict(vec, order):
+    return {(pos, order.decode(v)): c for pos, p in enumerate(vec) for v, c in p.terms}
+
+
+def _minimal_leads(leads) -> set:
+    """The (position, exps) leads that no other lead at their position divides."""
+    leads = set(leads)
+    return {
+        (p, e) for p, e in leads
+        if not any(q == p and f != e and mon_divides(f, e) for q, f in leads)
+    }
+
+
+def _module_run(vectors):
+    """A finished untracked `Engine` over the vectors, its `ModuleBasis` and
+    its leads as (position, exps)."""
+    ring = next(p for p in vectors[0] if p).ring
+    morder = ModuleOrder(ring.order, len(vectors[0]))
+    engine = Engine(ring)
+    for vec in vectors:
+        engine.add(vector_terms(vec, morder))
+    engine.run()
+    leads = []
+    for g in engine.basis:
+        pos, v = morder.decode(g.lead_v)
+        leads.append((pos, ring.order.decode(v)))
+    return engine, ModuleBasis(engine, morder), leads
+
+
+def _random_vectors(rng, ring, rank):
+    """3-5 vectors whose nonzero components are forms of one degree, 1 or 2,
+    in 4 of the n=2 variables; and the form maker."""
+    live = [ring.var(name) for name in rng.sample(ring.names, 4)]
+
+    def form(degree):
+        f = ring.zero
+        for _ in range(rng.randint(1, 3)):
+            m = ring.const(rng.randint(1, 100))
+            for _ in range(degree):
+                m = m * rng.choice(live)
+            f = f + m
+        return f
+
+    vectors = []
+    for _ in range(rng.randint(3, 5)):
+        d = rng.randint(1, 2)
+        vec = tuple(form(d) if rng.random() < 0.7 else ring.zero for _ in range(rank))
+        if any(vec):
+            vectors.append(vec)
+    return vectors, form
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+@pytest.mark.parametrize("seed", range(12))
+def test_module_criteria_match_the_all_pairs_reference(order, seed):
+    """Seeded vectors of rank 2-3: the engine, which runs the Gebauer-Moeller
+    criteria among the elements of each lead position, and the all-pairs
+    reference give the same minimal leads at every position and the same
+    membership answers."""
+    rng = random.Random(seed)
+    field = GF(7) if seed % 2 else GF(32003)
+    ring = n2_ring(field, order)
+    rank = 2 + seed % 2
+    vectors, form = _random_vectors(rng, ring, rank)
+    engine, basis, leads = _module_run(vectors)
+    key = order_key(ring.order)
+    ref = module_basis_all_pairs([_as_dict(v, ring.order) for v in vectors], key, field)
+    ref_leads = [max(g, key=lambda t: (-t[0], key(t[1]))) for g in ref]
+    assert _minimal_leads(leads) == _minimal_leads(ref_leads)
+    members = [
+        tuple(sum((c * p for c, p in zip(cs, comp)), ring.zero) for comp in zip(*vectors))
+        for cs in ([form(1) for _ in vectors] for _ in range(3))
+    ]
+    others = [tuple(form(2) for _ in range(rank)) for _ in range(3)]
+    for probe in members + others + [(form(2),) + (ring.zero,) * (rank - 1)]:
+        want = not naive_division(_as_dict(probe, ring.order), ref, key, field)[0]
+        assert basis.contains(probe) == want
+    assert all(basis.contains(probe) for probe in members)
+
+
+def test_module_criteria_prune_pairs():
+    """The criteria do drop pairs in the module runs of the reference test."""
+    pruned = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        vectors, _ = _random_vectors(rng, n2_ring(GF(32003), "grevlex"), 2 + seed % 2)
+        pruned += _module_run(vectors)[0].stats.pairs_pruned
+    assert pruned > 0
+
+
+def test_leads_dividing_across_positions_queue_and_prune_nothing():
+    """(0, x*y + z^2) and (0, x*z + w^2) wait as one pair at position 1 with
+    lcm x*y*z.  (x, 0) divides that lcm and both leads, but at position 0:
+    it forms no pair with them and prunes nothing, and the pair's S-vector
+    (0, z^3 - y*w^2) ends up in the module."""
+    ring = PolyRing(2, GF(101))
+    x, y, z, w = ring.x(1, 1), ring.x(1, 2), ring.x(2, 1), ring.x(2, 2)
+    zero = ring.zero
+    vectors = [(zero, x * y + z * z), (zero, x * z + w * w)]
+    morder = ModuleOrder(ring.order, 2)
+    engine = Engine(ring)
+    for vec in vectors:
+        engine.add(vector_terms(vec, morder))
+    assert [g.lead_v for g in engine.basis] == [
+        morder.encode(1, (x * y).terms[0][0]), morder.encode(1, (x * z).terms[0][0])
+    ]
+    waiting = dict(engine.pairs)
+    assert len(waiting) == len(engine.heap) == 1
+    engine.add(vector_terms((x, zero), morder))
+    assert engine.pairs == waiting
+    assert len(engine.heap) == 1
+    assert engine.stats.pairs_pruned == 0
+    engine.add(vector_terms((y, x * y), morder))  # one pair, with (x, 0)
+    assert len(engine.heap) == 2
+    engine.run()
+    basis = ModuleBasis(engine, morder)
+    assert basis.contains((zero, z ** 3 - y * w ** 2))
+    assert not basis.contains((zero, z ** 3))

@@ -1,17 +1,17 @@
-"""The colon (J : f) from the signature loop against the elimination route.
+"""The colon (J : f) from the signature loop against the meet route.
 
 `colon_ideal` takes each element quotient from one `SignatureLoop` run over
 (J's generators, f) with f last: the coefficients of f recorded at the zero
 reductions of f's index, with the loop's elements of lower index, form a
 Groebner basis of J : f.  The reference is `oracles.colon_by_meets`, which
-eliminates t from t*J + (1-t)*(f) and divides by f.  The inputs are seeded
-random homogeneous ideals over GF(7), GF(32003) and QQ under grevlex and
-lex, with generators of mixed degree 1-3, some with f in J, where the
-quotient is the unit ideal; binomials near the 8-bit cap under lex, where
-both routes raise OverflowError; and binomials of degree 300 below the cap,
-where some colons are computed whole and agree.  At n=4 a degree bound
-cuts the loop, which the elimination cannot take: through degree 4 the
-quotient by the first diagonal entry adds the 3 generators that
+meets J with (f) (`intersect_ideals`, one module run) and divides by f.
+The inputs are seeded random homogeneous ideals over GF(7), GF(32003) and
+QQ under grevlex and lex, with generators of mixed degree 1-3, some with f
+in J, where the quotient is the unit ideal; binomials near the 8-bit cap
+under lex, where both routes raise OverflowError; and binomials of degree
+300 below the cap, where some colons are computed whole and agree.  At n=4
+a degree bound cuts the loop, which the meet cannot take: through degree 4
+the quotient by the first diagonal entry adds the 3 generators that
 `colon_bidegrees(4)` predicts.
 """
 
@@ -26,7 +26,7 @@ from commsyz.groebner import Budget, IncompleteBasisError, SignatureLoop, colon_
 from commsyz.polyring import PolyRing
 from commsyz.verify import DeskContext, minimal_new_generators
 
-from oracles import colon_by_meets, near_cap_binomials
+from oracles import colon_by_meets, near_cap_binomials, spread
 
 FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
 
@@ -93,7 +93,7 @@ def test_the_quotient_generators_form_a_groebner_basis_of_the_colon(ctx):
 def _two_routes(gens, f) -> str:
     """Compare the routes on one colon where products may pass the cap.  A
     route may refuse with OverflowError; the quotient loop must refuse
-    wherever the elimination does, and where it answers, agree with it."""
+    wherever the meet route does, and where it answers, agree with it."""
     try:
         got = [g.terms for g in colon_ideal(gens, [f])]
     except OverflowError:
@@ -109,8 +109,7 @@ def _two_routes(gens, f) -> str:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_near_the_cap_both_routes_raise_or_agree(seed):
-    """Degree-383 binomials under lex (the only order with aux variables
-    whose elimination refines it): the last is f, the others span J."""
+    """Degree-383 binomials under lex: the last is f, the others span J."""
     bins = near_cap_binomials("lex", seed)
     assert _two_routes(bins[:-1], bins[-1]) == "both refuse"
 
@@ -118,9 +117,9 @@ def test_near_the_cap_both_routes_raise_or_agree(seed):
 def test_past_degree_255_below_the_cap_the_routes_agree():
     """Binomials of degree 300 with exponents 46..127 under lex: every key
     the loop multiplies is checked, and some colons are computed whole.
-    The signature loop may refuse one that elimination answers; it is never
-    silently wrong."""
-    ring = PolyRing(1, GF(101), "lex", naux=1)
+    The signature loop may refuse one that the meet route answers; it is
+    never silently wrong."""
+    ring = PolyRing(2, GF(101), "lex")
     outcomes = []
     for seed in range(12):
         rng = random.Random(seed)
@@ -129,8 +128,8 @@ def test_past_degree_255_below_the_cap_the_routes_agree():
             a, b = rng.randint(60, 127), rng.randint(60, 127)
             if 46 <= 300 - a - b <= 127:
                 bins.append((a, b, 300 - a - b))
-        f = ring.poly({bins[1]: 1, bins[2]: rng.randint(1, 100)})
-        outcomes.append(_two_routes([ring.poly({bins[0]: 1, bins[2]: 1})], f))
+        f = ring.poly({spread(bins[1]): 1, spread(bins[2]): rng.randint(1, 100)})
+        outcomes.append(_two_routes([ring.poly({spread(bins[0]): 1, spread(bins[2]): 1})], f))
     assert "agree" in outcomes
 
 

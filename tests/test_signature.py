@@ -22,7 +22,7 @@ from commsyz.fields import GF, QQ
 from commsyz.groebner import Budget, Engine, buchberger
 from commsyz.polyring import PolyRing
 
-from oracles import engine_basis, near_cap_binomials
+from oracles import engine_basis, n2_ring, near_cap_binomials
 
 FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
 ORDERS = ("grevlex", "lex", "elim")
@@ -30,8 +30,8 @@ ORDERS = ("grevlex", "lex", "elim")
 
 def _random_ideal(rng, field, order, nvars=6, ngens=(3, 6)):
     """Forms of degree 2-3 with 1-4 terms in `nvars` of the n=2 variables."""
-    ring = PolyRing(2, field, order, naux=2 if order == "elim" else 0)
-    live = [ring.var(name) for name in rng.sample(ring.names[ring.naux:], nvars)]
+    ring = n2_ring(field, order, front=2)
+    live = [ring.var(name) for name in rng.sample(ring.names, nvars)]
     gens = []
     for _ in range(rng.randint(*ngens)):
         degree = rng.randint(2, 3)
