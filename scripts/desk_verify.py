@@ -24,8 +24,10 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default="gf:32003", help="q or gf:p (default gf:32003)")
     parser.add_argument("--budget-spairs", type=int, default=None,
                         help="cap on the pairs one engine run reduces: one basis (S-pairs; "
-                             "for a homogeneous basis, signature J-pairs and generators), or "
-                             "one whole minimal-generator selection (enables big-n runs)")
+                             "for a homogeneous basis, signature J-pairs and generators), one "
+                             "colon quotient or first-syzygy loop (signature J-pairs and "
+                             "generators), or one whole minimal-generator selection (enables "
+                             "big-n runs)")
     parser.add_argument("--budget-seconds", type=float, default=None,
                         help="wall-clock cap per engine run")
     parser.add_argument("--json", action="store_true", help="emit one JSON report per size")

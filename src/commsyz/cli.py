@@ -197,7 +197,7 @@ def _colon(cfg: RunConfig, ctx: DeskContext, n: int):
 
 
 def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
-    fs = ctx.syzygies(n, cfg.degree_bound)
+    fs = ctx.first_syzygies(n, cfg.degree_bound)
     words = []
     if n <= 4:
         system_qq = ctx.system_qq(n)
@@ -304,8 +304,8 @@ FLAGS = {
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
     "--budget-seconds": (float, None, None, "wall-clock budget; exceeding it yields PARTIAL"),
     "--budget-spairs": (int, None, None, "pairs one engine run may reduce (S-pairs; for a "
-                        "homogeneous basis, signature J-pairs and generators); exceeding it "
-                        "yields PARTIAL"),
+                        "homogeneous basis, a colon quotient or the first syzygies, "
+                        "signature J-pairs and generators); exceeding it yields PARTIAL"),
     "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
     "--fixtures": (str, None, None, "directory of fixture JSON files (default: the shipped set)"),
 }

@@ -6,38 +6,38 @@ answers find(V) on the packed key, and one normal-form kernel.
 `SignatureLoop` computes every basis of homogeneous polynomials that
 `buchberger` is asked for: the bases of the commutator ideals, the J basis
 a colon ideal asks for membership, and the `groebner` and `hilbert`
-subcommands.  With a quotient generator f it also gives the element
-quotient (J : f) of a colon ideal.  It is the GVW signature loop: each
-element carries the signature of one representation over the generators,
-pairs are processed in ascending signature, each one is reduced by regular
-top reduction only, and the F5, syzygy and cover criteria drop the pairs
-whose reduction would add nothing, most of which reduce to zero without
+subcommands.  It is the one loop that tracks representations: with
+tracked generators it also records the relations among them modulo the
+ideal, which give the element quotient (J : f) of a colon ideal (one
+tracked f) and the first syzygies of the commutator generators (every
+generator tracked).  It is the GVW signature loop: each element carries
+the signature of one representation over the generators, pairs are
+processed in ascending signature, each one is reduced by regular top
+reduction only, and the F5, syzygy and cover criteria drop the pairs whose
+reduction would add nothing, most of which reduce to zero without
 signatures.
 
 `Engine` is the Gebauer-Moeller loop for everything else: ideals and
-free-module vectors alike run as packed term lists, tracked runs, the
-minimal-generator selection, inhomogeneous input and the meet of two
-ideals.
-Pairs are processed in increasing lcm total degree with FIFO tie-breaking,
-so for homogeneous input the loop works degree by degree: `run(d)`
-completes the basis through degree d, and `select` decides minimal
-generators against it (a candidate of degree d is minimal iff its normal
-form against the degree-d basis is nonzero).  With tracking on, every
-element also carries its representation over the input as packed module
-terms, and each pair whose S-polynomial reduces to zero, or whose
-polynomial leads are coprime, yields a syzygy.
+free-module vectors alike run as packed term lists, the minimal-generator
+selection, inhomogeneous input and the meet of two ideals.  Pairs are
+processed in increasing lcm total degree with FIFO tie-breaking, so for
+homogeneous input the loop works degree by degree: `run(d)` completes the
+basis through degree d, and `select` decides minimal generators against it
+(a candidate of degree d is minimal iff its normal form against the
+degree-d basis is nonzero).
 
 A budget counts the pairs a run reduces.  In `Engine` that is its reduced
 S-pairs.  In `SignatureLoop` it is the J-pairs that pass the criteria and
 are reduced, each generator's own entry included, since a generator is
-top-reduced on entry too; for a colon ideal, those of its quotient loop.
-Pairs the criteria drop are not counted.
+top-reduced on entry too; for a colon ideal, those of its quotient loop,
+and for the first syzygies, those of the tracked loop.  Pairs the criteria
+drop are not counted.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
 monomial order.  `intersect_ideals` takes the meet of two ideals from one
 module run over rank-2 vectors.  A colon ideal takes its first element
-quotient from one signature loop with a quotient generator; each later
+quotient from one signature loop with one tracked generator; each later
 element is settled by membership in a complete basis of the ideal when the
 result so far already lies in its quotient, and otherwise its quotient
 comes from the same loop and is met with the result.
@@ -98,11 +98,12 @@ class Budget:
     """Resource limits for one engine run.
 
     A budget caps one engine run as a whole: a complete basis, a whole
-    minimal-generator selection with every degree it passes through, or
-    one element quotient of a colon ideal.  `max_spairs` counts the pairs
-    the run reduces: S-pairs in `Engine`; in `SignatureLoop` (every
-    `buchberger` call on homogeneous input, and each quotient loop of a
-    colon) the J-pairs that pass its criteria, each generator's entry
+    minimal-generator selection with every degree it passes through, one
+    element quotient of a colon ideal, or the tracked loop of the first
+    syzygies.  `max_spairs` counts the pairs the run reduces: S-pairs in
+    `Engine`; in `SignatureLoop` (every `buchberger` call on homogeneous
+    input, each quotient loop of a colon and the tracked loop of the first
+    syzygies) the J-pairs that pass its criteria, each generator's entry
     included.  A cut never raises: the run stops and its result is flagged
     partial (`complete` False, no `truncation_degree`), so any later
     question put to it is refused by `require`.
@@ -216,11 +217,10 @@ class GroebnerBasis:
 
 class _PairLoop:
     """What both pair loops share: the monic packed elements and their one
-    `DegreeBucketReducers`, the tracked representations and the product
-    kernel that combines them, the degree bound, the budget, the work
-    counts and the flags of a finished run.  `exhausted` holds the reason
-    once the budget has cut the run.  What a finished run can answer is
-    stated once, by `complete` and `truncation_degree`."""
+    `DegreeBucketReducers`, the degree bound, the budget, the work counts
+    and the flags of a finished run.  `exhausted` holds the reason once the
+    budget has cut the run.  What a finished run can answer is stated once,
+    by `complete` and `truncation_degree`."""
 
     def __init__(self, ring: PolyRing, degree_bound, budget):
         self.ring = ring
@@ -233,7 +233,6 @@ class _PairLoop:
         self.heap: list = []  # the queued pairs, each with a unique serial
         self.serial = 0
         self.exhausted = None
-        self.reps = None  # per element, the representation the loop tracks
 
     @property
     def complete(self) -> bool:
@@ -285,64 +284,35 @@ class _PairLoop:
                 rep = [(v, fld.mul(c, inv)) for v, c in rep]
         return terms, rep
 
-    def _combine(self, deg: int, parts) -> list:
-        """sum(sign * m * reps[idx]) over parts (idx, m, sign), with m a
-        scalar term list, as descending packed terms, by the product kernel
-        `sum_of_products`.  Every product term has degree <= deg, the pair's
-        degree, since the input is homogeneous; past the cap each product is
-        checked."""
-        order, reps = self.ring.order, self.reps
-        if deg > _EXP_CAP:
-            for idx, m, _ in parts:
-                check_product(packed_lcm(m, order), reps[idx], order)
-        work = [(reps[idx], m, sign) for idx, m, sign in parts]
-        return sum_of_products(work, order.unit_v, self.ring.field.p)
-
 
 class Engine(_PairLoop):
-    """The Buchberger pair loop over monic packed elements.
+    """The Gebauer-Moeller pair loop over monic packed elements.
 
     The elements enter one `DegreeBucketReducers`; a module vector's keys
     carry position bits above the scalar order's (`ModuleOrder`), a
     polynomial's carry none.  An element pairs only with the elements whose
-    leads share its position (`groups`).  In a tracked run every such pair
-    is reduced, and a coprime pair of polynomial leads yields its Koszul
-    relation; in an untracked run each element runs the Gebauer-Moeller
-    update within its position (`_criteria_pairs`).  Every lcm,
-    divisibility and coprime test runs on the leads' packed exponents
-    (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
-    `degree_bound` are dropped and counted as truncated.  The budget counts
-    reduced S-pairs.  After `run(d)` `complete` and `truncation_degree` say
-    whether degree d can be decided.
+    leads share its position (`groups`), and runs the Gebauer-Moeller
+    update among them (`_criteria_pairs`).  Every lcm, divisibility and
+    coprime test runs on the leads' packed exponents (`MonomialOrder`), so
+    the loop decodes no key.  Pairs of lcm degree past `degree_bound` are
+    dropped and counted as truncated.  The budget counts reduced S-pairs.
+    After `run(d)` `complete` and `truncation_degree` say whether degree d
+    can be decided.
     """
 
-    def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None, track=False):
+    def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None):
         super().__init__(ring, degree_bound, budget)
-        self.reps = [] if track else None
-        self.syzygies: list = []
         self.pairs: dict = {}  # (i, j) -> packed lcm
         self.groups: dict = {}  # lead position bits -> the elements whose leads sit there
         self.divisors: list = []  # per element, those of its group whose leads divide its lead
         self._pos_bits = ring.order.total_bits
 
-    def add(self, terms, rep=None):
-        """Enter a nonzero element (descending packed terms), made monic,
-        with its representation `rep` when tracking."""
-        terms, rep = self._monic(terms, rep)
-        h = len(self.basis)
-        cp = compile_terms(terms, self.ring, h)
-        if self.reps is not None:
-            degree = self.ring.order.degree
-            if any(degree(v) != cp.lead_deg for v, _ in cp.tail):
-                raise ValueError("syzygy tracking needs homogeneous elements")
-            self.reps.append(rep)
+    def add(self, terms):
+        """Enter a nonzero element (descending packed terms), made monic."""
+        terms, _ = self._monic(terms)
+        cp = compile_terms(terms, self.ring, len(self.basis))
         group = self.groups.setdefault(cp.lead_v >> self._pos_bits, [])
-        if self.reps is None:
-            self._criteria_pairs(cp, group)
-        else:
-            lcm = self.ring.order.lcm
-            for g in group:
-                self._push(g.index, h, lcm(g.packed, cp.packed))
+        self._criteria_pairs(cp, group)
         group.append(cp)
         self.basis.append(cp)
         self.reducers.add(cp)
@@ -417,9 +387,7 @@ class Engine(_PairLoop):
         """Process the waiting pairs of lcm degree <= through (all of them
         when None), until the budget cuts the run."""
         heap, pairs, basis, stats = self.heap, self.pairs, self.basis, self.stats
-        order, fld, bits = self.ring.order, self.ring.field, self._pos_bits
-        tracking = self.reps is not None
-        unit, one = order.unit_v, fld.one
+        fld, bits = self.ring.field, self._pos_bits
         while heap and (through is None or heap[0][0] <= through):
             reason = self._spent()
             if reason:
@@ -428,32 +396,15 @@ class Engine(_PairLoop):
             if pairs.pop((i, j), None) is None:
                 continue  # pruned after enqueueing
             a, b = basis[i], basis[j]
-            if tracking and not a.lead_v >> bits and not a.support & b.support:
-                # coprime polynomial leads: the pair's syzygy is the Koszul
-                # relation, which vectors in one lead position do not have
-                stats.pairs_pruned += 1
-                ta, tb = ((a.lead_v, a.lc), *a.tail), ((b.lead_v, b.lc), *b.tail)
-                syz = self._combine(deg, [(i, tb, 1), (j, ta, -1)])
-                if syz:
-                    self.syzygies.append(syz)
-                continue
-            terms, da, db = self._spoly(a, b, deg, (a.lead_v >> bits << bits) | v)
+            terms, _, _ = self._spoly(a, b, deg, (a.lead_v >> bits << bits) | v)
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
-            record = [] if tracking else None
-            rem = normal_form(terms, self.reducers, fld, record)
-            rep = None
-            if tracking:
-                parts = [(i, ((da + unit, one),), 1), (j, ((db + unit, one),), -1)]
-                parts += [(idx, ((delta + unit, cf),), -1) for idx, delta, cf in record]
-                rep = self._combine(deg, parts)
+            rem = normal_form(terms, self.reducers, fld)
             if rem:
-                self.add(rem, rep)
+                self.add(rem)
             else:
                 stats.zero_reductions += 1
-                if rep:
-                    self.syzygies.append(rep)
         stats.seconds = time.monotonic() - self.start
 
     def select(self, candidates, *, strict: bool = True) -> list:
@@ -522,18 +473,21 @@ class SignatureLoop(_PairLoop):
     run also holds the generators it had not reached, so its elements still
     generate the ideal.
 
-    With a `quotient` f, the incremental G2V step (Gao, Guan & Volny, ISSAC
-    2010) gives the colon (ideal : f) as a by-product.  f takes the last
-    index, after the canonical sort of `gens`, and each element h of that
-    index carries its coefficient u of monic f in one representation, as
-    packed scalar terms (`reps`; None at a lower index, whose coefficient
-    is 0): 1 for f's own entry, x^da u_a - x^db u_b for a J-pair, less
-    c x^delta u_r for each reduction step by an element r of f's index.
-    The lead of u is t, the signature's monomial.  A zero reduction at f's
-    index gives u*f in the ideal, and records u in `quotients`.  Once the
-    run is complete, those u and the elements of lower index, a basis of
-    the ideal, form a Groebner basis of the colon (`quotient_generators`).
-    Under a degree bound D the colon is complete through degree D - deg f.
+    With `tracked` generators f_0, ..., f_(m-1) the loop also records
+    relations among them modulo the ideal of `gens` (GVW; the G2V step of
+    Gao, Guan & Volny, ISSAC 2010, is m = 1).  They take the indices after
+    those of `gens`, in their own canonical sort.  Each element of a
+    tracked index carries its coefficients u over them, as packed module
+    terms at position k for f_k (`ModuleOrder` of rank m; `reps`, None at
+    an untracked index): e_k / lc(f_k) for f_k's entry, x^da u_a - x^db u_b
+    for a J-pair, less c x^delta u_r for each top-reduction step by an
+    element r with coefficients.  A zero reduction at a tracked index
+    records its u in `relations`, and u . (f_0, ..., f_(m-1)) lies in the
+    ideal.  With no `gens`, the relations and the Koszul relations generate
+    the syzygies of the f_k through the degree bound.  With one tracked f,
+    the relations and the elements of untracked index form a Groebner
+    basis of (ideal : f) (`quotient_generators`), complete through degree
+    D - deg f under a degree bound D.
     """
 
     def __init__(
@@ -543,22 +497,27 @@ class SignatureLoop(_PairLoop):
         *,
         degree_bound=None,
         budget=None,
-        quotient: Optional[Polynomial] = None,
+        tracked: Sequence[Polynomial] = (),
     ):
         super().__init__(ring, degree_bound, budget)
-        order = ring.order
+        if not all(f and f.is_homogeneous() for f in (*gens, *tracked)):
+            raise ValueError("the signature loop needs nonzero homogeneous input")
+        order, fld = ring.order, ring.field
         self.bits = order.total_bits
         self.sigs: list = []  # per element, its signature key
-        self.gens = sorted((order.degree(f.terms[0][0]), f.monic().terms) for f in gens)
-        self.quotients: list = []  # coefficients of f recorded at zero reductions
-        if quotient is not None:
-            if quotient.is_zero():
-                raise ValueError("cannot form a quotient by the zero element")
-            self.gens.append((order.degree(quotient.terms[0][0]), quotient.monic().terms))
-            self.reps = []
+        self.reps: list = []  # per element, its coefficients of the tracked generators or None
+        self.relations: list = []  # coefficients recorded at the zero reductions
+        self.morder = ModuleOrder(order, len(tracked)) if tracked else None
+        self.untracked = len(gens)  # the first tracked index
+        # per index: degree, monic terms and the entry's coefficients, e_k / lc(f_k)
+        self.gens = [(d, t, None) for d, t in sorted((f.degree(), f.monic().terms) for f in gens)]
+        for deg, terms, k, lc in sorted(
+            (f.degree(), f.monic().terms, k, f.lc()) for k, f in enumerate(tracked)
+        ):
+            self.gens.append((deg, terms, [(self.morder.encode(k, order.unit_v), fld.inv(lc))]))
         self.covers = [[] for _ in self.gens]  # per index: (packed t, signature, lead) of its elements
         self.syz = [[] for _ in self.gens]  # per index: packed t of the zero reductions
-        for i, (deg, terms) in enumerate(self.gens):
+        for i, (deg, terms, _) in enumerate(self.gens):
             self._queue(deg, i << self.bits | order.unit_v, terms[0][0], -1, i)
 
     def _queue(self, deg, sig, v, i, j):
@@ -585,11 +544,10 @@ class SignatureLoop(_PairLoop):
 
     def _add(self, terms, sig, rep=None) -> None:
         """Enter a reduced nonzero element of signature key sig, made monic
-        with its coefficient of the quotient `rep` when it has one, and
-        queue its J-pairs with every element before it."""
+        with its tracked coefficients `rep` when it has them, and queue its
+        J-pairs with every element before it."""
         terms, rep = self._monic(terms, rep)
-        if self.reps is not None:
-            self.reps.append(rep)
+        self.reps.append(rep)
         order, bits, sigs, stats = self.ring.order, self.bits, self.sigs, self.stats
         cp = compile_terms(terms, self.ring, len(self.basis))
         lcm, key, degree, bound = order.lcm, order.key, order.degree, self.degree_bound
@@ -626,9 +584,9 @@ class SignatureLoop(_PairLoop):
 
     def run(self) -> None:
         """Process every J-pair, until the budget cuts the run."""
-        heap, basis, stats, reps = self.heap, self.basis, self.stats, self.reps
+        heap, basis, stats = self.heap, self.basis, self.stats
         order, fld, bits = self.ring.order, self.ring.field, self.bits
-        q = len(self.gens) - 1 if reps is not None else -1  # the quotient's index
+        first = self.untracked << bits  # the least tracked signature key
         last = None
         while heap:
             reason = self._spent()
@@ -648,7 +606,7 @@ class SignatureLoop(_PairLoop):
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
-            record = [] if sig >> bits == q else None
+            record = [] if sig >= first else None
             rem = normal_form(terms, self.reducers, fld, record, signature=(sig, self.sigs))
             rep = None if record is None else self._coefficient(deg, i, j, da, db, record)
             if rem:
@@ -657,31 +615,44 @@ class SignatureLoop(_PairLoop):
                 stats.zero_reductions += 1
                 self.syz[sig >> bits].append(order.packed(sig))
                 if rep is not None:
-                    self.quotients.append(rep)
+                    self.relations.append(rep)
         stats.seconds = time.monotonic() - self.start
 
     def _coefficient(self, deg, i, j, da, db, record) -> list:
-        """The coefficient of the quotient in a reduced J-pair of its index:
-        1 for its own entry (i < 0), which no element of its index reduces,
-        else x^da reps[i] - x^db reps[j], less each recorded step's multiple
-        of an element that has a coefficient."""
+        """The tracked coefficients of a reduced J-pair of tracked index:
+        the entry's own for a generator (i < 0, then j is its index), else
+        x^da reps[i] - x^db reps[j], less each recorded step's multiple of
+        an element that has coefficients."""
         unit, one, reps = self.ring.order.unit_v, self.ring.field.one, self.reps
         if i < 0:
-            return [(unit, one)]
-        parts = [(i, ((da + unit, one),), 1), (j, ((db + unit, one),), -1)]
-        parts += [(idx, ((delta + unit, cf),), -1) for idx, delta, cf in record]
-        return self._combine(deg, [part for part in parts if reps[part[0]] is not None])
+            parts = [(self.gens[j][2], ((unit, one),), 1)]
+        else:
+            parts = [(reps[i], ((da + unit, one),), 1), (reps[j], ((db + unit, one),), -1)]
+        parts += [(reps[idx], ((delta + unit, cf),), -1) for idx, delta, cf in record]
+        return self._combine(deg, [part for part in parts if part[0] is not None])
+
+    def _combine(self, deg: int, parts) -> list:
+        """sum(sign * m * rep) over parts (rep, m, sign), with rep packed
+        module terms and m a scalar term list, as descending packed terms,
+        by the product kernel `sum_of_products`.  Every product term has
+        degree <= deg, the pair's degree, since the input is homogeneous;
+        past the cap each product is checked."""
+        order = self.ring.order
+        if deg > _EXP_CAP:
+            for rep, m, _ in parts:
+                check_product(packed_lcm(m, order), rep, order)
+        return sum_of_products(parts, order.unit_v, self.ring.field.p)
 
     def quotient_generators(self) -> list:
-        """The recorded coefficients of the quotient and the elements of
-        lower index, as polynomials: a Groebner basis of (ideal : quotient)
-        once the run is complete."""
-        ring, below = self.ring, (len(self.gens) - 1) << self.bits
-        out = [Polynomial(ring, tuple(u)) for u in self.quotients]
+        """Position 0 of the relations, and the elements of untracked index,
+        as polynomials: with one tracked f, a Groebner basis of
+        (ideal : f) once the run is complete."""
+        ring, first = self.ring, self.untracked << self.bits
+        out = [decompile_vector(ring, self.morder.rank, u, self.morder)[0] for u in self.relations]
         out += [
             Polynomial(ring, ((g.lead_v, g.lc), *g.tail))
             for g, sig in zip(self.basis, self.sigs)
-            if sig < below
+            if sig < first
         ]
         return out
 
@@ -846,8 +817,8 @@ class ColonBasis(list):
 
 def _element_quotient(gens, f: Polynomial, budget, stats: GBStats) -> list:
     """The reduced Groebner basis of (ideal : f) from one run of the
-    signature loop with quotient f; its work counts are added to `stats`."""
-    loop = SignatureLoop(f.ring, gens, budget=budget, quotient=f)
+    signature loop with f tracked; its work counts are added to `stats`."""
+    loop = SignatureLoop(f.ring, gens, budget=budget, tracked=[f])
     loop.run()
     stats.add(loop.stats)
     require(loop, partial=f"quotient needs a complete signature loop ({loop.exhausted})")
@@ -866,7 +837,7 @@ def colon_ideal(
     `ColonBasis`.
 
     The first quotient comes from one signature loop over (gens, f_1) with
-    f_1 last (`SignatureLoop` with a quotient); a budget cut raises
+    f_1 tracked (`SignatureLoop`); a budget cut raises
     IncompleteBasisError.  Each later f is first settled by membership: when
     g*f lies in the ideal for every generator g of the result so far, that
     result already lies in (ideal : f), so the meet is the result itself.

@@ -19,8 +19,8 @@ own byte, read off the key with one `&` and one `^` (see `MonomialOrder`).
 
 Products go through one kernel, `sum_of_products`, which accumulates term
 products in a dict keyed by V(a) + V(b) - V(1) and sorts the keys once; it
-serves `PolyRing.dot(pairs)` = sum(a * b) and the engine's tracked module
-representations.  Additivity holds only while every exponent stays within
+serves `PolyRing.dot(pairs)` = sum(a * b) and the module representations
+the signature loop tracks.  Additivity holds only while every exponent stays within
 the 8-bit cap, where a key would otherwise borrow silently from its
 neighbour.  So every key sum (products, reduction steps, S-polynomials)
 first passes the one cap rule, `check_product(e, terms, order)`, which

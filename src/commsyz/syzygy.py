@@ -9,10 +9,11 @@ module elements.
 The module half of the file holds the callers of the Groebner engine
 (`groebner.Engine`) on free-module vectors, keyed in the position-over-term
 order (`polyring.ModuleOrder`, `vector_terms`): module bases and
-membership, and the first-syzygy module of the minimal generators.  Its generators come
-from one tracked engine run over the generators (the syzygy of every pair
-through the bound), and one selection run keeps a minimal set of them
-degree by degree.
+membership, and the first-syzygy module of the minimal generators.  Its
+generators come from one signature loop with every generator tracked
+(`groebner.SignatureLoop`), whose zero reductions give the relations that,
+with the Koszul relations, generate the module through the bound, and one
+selection run keeps a minimal set of them degree by degree.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .genmat import CommutatorSystem, GenericMatrix
-from .groebner import Budget, Engine, GBStats, require
+from .groebner import Budget, Engine, GBStats, SignatureLoop, require
 from .polyring import (
     DegreeBucketReducers,
     ModuleOrder,
@@ -257,13 +258,15 @@ def first_syzygies(
     Counts are per coefficient degree (a 'linear' syzygy has degree 1).  The
     default bound is n: one degree past the conjectured maximum, n - 1.
 
-    The candidates are the Koszul relations and the syzygies of a tracked
-    engine run over the generators: every pair with lcm degree <= bound + 2
-    is reduced with its division steps recorded, and every syzygy of the
-    generators through the bound is a combination of the resulting ones.
-    One module engine then selects the minimal ones, Koszul relations first
-    within each degree; `stats` are the tracked run's.  The budget caps each
-    of the two runs; a cut makes the counts lower bounds and sets `partial`.
+    The candidates are the Koszul relations and the relations of one
+    signature loop with every generator tracked and no others
+    (`SignatureLoop`): every J-pair of degree <= bound + 2 that passes its
+    criteria is reduced, each zero reduction records a syzygy, and with the
+    Koszul relations those generate every syzygy of the generators through
+    the bound.  One module engine then selects the minimal ones, Koszul
+    relations first within each degree; `stats` are the signature loop's.
+    The budget caps each of the two runs; a cut makes the counts lower
+    bounds and sets `partial`.
     """
     n = system.n
     bound = n if degree_bound is None else degree_bound
@@ -281,17 +284,15 @@ def first_syzygies(
         )
     ring = gens[0].ring
     m = len(gens)
-    morder = ModuleOrder(ring.order, m)
-    tracked = Engine(ring, degree_bound=bound + 2, budget=budget, track=True)
-    for i, g in enumerate(gens):
-        tracked.add(g.terms, [(morder.encode(i, ring.order.unit_v), ring.field.one)])
-    tracked.run()
+    loop = SignatureLoop(ring, [], degree_bound=bound + 2, budget=budget, tracked=gens)
+    loop.run()
+    morder = loop.morder  # the relations' keys, position k for gens[k]
 
     # Components of a syzygy vector are the cofactors, so the vector's own
     # homogeneous degree is the coefficient degree used for grading/counting.
     koszul_vecs = _koszul_vectors(gens) if bound >= 2 else []
     candidates = [(2, vector_terms(v, morder), "koszul") for v in koszul_vecs]
-    for terms in tracked.syzygies:
+    for terms in loop.relations:
         d = ring.order.degree(terms[0][0])
         if d <= bound:
             candidates.append((d, terms, "pair"))
@@ -305,6 +306,6 @@ def first_syzygies(
         counts=dict(sorted(Counter(d for d, _, _ in kept).items())),
         generators=[decompile_vector(ring, m, terms, morder) for _, terms, _ in kept],
         sources=[src for _, _, src in kept],
-        partial=tracked.exhausted is not None or selection.exhausted is not None,
-        stats=tracked.stats,
+        partial=loop.exhausted is not None or selection.exhausted is not None,
+        stats=loop.stats,
     )

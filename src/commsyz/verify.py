@@ -155,10 +155,10 @@ class DeskContext:
 
         The diagonal entries sum to zero, so the quotient by the full ideal is
         the meet of the quotients by the first n-1 diagonal entries.  The
-        first comes from the signature loop with that entry as its quotient
-        generator, and the cached off-diagonal basis settles the later ones
-        by membership.  The result is a `ColonBasis`, whose `stats` are the
-        quotient loops' work counts.
+        first comes from the signature loop with that entry tracked, and
+        the cached off-diagonal basis settles the later ones by membership.
+        The result is a `ColonBasis`, whose `stats` are the quotient loops'
+        work counts.
         """
 
         def make():
@@ -187,7 +187,7 @@ class DeskContext:
 
         return self._get(("colon_new", n), make)
 
-    def syzygies(self, n: int, bound: Optional[int] = None) -> FirstSyzygies:
+    def first_syzygies(self, n: int, bound: Optional[int] = None) -> FirstSyzygies:
         return self._get(
             ("syz", n, bound),
             lambda: first_syzygies(self.system(n), degree_bound=bound, budget=self.budget),
@@ -231,7 +231,7 @@ def check_presentation(ctx: DeskContext, n: int):
     """n=2: three minimal generators, exactly two minimal first syzygies,
     both linear, reproducing the display totals '3 2'."""
     system = ctx.system(n)
-    fs = ctx.syzygies(n, bound=n)
+    fs = ctx.first_syzygies(n, bound=n)
     counts = fs.counts
     display = f"total: {len(system.minimal_gens)} {sum(counts.values())}"
     predicted = first_betti_prediction(n)
@@ -279,7 +279,7 @@ def check_first_syzygies(ctx: DeskContext, n: int):
     the two-way span identification of the three non-trivial quadratics with
     the squares-and-anticommutator trace forms."""
     system = ctx.system(n)
-    fs = ctx.syzygies(n, bound=4)
+    fs = ctx.first_syzygies(n, bound=4)
     counts = fs.counts
     ok_counts = counts == {1: 2, 2: 31}
     predicted = first_betti_prediction(n)

@@ -43,7 +43,7 @@ def test_criterion_01_smallest_presentation(ctx):
         assert detail["generators"] == 3
         assert detail["syzygy_counts"] == {"1": 2}
         assert detail["display"] == "total: 3 2"
-        fs = ctx.syzygies(2, bound=2)
+        fs = ctx.first_syzygies(2, bound=2)
         assert all(vector_degree(v) == 1 for v in fs.generators)
 
     _timed("criterion 1 (3 generators, 2 linear syzygies)", 5, body)
@@ -72,7 +72,7 @@ def test_criterion_03_trace_rule_soundness():
 
 def test_criterion_04_first_syzygies_three_by_three(ctx):
     def body():
-        fs = ctx.syzygies(3, bound=4)
+        fs = ctx.first_syzygies(3, bound=4)
         assert fs.counts == {1: 2, 2: 31}
         assert not fs.partial
         verdict, detail = check_first_syzygies(ctx, 3)

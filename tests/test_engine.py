@@ -1,6 +1,7 @@
 """The one Buchberger engine: its minimal-generator selection against the
 restart-based reference, the absence of restarts, budget cuts that must not
-answer silently, and the 8-bit guard on tracked representations."""
+answer silently, and the 8-bit guard on the representations the signature
+loop tracks."""
 
 import random
 
@@ -13,6 +14,7 @@ from commsyz.groebner import (
     Budget,
     Engine,
     IncompleteBasisError,
+    SignatureLoop,
     buchberger,
     intersect_ideals,
 )
@@ -30,7 +32,7 @@ from commsyz.syzygy import (
 )
 from commsyz.verify import minimal_new_generators
 
-from oracles import naive_products, restart_selection
+from oracles import n2_ring, naive_products, restart_selection, spread
 
 FIELDS = (GF(7), GF(32003), QQ)
 CUT = Budget(max_spairs=0)
@@ -163,25 +165,6 @@ def test_rank_one_vectors_keep_the_vector_pair_policy():
     assert (engine.stats.spairs_reduced, engine.stats.pairs_pruned) == (0, 1)
 
 
-def test_tracked_vectors_with_coprime_leads_are_reduced():
-    """The Koszul relation of two coprime leads is a syzygy of polynomials
-    only.  (x_1_1, y_1_1) and (x_2_2, y_2_2) have coprime leads in one
-    position and no syzygy at all: their S-pair is reduced, to the vector
-    (0, x_2_2*y_1_1 - x_1_1*y_2_2), and no syzygy is reported."""
-    ring = PolyRing(2, GF(32003))
-    x, y = ring.x, ring.y
-    vecs = [(x(1, 1), y(1, 1)), (x(2, 2), y(2, 2))]
-    morder = ModuleOrder(ring.order, 2)
-    engine = Engine(ring, track=True)
-    for i, vec in enumerate(vecs):
-        engine.add(vector_terms(vec, morder), [(morder.encode(i, ring.order.unit_v), 1)])
-    engine.run()
-    assert (engine.stats.spairs_reduced, engine.stats.elements_added) == (1, 3)
-    assert engine.syzygies == []
-    g = engine.basis[2]
-    assert decompile_vector(ring, 2, [(g.lead_v, g.lc), *g.tail], morder) == (ring.zero, x(2, 2) * y(1, 1) - x(1, 1) * y(2, 2))
-
-
 def test_membership_against_a_cut_basis_raises():
     ring = PolyRing(2, GF(32003))
     a, b = ring.x(1, 1), ring.y(1, 1)
@@ -271,34 +254,34 @@ def test_first_syzygies_under_a_cut_report_lower_bounds():
 
 
 def _tracked(k):
-    """Tracked run over x^200 - y^200, x^199*y, x^k*y in lex: the element
-    y^201 carries x*e_2 in its representation, and its pair with x^k*y
-    shifts that by x^k, past the cap at k = 255, while every polynomial
-    step stays within it."""
-    ring = PolyRing(1, QQ, "lex")
-    x, y = ring.x(1, 1), ring.y(1, 1)
-    gens = [x**200 - y**200, x**199 * y, x**k * y]
-    morder = ModuleOrder(ring.order, len(gens))
-    engine = Engine(ring, track=True)
-    for i, g in enumerate(gens):
-        engine.add(g.terms, [(morder.encode(i, ring.order.unit_v), ring.field.one)])
-    engine.run()
-    return ring, gens, morder, engine
+    """Signature loop, through degree 300, with w^200*y^5 - z^205, w*y^10
+    and w^k*y^5*z^205 tracked (w, y, z: x_1_1, x_1_2, y_1_1 under lex).
+    The pair of the first two gives y^5*z^205, whose coefficients carry
+    w^199 e_1; it top-reduces the third generator's entry by w^k, which
+    shifts that coefficient past the cap at k = 57, while every polynomial
+    and signature step stays within it."""
+    ring = n2_ring(QQ, "lex")
+    w, y, z = (ring.poly({spread(e): 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    gens = [w**200 * y**5 - z**205, w * y**10, w**k * y**5 * z**205]
+    loop = SignatureLoop(ring, [], degree_bound=300, tracked=gens)
+    loop.run()
+    return ring, gens, loop
 
 
 def test_tracked_representations_are_guarded_at_the_cap():
-    ring, gens, morder, engine = _tracked(254)
-    assert engine.stats.max_degree_processed == 455
-    for terms in engine.syzygies:
-        vec = decompile_vector(ring, len(gens), terms, morder)
+    ring, gens, loop = _tracked(56)
+    assert loop.stats.max_degree_processed == 266 and loop.relations
+    for terms in loop.relations:
+        vec = decompile_vector(ring, len(gens), terms, loop.morder)
         assert naive_products(zip(vec, gens), ring.field) == {}
     with pytest.raises(OverflowError):
-        _tracked(255)
+        _tracked(57)
 
 
 def test_tracking_refuses_inhomogeneous_input():
     ring = PolyRing(1, GF(101))
     x, y = ring.x(1, 1), ring.y(1, 1)
-    engine = Engine(ring, track=True)
     with pytest.raises(ValueError):
-        engine.add((x * x + y).terms, [(0, 1)])
+        SignatureLoop(ring, [], tracked=[x * x + y])
+    with pytest.raises(ValueError):
+        SignatureLoop(ring, [x * x + y], tracked=[x])

@@ -26,7 +26,7 @@ import pytest
 from commsyz.fields import GF
 from commsyz.groebner import Engine, SignatureLoop, buchberger, colon_ideal, intersect_ideals
 from commsyz.polyring import DegreeBucketReducers, Grevlex, ModuleOrder, PolyRing
-from commsyz.syzygy import ModuleBasis, vector_terms
+from commsyz.syzygy import ModuleBasis, first_syzygies, vector_terms
 
 from oracles import (
     criteria_pairs,
@@ -283,10 +283,12 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     of the signature loop with a quotient (138 elements, each of the
     quotient's index with its coefficient), under grevlex and with no
     meet, and whose second quotient is settled by membership in a grevlex
-    basis of J; and the meet a colon falls back to, one module run whose 80
-    elements each run the criteria within their lead position: no reducer
-    `add`, `find`, criteria step or signature-loop step encodes or decodes
-    a monomial or a module key."""
+    basis of J; the meet a colon falls back to, one module run whose 80
+    elements each run the criteria within their lead position; and the
+    n=3 first syzygies, one signature loop with all 8 generators tracked
+    (63 elements, 83 reduced J-pairs, each with its coefficients) and a
+    module selection: no reducer `add`, `find`, criteria step or
+    signature-loop step encodes or decodes a monomial or a module key."""
     calls = Counter()
     inside = [0]
 
@@ -352,6 +354,13 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     assert calls["DegreeBucketReducers.add@grevlex"] > 100
     assert calls["DegreeBucketReducers.find@grevlex"] > 1000
     assert calls["Engine._criteria_pairs@grevlex"] == 80
+    assert calls["encode"] == calls["decode"] == 0
+
+    calls.clear()
+    first_syzygies(system)
+    assert calls["SignatureLoop._add@grevlex"] == 63
+    assert calls["SignatureLoop._coefficient@grevlex"] == 83
+    assert calls["SignatureLoop._rewritable@grevlex"] > 500
     assert calls["encode"] == calls["decode"] == 0
 
 

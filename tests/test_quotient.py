@@ -1,10 +1,11 @@
 """The colon (J : f) from the signature loop against the meet route.
 
 `colon_ideal` takes each element quotient from one `SignatureLoop` run over
-(J's generators, f) with f last: the coefficients of f recorded at the zero
-reductions of f's index, with the loop's elements of lower index, form a
-Groebner basis of J : f.  The reference is `oracles.colon_by_meets`, which
-meets J with (f) (`intersect_ideals`, one module run) and divides by f.
+J's generators with f tracked: the coefficients of f recorded at the zero
+reductions of f's index (`relations`), with the loop's elements of lower
+index, form a Groebner basis of J : f.  The reference is
+`oracles.colon_by_meets`, which meets J with (f) (`intersect_ideals`, one
+module run) and divides by f.
 The inputs are seeded random homogeneous ideals over GF(7), GF(32003) and
 QQ under grevlex and lex, with generators of mixed degree 1-3, some with f
 in J, where the quotient is the unit ideal; binomials near the 8-bit cap
@@ -78,16 +79,16 @@ def test_the_quotient_generators_form_a_groebner_basis_of_the_colon(ctx):
     interreduce to the colon, and each recorded coefficient u has u*f in J."""
     system = ctx.system(3)
     base, f = list(system.off_diagonal_gens), system.f(1)
-    loop = SignatureLoop(system.ring, base, quotient=f)
+    loop = SignatureLoop(system.ring, base, tracked=[f])
     loop.run()
-    assert loop.complete and 0 < len(loop.quotients) <= loop.stats.zero_reductions
+    assert loop.complete and 0 < len(loop.relations) <= loop.stats.zero_reductions
     gens = loop.quotient_generators()
     assert interreduce(gens) == colon_by_meets(base, [f])
     basis = ctx.gb_off_diagonal(3)
-    recorded = gens[: len(loop.quotients)]
+    recorded = gens[: len(loop.relations)]
     assert recorded and all(basis.contains(u * f) for u in recorded)
     # the elements of lower index lie in J
-    assert all(basis.contains(g) for g in gens[len(loop.quotients):])
+    assert all(basis.contains(g) for g in gens[len(loop.relations):])
 
 
 def _two_routes(gens, f) -> str:
@@ -137,7 +138,7 @@ def test_zero_and_inhomogeneous_input_are_refused():
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)
     with pytest.raises(ValueError):
-        SignatureLoop(ring, [a * b], quotient=ring.zero)
+        SignatureLoop(ring, [a * b], tracked=[ring.zero])
     with pytest.raises(ValueError):
         colon_ideal([a * b], [ring.zero])
     with pytest.raises(ValueError):
@@ -156,7 +157,7 @@ def test_a_budget_cut_is_refused_and_the_refusal_is_cached(monkeypatch):
     original = SignatureLoop.run
 
     def counting(self):
-        runs.append(self.reps is not None)
+        runs.append(len(self.gens) > self.untracked)
         return original(self)
 
     monkeypatch.setattr(SignatureLoop, "run", counting)
@@ -176,7 +177,7 @@ def test_n4_quotient_through_degree_4_adds_the_predicted_generators(ctx):
     fixture cell (0,4) of `n4_canonical_module_betti`."""
     system = ctx.system(4)
     base = list(system.off_diagonal_gens)
-    loop = SignatureLoop(system.ring, base, degree_bound=6, quotient=system.f(1))
+    loop = SignatureLoop(system.ring, base, degree_bound=6, tracked=[system.f(1)])
     loop.run()
     assert loop.truncation_degree == 6
     low = [g for g in loop.quotient_generators() if g.degree() <= 4]

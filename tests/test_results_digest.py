@@ -32,6 +32,12 @@ are still cut and only their refusal `reason` changed; at 300 pairs the
 colon now completes, so `verify -n 3 --budget-spairs 300` moves its
 colon-ideal, splice-euler and knutson checks from PARTIAL to PASS, and its
 results are those of the complete `verify -n 3`.
+`syzygies -n 3 --budget-spairs 20` was recorded again when the first
+syzygies moved from a tracked Gebauer-Moeller run to the signature loop
+with every generator tracked.  Its budget now cuts that loop, which reaches
+no zero reduction within 20 reduced pairs, so the cut run reports PARTIAL
+counts {2: 28}, the Koszul relations alone, where the old run reported
+{1: 2, 2: 28}; both are lower bounds of the complete {1: 2, 2: 31}.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -53,7 +59,7 @@ DIGESTS = {
     "colon -n 3": "dc34ae4c6e1fddd641d4fb865674b07080551cfb06494a95c7e46df8d77bc654",
     "groebner -n 3 --budget-spairs 50": "1ebe091d75c9e1eafd4316a006452c74ca98f910fa8ef39c1f71070f5bd11e2a",
     "colon -n 3 --budget-spairs 50": "6fce3885b4eb1e42cbfaecf3bdc61a7174666253b08704c39feb0f336b802cad",
-    "syzygies -n 3 --budget-spairs 20": "460bda0ad3aad4acd3a44ba5549623fc7dcdd8690f7d3ed2d485b216e7b18b04",
+    "syzygies -n 3 --budget-spairs 20": "48fc6333ff28d072d6793f58e0e09c9e86cd0477ebdd29869a9ba3278e3551c6",
     "hilbert -n 3 --budget-spairs 50": "d85b0d81ec235d528c8f25c4e3b952e7dbd366f6af6a56ec63ef50d3f8c1e75f",
     "verify -n 3 --budget-spairs 20": "5704414a6de0fafb22cb9f0f7cf5d992c857b4c3d87f6ee40f950093231e48e4",
     "groebner -n 4 --budget-spairs 60": "e00e1a0d7353ffeafccf340ec7b532fc66ad36b29978bed7f7759519f9eb72d9",

@@ -1,5 +1,8 @@
 from collections import Counter
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +10,12 @@ from hypothesis import strategies as st
 from commsyz import fixtures
 from commsyz.fields import GF, QQ
 from commsyz.genmat import GenericMatrix, build_system
-from commsyz.groebner import Budget, IncompleteBasisError, buchberger
+from commsyz.groebner import Budget, IncompleteBasisError, SignatureLoop, buchberger
 from commsyz.polyring import Grevlex, PolyRing
 from commsyz.syzygy import (
     ModuleOrder,
     _koszul_vectors,
+    decompile_vector,
     eval_expr,
     eval_word,
     first_syzygies,
@@ -26,7 +30,7 @@ from commsyz.syzygy import (
 )
 from commsyz.words import WordExpr, binomial_expr, candidates
 
-from oracles import rank_mod_p, syzygy_space_dim
+from oracles import monomials_of_degree, n2_ring, naive_products, rank_mod_p, syzygy_space_dim
 
 P = 32003
 
@@ -155,7 +159,7 @@ def test_no_new_degree_two_syzygies_for_the_smallest_case(ctx):
     """At n=2 every degree-2 syzygy lies in Koszul + shifts of the linear ones."""
     sys = ctx.system(2)
     ring = sys.ring
-    fs = ctx.syzygies(2)
+    fs = ctx.first_syzygies(2)
     linear = [vec for vec in fs.generators if vector_degree(vec) == 1]
     span_rows = []
 
@@ -175,6 +179,72 @@ def test_no_new_degree_two_syzygies_for_the_smallest_case(ctx):
             add_vector(tuple(x * a for a in vec))
     span_dim = rank_mod_p(span_rows, P)
     assert syzygy_space_dim(sys.minimal_gens, 2, P) == span_dim
+
+
+def _equigenerated(rng, ring):
+    """3-5 forms of degree 2 in 5 of the n=2 variables, each of 1-3 terms
+    with coefficients 1..100, so that many pairs reduce to zero."""
+    live = [ring.var(name) for name in rng.sample(ring.names, 5)]
+    gens = []
+    for _ in range(rng.randint(3, 5)):
+        f = sum((ring.const(rng.randint(1, 100)) * rng.choice(live) * rng.choice(live)
+                 for _ in range(rng.randint(1, 3))), ring.zero)
+        if f:
+            gens.append(f)
+    return gens
+
+
+def _mod_p(f, order):
+    """The image in GF(32003) of a form over QQ with integer coefficients."""
+    return n2_ring(GF(P), order).poly({mon: int(c) for mon, c in f.exponent_terms()})
+
+
+def _rows(vec, degree, p):
+    """The monomial multiples of a homogeneous vector in coefficient degree
+    `degree`, as {(position, exps): coeff mod p} rows."""
+    nvars = next(a for a in vec if a).ring.nvars
+    shift = degree - vector_degree(vec)
+    rows = []
+    for m in monomials_of_degree(nvars, shift) if shift >= 0 else ():
+        row = {}
+        for pos, a in enumerate(vec):
+            for mon, c in a.exponent_terms():
+                if isinstance(c, Fraction):
+                    c = c.numerator * pow(c.denominator, -1, p)
+                row[(pos, tuple(x + y for x, y in zip(m, mon)))] = c % p
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+@pytest.mark.parametrize("field", ("gf7", "gf32003", "qq"))
+def test_the_tracked_relations_and_the_koszul_relations_span_the_syzygies(field, order):
+    """Six seeded equigenerated ideals per field and order, every generator
+    tracked by the signature loop through coefficient degree 3: each
+    relation is a syzygy, and in each coefficient degree d <= 3 the
+    monomial multiples of the Koszul relations and the relations span the
+    whole syzygy space, whose dimension graded linear algebra gives
+    (`syzygy_space_dim`).  Over QQ the ranks are taken mod 32003; a rank
+    mod p is at most the rank over QQ, and the kernel dimension mod p at
+    least the one over QQ, so their equality holds over QQ too."""
+    fld = {"gf7": GF(7), "gf32003": GF(P), "qq": QQ}[field]
+    p = fld.p or P
+    bound, relations = 3, 0
+    for seed in range(6):
+        ring = n2_ring(fld, order)
+        gens = _equigenerated(random.Random(f"{field}-{order}-{seed}"), ring)
+        loop = SignatureLoop(ring, [], degree_bound=bound + 2, tracked=gens)
+        loop.run()
+        vecs = [decompile_vector(ring, len(gens), u, loop.morder) for u in loop.relations]
+        for vec in vecs:
+            assert naive_products(zip(vec, gens), fld) == {}, seed
+        vecs += _koszul_vectors(gens)
+        images = gens if fld.p else [_mod_p(g, order) for g in gens]
+        relations += len(loop.relations)
+        for d in range(bound + 1):
+            rows = [row for vec in vecs for row in _rows(vec, d, p)]
+            assert rank_mod_p(rows, p) == syzygy_space_dim(images, d, p), (seed, d)
+    assert relations > 0
 
 
 def test_membership_queries():
@@ -228,7 +298,7 @@ def test_first_syzygies_respects_budget():
 
 
 def test_three_by_three_counts_and_sources(ctx):
-    fs = ctx.syzygies(3)
+    fs = ctx.first_syzygies(3)
     assert fs.counts == {1: 2, 2: 31}
     assert not fs.partial
     assert Counter(fs.sources) == {"koszul": 28, "pair": 5}
@@ -248,9 +318,9 @@ def test_koszul_candidates_respect_the_degree_bound():
 
 
 def test_four_by_four_linear_and_quadratic_syzygies_match_the_fixture():
-    """Fixture cells (2,3) and (2,4) of the partial n=4 resolution are the
-    minimal first syzygies of coefficient degree 1 and 2."""
+    """Fixture cells (2,3), (2,4) and (2,5) of the partial n=4 resolution
+    are the minimal first syzygies of coefficient degree 1, 2 and 3."""
     cells = fixtures.load_betti_table("n4_resolution_partial").cells
-    fs = first_syzygies(build_system(4, GF(P)), degree_bound=2)
-    assert fs.counts == {1: cells[(2, 3)], 2: cells[(2, 4)]}
+    fs = first_syzygies(build_system(4, GF(P)), degree_bound=3)
+    assert fs.counts == {1: cells[(2, 3)], 2: cells[(2, 4)], 3: cells[(2, 5)]}
     assert not fs.partial

@@ -154,7 +154,7 @@ def test_run_check_maps_failures_to_verdicts(ctx):
 def test_desk_context_caches_and_reuses(ctx):
     assert ctx.system(3) is ctx.system(3)
     assert ctx.gb_commutator(2) is ctx.gb_commutator(2)
-    assert ctx.syzygies(3) is ctx.syzygies(3)
+    assert ctx.first_syzygies(3) is ctx.first_syzygies(3)
     fresh = DeskContext(field=GF(32003))
     assert fresh.system(2) is not ctx.system(2)
 
