@@ -4,18 +4,18 @@ Two pair loops share one reducer store, `DegreeBucketReducers`, which
 answers find(V) on the packed key, and one normal-form kernel.
 
 `SignatureLoop` computes every basis of homogeneous polynomials that
-`buchberger` is asked for: the bases of the commutator ideals, the J basis
-a colon ideal asks for membership, and the `groebner` and `hilbert`
-subcommands.  It is the one loop that tracks representations: with
-tracked generators it also records the relations among them modulo the
-ideal, which give the element quotient (J : f) of a colon ideal (one
-tracked f) and the first syzygies of the commutator generators (every
-generator tracked).  It is the GVW signature loop: each element carries
-the signature of one representation over the generators, pairs are
-processed in ascending signature, each one is reduced by regular top
-reduction only, and the F5, syzygy and cover criteria drop the pairs whose
-reduction would add nothing, most of which reduce to zero without
-signatures.
+`buchberger` is asked for: the bases of the commutator ideals and the
+`groebner` and `hilbert` subcommands.  It is the one loop that tracks
+representations: with tracked generators it also records the relations
+among them modulo the ideal, which give the quotient J : (f_1, ..., f_m)
+of a colon ideal (the fs of one degree tracked as one module vector, on
+whose every position the polynomial elements act) and the first syzygies
+of the commutator generators (every generator tracked).  It is the GVW
+signature loop: each element carries the signature of one representation
+over the generators, pairs are processed in ascending signature, each one
+is reduced by regular top reduction only, and the F5, syzygy and cover
+criteria drop the pairs whose reduction would add nothing, most of which
+reduce to zero without signatures.
 
 `Engine` is the Gebauer-Moeller loop for everything else: ideals and
 free-module vectors alike run as packed term lists, the minimal-generator
@@ -36,11 +36,9 @@ drop are not counted.
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
 monomial order.  `intersect_ideals` takes the meet of two ideals from one
-module run over rank-2 vectors.  A colon ideal takes its first element
-quotient from one signature loop with one tracked generator; each later
-element is settled by membership in a complete basis of the ideal when the
-result so far already lies in its quotient, and otherwise its quotient
-comes from the same loop and is met with the result.
+module run over rank-2 vectors.  A colon ideal takes its quotient from one
+signature loop per degree of its fs, with the fs of that degree tracked as
+one vector, and meets the quotients of different degrees.
 """
 from __future__ import annotations
 
@@ -99,7 +97,7 @@ class Budget:
 
     A budget caps one engine run as a whole: a complete basis, a whole
     minimal-generator selection with every degree it passes through, one
-    element quotient of a colon ideal, or the tracked loop of the first
+    quotient loop of a colon ideal, or the tracked loop of the first
     syzygies.  `max_spairs` counts the pairs the run reduces: S-pairs in
     `Engine`; in `SignatureLoop` (every `buchberger` call on homogeneous
     input, each quotient loop of a colon and the tracked loop of the first
@@ -483,11 +481,20 @@ class SignatureLoop(_PairLoop):
     for a J-pair, less c x^delta u_r for each top-reduction step by an
     element r with coefficients.  A zero reduction at a tracked index
     records its u in `relations`, and u . (f_0, ..., f_(m-1)) lies in the
-    ideal.  With no `gens`, the relations and the Koszul relations generate
-    the syzygies of the f_k through the degree bound.  With one tracked f,
-    the relations and the elements of untracked index form a Groebner
-    basis of (ideal : f) (`quotient_generators`), complete through degree
-    D - deg f under a degree bound D.
+    ideal (for vectors, in ideal*S^m).  With no `gens`, the relations and
+    the Koszul relations generate the syzygies of the f_k through the
+    degree bound.
+
+    A tracked generator may also be a module vector F, a tuple of
+    polynomials of one degree keyed in `ModuleOrder(order, len(F))`; all
+    are polynomials or all vectors of one rank.  Polynomial elements act on
+    every position: they reduce vector terms and pair with a vector at its
+    position, and two vectors pair only at a shared one.  A multiplied
+    signature adds only its multiplier's scalar offset.  The F5 check at F's
+    index holds, as g*F lies in ideal*S^m for g in the ideal.  With one
+    tracked f or F the relations and the elements of untracked index form a
+    Groebner basis of (ideal : F) (`quotient_generators`), complete through
+    degree D - deg F under a degree bound D.
     """
 
     def __init__(
@@ -497,24 +504,31 @@ class SignatureLoop(_PairLoop):
         *,
         degree_bound=None,
         budget=None,
-        tracked: Sequence[Polynomial] = (),
+        tracked: Sequence = (),
     ):
         super().__init__(ring, degree_bound, budget)
-        if not all(f and f.is_homogeneous() for f in (*gens, *tracked)):
-            raise ValueError("the signature loop needs nonzero homogeneous input")
         order, fld = ring.order, ring.field
+        inputs = [list(f.terms) for f in gens] + [
+            vector_terms(f, ModuleOrder(order, len(f))) if isinstance(f, tuple) else list(f.terms)
+            for f in tracked
+        ]
+        homogeneous = all(t and len({order.degree(v) for v, _ in t}) == 1 for t in inputs)
+        if not homogeneous or len({len(f) if isinstance(f, tuple) else 0 for f in tracked}) > 1:
+            raise ValueError("the signature loop needs nonzero homogeneous input, one vector rank")
         self.bits = order.total_bits
         self.sigs: list = []  # per element, its signature key
         self.reps: list = []  # per element, its coefficients of the tracked generators or None
         self.relations: list = []  # coefficients recorded at the zero reductions
         self.morder = ModuleOrder(order, len(tracked)) if tracked else None
-        self.untracked = len(gens)  # the first tracked index
+        self.untracked = first = len(gens)  # the first tracked index
         # per index: degree, monic terms and the entry's coefficients, e_k / lc(f_k)
-        self.gens = [(d, t, None) for d, t in sorted((f.degree(), f.monic().terms) for f in gens)]
-        for deg, terms, k, lc in sorted(
-            (f.degree(), f.monic().terms, k, f.lc()) for k, f in enumerate(tracked)
+        self.gens = []
+        for _, deg, monic, k, lc in sorted(
+            (k >= first, order.degree(t[0][0]), self._monic(t)[0], k, t[0][1])
+            for k, t in enumerate(inputs)
         ):
-            self.gens.append((deg, terms, [(self.morder.encode(k, order.unit_v), fld.inv(lc))]))
+            u = None if k < first else [(self.morder.encode(k - first, order.unit_v), fld.inv(lc))]
+            self.gens.append((deg, monic, u))
         self.covers = [[] for _ in self.gens]  # per index: (packed t, signature, lead) of its elements
         self.syz = [[] for _ in self.gens]  # per index: packed t of the zero reductions
         for i, (deg, terms, _) in enumerate(self.gens):
@@ -524,15 +538,15 @@ class SignatureLoop(_PairLoop):
         heappush(self.heap, (deg, sig, v, self.serial, i, j))
         self.serial += 1
 
-    def _rewritable(self, deg, sig, v, cover: bool) -> bool:
-        """The F5 and syzygy criteria, and with `cover` the cover criterion,
-        for a J-pair of degree deg, signature key sig and lead key v."""
+    def _rewritable(self, deg, sig, v=None) -> bool:
+        """The F5 and syzygy criteria, and given its lead key v the cover
+        criterion, for a J-pair of degree deg and signature key sig."""
         order, bits = self.ring.order, self.bits
         index, e = sig >> bits, order.packed(sig)
         divides = order.divides
         if any(divides(u, e) for u in self.syz[index]):
             return True
-        if cover:
+        if v is not None:
             for u, s, lead in self.covers[index]:
                 if divides(u, e):
                     if deg > _EXP_CAP:
@@ -551,10 +565,13 @@ class SignatureLoop(_PairLoop):
         order, bits, sigs, stats = self.ring.order, self.bits, self.sigs, self.stats
         cp = compile_terms(terms, self.ring, len(self.basis))
         lcm, key, degree, bound = order.lcm, order.key, order.degree, self.degree_bound
-        h, absent = cp.packed, order.low ^ cp.support
+        h, absent, scalar = cp.packed, order.low ^ cp.support, (1 << bits) - 1
+        pos, lead = cp.lead_v >> bits, cp.lead_v & scalar  # 0 for a polynomial; the scalar key
         # a variable of lead g absent from lead h adds at least 1 to the lcm
         slack = None if bound is None else bound - cp.lead_deg
         for g in self.basis:
+            if pos and g.lead_v >> bits not in (0, pos):
+                continue  # two vectors pair only at one lead position
             if slack is not None and (g.support & absent).bit_count() > slack:
                 stats.pairs_truncated += 1
                 continue
@@ -567,15 +584,16 @@ class SignatureLoop(_PairLoop):
             if deg > _EXP_CAP:
                 check_product(l - g.packed, ((sigs[g.index], 0),), order)
                 check_product(l - h, ((sig, 0),), order)
-            sg, sh = sigs[g.index] + v - g.lead_v, sig + v - cp.lead_v
+            sg, sh = sigs[g.index] + v - (g.lead_v & scalar), sig + v - lead  # scalar offsets
             if sg == sh:
                 stats.pairs_pruned += 1
                 continue
             top, i, j = (sg, g.index, cp.index) if sg > sh else (sh, cp.index, g.index)
-            if self._rewritable(deg, top, v, cover=False):
+            if self._rewritable(deg, top):
                 stats.pairs_pruned += 1
                 continue
-            self._queue(deg, top, v, i, j)
+            # a polynomial pairs with a vector at the vector's position
+            self._queue(deg, top, v | (pos or g.lead_v >> bits) << bits, i, j)
         self.basis.append(cp)
         self.reducers.add(cp)
         sigs.append(sig)
@@ -596,7 +614,7 @@ class SignatureLoop(_PairLoop):
                 return self._cut(reason)
             deg, sig, v, _, i, j = heappop(heap)
             seen, last = sig == last, sig
-            if seen or self._rewritable(deg, sig, v, cover=True):
+            if seen or self._rewritable(deg, sig, v):
                 stats.pairs_pruned += 1
                 continue
             if i < 0:
@@ -645,8 +663,8 @@ class SignatureLoop(_PairLoop):
 
     def quotient_generators(self) -> list:
         """Position 0 of the relations, and the elements of untracked index,
-        as polynomials: with one tracked f, a Groebner basis of
-        (ideal : f) once the run is complete."""
+        as polynomials: with one tracked f or vector F, a Groebner basis of
+        (ideal : F) once the run is complete."""
         ring, first = self.ring, self.untracked << self.bits
         out = [decompile_vector(ring, self.morder.rank, u, self.morder)[0] for u in self.relations]
         out += [
@@ -815,40 +833,24 @@ class ColonBasis(list):
         self.stats = stats
 
 
-def _element_quotient(gens, f: Polynomial, budget, stats: GBStats) -> list:
-    """The reduced Groebner basis of (ideal : f) from one run of the
-    signature loop with f tracked; its work counts are added to `stats`."""
-    loop = SignatureLoop(f.ring, gens, budget=budget, tracked=[f])
-    loop.run()
-    stats.add(loop.stats)
-    require(loop, partial=f"quotient needs a complete signature loop ({loop.exhausted})")
-    return interreduce(loop.quotient_generators())
-
-
 def colon_ideal(
     gens: Sequence[Polynomial],
     fs: Sequence[Polynomial],
     *,
     budget: Optional[Budget] = None,
-    basis: Optional[GroebnerBasis] = None,
 ) -> list:
-    """Reduced Groebner basis of (ideal : (f_1, ..., f_m)), the meet of the
-    element quotients (ideal : f_k), for homogeneous input, as a
-    `ColonBasis`.
+    """Reduced Groebner basis of (ideal : (f_1, ..., f_m)) for homogeneous
+    input, as a `ColonBasis`.
 
-    The first quotient comes from one signature loop over (gens, f_1) with
-    f_1 tracked (`SignatureLoop`); a budget cut raises
-    IncompleteBasisError.  Each later f is first settled by membership: when
-    g*f lies in the ideal for every generator g of the result so far, that
-    result already lies in (ideal : f), so the meet is the result itself.
-    Otherwise the quotient by f is computed as the first, and the two are
-    met (`intersect_ideals`).  Membership is asked of `basis`, a
-    Groebner basis of the ideal `gens` generate (built here, under `budget`,
-    when omitted and a second quotient comes up); a basis that is not
-    complete, as a budget-cut one, answers nothing, and every quotient is
-    computed and met.  Either way the result is the reduced Groebner basis
-    of the same ideal in the ring's own order, which is unique: each
-    quotient and each meet is interreduced from a basis in that order.
+    The f of one degree are tracked as one module vector F in one signature
+    loop over `gens` (`SignatureLoop`): c lies in (ideal : F) exactly when
+    c*F lies in ideal*S^m, and the loop's relations with its elements of
+    untracked index form a Groebner basis of that quotient.  A module
+    position carries no degree shift, so f of different degrees take one
+    loop per degree, and those quotients are met (`intersect_ideals`).  The
+    loop raises ValueError on inhomogeneous input, and a budget cut raises
+    IncompleteBasisError.  The result is the reduced Groebner basis in the
+    ring's own order, which is unique.
     """
     gens = [g for g in gens if not g.is_zero()]
     fs = [f for f in fs if not f.is_zero()]
@@ -856,14 +858,13 @@ def colon_ideal(
         raise ValueError("quotient by the zero ideal is undefined here")
     if not gens:
         raise ValueError("the ideal needs at least one nonzero generator")
-    if not all(g.is_homogeneous() for g in gens + fs):
-        raise ValueError("colon ideals need homogeneous input")
-    stats = GBStats()
-    result = _element_quotient(gens, fs[0], budget, stats)
-    for f in fs[1:]:
-        if basis is None:
-            basis = buchberger(gens, budget=budget)
-        if not (basis.complete and all(basis.contains(g * f) for g in result)):
-            nxt = _element_quotient(gens, f, budget, stats)
-            result = intersect_ideals(result, nxt, budget=budget)
+    stats, result = GBStats(), None
+    for d in sorted({f.degree() for f in fs}):
+        vector = tuple(f for f in fs if f.degree() == d)
+        loop = SignatureLoop(gens[0].ring, gens, budget=budget, tracked=[vector])
+        loop.run()
+        stats.add(loop.stats)
+        require(loop, partial=f"quotient needs a complete signature loop ({loop.exhausted})")
+        quotient = interreduce(loop.quotient_generators())
+        result = quotient if result is None else intersect_ideals(result, quotient, budget=budget)
     return ColonBasis(result, stats)

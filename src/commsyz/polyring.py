@@ -720,32 +720,32 @@ class DegreeBucketReducers:
     (smallest lead degree wins).
 
     find(v) returns the first reducer, by lead degree and then insertion,
-    whose lead sits at v's position and divides v's monomial, after
+    whose lead divides v's monomial and sits at v's position or at 0, after
     `check_product` has cleared the step.  A reducer is filed under its
     lead's position bits, `lead_v >> order.total_bits`: 0 for a polynomial,
-    never 0 for a module vector (`ModuleOrder`), so a reducer applies
-    only at its own lead position.  Within a position each reducer sits in
-    the group of its anchor, the low bit of the highest nonzero byte of its
-    lead's packed exponents (0 for a constant lead), kept sorted by rank =
-    (lead degree, insertion serial).  A group whose anchor variable is
-    absent from v is skipped with one test; a group that is scanned stops at
-    its first divisor or at the best rank found so far, so the least rank
-    among the groups' first divisors is the answer.  It decodes nothing: a
-    reducer whose support mask is not within v's is skipped, and the rest
-    face the borrow test on packed exponents (`MonomialOrder`).
+    which acts on every position, never 0 for a module vector
+    (`ModuleOrder`), which acts only at its own.  Within a position each
+    reducer sits in the group of its anchor, the low bit of the highest
+    nonzero byte of its lead's packed exponents (0 for a constant lead),
+    kept sorted by rank = (lead degree, insertion serial).  A group whose
+    anchor variable is absent from v is skipped with one test; a group that
+    is scanned stops at its first divisor or at the best rank found so far,
+    so the least rank among the groups' first divisors is the answer.  It
+    decodes nothing: a reducer whose support mask is not within v's is
+    skipped, and the rest face the borrow test on packed exponents.
 
-    find(v, signature) is the regular lookup of the signature loop, for a
-    polynomial whose signature key is s, with signature = (s, sigs) and
-    sigs[r.index] the signature key of reducer r: a divisor qualifies only
-    if its multiplied signature sigs[r.index] + v - r.lead_v is below s.
-    That sum is the key of (v / lead) times the reducer's signature, so past
-    the cap `check_product` clears it first.
+    find(v, signature) is the regular lookup of the signature loop, with
+    signature = (s, sigs), s the signature key of the element reduced and
+    sigs[r.index] that of reducer r: a divisor qualifies only if
+    sigs[r.index] plus the scalar offset of v - r.lead_v, its multiplied
+    signature, is below s; past the cap `check_product` clears it first.
     """
 
-    __slots__ = ("order", "positions", "serial")
+    __slots__ = ("order", "scalar", "positions", "serial")
 
     def __init__(self, order: MonomialOrder, entries=()):
         self.order = order
+        self.scalar = (1 << order.total_bits) - 1  # the keys below any position bits
         self.positions: dict = {}  # position bits -> [(anchor bit, [(rank, reducer)] sorted)]
         self.serial = 0
         for cp in entries:
@@ -765,10 +765,10 @@ class DegreeBucketReducers:
         self.serial += 1
 
     def find(self, v, signature=None):
-        order = self.order
-        groups = self.positions.get(v >> order.total_bits)
-        if groups is None:
-            return None
+        order, positions, scalar = self.order, self.positions, self.scalar
+        groups = positions.get(v >> order.total_bits, ())
+        if v > scalar and 0 in positions:
+            groups = [*groups, *positions[0]]
         e = order.packed(v)
         deg = order.degree(v)
         absent = order.low ^ order.support(e)
@@ -791,7 +791,7 @@ class DegreeBucketReducers:
                     sig = sigs[r.index]
                     if deg > _EXP_CAP:
                         check_product(e - a, ((sig, 0),), order)
-                    if sig + v - r.lead_v >= s:
+                    if sig + ((v - r.lead_v) & scalar) >= s:
                         continue
                 best, limit = r, rank
                 break

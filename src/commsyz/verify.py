@@ -154,18 +154,17 @@ class DeskContext:
         """Interreduced generators of (off-diagonal ideal : commutator ideal).
 
         The diagonal entries sum to zero, so the quotient by the full ideal is
-        the meet of the quotients by the first n-1 diagonal entries.  The
-        first comes from the signature loop with that entry tracked, and
-        the cached off-diagonal basis settles the later ones by membership.
-        The result is a `ColonBasis`, whose `stats` are the quotient loops'
-        work counts.
+        the quotient by the first n-1 diagonal entries.  They share one
+        degree, so it comes from one signature loop with their vector
+        tracked.  The result is a `ColonBasis`, whose `stats` are that
+        loop's work counts.
         """
 
         def make():
             system = self.system(n)
             base = list(system.off_diagonal_gens)
             diag = [system.f(k) for k in system.diagonal_indices[:-1]]
-            return colon_ideal(base, diag, budget=self.budget, basis=self.gb_off_diagonal(n))
+            return colon_ideal(base, diag, budget=self.budget)
 
         return self._get(("colon", n), make)
 

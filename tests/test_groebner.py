@@ -242,61 +242,45 @@ def test_colon_ideal_known_answer():
 
 
 def _count_quotient_loops(monkeypatch) -> list:
-    """Record each element quotient a colon computes, one signature-loop run
-    each: a colon by m elements makes 1 + k of them, k the later quotients
-    not settled by membership, and k meets."""
+    """Record each tracked signature-loop run a colon makes: one for each
+    distinct degree among its fs, each with the fs of that degree tracked
+    as one vector, and one meet for each run after the first."""
     calls = []
-    original = groebner._element_quotient
+    original = groebner.SignatureLoop.run
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(self):
+        if len(self.gens) > self.untracked:
+            calls.append(1)
+        return original(self)
 
-    monkeypatch.setattr(groebner, "_element_quotient", counting)
+    monkeypatch.setattr(groebner.SignatureLoop, "run", counting)
     return calls
-
-
-def test_colon_ideal_n3_settles_the_second_quotient_by_membership(ctx, monkeypatch):
-    system = ctx.system(3)
-    base = list(system.off_diagonal_gens)
-    diag = [system.f(k) for k in system.diagonal_indices[:-1]]
-    want = colon_by_meets(base, diag)
-    calls = _count_quotient_loops(monkeypatch)
-    assert colon_ideal(base, diag) == want
-    assert len(calls) == 1
-    assert colon_ideal(base, diag, basis=ctx.gb_off_diagonal(3)) == want
-    assert len(calls) == 2
-    # the verify suite's colon asks its cached basis of J
-    assert DeskContext(field=GF(32003)).colon_generators(3) == want
-    assert len(calls) == 3
-    # a budget-cut basis answers nothing: every quotient is computed
-    cut = buchberger(base, budget=Budget(max_spairs=5))
-    assert not cut.complete
-    assert colon_ideal(base, diag, basis=cut) == want
-    assert len(calls) == 5
 
 
 def test_colon_ideal_falls_back_to_the_meet(monkeypatch):
     ring = PolyRing(2, GF(101))
     a, b, c, d = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(1, 2)
-    # (a) : a = (1), and b is not in (a)
+    # (a) : a = (1), and b is not in (a): one run tracks the vector (a, b)
     assert colon_ideal([a], [a, b]) == colon_by_meets([a], [a, b]) == [a]
     # (ac, bd) : cd = (a, b), where a*c is a member and b*c is not, and
-    # the other way round for d: each colon needs every generator tested
+    # the other way round for d: the fs have two degrees, so two runs and
+    # their quotients are met
     base = [a * c, b * d]
     assert colon_ideal(base, [c * d, c]) == colon_by_meets(base, [c * d, c]) == [a, b * d]
     assert colon_ideal(base, [c * d, d]) == colon_by_meets(base, [c * d, d]) == [b, a * c]
     calls = _count_quotient_loops(monkeypatch)
     colon_ideal([a], [a, b])
+    assert len(calls) == 1
     colon_ideal(base, [c * d, c])
     colon_ideal(base, [c * d, d])
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
     """Seeded ideals, three fs each: a later f is a multiple of the one
     before (its quotient contains the earlier one), a member of the ideal
-    (its quotient is the ring) or a random form.  Both branches occur."""
+    (its quotient is the ring) or a random form.  The colon makes one run
+    per distinct degree of f, and cases of two runs and of three occur."""
     ring = PolyRing(2, GF(101))
     xs = [ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(2, 1), ring.x(2, 2)]
 
@@ -310,7 +294,7 @@ def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
         return f
 
     calls = _count_quotient_loops(monkeypatch)
-    settled = met = 0
+    runs = set()
     for seed in range(12):
         rng = random.Random(seed)
         gens = [form(rng, 2) for _ in range(3)]
@@ -325,10 +309,10 @@ def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
                 fs.append(form(rng, 1))
         calls.clear()
         got = colon_ideal(gens, fs)
-        k = len(calls) - 1
-        settled, met = settled + 2 - k, met + k
+        assert len(calls) == len({f.degree() for f in fs if f}), seed
+        runs.add(len(calls))
         assert got == colon_by_meets(gens, fs), seed
-    assert settled > 0 and met > 0
+    assert runs == {2, 3}
 
 
 def test_minimal_generators_greedy():

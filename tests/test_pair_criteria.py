@@ -279,12 +279,11 @@ def test_shuffled_n4_degree_5_signature_counts_are_pinned(ctx, seed):
 
 def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     """The n=3 basis of I under grevlex, by the Gebauer-Moeller engine and
-    by the signature loop; the n=3 colon, whose first quotient is one run
-    of the signature loop with a quotient (138 elements, each of the
-    quotient's index with its coefficient), under grevlex and with no
-    meet, and whose second quotient is settled by membership in a grevlex
-    basis of J; the meet a colon falls back to, one module run whose 80
-    elements each run the criteria within their lead position; and the
+    by the signature loop; the n=3 colon, one run of the signature loop
+    with the vector of both diagonal entries tracked (138 elements, those
+    of the tracked index with their coefficients), under grevlex, with no
+    meet and no basis of J; the meet a colon falls back to, one module run
+    whose 80 elements each run the criteria within their lead position; and the
     n=3 first syzygies, one signature loop with all 8 generators tracked
     (63 elements, 83 reduced J-pairs, each with its coefficients) and a
     module selection: no reducer `add`, `find`, criteria step or
@@ -338,10 +337,9 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
 
     system = ctx.system(3)
     base = list(system.off_diagonal_gens)
-    basis = buchberger(base)
     diag = [system.f(k) for k in system.diagonal_indices[:-1]]
     calls.clear()
-    colon_ideal(base, diag, basis=basis)
+    colon_ideal(base, diag)
     assert calls["SignatureLoop._add@grevlex"] == 138
     assert calls["SignatureLoop._coefficient@grevlex"] > 100
     assert calls["SignatureLoop._rewritable@grevlex"] > 1000

@@ -1,19 +1,21 @@
-"""The colon (J : f) from the signature loop against the meet route.
+"""The colon J : (f_1, ..., f_m) from the signature loop against the meet route.
 
-`colon_ideal` takes each element quotient from one `SignatureLoop` run over
-J's generators with f tracked: the coefficients of f recorded at the zero
-reductions of f's index (`relations`), with the loop's elements of lower
-index, form a Groebner basis of J : f.  The reference is
-`oracles.colon_by_meets`, which meets J with (f) (`intersect_ideals`, one
-module run) and divides by f.
+`colon_ideal` tracks the f of one degree as one module vector F in one
+`SignatureLoop` run over J's generators, whose polynomial elements act on
+every position of F's elements: the coefficients of F recorded at the zero
+reductions of F's index (`relations`), with the loop's elements of lower
+index, form a Groebner basis of J : F.  The reference is
+`oracles.colon_by_meets`, which meets J with each (f) (`intersect_ideals`,
+one module run), divides by f and meets the quotients.
 The inputs are seeded random homogeneous ideals over GF(7), GF(32003) and
 QQ under grevlex and lex, with generators of mixed degree 1-3, some with f
-in J, where the quotient is the unit ideal; binomials near the 8-bit cap
-under lex, where both routes raise OverflowError; and binomials of degree
-300 below the cap, where some colons are computed whole and agree.  At n=4
-a degree bound cuts the loop, which the meet cannot take: through degree 4
-the quotient by the first diagonal entry adds the 3 generators that
-`colon_bidegrees(4)` predicts.
+in J, where the quotient is the unit ideal; the same over GF(101) too with
+2-3 fs of one degree, where J : f_1 is often larger than J : F; binomials
+near the 8-bit cap under lex, where both routes raise OverflowError; and
+binomials of degree 300 below the cap, where some colons are computed whole
+and agree.  At n=4 a degree bound cuts the loop, which the meet cannot
+take: through degree 4 the quotient by the diagonal entries adds the 3
+generators that `colon_bidegrees(4)` predicts.
 """
 
 import random
@@ -30,6 +32,7 @@ from commsyz.verify import DeskContext, minimal_new_generators
 from oracles import colon_by_meets, near_cap_binomials, spread
 
 FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
+VECTOR_FIELDS = {"gf7": GF(7), "gf101": GF(101), "gf32003": GF(32003), "qq": QQ}
 
 
 def _form(rng, ring, live, degree):
@@ -72,6 +75,51 @@ def test_the_quotient_loop_gives_the_eliminated_colon(field, order):
         assert [g.terms for g in got] == [g.terms for g in colon_by_meets(gens, [f])], seed
         members += got == [f.ring.one]
     assert members > 0
+
+
+def _equal_degree_colon(rng, field, order):
+    """2-4 forms of degree 1-3 in 5 of the n=2 variables, and 2-3 forms fs
+    of one degree, 1 or 2; half the time the ideal also holds f_1 times a
+    linear form, which then lies in J : f_1 but seldom in J : F."""
+    ring = PolyRing(2, field, order)
+    live = [ring.var(name) for name in rng.sample(ring.names, 5)]
+    gens = [_form(rng, ring, live, rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+    degree = rng.randint(1, 2)
+    fs = [_form(rng, ring, live, degree) for _ in range(rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        gens.append(fs[0] * _form(rng, ring, live, 1))
+    return [g for g in gens if g], [f for f in fs if f]
+
+
+def test_one_run_with_the_fs_tracked_as_a_vector_gives_the_colon(monkeypatch):
+    """30 seeded colons per field and order, each by fs of one degree: the
+    colon is one signature-loop run with F = (f_1, ..., f_m) tracked, and
+    it equals the meet of the element quotients term for term.  In at
+    least 100 of them J : f_1 differs from J : F, so the later fs count."""
+    runs = []
+    original = SignatureLoop.run
+
+    def counting(self):
+        runs.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SignatureLoop, "run", counting)
+    cases = larger = 0
+    for field in VECTOR_FIELDS:
+        for order in ("grevlex", "lex"):
+            for seed in range(30):
+                rng = random.Random(f"{field}-{order}-vector-{seed}")
+                gens, fs = _equal_degree_colon(rng, VECTOR_FIELDS[field], order)
+                if not gens or len(fs) < 2:
+                    continue
+                runs.clear()
+                got = colon_ideal(gens, fs)
+                assert len(runs) == 1
+                want = colon_by_meets(gens, fs)
+                assert [g.terms for g in got] == [g.terms for g in want], (field, order, seed)
+                cases += 1
+                larger += colon_ideal(gens, fs[:1]) != got
+    assert cases > 200 and larger >= 100
 
 
 def test_the_quotient_generators_form_a_groebner_basis_of_the_colon(ctx):
@@ -172,12 +220,14 @@ def test_a_budget_cut_is_refused_and_the_refusal_is_cached(monkeypatch):
 
 
 def test_n4_quotient_through_degree_4_adds_the_predicted_generators(ctx):
-    """J : f_1 at n=4 under a degree bound of 6, complete through degree 4:
-    the minimal generators beyond J are the three of `colon_bidegrees(4)[4]`,
+    """J : I at n=4, as J : F with F the vector of the first three diagonal
+    entries, under a degree bound of 6, complete through degree 4: the
+    minimal generators beyond J are the three of `colon_bidegrees(4)[4]`,
     fixture cell (0,4) of `n4_canonical_module_betti`."""
     system = ctx.system(4)
     base = list(system.off_diagonal_gens)
-    loop = SignatureLoop(system.ring, base, degree_bound=6, tracked=[system.f(1)])
+    diag = tuple(system.f(k) for k in system.diagonal_indices[:-1])
+    loop = SignatureLoop(system.ring, base, degree_bound=6, tracked=[diag])
     loop.run()
     assert loop.truncation_degree == 6
     low = [g for g in loop.quotient_generators() if g.degree() <= 4]
