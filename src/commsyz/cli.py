@@ -303,9 +303,9 @@ FLAGS = {
     "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
     "--budget-seconds": (float, None, None, "wall-clock budget; exceeding it yields PARTIAL"),
-    "--budget-spairs": (int, None, None, "pairs one engine run may reduce (S-pairs; for a "
-                        "homogeneous basis, a colon quotient or the first syzygies, "
-                        "signature J-pairs and generators); exceeding it yields PARTIAL"),
+    "--budget-spairs": (int, None, None, "pairs one engine run may reduce (signature "
+                        "J-pairs and generators; S-pairs in a minimal-generator "
+                        "selection); exceeding it yields PARTIAL"),
     "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
     "--fixtures": (str, None, None, "directory of fixture JSON files (default: the shipped set)"),
 }

@@ -3,42 +3,46 @@
 Two pair loops share one reducer store, `DegreeBucketReducers`, which
 answers find(V) on the packed key, and one normal-form kernel.
 
-`SignatureLoop` computes every basis of homogeneous polynomials that
-`buchberger` is asked for: the bases of the commutator ideals and the
-`groebner` and `hilbert` subcommands.  It is the one loop that tracks
-representations: with tracked generators it also records the relations
-among them modulo the ideal, which give the quotient J : (f_1, ..., f_m)
-of a colon ideal (the fs of one degree tracked as one module vector, on
-whose every position the polynomial elements act) and the first syzygies
-of the commutator generators (every generator tracked).  It is the GVW
-signature loop: each element carries the signature of one representation
-over the generators, pairs are processed in ascending signature, each one
-is reduced by regular top reduction only, and the F5, syzygy and cover
-criteria drop the pairs whose reduction would add nothing, most of which
-reduce to zero without signatures.
+`SignatureLoop` computes every basis: each `buchberger` basis (those of
+the commutator ideals and the `groebner` and `hilbert` subcommands), the
+module bases of `syzygy.module_buchberger` and the rank-2 module run of a
+meet.  It takes homogeneous input only and raises ValueError on anything
+else; everything the paper computes is homogeneous.  It is the one loop
+that tracks representations: with tracked generators it also records the
+relations among them modulo the ideal, which give the quotient
+J : (f_1, ..., f_m) of a colon ideal (the fs of one degree tracked as one
+module vector, on whose every position the polynomial elements act) and
+the first syzygies of the commutator generators (every generator tracked).
+It is the GVW signature loop: each element carries the signature of one
+representation over the generators, pairs are processed in ascending
+signature, each one is reduced by regular top reduction only, and the F5,
+syzygy and cover criteria drop the pairs whose reduction would add
+nothing, most of which reduce to zero without signatures.
 
-`Engine` is the Gebauer-Moeller loop for everything else: ideals and
-free-module vectors alike run as packed term lists, the minimal-generator
-selection, inhomogeneous input and the meet of two ideals.  Pairs are
-processed in increasing lcm total degree with FIFO tie-breaking, so for
-homogeneous input the loop works degree by degree: `run(d)` completes the
-basis through degree d, and `select` decides minimal generators against it
-(a candidate of degree d is minimal iff its normal form against the
-degree-d basis is nonzero).
+`Engine`, the Gebauer-Moeller loop, has one job: minimal-generator
+selection (`select`, for `verify.minimal_new_generators` and the first
+syzygies), which it did two to five times faster than a signature-loop
+prototype at n=3; `_settled` also runs its pair update over a reduced
+basis.  Ideals and free-module vectors alike run as packed term lists.
+Pairs are processed in increasing lcm total degree with FIFO tie-breaking,
+so the loop works degree by degree: `run(d)` completes the basis through
+degree d, and `select` decides minimal generators against it (a candidate
+of degree d is minimal iff its normal form against the degree-d basis is
+nonzero).
 
-A budget counts the pairs a run reduces.  In `Engine` that is its reduced
-S-pairs.  In `SignatureLoop` it is the J-pairs that pass the criteria and
-are reduced, each generator's own entry included, since a generator is
-top-reduced on entry too; for a colon ideal, those of its quotient loop,
-and for the first syzygies, those of the tracked loop.  Pairs the criteria
-drop are not counted.
+A budget counts the pairs a run reduces.  In `SignatureLoop` it is the
+J-pairs that pass the criteria and are reduced, each generator's own entry
+included, since a generator is top-reduced on entry too; for a colon ideal,
+those of its quotient loop, and for the first syzygies, those of the
+tracked loop.  Pairs the criteria drop are not counted.  In a selection
+`Engine` counts its reduced S-pairs.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
 monomial order.  `intersect_ideals` takes the meet of two ideals from one
-module run over rank-2 vectors.  A colon ideal takes its quotient from one
-signature loop per degree of its fs, with the fs of that degree tracked as
-one vector, and meets the quotients of different degrees.
+signature loop over rank-2 vectors.  A colon ideal takes its quotient from
+one signature loop per degree of its fs, with the fs of that degree tracked
+as one vector, and meets the quotients of different degrees.
 """
 from __future__ import annotations
 
@@ -75,7 +79,7 @@ def require(basis, degree: Optional[int] = None, *, partial: str, truncated: Opt
     """The one rule for what a cut or truncated basis may answer.
 
     `basis` is anything with `complete` and `truncation_degree`: a finished
-    `Engine`, a `GroebnerBasis` or a `ModuleBasis`.  A complete basis answers
+    pair loop, a `GroebnerBasis` or a `ModuleBasis`.  A complete basis answers
     everything.  A basis truncated at d answers a question of degree <= d;
     `degree` None asks about the whole ideal (a Hilbert series, a meet) and
     is refused.  A budget-cut basis answers nothing.  A refusal raises
@@ -95,16 +99,15 @@ def require(basis, degree: Optional[int] = None, *, partial: str, truncated: Opt
 class Budget:
     """Resource limits for one engine run.
 
-    A budget caps one engine run as a whole: a complete basis, a whole
-    minimal-generator selection with every degree it passes through, one
-    quotient loop of a colon ideal, or the tracked loop of the first
-    syzygies.  `max_spairs` counts the pairs the run reduces: S-pairs in
-    `Engine`; in `SignatureLoop` (every `buchberger` call on homogeneous
-    input, each quotient loop of a colon and the tracked loop of the first
-    syzygies) the J-pairs that pass its criteria, each generator's entry
-    included.  A cut never raises: the run stops and its result is flagged
-    partial (`complete` False, no `truncation_degree`), so any later
-    question put to it is refused by `require`.
+    A budget caps one engine run as a whole: a basis, a module basis or a
+    meet, one quotient loop of a colon ideal, the tracked loop of the first
+    syzygies, or a whole minimal-generator selection with every degree it
+    passes through.  `max_spairs` counts the pairs the run reduces: in
+    `SignatureLoop`, which runs everything but the selection, the J-pairs
+    that pass its criteria, each generator's entry included; in a selection
+    by `Engine`, its S-pairs.  A cut never raises: the run stops and its
+    result is flagged partial (`complete` False, no `truncation_degree`), so
+    any later question put to it is refused by `require`.
     """
 
     max_spairs: Optional[int] = None
@@ -141,10 +144,9 @@ class GroebnerBasis:
     """A (possibly truncated or partial) Groebner basis with cached reducers.
 
     complete=True: full reduced basis.  truncation_degree=d: correct through
-    total degree d (`buchberger` truncates only homogeneous input).  Neither:
-    a partial basis from an exhausted budget.  The flags are the finished
-    engine run's, as `buchberger` settles them, and `require` decides which
-    questions the basis answers.
+    total degree d.  Neither: a partial basis from an exhausted budget.  The
+    flags are the finished loop's, as `buchberger` settles them, and
+    `require` decides which questions the basis answers.
     """
 
     def __init__(
@@ -284,7 +286,8 @@ class _PairLoop:
 
 
 class Engine(_PairLoop):
-    """The Gebauer-Moeller pair loop over monic packed elements.
+    """The Gebauer-Moeller pair loop over monic packed elements, for
+    minimal-generator selection (`select`) and `_settled`'s pair update.
 
     The elements enter one `DegreeBucketReducers`; a module vector's keys
     carry position bits above the scalar order's (`ModuleOrder`), a
@@ -440,7 +443,7 @@ class Engine(_PairLoop):
 
 class SignatureLoop(_PairLoop):
     """The signature loop (GVW: Gao, Volny & Wang, Math. Comp. 85, 2016) for
-    homogeneous polynomials.
+    homogeneous polynomials and module vectors.
 
     Each element h carries a signature t*e_i, the leading module monomial of
     one representation h = sum(c_k * f_k) over the generators.  Its key is
@@ -485,13 +488,15 @@ class SignatureLoop(_PairLoop):
     the Koszul relations generate the syzygies of the f_k through the
     degree bound.
 
-    A tracked generator may also be a module vector F, a tuple of
-    polynomials of one degree keyed in `ModuleOrder(order, len(F))`; all
-    are polynomials or all vectors of one rank.  Polynomial elements act on
-    every position: they reduce vector terms and pair with a vector at its
-    position, and two vectors pair only at a shared one.  A multiplied
-    signature adds only its multiplier's scalar offset.  The F5 check at F's
-    index holds, as g*F lies in ideal*S^m for g in the ideal.  With one
+    A generator, tracked or not, may also be a module vector F, a tuple of
+    polynomials of one degree keyed in `ModuleOrder(order, len(F))`; the
+    tracked ones are all polynomials or all vectors, and every vector of a
+    run has one rank.  Polynomial elements act on every position: they
+    reduce vector terms and pair with a vector at its position, and two
+    vectors pair only at a shared one.  A multiplied signature adds only
+    its multiplier's scalar offset.  The F5 check at F's index holds, as
+    g*F lies in ideal*S^m for g in the ideal; among vector elements it
+    finds no reducer, as two vectors have no principal syzygy.  With one
     tracked f or F the relations and the elements of untracked index form a
     Groebner basis of (ideal : F) (`quotient_generators`), complete through
     degree D - deg F under a degree bound D.
@@ -508,12 +513,14 @@ class SignatureLoop(_PairLoop):
     ):
         super().__init__(ring, degree_bound, budget)
         order, fld = ring.order, ring.field
-        inputs = [list(f.terms) for f in gens] + [
+        inputs = [
             vector_terms(f, ModuleOrder(order, len(f))) if isinstance(f, tuple) else list(f.terms)
-            for f in tracked
+            for f in (*gens, *tracked)
         ]
         homogeneous = all(t and len({order.degree(v) for v, _ in t}) == 1 for t in inputs)
-        if not homogeneous or len({len(f) if isinstance(f, tuple) else 0 for f in tracked}) > 1:
+        ranks = {len(f) if isinstance(f, tuple) else 0 for f in tracked}
+        ranks |= {len(f) for f in gens if isinstance(f, tuple)}
+        if not homogeneous or len(ranks) > 1:
             raise ValueError("the signature loop needs nonzero homogeneous input, one vector rank")
         self.bits = order.total_bits
         self.sigs: list = []  # per element, its signature key
@@ -681,19 +688,17 @@ def buchberger(
     budget: Optional[Budget] = None,
     degree_bound: Optional[int] = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by homogeneous `gens`,
+    from one signature loop, which raises ValueError on inhomogeneous input.
 
-    Homogeneous input runs the signature loop, except under a degree bound
-    below some generator's degree, whose truncated basis keeps that
-    generator as the Gebauer-Moeller loop leaves it; everything else runs
-    `Engine`.  Both loops give the same reduced basis.
-
-    degree_bound: process only pairs of lcm total degree <= bound; requires
-    homogeneous generators and returns a basis flagged as truncated (correct
-    through that degree) unless no pair was dropped, or the Gebauer-Moeller
-    update over the reduced basis queues none past the bound (`_settled`).
-    So whether a run that dropped pairs is complete is read off the reduced
-    basis alone, whatever the loop and the order of `gens`.
+    degree_bound: process only pairs of lcm total degree <= bound, and
+    return a basis flagged as truncated (correct through that degree)
+    unless no pair was dropped, or the Gebauer-Moeller update over the
+    reduced basis queues none past the bound (`_settled`).  So whether a
+    run that dropped pairs is complete is read off the reduced basis alone,
+    whatever the order of `gens`.  The loop processes every generator's
+    entry whatever the bound, so a bound below a generator's degree still
+    leaves every generator in the basis, top-reduced.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -702,19 +707,11 @@ def buchberger(
     for g in gens[1:]:
         if g.ring is not ring and not g.ring.same_signature(ring):
             raise ValueError("generators from incompatible rings")
-    homogeneous = all(g.is_homogeneous() for g in gens)
-    if degree_bound is not None and not homogeneous:
-        raise ValueError("degree_bound requires homogeneous generators")
-    if homogeneous and (degree_bound is None or max(g.degree() for g in gens) <= degree_bound):
-        engine = SignatureLoop(ring, gens, degree_bound=degree_bound, budget=budget)
-    else:
-        engine = Engine(ring, degree_bound=degree_bound, budget=budget)
-        for g in gens:
-            engine.add(g.terms)
-    engine.run()
-    stats, cut, truncation_degree = engine.stats, engine.exhausted, engine.truncation_degree
-    elements = sorted(engine.basis, key=lambda g: g.lead_v)
-    del engine  # its reducer store, signatures and queue
+    loop = SignatureLoop(ring, gens, degree_bound=degree_bound, budget=budget)
+    loop.run()
+    stats, cut, truncation_degree = loop.stats, loop.exhausted, loop.truncation_degree
+    elements = sorted(loop.basis, key=lambda g: g.lead_v)
+    del loop  # its reducer store, signatures and queue
     if cut:
         # A cut run keeps every accumulated element: with pairs unprocessed,
         # dropping a lead-redundant element could lose ideal content in its tail.
@@ -802,24 +799,23 @@ def intersect_ideals(
     budget: Optional[Budget] = None,
 ) -> list:
     """Reduced Groebner basis of (A intersect B) in the ring's order, from
-    one `Engine` run over the rank-2 vectors (a, a), a in A, and (b, 0), b
-    in B, in position-over-term order.  c lies in both ideals exactly when
+    one signature loop over the rank-2 vectors (a, a), a in A, and (b, 0),
+    b in B, in position-over-term order.  c lies in both ideals exactly when
     (0, c) is a combination of them, so the second components of the basis
     elements whose leads sit at position 1 form a Groebner basis of the
-    meet.  Any input is taken; a budget cut raises IncompleteBasisError."""
+    meet.  The loop raises ValueError on inhomogeneous input, and a budget
+    cut raises IncompleteBasisError."""
     if not gens_a or not gens_b:
         raise ValueError("both ideals need at least one generator")
     ring = gens_a[0].ring
+    vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
+    loop = SignatureLoop(ring, vectors, budget=budget)
+    loop.run()
+    require(loop, partial=f"intersection needs a complete module basis ({loop.exhausted})")
     morder = ModuleOrder(ring.order, 2)
-    engine = Engine(ring, budget=budget)
-    for vec in [(f, f) for f in gens_a] + [(g, ring.zero) for g in gens_b]:
-        if vec[0]:
-            engine.add(vector_terms(vec, morder))
-    engine.run()
-    require(engine, partial=f"intersection needs a complete module basis ({engine.exhausted})")
     return interreduce([
         decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), morder)[1]
-        for g in engine.basis
+        for g in loop.basis
         if morder.decode(g.lead_v)[0] == 1
     ])
 

@@ -6,14 +6,16 @@ module routine below takes.  Reading a matrix A row by row produces such a
 tuple exactly when tr(A(XY-YX)) = 0, which links the word rules to honest
 module elements.
 
-The module half of the file holds the callers of the Groebner engine
-(`groebner.Engine`) on free-module vectors, keyed in the position-over-term
-order (`polyring.ModuleOrder`, `vector_terms`): module bases and
-membership, and the first-syzygy module of the minimal generators.  Its
-generators come from one signature loop with every generator tracked
-(`groebner.SignatureLoop`), whose zero reductions give the relations that,
-with the Koszul relations, generate the module through the bound, and one
-selection run keeps a minimal set of them degree by degree.
+The module half of the file holds the callers of the pair loops on
+free-module vectors, keyed in the position-over-term order
+(`polyring.ModuleOrder`, `vector_terms`): module bases and membership,
+each from one signature loop over homogeneous vectors
+(`groebner.SignatureLoop`), and the first-syzygy module of the minimal
+generators.  Its generators come from one signature loop with every
+generator tracked, whose zero reductions give the relations that, with the
+Koszul relations, generate the module through the bound, and one
+Gebauer-Moeller selection run (`groebner.Engine.select`) keeps a minimal
+set of them degree by degree.
 """
 from __future__ import annotations
 
@@ -128,18 +130,18 @@ def module_normal_form(terms, reducers: DegreeBucketReducers, field):
 
 class ModuleBasis:
     """A (possibly truncated or partial) module Groebner basis: the elements
-    of a finished engine run, with its reducer store, flagged complete,
+    of a finished pair loop, with its reducer store, flagged complete,
     truncated or (neither) partial as a `GroebnerBasis` is."""
 
-    def __init__(self, engine: Engine, morder: ModuleOrder):
-        self.ring = engine.ring
+    def __init__(self, loop, morder: ModuleOrder):
+        self.ring = loop.ring
         self.rank = morder.rank
-        self.size = len(engine.basis)
+        self.size = len(loop.basis)
         self.morder = morder
-        self.complete = engine.complete
-        self.truncation_degree = engine.truncation_degree
-        self.stats = engine.stats
-        self.reducers = engine.reducers
+        self.complete = loop.complete
+        self.truncation_degree = loop.truncation_degree
+        self.stats = loop.stats
+        self.reducers = loop.reducers
 
     def __len__(self):
         return self.size
@@ -171,37 +173,28 @@ def module_buchberger(
     degree_bound: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> ModuleBasis:
-    """Buchberger over a free module with the position-over-term order.
-
-    Pairs exist only between vectors whose leads share a position, and the
-    Gebauer-Moeller criteria run among them; the scalar coprime shortcut is
-    not valid for module leads and is not taken.  degree_bound truncates by
-    coefficient degree and requires every input vector to be
-    coefficient-homogeneous.
+    """Groebner basis of the submodule the vectors generate, in the
+    position-over-term order, from one signature loop over them
+    (`SignatureLoop`): two vectors pair only when their leads share a
+    position.  Every vector must be homogeneous, its nonzero components of
+    one degree, and all of one rank; the loop raises ValueError otherwise.
+    degree_bound truncates by that degree.
     """
     vectors = [tuple(v) for v in vectors if not vector_is_zero(v)]
     if not vectors:
         raise ValueError("no nonzero vectors")
-    rank = len(vectors[0])
-    if any(len(v) != rank for v in vectors):
-        raise ValueError("vectors of mixed rank")
     ring = next(p for p in vectors[0] if not p.is_zero()).ring
-    morder = ModuleOrder(ring.order, rank)
-    if degree_bound is not None:
-        for v in vectors:
-            vector_degree(v)  # raises on inhomogeneous input
-    engine = Engine(ring, degree_bound=degree_bound, budget=budget)
-    for v in vectors:
-        engine.add(vector_terms(v, morder))
-    engine.run()
-    return ModuleBasis(engine, morder)
+    loop = SignatureLoop(ring, vectors, degree_bound=degree_bound, budget=budget)
+    loop.run()
+    return ModuleBasis(loop, ModuleOrder(ring.order, len(vectors[0])))
 
 
 def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = None) -> bool:
     """Is vec in the submodule generated by `generators`?
 
-    With coefficient-homogeneous input the basis is truncated at vec's degree.
-    A budget-cut basis raises IncompleteBasisError instead of answering.
+    The input must be homogeneous (ValueError otherwise), and the basis is
+    truncated at vec's degree.  A budget-cut basis raises
+    IncompleteBasisError instead of answering.
     """
     vec = tuple(vec)
     if vector_is_zero(vec):
@@ -209,13 +202,8 @@ def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = N
     generators = [tuple(g) for g in generators if not vector_is_zero(g)]
     if not generators:
         return False
-    try:
-        bound = vector_degree(vec)
-        for g in generators:
-            vector_degree(g)
-    except ValueError:
-        bound = None  # inhomogeneous input: no safe truncation
-    return module_buchberger(generators, degree_bound=bound, budget=budget).contains(vec)
+    basis = module_buchberger(generators, degree_bound=vector_degree(vec), budget=budget)
+    return basis.contains(vec)
 
 
 # -- first syzygies of the minimal generators ---------------------------------

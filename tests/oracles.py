@@ -17,9 +17,9 @@ selection it is compared with decides everything within one engine run.
 `colon_by_meets` is likewise the older colon: it computes every element
 quotient by a meet with a principal ideal and exact division
 (`colon_by_element`) and meets them all, the reference for a colon whose
-quotients come from the signature loop and whose later quotients are
-settled by membership.  Its meets are the library's `intersect_ideals`, so
-it checks the quotient loop, not the meet.  `criteria_pairs` is the
+quotient comes from the signature loop.  Its meets are `engine_meet`, the
+meet by one Gebauer-Moeller `Engine` run over rank-2 vectors, so no step
+of it runs the signature loop it checks.  `criteria_pairs` is the
 engine's pair-criteria step as it was written on exponent tuples, the
 reference for the packed one, and `module_basis_all_pairs` is a module
 Groebner basis over every same-position pair with no criteria at all, the
@@ -27,6 +27,9 @@ reference for the criteria in module runs.  `engine_run` drives the
 Gebauer-Moeller `Engine` over polynomials, as `buchberger` did for
 homogeneous input before the signature loop, and `engine_basis` is the
 reduced basis it gives: the reference route for the signature loop.
+`engine_module` is one such run over vectors with its module basis, and
+`engine_meet` is the meet it gives, as `intersect_ideals` computed it
+before the signature loop took module runs.
 `near_cap_binomials` is input data for both near the 8-bit cap, in three
 variables of n=2 (`spread`), and `n2_ring` builds the n=2 rings the tests
 run under grevlex, lex and a block elimination order.  `det_cofactor`
@@ -41,8 +44,16 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from commsyz.fields import GF
-from commsyz.groebner import Engine, interreduce, intersect_ideals
-from commsyz.polyring import BlockElimination, PolyRing, Polynomial
+from commsyz.groebner import Engine, interreduce
+from commsyz.polyring import (
+    BlockElimination,
+    ModuleOrder,
+    PolyRing,
+    Polynomial,
+    decompile_vector,
+    vector_terms,
+)
+from commsyz.syzygy import ModuleBasis
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -403,7 +414,7 @@ def colon_by_element(gens, f) -> list:
     with the principal ideal (f) and exact division."""
     if f.is_zero():
         raise ValueError("cannot form a quotient by the zero element")
-    return [g.exact_div(f) for g in intersect_ideals(gens, [f])]
+    return [g.exact_div(f) for g in engine_meet(gens, [f])]
 
 
 def colon_by_meets(gens, fs) -> list:
@@ -411,7 +422,7 @@ def colon_by_meets(gens, fs) -> list:
     element quotient, each one a meet with a principal ideal."""
     result = colon_by_element(gens, fs[0])
     for f in fs[1:]:
-        result = intersect_ideals(result, colon_by_element(gens, f))
+        result = engine_meet(result, colon_by_element(gens, f))
     return interreduce(result)
 
 
@@ -554,6 +565,32 @@ def engine_basis(gens, bound=None) -> list:
     ring = gens[0].ring
     elements = sorted(engine_run(gens, bound).basis, key=lambda g: g.lead_v)
     return interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+
+
+def engine_module(vectors, bound=None):
+    """A finished `Engine` run over nonzero vectors of one rank, in
+    position-over-term order, and its `ModuleBasis`."""
+    ring = next(p for p in vectors[0] if p).ring
+    morder = ModuleOrder(ring.order, len(vectors[0]))
+    engine = Engine(ring, degree_bound=bound)
+    for vec in vectors:
+        engine.add(vector_terms(vec, morder))
+    engine.run()
+    return engine, ModuleBasis(engine, morder)
+
+
+def engine_meet(gens_a, gens_b) -> list:
+    """Reduced basis of (A intersect B) from one `engine_module` run over
+    the vectors (a, a) and (b, 0): the interreduced second components of
+    its elements whose leads sit at position 1.  Any input is taken."""
+    ring = gens_a[0].ring
+    vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
+    engine, basis = engine_module(vectors)
+    return interreduce([
+        decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), basis.morder)[1]
+        for g in engine.basis
+        if basis.morder.decode(g.lead_v)[0] == 1
+    ])
 
 
 def det_cofactor(m):

@@ -32,7 +32,14 @@ from commsyz.syzygy import (
 )
 from commsyz.verify import minimal_new_generators
 
-from oracles import n2_ring, naive_products, restart_selection, spread
+from oracles import (
+    engine_module,
+    engine_run,
+    n2_ring,
+    naive_products,
+    restart_selection,
+    spread,
+)
 
 FIELDS = (GF(7), GF(32003), QQ)
 CUT = Budget(max_spairs=0)
@@ -151,18 +158,19 @@ def test_selections_never_restart_a_basis(ctx, monkeypatch):
 
 
 def test_rank_one_vectors_keep_the_vector_pair_policy():
-    """A rank-1 vector's keys carry position bits like any vector's, so the
-    engine pairs it by lead position and reduces a coprime pair, where the
-    same polynomials run the criteria and prune it."""
+    """A rank-1 vector's keys carry position bits like any vector's, so
+    neither loop takes the shortcut it takes for the same polynomials: two
+    vectors have no principal syzygy for the signature loop's F5 check, and
+    no coprime criterion in the engine.  Both reduce the pair of (x,) and
+    (y,) to zero, where the pair of x and y is pruned; the signature loop
+    also counts its two generator entries."""
     ring = PolyRing(1, GF(101))
     x, y = ring.x(1, 1), ring.y(1, 1)
-    stats = module_buchberger([(x,), (y,)]).stats
-    assert (stats.spairs_reduced, stats.zero_reductions, stats.pairs_pruned) == (1, 1, 0)
-    engine = Engine(ring)
-    for f in (x, y):
-        engine.add(f.terms)
-    engine.run()
-    assert (engine.stats.spairs_reduced, engine.stats.pairs_pruned) == (0, 1)
+    counts = lambda s: (s.spairs_reduced, s.zero_reductions, s.pairs_pruned)
+    assert counts(module_buchberger([(x,), (y,)]).stats) == (3, 1, 0)
+    assert counts(buchberger([x, y]).stats) == (2, 0, 1)
+    assert counts(engine_module([(x,), (y,)])[0].stats) == (1, 1, 0)
+    assert counts(engine_run([x, y]).stats) == (0, 0, 1)
 
 
 def test_membership_against_a_cut_basis_raises():
@@ -205,10 +213,10 @@ def _select(kind, f):
 def _intersect(kind):
     if kind != "truncated":
         return intersect_ideals([A], [B], **KINDS[kind])
-    # intersect_ideals runs its own engine, with no bound; flag it truncated
+    # intersect_ideals runs its own signature loop, with no bound; flag it truncated
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Engine, "complete", False)
-        mp.setattr(Engine, "truncation_degree", 9)
+        mp.setattr(SignatureLoop, "complete", False)
+        mp.setattr(SignatureLoop, "truncation_degree", 9)
         return intersect_ideals([A], [B])
 
 

@@ -16,12 +16,15 @@ from commsyz.groebner import (
     interreduce,
 )
 from commsyz.polyring import PolyRing
+from commsyz.syzygy import module_buchberger, module_membership
 from commsyz.verify import DeskContext, minimal_new_generators
 
 from oracles import (
     colon_by_element,
     colon_by_meets,
     count_monomials_outside,
+    engine_basis,
+    engine_meet,
     ideal_component_dim,
     interreduce_against_others,
     n2_ring,
@@ -43,19 +46,19 @@ def test_buchberger_rejects_empty_input():
 
 
 def test_principal_ideal_basis_is_the_monic_generator():
+    """Inhomogeneous, so on the Gebauer-Moeller reference route."""
     f = R.x(1, 1) * R.x(1, 1) - R.y(2, 2).scale(R.field.coerce(3))
-    gb = buchberger([f, f + f])
-    assert len(gb) == 1
-    assert gb.elements[0] == f.monic()
-    assert gb.complete
+    gb = GroebnerBasis(R, engine_basis([f, f + f]))
+    assert gb.elements == (f.monic(),)
     assert verify_basis(gb, [f])[0]
 
 
 def test_known_lex_basis_for_a_twisted_pair():
-    # k[a,b]: (a^2 - b, a*b) has lex basis {a^2 - b, a*b, b^2}
+    # k[a,b]: (a^2 - b, a*b) has lex basis {a^2 - b, a*b, b^2}; inhomogeneous,
+    # so on the Gebauer-Moeller reference route
     ring = PolyRing(1, QQ, order="lex")
     a, b = ring.x(1, 1), ring.y(1, 1)
-    gb = buchberger([a * a - b, a * b])
+    gb = GroebnerBasis(ring, engine_basis([a * a - b, a * b]))
     elems = {str(g) for g in gb}
     assert elems == {"x_1_1^2 - y_1_1", "x_1_1*y_1_1", "y_1_1^2"}
     assert verify_basis(gb, [a * a - b, a * b])[0]
@@ -77,6 +80,7 @@ def test_reduce_is_idempotent_and_linear():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_random_combinations_reduce_to_zero(seed):
+    """Inhomogeneous generators, on the Gebauer-Moeller reference route."""
     rng = random.Random(seed)
     ring = PolyRing(1, GF(101))
     vs = _vars(ring)
@@ -94,7 +98,7 @@ def test_random_combinations_reduce_to_zero(seed):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
-    gb = buchberger(gens)
+    gb = GroebnerBasis(ring, engine_basis(gens))
     assert verify_basis(gb, gens)[0]
     combo = ring.zero
     for g in gens:
@@ -186,12 +190,14 @@ def _dim(gens, degree):
 def test_the_meet_has_the_dimensions_of_a_meet(seed, field, order):
     """Seeded homogeneous A and B: every element of the meet lies in A and
     in B, and in each degree d <= 4 the meet has dimension dim A_d + dim B_d
-    - dim (A + B)_d, computed by linear algebra on the generators alone."""
+    - dim (A + B)_d, computed by linear algebra on the generators alone.
+    It is term for term the meet of the Gebauer-Moeller reference route."""
     rng = random.Random(f"meet-{seed}")
     ring = PolyRing(2, field, order)
     a = _random_forms(rng, ring, rng.randint(1, 3), (1, 2))
     b = _random_forms(rng, ring, rng.randint(1, 3), (1, 2))
     meet = intersect_ideals(a, b)
+    assert [g.terms for g in meet] == [g.terms for g in engine_meet(a, b)]
     basis_a, basis_b = buchberger(a), buchberger(b)
     assert all(basis_a.contains(g) and basis_b.contains(g) for g in meet)
     assert all(g.is_homogeneous() for g in meet)
@@ -200,16 +206,37 @@ def test_the_meet_has_the_dimensions_of_a_meet(seed, field, order):
 
 
 def test_an_inhomogeneous_meet_is_answered():
-    """Coprime principal ideals meet in their product, and a meet of
-    inhomogeneous ideals lies in both."""
+    """On the Gebauer-Moeller reference route: coprime principal ideals meet
+    in their product, and a meet of inhomogeneous ideals lies in both."""
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)
     f, g = a * b - 1, a - b * b
-    assert intersect_ideals([f], [g]) == [(f * g).monic()]
+    assert engine_meet([f], [g]) == [(f * g).monic()]
     A, B = [a * a - b, a * b], [b * b - a, a - 1]
-    meet = intersect_ideals(A, B)
+    meet = engine_meet(A, B)
     assert meet
-    assert all(buchberger(A).contains(m) and buchberger(B).contains(m) for m in meet)
+    basis_a, basis_b = (GroebnerBasis(ring, engine_basis(gens)) for gens in (A, B))
+    assert all(basis_a.contains(m) and basis_b.contains(m) for m in meet)
+
+
+def test_inhomogeneous_input_is_refused():
+    """Every basis comes from the signature loop, which takes homogeneous
+    input only: each caller raises ValueError instead of answering."""
+    ring = PolyRing(1, QQ)
+    a, b = ring.x(1, 1), ring.y(1, 1)
+    f, g = a * b - 1, a - b * b
+    with pytest.raises(ValueError):
+        buchberger([f, a * b])
+    with pytest.raises(ValueError):
+        intersect_ideals([f], [a])
+    with pytest.raises(ValueError):
+        intersect_ideals([a], [g])
+    with pytest.raises(ValueError):
+        module_buchberger([(f, a), (a, b)])
+    with pytest.raises(ValueError):
+        module_membership((a, b), [(a * a, g)])
+    with pytest.raises(ValueError):
+        module_membership((f, a), [(a, b)])
 
 
 def test_a_cut_meet_raises():

@@ -34,6 +34,7 @@ from commsyz.polyring import (
 from commsyz.syzygy import module_buchberger
 
 from oracles import (
+    engine_basis,
     largest_product_exponent,
     mon_divides,
     mon_lcm,
@@ -139,12 +140,23 @@ def test_divide_matches_the_oracle_or_raises_past_the_cap(case):
 
 
 def test_s_polynomials_past_the_cap_raise():
+    """Inhomogeneous, so on the Gebauer-Moeller reference route."""
     ring = PolyRing(1, QQ, "lex")
     x, y = ring.x(1, 1), ring.y(1, 1)
     # S(x^2 - y^b, x*y^60) multiplies y^b by y^60
-    assert y**255 in buchberger([x**2 - y**195, x * y**60]).elements
+    assert y**255 in engine_basis([x**2 - y**195, x * y**60])
     with pytest.raises(OverflowError):
-        buchberger([x**2 - y**196, x * y**60])
+        engine_basis([x**2 - y**196, x * y**60])
+
+
+def test_homogeneous_s_polynomials_past_the_cap_raise():
+    """The same pair made homogeneous by z, on the signature loop:
+    S(x^2*z^(b-2) - y^b, x*y^60) is -y^(b+60)."""
+    ring = PolyRing(2, QQ, "lex")
+    x, y, z = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
+    assert y**255 in buchberger([x**2 * z**193 - y**195, x * y**60]).elements
+    with pytest.raises(OverflowError):
+        buchberger([x**2 * z**194 - y**196, x * y**60])
 
 
 @pytest.mark.parametrize("order", ("grevlex", "lex", "elim"))

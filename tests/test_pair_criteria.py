@@ -26,10 +26,17 @@ import pytest
 from commsyz.fields import GF
 from commsyz.groebner import Engine, SignatureLoop, buchberger, colon_ideal, intersect_ideals
 from commsyz.polyring import DegreeBucketReducers, Grevlex, ModuleOrder, PolyRing
-from commsyz.syzygy import ModuleBasis, first_syzygies, vector_terms
+from commsyz.syzygy import (
+    ModuleBasis,
+    first_syzygies,
+    module_buchberger,
+    vector_degree,
+    vector_terms,
+)
 
 from oracles import (
     criteria_pairs,
+    engine_module,
     engine_run,
     module_basis_all_pairs,
     mon_divides,
@@ -282,9 +289,9 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     by the signature loop; the n=3 colon, one run of the signature loop
     with the vector of both diagonal entries tracked (138 elements, those
     of the tracked index with their coefficients), under grevlex, with no
-    meet and no basis of J; the meet a colon falls back to, one module run
-    whose 80 elements each run the criteria within their lead position; and the
-    n=3 first syzygies, one signature loop with all 8 generators tracked
+    meet and no basis of J; the meet a colon falls back to, one signature
+    loop over rank-2 vectors whose 259 elements each pair only within their
+    lead position; and the n=3 first syzygies, one signature loop with all 8 generators tracked
     (63 elements, 83 reduced J-pairs, each with its coefficients) and a
     module selection: no reducer `add`, `find`, criteria step or
     signature-loop step encodes or decodes a monomial or a module key."""
@@ -351,7 +358,8 @@ def test_lookup_and_criteria_decode_nothing(ctx, monkeypatch):
     intersect_ideals(base, [diag[0]])
     assert calls["DegreeBucketReducers.add@grevlex"] > 100
     assert calls["DegreeBucketReducers.find@grevlex"] > 1000
-    assert calls["Engine._criteria_pairs@grevlex"] == 80
+    assert calls["SignatureLoop._add@grevlex"] == 259
+    assert calls["Engine._criteria_pairs@grevlex"] == 0
     assert calls["encode"] == calls["decode"] == 0
 
     calls.clear()
@@ -379,19 +387,14 @@ def _minimal_leads(leads) -> set:
 
 
 def _module_run(vectors):
-    """A finished untracked `Engine` over the vectors, its `ModuleBasis` and
-    its leads as (position, exps)."""
-    ring = next(p for p in vectors[0] if p).ring
-    morder = ModuleOrder(ring.order, len(vectors[0]))
-    engine = Engine(ring)
-    for vec in vectors:
-        engine.add(vector_terms(vec, morder))
-    engine.run()
+    """A finished untracked `Engine` over the vectors (`oracles.engine_module`),
+    its `ModuleBasis` and its leads as (position, exps)."""
+    engine, basis = engine_module(vectors)
     leads = []
     for g in engine.basis:
-        pos, v = morder.decode(g.lead_v)
-        leads.append((pos, ring.order.decode(v)))
-    return engine, ModuleBasis(engine, morder), leads
+        pos, v = basis.morder.decode(g.lead_v)
+        leads.append((pos, engine.ring.order.decode(v)))
+    return engine, basis, leads
 
 
 def _random_vectors(rng, ring, rank):
@@ -453,6 +456,34 @@ def test_module_criteria_prune_pairs():
         vectors, _ = _random_vectors(rng, n2_ring(GF(32003), "grevlex"), 2 + seed % 2)
         pruned += _module_run(vectors)[0].stats.pairs_pruned
     assert pruned > 0
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+@pytest.mark.parametrize("seed", range(12))
+def test_module_bases_reduce_as_the_engine_does(order, seed):
+    """Seeded vectors of rank 2-3: the signature loop's module basis
+    (`module_buchberger`) and the Gebauer-Moeller engine's
+    (`oracles.engine_module`) give every probe the same normal form, so the
+    same membership answers.  The probes are combinations of the vectors of
+    one degree, each also with one random term added, and random vectors."""
+    rng = random.Random(f"module-{order}-{seed}")
+    ring = n2_ring(GF(7) if seed % 2 else GF(32003), order)
+    rank = 2 + seed % 2
+    vectors, form = _random_vectors(rng, ring, rank)
+    got, want = module_buchberger(vectors), engine_module(vectors)[1]
+    members = [
+        tuple(sum((c * p for c, p in zip(cs, comp)), ring.zero) for comp in zip(*vectors))
+        for cs in ([form(3 - vector_degree(v)) for v in vectors] for _ in range(3))
+    ]
+    nudged = [vec[:-1] + (vec[-1] + form(3),) for vec in members]
+    others = [tuple(form(3) for _ in range(rank)) for _ in range(3)]
+    answers = set()
+    for probe in members + nudged + others:
+        assert got.reduce(probe) == want.reduce(probe)
+        assert got.contains(probe) == want.contains(probe)
+        answers.add(got.contains(probe))
+    assert all(got.contains(probe) for probe in members)
+    assert answers == {True, False}
 
 
 def test_leads_dividing_across_positions_queue_and_prune_nothing():

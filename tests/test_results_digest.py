@@ -39,13 +39,17 @@ no zero reduction within 20 reduced pairs, so the cut run reports PARTIAL
 counts {2: 28}, the Koszul relations alone, where the old run reported
 {1: 2, 2: 28}; both are lower bounds of the complete {1: 2, 2: 31}.
 The two degree-bounded n=3 bases of I were recorded before the colon ideal
-tracked its fs as one vector, a change beside the loop they run.  Under
-`--degree-bound 1`, below the generators' degree 2, `buchberger` runs the
-Gebauer-Moeller loop, and the truncated basis keeps the 7 generators as
-that loop leaves them (PARTIAL).  `--degree-bound 9` truncates the
-signature loop, which drops pairs past degree 9, and `_settled` then finds
-that the reduced basis queues no pair past the bound, so the run reports
-the complete basis, the results of `groebner -n 3 --ideal I`.
+tracked its fs as one vector, a change beside the loop they run.
+`--degree-bound 1`, below the generators' degree 2, was recorded again
+when every basis moved to the signature loop.  It had run the
+Gebauer-Moeller loop, which enters the generators unreduced: two of them
+share a lead, and `_minimal` dropped one, tail and all, leaving 7.  The
+signature loop top-reduces each generator entry, so the truncated basis
+holds all 8 (PARTIAL), the basis of `--degree-bound 2`.
+`--degree-bound 9` truncates the signature loop, which drops pairs past
+degree 9, and `_settled` then finds that the reduced basis queues no pair
+past the bound, so the run reports the complete basis, the results of
+`groebner -n 3 --ideal I`.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -90,7 +94,7 @@ DIGESTS = {
     "predict shape -n 4": "e2116eac343640043d8cc29bb4fc6de04d75798101470d1ac3692194c89579bd",
     "predict knutson -n 3": "4e4ae0057c6f1f4e1f45a7996b02d2529314dac3e0e448998abb36699f847a2b",
     "groebner -n 3 --degree-bound 1": (
-        "1e8ff50497dddfde9b2432188c70ece9a250b27038da009bb1fd3544a78c20fe"
+        "7441468bed5c0795fd1058fab594cca1250a5d2f8d1769dd8957a6e7d72c87fb"
     ),
     "groebner -n 3 --degree-bound 9": (
         "1c9e77c25df6a487772ed324e66ebac997e3c9862293ca5d8786b93cd0bd85d0"

@@ -1,16 +1,19 @@
 """The signature loop against the Gebauer-Moeller engine.
 
-`buchberger` hands homogeneous input to `SignatureLoop`.  Its reduced basis
-must be the one the Gebauer-Moeller `Engine` gives (`oracles.engine_basis`),
-which is unique for the ideal, the order and the degree bound.  The inputs
-are 306 seeded random homogeneous ideals over GF(7), GF(32003) and QQ under
+Every basis comes from `SignatureLoop`: `buchberger`, the module bases and
+the meet run with `Engine.run` barred.  The reduced basis must be the one
+the Gebauer-Moeller `Engine` gives (`oracles.engine_basis`), which is
+unique for the ideal, the order and the degree bound.  The inputs are 306
+seeded random homogeneous ideals over GF(7), GF(32003) and QQ under
 grevlex, lex and elim, with and without a degree bound; 40 ideals of 2 to 5
 generators of degree 2-3 in all 8 variables of n=2, bound 6, the shape on
 which a signature loop that rewrites by addition order and drops singular
 results loses leads; and binomials near the 8-bit cap, where a product past
-the cap must raise OverflowError exactly where the engine raises it.  A
-shuffle of the generators changes neither the basis, the flags nor the work
-counts, and a bounded basis flagged complete is the unbounded one.
+the cap must raise OverflowError exactly where the engine raises it.  One
+lex input of degree 300, where the loop raises and the engine answers,
+pins that limit.  A shuffle of the generators changes neither the basis,
+the flags nor the work counts, and a bounded basis flagged complete is the
+unbounded one.
 """
 
 import random
@@ -19,10 +22,11 @@ from dataclasses import astuple
 import pytest
 
 from commsyz.fields import GF, QQ
-from commsyz.groebner import Budget, Engine, buchberger
+from commsyz.groebner import Budget, Engine, buchberger, colon_ideal, intersect_ideals
 from commsyz.polyring import PolyRing
+from commsyz.syzygy import module_buchberger, module_membership
 
-from oracles import engine_basis, n2_ring, near_cap_binomials
+from oracles import engine_basis, engine_meet, n2_ring, near_cap_binomials
 
 FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
 ORDERS = ("grevlex", "lex", "elim")
@@ -46,16 +50,16 @@ def _random_ideal(rng, field, order, nvars=6, ngens=(3, 6)):
     return gens
 
 
-def _signature_route(gens, bound, monkeypatch):
-    """`buchberger` on gens, with `Engine.run` barred, so the signature
-    loop computes it."""
+def _signature_route(monkeypatch, run, *args, **kwargs):
+    """run(*args, **kwargs) with `Engine.run` barred, so the signature loop
+    computes every basis it takes."""
 
     def barred(self, through=None):
-        raise AssertionError("homogeneous input ran the Gebauer-Moeller loop")
+        raise AssertionError("a basis ran the Gebauer-Moeller loop")
 
     with monkeypatch.context() as m:
         m.setattr(Engine, "run", barred)
-        return buchberger(gens, degree_bound=bound)
+        return run(*args, **kwargs)
 
 
 def _terms(basis):
@@ -63,9 +67,10 @@ def _terms(basis):
 
 
 def _check(gens, bound, rng, monkeypatch):
-    got = _signature_route(gens, bound, monkeypatch)
+    got = _signature_route(monkeypatch, buchberger, gens, degree_bound=bound)
     assert _terms(got) == _terms(engine_basis(gens, bound))
-    shuffled = _signature_route(rng.sample(gens, len(gens)), bound, monkeypatch)
+    shuffled = rng.sample(gens, len(gens))
+    shuffled = _signature_route(monkeypatch, buchberger, shuffled, degree_bound=bound)
     assert _terms(shuffled) == _terms(got)
     flags = (got.complete, got.truncation_degree)
     assert (shuffled.complete, shuffled.truncation_degree) == flags
@@ -103,9 +108,27 @@ def test_near_the_cap_both_routes_raise_or_agree(seed, order, bound, monkeypatch
         want = _terms(engine_basis(gens, bound))
     except OverflowError:
         with pytest.raises(OverflowError):
-            _signature_route(gens, bound, monkeypatch)
+            _signature_route(monkeypatch, buchberger, gens, degree_bound=bound)
         return
-    assert _terms(_signature_route(gens, bound, monkeypatch)) == want
+    assert _terms(_signature_route(monkeypatch, buchberger, gens, degree_bound=bound)) == want
+
+
+def test_the_cover_criterion_overflows_where_the_engine_answers():
+    """The cap is the signature loop's limit.  On this principal lex ideal
+    J of degree 300 and f, a pair the Gebauer-Moeller criteria drop passes
+    the cap in the loop's cover test, so the basis of J + (f), the colon
+    J : f and the meet of J with (f) all raise OverflowError, while the
+    Gebauer-Moeller reference route answers the basis and the meet."""
+    ring = PolyRing(2, GF(101), "lex")
+    a, b, c = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
+    J = [ring.const(41) * a**120 * b**107 * c**73 + a**70 * b**122 * c**108]
+    f = a**122 * b**85 * c**93 + ring.const(25) * a**112 * b**72 * c**116
+    for run in (lambda: buchberger(J + [f]), lambda: colon_ideal(J, [f]),
+                lambda: intersect_ideals(J, [f])):
+        with pytest.raises(OverflowError):
+            run()
+    assert len(engine_basis(J + [f])) == 12
+    assert len(engine_meet(J, [f])) == 1
 
 
 def test_a_constant_generator_gives_the_unit_ideal():
@@ -124,3 +147,41 @@ def test_a_cut_run_keeps_the_generators_it_did_not_reach(ctx):
     assert not basis.complete and basis.truncation_degree is None
     assert basis.stats.spairs_reduced == 1
     assert {g.monic() for g in gens} <= set(basis.elements)
+
+
+def _module_basis(ctx, monkeypatch):
+    syz = ctx.first_syzygies(3, bound=3).generators  # the selection runs the engine
+    basis = _signature_route(monkeypatch, module_buchberger, syz, degree_bound=3)
+    assert all(basis.contains(v) for v in syz)
+
+
+def _module_membership(ctx, monkeypatch):
+    syz = ctx.first_syzygies(3, bound=3).generators
+    x = ctx.system(3).ring.x(1, 1)
+    assert _signature_route(monkeypatch, module_membership, tuple(g * x for g in syz[0]), syz)
+    assert not _signature_route(monkeypatch, module_membership, syz[-1], syz[:-1])
+
+
+def _meet(ctx, monkeypatch):
+    system = ctx.system(3)
+    base, diag = list(system.off_diagonal_gens), system.f(system.diagonal_indices[0])
+    meet = _signature_route(monkeypatch, intersect_ideals, base, [diag])
+    assert _terms(meet) == _terms(engine_meet(base, [diag]))
+
+
+def _below_the_generators(ctx, monkeypatch):
+    gens = list(ctx.system(3).minimal_gens)
+    low = _signature_route(monkeypatch, buchberger, gens, degree_bound=1)
+    assert (len(low), low.complete, low.truncation_degree) == (8, False, 1)
+    assert _terms(low) == _terms(buchberger(gens, degree_bound=2))
+
+
+@pytest.mark.parametrize("case", (_module_basis, _module_membership, _meet, _below_the_generators),
+                         ids=lambda case: case.__name__[1:])
+def test_every_basis_runs_the_signature_loop(case, ctx, monkeypatch):
+    """At n=3, with `Engine.run` barred: a module basis of the first
+    syzygies, membership in that module, the meet of the off-diagonal ideal
+    with a diagonal entry, and the basis of I bounded at degree 1, below
+    its generators' degree 2, which holds all 8 generators top-reduced and
+    is the basis bounded at degree 2."""
+    case(ctx, monkeypatch)
