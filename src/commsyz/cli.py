@@ -215,7 +215,7 @@ def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
 
 
 def _syzygy_check(cfg: RunConfig, ctx: DeskContext, n: int):
-    system = ctx.system(n)
+    system = ctx.system_qq(n)  # exact: a prime could pass a non-syzygy or refuse a 1/p
     text = cfg.extras["matrix_text"]
     rows = [line for line in text.strip().splitlines() if line.strip()]
     if len(rows) != n:
@@ -341,8 +341,8 @@ COMMANDS = {
     "colon": Command("colon ideal generators beyond the base", _colon, "a colon ideal", BUDGET),
     "syzygies": Command("minimal first-syzygy counts", _syzygies, "a first-syzygy computation",
                         BUDGET + ("--degree-bound",)),
-    "syzygy-check": Command("test a matrix file for the trace-syzygy property", _syzygy_check,
-                            None, RING, (MATRIX,)),
+    "syzygy-check": Command("test a matrix file for the trace-syzygy property over QQ",
+                            _syzygy_check, None, ("-n", "--order"), (MATRIX,)),
     "hilbert": Command("Hilbert series of a quotient", _hilbert, "a Hilbert series", BUDGET,
                        (IDEAL,)),
     "check-splice": Command("dual-table splice and alternating-sum checks",

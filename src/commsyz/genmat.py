@@ -56,12 +56,10 @@ class GenericMatrix:
             n = self.size
             if other.size != n:
                 raise ValueError("size mismatch")
-            dot, b = self.ring.dot, other.rows
-            rows = [
-                [dot([(a[k], b[k][j]) for k in range(n)]) for j in range(n)]
-                for a in self.rows
-            ]
-            return GenericMatrix(self.ring, rows)
+            b, cols = other.rows, range(n)
+            sums = [[(a[k], b[k][j]) for k in cols] for a in self.rows for j in cols]
+            flat = self.ring.dots(sums)
+            return GenericMatrix(self.ring, [flat[i : i + n] for i in range(0, n * n, n)])
         return self.scale(other)
 
     def __rmul__(self, other):

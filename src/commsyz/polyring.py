@@ -19,10 +19,16 @@ own byte, read off the key with one `&` and one `^` (see `MonomialOrder`).
 
 Products go through one kernel, `sum_of_products`, which accumulates term
 products in a dict keyed by V(a) + V(b) - V(1) and sorts the keys once; it
-serves `PolyRing.dot(pairs)` = sum(a * b) and the module representations
-the signature loop tracks.  Additivity holds only while every exponent stays within
-the 8-bit cap, where a key would otherwise borrow silently from its
-neighbour.  So every key sum (products, reduction steps, S-polynomials)
+serves `PolyRing.dots(sums)`, a list of sum(a * b) over the pairs of each
+sum, and the module representations the signature loop tracks.
+`PolyRing.dot(pairs)` is one sum of `dots`, and a matrix product is one
+`dots` call.  Over QQ, `dots` packs each distinct operand once per call (its
+Fraction coefficients as int numerators over one denominator), and the kernel
+builds one Fraction per distinct coefficient sum, which every term with that
+coefficient shares; Fractions are immutable, so sharing is safe.
+
+Additivity holds only while every exponent stays within the 8-bit cap,
+where a key would otherwise borrow silently from its neighbour.  So every key sum (products, reduction steps, S-polynomials)
 first passes the one cap rule, `check_product(e, terms, order)`, which
 raises OverflowError if packed exponents e plus those of some term pass
 255 in a variable.  Products pass the lcm of one side's exponents; a
@@ -286,7 +292,8 @@ def make_order(spec, nvars: int) -> MonomialOrder:
 def sum_of_products(work, unit: int, p, common=1) -> list:
     """sum(scale * a * b) over `work` items (a, b, scale) of term lists, as
     a descending term list keyed by V(a) + V(b) - unit.  Each sum is reduced
-    mod p over GF(p) and divided by `common` over QQ; callers check the cap."""
+    mod p over GF(p) and divided by `common` over QQ, one Fraction per distinct
+    sum shared by the terms that carry it; callers check the cap."""
     acc = {}
     get = acc.get
     for ta, tb, scale in work:
@@ -301,7 +308,8 @@ def sum_of_products(work, unit: int, p, common=1) -> list:
     if p:
         live = [(v, r) for v, c in acc.items() if (r := c % p)]
     else:
-        live = [(v, Fraction(c, common)) for v, c in acc.items() if c]
+        shared = {c: Fraction(c, common) for c in set(acc.values()) if c}
+        live = [(v, shared[c]) for v, c in acc.items() if c]
     live.sort(reverse=True)
     return live
 
@@ -381,8 +389,13 @@ class PolyRing:
         return decompile(self, acc.items())
 
     def dot(self, pairs) -> "Polynomial":
-        """sum(a * b for a, b in pairs) in one pass; see the module docstring."""
-        p = self.field.p
+        """sum(a * b for a, b in pairs); one sum of `dots`."""
+        return self.dots([pairs])[0]
+
+    def dots(self, sums) -> list:
+        """[dot(pairs) for pairs in sums], packing each distinct operand once
+        for the whole call; see the module docstring."""
+        p, unit = self.field.p, self.order.unit_v
         packed = {}  # id(f) -> (f, top, den, terms); holding f keeps every id unique
 
         def pack(f):
@@ -397,19 +410,22 @@ class PolyRing:
                 packed[id(f)] = got = (f, f.degree(), den, terms)
             return got
 
-        work = []
-        common = 1
-        for a, b in pairs:
-            _, top_a, den_a, ta = pack(a)
-            _, top_b, den_b, tb = pack(b)
-            if not ta or not tb:
-                continue
-            if top_a + top_b > _EXP_CAP:
-                check_product(packed_lcm(ta, self.order), tb, self.order)
-            work.append((ta, tb, den_a * den_b))
-            common = lcm(common, den_a * den_b)
-        work = [(ta, tb, common // den) for ta, tb, den in work]
-        return Polynomial(self, tuple(sum_of_products(work, self.order.unit_v, p, common)))
+        out = []
+        for pairs in sums:
+            work = []
+            common = 1
+            for a, b in pairs:
+                _, top_a, den_a, ta = pack(a)
+                _, top_b, den_b, tb = pack(b)
+                if not ta or not tb:
+                    continue
+                if top_a + top_b > _EXP_CAP:
+                    check_product(packed_lcm(ta, self.order), tb, self.order)
+                work.append((ta, tb, den_a * den_b))
+                common = lcm(common, den_a * den_b)
+            work = [(ta, tb, common // den) for ta, tb, den in work]
+            out.append(Polynomial(self, tuple(sum_of_products(work, unit, p, common))))
+        return out
 
     def same_signature(self, other: "PolyRing") -> bool:
         return self.n == other.n and self.field == other.field and self.order == other.order

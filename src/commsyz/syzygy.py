@@ -83,7 +83,9 @@ def trace_residual(source, system: CommutatorSystem) -> Polynomial:
 
 
 def is_trace_syzygy(source, system: CommutatorSystem) -> bool:
-    """Exact symbolic test of tr(A(XY-YX)) = 0."""
+    """Test of tr(A(XY-YX)) = 0 in the system's ring: exact over QQ, where the
+    CLI and the verify suite run it (`DeskContext.system_qq`); over GF(p) it
+    tests only modulo p."""
     return trace_residual(source, system).is_zero()
 
 

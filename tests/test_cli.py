@@ -117,7 +117,7 @@ BUDGET = RING + ("--budget-seconds", "--budget-spairs")
 #: the shared flags each subcommand's computation reads
 READS = {
     "commutator": RING,
-    "syzygy-check": RING,
+    "syzygy-check": ("-n", "--order"),
     "candidates": (),
     "groebner": BUDGET + ("--degree-bound",),
     "syzygies": BUDGET + ("--degree-bound",),
@@ -140,7 +140,7 @@ VALUES = {
 
 def test_every_subcommand_has_a_row_of_flags_it_reads():
     assert set(READS) == set(COMMANDS)
-    assert sum(len(flags) for flags in READS.values()) == 42
+    assert sum(len(flags) for flags in READS.values()) == 41
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in VALUES])
@@ -448,6 +448,25 @@ def test_syzygy_check_command(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["syzygy-check", "-n", "2", "--matrix", str(tmp_path / "nope")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text, code, verdict",
+    [
+        # 32003 * Z_21 is zero modulo 32003 only
+        ("0; 32003\n0; 0\n", 1, "FAIL"),
+        # tr(Z) / 32003 = 0, with entries that have no image modulo 32003
+        ("1/32003; 0\n0; 1/32003\n", 0, "PASS"),
+    ],
+    ids=("zero-mod-p", "over-p"),
+)
+def test_syzygy_check_decides_over_qq(text, code, verdict, tmp_path, capsys):
+    matrix = tmp_path / "m.mat"
+    matrix.write_text(text)
+    got, rep = run_json(["syzygy-check", "-n", "2", "--matrix", str(matrix)], capsys)
+    (res,) = rep["results"]
+    assert (got, res["verdict"], res["detail"]["syzygy"]) == (code, verdict, code == 0)
+    assert "field" not in rep["config"]
 
 
 def test_syzygies_command(capsys):

@@ -1,15 +1,20 @@
-"""The product kernel `PolyRing.dot` and every route into it (`*`, matrix
-products, syzygy residuals) against a naive exponent-tuple oracle; its
-exponent-cap guard; and that it never encodes or decodes a monomial."""
+"""The product kernel `PolyRing.dots` and every route into it (`dot`, `*`,
+matrix products, syzygy residuals) against a naive exponent-tuple oracle;
+its exponent-cap guard; that it never encodes or decodes a monomial; and
+that over QQ it packs each operand once per call and builds one Fraction per
+distinct coefficient."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commsyz import polyring
 from commsyz.fields import GF, QQ
 from commsyz.genmat import CommutatorSystem, GenericMatrix, build_system
 from commsyz.polyring import BlockElimination, Grevlex, Lex, PolyRing
-from commsyz.syzygy import trace_residual
+from commsyz.syzygy import eval_word, trace_residual
 
 from oracles import naive_products
 
@@ -70,6 +75,29 @@ def test_dot_and_mul_match_the_naive_oracle(data):
     for a, b in pairs:
         check(a * b, ring, [(a, b)])
     assert ring.dot(pairs + [(-a, b) for a, b in pairs]).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dots_match_one_dot_per_sum(data):
+    ring = data.draw(st.sampled_from(RINGS), label="ring")
+    pool = data.draw(st.lists(polys(ring), min_size=1, max_size=4), label="pool")
+    index = st.integers(0, len(pool) - 1)
+    shape = st.lists(st.lists(st.tuples(index, index), max_size=4), max_size=4)
+    sums = [[(pool[i], pool[j]) for i, j in pairs] for pairs in data.draw(shape, label="sums")]
+    # one operand in several sums, each over another common denominator
+    f, g = pool[0], pool[-1]
+    sums += [[(f, g.scale(Fraction(1, k))), (g, f)] for k in (2, 3, 5)]
+
+    def same(got, want):
+        assert [h.terms for h in got] == [h.terms for h in want]
+        assert all(type(c) is type(ring.field.one) for h in got for _, c in h.terms)
+
+    same(ring.dots(sums), [ring.dot(pairs) for pairs in sums])
+    # operands made on the fly and dropped by the caller may reuse an object id
+    got = ring.dots(((a + ring.one, b) for a, b in pairs) for pairs in sums)
+    same(got, [ring.dot([(a + ring.one, b) for a, b in pairs]) for pairs in sums])
+    assert ring.dots([]) == []
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: repr(s.ring))
@@ -154,7 +182,7 @@ def test_products_neither_encode_nor_decode(monkeypatch):
     ring, X, Y = system.ring, system.X, system.Y
     M = X * Y + Y * X
     seen = {}
-    order, dot = ring.order, ring.dot
+    order, dots = ring.order, ring.dots
 
     def counting(name, fn):
         def wrapped(arg):
@@ -162,23 +190,55 @@ def test_products_neither_encode_nor_decode(monkeypatch):
             return fn(arg)
         return wrapped
 
-    def counting_dot(pairs):
-        pairs = list(pairs)
+    def counting_dots(sums):
+        sums = [list(pairs) for pairs in sums]
+        pairs = [pair for pairs in sums for pair in pairs]
         seen["inputs"] += sum({id(f): len(f.terms) for pair in pairs for f in pair}.values())
         seen["products"] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
-        return dot(pairs)
+        return dots(sums)
 
     monkeypatch.setattr(order, "encode", counting("encode", order.encode))
     monkeypatch.setattr(order, "decode", counting("decode", order.decode))
-    monkeypatch.setattr(ring, "dot", counting_dot)
+    monkeypatch.setattr(ring, "dots", counting_dots)
 
     def counts(job):
         seen.update(encode=0, decode=0, inputs=0, products=0)
         job()
         return dict(seen)
 
-    # X*Y: 9 entries, each one dot over 3 pairs of single-term entries
-    assert counts(lambda: X * Y) == {"encode": 0, "decode": 0, "inputs": 54, "products": 27}
-    # tr(M(XY-YX)): one dot over 9 pairs (M_ij, Z_ji), 5 or 6 terms times 4 or 6 terms
+    # X*Y: one dots call over 9 sums of 3 pairs, which packs each of the 18
+    # single-term entries once
+    assert counts(lambda: X * Y) == {"encode": 0, "decode": 0, "inputs": 18, "products": 27}
+    # tr(M(XY-YX)): one sum over 9 pairs (M_ij, Z_ji), 5 or 6 terms times 4 or 6 terms
     res = counts(lambda: trace_residual(M, system))
     assert res == {"encode": 0, "decode": 0, "inputs": 99, "products": 276}
+
+
+def test_qq_products_build_one_fraction_per_distinct_coefficient(monkeypatch):
+    """Each kernel call over QQ builds one Fraction per distinct coefficient
+    value of its result, which every term with that value shares."""
+    calls = []  # [Fractions built, result] per kernel call
+    kernel = polyring.sum_of_products
+
+    def counting_fraction(*args):
+        calls[-1][0] += 1
+        return Fraction(*args)
+
+    def counting_kernel(*args):
+        calls.append([0, None])
+        calls[-1][1] = kernel(*args)
+        return calls[-1][1]
+
+    system = build_system(3)
+    monkeypatch.setattr(polyring, "Fraction", counting_fraction)
+    monkeypatch.setattr(polyring, "sum_of_products", counting_kernel)
+    word = eval_word("XXYXY", system)
+    monkeypatch.undo()
+
+    assert len(calls) == 5 * 9  # one per entry of each of the 5 matrix products
+    for built, terms in calls:
+        assert built == len({c for _, c in terms})
+    # 1,062 terms share 54 Fractions
+    assert (sum(len(t) for _, t in calls), sum(b for b, _ in calls)) == (1062, 54)
+    coeffs = [c for row in word.rows for f in row for _, c in f.terms]
+    assert coeffs and all(type(c) is Fraction for c in coeffs)

@@ -1,4 +1,4 @@
-"""The JSON `results` of twenty-eight quick CLI runs, pinned by sha256.
+"""The JSON `results` of thirty quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -50,6 +50,10 @@ holds all 8 (PARTIAL), the basis of `--degree-bound 2`.
 degree 9, and `_settled` then finds that the reduced basis queues no pair
 past the bound, so the run reports the complete basis, the results of
 `groebner -n 3 --ideal I`.
+The two `syzygy-check -n 2` runs read a matrix file: a syzygy with 1/32003
+entries and a non-syzygy with a 32003 entry.  They were recorded when the
+check moved from the default prime 32003, which refused the first and
+passed the second, to QQ.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -102,15 +106,37 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", list(DIGESTS))
-def test_results_match_the_recorded_digest(command, monkeypatch):
+#: `syzygy-check -n 2` on a matrix file: (file text, exit code) -> digest
+MATRIX_DIGESTS = {
+    ("1/32003; 0\n0; 1/32003\n", 0): (
+        "ca2859cdb4fdd530574c7fbff8aa77b07c3cc83a5970fab6a39aa6e9db9e3219"
+    ),
+    ("0; 32003\n0; 0\n", 1): (
+        "ef0a57722cfd1287a3fc5ac9e8ba5b32f924cde822e9480244eb2ea0d4d1bcee"
+    ),
+}
+
+
+def run_digest(argv, monkeypatch):
+    """Exit code and results digest of one CLI run with no COMMSYZ_ presets."""
     for name in list(os.environ):
         if name.startswith(cli.ENV_PREFIX):
             monkeypatch.delenv(name)
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.main(command.split() + ["--json"])
-    assert code == 0
+        code = cli.main(argv + ["--json"])
     results = json.loads(out.getvalue())["results"]
-    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
-    assert digest == DIGESTS[command]
+    return code, hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
+def test_results_match_the_recorded_digest(command, monkeypatch):
+    assert run_digest(command.split(), monkeypatch) == (0, DIGESTS[command])
+
+
+@pytest.mark.parametrize("text, code", list(MATRIX_DIGESTS), ids=("syzygy", "non-syzygy"))
+def test_syzygy_check_results_match_the_recorded_digest(text, code, monkeypatch, tmp_path):
+    matrix = tmp_path / "m.mat"
+    matrix.write_text(text)
+    argv = ["syzygy-check", "-n", "2", "--matrix", str(matrix)]
+    assert run_digest(argv, monkeypatch) == (code, MATRIX_DIGESTS[text, code])
