@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from commsyz.cli import RunConfig, emit, run_command
+from commsyz.cli import FLAGS, RunConfig, emit, run_command
 
 
 def main(argv=None) -> int:
@@ -22,14 +22,9 @@ def main(argv=None) -> int:
         help="matrix sizes to verify (default: 2 3)",
     )
     parser.add_argument("--field", default="gf:32003", help="q or gf:p (default gf:32003)")
-    parser.add_argument("--budget-spairs", type=int, default=None,
-                        help="cap on the pairs one engine run reduces: one basis (S-pairs; "
-                             "for a homogeneous basis, signature J-pairs and generators), one "
-                             "colon quotient or first-syzygy loop (signature J-pairs and "
-                             "generators), or one whole minimal-generator selection (enables "
-                             "big-n runs)")
-    parser.add_argument("--budget-seconds", type=float, default=None,
-                        help="wall-clock cap per engine run")
+    for flag in ("--budget-spairs", "--budget-seconds"):
+        kind, _, _, text = FLAGS[flag]
+        parser.add_argument(flag, type=kind, default=None, help=text)
     parser.add_argument("--json", action="store_true", help="emit one JSON report per size")
     args = parser.parse_args(argv)
 

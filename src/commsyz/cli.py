@@ -167,6 +167,7 @@ def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
     which = cfg.extras["ideal"]
     gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
     basis = buchberger(gens, budget=ctx.budget, degree_bound=cfg.degree_bound)
+    # of a truncated basis, only the counts through its truncation degree are basis counts
     degs = Counter(g.degree() for g in basis)
     detail = {
         "ideal": which,
@@ -302,10 +303,12 @@ FLAGS = {
     "-n": (int, "3", None, "matrix size (default 3)"),
     "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
-    "--budget-seconds": (float, None, None, "wall-clock budget; exceeding it yields PARTIAL"),
+    "--budget-seconds": (float, None, None, "wall-clock budget per engine run; a cut yields "
+                         "PARTIAL, truncated through a degree that depends on timing"),
     "--budget-spairs": (int, None, None, "pairs one engine run may reduce (signature "
                         "J-pairs and generators; S-pairs in a minimal-generator "
-                        "selection); exceeding it yields PARTIAL"),
+                        "selection); a cut yields PARTIAL, truncated one degree below "
+                        "its next pair"),
     "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
     "--fixtures": (str, None, None, "directory of fixture JSON files (default: the shipped set)"),
 }

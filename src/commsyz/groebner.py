@@ -35,7 +35,10 @@ J-pairs that pass the criteria and are reduced, each generator's own entry
 included, since a generator is top-reduced on entry too; for a colon ideal,
 those of its quotient loop, and for the first syzygies, those of the
 tracked loop.  Pairs the criteria drop are not counted.  In a selection
-`Engine` counts its reduced S-pairs.
+`Engine` counts its reduced S-pairs.  Both loops pop pairs in degree order,
+so a run that the budget cuts while its next pair has degree d is complete
+through degree d - 1 (the truncated basis of homogeneous input): a cut is a
+truncation, and a finished run is either complete or truncated at a degree.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
@@ -72,27 +75,21 @@ from .polyring import (
 
 
 class IncompleteBasisError(RuntimeError):
-    """Raised when an operation needs a complete basis but has a partial one."""
+    """Raised when an operation needs a basis beyond the degree it is truncated at."""
 
 
-def require(basis, degree: Optional[int] = None, *, partial: str, truncated: Optional[str] = None):
-    """The one rule for what a cut or truncated basis may answer.
+def require(basis, degree: Optional[int] = None, *, refusal: str):
+    """The one rule for what a truncated basis may answer.
 
     `basis` is anything with `complete` and `truncation_degree`: a finished
     pair loop, a `GroebnerBasis` or a `ModuleBasis`.  A complete basis answers
-    everything.  A basis truncated at d answers a question of degree <= d;
-    `degree` None asks about the whole ideal (a Hilbert series, a meet) and
-    is refused.  A budget-cut basis answers nothing.  A refusal raises
-    IncompleteBasisError with `partial` for a cut basis and `truncated`
-    (default `partial`), formatted with d, for a truncated one.
+    everything.  A basis truncated at d, by a degree bound or a budget cut,
+    answers a question of degree <= d; `degree` None asks about the whole
+    ideal (a Hilbert series, a meet) and is refused.  A refusal raises
+    IncompleteBasisError with `refusal` formatted with d.
     """
-    if basis.complete:
-        return
-    d = basis.truncation_degree
-    if d is None:
-        raise IncompleteBasisError(partial)
-    if degree is None or degree > d:
-        raise IncompleteBasisError((truncated or partial).format(d=d))
+    if not basis.complete and (degree is None or degree > basis.truncation_degree):
+        raise IncompleteBasisError(refusal.format(d=basis.truncation_degree))
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,10 @@ class Budget:
     `SignatureLoop`, which runs everything but the selection, the J-pairs
     that pass its criteria, each generator's entry included; in a selection
     by `Engine`, its S-pairs.  A cut never raises: the run stops and its
-    result is flagged partial (`complete` False, no `truncation_degree`), so
-    any later question put to it is refused by `require`.
+    result is truncated one degree below its next pair (`complete` False,
+    `truncation_degree` d), so `require` answers questions of degree <= d
+    and refuses the rest.  Under `max_seconds` d depends on timing, as the
+    cut basis does; under `max_spairs` both are deterministic.
     """
 
     max_spairs: Optional[int] = None
@@ -141,12 +140,14 @@ class GBStats:
 
 
 class GroebnerBasis:
-    """A (possibly truncated or partial) Groebner basis with cached reducers.
+    """A complete or truncated Groebner basis with cached reducers.
 
-    complete=True: full reduced basis.  truncation_degree=d: correct through
-    total degree d.  Neither: a partial basis from an exhausted budget.  The
-    flags are the finished loop's, as `buchberger` settles them, and
-    `require` decides which questions the basis answers.
+    truncation_degree=None: the full reduced basis (`complete`).  Otherwise
+    truncation_degree=d: its elements of degree <= d are those of the
+    reduced basis, whether a degree bound or a budget cut truncated it;
+    those above d are what the run reached and need not be.  The
+    degree is the finished loop's, as `buchberger` settles it, and `require`
+    decides which questions the basis answers.
     """
 
     def __init__(
@@ -154,13 +155,11 @@ class GroebnerBasis:
         ring: PolyRing,
         elements: Sequence[Polynomial],
         *,
-        complete: bool = True,
         truncation_degree: Optional[int] = None,
         stats: Optional[GBStats] = None,
     ):
         self.ring = ring
         self.elements = tuple(elements)
-        self.complete = complete
         self.truncation_degree = truncation_degree
         self.stats = stats or GBStats()
         self._reducers = None
@@ -170,6 +169,10 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @property
+    def complete(self) -> bool:
+        return self.truncation_degree is None
 
     @property
     def reducers(self) -> DegreeBucketReducers:
@@ -190,12 +193,7 @@ class GroebnerBasis:
         covers deg(f)."""
         if f.is_zero():
             return True
-        require(
-            self,
-            f.degree(),
-            partial="basis is partial (budget exhausted); membership is undecidable",
-            truncated="basis is only valid through degree {d}",
-        )
+        require(self, f.degree(), refusal="basis is only valid through degree {d}")
         return self.reduce(f).is_zero()
 
     def lead_exponents(self) -> list:
@@ -203,15 +201,7 @@ class GroebnerBasis:
         return [g.lm() for g in self.elements]
 
     def __repr__(self):
-        kind = (
-            "complete"
-            if self.complete
-            else (
-                f"truncated@{self.truncation_degree}"
-                if self.truncation_degree is not None
-                else "partial"
-            )
-        )
+        kind = "complete" if self.complete else f"truncated@{self.truncation_degree}"
         return f"GroebnerBasis({len(self.elements)} elements, {kind})"
 
 
@@ -220,7 +210,8 @@ class _PairLoop:
     `DegreeBucketReducers`, the degree bound, the budget, the work counts
     and the flags of a finished run.  `exhausted` holds the reason once the
     budget has cut the run.  What a finished run can answer is stated once,
-    by `complete` and `truncation_degree`."""
+    by `complete` and `truncation_degree`: a run is complete, or truncated
+    at a degree."""
 
     def __init__(self, ring: PolyRing, degree_bound, budget):
         self.ring = ring
@@ -241,10 +232,18 @@ class _PairLoop:
 
     @property
     def truncation_degree(self) -> Optional[int]:
-        """The degree bound, when pairs past it were dropped and no cut came."""
-        if self.exhausted is None and self.stats.pairs_truncated:
+        """None for a complete run; after a cut, one below the degree of the
+        first queued pair, and at most the degree bound once pairs past it
+        were dropped (a generator's entry is queued whatever the bound);
+        otherwise the degree bound.  Read off the queue when asked, since a
+        selection may add elements after a cut: their pairs only lower it,
+        and a stale pruned entry on top lowers it too, which is sound."""
+        if self.complete:
+            return None
+        if self.exhausted is None:
             return self.degree_bound
-        return None
+        d = self.heap[0][0] - 1
+        return min(d, self.degree_bound) if self.stats.pairs_truncated else d
 
     def _spent(self) -> Optional[str]:
         """Why the budget stops the run before its next pair, or None."""
@@ -416,20 +415,15 @@ class Engine(_PairLoop):
         Each candidate is decided against the basis completed through its
         degree: it is kept iff its normal form is nonzero, and that normal
         form enters the basis.  A decision `require` refuses, against a
-        budget-cut basis or one truncated below the candidate's degree,
-        raises IncompleteBasisError when `strict`; otherwise the candidate
-        is dropped, so the kept list undercounts.
+        basis truncated (by the bound or a budget cut) below the candidate's
+        degree, raises IncompleteBasisError when `strict`; otherwise the
+        candidate is dropped, so the kept list undercounts.
         """
         kept = []
         for k, (d, terms) in enumerate(candidates):
             self.run(d)
             try:
-                require(
-                    self,
-                    d,
-                    partial=f"basis cut below degree {d}: {self.exhausted}",
-                    truncated="basis is only valid through degree {d}",
-                )
+                require(self, d, refusal="basis is only valid through degree {d}")
             except IncompleteBasisError:
                 if strict:
                     raise
@@ -470,9 +464,10 @@ class SignatureLoop(_PairLoop):
     is reduced by regular top reduction (`normal_form` with a signature):
     zero records its signature as a syzygy's, anything else enters the
     basis, made monic, with the J-pair's signature.  Every signature key
-    that is multiplied is cleared by `check_product` past the cap.  A cut
-    run also holds the generators it had not reached, so its elements still
-    generate the ideal.
+    that is multiplied is cleared by `check_product` past the cap.  Pairs
+    pop in ascending degree, so a cut run is truncated one degree below its
+    next pair (`truncation_degree`); it need not hold the generators it had
+    not reached.
 
     With `tracked` generators f_0, ..., f_(m-1) the loop also records
     relations among them modulo the ideal of `gens` (GVW; the G2V step of
@@ -616,8 +611,6 @@ class SignatureLoop(_PairLoop):
         while heap:
             reason = self._spent()
             if reason:
-                for j in sorted(entry[5] for entry in heap if entry[4] < 0):
-                    basis.append(compile_terms(self.gens[j][1], self.ring, len(basis)))
                 return self._cut(reason)
             deg, sig, v, _, i, j = heappop(heap)
             seen, last = sig == last, sig
@@ -698,7 +691,9 @@ def buchberger(
     run that dropped pairs is complete is read off the reduced basis alone,
     whatever the order of `gens`.  The loop processes every generator's
     entry whatever the bound, so a bound below a generator's degree still
-    leaves every generator in the basis, top-reduced.
+    leaves every generator in the basis, top-reduced.  A budget cut
+    truncates the basis one degree below the next pair; it is never
+    settled, since generators of that degree or above may not have entered.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -712,26 +707,15 @@ def buchberger(
     stats, cut, truncation_degree = loop.stats, loop.exhausted, loop.truncation_degree
     elements = sorted(loop.basis, key=lambda g: g.lead_v)
     del loop  # its reducer store, signatures and queue
-    if cut:
-        # A cut run keeps every accumulated element: with pairs unprocessed,
-        # dropping a lead-redundant element could lose ideal content in its tail.
-        polys = [Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements]
-    else:
-        start = time.monotonic()
-        # the elements whose leads are not minimal are freed before
-        # `interreduce` builds the reduced basis, which bounds peak memory
-        elements = _minimal(elements, ring.order)
-        polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
-        if truncation_degree is not None and _settled(polys, truncation_degree):
-            truncation_degree = None
-        stats.seconds += time.monotonic() - start
-    return GroebnerBasis(
-        ring,
-        polys,
-        complete=cut is None and truncation_degree is None,
-        truncation_degree=truncation_degree,
-        stats=stats,
-    )
+    start = time.monotonic()
+    # the elements whose leads are not minimal are freed before
+    # `interreduce` builds the reduced basis, which bounds peak memory
+    elements = _minimal(elements, ring.order)
+    polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+    if truncation_degree is not None and not cut and _settled(polys, truncation_degree):
+        truncation_degree = None
+    stats.seconds += time.monotonic() - start
+    return GroebnerBasis(ring, polys, truncation_degree=truncation_degree, stats=stats)
 
 
 def _settled(polys, bound: int) -> bool:
@@ -811,7 +795,7 @@ def intersect_ideals(
     vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
     loop = SignatureLoop(ring, vectors, budget=budget)
     loop.run()
-    require(loop, partial=f"intersection needs a complete module basis ({loop.exhausted})")
+    require(loop, refusal=f"intersection needs a complete module basis ({loop.exhausted})")
     morder = ModuleOrder(ring.order, 2)
     return interreduce([
         decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), morder)[1]
@@ -860,7 +844,7 @@ def colon_ideal(
         loop = SignatureLoop(gens[0].ring, gens, budget=budget, tracked=[vector])
         loop.run()
         stats.add(loop.stats)
-        require(loop, partial=f"quotient needs a complete signature loop ({loop.exhausted})")
+        require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
         quotient = interreduce(loop.quotient_generators())
         result = quotient if result is None else intersect_ideals(result, quotient, budget=budget)
     return ColonBasis(result, stats)

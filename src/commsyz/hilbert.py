@@ -201,7 +201,7 @@ def hilbert_numerator(lead, nvars: int) -> HilbertSeries:
 
 def hilbert_of_basis(basis) -> HilbertSeries:
     """Hilbert series of the quotient by the ideal of a full Groebner basis."""
-    require(basis, partial="Hilbert series needs a complete, untruncated basis")
+    require(basis, refusal="Hilbert series needs a complete, untruncated basis")
     return hilbert_numerator(basis.lead_exponents(), basis.ring.nvars)
 
 

@@ -131,9 +131,9 @@ def module_normal_form(terms, reducers: DegreeBucketReducers, field):
 
 
 class ModuleBasis:
-    """A (possibly truncated or partial) module Groebner basis: the elements
-    of a finished pair loop, with its reducer store, flagged complete,
-    truncated or (neither) partial as a `GroebnerBasis` is."""
+    """A complete or truncated module Groebner basis: the elements of a
+    finished pair loop, with its reducer store, flagged complete or
+    truncated at a degree as a `GroebnerBasis` is."""
 
     def __init__(self, loop, morder: ModuleOrder):
         self.ring = loop.ring
@@ -160,12 +160,8 @@ class ModuleBasis:
         if vector_is_zero(vec):
             return True
         # only a truncated basis reads the degree; a mixed-degree vector has none
-        require(
-            self,
-            None if self.truncation_degree is None else vector_degree(vec),
-            partial="module basis is partial; membership is undecidable",
-            truncated="module basis only valid through degree {d}",
-        )
+        degree = None if self.complete else vector_degree(vec)
+        require(self, degree, refusal="module basis only valid through degree {d}")
         return vector_is_zero(self.reduce(vec))
 
 
@@ -195,8 +191,8 @@ def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = N
     """Is vec in the submodule generated by `generators`?
 
     The input must be homogeneous (ValueError otherwise), and the basis is
-    truncated at vec's degree.  A budget-cut basis raises
-    IncompleteBasisError instead of answering.
+    truncated at vec's degree.  A budget cut that truncates it below that
+    degree raises IncompleteBasisError instead of answering.
     """
     vec = tuple(vec)
     if vector_is_zero(vec):

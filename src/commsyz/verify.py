@@ -656,7 +656,7 @@ def run_suite(ctx: DeskContext, n: int, checks=CHECKS) -> list:
         if check.what and n > DESK_LIMIT and not (applies and ctx.budget is not None):
             reason = _SKIP_GB if not applies else (
                 f"{check.what} at n={n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
-                "pass --budget-seconds or --budget-spairs to attempt a bounded partial run"
+                "pass --budget-seconds or --budget-spairs to attempt a run truncated by the budget"
             )
             results.append(CheckResult(check.name, "SKIPPED", {"reason": reason}, 0.0))
         elif applies:

@@ -240,18 +240,45 @@ GATE = {
 }
 
 
+#: the consumers whose cut run is truncated at degree 2 or above: the
+#: selection runs after the engine is cut at its degree-3 pair, while every
+#: other cut comes before a degree-2 generator enters (truncated at 1)
+CUT_AT_2 = {"Engine.select"}
+
+
 @pytest.mark.parametrize("consumer", list(GATE))
 def test_every_consumer_asks_the_one_gate(consumer):
     within, past = GATE[consumer]
     past("complete")
-    for ask in (within, past):
-        if ask is not None:
-            with pytest.raises(IncompleteBasisError):
-                ask("cut")
-    with pytest.raises(IncompleteBasisError):
-        past("truncated")
+    for kind in ("cut", "truncated"):
+        with pytest.raises(IncompleteBasisError):
+            past(kind)
     if within is not None:
         assert within("truncated") == within("complete")
+        if consumer in CUT_AT_2:
+            assert within("cut") == within("complete")
+        else:
+            with pytest.raises(IncompleteBasisError):
+                within("cut")
+
+
+def test_a_selection_after_a_cut_reads_its_truncation_off_the_queue():
+    """A run cut at its degree-6 pair is truncated at 5.  Keeping a^2 and
+    ab + c^2 then queues their degree-3 pair, which lowers the truncation to
+    2, so the degree-3 candidate ac^2, which that pair would show to lie in
+    the ideal, is refused rather than kept."""
+    ring = PolyRing(2, GF(32003))
+    a, b, c = ring.x(1, 1), ring.x(1, 2), ring.x(2, 1)
+    engine = Engine(ring, budget=CUT)
+    for g in (a * a * b * b, b * b * c * c):
+        engine.add(g.terms)
+    engine.run()
+    assert engine.truncation_degree == 5
+    low = [a * a, a * b + c * c]
+    assert engine.select([(2, f.terms) for f in low]) == [0, 1]
+    assert engine.truncation_degree == 2
+    with pytest.raises(IncompleteBasisError):
+        engine.select([(3, (a * c * c).terms)])
 
 
 def test_first_syzygies_under_a_cut_report_lower_bounds():

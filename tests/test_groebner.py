@@ -113,14 +113,38 @@ def test_budget_exhaustion_modes():
     for i in range(4):
         gens.append(xs[i] * xs[i + 1] - xs[i + 2] * xs[i + 3])
     gb = buchberger(gens, budget=Budget(max_spairs=1))
-    assert not gb.complete
+    # one generator entered; the next pair has degree 2, so the cut basis
+    # answers degree 1 and refuses degree 2
+    assert (gb.complete, gb.truncation_degree) == (False, 1)
     assert gb.stats.spairs_reduced <= 1
+    assert not gb.contains(xs[0])
     with pytest.raises(IncompleteBasisError):
-        gb.contains(xs[0])
+        gb.contains(gens[0])
     with pytest.raises(ValueError):
         Budget(max_spairs=-1)
     with pytest.raises(ValueError):
         Budget(max_seconds=0)
+
+
+def test_a_cut_with_dropped_pairs_is_truncated_at_most_at_the_bound():
+    """Bound 2 drops the degree-3 pair of the two quadrics, and a cut of two
+    pairs comes before the entry of x^6.  The next pair has degree 6, but
+    degree 3 was never computed: y*z^2 = y*(xy - z^2) - x*y^2 lies in the
+    ideal and does not reduce to zero, so the basis must refuse it."""
+    ring = PolyRing(2, QQ)
+    x, y, z = _vars(ring)[:3]
+    gens = [x * y - z * z, y * y, x**6]
+    assert buchberger(gens).contains(y * z * z)
+    gb = buchberger(gens, degree_bound=2, budget=Budget(max_spairs=2))
+    assert (gb.complete, gb.truncation_degree) == (False, 2)
+    assert gb.contains(x * y * 3 - z * z * 3) and not gb.contains(x * z)
+    with pytest.raises(IncompleteBasisError):
+        gb.contains(y * z * z)
+    zero = ring.zero
+    mb = module_buchberger([(g, zero) for g in gens], degree_bound=2, budget=Budget(max_spairs=2))
+    assert (mb.complete, mb.truncation_degree) == (False, 2)
+    with pytest.raises(IncompleteBasisError):
+        mb.contains((y * z * z, zero))
 
 
 def test_degree_truncated_basis_answers_bounded_queries():

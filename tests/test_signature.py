@@ -13,7 +13,9 @@ the cap must raise OverflowError exactly where the engine raises it.  One
 lex input of degree 300, where the loop raises and the engine answers,
 pins that limit.  A shuffle of the generators changes neither the basis,
 the flags nor the work counts, and a bounded basis flagged complete is the
-unbounded one.
+unbounded one.  A budget cut is a truncation: on 12 more random ideals under
+several budgets, a cut basis, selection and module basis are truncated one
+degree below their next pair and answer as uncut ones through it.
 """
 
 import random
@@ -22,7 +24,15 @@ from dataclasses import astuple
 import pytest
 
 from commsyz.fields import GF, QQ
-from commsyz.groebner import Budget, Engine, buchberger, colon_ideal, intersect_ideals
+from commsyz.groebner import (
+    Budget,
+    Engine,
+    IncompleteBasisError,
+    SignatureLoop,
+    buchberger,
+    colon_ideal,
+    intersect_ideals,
+)
 from commsyz.polyring import PolyRing
 from commsyz.syzygy import module_buchberger, module_membership
 
@@ -139,14 +149,117 @@ def test_a_constant_generator_gives_the_unit_ideal():
     assert basis.complete
 
 
-def test_a_cut_run_keeps_the_generators_it_did_not_reach(ctx):
-    """A budget of one reduced pair reaches the first generator only; the
-    partial basis still holds all eight, so it generates the ideal."""
+@pytest.mark.parametrize("spairs", (1, 20, 50))
+def test_a_cut_run_is_truncated_below_its_next_pair(spairs, ctx):
+    """A budget cut at n=3 leaves the loop truncated one degree below its
+    next queued pair; `buchberger` reports that degree, and the cut basis
+    holds the elements of the complete basis through it."""
     gens = list(ctx.system(3).minimal_gens)
-    basis = buchberger(gens, budget=Budget(max_spairs=1))
-    assert not basis.complete and basis.truncation_degree is None
-    assert basis.stats.spairs_reduced == 1
-    assert {g.monic() for g in gens} <= set(basis.elements)
+    loop = SignatureLoop(gens[0].ring, gens, budget=Budget(max_spairs=spairs))
+    loop.run()
+    assert loop.exhausted and loop.stats.spairs_reduced == spairs
+    d = loop.truncation_degree
+    assert d == loop.heap[0][0] - 1
+    basis = buchberger(gens, budget=Budget(max_spairs=spairs))
+    assert (basis.complete, basis.truncation_degree) == (False, d)
+    assert _through(basis, d) == _through(buchberger(gens), d)
+
+
+def _through(basis, d):
+    return [g.terms for g in basis if g.degree() <= d]
+
+
+def _forms(rng, ring, gens, degree, count):
+    """`count` forms of `degree`, alternately random ones, which mostly lie
+    outside the ideal, and combinations of `gens` with random multipliers."""
+    out = []
+    for k in range(count):
+        f = ring.zero
+        for g in gens if k % 2 else ():
+            if g.degree() <= degree:
+                f = f + g * _random_form(rng, ring, degree - g.degree())
+        out.append(f or _random_form(rng, ring, degree))
+    return out
+
+
+def _random_form(rng, ring, degree):
+    f = ring.zero
+    for _ in range(rng.randint(1, 3)):
+        m = ring.const(rng.randint(1, 100))
+        for _ in range(degree):
+            m = m * ring.var(rng.choice(ring.names))
+        f = f + m
+    return f
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_cut_basis_is_the_basis_truncated_below_its_next_pair(seed):
+    """On random homogeneous ideals and budgets: a cut basis truncated at d
+    holds the elements of degree <= d of the basis bounded at d, answers
+    membership as the complete basis does through d and refuses past d,
+    also when a degree bound dropped pairs below a generator it cut; a
+    cut selection keeps the candidates an uncut one keeps through its
+    truncation, and a cut module basis answers as an uncut one through its
+    truncation and refuses past it."""
+    rng = random.Random(f"cut-{seed}")
+    gens = _random_ideal(rng, GF(32003), rng.choice(ORDERS))
+    if not gens:
+        return
+    ring, full = gens[0].ring, buchberger(gens)
+    # a power above bound + 1, queued whatever the bound, past the pairs it drops
+    high = gens + [ring.var(rng.choice(ring.names)) ** 6]
+    full_high = buchberger(high)
+    for spairs in (0, 2, 5, 12):
+        capped = buchberger(high, degree_bound=2, budget=Budget(max_spairs=spairs))
+        t = None if capped.complete else capped.truncation_degree
+        for degree in range(1, 5):
+            for f in _forms(rng, ring, high, degree, 4):
+                if t is None or degree <= t:
+                    assert capped.contains(f) == full_high.contains(f)
+                else:
+                    with pytest.raises(IncompleteBasisError):
+                        capped.contains(f)
+
+        cut = buchberger(gens, budget=Budget(max_spairs=spairs))
+        if cut.complete:
+            assert _terms(cut) == _terms(full)
+            continue
+        d = cut.truncation_degree
+        assert _through(cut, d) == _through(buchberger(gens, degree_bound=d), d)
+        for degree in range(1, 5):
+            for f in _forms(rng, ring, gens, degree, 4):
+                if degree <= d:
+                    assert cut.contains(f) == full.contains(f)
+                else:
+                    with pytest.raises(IncompleteBasisError):
+                        cut.contains(f)
+
+        cands = sorted((f for e in (2, 3, 4) for f in _forms(rng, ring, gens[:1], e, 3)),
+                       key=lambda f: f.degree())
+        kept = {}
+        for kind, budget in (("full", None), ("cut", Budget(max_spairs=spairs))):
+            engine = Engine(ring, degree_bound=4, budget=budget)
+            for g in gens[1:]:
+                engine.add(g.terms)
+            kept[kind] = engine.select([(f.degree(), f.terms) for f in cands], strict=False)
+        t = 4 if engine.complete else engine.truncation_degree
+        assert [k for k in kept["cut"] if cands[k].degree() <= t] == [
+            k for k in kept["full"] if cands[k].degree() <= t
+        ]
+
+        zero = ring.zero
+        vecs = [(g, zero) if k % 2 else (g, g) for k, g in enumerate(gens)]
+        whole = module_buchberger(vecs, degree_bound=4)
+        part = module_buchberger(vecs, degree_bound=4, budget=Budget(max_spairs=spairs))
+        t = 4 if part.complete else part.truncation_degree
+        for degree in range(1, 5):
+            for f, g in zip(_forms(rng, ring, gens, degree, 4), _forms(rng, ring, gens, degree, 4)):
+                v = (f, zero) if rng.random() < 0.5 else (f, g)
+                if degree <= t:
+                    assert part.contains(v) == whole.contains(v)
+                else:
+                    with pytest.raises(IncompleteBasisError):
+                        part.contains(v)
 
 
 def _module_basis(ctx, monkeypatch):

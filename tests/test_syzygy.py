@@ -283,8 +283,9 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
         module.contains((a * a * b, zero))
     full = module_buchberger(vecs)
     assert (full.complete, full.truncation_degree) == (True, None)
+    # cut before the first generator, of degree 2, enters
     cut = module_buchberger(vecs, budget=Budget(max_spairs=0))
-    assert (cut.complete, cut.truncation_degree) == (False, None)
+    assert (cut.complete, cut.truncation_degree) == (False, 1)
     with pytest.raises(IncompleteBasisError):
         cut.contains(vecs[0])
 
