@@ -14,17 +14,12 @@ quarantined in the `timing` block, so reports from identical configurations
 are byte-identical apart from that block, and a change of engine that keeps
 the answers keeps `results`.  `config` echoes only the settings the
 subcommand takes.
-Shared flags can also be set through `COMMSYZ_*` environment variables (the
-command-line value wins), for the subcommands that read them; a preset is
-parsed and validated as the flag is.
-Exit status is 0 exactly when no check reports FAIL; usage errors, bad
-presets included, exit 2.
+Exit status is 0 exactly when no check reports FAIL; usage errors exit 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field, fields
@@ -56,7 +51,6 @@ from commsyz.verify import (
 from commsyz.words import candidates as word_candidates
 
 REPORT_SCHEMA = "commsyz-report/1"
-ENV_PREFIX = "COMMSYZ_"
 
 ORDERS = ("grevlex", "lex")
 
@@ -167,7 +161,6 @@ def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
     which = cfg.extras["ideal"]
     gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
     basis = buchberger(gens, budget=ctx.budget, degree_bound=cfg.degree_bound)
-    # of a truncated basis, only the counts through its truncation degree are basis counts
     degs = Counter(g.degree() for g in basis)
     detail = {
         "ideal": which,
@@ -208,11 +201,11 @@ def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
         "rank": fs.rank,
         "degree_bound": fs.degree_bound,
         "counts": {str(k): v for k, v in sorted(fs.counts.items())},
-        "counts_are_lower_bounds": fs.partial,
+        "truncation_degree": fs.truncation_degree,
         "word_candidates": words,
         "stats": _stats(fs.stats),
     }
-    return ("PARTIAL" if fs.partial else "PASS"), detail
+    return ("PASS" if fs.complete else "PARTIAL"), detail
 
 
 def _syzygy_check(cfg: RunConfig, ctx: DeskContext, n: int):
@@ -297,10 +290,9 @@ def _file_text(path: str) -> str:
         raise argparse.ArgumentTypeError(f"cannot read matrix file: {exc}") from exc
 
 
-#: flag -> (type, default, choices, help) of the flags RunConfig holds; a
-#: subcommand that reads one also takes it preset as COMMSYZ_<FLAG>
+#: flag -> (type, default, choices, help) of the flags RunConfig holds
 FLAGS = {
-    "-n": (int, "3", None, "matrix size (default 3)"),
+    "-n": (int, 3, None, "matrix size (default 3)"),
     "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
     "--budget-seconds": (float, None, None, "wall-clock budget per engine run; a cut yields "
@@ -388,28 +380,19 @@ def run_command(cfg: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commsyz",
         description="Commutator ideals of generic matrices: exact bases, "
         "syzygies, colon ideals, Hilbert series, and conjecture checks.",
-        epilog=f"Each shared flag and --json can be preset via {ENV_PREFIX}<NAME> "
-        "environment variables, e.g. COMMSYZ_FIELD=q COMMSYZ_N=2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # One parent parser per shared flag, copied into each subcommand that reads it,
-    # as a copy costs less than `add_argument`.  A preset is a string default, which
-    # argparse passes through `type`; it skips `choices`, which RunConfig checks.
+    # as a copy costs less than `add_argument`.
     shared = {flag: argparse.ArgumentParser(add_help=False) for flag in (*FLAGS, "--json")}
     for flag, (kind, default, choices, text) in FLAGS.items():
-        preset = _env(flag.lstrip("-").replace("-", "_").upper(), default)
-        shared[flag].add_argument(flag, type=kind, default=preset, choices=choices, help=text)
+        shared[flag].add_argument(flag, type=kind, default=default, choices=choices, help=text)
     shared["--json"].add_argument("--json", action="store_true", dest="json_output",
-                                  default=_env("JSON", "") not in ("", "0", "false"),
                                   help="emit the versioned JSON report instead of text")
     for name, command in COMMANDS.items():
         parents = [shared[flag] for flag in (*command.flags, "--json")]

@@ -82,11 +82,11 @@ def require(basis, degree: Optional[int] = None, *, refusal: str):
     """The one rule for what a truncated basis may answer.
 
     `basis` is anything with `complete` and `truncation_degree`: a finished
-    pair loop, a `GroebnerBasis` or a `ModuleBasis`.  A complete basis answers
-    everything.  A basis truncated at d, by a degree bound or a budget cut,
-    answers a question of degree <= d; `degree` None asks about the whole
-    ideal (a Hilbert series, a meet) and is refused.  A refusal raises
-    IncompleteBasisError with `refusal` formatted with d.
+    pair loop, a `GroebnerBasis`, a `ModuleBasis` or a `syzygy.FirstSyzygies`.
+    A complete basis answers everything.  A basis truncated at d, by a degree
+    bound or a budget cut, answers a question of degree <= d; `degree` None
+    asks about the whole ideal (a Hilbert series, a meet) and is refused.
+    A refusal raises IncompleteBasisError with `refusal` formatted with d.
     """
     if not basis.complete and (degree is None or degree > basis.truncation_degree):
         raise IncompleteBasisError(refusal.format(d=basis.truncation_degree))
@@ -104,9 +104,12 @@ class Budget:
     that pass its criteria, each generator's entry included; in a selection
     by `Engine`, its S-pairs.  A cut never raises: the run stops and its
     result is truncated one degree below its next pair (`complete` False,
-    `truncation_degree` d), so `require` answers questions of degree <= d
-    and refuses the rest.  Under `max_seconds` d depends on timing, as the
-    cut basis does; under `max_spairs` both are deterministic.
+    `truncation_degree` d) and holds only what it knows through d, so
+    `require` answers questions of degree <= d and refuses the rest.  The
+    first syzygies, from two runs, are truncated at the lower of the two
+    degrees (`syzygy.first_syzygies`).  Under `max_seconds` d depends on
+    timing, as the cut result does; under `max_spairs` both are
+    deterministic.
     """
 
     max_spairs: Optional[int] = None
@@ -143,9 +146,8 @@ class GroebnerBasis:
     """A complete or truncated Groebner basis with cached reducers.
 
     truncation_degree=None: the full reduced basis (`complete`).  Otherwise
-    truncation_degree=d: its elements of degree <= d are those of the
-    reduced basis, whether a degree bound or a budget cut truncated it;
-    those above d are what the run reached and need not be.  The
+    truncation_degree=d: its elements are those of the reduced basis of
+    degree <= d, whether a degree bound or a budget cut truncated it.  The
     degree is the finished loop's, as `buchberger` settles it, and `require`
     decides which questions the basis answers.
     """
@@ -407,27 +409,23 @@ class Engine(_PairLoop):
                 stats.zero_reductions += 1
         stats.seconds = time.monotonic() - self.start
 
-    def select(self, candidates, *, strict: bool = True) -> list:
+    def select(self, candidates) -> list:
         """Indices of the minimal generators among `candidates`, homogeneous
         (degree, terms) pairs in nondecreasing degree, beyond what the engine
         holds.
 
         Each candidate is decided against the basis completed through its
         degree: it is kept iff its normal form is nonzero, and that normal
-        form enters the basis.  A decision `require` refuses, against a
-        basis truncated (by the bound or a budget cut) below the candidate's
-        degree, raises IncompleteBasisError when `strict`; otherwise the
-        candidate is dropped, so the kept list undercounts.
+        form enters the basis.  The selection stops at the first candidate
+        it cannot decide, one past the engine's truncation degree (by the
+        bound or a budget cut), so the kept list is exact through that
+        degree; a caller that needs a degree asks `require` of the engine.
         """
         kept = []
         for k, (d, terms) in enumerate(candidates):
             self.run(d)
-            try:
-                require(self, d, refusal="basis is only valid through degree {d}")
-            except IncompleteBasisError:
-                if strict:
-                    raise
-                continue
+            if not self.complete and d > self.truncation_degree:
+                break
             rem = normal_form(terms, self.reducers, self.ring.field)
             if rem:
                 kept.append(k)
@@ -689,11 +687,12 @@ def buchberger(
     unless no pair was dropped, or the Gebauer-Moeller update over the
     reduced basis queues none past the bound (`_settled`).  So whether a
     run that dropped pairs is complete is read off the reduced basis alone,
-    whatever the order of `gens`.  The loop processes every generator's
-    entry whatever the bound, so a bound below a generator's degree still
-    leaves every generator in the basis, top-reduced.  A budget cut
-    truncates the basis one degree below the next pair; it is never
-    settled, since generators of that degree or above may not have entered.
+    whatever the order of `gens`.  A budget cut truncates the basis one
+    degree below the next pair; it is never settled, since generators of
+    that degree or above may not have entered.  A truncated basis holds
+    only its elements through the truncation degree: the loop's elements
+    above it, generators above a bound among them, are dropped once
+    `_settled` has read them.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -714,6 +713,8 @@ def buchberger(
     polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
     if truncation_degree is not None and not cut and _settled(polys, truncation_degree):
         truncation_degree = None
+    if truncation_degree is not None:  # only once settled: the elements above decide it
+        polys = [g for g in polys if ring.order.degree(g.terms[0][0]) <= truncation_degree]
     stats.seconds += time.monotonic() - start
     return GroebnerBasis(ring, polys, truncation_degree=truncation_degree, stats=stats)
 

@@ -659,7 +659,10 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if _COEFF_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in the term {piece!r}") from None
                 continue
             if "^" in factor:
                 base, _, expo = factor.partition("^")

@@ -222,15 +222,21 @@ def _koszul_vectors(gens: Sequence[Polynomial]):
 
 @dataclass
 class FirstSyzygies:
-    """Minimal first-syzygy data for the minimal generators."""
+    """Minimal first-syzygy data for the minimal generators, complete through
+    `degree_bound` or, as a basis is, truncated at `truncation_degree`: the
+    counts, generators and sources then hold only the degrees through it."""
 
     rank: int
     degree_bound: int
     counts: dict          # coefficient degree -> number of minimal generators
     generators: list      # the kept minimal generating vectors (rank-length tuples)
     sources: list         # parallel to generators: 'koszul' or 'pair'
-    partial: bool         # True when a budget cut makes counts lower bounds
+    truncation_degree: Optional[int]  # None when complete through the bound
     stats: GBStats
+
+    @property
+    def complete(self) -> bool:
+        return self.truncation_degree is None
 
 
 def first_syzygies(
@@ -251,47 +257,44 @@ def first_syzygies(
     Koszul relations those generate every syzygy of the generators through
     the bound.  One module engine then selects the minimal ones, Koszul
     relations first within each degree; `stats` are the signature loop's.
-    The budget caps each of the two runs; a cut makes the counts lower
-    bounds and sets `partial`.
+    The budget caps each of the two runs.  A cut truncates the result at
+    the lower of the two runs' degrees: the loop's truncation degree less
+    2, as the generators are quadrics, and the selection's.  A result
+    truncated at or past the bound is complete.
     """
     n = system.n
     bound = n if degree_bound is None else degree_bound
-    budget = budget or Budget()
     gens = system.minimal_gens
     if not gens:
-        return FirstSyzygies(
-            rank=0,
-            degree_bound=bound,
-            counts={},
-            generators=[],
-            sources=[],
-            partial=False,
-            stats=GBStats(),
-        )
+        return FirstSyzygies(rank=0, degree_bound=bound, counts={}, generators=[], sources=[],
+                             truncation_degree=None, stats=GBStats())
     ring = gens[0].ring
     m = len(gens)
     loop = SignatureLoop(ring, [], degree_bound=bound + 2, budget=budget, tracked=gens)
     loop.run()
     morder = loop.morder  # the relations' keys, position k for gens[k]
+    top = bound if loop.complete else min(bound, loop.truncation_degree - 2)
 
     # Components of a syzygy vector are the cofactors, so the vector's own
     # homogeneous degree is the coefficient degree used for grading/counting.
-    koszul_vecs = _koszul_vectors(gens) if bound >= 2 else []
+    koszul_vecs = _koszul_vectors(gens) if top >= 2 else []
     candidates = [(2, vector_terms(v, morder), "koszul") for v in koszul_vecs]
     for terms in loop.relations:
         d = ring.order.degree(terms[0][0])
-        if d <= bound:
+        if d <= top:
             candidates.append((d, terms, "pair"))
     candidates.sort(key=lambda c: c[0])
 
-    selection = Engine(ring, degree_bound=bound, budget=budget)
-    kept = [candidates[k] for k in selection.select([c[:2] for c in candidates], strict=False)]
+    selection = Engine(ring, degree_bound=top, budget=budget)
+    kept = [candidates[k] for k in selection.select([c[:2] for c in candidates])]
+    if not selection.complete:  # every kept candidate lies at or below it
+        top = min(top, selection.truncation_degree)
     return FirstSyzygies(
         rank=m,
         degree_bound=bound,
         counts=dict(sorted(Counter(d for d, _, _ in kept).items())),
         generators=[decompile_vector(ring, m, terms, morder) for _, terms, _ in kept],
         sources=[src for _, _, src in kept],
-        partial=loop.exhausted is not None or selection.exhausted is not None,
+        truncation_degree=None if top >= bound else top,
         stats=loop.stats,
     )

@@ -74,7 +74,7 @@ def test_criterion_04_first_syzygies_three_by_three(ctx):
     def body():
         fs = ctx.first_syzygies(3, bound=4)
         assert fs.counts == {1: 2, 2: 31}
-        assert not fs.partial
+        assert fs.complete
         verdict, detail = check_first_syzygies(ctx, 3)
         assert verdict == "PASS", detail
         assert detail["counts"] == {"1": 2, "2": 31}

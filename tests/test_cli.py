@@ -8,11 +8,9 @@ import pytest
 
 from commsyz.cli import (
     COMMANDS,
-    ENV_PREFIX,
     REPORT_SCHEMA,
     Report,
     RunConfig,
-    build_parser,
     emit,
     main,
     parse_args,
@@ -88,21 +86,27 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize(
-    "name, value, argv",
+    "flag, value, argv",
     [
-        ("N", "abc", ["verify"]),
-        ("ORDER", "elim", ["groebner", "-n", "2"]),
-        ("BUDGET_SPAIRS", "-1", ["groebner", "-n", "2"]),
-        ("DEGREE_BOUND", "two", ["groebner", "-n", "2"]),
-        ("DEGREE_BOUND", "-1", ["groebner", "-n", "2"]),
+        ("-n", "abc", ["verify"]),
+        ("--order", "elim", ["groebner", "-n", "2"]),
+        ("--budget-spairs", "-1", ["groebner", "-n", "2"]),
+        ("--degree-bound", "two", ["groebner", "-n", "2"]),
+        ("--degree-bound", "-1", ["groebner", "-n", "2"]),
     ],
 )
-def test_bad_environment_presets_are_usage_errors(name, value, argv, monkeypatch, capsys):
-    monkeypatch.setenv(ENV_PREFIX + name, value)
+def test_bad_flag_values_are_usage_errors(flag, value, argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(argv + [flag, value])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_the_environment_sets_no_flag(monkeypatch):
+    for name, value in (("COMMSYZ_N", "2"), ("COMMSYZ_FIELD", "q"), ("COMMSYZ_JSON", "1")):
+        monkeypatch.setenv(name, value)
+    cfg = parse_args(["hilbert"])
+    assert (cfg.n, cfg.field, cfg.json_output) == (3, "gf:32003", False)
 
 
 def test_negative_max_degree_is_a_usage_error(capsys):
@@ -198,15 +202,6 @@ def test_config_and_header_show_only_the_settings_a_subcommand_takes(command, tm
     assert shown == taken & {"n", "field", "order"}
 
 
-def test_presets_reach_only_the_subcommands_that_read_them(monkeypatch):
-    monkeypatch.setenv(f"{ENV_PREFIX}FIELD", "gf:4")
-    monkeypatch.setenv(f"{ENV_PREFIX}FIXTURES", "elsewhere")
-    cfg = parse_args(["predict", "betti"])
-    assert cfg.field == "gf:32003" and cfg.fixtures is None
-    with pytest.raises(SystemExit):
-        parse_args(["commutator"])
-
-
 def test_benchmark_command_lines_parse():
     jobs_py = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
     spec = importlib.util.spec_from_file_location("perfbench_jobs", jobs_py)
@@ -216,31 +211,6 @@ def test_benchmark_command_lines_parse():
     assert (cfg.n, cfg.degree_bound, cfg.extras) == (4, 5, {"ideal": "I"})
     for workload in jobs.WORKLOADS:
         assert parse_args(jobs.cli_argv(workload)).command in COMMANDS
-
-
-def test_explicit_flag_wins_over_a_bad_preset(monkeypatch):
-    monkeypatch.setenv(f"{ENV_PREFIX}N", "abc")
-    assert parse_args(["commutator", "-n", "2"]).n == 2
-
-
-def test_env_overrides(monkeypatch):
-    monkeypatch.setenv(f"{ENV_PREFIX}FIELD", "q")
-    monkeypatch.setenv(f"{ENV_PREFIX}N", "2")
-    monkeypatch.setenv(f"{ENV_PREFIX}JSON", "1")
-    monkeypatch.setenv(f"{ENV_PREFIX}BUDGET_SPAIRS", "50")
-    cfg = parse_args(["hilbert"])
-    assert cfg.field == "q"
-    assert cfg.n == 2
-    assert cfg.json_output
-    assert cfg.budget_spairs == 50
-    # explicit flags beat the environment
-    cfg2 = parse_args(["hilbert", "-n", "3", "--field", "gf:101"])
-    assert cfg2.n == 3 and cfg2.field == "gf:101"
-
-
-def test_parser_help_documents_env_prefix():
-    parser = build_parser()
-    assert ENV_PREFIX in (parser.epilog or "")
 
 
 # -- report and emission -----------------------------------------------------------
@@ -469,11 +439,25 @@ def test_syzygy_check_decides_over_qq(text, code, verdict, tmp_path, capsys):
     assert "field" not in rep["config"]
 
 
+def test_syzygy_check_names_a_zero_denominator(tmp_path, capsys):
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("1/0;0\n0 / 0;0\n")
+    code, rep = run_json(["syzygy-check", "-n", "2", "--matrix", str(matrix)], capsys)
+    (res,) = rep["results"]
+    assert (code, res["verdict"]) == (1, "FAIL")
+    assert res["detail"] == {"error": "zero denominator in the term '1/0'"}
+
+
 def test_syzygies_command(capsys):
     code, rep = run_json(["syzygies", "-n", "2"], capsys)
     assert code == 0
     detail = rep["results"][0]["detail"]
-    assert detail["counts"] == {"1": 2}
+    assert (detail["counts"], detail["truncation_degree"]) == ({"1": 2}, None)
+    # cut before the linear syzygies: nothing is counted, not the Koszul relations
+    code, rep = run_json(["syzygies", "-n", "2", "--budget-spairs", "3"], capsys)
+    (res,) = rep["results"]
+    assert (code, res["verdict"]) == (0, "PARTIAL")
+    assert (res["detail"]["counts"], res["detail"]["truncation_degree"]) == ({}, 0)
 
 
 def test_console_script_roundtrip():

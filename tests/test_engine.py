@@ -17,6 +17,7 @@ from commsyz.groebner import (
     SignatureLoop,
     buchberger,
     intersect_ideals,
+    require,
 )
 from commsyz.hilbert import hilbert_of_basis
 from commsyz.polyring import PolyRing
@@ -202,12 +203,15 @@ KINDS = {"complete": {}, "cut": {"budget": CUT}, "truncated": {"degree_bound": 2
 
 
 def _select(kind, f):
-    """Select f against a finished run over GENS (a cut one cut at degree 3)."""
+    """Select f against a finished run over GENS (a cut one cut at degree 3),
+    asking the gate for f's degree as a caller of `select` does."""
     engine = Engine(R, **KINDS[kind])
     for g in GENS:
         engine.add(g.terms)
     engine.run()
-    return engine.select([(f.degree(), f.terms)], strict=True)
+    kept = engine.select([(f.degree(), f.terms)])
+    require(engine, f.degree(), refusal="selected only through degree {d}")
+    return kept
 
 
 def _intersect(kind):
@@ -265,8 +269,8 @@ def test_every_consumer_asks_the_one_gate(consumer):
 def test_a_selection_after_a_cut_reads_its_truncation_off_the_queue():
     """A run cut at its degree-6 pair is truncated at 5.  Keeping a^2 and
     ab + c^2 then queues their degree-3 pair, which lowers the truncation to
-    2, so the degree-3 candidate ac^2, which that pair would show to lie in
-    the ideal, is refused rather than kept."""
+    2, so the selection stops at the degree-3 candidate ac^2, which that
+    pair would show to lie in the ideal, rather than keep it."""
     ring = PolyRing(2, GF(32003))
     a, b, c = ring.x(1, 1), ring.x(1, 2), ring.x(2, 1)
     engine = Engine(ring, budget=CUT)
@@ -277,15 +281,17 @@ def test_a_selection_after_a_cut_reads_its_truncation_off_the_queue():
     low = [a * a, a * b + c * c]
     assert engine.select([(2, f.terms) for f in low]) == [0, 1]
     assert engine.truncation_degree == 2
-    with pytest.raises(IncompleteBasisError):
-        engine.select([(3, (a * c * c).terms)])
+    assert engine.select([(3, (a * c * c).terms), (3, (a * a * c).terms)]) == []
 
 
 def test_first_syzygies_under_a_cut_report_lower_bounds():
+    """A cut run is a truncation: its counts are the complete run's through
+    the truncation degree, so they bound the complete counts from below."""
     fs = first_syzygies(build_system(3, GF(32003)), degree_bound=4, budget=CUT)
-    assert fs.partial
+    assert not fs.complete
     assert all(fs.counts.get(d, 0) <= c for d, c in {1: 2, 2: 31}.items())
     assert set(fs.counts) <= {1, 2}
+    assert all(d <= fs.truncation_degree for d in fs.counts)
 
 
 def _tracked(k):

@@ -161,6 +161,24 @@ def test_degree_truncated_basis_answers_bounded_queries():
         buchberger(inhomog, degree_bound=2)
 
 
+def test_a_generator_above_the_bound_decides_completeness_before_it_is_dropped():
+    """Under bound 2 the loop enters a generator of degree 3 all the same.
+    y^3 is coprime to x^2, so the pair update over the reduced basis queues
+    nothing past the bound and the basis is complete, y^3 included.  x*y^2
+    pairs with x^2 in degree 4, so that basis stays truncated at 2 and holds
+    x^2 alone.  Dropping the elements above the bound before `_settled`
+    reads them would call both bases complete and lose the generator."""
+    ring = PolyRing(1, QQ)
+    x, y = ring.x(1, 1), ring.y(1, 1)
+    coprime = buchberger([x * x, y**3], degree_bound=2)
+    assert (coprime.complete, len(coprime)) == (True, 2)
+    assert coprime.contains(y**3)
+    above = buchberger([x * x, x * y * y], degree_bound=2)
+    assert (above.complete, above.truncation_degree, above.elements) == (False, 2, (x * x,))
+    with pytest.raises(IncompleteBasisError):
+        above.contains(x * y * y)
+
+
 def test_interreduce_drops_redundant_generators():
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)

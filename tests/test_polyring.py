@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,9 @@ def test_parse_examples():
         RQ.parse("x_9_9")
     with pytest.raises(ValueError):
         RQ.parse("x_1_1 +")
+    for text, term in (("1/0", "1/0"), ("0 / 0", "0/0"), ("x_1_1 - 2/0*y_1_1", "2/0*y_1_1")):
+        with pytest.raises(ValueError, match=f"zero denominator in the term '{re.escape(term)}'"):
+            RQ.parse(text)
 
 
 def test_parse_refuses_coefficients_with_no_image_mod_p():

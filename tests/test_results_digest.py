@@ -64,6 +64,23 @@ degrees {2: 8, 3: 12, 4: 5}, truncated at 3; `groebner -n 4
 `verify -n 3 --budget-spairs 20` only the first-syzygies refusal `reason`
 changed: its cut module basis is truncated at degree 1, below the
 quadratic vectors it is asked about.
+Five were recorded again when a cut first-syzygy run became a truncation
+too, whose counts hold through its truncation degree and are not lower
+bounds, and a truncated basis kept only its elements through that degree.
+`syzygies -n 3 --budget-spairs 20` went from PARTIAL counts {2: 28} with
+`counts_are_lower_bounds` true to PARTIAL counts {} with
+`truncation_degree` 0: the cut tracked loop is truncated at degree 2,
+coefficient degree 0, so the Koszul relations are not counted: whether
+one is minimal depends on the linear syzygies the cut run never found (at
+n=2 such a run counted 3 where the complete run has none in degree 2).
+`syzygies -n 3` reports `truncation_degree` null where it reported
+`counts_are_lower_bounds` false, with the same counts.  In `verify -n 3
+--budget-spairs 20` only the first-syzygies refusal `reason` changed: the
+check now refuses the truncated first syzygies themselves, before it
+builds a module basis.  `groebner -n 3 --budget-spairs 50` went from 25
+elements, {2: 8, 3: 12, 4: 5}, to the 20 through its truncation degree 3,
+{2: 8, 3: 12}.  `groebner -n 3 --degree-bound 1` went from 8 elements to
+none: truncated at degree 1, it keeps none of the degree-2 generators.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -71,7 +88,6 @@ changed.
 import hashlib
 import io
 import json
-import os
 from contextlib import redirect_stdout
 
 import pytest
@@ -83,11 +99,11 @@ DIGESTS = {
     "groebner -n 3 --ideal I": "1c9e77c25df6a487772ed324e66ebac997e3c9862293ca5d8786b93cd0bd85d0",
     "groebner -n 3 --ideal J": "23946bfdd8924fb9e433cf122c583ca73f76090f680e19f5496295e109c2cae8",
     "colon -n 3": "dc34ae4c6e1fddd641d4fb865674b07080551cfb06494a95c7e46df8d77bc654",
-    "groebner -n 3 --budget-spairs 50": "555b068a01716999ecffd5b23cd7a5ee17feb0ac2f506542811ebafa1e90e3a7",
+    "groebner -n 3 --budget-spairs 50": "a0a30c6773f03d475feecd43cea170e1e0577f4171afb04fd050c60cf62f6ad3",
     "colon -n 3 --budget-spairs 50": "6fce3885b4eb1e42cbfaecf3bdc61a7174666253b08704c39feb0f336b802cad",
-    "syzygies -n 3 --budget-spairs 20": "48fc6333ff28d072d6793f58e0e09c9e86cd0477ebdd29869a9ba3278e3551c6",
+    "syzygies -n 3 --budget-spairs 20": "ac46cc8c9731890957fe57ca52c61cec7b98e3de27c502f4aafb5ac7dd9b3476",
     "hilbert -n 3 --budget-spairs 50": "d85b0d81ec235d528c8f25c4e3b952e7dbd366f6af6a56ec63ef50d3f8c1e75f",
-    "verify -n 3 --budget-spairs 20": "6be8ca16562c7bf2d75b090f960517a753fd09d474899e21197a6fd8d4597ee1",
+    "verify -n 3 --budget-spairs 20": "12d0b10dafd6da7cb2bbfe4f73c25a7276ef0c102e471a00623cec0805faf633",
     "groebner -n 4 --budget-spairs 60": "f78bbec895d357bc525b8a0e5f6f131f6e034783df31d7c3cbd18bf1294704ef",
     "verify -n 3": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
     "verify -n 3 --budget-spairs 300": "82adac7a45ed33b94b4f627ab12bd90a97bd37142cb2efb49e901b6dcebd20b9",
@@ -97,7 +113,7 @@ DIGESTS = {
     "verify -n 5": "d9c78850aff622eba6c971b81d414f61fd4bb6fd632d21ce473f8ae37b50100a",
     "commutator -n 3": "5f2f7c95e8504db14dcd69d4a43e06a33fad9d91b65cfc6236125ced6fd640d0",
     "candidates --max-degree 5": "f8f7cbe2c9894d8243b72b9b3364dfc44791725df5b27149035b56f1d8fdcd97",
-    "syzygies -n 3": "c8cbf52629e1aeaa0bd07b4c27507bfd85c53198f3fd650972ac3e0eaff95ac2",
+    "syzygies -n 3": "977009af67e50f257d8453dd74bd422a7b919ba134d3e232739fcf1d025379e8",
     "hilbert -n 3 --ideal J": "b6fbe673d223e3ad40898e5a4073bad99da2dd31d67a997f6602bc934b7de4c4",
     "check-splice -n 3": "fd986dfb062b006ee9fda81fc12747f48b07858f33ccaf5779ffcf13c12a0a36",
     "check-splice -n 4": "5a8c410845d7a4a4c1398097789820a2950428a522284d7bce11ab27c7af144a",
@@ -108,7 +124,7 @@ DIGESTS = {
     "predict shape -n 4": "e2116eac343640043d8cc29bb4fc6de04d75798101470d1ac3692194c89579bd",
     "predict knutson -n 3": "4e4ae0057c6f1f4e1f45a7996b02d2529314dac3e0e448998abb36699f847a2b",
     "groebner -n 3 --degree-bound 1": (
-        "7441468bed5c0795fd1058fab594cca1250a5d2f8d1769dd8957a6e7d72c87fb"
+        "6d3a90755cfdf11fa971ede260ec7f5f4871602269261d5f06d2764fd5c2ee1f"
     ),
     "groebner -n 3 --degree-bound 9": (
         "1c9e77c25df6a487772ed324e66ebac997e3c9862293ca5d8786b93cd0bd85d0"
@@ -127,11 +143,8 @@ MATRIX_DIGESTS = {
 }
 
 
-def run_digest(argv, monkeypatch):
-    """Exit code and results digest of one CLI run with no COMMSYZ_ presets."""
-    for name in list(os.environ):
-        if name.startswith(cli.ENV_PREFIX):
-            monkeypatch.delenv(name)
+def run_digest(argv):
+    """Exit code and results digest of one CLI run."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(argv + ["--json"])
@@ -140,13 +153,13 @@ def run_digest(argv, monkeypatch):
 
 
 @pytest.mark.parametrize("command", list(DIGESTS))
-def test_results_match_the_recorded_digest(command, monkeypatch):
-    assert run_digest(command.split(), monkeypatch) == (0, DIGESTS[command])
+def test_results_match_the_recorded_digest(command):
+    assert run_digest(command.split()) == (0, DIGESTS[command])
 
 
 @pytest.mark.parametrize("text, code", list(MATRIX_DIGESTS), ids=("syzygy", "non-syzygy"))
-def test_syzygy_check_results_match_the_recorded_digest(text, code, monkeypatch, tmp_path):
+def test_syzygy_check_results_match_the_recorded_digest(text, code, tmp_path):
     matrix = tmp_path / "m.mat"
     matrix.write_text(text)
     argv = ["syzygy-check", "-n", "2", "--matrix", str(matrix)]
-    assert run_digest(argv, monkeypatch) == (code, MATRIX_DIGESTS[text, code])
+    assert run_digest(argv) == (code, MATRIX_DIGESTS[text, code])

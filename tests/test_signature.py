@@ -195,7 +195,7 @@ def _random_form(rng, ring, degree):
 @pytest.mark.parametrize("seed", range(12))
 def test_a_cut_basis_is_the_basis_truncated_below_its_next_pair(seed):
     """On random homogeneous ideals and budgets: a cut basis truncated at d
-    holds the elements of degree <= d of the basis bounded at d, answers
+    holds exactly the elements of degree <= d of the basis bounded at d, answers
     membership as the complete basis does through d and refuses past d,
     also when a degree bound dropped pairs below a generator it cut; a
     cut selection keeps the candidates an uncut one keeps through its
@@ -225,7 +225,7 @@ def test_a_cut_basis_is_the_basis_truncated_below_its_next_pair(seed):
             assert _terms(cut) == _terms(full)
             continue
         d = cut.truncation_degree
-        assert _through(cut, d) == _through(buchberger(gens, degree_bound=d), d)
+        assert _terms(cut) == _through(buchberger(gens, degree_bound=d), d)
         for degree in range(1, 5):
             for f in _forms(rng, ring, gens, degree, 4):
                 if degree <= d:
@@ -241,7 +241,7 @@ def test_a_cut_basis_is_the_basis_truncated_below_its_next_pair(seed):
             engine = Engine(ring, degree_bound=4, budget=budget)
             for g in gens[1:]:
                 engine.add(g.terms)
-            kept[kind] = engine.select([(f.degree(), f.terms) for f in cands], strict=False)
+            kept[kind] = engine.select([(f.degree(), f.terms) for f in cands])
         t = 4 if engine.complete else engine.truncation_degree
         assert [k for k in kept["cut"] if cands[k].degree() <= t] == [
             k for k in kept["full"] if cands[k].degree() <= t
@@ -285,8 +285,8 @@ def _meet(ctx, monkeypatch):
 def _below_the_generators(ctx, monkeypatch):
     gens = list(ctx.system(3).minimal_gens)
     low = _signature_route(monkeypatch, buchberger, gens, degree_bound=1)
-    assert (len(low), low.complete, low.truncation_degree) == (8, False, 1)
-    assert _terms(low) == _terms(buchberger(gens, degree_bound=2))
+    assert (len(low), low.complete, low.truncation_degree) == (0, False, 1)
+    assert len(buchberger(gens, degree_bound=2)) == 8
 
 
 @pytest.mark.parametrize("case", (_module_basis, _module_membership, _meet, _below_the_generators),
@@ -295,6 +295,6 @@ def test_every_basis_runs_the_signature_loop(case, ctx, monkeypatch):
     """At n=3, with `Engine.run` barred: a module basis of the first
     syzygies, membership in that module, the meet of the off-diagonal ideal
     with a diagonal entry, and the basis of I bounded at degree 1, below
-    its generators' degree 2, which holds all 8 generators top-reduced and
-    is the basis bounded at degree 2."""
+    its generators' degree 2, which is truncated at 1 and so holds none of
+    the 8 elements of degree 2 the loop reached."""
     case(ctx, monkeypatch)

@@ -139,7 +139,7 @@ def test_first_syzygies_smallest_case():
     fs = first_syzygies(sys)
     assert fs.rank == 3
     assert fs.counts == {1: 2}
-    assert not fs.partial
+    assert fs.complete
     gens = sys.minimal_gens
     for vec in fs.generators:
         total = sys.ring.zero
@@ -290,18 +290,40 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
         cut.contains(vecs[0])
 
 
+#: (n, bound) -> {S-pair budget: the cut run's truncation degree, None when
+#: complete}: the tracked loop's truncation degree less 2, except at n=3
+#: under 150 pairs, where the loop completes and the selection is cut
+#: before its degree-4 pairs
+CUT_TRUNCATIONS = {
+    (2, 2): {b: -1 if b < 3 else 0 if b < 6 else None for b in range(12)},
+    (3, 4): {5: -1, 20: 0, 60: 2, 100: 3, 150: 3, 200: None},
+}
+
+
 def test_first_syzygies_respects_budget():
-    sys = build_system(3, GF(P))
-    fs = first_syzygies(sys, budget=Budget(max_spairs=5))
-    assert fs.partial
-    # counts are lower bounds in partial mode; koszul relations still present
-    assert sum(fs.counts.values()) <= 33
+    """A budget cut truncates the first syzygies at a coefficient degree t,
+    and the cut run answers exactly through t: its counts, generators and
+    sources are those of the complete run of degree <= t.  At n=2 every cut
+    below 6 pairs lands before the linear syzygies, so no degree-2 Koszul
+    relation may be counted as minimal."""
+    for (n, bound), truncations in CUT_TRUNCATIONS.items():
+        system = build_system(n, GF(P))
+        full = first_syzygies(system, degree_bound=bound)
+        assert full.complete
+        for spairs, t in truncations.items():
+            fs = first_syzygies(system, degree_bound=bound, budget=Budget(max_spairs=spairs))
+            assert fs.truncation_degree == t, (n, spairs)
+            top = bound if t is None else t
+            through = [vector_degree(v) <= top for v in full.generators]
+            assert fs.counts == {d: c for d, c in full.counts.items() if d <= top}
+            assert fs.generators == [v for v, keep in zip(full.generators, through) if keep]
+            assert fs.sources == [s for s, keep in zip(full.sources, through) if keep]
 
 
 def test_three_by_three_counts_and_sources(ctx):
     fs = ctx.first_syzygies(3)
     assert fs.counts == {1: 2, 2: 31}
-    assert not fs.partial
+    assert fs.complete
     assert Counter(fs.sources) == {"koszul": 28, "pair": 5}
     assert fs.rank == 8
     gens = ctx.system(3).minimal_gens
@@ -315,7 +337,7 @@ def test_three_by_three_counts_and_sources(ctx):
 def test_koszul_candidates_respect_the_degree_bound():
     fs = first_syzygies(build_system(3, GF(P)), degree_bound=1)
     assert fs.counts == {1: 2}
-    assert set(fs.sources) == {"pair"} and not fs.partial
+    assert set(fs.sources) == {"pair"} and fs.complete
 
 
 def test_four_by_four_linear_and_quadratic_syzygies_match_the_fixture():
@@ -324,4 +346,4 @@ def test_four_by_four_linear_and_quadratic_syzygies_match_the_fixture():
     cells = fixtures.load_betti_table("n4_resolution_partial").cells
     fs = first_syzygies(build_system(4, GF(P)), degree_bound=3)
     assert fs.counts == {1: cells[(2, 3)], 2: cells[(2, 4)], 3: cells[(2, 5)]}
-    assert not fs.partial
+    assert fs.complete

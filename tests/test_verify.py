@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import pytest
@@ -151,6 +150,20 @@ def test_run_check_maps_failures_to_verdicts(ctx):
     assert ok.verdict == "PASS" and ok.detail == {"x": 1}
 
 
+@pytest.mark.parametrize(
+    "name, n, spairs, d", [("presentation", 2, 3, 0), ("first-syzygies", 3, 60, 2)]
+)
+def test_a_check_refuses_truncated_first_syzygies(name, n, spairs, d):
+    """The first syzygies cut below the check's bound answer through d
+    only, and the check asks the gate for its whole bound."""
+    check = next(c for c in CHECKS if c.name == name)
+    result = run_check(check, DeskContext(budget=Budget(max_spairs=spairs)), n)
+    assert (result.verdict, result.detail) == (
+        "PARTIAL",
+        {"reason": f"incomplete basis: first syzygies only counted through coefficient degree {d}"},
+    )
+
+
 def test_desk_context_caches_and_reuses(ctx):
     assert ctx.system(3) is ctx.system(3)
     assert ctx.gb_commutator(2) is ctx.gb_commutator(2)
@@ -162,9 +175,6 @@ def test_desk_context_caches_and_reuses(ctx):
 def test_a_refused_build_is_not_rebuilt(monkeypatch, capsys):
     """At 300 S-pairs the colon's first elimination is cut; every check
     that asks for the colon afterwards gets the stored refusal."""
-    for name in list(os.environ):
-        if name.startswith(cli.ENV_PREFIX):
-            monkeypatch.delenv(name)
     calls = []
     original = verify.colon_ideal
 
