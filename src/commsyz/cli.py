@@ -161,7 +161,8 @@ def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
     which = cfg.extras["ideal"]
     gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
     basis = buchberger(gens, budget=ctx.budget, degree_bound=cfg.degree_bound)
-    degs = Counter(g.degree() for g in basis)
+    degree = basis.ring.order.degree
+    degs = Counter(degree(g.terms[0][0]) for g in basis)
     detail = {
         "ideal": which,
         "size": len(basis),

@@ -198,10 +198,6 @@ class GroebnerBasis:
         require(self, f.degree(), refusal="basis is only valid through degree {d}")
         return self.reduce(f).is_zero()
 
-    def lead_exponents(self) -> list:
-        """Exponent tuples of the leading monomials (the initial ideal's gens)."""
-        return [g.lm() for g in self.elements]
-
     def __repr__(self):
         kind = "complete" if self.complete else f"truncated@{self.truncation_degree}"
         return f"GroebnerBasis({len(self.elements)} elements, {kind})"
@@ -805,23 +801,14 @@ def intersect_ideals(
     ])
 
 
-class ColonBasis(list):
-    """The reduced Groebner basis of a colon ideal, as a list, with `stats`,
-    the summed work counts of the quotient loops that built it."""
-
-    def __init__(self, polys, stats: GBStats):
-        super().__init__(polys)
-        self.stats = stats
-
-
 def colon_ideal(
     gens: Sequence[Polynomial],
     fs: Sequence[Polynomial],
     *,
     budget: Optional[Budget] = None,
-) -> list:
+) -> GroebnerBasis:
     """Reduced Groebner basis of (ideal : (f_1, ..., f_m)) for homogeneous
-    input, as a `ColonBasis`.
+    input, complete, with the summed work counts of its quotient loops.
 
     The f of one degree are tracked as one module vector F in one signature
     loop over `gens` (`SignatureLoop`): c lies in (ideal : F) exactly when
@@ -839,13 +826,13 @@ def colon_ideal(
         raise ValueError("quotient by the zero ideal is undefined here")
     if not gens:
         raise ValueError("the ideal needs at least one nonzero generator")
-    stats, result = GBStats(), None
+    ring, stats, result = gens[0].ring, GBStats(), None
     for d in sorted({f.degree() for f in fs}):
         vector = tuple(f for f in fs if f.degree() == d)
-        loop = SignatureLoop(gens[0].ring, gens, budget=budget, tracked=[vector])
+        loop = SignatureLoop(ring, gens, budget=budget, tracked=[vector])
         loop.run()
         stats.add(loop.stats)
         require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
         quotient = interreduce(loop.quotient_generators())
         result = quotient if result is None else intersect_ideals(result, quotient, budget=budget)
-    return ColonBasis(result, stats)
+    return GroebnerBasis(ring, result, stats=stats)

@@ -2,7 +2,9 @@
 Euler-characteristic bridge between them.
 
 The numerator of a quotient's Hilbert series over (1-t)^nvars is computed
-from the minimal generators of the leading-term ideal by a pivot recursion.
+from the minimal generators of the leading-term ideal by a pivot recursion
+that runs on the packed leads (`MonomialOrder.packed`, each exponent in a
+byte of its own), the monomials of the basis itself.
 The same numerator equals the alternating sum of graded Betti numbers, which
 is what euler_constraints checks (solving for symbolic entries where the
 known ones determine them).  splice_tail reflects the Betti table of the
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .groebner import require
+from .polyring import _EXP_CAP
 
 Cell = Union[int, str]
 
@@ -67,31 +70,33 @@ def divide_by_one_minus_t(num: Sequence[int]) -> Optional[list]:
 # -- numerator of a monomial-ideal quotient -----------------------------------
 
 
-def minimalize_monomials(gens) -> tuple:
-    """Minimal generating set: drop duplicates and multiples."""
-    gens = sorted(set(tuple(g) for g in gens), key=lambda g: (sum(g), g))
+def _degree(e: int) -> int:
+    """Total degree of packed exponents: the sum of the int's bytes."""
+    return sum(e.to_bytes((e.bit_length() + 7) // 8, "little"))
+
+
+def minimal_monomials(leads, order) -> tuple:
+    """The minimal generators of the monomial ideal that the packed leads
+    generate, ascending; a divisor is never a larger packed int."""
+    divides = order.divides
     out = []
-    for g in gens:
-        if not any(all(e >= f for e, f in zip(g, h)) for h in out):
-            out.append(g)
+    for e in sorted(set(leads)):
+        if not any(divides(a, e) for a in out):
+            out.append(e)
     return tuple(out)
 
 
-def _support(g) -> tuple:
-    return tuple(i for i, e in enumerate(g) if e)
+def monomial_quotient_numerator(leads, order) -> list:
+    """Numerator of the Hilbert series of S/(monomial ideal) over
+    (1-t)^nvars, from the ideal's packed leads under `order`.
 
-
-def monomial_quotient_numerator(gens, nvars: int) -> list:
-    """Numerator of the Hilbert series of S/(monomial ideal) over (1-t)^nvars.
-
-    Recursive pivot decomposition on the most frequent variable; the result
-    is independent of pivot choices.
+    Pivot recursion (Bigatti, JPAA 119, 1997) on the variable that most
+    leads other than pure powers hold; the result is independent of pivot
+    choices.  A variable is its support bit, which is also the packed x_i,
+    a pure power has one support bit, and the colon by x_i subtracts that
+    bit from each lead that holds it.
     """
-    for g in gens:
-        if len(g) != nvars:
-            raise ValueError("monomial arity does not match nvars")
-        if any(e < 0 for e in g):
-            raise ValueError("negative exponent")
+    support = order.support
     memo: dict = {}
 
     def rec(mons: tuple) -> tuple:
@@ -100,47 +105,43 @@ def monomial_quotient_numerator(gens, nvars: int) -> list:
         cached = memo.get(mons)
         if cached is not None:
             return cached
-        pures = []
-        mixed = []
-        for g in mons:
-            supp = _support(g)
-            if not supp:
-                memo[mons] = ()
-                return ()  # ideal contains 1
-            (pures if len(supp) == 1 else mixed).append(g)
+        if mons[0] == 0:
+            return ()  # the ideal contains 1
+        pures, mixed = [], []
+        for e in mons:
+            s = support(e)
+            (mixed if s & (s - 1) else pures).append(e)
         if len(mixed) <= 1:
             out = [1]
             for g in pures:
-                out = _poly_mul(out, [1] + [0] * (sum(g) - 1) + [-1])
+                out = _poly_mul(out, [1] + [0] * (_degree(g) - 1) + [-1])
             if mixed:
                 m = mixed[0]
                 colon = [1]
                 for g in pures:
-                    i = _support(g)[0]
-                    d = g[i] - m[i]  # positive: m is not a multiple of g
+                    b = support(g)
+                    d = g // b - (m // b & _EXP_CAP)  # positive: m is not a multiple of g
                     colon = _poly_mul(colon, [1] + [0] * (d - 1) + [-1])
-                out = _poly_sub(out, _poly_shift(colon, sum(m)))
-            result = tuple(out)
-            memo[mons] = result
+                out = _poly_sub(out, _poly_shift(colon, _degree(m)))
+            memo[mons] = result = tuple(out)
             return result
-        freq = [0] * nvars
-        for g in mixed:
-            for i in _support(g):
-                freq[i] += 1
-        pivot = max(range(nvars), key=lambda i: freq[i])
+        freq: dict = {}
+        for e in mixed:
+            s = support(e)
+            while s:
+                b = s & -s
+                freq[b] = freq.get(b, 0) + 1
+                s ^= b
+        pivot = max(freq, key=freq.get)
+        byte = pivot * _EXP_CAP
         # S/(I) splits along x_pivot: K(I) = K(I + (x_pivot)) + t*K(I : x_pivot)
-        dropped = tuple(g for g in mons if g[pivot] == 0)
-        xp = tuple(1 if i == pivot else 0 for i in range(nvars))
-        plus = minimalize_monomials(dropped + (xp,))
-        colon = minimalize_monomials(
-            tuple(g[:pivot] + (max(g[pivot] - 1, 0),) + g[pivot + 1:] for g in mons)
-        )
+        plus = minimal_monomials([e for e in mons if not e & byte] + [pivot], order)
+        colon = minimal_monomials([e - pivot if e & byte else e for e in mons], order)
         out = _poly_sub(list(rec(plus)), _poly_shift([-c for c in rec(colon)], 1))
-        result = tuple(out)
-        memo[mons] = result
+        memo[mons] = result = tuple(out)
         return result
 
-    return list(rec(minimalize_monomials(gens)))
+    return list(rec(minimal_monomials(leads, order)))
 
 
 @dataclass(frozen=True)
@@ -192,17 +193,19 @@ class HilbertSeries:
         return f"({num}) / (1-t)^{self.nvars}"
 
 
-def hilbert_numerator(lead, nvars: int) -> HilbertSeries:
-    """Hilbert series of S modulo the monomial ideal generated by `lead`."""
+def hilbert_numerator(leads, order) -> HilbertSeries:
+    """Hilbert series of S modulo the monomial ideal that the packed leads
+    generate."""
     return HilbertSeries(
-        numerator=tuple(monomial_quotient_numerator(lead, nvars)), nvars=nvars
+        numerator=tuple(monomial_quotient_numerator(leads, order)), nvars=order.nvars
     )
 
 
 def hilbert_of_basis(basis) -> HilbertSeries:
     """Hilbert series of the quotient by the ideal of a full Groebner basis."""
     require(basis, refusal="Hilbert series needs a complete, untruncated basis")
-    return hilbert_numerator(basis.lead_exponents(), basis.ring.nvars)
+    order = basis.ring.order
+    return hilbert_numerator([order.packed(g.terms[0][0]) for g in basis], order)
 
 
 # -- graded Betti tables -------------------------------------------------------

@@ -10,10 +10,10 @@ and a monomial *is* its key: `Polynomial.terms` is a strictly descending
 tuple of (V, coeff).  Sums merge keys, a monomial multiple shifts them, the
 total degree is read off a key, and the division kernel runs on the same
 keys.  Exponent tuples exist only at the edges: `PolyRing.poly`, `var` and
-`parse` encode (refusing exponents outside 0..255); printing, `lm`,
-bidegrees and Hilbert leads decode.  A free-module vector's keys carry
-position bits above its scalar order's (`ModuleOrder`).  Divisibility, lcm
-and support tests (reducer lookup, pair criteria, cap checks) run on
+`parse` encode (refusing exponents outside 0..255); printing and
+bidegrees decode.  A free-module vector's keys carry position bits above
+its scalar order's (`ModuleOrder`).  Divisibility, lcm and support tests
+(reducer lookup, pair criteria, cap checks, the Hilbert recursion) run on
 `MonomialOrder.packed(V)`, one int per monomial with each exponent in its
 own byte, read off the key with one `&` and one `^` (see `MonomialOrder`).
 
@@ -459,12 +459,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def lm(self):
-        """Leading monomial (exponent tuple)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.ring.order.decode(self.terms[0][0])
 
     def lc(self):
         if not self.terms:

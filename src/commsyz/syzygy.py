@@ -133,17 +133,22 @@ def module_normal_form(terms, reducers: DegreeBucketReducers, field):
 class ModuleBasis:
     """A complete or truncated module Groebner basis: the elements of a
     finished pair loop, with its reducer store, flagged complete or
-    truncated at a degree as a `GroebnerBasis` is."""
+    truncated at a degree as a `GroebnerBasis` is.  A truncated basis holds
+    only the loop's elements of lead degree through its truncation degree,
+    as `buchberger` keeps them."""
 
     def __init__(self, loop, morder: ModuleOrder):
         self.ring = loop.ring
         self.rank = morder.rank
-        self.size = len(loop.basis)
         self.morder = morder
         self.complete = loop.complete
-        self.truncation_degree = loop.truncation_degree
+        self.truncation_degree = d = loop.truncation_degree
         self.stats = loop.stats
-        self.reducers = loop.reducers
+        if d is None:
+            self.size, self.reducers = len(loop.basis), loop.reducers
+        else:
+            kept = [g for g in loop.basis if g.lead_deg <= d]
+            self.size, self.reducers = len(kept), DegreeBucketReducers(loop.ring.order, kept)
 
     def __len__(self):
         return self.size

@@ -151,14 +151,13 @@ class DeskContext:
             lambda: buchberger(list(self.system(n).minimal_gens), budget=self.budget),
         )
 
-    def colon_generators(self, n: int) -> list:
-        """Interreduced generators of (off-diagonal ideal : commutator ideal).
+    def colon_generators(self, n: int) -> GroebnerBasis:
+        """Reduced Groebner basis of (off-diagonal ideal : commutator ideal).
 
         The diagonal entries sum to zero, so the quotient by the full ideal is
         the quotient by the first n-1 diagonal entries.  They share one
         degree, so it comes from one signature loop with their vector
-        tracked.  The result is a `ColonBasis`, whose `stats` are that
-        loop's work counts.
+        tracked, whose work counts are the basis's `stats`.
         """
 
         def make():
@@ -168,12 +167,6 @@ class DeskContext:
             return colon_ideal(base, diag, budget=self.budget)
 
         return self._get(("colon", n), make)
-
-    def colon_basis(self, n: int) -> GroebnerBasis:
-        """The colon generators, which are the reduced basis in the ring's order."""
-        return self._get(
-            ("colon_gb", n), lambda: GroebnerBasis(self.system(n).ring, self.colon_generators(n))
-        )
 
     def new_colon_generators(self, n: int) -> list:
         """Minimal generators the colon ideal adds beyond the off-diagonal
@@ -355,7 +348,7 @@ def check_colon_ideal(ctx: DeskContext, n: int):
     expected = sorted([(1, 1), (3, 0), (2, 1), (1, 2), (0, 3)])
     ok_gens = len(new_gens) == 5 and bidegs == expected
 
-    members = _determinant_members(system, ctx.colon_basis(n))
+    members = _determinant_members(system, ctx.colon_generators(n))
     ok_members = all(m["in_colon"] for m in members)
 
     E = GenericMatrix.identity(ring, n)
@@ -593,7 +586,7 @@ def check_knutson(ctx: DeskContext, n: int):
         return _verdict(feas_ok), detail
 
     system = ctx.system(3)
-    members = _determinant_members(system, ctx.colon_basis(3))
+    members = _determinant_members(system, ctx.colon_generators(3))
     detail["candidates_in_colon"] = members
     ok = feas_ok and all(m["in_colon"] for m in members)
     return _verdict(ok), detail

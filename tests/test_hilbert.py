@@ -13,13 +13,31 @@ from commsyz.hilbert import (
     euler_constraints,
     hilbert_numerator,
     hilbert_of_basis,
-    minimalize_monomials,
+    minimal_monomials,
     monomial_quotient_numerator,
     residual_relations,
     splice_tail,
 )
 
+from commsyz.fields import QQ
+from commsyz.polyring import BlockElimination, Grevlex, Lex, PolyRing
+
 from oracles import count_monomials_outside, hilbert_function
+
+#: the three packed layouts: flipped bytes, reversed by grevlex; plain bytes;
+#: two flipped blocks with a degree field between them
+ORDERS = (Grevlex(4), Lex(4), BlockElimination(4, 2))
+
+
+def packed(order, mons) -> list:
+    return [order.packed(order.encode(m)) for m in mons]
+
+
+def quadric_series():
+    """One quadric in 3 variables, (x_1^2)."""
+    order = Grevlex(3)
+    return hilbert_numerator(packed(order, [(2, 0, 0)]), order)
+
 
 # -- series arithmetic ----------------------------------------------------------
 
@@ -32,18 +50,22 @@ def test_divide_by_one_minus_t():
 
 
 def test_minimalize_monomials():
-    out = minimalize_monomials([(2, 0), (2, 1), (0, 1), (0, 2), (2, 0)])
-    assert out == ((0, 1), (2, 0))
+    mons = [(2, 0, 0, 1), (2, 1, 0, 1), (0, 1, 0, 0), (0, 2, 0, 0), (2, 0, 0, 1)]
+    for order in ORDERS:
+        out = minimal_monomials(packed(order, mons), order)
+        assert list(out) == sorted(out)
+        assert {order.decode(order.key(e)) for e in out} == {(0, 1, 0, 0), (2, 0, 0, 1)}
+        assert len(out) == 2
 
 
 mon4 = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(gens=st.lists(mon4, max_size=5), d=st.integers(0, 7))
-def test_monomial_numerator_matches_direct_count(gens, d):
+@given(gens=st.lists(mon4, max_size=5), d=st.integers(0, 7), order=st.sampled_from(ORDERS))
+def test_monomial_numerator_matches_direct_count(gens, d, order):
     series = HilbertSeries(
-        numerator=tuple(monomial_quotient_numerator(gens, 4)), nvars=4
+        numerator=tuple(monomial_quotient_numerator(packed(order, gens), order)), nvars=4
     )
     assert hilbert_function(series.numerator, 4, d) == count_monomials_outside(gens, 4, d)
 
@@ -51,21 +73,28 @@ def test_monomial_numerator_matches_direct_count(gens, d):
 @settings(max_examples=30)
 @given(gens=st.lists(mon4, min_size=1, max_size=5))
 def test_monomial_numerator_is_order_independent(gens):
-    a = monomial_quotient_numerator(gens, 4)
-    b = monomial_quotient_numerator(list(reversed(gens)), 4)
-    assert a == b
+    """Neither the leads' order nor the monomial order's layout moves it."""
+    numerators = []
+    for order in ORDERS:
+        leads = packed(order, gens)
+        numerators.append(monomial_quotient_numerator(leads, order))
+        numerators.append(monomial_quotient_numerator(list(reversed(leads)), order))
+    assert all(b == numerators[0] for b in numerators)
 
 
-def test_numerator_rejects_bad_input():
+def test_malformed_monomials_are_refused_where_they_enter():
+    """The recursion takes packed leads and checks none: a negative
+    exponent is refused by `encode`, a wrong arity by `PolyRing.poly`."""
+    for order in ORDERS:
+        with pytest.raises(ValueError):
+            order.encode((-1, 0, 0, 0))
     with pytest.raises(ValueError):
-        monomial_quotient_numerator([(1, 0)], 4)
-    with pytest.raises(ValueError):
-        monomial_quotient_numerator([(-1, 0, 0, 0)], 4)
+        PolyRing(1, QQ).poly({(1, 0, 0): 1})
 
 
 def test_polynomial_ring_series():
     # no generators: free ring, numerator 1
-    s = hilbert_numerator([], 4)
+    s = hilbert_numerator([], Grevlex(4))
     assert tuple(s.numerator) == (1,)
     assert s.dimension == 4
     assert s.multiplicity == 1
@@ -75,7 +104,7 @@ def test_polynomial_ring_series():
 
 def test_complete_intersection_products():
     # one quadric in 3 vars: numerator 1 - t^2, dim 2, degree 2
-    s = hilbert_numerator([(2, 0, 0)], 3)
+    s = quadric_series()
     assert list(s.numerator) == [1, 0, -1]
     assert s.dimension == 2
     assert s.multiplicity == 2
@@ -85,7 +114,7 @@ def test_complete_intersection_products():
 
 
 def test_series_str_mentions_numerator_and_denominator():
-    s = hilbert_numerator([(2, 0, 0)], 3)
+    s = quadric_series()
     text = str(s)
     assert "t" in text and "(1-t)" in text.replace(" ", "")
 
@@ -126,8 +155,8 @@ def test_quotient_series_matches_monomial_count_oracle(ctx):
     for n, dmax in ((2, 6), (3, 4)):
         gb = ctx.gb_commutator(n)
         series = hilbert_of_basis(gb)
-        nvars = gb.ring.nvars
-        leads = minimalize_monomials(gb.lead_exponents())
+        nvars, order = gb.ring.nvars, gb.ring.order
+        leads = [order.decode(g.terms[0][0]) for g in gb]
         for d in range(dmax + 1):
             assert hilbert_function(series.numerator, nvars, d) == count_monomials_outside(
                 leads, nvars, d
@@ -188,7 +217,7 @@ def test_table_display_layout():
 def test_euler_constraints_on_a_koszul_complex():
     # quotient by one quadric: betti 1, 1 in degrees 0, 2
     table = GradedBettiTable({(0, 0): 1, (1, 2): 1})
-    series = hilbert_numerator([(2, 0, 0)], 3)
+    series = quadric_series()
     cons = euler_constraints(table, series)
     assert all(c.satisfied for c in cons)
     assert residual_relations(cons) == []
@@ -196,14 +225,14 @@ def test_euler_constraints_on_a_koszul_complex():
 
 def test_euler_constraints_flag_violations():
     table = GradedBettiTable({(0, 0): 1, (1, 2): 2})
-    series = hilbert_numerator([(2, 0, 0)], 3)
+    series = quadric_series()
     with pytest.raises(ValueError):
         euler_constraints(table, series)
 
 
 def test_euler_constraints_carry_symbolic_residuals():
     table = GradedBettiTable({(0, 0): 1, (1, 2): "c", (2, 2): "d"})
-    series = hilbert_numerator([(2, 0, 0)], 3)
+    series = quadric_series()
     cons = euler_constraints(table, series)
     res = residual_relations(cons)
     assert len(res) == 1

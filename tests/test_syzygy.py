@@ -267,7 +267,7 @@ def test_membership_queries():
     assert not module_membership(unit, [])
 
 
-def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
+def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis(ctx):
     ring = PolyRing(1, GF(101))
     a, b = ring.x(1, 1), ring.y(1, 1)
     zero = ring.zero
@@ -288,6 +288,14 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis():
     assert (cut.complete, cut.truncation_degree) == (False, 1)
     with pytest.raises(IncompleteBasisError):
         cut.contains(vecs[0])
+    # like a truncated `buchberger` basis, a cut one holds only its elements
+    # through the truncation degree: the loop reached 64, 30 of degree 3
+    cut = module_buchberger(
+        ctx.first_syzygies(3, 4).generators, degree_bound=4, budget=Budget(max_spairs=80)
+    )
+    assert (cut.truncation_degree, len(cut)) == (2, 34)
+    stored = [r for groups in cut.reducers.positions.values() for _, g in groups for _, r in g]
+    assert len(stored) == 34 and all(r.lead_deg <= 2 for r in stored)
 
 
 #: (n, bound) -> {S-pair budget: the cut run's truncation degree, None when
