@@ -39,7 +39,7 @@ from commsyz.fields import field_from_name
 from commsyz.genmat import GenericMatrix
 from commsyz.groebner import Budget, buchberger
 from commsyz.hilbert import hilbert_of_basis
-from commsyz.syzygy import is_trace_syzygy, trace_residual
+from commsyz.syzygy import trace_residual, trace_residuals
 from commsyz.verify import (
     CHECKS,
     WORD_DEGREE,
@@ -195,9 +195,9 @@ def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
     fs = ctx.first_syzygies(n, cfg.degree_bound)
     words = []
     if n <= 4:
-        system_qq = ctx.system_qq(n)
-        for e in word_candidates(WORD_DEGREE):
-            words.append({"expr": str(e), "syzygy": is_trace_syzygy(e, system_qq)})
+        exprs = word_candidates(WORD_DEGREE)
+        residuals = trace_residuals(exprs, ctx.system_qq(n))
+        words = [{"expr": str(e), "syzygy": r.is_zero()} for e, r in zip(exprs, residuals)]
     detail = {
         "rank": fs.rank,
         "degree_bound": fs.degree_bound,

@@ -41,7 +41,6 @@ class RationalField:
     p = None
     name = "q"
 
-    zero = Fraction(0)
     one = Fraction(1)
 
     def coerce(self, x):
@@ -87,10 +86,6 @@ class PrimeField:
             raise ValueError(f"field modulus {p} is not prime")
         self.p = p
         self.name = f"gf:{p}"
-
-    @property
-    def zero(self):
-        return 0
 
     @property
     def one(self):

@@ -536,15 +536,17 @@ class SignatureLoop(_PairLoop):
 
     def _rewritable(self, deg, sig, v=None) -> bool:
         """The F5 and syzygy criteria, and given its lead key v the cover
-        criterion, for a J-pair of degree deg and signature key sig."""
+        criterion, for a J-pair of degree deg and signature key sig; u
+        divides the packed e iff (e ^ u ^ (e - u)) & borrow is 0."""
         order, bits = self.ring.order, self.bits
         index, e = sig >> bits, order.packed(sig)
-        divides = order.divides
-        if any(divides(u, e) for u in self.syz[index]):
-            return True
+        borrow = order.low << _EXP_BITS
+        for u in self.syz[index]:
+            if not (e ^ u ^ (e - u)) & borrow:
+                return True
         if v is not None:
             for u, s, lead in self.covers[index]:
-                if divides(u, e):
+                if not (e ^ u ^ (e - u)) & borrow:
                     if deg > _EXP_CAP:
                         check_product(e - u, ((lead, 0),), order)
                     if lead + sig - s < v:

@@ -76,16 +76,75 @@ def tuple_from_matrix(a: GenericMatrix, system: CommutatorSystem) -> tuple:
 
 def trace_residual(source, system: CommutatorSystem) -> Polynomial:
     """tr(A(XY-YX)) = sum a_k f_k over the row-major entries of A; A may be a
-    matrix or a word expression."""
+    matrix or a word expression (`trace_residuals`)."""
     if isinstance(source, WordExpr):
-        source = eval_expr(source, system)
+        return trace_residuals([source], system)[0]
     return system.ring.dot(zip(tuple_from_matrix(source, system), system.commutators))
 
 
+def trace_residuals(exprs: Sequence[WordExpr], system: CommutatorSystem) -> list:
+    """[tr(A(XY-YX)) for the matrix A of each word expression], with no
+    matrix of a full word's degree ever formed.
+
+    A word W = W'l with last letter l has tr(W Z) = sum_ij W'_ij (lZ)_ji, so
+    the letter moves onto Z: X Z and Y Z are formed once (negated once for a
+    minus sign), the empty word takes +-Z, and a one-letter word pairs the
+    identity with lZ.  Each proper prefix W' is formed once, from its parent
+    prefix times a letter, and held only until the last expression that
+    reads it or forms a child from it.  Each expression's residual is one
+    `dot` over all its words; the sums are those of the matrix route,
+    bracketed differently, so the polynomials are equal."""
+    ring, Z, span = system.ring, system.Z, range(1, system.n + 1)
+    letters = {"X": system.X, "Y": system.Y}
+    last = {}  # prefix of length >= 2 -> index of the last expression that uses it
+    for k, expr in enumerate(exprs):
+        for w in expr.words:
+            p = w[:-1]
+            while len(p) > 1:
+                new = p not in last
+                last[p] = k
+                if not new:
+                    break
+                p = p[:-1]  # read here to form its new child
+    drop = {}
+    for p, k in last.items():
+        drop.setdefault(k, []).append(p)
+    held = dict(letters)
+    moved = {("", 1): Z}  # (last letter, sign) -> +-(lZ); the empty word's "" -> +-Z
+
+    def onto_z(letter, sign):
+        m = moved.get((letter, sign))
+        if m is None:
+            m = -onto_z(letter, 1) if sign < 0 else letters[letter] * Z
+            moved[letter, sign] = m
+        return m
+
+    def prefix(p):
+        m = held.get(p)
+        if m is None:
+            held[p] = m = prefix(p[:-1]) * letters[p[-1]]
+        return m
+
+    out = []
+    for k, expr in enumerate(exprs):
+        pairs = []
+        for w, s in zip(expr.words, expr.signs):
+            right = onto_z(w[-1:], s)
+            if len(w) < 2:  # W' is the identity
+                pairs.extend((ring.one, right[i, i]) for i in span)
+            else:
+                left = prefix(w[:-1])
+                pairs.extend((left[i, j], right[j, i]) for i in span for j in span)
+        out.append(ring.dot(pairs))
+        for p in drop.get(k, ()):
+            del held[p]
+    return out
+
+
 def is_trace_syzygy(source, system: CommutatorSystem) -> bool:
-    """Test of tr(A(XY-YX)) = 0 in the system's ring: exact over QQ, where the
-    CLI and the verify suite run it (`DeskContext.system_qq`); over GF(p) it
-    tests only modulo p."""
+    """Test of tr(A(XY-YX)) = 0 in the system's ring: exact over QQ (the
+    CLI and the verify suite batch theirs through `trace_residuals` on
+    `DeskContext.system_qq`); over GF(p) it tests only modulo p."""
     return trace_residual(source, system).is_zero()
 
 

@@ -62,9 +62,9 @@ from commsyz.syzygy import (
     _koszul_vectors,
     eval_word,
     first_syzygies,
-    is_trace_syzygy,
     module_buchberger,
     restrict_to_minimal,
+    trace_residuals,
     tuple_from_matrix,
     vector_degree,
 )
@@ -265,7 +265,8 @@ def check_trace_rules(ctx: DeskContext, n: int):
     syzygy of the n x n system."""
     system = ctx.system_qq(n)
     exprs = word_candidates(WORD_DEGREE)
-    failures = [str(expr) for expr in exprs if not is_trace_syzygy(expr, system)]
+    residuals = trace_residuals(exprs, system)
+    failures = [str(expr) for expr, r in zip(exprs, residuals) if not r.is_zero()]
     detail = {"n": n, "candidates": len(exprs), "failures": failures}
     return _verdict(not failures), detail
 

@@ -34,7 +34,10 @@ before the signature loop took module runs.
 variables of n=2 (`spread`), and `n2_ring` builds the n=2 rings the tests
 run under grevlex, lex and a block elimination order.  `det_cofactor`
 expands a determinant with ring arithmetic alone: no elimination, no exact
-division.  `evaluate` and `hilbert_function` are the
+division.  `trace_residual_by_matrix` is tr(A(XY-YX)) of a word
+expression by the direct route, the full matrix A = `eval_expr` and one
+`dot` of its entries with the f_k: the reference for `trace_residuals`,
+which never forms A.  `evaluate` and `hilbert_function` are the
 point evaluation and the Hilbert function of a numerator, which only tests
 ask for.
 """
@@ -53,7 +56,7 @@ from commsyz.polyring import (
     decompile_vector,
     vector_terms,
 )
-from commsyz.syzygy import ModuleBasis
+from commsyz.syzygy import ModuleBasis, eval_expr, tuple_from_matrix
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -153,7 +156,7 @@ def evaluate(f, point):
     """f at `point`, one field element per ring variable, by repeated
     multiplication over its exponent tuples."""
     fld = f.ring.field
-    total = fld.zero
+    total = fld.coerce(0)
     for mon, c in f.exponent_terms():
         for e, x in zip(mon, point):
             for _ in range(e):
@@ -231,7 +234,7 @@ def naive_combine(terms, field) -> dict:
     acc = {}
     for mon, c in terms:
         mon = tuple(mon)
-        acc[mon] = field.add(acc.get(mon, field.zero), field.coerce(c))
+        acc[mon] = field.add(acc.get(mon, field.coerce(0)), field.coerce(c))
     return {mon: c for mon, c in acc.items() if not field.is_zero(c)}
 
 
@@ -256,7 +259,7 @@ def naive_products(pairs, field) -> dict:
         for ma, ca in a.exponent_terms():
             for mb, cb in b.exponent_terms():
                 mon = tuple(x + y for x, y in zip(ma, mb))
-                acc[mon] = field.add(acc.get(mon, field.zero), field.mul(ca, cb))
+                acc[mon] = field.add(acc.get(mon, field.coerce(0)), field.mul(ca, cb))
     return {mon: c for mon, c in acc.items() if not field.is_zero(c)}
 
 
@@ -316,12 +319,12 @@ def naive_division(f: dict, divisors: list, key, field, cap=None):
         if cap is not None and any(a + b > cap for _, ge in g for a, b in zip(q, ge)):
             raise OverflowError(f"step exponent past {cap}")
         cf = field.mul(c, field.inv(g[leads[i]]))
-        quotients[i][q] = field.add(quotients[i].get(q, field.zero), cf)
+        quotients[i][q] = field.add(quotients[i].get(q, field.coerce(0)), cf)
         for (gpos, gexps), gc in g.items():
             if (gpos, gexps) == leads[i]:
                 continue
             m = (gpos, tuple(a + b for a, b in zip(gexps, q)))
-            v = field.add(work.get(m, field.zero), field.neg(field.mul(cf, gc)))
+            v = field.add(work.get(m, field.coerce(0)), field.neg(field.mul(cf, gc)))
             if field.is_zero(v):
                 work.pop(m, None)
             else:
@@ -379,7 +382,7 @@ def verify_basis(basis, gens=None):
         lcm = tuple(max(x, y) for x, y in zip(leads[a][1], leads[b][1]))
         s = multiple(elems[a], leads[a], lcm)
         for t, c in multiple(elems[b], leads[b], lcm).items():
-            s[t] = fld.add(s.get(t, fld.zero), fld.neg(c))
+            s[t] = fld.add(s.get(t, fld.coerce(0)), fld.neg(c))
         s = {t: c for t, c in s.items() if not fld.is_zero(c)}
         if naive_division(s, elems, key, fld)[0]:
             failures.append(f"S-pair ({a},{b}) does not reduce to zero")
@@ -541,7 +544,7 @@ def module_basis_all_pairs(vectors, key, field) -> list:
         lcm = mon_lcm(leads[i][1], leads[j][1])
         s = multiple(i, lcm)
         for t, c in multiple(j, lcm).items():
-            s[t] = field.add(s.get(t, field.zero), field.neg(c))
+            s[t] = field.add(s.get(t, field.coerce(0)), field.neg(c))
         s = {t: c for t, c in s.items() if not field.is_zero(c)}
         rem, _ = naive_division(s, basis, key, field)
         if rem:
@@ -620,3 +623,9 @@ def det_cofactor(m):
         return val
 
     return ring.one if n == 0 else minor(tuple(range(n)))
+
+
+def trace_residual_by_matrix(expr, system):
+    """tr(A(XY-YX)) of a word expression from its full matrix A."""
+    entries = tuple_from_matrix(eval_expr(expr, system), system)
+    return system.ring.dot(zip(entries, system.commutators))

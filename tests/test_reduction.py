@@ -69,7 +69,7 @@ def _recombine(rem: dict, quotients, divisors, field) -> dict:
         for qe, qc in q_i.items():
             for (pos, ge), gc in g.items():
                 t = (pos, tuple(a + b for a, b in zip(qe, ge)))
-                acc[t] = field.add(acc.get(t, field.zero), field.mul(qc, gc))
+                acc[t] = field.add(acc.get(t, field.coerce(0)), field.mul(qc, gc))
     return {t: c for t, c in acc.items() if not field.is_zero(c)}
 
 

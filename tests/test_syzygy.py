@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import random
@@ -24,13 +25,22 @@ from commsyz.syzygy import (
     module_membership,
     restrict_to_minimal,
     trace_residual,
+    trace_residuals,
     tuple_from_matrix,
     vector_degree,
     vector_is_zero,
 )
+from commsyz.verify import WORD_DEGREE, DeskContext, check_trace_rules
 from commsyz.words import WordExpr, binomial_expr, candidates
 
-from oracles import monomials_of_degree, n2_ring, naive_products, rank_mod_p, syzygy_space_dim
+from oracles import (
+    monomials_of_degree,
+    n2_ring,
+    naive_products,
+    rank_mod_p,
+    syzygy_space_dim,
+    trace_residual_by_matrix,
+)
 
 P = 32003
 
@@ -78,6 +88,78 @@ def test_word_candidates_are_syzygies_over_the_rationals():
     sys = build_system(2, QQ)
     for expr in candidates(4):
         assert is_trace_syzygy(expr, sys), str(expr)
+
+
+# three non-syzygies, then the empty word, minus signs and a repeated expression
+EXTRAS = [
+    WordExpr(words=("XY",), signs=(1,)),
+    WordExpr(words=("XXYY",), signs=(1,)),
+    WordExpr(words=("XY", "YX"), signs=(1, -1)),
+    WordExpr(words=("",), signs=(-1,)),
+    WordExpr(words=("", "X", "XY"), signs=(1, -1, -1)),
+    WordExpr(words=("YXY", "Y"), signs=(-1, -1)),
+    WordExpr(words=("XY",), signs=(1,)),
+]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(P)), ids=repr)
+@pytest.mark.parametrize("n, degree", [(2, 5), (3, 5), (4, 4)])
+def test_trace_residuals_equal_the_matrix_route(n, degree, field):
+    """The batch residuals are the polynomials of the direct route, zero or not."""
+    sys = build_system(n, field)
+    exprs = candidates(degree)
+    got = trace_residuals(exprs + EXTRAS, sys)
+    assert got == [trace_residual_by_matrix(e, sys) for e in exprs + EXTRAS]
+    rules, extras = got[: len(exprs)], got[len(exprs) :]
+    assert all(r.is_zero() for r in rules)
+    assert not any(r.is_zero() for r in extras[:3])
+    assert extras[3].is_zero() and extras[-1] == extras[0]  # tr(-Z) = 0
+    assert [trace_residual(e, sys) for e in EXTRAS] == extras
+
+
+def test_trace_rules_form_each_prefix_once_below_the_word_degree(monkeypatch):
+    """`check_trace_rules` at n=4 forms each proper prefix of length >= 2
+    once, plus X*Z and Y*Z, and no matrix with entries of degree WORD_DEGREE."""
+    ctx = DeskContext()
+    ctx.system_qq(4)  # built before counting: its Z is one product
+    degrees = []
+    product = GenericMatrix.__mul__
+
+    def counting(a, b):
+        m = product(a, b)
+        degrees.append(max(e.degree() for row in m.rows for e in row))
+        return m
+
+    monkeypatch.setattr(GenericMatrix, "__mul__", counting)
+    assert check_trace_rules(ctx, 4)[0] == "PASS"
+    words = {w for e in candidates(WORD_DEGREE) for w in e.words}
+    prefixes = {w[:k] for w in words for k in range(2, len(w))}
+    assert len(degrees) == len(prefixes) + 2 <= 29
+    assert max(degrees) < WORD_DEGREE
+
+
+def test_trace_residuals_drop_each_prefix_after_its_last_use(monkeypatch):
+    """Fewer matrices are alive at any expression's `dot` than there are
+    prefixes: each is freed once no later expression reads it."""
+    sys = build_system(2, QQ)
+    exprs = candidates(WORD_DEGREE)
+    ring, dots = sys.ring, sys.ring.dots
+
+    def alive():
+        return sum(type(o) is GenericMatrix for o in gc.get_objects())
+
+    before, seen = alive(), []
+
+    def counting(sums):
+        if len(sums) == 1:  # one expression's residual, not a matrix product
+            seen.append(alive() - before)
+        return dots(sums)
+
+    monkeypatch.setattr(ring, "dots", counting)
+    trace_residuals(exprs, sys)
+    prefixes = {w[:k] for e in exprs for w in e.words for k in range(2, len(w))}
+    assert len(seen) == len(exprs)
+    assert max(seen) < len(prefixes)
 
 
 def test_koszul_relations_are_valid_and_counted():
