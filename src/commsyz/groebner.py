@@ -6,7 +6,8 @@ answers find(V) on the packed key, and one normal-form kernel.
 `SignatureLoop` computes every basis: each `buchberger` basis (those of
 the commutator ideals and the `groebner` and `hilbert` subcommands), the
 module bases of `syzygy.module_buchberger` and the rank-2 module run of a
-meet.  It takes homogeneous input only and raises ValueError on anything
+meet.  Its constructor is the one input check of every caller: it takes
+homogeneous input from one ring only and raises ValueError on anything
 else; everything the paper computes is homogeneous.  It is the one loop
 that tracks representations: with tracked generators it also records the
 relations among them modulo the ideal, which give the quotient
@@ -33,7 +34,7 @@ nonzero).
 A budget counts the pairs a run reduces.  In `SignatureLoop` it is the
 J-pairs that pass the criteria and are reduced, each generator's own entry
 included, since a generator is top-reduced on entry too; for a colon ideal,
-those of its quotient loop, and for the first syzygies, those of the
+those of its one tracked loop, and for the first syzygies, those of the
 tracked loop.  Pairs the criteria drop are not counted.  In a selection
 `Engine` counts its reduced S-pairs.  Both loops pop pairs in degree order,
 so a run that the budget cuts while its next pair has degree d is complete
@@ -44,8 +45,8 @@ Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
 monomial order.  `intersect_ideals` takes the meet of two ideals from one
 signature loop over rank-2 vectors.  A colon ideal takes its quotient from
-one signature loop per degree of its fs, with the fs of that degree tracked
-as one vector, and meets the quotients of different degrees.
+one signature loop with its fs, which have one degree, tracked as one
+vector.
 """
 from __future__ import annotations
 
@@ -97,9 +98,9 @@ class Budget:
     """Resource limits for one engine run.
 
     A budget caps one engine run as a whole: a basis, a module basis or a
-    meet, one quotient loop of a colon ideal, the tracked loop of the first
-    syzygies, or a whole minimal-generator selection with every degree it
-    passes through.  `max_spairs` counts the pairs the run reduces: in
+    meet, the tracked loop of a colon ideal or of the first syzygies, or a
+    whole minimal-generator selection with every degree it passes through.
+    `max_spairs` counts the pairs the run reduces: in
     `SignatureLoop`, which runs everything but the selection, the J-pairs
     that pass its criteria, each generator's entry included; in a selection
     by `Engine`, its S-pairs.  A cut never raises: the run stops and its
@@ -133,13 +134,6 @@ class GBStats:
     elements_added: int = 0
     max_degree_processed: int = 0
     seconds: float = 0.0
-
-    def add(self, other: "GBStats") -> None:
-        """Add another run's counts; the highest degree is the larger one."""
-        for name in ("spairs_reduced", "zero_reductions", "pairs_pruned", "pairs_truncated",
-                     "elements_added", "seconds"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.max_degree_processed = max(self.max_degree_processed, other.max_degree_processed)
 
 
 class GroebnerBasis:
@@ -186,13 +180,15 @@ class GroebnerBasis:
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f against this basis (no completeness requirement)."""
+        self.ring.check(f)
         if f.is_zero() or not self.elements:
             return f
         return decompile(f.ring, normal_form(f.terms, self.reducers, self.ring.field))
 
     def contains(self, f: Polynomial) -> bool:
         """Ideal membership.  Needs a complete basis, or a truncated one that
-        covers deg(f)."""
+        covers deg(f), and f from a ring of the basis's signature."""
+        self.ring.check(f)
         if f.is_zero():
             return True
         require(self, f.degree(), refusal="basis is only valid through degree {d}")
@@ -489,6 +485,11 @@ class SignatureLoop(_PairLoop):
     tracked f or F the relations and the elements of untracked index form a
     Groebner basis of (ideal : F) (`quotient_generators`), complete through
     degree D - deg F under a degree bound D.
+
+    The constructor checks every caller's input: each generator and tracked
+    vector nonzero and homogeneous, one vector rank, and every nonzero
+    polynomial or component from `ring` or a ring of its signature (another
+    ring's keys name other monomials); anything else raises ValueError.
     """
 
     def __init__(
@@ -502,6 +503,10 @@ class SignatureLoop(_PairLoop):
     ):
         super().__init__(ring, degree_bound, budget)
         order, fld = ring.order, ring.field
+        for f in (*gens, *tracked):
+            for p in f if isinstance(f, tuple) else (f,):
+                if p.terms:
+                    ring.check(p, "generators")
         inputs = [
             vector_terms(f, ModuleOrder(order, len(f))) if isinstance(f, tuple) else list(f.terms)
             for f in (*gens, *tracked)
@@ -678,7 +683,7 @@ def buchberger(
     degree_bound: Optional[int] = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by homogeneous `gens`,
-    from one signature loop, which raises ValueError on inhomogeneous input.
+    from one signature loop, which refuses inhomogeneous or mixed-ring input.
 
     degree_bound: process only pairs of lcm total degree <= bound, and
     return a basis flagged as truncated (correct through that degree)
@@ -696,9 +701,6 @@ def buchberger(
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
-    for g in gens[1:]:
-        if g.ring is not ring and not g.ring.same_signature(ring):
-            raise ValueError("generators from incompatible rings")
     loop = SignatureLoop(ring, gens, degree_bound=degree_bound, budget=budget)
     loop.run()
     stats, cut, truncation_degree = loop.stats, loop.exhausted, loop.truncation_degree
@@ -810,17 +812,17 @@ def colon_ideal(
     budget: Optional[Budget] = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of (ideal : (f_1, ..., f_m)) for homogeneous
-    input, complete, with the summed work counts of its quotient loops.
+    input and fs of one degree, complete, with the work counts of its one
+    signature loop.
 
-    The f of one degree are tracked as one module vector F in one signature
-    loop over `gens` (`SignatureLoop`): c lies in (ideal : F) exactly when
-    c*F lies in ideal*S^m, and the loop's relations with its elements of
-    untracked index form a Groebner basis of that quotient.  A module
-    position carries no degree shift, so f of different degrees take one
-    loop per degree, and those quotients are met (`intersect_ideals`).  The
-    loop raises ValueError on inhomogeneous input, and a budget cut raises
-    IncompleteBasisError.  The result is the reduced Groebner basis in the
-    ring's own order, which is unique.
+    The fs are tracked as one module vector F in one signature loop over
+    `gens` (`SignatureLoop`): c lies in (ideal : F) exactly when c*F lies in
+    ideal*S^m, and the loop's relations with its elements of untracked
+    index form a Groebner basis of that quotient.  A module position carries
+    no degree shift, so F must be homogeneous: the loop raises ValueError on
+    fs of two degrees, as on any inhomogeneous input or input from another
+    ring, and a budget cut raises IncompleteBasisError.  The result is the
+    reduced Groebner basis in the ring's own order, which is unique.
     """
     gens = [g for g in gens if not g.is_zero()]
     fs = [f for f in fs if not f.is_zero()]
@@ -828,13 +830,8 @@ def colon_ideal(
         raise ValueError("quotient by the zero ideal is undefined here")
     if not gens:
         raise ValueError("the ideal needs at least one nonzero generator")
-    ring, stats, result = gens[0].ring, GBStats(), None
-    for d in sorted({f.degree() for f in fs}):
-        vector = tuple(f for f in fs if f.degree() == d)
-        loop = SignatureLoop(ring, gens, budget=budget, tracked=[vector])
-        loop.run()
-        stats.add(loop.stats)
-        require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
-        quotient = interreduce(loop.quotient_generators())
-        result = quotient if result is None else intersect_ideals(result, quotient, budget=budget)
-    return GroebnerBasis(ring, result, stats=stats)
+    ring = gens[0].ring
+    loop = SignatureLoop(ring, gens, budget=budget, tracked=[tuple(fs)])
+    loop.run()
+    require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
+    return GroebnerBasis(ring, interreduce(loop.quotient_generators()), stats=loop.stats)

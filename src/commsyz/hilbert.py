@@ -193,19 +193,12 @@ class HilbertSeries:
         return f"({num}) / (1-t)^{self.nvars}"
 
 
-def hilbert_numerator(leads, order) -> HilbertSeries:
-    """Hilbert series of S modulo the monomial ideal that the packed leads
-    generate."""
-    return HilbertSeries(
-        numerator=tuple(monomial_quotient_numerator(leads, order)), nvars=order.nvars
-    )
-
-
 def hilbert_of_basis(basis) -> HilbertSeries:
     """Hilbert series of the quotient by the ideal of a full Groebner basis."""
     require(basis, refusal="Hilbert series needs a complete, untruncated basis")
     order = basis.ring.order
-    return hilbert_numerator([order.packed(g.terms[0][0]) for g in basis], order)
+    leads = [order.packed(g.terms[0][0]) for g in basis]
+    return HilbertSeries(tuple(monomial_quotient_numerator(leads, order)), order.nvars)
 
 
 # -- graded Betti tables -------------------------------------------------------

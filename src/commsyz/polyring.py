@@ -401,8 +401,7 @@ class PolyRing:
         def pack(f):
             got = packed.get(id(f))
             if got is None:
-                if f.ring is not self and not self.same_signature(f.ring):
-                    raise ValueError("polynomials from incompatible rings")
+                self.check(f)
                 terms, den = f.terms, 1
                 if not p:
                     den = lcm(*[c.denominator for _, c in terms])
@@ -429,6 +428,11 @@ class PolyRing:
 
     def same_signature(self, other: "PolyRing") -> bool:
         return self.n == other.n and self.field == other.field and self.order == other.order
+
+    def check(self, f: "Polynomial", what: str = "polynomials") -> None:
+        """Refuse f unless its ring's packed keys name this ring's monomials."""
+        if f.ring is not self and not self.same_signature(f.ring):
+            raise ValueError(f"{what} from incompatible rings")
 
     # -- gradings ----------------------------------------------------------
 
@@ -494,14 +498,10 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other):
-        if self.ring is not other.ring and not self.ring.same_signature(other.ring):
-            raise ValueError("polynomials from incompatible rings")
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
-        self._check(other)
+        self.ring.check(other)
         fld = self.ring.field
         acc = dict(self.terms)
         for v, c in other.terms:

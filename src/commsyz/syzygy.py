@@ -212,15 +212,22 @@ class ModuleBasis:
     def __len__(self):
         return self.size
 
-    def reduce(self, vec):
+    def _check(self, vec) -> None:
+        """Refuse a vector of another rank or from a ring of another signature."""
         if len(vec) != self.rank:
             raise ValueError(f"vector of rank {len(vec)} in a module of rank {self.rank}")
+        for p in vec:
+            self.ring.check(p)
+
+    def reduce(self, vec):
+        self._check(vec)
         if vector_is_zero(vec) or not self.size:
             return tuple(vec)
         rem = module_normal_form(vector_terms(vec, self.morder), self.reducers, self.ring.field)
         return decompile_vector(self.ring, self.rank, rem, self.morder)
 
     def contains(self, vec) -> bool:
+        self._check(vec)
         if vector_is_zero(vec):
             return True
         # only a truncated basis reads the degree; a mixed-degree vector has none
@@ -239,7 +246,7 @@ def module_buchberger(
     position-over-term order, from one signature loop over them
     (`SignatureLoop`): two vectors pair only when their leads share a
     position.  Every vector must be homogeneous, its nonzero components of
-    one degree, and all of one rank; the loop raises ValueError otherwise.
+    one degree and ring, and all of one rank; the loop raises ValueError.
     degree_bound truncates by that degree.
     """
     vectors = [tuple(v) for v in vectors if not vector_is_zero(v)]

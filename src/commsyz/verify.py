@@ -205,6 +205,8 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
         raise ValueError("minimal generator selection needs homogeneous input")
     if not cand:
         return []
+    for g in base + cand:  # the engine takes raw packed terms and checks no ring
+        cand[0].ring.check(g, "generators")
     cand.sort(key=lambda g: (g.degree(), g.terms[0][0]))
     engine = Engine(cand[0].ring, degree_bound=cand[-1].degree(), budget=budget)
     for g in base:

@@ -310,78 +310,80 @@ def test_colon_ideal_known_answer():
         colon_ideal([a], [ring.zero])
 
 
-def _count_quotient_loops(monkeypatch) -> list:
-    """Record each tracked signature-loop run a colon makes: one for each
-    distinct degree among its fs, each with the fs of that degree tracked
-    as one vector, and one meet for each run after the first."""
-    calls = []
+def _tracked_runs(monkeypatch) -> list:
+    """Record each tracked signature-loop run a colon makes."""
+    runs = []
     original = groebner.SignatureLoop.run
 
-    def counting(self):
+    def recording(self):
         if len(self.gens) > self.untracked:
-            calls.append(1)
+            runs.append(self)
         return original(self)
 
-    monkeypatch.setattr(groebner.SignatureLoop, "run", counting)
-    return calls
+    monkeypatch.setattr(groebner.SignatureLoop, "run", recording)
+    return runs
 
 
-def test_colon_ideal_falls_back_to_the_meet(monkeypatch):
+def test_a_colon_is_one_tracked_run(monkeypatch):
+    """The fs, of one degree, are tracked as one vector in one run, whose
+    work counts the colon reports; fs of two degrees are refused, as
+    inhomogeneous input is, before any run starts."""
     ring = PolyRing(2, GF(101))
     a, b, c, d = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(1, 2)
+    runs = _tracked_runs(monkeypatch)
     # (a) : a = (1), and b is not in (a): one run tracks the vector (a, b)
-    assert list(colon_ideal([a], [a, b])) == colon_by_meets([a], [a, b]) == [a]
-    # (ac, bd) : cd = (a, b), where a*c is a member and b*c is not, and
-    # the other way round for d: the fs have two degrees, so two runs and
-    # their quotients are met
+    got = colon_ideal([a], [a, b])
+    assert list(got) == colon_by_meets([a], [a, b]) == [a]
+    assert len(runs) == 1 and got.stats is runs[0].stats
+    # (ac, bd) : (cd, c) = (a, b*d) and (ac, bd) : (cd, d) = (b, a*c) as
+    # meets, but cd has degree 2 and c, d degree 1
     base = [a * c, b * d]
-    assert list(colon_ideal(base, [c * d, c])) == colon_by_meets(base, [c * d, c]) == [a, b * d]
-    assert list(colon_ideal(base, [c * d, d])) == colon_by_meets(base, [c * d, d]) == [b, a * c]
-    calls = _count_quotient_loops(monkeypatch)
-    colon_ideal([a], [a, b])
-    assert len(calls) == 1
-    colon_ideal(base, [c * d, c])
-    colon_ideal(base, [c * d, d])
-    assert len(calls) == 5
+    for fs, meet in (([c * d, c], [a, b * d]), ([c * d, d], [b, a * c])):
+        assert colon_by_meets(base, fs) == meet
+        with pytest.raises(ValueError, match="homogeneous"):
+            colon_ideal(base, fs)
+    assert len(runs) == 1
 
 
-def test_colon_ideal_matches_the_meet_of_every_quotient(monkeypatch):
-    """Seeded ideals, three fs each: a later f is a multiple of the one
-    before (its quotient contains the earlier one), a member of the ideal
-    (its quotient is the ring) or a random form.  The colon makes one run
-    per distinct degree of f, and cases of two runs and of three occur."""
+def test_input_from_another_ring_is_refused():
+    """The packed keys of a ring of another order, size or field name other
+    monomials, so the signature loop's constructor refuses them for every
+    caller; a ring of the same signature is the same ring."""
     ring = PolyRing(2, GF(101))
-    xs = [ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(2, 1), ring.x(2, 2)]
+    a, b, c, d = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(1, 2)
+    twin = PolyRing(2, GF(101))
+    assert list(colon_ideal([a * c, b * d], [twin.y(1, 1)])) == [a, b * d]
+    for other in (PolyRing(2, GF(101), order="lex"), PolyRing(3, GF(101)), PolyRing(2, QQ)):
+        c2, d2 = other.y(1, 1), other.y(1, 2)
+        with pytest.raises(ValueError, match="incompatible rings"):
+            colon_ideal([a * c, b * d], [c2])
+        with pytest.raises(ValueError, match="incompatible rings"):
+            colon_ideal([a * c, c2 * d2], [c])
+        with pytest.raises(ValueError, match="incompatible rings"):
+            buchberger([a * c, c2 * d2])
+        with pytest.raises(ValueError, match="incompatible rings"):
+            intersect_ideals([a * c], [c2 * d2])
+        with pytest.raises(ValueError, match="incompatible rings"):
+            module_buchberger([(a, b), (c2, d2)])
+        with pytest.raises(ValueError, match="incompatible rings"):
+            groebner.SignatureLoop(ring, [a * b, c2 * d2])
+        with pytest.raises(ValueError, match="incompatible rings"):
+            groebner.SignatureLoop(ring, [a * b], tracked=[(c, d2)])
 
-    def form(rng, degree):
-        f = ring.zero
-        for _ in range(rng.randint(1, 2)):
-            m = ring.const(rng.randint(1, 100))
-            for _ in range(degree):
-                m = m * rng.choice(xs)
-            f = f + m
-        return f
 
-    calls = _count_quotient_loops(monkeypatch)
-    runs = set()
-    for seed in range(12):
-        rng = random.Random(seed)
-        gens = [form(rng, 2) for _ in range(3)]
-        fs = [form(rng, 1)]
-        for _ in range(2):
-            kind = rng.choice(("multiple", "member", "random"))
-            if kind == "multiple":
-                fs.append(fs[-1] * rng.choice(xs))
-            elif kind == "member":
-                fs.append(rng.choice(gens) * rng.choice(xs))
-            else:
-                fs.append(form(rng, 1))
-        calls.clear()
-        got = colon_ideal(gens, fs)
-        assert len(calls) == len({f.degree() for f in fs if f}), seed
-        runs.add(len(calls))
-        assert list(got) == colon_by_meets(gens, fs), seed
-    assert runs == {2, 3}
+def test_membership_refuses_a_polynomial_from_another_ring():
+    """a^2 d lies in (ab - cd, a^2); built in a lex ring its key names
+    another monomial, and x_1_1^2 of an n=3 ring is no member at all."""
+    a, b, c, d = R.x(1, 1), R.x(1, 2), R.y(1, 1), R.y(1, 2)
+    basis = buchberger([a * b - c * d, a * a])
+    assert basis.contains(a * a * d)
+    lex = PolyRing(2, GF(101), order="lex")
+    n3 = PolyRing(3, GF(101))
+    for f in (lex.x(1, 1) ** 2 * lex.y(1, 2), n3.x(1, 1) ** 2):
+        with pytest.raises(ValueError, match="incompatible rings"):
+            basis.contains(f)
+        with pytest.raises(ValueError, match="incompatible rings"):
+            basis.reduce(f)
 
 
 def test_minimal_generators_greedy():

@@ -11,7 +11,6 @@ from commsyz.hilbert import (
     canonical_splice_shift,
     divide_by_one_minus_t,
     euler_constraints,
-    hilbert_numerator,
     hilbert_of_basis,
     minimal_monomials,
     monomial_quotient_numerator,
@@ -36,7 +35,8 @@ def packed(order, mons) -> list:
 def quadric_series():
     """One quadric in 3 variables, (x_1^2)."""
     order = Grevlex(3)
-    return hilbert_numerator(packed(order, [(2, 0, 0)]), order)
+    numerator = monomial_quotient_numerator(packed(order, [(2, 0, 0)]), order)
+    return HilbertSeries(tuple(numerator), order.nvars)
 
 
 # -- series arithmetic ----------------------------------------------------------
@@ -94,7 +94,7 @@ def test_malformed_monomials_are_refused_where_they_enter():
 
 def test_polynomial_ring_series():
     # no generators: free ring, numerator 1
-    s = hilbert_numerator([], Grevlex(4))
+    s = HilbertSeries(tuple(monomial_quotient_numerator([], Grevlex(4))), 4)
     assert tuple(s.numerator) == (1,)
     assert s.dimension == 4
     assert s.multiplicity == 1

@@ -349,6 +349,21 @@ def test_membership_queries():
     assert not module_membership(unit, [])
 
 
+def test_module_membership_refuses_a_vector_from_another_ring():
+    """A component from a ring of another order or size is refused, not
+    read as whatever monomial its key names in this ring."""
+    ring = PolyRing(2, GF(P))
+    a, b, c, d = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1), ring.y(1, 2)
+    basis = module_buchberger([(a, b), (c, d)])
+    assert basis.contains((a * c, b * c))
+    for other in (PolyRing(2, GF(P), order="lex"), PolyRing(3, GF(P))):
+        vec = (other.x(1, 1) * other.y(1, 1), b * c)
+        with pytest.raises(ValueError, match="incompatible rings"):
+            basis.contains(vec)
+        with pytest.raises(ValueError, match="incompatible rings"):
+            basis.reduce(vec)
+
+
 def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis(ctx):
     ring = PolyRing(1, GF(101))
     a, b = ring.x(1, 1), ring.y(1, 1)

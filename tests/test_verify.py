@@ -198,6 +198,20 @@ def test_minimal_new_generators_toy_case():
         minimal_new_generators([a], [a * a - b])
 
 
+def test_minimal_new_generators_refuse_another_ring():
+    """The selection engine takes raw packed terms, so the selection checks
+    the rings itself: a candidate from a lex ring is refused, not read as
+    another monomial."""
+    ring = PolyRing(2, GF(101))
+    lex = PolyRing(2, GF(101), order="lex")
+    a, b, c = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
+    assert minimal_new_generators([a * b], [a * c]) == [a * c]
+    with pytest.raises(ValueError, match="incompatible rings"):
+        minimal_new_generators([a * b], [lex.x(1, 1) * lex.y(1, 1), a * c])
+    with pytest.raises(ValueError, match="incompatible rings"):
+        minimal_new_generators([lex.x(1, 1) * lex.x(1, 2)], [a * c])
+
+
 def test_totals_consistency_rules():
     # bases are compared with any '+' stripped on either side
     table = GradedBettiTable(
