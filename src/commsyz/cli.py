@@ -72,8 +72,8 @@ class RunConfig:
 
     def __post_init__(self):
         field_from_name(self.field)  # raises on a non-prime modulus
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
         if self.order not in ORDERS:
             raise ValueError(f"order must be one of {', '.join(ORDERS)}, not {self.order!r}")
         if self.degree_bound is not None and self.degree_bound < 0:
@@ -293,7 +293,7 @@ def _file_text(path: str) -> str:
 
 #: flag -> (type, default, choices, help) of the flags RunConfig holds
 FLAGS = {
-    "-n": (int, 3, None, "matrix size (default 3)"),
+    "-n": (int, 3, None, "matrix size, at least 2 (default 3)"),
     "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
     "--budget-seconds": (float, None, None, "wall-clock budget per engine run; a cut yields "

@@ -17,7 +17,6 @@ from typing import Optional
 from .genmat import (
     CommutatorSystem,
     GenericMatrix,
-    det,
     diagonal_entries,
     matrix_from_columns,
 )
@@ -220,12 +219,13 @@ def _power_columns(system: CommutatorSystem, max_power: int) -> list:
 
 
 def knutson_candidates(system: CommutatorSystem, max_power: int) -> list:
-    """Determinants of matrices whose columns are diagonals of the identity
-    and of distinct powers of the two generic matrices.
+    """Matrices whose columns are the diagonals of the identity and of
+    distinct powers of the two generic matrices, through `max_power`.
 
-    Returns (label tuple, determinant, bidegree) triples, deterministically
-    ordered by total degree then bidegree then labels; zero determinants
-    (impossible for distinct columns, kept as a guard) are dropped.
+    Returns (label tuple, matrix, bidegree) triples, deterministically
+    ordered by total degree then bidegree then labels.  The determinant of
+    each matrix is a nonzero polynomial of that bidegree; none is taken
+    here, so a caller takes only those it reads.
     """
     n = system.n
     columns = _power_columns(system, max_power)
@@ -237,14 +237,10 @@ def knutson_candidates(system: CommutatorSystem, max_power: int) -> list:
         dy = sum(c[1][1] for c in combo)
         picks.append(((dx + dy, dy, dx, labels), (dx, dy), combo))
     picks.sort(key=lambda t: t[0])
-    out = []
-    for (_, _, _, labels), bideg, combo in picks:
-        mat = matrix_from_columns(system.ring, [first[2]] + [c[2] for c in combo])
-        d = det(mat)
-        if d.is_zero():
-            continue
-        out.append((labels, d, bideg))
-    return out
+    return [
+        (labels, matrix_from_columns(system.ring, [first[2]] + [c[2] for c in combo]), bideg)
+        for (_, _, _, labels), bideg, combo in picks
+    ]
 
 
 def knutson_bidegree_feasible(n: int, target) -> bool:

@@ -12,6 +12,7 @@ diagonal entry leaves n^2 - 1 generators of the same ideal.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,23 +66,19 @@ class GenericMatrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op) -> "GenericMatrix":
+        if other.size != self.size:
+            raise ValueError("size mismatch")
         return GenericMatrix(
             self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        return GenericMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return GenericMatrix(self.ring, [[-a for a in row] for row in self.rows])
@@ -139,32 +136,26 @@ def first_row_expansion_residual(ring: PolyRing, columns) -> Polynomial:
 
 
 def det(m: GenericMatrix) -> Polynomial:
-    """Determinant, by fraction-free (Bareiss) elimination; divisions are
-    exact by construction."""
-    ring = m.ring
+    """Determinant as the signed sum over permutations, built one row at a
+    time from products and sums alone: no pivot search and no division.
+
+    `minors[S]` is the determinant of the first |S| rows on the column set
+    S, held as a bitmask.  Expanding it along its last row, column j enters
+    with one sign flip for each column of S to the right of j.  Each row is
+    one `ring.dots` call.
+    """
     n = m.size
-    if n == 0:
-        return ring.one
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.dot([(a[i][j], a[k][k]), (-a[i][k], a[k][j])])
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = ring.zero
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
+    minors = {0: m.ring.one}
+    for row in m.rows:
+        signed = [(a, -a) for a in row]
+        sums: dict = {}
+        for cols, minor in minors.items():
+            for j in range(n):
+                if not cols >> j & 1:
+                    pair = (signed[j][(cols >> j).bit_count() & 1], minor)
+                    sums.setdefault(cols | 1 << j, []).append(pair)
+        minors = dict(zip(sums, m.ring.dots(list(sums.values()))))
+    return minors[(1 << n) - 1]
 
 
 @dataclass(frozen=True)

@@ -560,13 +560,6 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(self.lc()))
 
-    def exact_div(self, g: "Polynomial") -> "Polynomial":
-        """Quotient self / g, raising if the division is not exact."""
-        qs, r = divide(self, [g])
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return qs[0]
-
     # -- comparisons / hashing ------------------------------------------------
 
     def __eq__(self, other):
@@ -878,25 +871,3 @@ def normal_form(terms, reducers, field, record=None, signature=None):
                 acc[vn] = prev + neg * ct
     return rem
 
-
-def divide(f: Polynomial, divisors: Sequence[Polynomial]):
-    """Multivariate division: f = sum(q_i * g_i) + r.
-
-    Deterministic given the ring's order and the divisors: at each step the
-    first divisor, by lead degree and then listed position, whose lead
-    divides the current lead is used.  No monomial of r is divisible by any
-    divisor lead.
-    """
-    ring = f.ring
-    gs = list(divisors)
-    if any(g.is_zero() for g in gs):
-        raise ValueError("zero divisor in division")
-    reducers = DegreeBucketReducers(ring.order, (compile_poly(g, i) for i, g in enumerate(gs)))
-    record = []
-    r = decompile(ring, normal_form(f.terms, reducers, ring.field, record))
-    # each step reduces a smaller term, so no quotient key repeats
-    unit = ring.order.unit_v
-    qacc = [[] for _ in gs]
-    for idx, delta, cf in record:
-        qacc[idx].append((delta + unit, cf))
-    return [decompile(ring, q) for q in qacc], r

@@ -333,8 +333,8 @@ def check_first_syzygies(ctx: DeskContext, n: int):
 def _determinant_members(system: CommutatorSystem, basis: GroebnerBasis) -> list:
     """Membership in `basis` of each determinant candidate of degree <= 3."""
     return [
-        {"columns": list(labels), "bidegree": list(bideg), "in_colon": basis.contains(det_poly)}
-        for labels, det_poly, bideg in knutson_candidates(system, 2)
+        {"columns": list(labels), "bidegree": list(bideg), "in_colon": basis.contains(det(mat))}
+        for labels, mat, bideg in knutson_candidates(system, 2)
         if sum(bideg) <= 3
     ]
 

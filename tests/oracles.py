@@ -32,9 +32,12 @@ reduced basis it gives: the reference route for the signature loop.
 before the signature loop took module runs.
 `near_cap_binomials` is input data for both near the 8-bit cap, in three
 variables of n=2 (`spread`), and `n2_ring` builds the n=2 rings the tests
-run under grevlex, lex and a block elimination order.  `det_cofactor`
-expands a determinant with ring arithmetic alone: no elimination, no exact
-division.  `trace_residual_by_matrix` is tr(A(XY-YX)) of a word
+run under grevlex, lex and a block elimination order.  `divide` and
+`exact_div` are multivariate division by the library's `normal_form`, the
+division `colon_by_element` and `det_bareiss` take their exact quotients
+with; `det_bareiss` is fraction-free elimination and `det_cofactor` a
+first-row expansion with ring arithmetic alone, the two references for
+`genmat.det`.  `trace_residual_by_matrix` is tr(A(XY-YX)) of a word
 expression by the direct route, the full matrix A = `eval_expr` and one
 `dot` of its entries with the f_k: the reference for `trace_residuals`,
 which never forms A.  `evaluate` and `hilbert_function` are the
@@ -50,10 +53,14 @@ from commsyz.fields import GF
 from commsyz.groebner import Engine, interreduce
 from commsyz.polyring import (
     BlockElimination,
+    DegreeBucketReducers,
     ModuleOrder,
     PolyRing,
     Polynomial,
+    compile_poly,
+    decompile,
     decompile_vector,
+    normal_form,
     vector_terms,
 )
 from commsyz.syzygy import ModuleBasis, eval_expr, tuple_from_matrix
@@ -417,7 +424,7 @@ def colon_by_element(gens, f) -> list:
     with the principal ideal (f) and exact division."""
     if f.is_zero():
         raise ValueError("cannot form a quotient by the zero element")
-    return [g.exact_div(f) for g in engine_meet(gens, [f])]
+    return [exact_div(g, f) for g in engine_meet(gens, [f])]
 
 
 def colon_by_meets(gens, fs) -> list:
@@ -596,9 +603,72 @@ def engine_meet(gens_a, gens_b) -> list:
     ])
 
 
+def divide(f, divisors):
+    """Multivariate division: f = sum(q_i * g_i) + r.
+
+    Deterministic given the ring's order and the divisors: at each step the
+    first divisor, by lead degree and then listed position, whose lead
+    divides the current lead is used.  No monomial of r is divisible by any
+    divisor lead.  The library's `normal_form`, with its quotients rebuilt
+    from the recorded steps.
+    """
+    ring = f.ring
+    gs = list(divisors)
+    if any(g.is_zero() for g in gs):
+        raise ValueError("zero divisor in division")
+    reducers = DegreeBucketReducers(ring.order, (compile_poly(g, i) for i, g in enumerate(gs)))
+    record = []
+    r = decompile(ring, normal_form(f.terms, reducers, ring.field, record))
+    # each step reduces a smaller term, so no quotient key repeats
+    unit = ring.order.unit_v
+    qacc = [[] for _ in gs]
+    for idx, delta, cf in record:
+        qacc[idx].append((delta + unit, cf))
+    return [decompile(ring, q) for q in qacc], r
+
+
+def exact_div(f, g):
+    """Quotient f / g, raising if the division is not exact."""
+    qs, r = divide(f, [g])
+    if not r.is_zero():
+        raise ValueError("division is not exact")
+    return qs[0]
+
+
+def det_bareiss(m):
+    """Determinant by fraction-free (Bareiss) elimination, whose divisions
+    are exact by construction: the division route, against which
+    `genmat.det`'s signed sum of products is compared."""
+    ring = m.ring
+    n = m.size
+    if n == 0:
+        return ring.one
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = ring.one
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not a[r][k].is_zero():
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ring.zero
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = ring.dot([(a[i][j], a[k][k]), (-a[i][k], a[k][j])])
+                a[i][j] = exact_div(num, prev)
+            a[i][k] = ring.zero
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    return d if sign == 1 else -d
+
+
 def det_cofactor(m):
     """Determinant by first-row expansion, memoized on the surviving column
-    set; the reference for `genmat.det`'s fraction-free elimination."""
+    set: ring arithmetic alone, sharing no loop with `genmat.det`'s
+    row-by-row expansion or with `det_bareiss`."""
     ring = m.ring
     n = m.size
     rows = m.rows

@@ -73,6 +73,8 @@ def test_run_config_validation():
         RunConfig(command="verify", field="gf:6")
     with pytest.raises(ValueError):
         RunConfig(command="verify", n=0)
+    with pytest.raises(ValueError, match="at least 2"):
+        RunConfig(command="verify", n=1)
     with pytest.raises(ValueError):
         RunConfig(command="verify", budget_seconds=-1)
     with pytest.raises(ValueError):
@@ -100,6 +102,20 @@ def test_bad_flag_values_are_usage_errors(flag, value, argv, capsys):
         main(argv + [flag, value])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["groebner"], ["hilbert"], ["syzygies"], ["verify"], ["predict", "betti"]],
+    ids=" ".join,
+)
+def test_size_one_is_a_usage_error(argv, capsys):
+    """At n=1 the commutator ideal is zero: every command refuses it alike,
+    where some used to pass and others fail."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-n", "1"])
+    assert exc.value.code == 2
+    assert "n must be at least 2" in capsys.readouterr().err
 
 
 def test_the_environment_sets_no_flag(monkeypatch):
@@ -389,6 +405,26 @@ def test_predict_commands_flag_conjecture_status(capsys):
     detail = rep["results"][0]["detail"]
     assert detail["status"] == "CONJECTURE"
     assert len(detail["candidates"]) == 6
+
+
+def test_predict_knutson_takes_no_determinant(monkeypatch, capsys):
+    """The prediction reads only labels and bidegrees, so it runs with `det`
+    replaced by a function that raises, under every name it is imported as."""
+    from commsyz import genmat
+
+    def refuse(m):
+        raise AssertionError("predict knutson took a determinant")
+
+    patched, det = [], genmat.det
+    for name, module in list(sys.modules.items()):
+        if name.startswith("commsyz") and getattr(module, "det", None) is det:
+            monkeypatch.setattr(module, "det", refuse)
+            patched.append(name)
+    assert {"commsyz.genmat", "commsyz.verify"} <= set(patched)
+    code, rep = run_json(["predict", "knutson", "-n", "4"], capsys)
+    assert code == 0
+    assert rep["results"][0]["verdict"] == "PASS"
+    assert len(rep["results"][0]["detail"]["candidates"]) == 20
 
 
 def test_check_splice_both_supported_sizes(capsys):

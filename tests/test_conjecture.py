@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from commsyz.conjecture import (
 )
 from commsyz.fields import GF
 from commsyz.fixtures import load_betti_table
-from commsyz.genmat import build_system
+from commsyz.genmat import build_system, det
 
 from oracles import selection_bidegrees_brute
 
@@ -135,9 +137,10 @@ def test_shape_front_matches_display_fixtures():
 
 
 def test_knutson_candidate_roster():
+    """The n=3 roster, and at n = 2, 3, 4 every candidate matrix has a
+    nonzero determinant of the stated bidegree."""
     sys3 = build_system(3, GF(32003))
-    cands = knutson_candidates(sys3, 2)
-    roster = [(labels, bid) for labels, _, bid in cands]
+    roster = [(labels, bid) for labels, _, bid in knutson_candidates(sys3, 2)]
     assert roster == [
         (("E", "X", "Y"), (1, 1)),
         (("E", "X", "X^2"), (3, 0)),
@@ -146,9 +149,13 @@ def test_knutson_candidate_roster():
         (("E", "Y", "Y^2"), (0, 3)),
         (("E", "X^2", "Y^2"), (2, 2)),
     ]
-    for _, d, bid in cands:
-        assert d.bidegree() == bid
-        assert not d.is_zero()
+    for n in (2, 3, 4):
+        cands = knutson_candidates(build_system(n, GF(32003)), n - 1)
+        assert len(cands) == comb(2 * n - 2, n - 1)
+        for _, mat, bid in cands:
+            d = det(mat)
+            assert not d.is_zero()
+            assert d.bidegree() == bid
 
 
 def test_knutson_candidate_bidegrees_cover_the_colon_predictions():

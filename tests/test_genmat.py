@@ -1,10 +1,10 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commsyz import conjecture
 from commsyz.conjecture import knutson_candidates
 from commsyz.fields import GF, QQ
 from commsyz.genmat import (
@@ -19,7 +19,7 @@ from commsyz.genmat import (
     product_rewrite_residue_2x2,
 )
 
-from oracles import det_cofactor
+from oracles import det_bareiss, det_cofactor
 
 
 def column(m, j):
@@ -76,6 +76,15 @@ def test_matrix_algebra_basics():
     assert (X * Y).trace() == (Y * X).trace()
     assert X.scale(sys.ring.const(2)) == X + X
     assert matrix_from_columns(sys.ring, [column(X, 1), column(X, 2)]) == X
+
+
+def test_matrices_of_different_sizes_do_not_combine():
+    sys3 = build_system(3, QQ)
+    E2 = GenericMatrix.identity(sys3.ring, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((sys3.X, E2), (E2, sys3.X)):
+            with pytest.raises(ValueError, match="size mismatch"):
+                op(a, b)
 
 
 def test_det_known_values():
@@ -173,16 +182,55 @@ def test_det_by_both_routes_on_random_matrices(seed):
     expected = (
         m[1, 1] * minors[0] - m[1, 2] * minors[1] + m[1, 3] * minors[2]
     )
-    assert det(m) == expected == det_cofactor(m)
+    assert det(m) == expected == det_cofactor(m) == det_bareiss(m)
 
 
-def test_det_by_both_routes_on_the_checks_matrices(monkeypatch):
-    """Every matrix whose determinant a check takes: the knutson_candidates
-    matrices at n = 2, 3, 4 and the three determinants of check_colon_ideal."""
+SINGULAR = ("zero row", "equal rows", "zero first column")
+
+
+def _square(ring, rng, size, shape):
+    """A random size x size matrix of two-term entries, made singular by
+    `shape` or, for "zero corner", given a zero (1, 1) entry above a nonzero
+    one, so that elimination must swap rows before its first step."""
+    cols = _random_columns(ring, rng, size, size, terms=2)
+    rows = [[col[i] for col in cols] for i in range(size)]
+    if size >= 2:
+        if shape == "zero row":
+            rows[rng.randrange(size)] = [ring.zero] * size
+        elif shape == "equal rows":
+            i, j = rng.sample(range(size), 2)
+            rows[j] = list(rows[i])
+        elif shape == "zero first column":
+            for row in rows:
+                row[0] = ring.zero
+        elif shape == "zero corner":
+            rows[0][0], rows[1][0] = ring.zero, ring.x(1, 1)
+    return GenericMatrix(ring, rows)
+
+
+@pytest.mark.parametrize("shape", ("random", "zero corner") + SINGULAR)
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+def test_det_by_three_routes_on_random_matrices(field, shape):
+    """Products only, fraction-free elimination and cofactor expansion agree
+    on every size from 0 to 5."""
+    rng = random.Random(f"{field!r} {shape}")
+    ring = build_system(2, field).ring
+    for size in range(6):
+        m = _square(ring, rng, size, shape)
+        d = det(m)
+        assert d == det_bareiss(m) == det_cofactor(m), (size, m)
+        if shape in SINGULAR and size >= 2:
+            assert d.is_zero()
+        if shape == "zero corner" and size >= 2:
+            assert m[1, 1].is_zero() and not m[2, 1].is_zero()
+
+
+def test_det_by_both_routes_on_the_checks_matrices():
+    """The knutson_candidates matrices at n = 2, 3, 4, among them every one
+    whose determinant a check takes, and the three of check_colon_ideal."""
     seen = []
-    monkeypatch.setattr(conjecture, "det", lambda m: seen.append(m) or det(m))
     for n, field in ((2, QQ), (3, GF(32003)), (4, QQ)):
-        knutson_candidates(build_system(n, field), n - 1)
+        seen += [mat for _, mat, _ in knutson_candidates(build_system(n, field), n - 1)]
     sys = build_system(3, GF(32003))
     X, Y = sys.X, sys.Y
     E = GenericMatrix.identity(sys.ring, 3)
@@ -190,4 +238,4 @@ def test_det_by_both_routes_on_the_checks_matrices(monkeypatch):
         seen.append(matrix_from_columns(sys.ring, [diagonal_entries(m) for m in ms]))
     assert [m.size for m in seen].count(4) == 20
     for m in seen:
-        assert det(m) == det_cofactor(m)
+        assert det(m) == det_cofactor(m) == det_bareiss(m)

@@ -29,11 +29,11 @@ from commsyz.polyring import (
     PolyRing,
     check_product,
     compile_terms,
-    divide,
 )
 from commsyz.syzygy import module_buchberger
 
 from oracles import (
+    divide,
     engine_basis,
     largest_product_exponent,
     mon_divides,

@@ -22,7 +22,6 @@ from commsyz.polyring import (
     compile_poly,
     compile_terms,
     decompile,
-    divide,
     normal_form,
 )
 from commsyz.syzygy import (
@@ -32,7 +31,7 @@ from commsyz.syzygy import (
     vector_terms,
 )
 
-from oracles import first_divisor, n2_ring, naive_division, order_key
+from oracles import divide, first_divisor, n2_ring, naive_division, order_key
 
 FIELDS = [QQ, GF(32003), GF(7)]
 

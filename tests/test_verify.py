@@ -1,10 +1,12 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from commsyz import cli, verify
 from commsyz import fixtures as fixture_store
 from commsyz.fields import GF
+from commsyz.genmat import build_system, det
 from commsyz.groebner import Budget, IncompleteBasisError
 from commsyz.hilbert import GradedBettiTable
 from commsyz.polyring import PolyRing
@@ -18,13 +20,24 @@ from commsyz.verify import (
     run_check,
     run_suite,
 )
-from commsyz.verify import _totals_consistent
+from commsyz.verify import _determinant_members, _totals_consistent
 
 
 def test_check_result_validates_verdict():
     CheckResult("x", "PASS", {}, 0.0)
     with pytest.raises(ValueError):
         CheckResult("x", "OK", {}, 0.0)
+
+
+def test_determinant_members_take_only_the_determinants_they_read(monkeypatch):
+    """Of the six n=3 candidates, (E, X^2, Y^2) has degree 4 and no check
+    reads it, so five determinants are taken."""
+    taken = []
+    monkeypatch.setattr(verify, "det", lambda m: taken.append(m) or det(m))
+    everything = SimpleNamespace(contains=lambda f: True)
+    members = _determinant_members(build_system(3, GF(32003)), everything)
+    assert len(members) == len(taken) == 5
+    assert [m["columns"] for m in members][-1] == ["E", "Y", "Y^2"]
 
 
 def test_registry_names_are_unique_and_ordered():
