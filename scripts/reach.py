@@ -13,9 +13,11 @@ name, each with its reason in EXEMPT; a class's name exempts its methods.
 
 `tests/test_reachability.py` checks only that some code names each
 definition; this check sees what actually runs.  It takes a few seconds,
-so it runs in CI and not in tier-1.  Exit status is 1 when a definition
+so it runs in CI and not in tier-1.  Exit status is 1 when a command line
+exits nonzero (each such line is named with its status), when a definition
 that is not exempt never ran, or when an exemption names a definition that
-did run or no longer exists.
+did run or no longer exists.  An exception other than a usage error ends
+the run with its traceback.
 
 Example:
     PYTHONPATH=src python3 scripts/reach.py
@@ -110,7 +112,8 @@ def _codes(value):
     return [code] if code else []
 
 
-def _run(argv, seen) -> None:
+def _run(argv, seen) -> int:
+    """The exit status of `commsyz argv`, run in process under the profile."""
     def profile(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
@@ -120,19 +123,23 @@ def _run(argv, seen) -> None:
         from commsyz import cli
 
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
+            return cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        return exc.code
     finally:
         sys.setprofile(None)
 
 
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    seen = set()
+    seen, failed = set(), []
     with tempfile.TemporaryDirectory() as tmp:
         matrix = Path(tmp) / "identity.txt"
         matrix.write_text("1;0\n0;1\n")
         for line in COMMAND_LINES:
-            _run(line.format(matrix=matrix, empty=tmp).split(), seen)
+            code = _run(line.format(matrix=matrix, empty=tmp).split(), seen)
+            if code:
+                failed.append(f"exit {code}: commsyz {line}")
 
     ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in seen}
     defined, unreached, ran_anyway = set(), [], []
@@ -152,11 +159,13 @@ def main(argv=None) -> int:
             unreached.append(f"{where} {qualname}")
     stale = ran_anyway + sorted(set(EXEMPT) - defined)
     print(f"{len(COMMAND_LINES)} command lines, {len(seen)} code objects ran")
+    for entry in failed:
+        print(f"command line failed: {entry}")
     for entry in unreached:
         print(f"never ran: {entry}")
     for name in stale:
         print(f"exempt but ran or not defined: {name} ({EXEMPT[name]})")
-    return 1 if unreached or stale else 0
+    return 1 if failed or unreached or stale else 0
 
 
 if __name__ == "__main__":

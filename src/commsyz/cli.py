@@ -23,6 +23,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field, fields
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional
 
@@ -285,10 +286,15 @@ def _nonnegative(text: str) -> int:
 
 def _file_text(path: str) -> str:
     try:
-        with open(path) as fh:
-            return fh.read()
+        return Path(path).read_text()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read matrix file: {exc}") from exc
+
+
+def _directory(path: str) -> str:
+    if not Path(path).is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {path}")
+    return path
 
 
 #: flag -> (type, default, choices, help) of the flags RunConfig holds
@@ -303,7 +309,7 @@ FLAGS = {
                         "selection); a cut yields PARTIAL, truncated one degree below "
                         "its next pair"),
     "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
-    "--fixtures": (str, None, None, "directory of fixture JSON files (default: the shipped set)"),
+    "--fixtures": (_directory, None, None, "directory of fixture JSON files (default: the shipped set)"),
 }
 RING = ("-n", "--field", "--order")
 BUDGET = RING + ("--budget-seconds", "--budget-spairs")

@@ -47,6 +47,8 @@ def _check(cond: bool, name: str, msg: str) -> None:
 def load_raw(name: str, directory: Union[str, Path, None] = None) -> dict:
     """Read one fixture by stem name and validate its shape."""
     root = _fixture_dir(directory)
+    if not root.is_dir():
+        raise FixtureNotFound(f"fixture {name!r}: {root} is not a directory")
     path = root / f"{name}.json"
     try:
         data = json.loads(path.read_text())

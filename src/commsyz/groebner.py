@@ -24,7 +24,9 @@ nothing, most of which reduce to zero without signatures.
 selection (`select`, for `verify.minimal_new_generators` and the first
 syzygies), which it did two to five times faster than a signature-loop
 prototype at n=3; `_settled` also runs its pair update over a reduced
-basis.  Ideals and free-module vectors alike run as packed term lists.
+basis.  That update is one chain pass over a new element's pairs, so the
+queue is the only record of waiting pairs.  Ideals and free-module
+vectors alike run as packed term lists.
 Pairs are processed in increasing lcm total degree with FIFO tie-breaking,
 so the loop works degree by degree: `run(d)` completes the basis through
 degree d, and `select` decides minimal generators against it (a candidate
@@ -230,8 +232,7 @@ class _PairLoop:
         first queued pair, and at most the degree bound once pairs past it
         were dropped (a generator's entry is queued whatever the bound);
         otherwise the degree bound.  Read off the queue when asked, since a
-        selection may add elements after a cut: their pairs only lower it,
-        and a stale pruned entry on top lowers it too, which is sound."""
+        selection may add elements after a cut: their pairs only lower it."""
         if self.complete:
             return None
         if self.exhausted is None:
@@ -286,19 +287,17 @@ class Engine(_PairLoop):
     carry position bits above the scalar order's (`ModuleOrder`), a
     polynomial's carry none.  An element pairs only with the elements whose
     leads share its position (`groups`), and runs the Gebauer-Moeller
-    update among them (`_criteria_pairs`).  Every lcm, divisibility and
-    coprime test runs on the leads' packed exponents (`MonomialOrder`), so
-    the loop decodes no key.  Pairs of lcm degree past `degree_bound` are
-    dropped and counted as truncated.  The budget counts reduced S-pairs.
-    After `run(d)` `complete` and `truncation_degree` say whether degree d
-    can be decided.
+    update among them (`_criteria_pairs`), which only queues.  Every lcm,
+    divisibility and coprime test runs on the leads' packed exponents
+    (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
+    `degree_bound` are dropped and counted as truncated.  The budget counts
+    reduced S-pairs.  After `run(d)` `complete` and `truncation_degree` say
+    whether degree d can be decided.
     """
 
     def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None):
         super().__init__(ring, degree_bound, budget)
-        self.pairs: dict = {}  # (i, j) -> packed lcm
         self.groups: dict = {}  # lead position bits -> the elements whose leads sit there
-        self.divisors: list = []  # per element, those of its group whose leads divide its lead
         self._pos_bits = ring.order.total_bits
 
     def add(self, terms):
@@ -313,82 +312,53 @@ class Engine(_PairLoop):
         self.stats.elements_added += 1
 
     def _push(self, i, j, lcm):
-        order = self.ring.order
-        v = order.key(lcm)
-        deg = order.degree(v)
+        v = self.ring.order.key(lcm)
+        deg = self.ring.order.degree(v)
         if self.degree_bound is not None and deg > self.degree_bound:
             self.stats.pairs_truncated += 1
             return
-        self.pairs[(i, j)] = lcm
         heappush(self.heap, (deg, self.serial, i, j, v))
         self.serial += 1
 
     def _criteria_pairs(self, cp: CompiledPoly, group: list):
         """The Gebauer-Moeller update for a new lead h among `group`, the
-        elements whose leads share its position, where the criteria hold, on
-        packed exponents: l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
+        elements whose leads share its position, on packed exponents: l2
+        divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
 
-        B criterion on the waiting pairs of h's position: (i, j) is dropped
-        when h divides its lcm and that lcm differs from lcm(i, h) and from
-        lcm(j, h).  M and F criteria in ascending packed lcm: the new pairs
-        (g, h) run in (lcm, index) order, and one is kept only if no lcm
-        kept before it divides its own.  A divisor of a packed lcm is never
-        a larger int, so no later lcm divides an earlier one, and among
-        equal lcms the lowest index stays.  Coprime pairs by lead
-        divisibility, for polynomial leads only (no position bits): a pair
-        with coprime leads is never queued, and lcm(c, h) = c + h divides
-        lcm(g, h) iff lead(c) divides lead(g), so (g, h) is also dropped
-        when a lead in `divisors[g]` is coprime to h.  The survivors are
-        queued in descending index.
+        One chain pass over the new pairs (g, h) in (lcm, coprime first,
+        index) order: a pair is kept only if no lcm kept before it divides
+        its own.  A divisor of a packed lcm is never a larger int, so no
+        later lcm divides an earlier one, and among equal lcms the first
+        stays.  A pair of polynomial leads (no position bits) with disjoint
+        supports is coprime: it counts as kept for that test, so it drops
+        every pair whose lcm its lcm divides, equal ones included, but it
+        is never queued.  The survivors are queued in descending index.
         """
-        pairs, basis, stats, divisors = self.pairs, self.basis, self.stats, self.divisors
-        order, bits = self.ring.order, self._pos_bits
-        lcm, borrow = order.lcm, order.low << _EXP_BITS
-        h, hi, pos = cp.packed, cp.index, cp.lead_v >> bits
-        for key in list(pairs):
-            lij = pairs[key]
-            if not (lij ^ h ^ (lij - h)) & borrow:
-                a, b = basis[key[0]], basis[key[1]]
-                if a.lead_v >> bits == pos and lcm(a.packed, h) != lij and lcm(b.packed, h) != lij:
-                    del pairs[key]
-                    stats.pairs_pruned += 1
-        coprime = set() if pos else {g.index for g in group if not g.support & cp.support}
-        cand = sorted((lcm(g.packed, h), g.index) for g in group if g.index not in coprime)
-        stats.pairs_pruned += len(group) - len(cand)
-        kept = []
-        for l, gi in cand:
-            for _, l2 in kept:
-                if not (l ^ l2 ^ (l - l2)) & borrow:
-                    break
-            else:
-                if coprime.isdisjoint(divisors[gi]):
-                    kept.append((gi, l))
-                    continue
-            stats.pairs_pruned += 1
-        for gi, l in sorted(kept, reverse=True):
-            self._push(gi, hi, l)
-        # h enters the divisor lists only now: `coprime` has no entry for it
-        below = []
-        for g in group:
-            e = g.packed
-            if not (h ^ e ^ (h - e)) & borrow:
-                below.append(g.index)
-            if not (e ^ h ^ (e - h)) & borrow:
-                divisors[g.index].append(hi)
-        divisors.append(below)
+        lcm, borrow = self.ring.order.lcm, self.ring.order.low << _EXP_BITS
+        h, poly = cp.packed, not cp.lead_v >> self._pos_bits
+        cand = sorted(
+            (lcm(g.packed, h), not poly or bool(g.support & cp.support), g.index) for g in group
+        )
+        kept, queued = [], []
+        for l, shared, gi in cand:
+            if all((l ^ l2 ^ (l - l2)) & borrow for l2 in kept):
+                kept.append(l)
+                if shared:
+                    queued.append((gi, l))
+        self.stats.pairs_pruned += len(group) - len(queued)
+        for gi, l in sorted(queued, reverse=True):
+            self._push(gi, cp.index, l)
 
     def run(self, through: Optional[int] = None) -> None:
         """Process the waiting pairs of lcm degree <= through (all of them
         when None), until the budget cuts the run."""
-        heap, pairs, basis, stats = self.heap, self.pairs, self.basis, self.stats
+        heap, basis, stats = self.heap, self.basis, self.stats
         fld, bits = self.ring.field, self._pos_bits
         while heap and (through is None or heap[0][0] <= through):
             reason = self._spent()
             if reason:
                 return self._cut(reason)
             deg, _, i, j, v = heappop(heap)
-            if pairs.pop((i, j), None) is None:
-                continue  # pruned after enqueueing
             a, b = basis[i], basis[j]
             terms, _, _ = self._spoly(a, b, deg, (a.lead_v >> bits << bits) | v)
             stats.spairs_reduced += 1

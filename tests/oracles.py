@@ -436,29 +436,18 @@ def colon_by_meets(gens, fs) -> list:
     return interreduce(result)
 
 
-def criteria_pairs(pairs: dict, leads: list, degree_bound=None):
+def criteria_pairs(leads: list, degree_bound=None):
     """Reference for `Engine._criteria_pairs`, on exponent tuples.
 
-    pairs: the waiting pairs {(i, j): lcm}; leads: the lead of every basis
-    element by index, the new element last.  Drops the old pairs the new lead
-    makes redundant, then filters the new pairs by the chain, equal-lcm and
-    coprime criteria.  Returns (waiting pairs after the step, the pairs
-    offered to the queue in order as (i, j, lcm), pruned count, truncated
-    count); an offered pair past `degree_bound` is truncated, not queued.
+    leads: the lead of every basis element by index, the new element last.
+    Filters the new pairs by the chain, equal-lcm and coprime criteria.
+    Returns (the pairs offered to the queue in order as (i, j, lcm), pruned
+    count, truncated count); an offered pair past `degree_bound` is
+    truncated, not queued.
     """
-    pairs = dict(pairs)
     h = len(leads) - 1
     lmh = leads[h]
     pruned = truncated = 0
-    # prune old pairs made redundant by the new lead
-    for key in list(pairs):
-        i, j = key
-        lij = pairs[key]
-        if mon_divides(lmh, lij):
-            if mon_lcm(leads[i], lmh) != lij and mon_lcm(leads[j], lmh) != lij:
-                del pairs[key]
-                pruned += 1
-    # new pairs, filtered by the chain/equal-lcm/coprime criteria
     cand = [
         (g, mon_lcm(leads[g], lmh), not any(x and y for x, y in zip(leads[g], lmh)))
         for g in range(h)
@@ -482,9 +471,7 @@ def criteria_pairs(pairs: dict, leads: list, degree_bound=None):
         offered.append((gi, h, l))
         if degree_bound is not None and mon_degree(l) > degree_bound:
             truncated += 1
-        else:
-            pairs[(gi, h)] = l
-    return pairs, offered, pruned, truncated
+    return offered, pruned, truncated
 
 
 def n2_ring(field, order, front=1):

@@ -118,6 +118,31 @@ def test_size_one_is_a_usage_error(argv, capsys):
     assert "n must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_a_fixtures_path_that_is_not_a_directory_is_a_usage_error(where, tmp_path, capsys):
+    """A bad --fixtures path is refused before any check runs, where it used
+    to read as a refuted claim (FAIL, exit 1) from the checks that load."""
+    path = tmp_path / "absent" if where == "missing" else tmp_path / "table.json"
+    if where == "file":
+        path.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-n", "4", "--fixtures", str(path)])
+    assert exc.value.code == 2
+    assert f"not a directory: {path}" in capsys.readouterr().err
+
+
+def test_an_exponent_past_the_cap_is_a_failed_check(tmp_path, capsys):
+    """An arithmetic error inside a check stays that check's FAIL, with the
+    error's type and message as its detail."""
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("x_1_1^300;0\n0;0\n")
+    assert main(["syzygy-check", "-n", "2", "--matrix", str(matrix), "--json"]) == 1
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert (result["verdict"], result["detail"]) == (
+        "FAIL", {"error": "OverflowError: exponent 300 exceeds order capacity 255"}
+    )
+
+
 def test_the_environment_sets_no_flag(monkeypatch):
     for name, value in (("COMMSYZ_N", "2"), ("COMMSYZ_FIELD", "q"), ("COMMSYZ_JSON", "1")):
         monkeypatch.setenv(name, value)
@@ -154,7 +179,7 @@ VALUES = {
     "--budget-seconds": "2.5",
     "--budget-spairs": "10",
     "--degree-bound": "2",
-    "--fixtures": "elsewhere",
+    "--fixtures": str(Path(__file__).resolve().parent),  # it must be an existing directory
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -50,6 +51,17 @@ def test_missing_fixture_lists_available():
         load_raw("nope")
     except FixtureNotFound as e:
         assert "n4_conjectured_betti" in str(e)
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_a_directory_that_is_not_one_is_named(where, tmp_path):
+    """A fixture directory that does not exist, or is a file, raises the
+    loader's typed error naming it, not an OSError from the listing."""
+    root = tmp_path / "absent" if where == "missing" else tmp_path / "table.json"
+    if where == "file":
+        root.write_text("{}")
+    with pytest.raises(FixtureNotFound, match=re.escape(f"{root} is not a directory")):
+        load_raw("n4_hilbert_numerator", root)
 
 
 def test_numerator_fixture_dimensions():

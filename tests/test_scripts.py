@@ -28,3 +28,16 @@ def test_script_main_exits_zero(script, argv, capsys):
     spec.loader.exec_module(module)
     assert module.main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_reach_names_a_command_line_that_exits_nonzero(monkeypatch, capsys):
+    """`scripts/reach.py` on two command lines, one a usage error: it exits 1
+    and names that line with its status."""
+    spec = importlib.util.spec_from_file_location("scripts_reach", SCRIPTS / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "COMMAND_LINES", ("candidates --max-degree 2", "verify -n 1"))
+    assert module.main([]) == 1
+    out = capsys.readouterr().out
+    assert "command line failed: exit 2: commsyz verify -n 1" in out
+    assert out.count("command line failed") == 1

@@ -163,6 +163,36 @@ def test_run_check_maps_failures_to_verdicts(ctx):
     assert ok.verdict == "PASS" and ok.detail == {"x": 1}
 
 
+def test_a_crash_is_not_a_verdict(ctx, tmp_path):
+    """An arithmetic error is the check's FAIL with its type and message;
+    anything else, MemoryError or a bug's TypeError, propagates out of the
+    suite with its traceback.  A missing fixture directory is PARTIAL,
+    with a reason that names it."""
+    def overflow(ctx, n):
+        raise OverflowError("exponent 300 exceeds order capacity 255")
+
+    def exhausted(ctx, n):
+        raise MemoryError
+
+    def bug(ctx, n):
+        return None + 1
+
+    def lost(ctx, n):
+        fixture_store.load_raw("n4_hilbert_numerator", ctx.fixture_dir)
+
+    (failed,) = run_suite(ctx, 2, [CheckDef("t", overflow)])
+    assert (failed.verdict, failed.detail) == (
+        "FAIL", {"error": "OverflowError: exponent 300 exceeds order capacity 255"}
+    )
+    with pytest.raises(MemoryError):
+        run_suite(ctx, 2, [CheckDef("t", exhausted)])
+    with pytest.raises(TypeError):
+        run_suite(ctx, 2, [CheckDef("t", bug)])
+    (partial,) = run_suite(DeskContext(fixture_dir=tmp_path / "absent"), 2, [CheckDef("t", lost)])
+    assert partial.verdict == "PARTIAL"
+    assert str(tmp_path / "absent") in partial.detail["reason"]
+
+
 @pytest.mark.parametrize(
     "name, n, spairs, d", [("presentation", 2, 3, 0), ("first-syzygies", 3, 60, 2)]
 )
