@@ -23,10 +23,9 @@ nothing, most of which reduce to zero without signatures.
 `Engine`, the Gebauer-Moeller loop, has one job: minimal-generator
 selection (`select`, for `verify.minimal_new_generators` and the first
 syzygies), which it did two to five times faster than a signature-loop
-prototype at n=3; `_settled` also runs its pair update over a reduced
-basis.  That update is one chain pass over a new element's pairs, so the
-queue is the only record of waiting pairs.  Ideals and free-module
-vectors alike run as packed term lists.
+prototype at n=3.  Its pair update, `_gm_update`, is one chain pass over
+a new element's pairs that reads leads alone; `_settled` runs it with no
+`Engine`.  Ideals and free-module vectors alike run as packed term lists.
 Pairs are processed in increasing lcm total degree with FIFO tie-breaking,
 so the loop works degree by degree: `run(d)` completes the basis through
 degree d, and `select` decides minimal generators against it (a candidate
@@ -279,32 +278,56 @@ class _PairLoop:
         return terms, rep
 
 
+def _gm_update(order, group, cp) -> list:
+    """The Gebauer-Moeller update for the new lead of `cp` among those of
+    `group`, which share its position: the pairs (g, cp) it keeps, as
+    (g.index, packed lcm).  It reads leads only, packed in the scalar
+    `order`: l2 divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
+
+    One chain pass in (lcm, coprime first, index) order keeps a pair only if
+    no lcm kept before it divides its own: a divisor of a packed lcm is
+    never a larger int, and among equal lcms the first stays.  A pair of
+    polynomial leads (no position bits) with disjoint supports is coprime:
+    it counts as kept for that test but is not returned.
+    """
+    lcm, borrow = order.lcm, order.low << _EXP_BITS
+    h, poly = cp.packed, not cp.lead_v >> order.total_bits
+    cand = sorted(
+        (lcm(g.packed, h), not poly or bool(g.support & cp.support), g.index) for g in group
+    )
+    kept, queued = [], []
+    for l, shared, gi in cand:
+        if all((l ^ l2 ^ (l - l2)) & borrow for l2 in kept):
+            kept.append(l)
+            if shared:
+                queued.append((gi, l))
+    return queued
+
+
 class Engine(_PairLoop):
     """The Gebauer-Moeller pair loop over monic packed elements, for
-    minimal-generator selection (`select`) and `_settled`'s pair update.
+    minimal-generator selection (`select`).
 
     The elements enter one `DegreeBucketReducers`; a module vector's keys
     carry position bits above the scalar order's (`ModuleOrder`), a
     polynomial's carry none.  An element pairs only with the elements whose
     leads share its position (`groups`), and runs the Gebauer-Moeller
-    update among them (`_criteria_pairs`), which only queues.  Every lcm,
-    divisibility and coprime test runs on the leads' packed exponents
-    (`MonomialOrder`), so the loop decodes no key.  Pairs of lcm degree past
-    `degree_bound` are dropped and counted as truncated.  The budget counts
-    reduced S-pairs.  After `run(d)` `complete` and `truncation_degree` say
-    whether degree d can be decided.
+    update among them (`_criteria_pairs`), which only queues and reads the
+    leads' packed exponents, so the loop decodes no key.  Pairs of lcm
+    degree past `degree_bound` are dropped and counted as truncated.  The
+    budget counts reduced S-pairs.  After `run(d)` `complete` and
+    `truncation_degree` say whether degree d can be decided.
     """
 
     def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None):
         super().__init__(ring, degree_bound, budget)
         self.groups: dict = {}  # lead position bits -> the elements whose leads sit there
-        self._pos_bits = ring.order.total_bits
 
     def add(self, terms):
         """Enter a nonzero element (descending packed terms), made monic."""
         terms, _ = self._monic(terms)
         cp = compile_terms(terms, self.ring, len(self.basis))
-        group = self.groups.setdefault(cp.lead_v >> self._pos_bits, [])
+        group = self.groups.setdefault(cp.lead_v >> self.ring.order.total_bits, [])
         self._criteria_pairs(cp, group)
         group.append(cp)
         self.basis.append(cp)
@@ -321,30 +344,8 @@ class Engine(_PairLoop):
         self.serial += 1
 
     def _criteria_pairs(self, cp: CompiledPoly, group: list):
-        """The Gebauer-Moeller update for a new lead h among `group`, the
-        elements whose leads share its position, on packed exponents: l2
-        divides l iff (l ^ l2 ^ (l - l2)) & borrow is 0.
-
-        One chain pass over the new pairs (g, h) in (lcm, coprime first,
-        index) order: a pair is kept only if no lcm kept before it divides
-        its own.  A divisor of a packed lcm is never a larger int, so no
-        later lcm divides an earlier one, and among equal lcms the first
-        stays.  A pair of polynomial leads (no position bits) with disjoint
-        supports is coprime: it counts as kept for that test, so it drops
-        every pair whose lcm its lcm divides, equal ones included, but it
-        is never queued.  The survivors are queued in descending index.
-        """
-        lcm, borrow = self.ring.order.lcm, self.ring.order.low << _EXP_BITS
-        h, poly = cp.packed, not cp.lead_v >> self._pos_bits
-        cand = sorted(
-            (lcm(g.packed, h), not poly or bool(g.support & cp.support), g.index) for g in group
-        )
-        kept, queued = [], []
-        for l, shared, gi in cand:
-            if all((l ^ l2 ^ (l - l2)) & borrow for l2 in kept):
-                kept.append(l)
-                if shared:
-                    queued.append((gi, l))
+        """Queue the pairs `_gm_update` keeps in descending index; count the rest as pruned."""
+        queued = _gm_update(self.ring.order, group, cp)
         self.stats.pairs_pruned += len(group) - len(queued)
         for gi, l in sorted(queued, reverse=True):
             self._push(gi, cp.index, l)
@@ -353,7 +354,7 @@ class Engine(_PairLoop):
         """Process the waiting pairs of lcm degree <= through (all of them
         when None), until the budget cuts the run."""
         heap, basis, stats = self.heap, self.basis, self.stats
-        fld, bits = self.ring.field, self._pos_bits
+        fld, bits = self.ring.field, self.ring.order.total_bits
         while heap and (through is None or heap[0][0] <= through):
             reason = self._spent()
             if reason:
@@ -658,14 +659,15 @@ def buchberger(
     degree_bound: process only pairs of lcm total degree <= bound, and
     return a basis flagged as truncated (correct through that degree)
     unless no pair was dropped, or the Gebauer-Moeller update over the
-    reduced basis queues none past the bound (`_settled`).  So whether a
-    run that dropped pairs is complete is read off the reduced basis alone,
-    whatever the order of `gens`.  A budget cut truncates the basis one
-    degree below the next pair; it is never settled, since generators of
-    that degree or above may not have entered.  A truncated basis holds
-    only its elements through the truncation degree: the loop's elements
-    above it, generators above a bound among them, are dropped once
-    `_settled` has read them.
+    minimal leads keeps none past the bound (`_settled`).  So whether a run
+    that dropped pairs is complete is read off the leads of the reduced
+    basis alone, whatever the order of `gens`.  A budget cut truncates the
+    basis one degree below the next pair; it is never settled, since
+    generators of that degree or above may not have entered.  A truncated
+    basis holds only its elements through the truncation degree: the loop's
+    elements above it, generators above a bound among them, are dropped
+    once `_settled` has read their leads, before `interreduce`, whose output
+    they cannot change: a kept tail term has its element's degree.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -676,30 +678,29 @@ def buchberger(
     stats, cut, truncation_degree = loop.stats, loop.exhausted, loop.truncation_degree
     elements = sorted(loop.basis, key=lambda g: g.lead_v)
     del loop  # its reducer store, signatures and queue
-    start = time.monotonic()
+    start, order = time.monotonic(), ring.order
     # the elements whose leads are not minimal are freed before
     # `interreduce` builds the reduced basis, which bounds peak memory
-    elements = _minimal(elements, ring.order)
-    polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
-    if truncation_degree is not None and not cut and _settled(polys, truncation_degree):
+    elements = _minimal(elements, order)
+    if truncation_degree is not None and not cut and _settled(elements, truncation_degree, order):
         truncation_degree = None
     if truncation_degree is not None:  # only once settled: the elements above decide it
-        polys = [g for g in polys if ring.order.degree(g.terms[0][0]) <= truncation_degree]
+        elements = [g for g in elements if g.lead_deg <= truncation_degree]
+    polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
     stats.seconds += time.monotonic() - start
     return GroebnerBasis(ring, polys, truncation_degree=truncation_degree, stats=stats)
 
 
-def _settled(polys, bound: int) -> bool:
-    """Whether the Gebauer-Moeller update, run over the reduced basis of a
-    run truncated at `bound`, queues no pair past the bound.  Every pair it
-    queues within the bound reduces to zero, since the basis is complete
-    through the bound, so the basis is then complete."""
-    engine = Engine(polys[0].ring, degree_bound=bound)
-    for g in polys:
-        engine.add(g.terms)
-        if engine.stats.pairs_truncated:
-            return False
-    return True
+def _settled(elements, bound: int, order) -> bool:
+    """Whether the Gebauer-Moeller update (`_gm_update`) over the leads of
+    the minimal compiled `elements`, sorted, of a run truncated at `bound`
+    keeps no pair past the bound.  Every pair it keeps within the bound
+    reduces to zero, since the basis is complete through the bound, so the
+    basis is then complete."""
+    return not any(
+        order.degree(order.key(l)) > bound
+        for k, cp in enumerate(elements) for _, l in _gm_update(order, elements[:k], cp)
+    )
 
 
 def interreduce(polys: Sequence[Polynomial]) -> list:

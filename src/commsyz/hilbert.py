@@ -169,9 +169,9 @@ class HilbertSeries:
     @property
     def dimension(self) -> int:
         """Krull dimension: nvars minus the numerator's order of vanishing
-        at t=1."""
+        at t=1; -1 for the zero series, the zero module's."""
         _, c = self.reduced()
-        return self.nvars - c
+        return self.nvars - c if any(self.numerator) else -1
 
     @property
     def multiplicity(self) -> int:

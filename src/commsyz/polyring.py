@@ -626,7 +626,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         raise ValueError("empty polynomial text")
     if s == "0":
         return ring.zero
-    pieces = re.findall(r"[+-]?[^+-]+", s)
+    pieces = re.findall(r"[+-]?(?:[^+-]|(?<=\^)[+-])+", s)  # a sign after ^ stays in its term
     if "".join(pieces) != s:
         raise ValueError(f"cannot tokenize polynomial text {text!r}")
     fld = ring.field
@@ -651,13 +651,10 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in the term {piece!r}") from None
                 continue
-            if "^" in factor:
-                base, _, expo = factor.partition("^")
-                e = int(expo)
-            else:
-                base, e = factor, 1
-            if e < 0:
-                raise ValueError("negative exponent")
+            base, caret, expo = factor.partition("^")
+            if caret and not (expo.isascii() and expo.isdigit()):
+                raise ValueError(f"bad exponent in the factor {factor!r} of {text!r}")
+            e = int(expo) if caret else 1
             if not _VAR_RE.match(base):
                 raise ValueError(f"bad variable token {base!r}")
             try:

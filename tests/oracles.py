@@ -29,7 +29,10 @@ homogeneous input before the signature loop, and `engine_basis` is the
 reduced basis it gives: the reference route for the signature loop.
 `engine_module` is one such run over vectors with its module basis, and
 `engine_meet` is the meet it gives, as `intersect_ideals` computed it
-before the signature loop took module runs.
+before the signature loop took module runs.  `settled_by_engine` is
+`buchberger`'s completeness test as it ran on a fresh `Engine` over the
+reduced basis: the reference for `groebner._settled`, which reads leads
+alone.
 `near_cap_binomials` is input data for both near the 8-bit cap, in three
 variables of n=2 (`spread`), and `n2_ring` builds the n=2 rings the tests
 run under grevlex, lex and a block elimination order.  `divide` and
@@ -562,6 +565,18 @@ def engine_basis(gens, bound=None) -> list:
     ring = gens[0].ring
     elements = sorted(engine_run(gens, bound).basis, key=lambda g: g.lead_v)
     return interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+
+
+def settled_by_engine(polys, bound) -> bool:
+    """Whether an `Engine` truncated at `bound`, entered with the reduced
+    basis `polys` in lead order, queues no pair past the bound: its
+    Gebauer-Moeller update only, with no pair reduced."""
+    engine = Engine(polys[0].ring, degree_bound=bound)
+    for g in polys:
+        engine.add(g.terms)
+        if engine.stats.pairs_truncated:
+            return False
+    return True
 
 
 def engine_module(vectors, bound=None):

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -509,6 +510,15 @@ def test_syzygy_check_names_a_zero_denominator(tmp_path, capsys):
     assert res["detail"] == {"error": "zero denominator in the term '1/0'"}
 
 
+def test_syzygy_check_names_a_bad_exponent(tmp_path, capsys):
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("x_1_1^-1;0\n0;0\n")
+    code, rep = run_json(["syzygy-check", "-n", "2", "--matrix", str(matrix)], capsys)
+    (res,) = rep["results"]
+    assert (code, res["verdict"]) == (1, "FAIL")
+    assert res["detail"] == {"error": "bad exponent in the factor 'x_1_1^-1' of 'x_1_1^-1'"}
+
+
 def test_syzygies_command(capsys):
     code, rep = run_json(["syzygies", "-n", "2"], capsys)
     assert code == 0
@@ -519,6 +529,18 @@ def test_syzygies_command(capsys):
     (res,) = rep["results"]
     assert (code, res["verdict"]) == (0, "PARTIAL")
     assert (res["detail"]["counts"], res["detail"]["truncation_degree"]) == ({}, 0)
+
+
+def test_every_console_script_target_is_a_callable():
+    """Every other test calls `main` in process, so a wrong
+    `[project.scripts]` target would fail none of them."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    scripts = project["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
 
 
 def test_console_script_roundtrip():

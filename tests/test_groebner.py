@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 
 from commsyz import groebner
 from commsyz.fields import GF, QQ
+from commsyz.genmat import build_system
 from commsyz.groebner import (
     Budget,
+    Engine,
     GroebnerBasis,
     IncompleteBasisError,
+    SignatureLoop,
     buchberger,
     colon_ideal,
     intersect_ideals,
     interreduce,
 )
-from commsyz.polyring import PolyRing
+from commsyz.polyring import PolyRing, Polynomial
 from commsyz.syzygy import module_buchberger, module_membership
 from commsyz.verify import DeskContext, minimal_new_generators
 
@@ -23,11 +26,13 @@ from oracles import (
     colon_by_element,
     colon_by_meets,
     count_monomials_outside,
+    criteria_pairs,
     engine_basis,
     engine_meet,
     ideal_component_dim,
     interreduce_against_others,
     n2_ring,
+    settled_by_engine,
     verify_basis,
 )
 
@@ -486,3 +491,95 @@ def test_truncated_n4_basis_does_not_depend_on_generator_order(ctx):
     assert len(first) == len(second) == 137
     assert first.truncation_degree == second.truncation_degree == 4
     assert first.elements == second.elements
+
+
+def _settled_both_ways(gens, bound):
+    """`_settled` on the minimal elements of a signature loop truncated at
+    `bound`, as `buchberger` hands them over, and `settled_by_engine` on
+    their reduced basis; elements above the bound are read by both.  The
+    update step by step on exponent tuples (`criteria_pairs`) shares no
+    code with the packed one and must agree too."""
+    ring = gens[0].ring
+    loop = SignatureLoop(ring, gens, degree_bound=bound)
+    loop.run()
+    elements = groebner._minimal(sorted(loop.basis, key=lambda g: g.lead_v), ring.order)
+    polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+    got = groebner._settled(elements, bound, ring.order)
+    assert got == settled_by_engine(polys, bound)
+    leads = [ring.order.decode(g.lead_v) for g in elements]
+    assert got == all(not criteria_pairs(leads[: k + 1], bound)[2] for k in range(len(leads)))
+    return got
+
+
+@pytest.mark.parametrize("ideal", ("I", "J"))
+def test_settled_matches_the_engine_update_at_n3(ctx, ideal):
+    system = ctx.system(3)
+    gens = list(system.minimal_gens if ideal == "I" else system.off_diagonal_gens)
+    got = [_settled_both_ways(gens, bound) for bound in range(2, 10)]
+    # I settles from bound 6 on, J only at 9
+    assert got == [bound >= (6 if ideal == "I" else 9) for bound in range(2, 10)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_settled_matches_the_engine_update_at_n4(ctx, seed):
+    gens = list(ctx.system(4).minimal_gens)
+    random.Random(seed).shuffle(gens)
+    assert not _settled_both_ways(gens, 4) and not _settled_both_ways(gens, 5)
+
+
+def test_settled_matches_the_engine_update_under_lex():
+    system = build_system(2, field=GF(32003), order="lex")
+    for gens, first in ((system.minimal_gens, 3), (system.off_diagonal_gens, 4)):
+        got = [_settled_both_ways(list(gens), bound) for bound in range(1, 7)]
+        assert got == [bound >= first for bound in range(1, 7)]
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+@pytest.mark.parametrize("field", (GF(101), QQ), ids=repr)
+def test_settled_matches_the_engine_update_on_random_ideals(field, order):
+    """Seeded forms of degree 1 to 3 under bounds 1 and 2, so generators
+    above the bound enter the loop and are read before they are dropped."""
+    verdicts = set()
+    for seed in range(12):
+        rng = random.Random(f"settled-{seed}")
+        gens = _random_forms(rng, n2_ring(field, order), rng.randint(2, 5), (1, 2, 3))
+        if gens:
+            verdicts.update(_settled_both_ways(gens, bound) for bound in (1, 2))
+    assert verdicts == {True, False}
+
+
+def test_a_bounded_basis_builds_no_engine(ctx, monkeypatch):
+    """`buchberger` settles a bounded basis from its leads: with `Engine`
+    barred it still returns the complete n=3 basis at bound 9 and the one
+    truncated at 4."""
+    gens = list(ctx.system(3).minimal_gens)
+    full = ctx.gb_commutator(3)
+
+    def barred(self, *args, **kwargs):
+        raise AssertionError("buchberger built an Engine")
+
+    monkeypatch.setattr(Engine, "__init__", barred)
+    settled = buchberger(gens, degree_bound=9)
+    assert settled.complete and settled.elements == full.elements
+    truncated = buchberger(gens, degree_bound=4)
+    assert truncated.truncation_degree == 4
+    assert truncated.elements == tuple(g for g in full if g.degree() <= 4)
+
+
+def test_no_element_above_the_truncation_degree_is_interreduced(ctx, monkeypatch):
+    """At n=3 under bound 1 every generator lies above the bound, so
+    `interreduce` gets nothing; the n=4 basis cut by a budget of 60 pairs
+    is truncated at 3 and `interreduce` gets nothing above degree 3."""
+    received = []
+
+    def spy(polys):
+        received.append([p.degree() for p in polys])
+        return interreduce(polys)
+
+    monkeypatch.setattr(groebner, "interreduce", spy)
+    gb = buchberger(list(ctx.system(3).minimal_gens), degree_bound=1)
+    assert (received, gb.truncation_degree, len(gb)) == ([[]], 1, 0)
+    received.clear()
+    gb = buchberger(list(ctx.system(4).minimal_gens), budget=Budget(max_spairs=60))
+    (degrees,) = received
+    assert gb.truncation_degree == 3 and degrees and max(degrees) == 3

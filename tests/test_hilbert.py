@@ -176,6 +176,16 @@ def test_hilbert_of_basis_refuses_partial_input(ctx):
         hilbert_of_basis(truncated)
 
 
+def test_the_zero_series_has_dimension_minus_one():
+    """The quotient by the unit ideal is the zero module: its series has the
+    empty numerator, and an all-zero numerator is the same series."""
+    from commsyz.groebner import buchberger
+
+    ring = PolyRing(2, QQ)
+    for series in (hilbert_of_basis(buchberger([ring.one])), HilbertSeries((0, 0, 0), 4)):
+        assert (series.dimension, series.multiplicity) == (-1, 0)
+
+
 # -- graded tables ----------------------------------------------------------------
 
 

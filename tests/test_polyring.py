@@ -152,6 +152,16 @@ def test_parse_examples():
             RQ.parse(text)
 
 
+@pytest.mark.parametrize(
+    "factor", ("x_1_1^-1", "x_1_1^", "x_1_1^+2", "x_1_1^\u00b2", "x_1_1^2^3", "x_1_1^1.5")
+)
+def test_parse_refuses_an_exponent_that_is_not_ascii_digits(factor):
+    text = f"y_1_1 - 2*{factor}"
+    want = f"bad exponent in the factor '{factor}' of '{text}'"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        RQ.parse(text)
+
+
 def test_parse_refuses_coefficients_with_no_image_mod_p():
     text = "1/7*x_1_1 + y_1_1"
     assert RQ.parse(text) == RQ.const("1/7") * RQ.x(1, 1) + RQ.y(1, 1)

@@ -44,11 +44,12 @@ tracked its fs as one vector, a change beside the loop they run.
 when every basis moved to the signature loop.  It had run the
 Gebauer-Moeller loop, which enters the generators unreduced: two of them
 share a lead, and `_minimal` dropped one, tail and all, leaving 7.  The
-signature loop top-reduces each generator entry, so the truncated basis
-holds all 8 (PARTIAL), the basis of `--degree-bound 2`.
+signature loop top-reduces each generator entry, so the loop holds all 8;
+all lie above the bound, so the truncated basis (PARTIAL) keeps none.
 `--degree-bound 9` truncates the signature loop, which drops pairs past
-degree 9, and `_settled` then finds that the reduced basis queues no pair
-past the bound, so the run reports the complete basis, the results of
+degree 9, and `_settled` then finds that the Gebauer-Moeller update over
+the minimal leads keeps no pair past the bound, so the run reports the
+complete basis, the results of
 `groebner -n 3 --ideal I`.
 The two `syzygy-check -n 2` runs read a matrix file: a syzygy with 1/32003
 entries and a non-syzygy with a 32003 entry.  They were recorded when the
