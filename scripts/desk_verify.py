@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="emit one JSON report per size")
     args = parser.parse_args(argv)
 
-    failed = False
+    status = 0
     for n in args.sizes:
         cfg = RunConfig(
             command="verify",
@@ -41,9 +41,8 @@ def main(argv=None) -> int:
         report = run_command(cfg)
         print(emit(report, "json" if args.json else "text"))
         print()
-        if any(r["verdict"] == "FAIL" for r in report.results):
-            failed = True
-    return 1 if failed else 0
+        status = max(status, report.exit_code())
+    return status
 
 
 if __name__ == "__main__":

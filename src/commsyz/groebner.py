@@ -47,7 +47,10 @@ tails in normal form, monic, sorted), which is unique for a given ideal and
 monomial order.  `intersect_ideals` takes the meet of two ideals from one
 signature loop over rank-2 vectors.  A colon ideal takes its quotient from
 one signature loop with its fs, which have one degree, tracked as one
-vector.
+vector.  Each finishes its basis once, from monic compiled elements:
+`_minimal` sorts them by lead and keeps the minimal ones, and `interreduce`
+reduces their tails against one reducer store and builds each polynomial
+from its lead and remainder, with no second compile or sort.
 """
 from __future__ import annotations
 
@@ -68,7 +71,6 @@ from .polyring import (
     compile_poly,
     compile_terms,
     decompile,
-    decompile_vector,
     normal_form,
     packed_lcm,
     sum_of_products,
@@ -634,16 +636,17 @@ class SignatureLoop(_PairLoop):
         return sum_of_products(parts, order.unit_v, self.ring.field.p)
 
     def quotient_generators(self) -> list:
-        """Position 0 of the relations, and the elements of untracked index,
-        as polynomials: with one tracked f or vector F, a Groebner basis of
-        (ideal : F) once the run is complete."""
-        ring, first = self.ring, self.untracked << self.bits
-        out = [decompile_vector(ring, self.morder.rank, u, self.morder)[0] for u in self.relations]
-        out += [
-            Polynomial(ring, ((g.lead_v, g.lc), *g.tail))
-            for g, sig in zip(self.basis, self.sigs)
-            if sig < first
+        """Position 0 of the relations, made monic and compiled, and the
+        compiled elements of untracked index: with one tracked f or vector
+        F, a Groebner basis of (ideal : F) once the run is complete.  With
+        one tracked generator the relations are rank-1 module terms, so
+        masking off their position bits keeps the terms in order."""
+        scalar, first = (1 << self.bits) - 1, self.untracked << self.bits
+        out = [
+            compile_terms(self._monic([(v & scalar, c) for v, c in u])[0], self.ring)
+            for u in self.relations
         ]
+        out += [g for g, sig in zip(self.basis, self.sigs) if sig < first]
         return out
 
 
@@ -676,7 +679,7 @@ def buchberger(
     loop = SignatureLoop(ring, gens, degree_bound=degree_bound, budget=budget)
     loop.run()
     stats, cut, truncation_degree = loop.stats, loop.exhausted, loop.truncation_degree
-    elements = sorted(loop.basis, key=lambda g: g.lead_v)
+    elements = loop.basis
     del loop  # its reducer store, signatures and queue
     start, order = time.monotonic(), ring.order
     # the elements whose leads are not minimal are freed before
@@ -686,7 +689,7 @@ def buchberger(
         truncation_degree = None
     if truncation_degree is not None:  # only once settled: the elements above decide it
         elements = [g for g in elements if g.lead_deg <= truncation_degree]
-    polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+    polys = interreduce(ring, elements)
     stats.seconds += time.monotonic() - start
     return GroebnerBasis(ring, polys, truncation_degree=truncation_degree, stats=stats)
 
@@ -703,41 +706,37 @@ def _settled(elements, bound: int, order) -> bool:
     )
 
 
-def interreduce(polys: Sequence[Polynomial]) -> list:
-    """Minimal, tail-reduced, monic, sorted form of a generating set.
+def interreduce(ring: PolyRing, elements) -> list:
+    """Each of the monic compiled `elements`, sorted by lead and minimal as
+    `_minimal` returns them, with its tail in normal form, as polynomials in
+    lead order: the reduced basis, when they are the minimal elements of a
+    Groebner basis.
 
-    Applied to a Groebner basis this yields the reduced basis.  Applied to a
-    list that is not a Groebner basis in the ring's order it may lose part
-    of the ideal: a member whose lead another lead divides is dropped with
-    its tail, which the others need not generate.
-
-    Each element is compiled once, and the kept ones go into one reducer
-    set shared by all tails.  That set also holds the element whose tail is
-    being reduced, and the result is still the same as against the others
-    alone: a lead divides only monomials at or above itself, so no element
-    ever matches a term of its own tail, and among the others find picks
-    the same reducer, the first by lead degree and then insertion.
+    The elements go into one reducer set shared by all tails.  That set also holds the element whose tail is being reduced,
+    and the result is still the same as against the others alone: a lead
+    divides only monomials at or above itself, so no element ever matches a
+    term of its own tail, and among the others find picks the same reducer,
+    the first by lead degree and then insertion.  A tail lies below its
+    lead and a reduction step adds only terms below the one it removes, so
+    the remainder follows the lead in descending order.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    ring = polys[0].ring
-    kept = _minimal(sorted((compile_poly(p) for p in polys), key=lambda g: g.lead_v), ring.order)
-    # tail-reduce each against the shared set; the leads stay sorted
-    reducers = DegreeBucketReducers(ring.order, kept)
-    out = []
-    for cp in kept:
-        rem = normal_form(cp.tail, reducers, ring.field)
-        out.append(decompile(ring, [(cp.lead_v, cp.lc)] + rem).monic())
-    return out
+    reducers, fld = DegreeBucketReducers(ring.order, elements), ring.field
+    return [
+        Polynomial(ring, ((g.lead_v, g.lc), *normal_form(g.tail, reducers, fld)))
+        for g in elements
+    ]
 
 
 def _minimal(elements, order) -> list:
-    """The compiled elements, sorted by lead, whose lead no kept lead
-    divides: the leads of the reduced basis, when `elements` is a basis."""
+    """The compiled `elements`, sorted by lead, whose lead no kept lead
+    divides (of equal leads the first stays): the leads of the reduced
+    basis, when `elements` is a basis.  Applied to a list that is not a
+    Groebner basis it may lose part of the ideal: a member whose lead
+    another lead divides is dropped with its tail, which the others need
+    not generate."""
     borrow = order.low << _EXP_BITS
     kept, leads = [], []
-    for g in elements:
+    for g in sorted(elements, key=lambda g: g.lead_v):
         e = g.packed
         if all((e ^ a ^ (e - a)) & borrow for a in leads):
             kept.append(g)
@@ -768,12 +767,14 @@ def intersect_ideals(
     loop = SignatureLoop(ring, vectors, budget=budget)
     loop.run()
     require(loop, refusal=f"intersection needs a complete module basis ({loop.exhausted})")
-    morder = ModuleOrder(ring.order, 2)
-    return interreduce([
-        decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), morder)[1]
+    morder, scalar = ModuleOrder(ring.order, 2), (1 << ring.order.total_bits) - 1
+    # position 1 is the last, so an element led there has every term there
+    meet = [
+        compile_terms([(v & scalar, c) for v, c in ((g.lead_v, g.lc), *g.tail)], ring)
         for g in loop.basis
         if morder.decode(g.lead_v)[0] == 1
-    ])
+    ]
+    return interreduce(ring, _minimal(meet, ring.order))
 
 
 def colon_ideal(
@@ -805,4 +806,5 @@ def colon_ideal(
     loop = SignatureLoop(ring, gens, budget=budget, tracked=[tuple(fs)])
     loop.run()
     require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
-    return GroebnerBasis(ring, interreduce(loop.quotient_generators()), stats=loop.stats)
+    elements = _minimal(loop.quotient_generators(), ring.order)
+    return GroebnerBasis(ring, interreduce(ring, elements), stats=loop.stats)

@@ -31,18 +31,6 @@ def _trim(a: list) -> list:
     return a
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
 def _poly_sub(a: Sequence[int], b: Sequence[int]) -> list:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for j, y in enumerate(b):
@@ -114,14 +102,14 @@ def monomial_quotient_numerator(leads, order) -> list:
         if len(mixed) <= 1:
             out = [1]
             for g in pures:
-                out = _poly_mul(out, [1] + [0] * (_degree(g) - 1) + [-1])
+                out = _poly_sub(out, _poly_shift(out, _degree(g)))  # times 1 - t^deg g
             if mixed:
                 m = mixed[0]
                 colon = [1]
                 for g in pures:
                     b = support(g)
                     d = g // b - (m // b & _EXP_CAP)  # positive: m is not a multiple of g
-                    colon = _poly_mul(colon, [1] + [0] * (d - 1) + [-1])
+                    colon = _poly_sub(colon, _poly_shift(colon, d))
                 out = _poly_sub(out, _poly_shift(colon, _degree(m)))
             memo[mons] = result = tuple(out)
             return result

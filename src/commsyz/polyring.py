@@ -464,11 +464,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lc(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
     def exponent_terms(self) -> list:
         """(exponent tuple, coeff) pairs, leading term first."""
         dec = self.ring.order.decode
@@ -554,11 +549,6 @@ class Polynomial:
             return self.ring.zero
         mul = self.ring.field.mul
         return Polynomial(self.ring, tuple((v, mul(cc, c)) for v, cc in self.terms))
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.lc()))
 
     # -- comparisons / hashing ------------------------------------------------
 

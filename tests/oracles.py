@@ -45,7 +45,10 @@ expression by the direct route, the full matrix A = `eval_expr` and one
 `dot` of its entries with the f_k: the reference for `trace_residuals`,
 which never forms A.  `evaluate` and `hilbert_function` are the
 point evaluation and the Hilbert function of a numerator, which only tests
-ask for.
+ask for.  `reduced` is the library's finish (`_minimal`, then
+`interreduce`) over polynomials, which it makes monic (`monic`) and
+compiles, and `as_polynomials` wraps compiled elements as polynomials:
+the finish itself takes compiled elements only.
 """
 
 import random
@@ -53,7 +56,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from commsyz.fields import GF
-from commsyz.groebner import Engine, interreduce
+from commsyz.groebner import Engine, _minimal, interreduce
 from commsyz.polyring import (
     BlockElimination,
     DegreeBucketReducers,
@@ -342,6 +345,26 @@ def naive_division(f: dict, divisors: list, key, field, cap=None):
     return rem, quotients
 
 
+def monic(f):
+    """f divided by its lead coefficient."""
+    return f.scale(f.ring.field.inv(f.terms[0][1]))
+
+
+def reduced(polys) -> list:
+    """The library's finish over polynomials: each nonzero one made monic
+    and compiled, then `_minimal` and `interreduce`."""
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    return interreduce(ring, _minimal([compile_poly(monic(p)) for p in polys], ring.order))
+
+
+def as_polynomials(ring, elements) -> list:
+    """Compiled elements as polynomials, term for term."""
+    return [Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements]
+
+
 def interreduce_against_others(polys) -> list:
     """Reference interreduction: drop every element whose lead another kept
     lead divides, then reduce each kept element against the others alone."""
@@ -436,7 +459,7 @@ def colon_by_meets(gens, fs) -> list:
     result = colon_by_element(gens, fs[0])
     for f in fs[1:]:
         result = engine_meet(result, colon_by_element(gens, f))
-    return interreduce(result)
+    return reduced(result)
 
 
 def criteria_pairs(leads: list, degree_bound=None):
@@ -563,8 +586,7 @@ def engine_run(gens, bound=None) -> Engine:
 def engine_basis(gens, bound=None) -> list:
     """The reduced basis of an `engine_run`, as `buchberger` returns it."""
     ring = gens[0].ring
-    elements = sorted(engine_run(gens, bound).basis, key=lambda g: g.lead_v)
-    return interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+    return interreduce(ring, _minimal(engine_run(gens, bound).basis, ring.order))
 
 
 def settled_by_engine(polys, bound) -> bool:
@@ -598,7 +620,7 @@ def engine_meet(gens_a, gens_b) -> list:
     ring = gens_a[0].ring
     vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
     engine, basis = engine_module(vectors)
-    return interreduce([
+    return reduced([
         decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), basis.morder)[1]
         for g in engine.basis
         if basis.morder.decode(g.lead_v)[0] == 1

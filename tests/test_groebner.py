@@ -18,7 +18,7 @@ from commsyz.groebner import (
     intersect_ideals,
     interreduce,
 )
-from commsyz.polyring import PolyRing, Polynomial
+from commsyz.polyring import PolyRing
 from commsyz.syzygy import module_buchberger, module_membership
 from commsyz.verify import DeskContext, minimal_new_generators
 
@@ -31,7 +31,9 @@ from oracles import (
     engine_meet,
     ideal_component_dim,
     interreduce_against_others,
+    monic,
     n2_ring,
+    reduced,
     settled_by_engine,
     verify_basis,
 )
@@ -54,7 +56,7 @@ def test_principal_ideal_basis_is_the_monic_generator():
     """Inhomogeneous, so on the Gebauer-Moeller reference route."""
     f = R.x(1, 1) * R.x(1, 1) - R.y(2, 2).scale(R.field.coerce(3))
     gb = GroebnerBasis(R, engine_basis([f, f + f]))
-    assert gb.elements == (f.monic(),)
+    assert gb.elements == (monic(f),)
     assert verify_basis(gb, [f])[0]
 
 
@@ -187,7 +189,7 @@ def test_a_generator_above_the_bound_decides_completeness_before_it_is_dropped()
 def test_interreduce_drops_redundant_generators():
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)
-    out = interreduce([a, a * a, a * b + b * b, b * b])
+    out = reduced([a, a * a, a * b + b * b, b * b])
     assert {str(g) for g in out} == {"x_1_1", "y_1_1^2"}
 
 
@@ -196,7 +198,7 @@ def test_intersection_of_principal_ideals_is_lcm():
     a, b = ring.x(1, 1), ring.y(1, 1)
     meet = intersect_ideals([a * b], [b * b])
     assert len(meet) == 1
-    assert meet[0].monic() == (a * b * b).monic()
+    assert meet[0] == monic(a * b * b)
 
 
 def _random_forms(rng, ring, count, degrees):
@@ -258,7 +260,7 @@ def test_an_inhomogeneous_meet_is_answered():
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)
     f, g = a * b - 1, a - b * b
-    assert engine_meet([f], [g]) == [(f * g).monic()]
+    assert engine_meet([f], [g]) == [monic(f * g)]
     A, B = [a * a - b, a * b], [b * b - a, a - 1]
     meet = engine_meet(A, B)
     assert meet
@@ -434,7 +436,7 @@ def test_colon_generators_are_the_reduced_basis(order):
     assert list(buchberger(gens).elements) == list(gens)
     system = ctx.system(3)
     meet = intersect_ideals(system.off_diagonal_gens, [system.f(1)])
-    assert len(meet) > 1 and interreduce(meet) == meet
+    assert len(meet) > 1 and reduced(meet) == meet
     if order == "lex":
         grevlex = DeskContext().colon_generators(3)
         relex = [gens.ring.poly(g.exponent_terms()) for g in grevlex]
@@ -473,7 +475,7 @@ def test_interreduce_matches_reduction_against_the_others(field, order, front):
         gens += [poly_with_lead(lead(g.terms[0][0]), 4) for g in gens[:2]]  # repeated leads
         gens.append(ring.zero)
         rng.shuffle(gens)
-        got = interreduce(gens)
+        got = reduced(gens)
         assert repr([p.terms for p in got]) == repr(
             [p.terms for p in interreduce_against_others(gens)]
         )
@@ -502,8 +504,8 @@ def _settled_both_ways(gens, bound):
     ring = gens[0].ring
     loop = SignatureLoop(ring, gens, degree_bound=bound)
     loop.run()
-    elements = groebner._minimal(sorted(loop.basis, key=lambda g: g.lead_v), ring.order)
-    polys = interreduce([Polynomial(ring, ((g.lead_v, g.lc), *g.tail)) for g in elements])
+    elements = groebner._minimal(loop.basis, ring.order)
+    polys = interreduce(ring, elements)
     got = groebner._settled(elements, bound, ring.order)
     assert got == settled_by_engine(polys, bound)
     leads = [ring.order.decode(g.lead_v) for g in elements]
@@ -572,9 +574,9 @@ def test_no_element_above_the_truncation_degree_is_interreduced(ctx, monkeypatch
     is truncated at 3 and `interreduce` gets nothing above degree 3."""
     received = []
 
-    def spy(polys):
-        received.append([p.degree() for p in polys])
-        return interreduce(polys)
+    def spy(ring, elements):
+        received.append([g.lead_deg for g in elements])
+        return interreduce(ring, elements)
 
     monkeypatch.setattr(groebner, "interreduce", spy)
     gb = buchberger(list(ctx.system(3).minimal_gens), degree_bound=1)
@@ -583,3 +585,30 @@ def test_no_element_above_the_truncation_degree_is_interreduced(ctx, monkeypatch
     gb = buchberger(list(ctx.system(4).minimal_gens), budget=Budget(max_spairs=60))
     (degrees,) = received
     assert gb.truncation_degree == 3 and degrees and max(degrees) == 3
+
+
+def test_the_finish_makes_no_polynomial_round_trip(ctx, monkeypatch):
+    """`buchberger` and `colon_ideal` finish from the loop's compiled
+    elements: with `compile_poly` and `decompile` barred in `groebner` they
+    return what they return unbarred, for I and J at n=3, I at n=4 under
+    bound 4 and the colon J : I at n=3."""
+    system3, gens4 = ctx.system(3), list(ctx.system(4).minimal_gens)
+    diag = [system3.f(k) for k in system3.diagonal_indices[:-1]]
+    runs = {
+        "I3": lambda: buchberger(list(system3.minimal_gens)),
+        "J3": lambda: buchberger(list(system3.off_diagonal_gens)),
+        "I4": lambda: buchberger(gens4, degree_bound=4),
+        "J3:I3": lambda: colon_ideal(list(system3.off_diagonal_gens), diag),
+    }
+    unbarred = {name: run() for name, run in runs.items()}
+
+    def barred(*args, **kwargs):
+        raise AssertionError("the finish made a polynomial round trip")
+
+    monkeypatch.setattr(groebner, "compile_poly", barred)
+    monkeypatch.setattr(groebner, "decompile", barred)
+    for name, run in runs.items():
+        got, want = run(), unbarred[name]
+        assert got.elements == want.elements and got.truncation_degree == want.truncation_degree
+    assert unbarred["I3"].elements == ctx.gb_commutator(3).elements
+    assert unbarred["J3:I3"].elements == ctx.colon_generators(3).elements

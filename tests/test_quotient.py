@@ -25,11 +25,11 @@ import pytest
 from commsyz.conjecture import colon_bidegrees
 from commsyz.fields import GF, QQ
 from commsyz.fixtures import load_betti_table
-from commsyz.groebner import Budget, IncompleteBasisError, SignatureLoop, colon_ideal, interreduce
+from commsyz.groebner import Budget, IncompleteBasisError, SignatureLoop, colon_ideal
 from commsyz.polyring import PolyRing
 from commsyz.verify import DeskContext, minimal_new_generators
 
-from oracles import colon_by_meets, near_cap_binomials, spread
+from oracles import as_polynomials, colon_by_meets, near_cap_binomials, reduced, spread
 
 FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
 VECTOR_FIELDS = {"gf7": GF(7), "gf101": GF(101), "gf32003": GF(32003), "qq": QQ}
@@ -130,8 +130,8 @@ def test_the_quotient_generators_form_a_groebner_basis_of_the_colon(ctx):
     loop = SignatureLoop(system.ring, base, tracked=[f])
     loop.run()
     assert loop.complete and 0 < len(loop.relations) <= loop.stats.zero_reductions
-    gens = loop.quotient_generators()
-    assert interreduce(gens) == colon_by_meets(base, [f])
+    gens = as_polynomials(system.ring, loop.quotient_generators())
+    assert reduced(gens) == colon_by_meets(base, [f])
     basis = ctx.gb_off_diagonal(3)
     recorded = gens[: len(loop.relations)]
     assert recorded and all(basis.contains(u * f) for u in recorded)
@@ -230,7 +230,7 @@ def test_n4_quotient_through_degree_4_adds_the_predicted_generators(ctx):
     loop = SignatureLoop(system.ring, base, degree_bound=6, tracked=[diag])
     loop.run()
     assert loop.truncation_degree == 6
-    low = [g for g in loop.quotient_generators() if g.degree() <= 4]
+    low = [g for g in as_polynomials(system.ring, loop.quotient_generators()) if g.degree() <= 4]
     new = minimal_new_generators(base, low)
     bidegrees = sorted(g.bidegree() for g in new)
     assert bidegrees == [(1, 3), (2, 2), (3, 1)]
