@@ -50,6 +50,7 @@ COMMAND_LINES = (
     "commutator -n 2 --field q",
     "candidates --max-degree 3",
     "groebner -n 3 --degree-bound 4",
+    "groebner -n 4 --degree-bound 5",
     "groebner -n 2 --ideal J --json",
     "colon -n 3",
     "syzygies -n 3",
@@ -70,6 +71,7 @@ EXEMPT = {
     "BlockElimination": "held only by the tracer, which wraps its encode (perfbench/tracer.py)",
     "eval_expr": "held only by the tracer, which wraps it (perfbench/tracer.py)",
     "is_trace_syzygy": "held only by the tracer, which wraps it (perfbench/tracer.py)",
+    "compile_poly": "held only by the tracer, which wraps it (perfbench/tracer.py)",
     "check_product": "a cap guard: runs only past 255 in a packed exponent",
     "packed_lcm": "a cap guard: runs only past 255 in a packed exponent",
     "MonomialOrder.encode": "a fallback: every order the program builds overrides it",

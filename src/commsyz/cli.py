@@ -92,6 +92,7 @@ class RunConfig:
             order=self.order,
             budget=self.budget(),
             fixture_dir=self.fixtures,
+            degree_bound=self.degree_bound,
         )
 
     def as_dict(self) -> dict:
@@ -161,7 +162,7 @@ def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
     system = ctx.system(n)
     which = cfg.extras["ideal"]
     gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
-    basis = buchberger(gens, budget=ctx.budget, degree_bound=cfg.degree_bound)
+    basis = buchberger(gens, budget=ctx.budget, degree_bound=ctx.degree_bound)
     degree = basis.ring.order.degree
     degs = Counter(degree(g.terms[0][0]) for g in basis)
     detail = {
@@ -193,7 +194,7 @@ def _colon(cfg: RunConfig, ctx: DeskContext, n: int):
 
 
 def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
-    fs = ctx.first_syzygies(n, cfg.degree_bound)
+    fs = ctx.first_syzygies(n, ctx.degree_bound)
     words = []
     if n <= 4:
         exprs = word_candidates(WORD_DEGREE)

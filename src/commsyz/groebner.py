@@ -49,8 +49,9 @@ signature loop over rank-2 vectors.  A colon ideal takes its quotient from
 one signature loop with its fs, which have one degree, tracked as one
 vector.  Each finishes its basis once, from monic compiled elements:
 `_minimal` sorts them by lead and keeps the minimal ones, and `interreduce`
-reduces their tails against one reducer store and builds each polynomial
-from its lead and remainder, with no second compile or sort.
+takes them in ascending lead order, reduces each tail against the elements
+already reduced and files the reduced element, compiled once, in the store
+the `GroebnerBasis` answers from.  No basis compiles or sorts anything else.
 """
 from __future__ import annotations
 
@@ -68,9 +69,7 @@ from .polyring import (
     PolyRing,
     Polynomial,
     check_product,
-    compile_poly,
     compile_terms,
-    decompile,
     normal_form,
     packed_lcm,
     sum_of_products,
@@ -140,7 +139,9 @@ class GBStats:
 
 
 class GroebnerBasis:
-    """A complete or truncated Groebner basis with cached reducers.
+    """A complete or truncated reduced Groebner basis, as `interreduce`
+    finishes it: its polynomials in lead order and the reducer store it
+    filled with them, which answers `reduce` and `contains`.
 
     truncation_degree=None: the full reduced basis (`complete`).  Otherwise
     truncation_degree=d: its elements are those of the reduced basis of
@@ -153,15 +154,16 @@ class GroebnerBasis:
         self,
         ring: PolyRing,
         elements: Sequence[Polynomial],
+        reducers: DegreeBucketReducers,
         *,
         truncation_degree: Optional[int] = None,
         stats: Optional[GBStats] = None,
     ):
         self.ring = ring
         self.elements = tuple(elements)
+        self.reducers = reducers
         self.truncation_degree = truncation_degree
         self.stats = stats or GBStats()
-        self._reducers = None
 
     def __len__(self):
         return len(self.elements)
@@ -173,20 +175,13 @@ class GroebnerBasis:
     def complete(self) -> bool:
         return self.truncation_degree is None
 
-    @property
-    def reducers(self) -> DegreeBucketReducers:
-        if self._reducers is None:
-            self._reducers = DegreeBucketReducers(
-                self.ring.order, (compile_poly(g, i) for i, g in enumerate(self.elements))
-            )
-        return self._reducers
-
     def reduce(self, f: Polynomial) -> Polynomial:
-        """Normal form of f against this basis (no completeness requirement)."""
+        """Normal form of f against this basis (no completeness requirement),
+        built from the remainder, which is already in descending order."""
         self.ring.check(f)
         if f.is_zero() or not self.elements:
             return f
-        return decompile(f.ring, normal_form(f.terms, self.reducers, self.ring.field))
+        return Polynomial(f.ring, tuple(normal_form(f.terms, self.reducers, self.ring.field)))
 
     def contains(self, f: Polynomial) -> bool:
         """Ideal membership.  Needs a complete basis, or a truncated one that
@@ -689,9 +684,9 @@ def buchberger(
         truncation_degree = None
     if truncation_degree is not None:  # only once settled: the elements above decide it
         elements = [g for g in elements if g.lead_deg <= truncation_degree]
-    polys = interreduce(ring, elements)
+    basis = interreduce(ring, elements, truncation_degree=truncation_degree, stats=stats)
     stats.seconds += time.monotonic() - start
-    return GroebnerBasis(ring, polys, truncation_degree=truncation_degree, stats=stats)
+    return basis
 
 
 def _settled(elements, bound: int, order) -> bool:
@@ -706,25 +701,26 @@ def _settled(elements, bound: int, order) -> bool:
     )
 
 
-def interreduce(ring: PolyRing, elements) -> list:
-    """Each of the monic compiled `elements`, sorted by lead and minimal as
-    `_minimal` returns them, with its tail in normal form, as polynomials in
-    lead order: the reduced basis, when they are the minimal elements of a
-    Groebner basis.
+def interreduce(ring: PolyRing, elements, *, truncation_degree=None, stats=None) -> GroebnerBasis:
+    """The monic compiled `elements`, sorted by lead and minimal as
+    `_minimal` returns them, each with its tail in normal form, as a
+    `GroebnerBasis` with the given truncation degree and stats: the reduced
+    basis, when they are the minimal elements of a Groebner basis.
 
-    The elements go into one reducer set shared by all tails.  That set also holds the element whose tail is being reduced,
-    and the result is still the same as against the others alone: a lead
-    divides only monomials at or above itself, so no element ever matches a
-    term of its own tail, and among the others find picks the same reducer,
-    the first by lead degree and then insertion.  A tail lies below its
-    lead and a reduction step adds only terms below the one it removes, so
-    the remainder follows the lead in descending order.
+    The elements are taken in ascending lead order, and each tail is reduced
+    against the elements already reduced, which one store holds: a tail term
+    lies below its lead, and a lead that divides it is no larger than it, so
+    every element that could reduce it comes earlier and is already filed.
+    A reduction step adds only terms below the one it removes, so the
+    remainder follows the lead in descending order; the reduced element is
+    compiled once and filed in the store the basis answers from.
     """
-    reducers, fld = DegreeBucketReducers(ring.order, elements), ring.field
-    return [
-        Polynomial(ring, ((g.lead_v, g.lc), *normal_form(g.tail, reducers, fld)))
-        for g in elements
-    ]
+    reducers, fld, polys = DegreeBucketReducers(ring.order), ring.field, []
+    for g in elements:
+        terms = ((g.lead_v, g.lc), *normal_form(g.tail, reducers, fld))
+        reducers.add(compile_terms(terms, ring))
+        polys.append(Polynomial(ring, terms))
+    return GroebnerBasis(ring, polys, reducers, truncation_degree=truncation_degree, stats=stats)
 
 
 def _minimal(elements, order) -> list:
@@ -774,7 +770,7 @@ def intersect_ideals(
         for g in loop.basis
         if morder.decode(g.lead_v)[0] == 1
     ]
-    return interreduce(ring, _minimal(meet, ring.order))
+    return list(interreduce(ring, _minimal(meet, ring.order)))
 
 
 def colon_ideal(
@@ -807,4 +803,4 @@ def colon_ideal(
     loop.run()
     require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
     elements = _minimal(loop.quotient_generators(), ring.order)
-    return GroebnerBasis(ring, interreduce(ring, elements), stats=loop.stats)
+    return interreduce(ring, elements, stats=loop.stats)

@@ -85,16 +85,12 @@ def monomial_quotient_numerator(leads, order) -> list:
     bit from each lead that holds it.
     """
     support = order.support
-    memo: dict = {}
 
-    def rec(mons: tuple) -> tuple:
+    def rec(mons: tuple) -> list:
         if not mons:
-            return (1,)
-        cached = memo.get(mons)
-        if cached is not None:
-            return cached
+            return [1]
         if mons[0] == 0:
-            return ()  # the ideal contains 1
+            return []  # the ideal contains 1
         pures, mixed = [], []
         for e in mons:
             s = support(e)
@@ -111,8 +107,7 @@ def monomial_quotient_numerator(leads, order) -> list:
                     d = g // b - (m // b & _EXP_CAP)  # positive: m is not a multiple of g
                     colon = _poly_sub(colon, _poly_shift(colon, d))
                 out = _poly_sub(out, _poly_shift(colon, _degree(m)))
-            memo[mons] = result = tuple(out)
-            return result
+            return out
         freq: dict = {}
         for e in mixed:
             s = support(e)
@@ -125,11 +120,9 @@ def monomial_quotient_numerator(leads, order) -> list:
         # S/(I) splits along x_pivot: K(I) = K(I + (x_pivot)) + t*K(I : x_pivot)
         plus = minimal_monomials([e for e in mons if not e & byte] + [pivot], order)
         colon = minimal_monomials([e - pivot if e & byte else e for e in mons], order)
-        out = _poly_sub(list(rec(plus)), _poly_shift([-c for c in rec(colon)], 1))
-        memo[mons] = result = tuple(out)
-        return result
+        return _poly_sub(rec(plus), _poly_shift([-c for c in rec(colon)], 1))
 
-    return list(rec(minimal_monomials(leads, order)))
+    return rec(minimal_monomials(leads, order))
 
 
 @dataclass(frozen=True)

@@ -269,12 +269,14 @@ def vector_terms(vec: Sequence["Polynomial"], morder: ModuleOrder) -> list:
 
 
 def decompile_vector(ring: "PolyRing", rank: int, terms, morder: ModuleOrder):
-    """The rank-length tuple of polynomials whose module terms are `terms`."""
+    """The rank-length tuple of polynomials whose module terms are `terms`,
+    descending with distinct keys and no zero coefficient: each position's
+    terms then follow one another in descending order."""
     buckets = [[] for _ in range(rank)]
     for v, c in terms:
         pos, sv = morder.decode(v)
         buckets[pos].append((sv, c))
-    return tuple(decompile(ring, b) for b in buckets)
+    return tuple(Polynomial(ring, tuple(b)) for b in buckets)
 
 
 def make_order(spec, nvars: int) -> MonomialOrder:

@@ -5,7 +5,7 @@ by matrix size n.  `run_suite` is the one planner, for the suite and for each
 CLI subcommand, which runs as a suite of one check: a check runs where it
 applies and is omitted where it says nothing about n.  The one desk limit
 rule reports a check SKIPPED when it does Groebner-scale work at n past
-DESK_LIMIT and either does not apply there or has no budget to bound it.
+DESK_LIMIT and either does not apply there or has no budget or degree bound.
 All verdicts are deterministic; wall-clock timing is reported separately so
 two runs with the same configuration produce identical result payloads.
 """
@@ -73,7 +73,7 @@ from commsyz.words import candidates as word_candidates
 VERDICTS = ("PASS", "FAIL", "PARTIAL", "SKIPPED")
 
 #: Largest n whose Groebner-sized computations are desk-scale.  Beyond this,
-#: a check that needs a basis, a colon ideal or a syzygy run needs a budget.
+#: a basis, a colon ideal or a syzygy run needs a budget or a degree bound.
 DESK_LIMIT = 3
 
 #: Degree of the fixed trace-form candidate set behind every word verdict.
@@ -96,7 +96,9 @@ class CheckResult:
 
 class DeskContext:
     """Lazy cache of the expensive shared objects (systems, bases, colon
-    ideals, syzygy runs)."""
+    ideals, syzygy runs).  `budget` caps every engine run it builds;
+    `degree_bound` truncates the one run of a `groebner` or `syzygies`
+    subcommand, which reads it, and the cached objects do not."""
 
     def __init__(
         self,
@@ -104,10 +106,12 @@ class DeskContext:
         order: str = "grevlex",
         budget: Optional[Budget] = None,
         fixture_dir=None,
+        degree_bound: Optional[int] = None,
     ):
         self.field = GF(32003) if field is None else field
         self.order = order
         self.budget = budget
+        self.degree_bound = degree_bound
         self.fixture_dir = fixture_dir
         self._cache: dict = {}
 
@@ -650,14 +654,16 @@ def run_check(check: CheckDef, ctx: DeskContext, n: int) -> CheckResult:
 def run_suite(ctx: DeskContext, n: int, checks=CHECKS) -> list:
     """The checks that apply to matrix size n, in order.  The one desk limit
     rule: past DESK_LIMIT a check with Groebner-scale work is SKIPPED where
-    it does not apply, or where it does and no `ctx.budget` bounds it."""
+    it does not apply, or where it does and `ctx` has no budget or degree bound."""
+    bounded = ctx.budget is not None or ctx.degree_bound is not None
     results = []
     for check in checks:
         applies = check.applies(n)
-        if check.what and n > DESK_LIMIT and not (applies and ctx.budget is not None):
+        if check.what and n > DESK_LIMIT and not (applies and bounded):
             reason = _SKIP_GB if not applies else (
                 f"{check.what} at n={n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
-                "pass --budget-seconds or --budget-spairs to attempt a run truncated by the budget"
+                "pass --budget-seconds or --budget-spairs, or --degree-bound where the "
+                "command takes it, to attempt a truncated run"
             )
             results.append(CheckResult(check.name, "SKIPPED", {"reason": reason}, 0.0))
         elif applies:

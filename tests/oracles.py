@@ -45,10 +45,12 @@ expression by the direct route, the full matrix A = `eval_expr` and one
 `dot` of its entries with the f_k: the reference for `trace_residuals`,
 which never forms A.  `evaluate` and `hilbert_function` are the
 point evaluation and the Hilbert function of a numerator, which only tests
-ask for.  `reduced` is the library's finish (`_minimal`, then
-`interreduce`) over polynomials, which it makes monic (`monic`) and
-compiles, and `as_polynomials` wraps compiled elements as polynomials:
-the finish itself takes compiled elements only.
+ask for.  `finished` is the library's finish (`_minimal`, then
+`interreduce`) over compiled elements, the one way a test builds a
+`GroebnerBasis` of its own; `reduced` is that finish over polynomials,
+which it makes monic (`monic`) and compiles, and `as_polynomials` wraps
+compiled elements as polynomials: the finish itself takes compiled
+elements only.
 """
 
 import random
@@ -350,14 +352,16 @@ def monic(f):
     return f.scale(f.ring.field.inv(f.terms[0][1]))
 
 
-def reduced(polys) -> list:
-    """The library's finish over polynomials: each nonzero one made monic
-    and compiled, then `_minimal` and `interreduce`."""
+def finished(ring, elements):
+    """The library's finish over monic compiled elements: `_minimal`, then
+    `interreduce`, whose `GroebnerBasis` this returns."""
+    return interreduce(ring, _minimal(elements, ring.order))
+
+
+def reduced(polys):
+    """`finished` over the nonzero polys, each made monic and compiled."""
     polys = [p for p in polys if p]
-    if not polys:
-        return []
-    ring = polys[0].ring
-    return interreduce(ring, _minimal([compile_poly(monic(p)) for p in polys], ring.order))
+    return finished(polys[0].ring, [compile_poly(monic(p)) for p in polys])
 
 
 def as_polynomials(ring, elements) -> list:
@@ -459,7 +463,7 @@ def colon_by_meets(gens, fs) -> list:
     result = colon_by_element(gens, fs[0])
     for f in fs[1:]:
         result = engine_meet(result, colon_by_element(gens, f))
-    return reduced(result)
+    return list(reduced(result))
 
 
 def criteria_pairs(leads: list, degree_bound=None):
@@ -583,10 +587,9 @@ def engine_run(gens, bound=None) -> Engine:
     return engine
 
 
-def engine_basis(gens, bound=None) -> list:
+def engine_basis(gens, bound=None):
     """The reduced basis of an `engine_run`, as `buchberger` returns it."""
-    ring = gens[0].ring
-    return interreduce(ring, _minimal(engine_run(gens, bound).basis, ring.order))
+    return finished(gens[0].ring, engine_run(gens, bound).basis)
 
 
 def settled_by_engine(polys, bound) -> bool:
@@ -620,11 +623,11 @@ def engine_meet(gens_a, gens_b) -> list:
     ring = gens_a[0].ring
     vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
     engine, basis = engine_module(vectors)
-    return reduced([
+    return list(reduced([
         decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), basis.morder)[1]
         for g in engine.basis
         if basis.morder.decode(g.lead_v)[0] == 1
-    ])
+    ]))
 
 
 def divide(f, divisors):

@@ -371,11 +371,12 @@ def test_colon_command_reports_the_quotient_loop_counts(capsys):
 
 
 def test_desk_guard_refuses_big_runs_without_budget(capsys):
-    code, rep = run_json(["groebner", "-n", "4"], capsys)
-    assert code == 0
-    (res,) = rep["results"]
-    assert (res["name"], res["verdict"]) == ("groebner", "SKIPPED")
-    assert "--budget-seconds or --budget-spairs" in res["detail"]["reason"]
+    for command in ("groebner", "colon"):
+        code, rep = run_json([command, "-n", "4"], capsys)
+        assert code == 0
+        (res,) = rep["results"]
+        assert (res["name"], res["verdict"]) == (command, "SKIPPED")
+        assert "--budget-seconds or --budget-spairs" in res["detail"]["reason"]
 
 
 def test_desk_guard_lifts_with_explicit_budget(capsys):
@@ -384,6 +385,20 @@ def test_desk_guard_lifts_with_explicit_budget(capsys):
     (res,) = rep["results"]
     assert res["verdict"] == "PARTIAL"
     assert res["detail"]["complete"] is False
+
+
+def test_desk_guard_lifts_with_a_degree_bound(capsys):
+    """A degree bound bounds a run as a budget does, for the subcommands
+    that take it: I at n=4 through degree 5 is the truncated basis of 220
+    elements, and the first syzygies through degree 3 are complete."""
+    code, rep = run_json(["groebner", "-n", "4", "--degree-bound", "5"], capsys)
+    (res,) = rep["results"]
+    assert (code, res["verdict"]) == (0, "PARTIAL")
+    assert (res["detail"]["size"], res["detail"]["truncation_degree"]) == (220, 5)
+    code, rep = run_json(["syzygies", "-n", "4", "--degree-bound", "3"], capsys)
+    (res,) = rep["results"]
+    assert (code, res["verdict"]) == (0, "PASS")
+    assert res["detail"]["counts"] == {"1": 2, "2": 108, "3": 4}
 
 
 def test_colon_listing(capsys):

@@ -131,7 +131,7 @@ def test_the_quotient_generators_form_a_groebner_basis_of_the_colon(ctx):
     loop.run()
     assert loop.complete and 0 < len(loop.relations) <= loop.stats.zero_reductions
     gens = as_polynomials(system.ring, loop.quotient_generators())
-    assert reduced(gens) == colon_by_meets(base, [f])
+    assert list(reduced(gens)) == colon_by_meets(base, [f])
     basis = ctx.gb_off_diagonal(3)
     recorded = gens[: len(loop.relations)]
     assert recorded and all(basis.contains(u * f) for u in recorded)

@@ -1,7 +1,7 @@
 """Each script in `scripts/` runs to exit status 0 on its smallest input.
 
-The scripts import library names (`RunConfig`, `run_command`,
-`is_trace_syzygy`, `colon_bidegrees`, ...) that refactors may move; this
+The scripts import library names (`trace_residuals`, `candidates`,
+`colon_bidegrees`, ...) that refactors may move; this
 runs each `main()` in-process so a broken import or call fails here.
 """
 
@@ -16,7 +16,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize(
     "script,argv",
     [
-        ("desk_verify", ["--sizes", "2"]),
         ("trace_rule_scan", ["--degree", "3", "--sizes", "2"]),
         ("colon_degree_survey", ["--max-n", "4"]),
     ],

@@ -106,8 +106,9 @@ def test_desk_limit_rule_reads_the_budget():
     assert skipped.verdict == "SKIPPED"
     assert skipped.detail["reason"].startswith("a Groebner basis at n=4 exceeds")
     assert "--budget-seconds or --budget-spairs" in skipped.detail["reason"]
-    (ran,) = run_suite(DeskContext(budget=Budget(max_spairs=1)), 4, [check])
-    assert (ran.verdict, ran.detail) == ("PASS", {"n": 4})
+    for ctx in (DeskContext(budget=Budget(max_spairs=1)), DeskContext(degree_bound=5)):
+        (ran,) = run_suite(ctx, 4, [check])
+        assert (ran.verdict, ran.detail) == ("PASS", {"n": 4})
     # with no Groebner-scale work the limit does not apply
     (free,) = run_suite(DeskContext(), 4, [replace(check, what=None)])
     assert free.verdict == "PASS"
