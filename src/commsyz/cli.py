@@ -38,7 +38,7 @@ from commsyz.conjecture import (
 )
 from commsyz.fields import field_from_name
 from commsyz.genmat import GenericMatrix
-from commsyz.groebner import Budget, buchberger
+from commsyz.groebner import Budget
 from commsyz.hilbert import hilbert_of_basis
 from commsyz.syzygy import trace_residual, trace_residuals
 from commsyz.verify import (
@@ -159,10 +159,8 @@ def _candidates(cfg: RunConfig, ctx: DeskContext, n: int):
 
 
 def _groebner(cfg: RunConfig, ctx: DeskContext, n: int):
-    system = ctx.system(n)
     which = cfg.extras["ideal"]
-    gens = list(system.off_diagonal_gens if which == "J" else system.minimal_gens)
-    basis = buchberger(gens, budget=ctx.budget, degree_bound=ctx.degree_bound)
+    basis = ctx.basis(n, which, ctx.degree_bound)
     degree = basis.ring.order.degree
     degs = Counter(degree(g.terms[0][0]) for g in basis)
     detail = {
@@ -231,8 +229,7 @@ def _syzygy_check(cfg: RunConfig, ctx: DeskContext, n: int):
 
 def _hilbert(cfg: RunConfig, ctx: DeskContext, n: int):
     which = cfg.extras["ideal"]
-    basis = ctx.gb_off_diagonal(n) if which == "J" else ctx.gb_commutator(n)
-    series = hilbert_of_basis(basis)
+    series = hilbert_of_basis(ctx.basis(n, which))
     detail = {
         "ideal": which,
         "numerator": list(series.numerator),
@@ -272,7 +269,7 @@ def _predict(cfg: RunConfig, ctx: DeskContext, n: int):
                 "degree": sum(bideg),
                 "feasible": knutson_bidegree_feasible(n, bideg),
             }
-            for labels, _, bideg in knutson_candidates(ctx.system_qq(n), n - 1)
+            for labels, bideg in knutson_candidates(n, n - 1)
         ]
         detail = {"candidates": rows}
     detail["status"] = "CONJECTURE"

@@ -2,10 +2,12 @@
 
 Everything here is arithmetic on conjectured patterns: the first-syzygy
 column, the bidegrees of the colon-ideal generators through a cell-selection
-enumeration, a skeleton of the full Betti table, and the
-diagonal-determinant candidates with their bidegree feasibility test.  None
+enumeration, a skeleton of the full Betti table, and the column labels and
+bidegrees of the diagonal-determinant candidates with their feasibility
+test.  No polynomial is built, so every predictor runs at any size.  None
 of it verifies anything; the verification lives in the computational
-modules, and the CLI labels this output as conjecture.
+modules (`verify` builds the determinants it checks), and the CLI labels
+this output as conjecture.
 """
 from __future__ import annotations
 
@@ -14,12 +16,6 @@ from itertools import combinations
 from math import comb, isqrt
 from typing import Optional
 
-from .genmat import (
-    CommutatorSystem,
-    GenericMatrix,
-    diagonal_entries,
-    matrix_from_columns,
-)
 from .hilbert import GradedBettiTable
 
 PRODUCT_MARK = "p"
@@ -203,44 +199,29 @@ def resolution_shape(n: int) -> GradedBettiTable:
 # -- diagonal-determinant candidates -------------------------------------------
 
 
-def _power_columns(system: CommutatorSystem, max_power: int) -> list:
-    """Labeled diagonal columns: (label, bidegree, column entries)."""
-    ident = GenericMatrix.identity(system.ring, system.n)
-    out = [("E", (0, 0), diagonal_entries(ident))]
-    for letter, mat in (("X", system.X), ("Y", system.Y)):
-        power = ident
-        for a in range(1, max_power + 1):
-            power = power * mat
-            bideg = (a, 0) if letter == "X" else (0, a)
-            out.append(
-                (f"{letter}^{a}" if a > 1 else letter, bideg, diagonal_entries(power))
-            )
-    return out
+def knutson_candidates(n: int, max_power: int) -> list:
+    """Column labels of the n x n matrices whose columns are the diagonals
+    of the identity and of n-1 distinct powers of the two generic matrices,
+    through `max_power`.
 
-
-def knutson_candidates(system: CommutatorSystem, max_power: int) -> list:
-    """Matrices whose columns are the diagonals of the identity and of
-    distinct powers of the two generic matrices, through `max_power`.
-
-    Returns (label tuple, matrix, bidegree) triples, deterministically
-    ordered by total degree then bidegree then labels.  The determinant of
-    each matrix is a nonzero polynomial of that bidegree; none is taken
-    here, so a caller takes only those it reads.
+    Returns (label tuple, bidegree) pairs, deterministically ordered by
+    total degree then bidegree then labels.  The determinant of each such
+    matrix is a nonzero polynomial of that bidegree; none is built here, so
+    a caller builds only those it reads.
     """
-    n = system.n
-    columns = _power_columns(system, max_power)
-    first, rest = columns[0], columns[1:]
+    rest = [
+        (letter if a == 1 else f"{letter}^{a}", (a, 0) if letter == "X" else (0, a))
+        for letter in "XY"
+        for a in range(1, max_power + 1)
+    ]
     picks = []
     for combo in combinations(rest, n - 1):
-        labels = (first[0],) + tuple(c[0] for c in combo)
-        dx = sum(c[1][0] for c in combo)
-        dy = sum(c[1][1] for c in combo)
-        picks.append(((dx + dy, dy, dx, labels), (dx, dy), combo))
-    picks.sort(key=lambda t: t[0])
-    return [
-        (labels, matrix_from_columns(system.ring, [first[2]] + [c[2] for c in combo]), bideg)
-        for (_, _, _, labels), bideg, combo in picks
-    ]
+        labels = ("E",) + tuple(label for label, _ in combo)
+        dx = sum(b[0] for _, b in combo)
+        dy = sum(b[1] for _, b in combo)
+        picks.append((dx + dy, dy, dx, labels))
+    picks.sort()
+    return [(labels, (dx, dy)) for _, dy, dx, labels in picks]
 
 
 def knutson_bidegree_feasible(n: int, target) -> bool:

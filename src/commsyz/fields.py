@@ -2,7 +2,7 @@
 
 Rational coefficients are stdlib Fractions.  GF(p) coefficients are plain
 ints in 0..p-1; inverses go through pow(a, p-2, p).  Field objects are
-stateless and safe to share between threads.
+stateless.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin for m < 3.3e24 (covers every sane modulus)."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _SPRP_WITNESSES:
         if m % q == 0:
             return m == q
     d, s = m - 1, 0

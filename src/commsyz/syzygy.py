@@ -29,7 +29,6 @@ from .groebner import Budget, Engine, GBStats, SignatureLoop, require
 from .polyring import (
     DegreeBucketReducers,
     ModuleOrder,
-    PolyRing,
     Polynomial,
     decompile_vector,
     normal_form,

@@ -6,8 +6,10 @@ CLI subcommand, which runs as a suite of one check: a check runs where it
 applies and is omitted where it says nothing about n.  The one desk limit
 rule reports a check SKIPPED when it does Groebner-scale work at n past
 DESK_LIMIT and either does not apply there or has no budget or degree bound.
-All verdicts are deterministic; wall-clock timing is reported separately so
-two runs with the same configuration produce identical result payloads.
+Wall-clock timing is reported separately, so two runs with the same
+configuration produce identical result payloads, except under a time
+budget (`--budget-seconds`), whose cut, and so which results are PARTIAL
+and what they hold, depends on timing.
 """
 
 from __future__ import annotations
@@ -96,9 +98,11 @@ class CheckResult:
 
 class DeskContext:
     """Lazy cache of the expensive shared objects (systems, bases, colon
-    ideals, syzygy runs).  `budget` caps every engine run it builds;
-    `degree_bound` truncates the one run of a `groebner` or `syzygies`
-    subcommand, which reads it, and the cached objects do not."""
+    ideals, syzygy runs).  `budget` caps every engine run it builds.  Every
+    cached basis and syzygy run is keyed by its degree bound, a syzygy run
+    by its resolved bound, so two requests for one bound share one object.
+    `degree_bound` is the bound the `groebner` and `syzygies` subcommands
+    ask for; the checks ask for their own."""
 
     def __init__(
         self,
@@ -141,19 +145,16 @@ class DeskContext:
             ("system_qq", n), lambda: build_system(n, field=QQ, order=self.order)
         )
 
-    def gb_off_diagonal(self, n: int) -> GroebnerBasis:
-        """Basis of the ideal of off-diagonal commutator entries."""
-        return self._get(
-            ("gbJ", n),
-            lambda: buchberger(list(self.system(n).off_diagonal_gens), budget=self.budget),
-        )
+    def basis(self, n: int, ideal: str, bound: Optional[int] = None) -> GroebnerBasis:
+        """Basis of the commutator ideal ("I") or of its off-diagonal
+        entries ("J"), truncated at `bound` when one is given."""
 
-    def gb_commutator(self, n: int) -> GroebnerBasis:
-        """Basis of the full commutator ideal."""
-        return self._get(
-            ("gbI", n),
-            lambda: buchberger(list(self.system(n).minimal_gens), budget=self.budget),
-        )
+        def make():
+            system = self.system(n)
+            gens = {"I": system.minimal_gens, "J": system.off_diagonal_gens}[ideal]
+            return buchberger(list(gens), budget=self.budget, degree_bound=bound)
+
+        return self._get(("basis", n, ideal, bound), make)
 
     def colon_generators(self, n: int) -> GroebnerBasis:
         """Reduced Groebner basis of (off-diagonal ideal : commutator ideal).
@@ -185,6 +186,9 @@ class DeskContext:
         return self._get(("colon_new", n), make)
 
     def first_syzygies(self, n: int, bound: Optional[int] = None) -> FirstSyzygies:
+        """Minimal first syzygies through coefficient degree `bound`, which
+        defaults to n as in `syzygy.first_syzygies`."""
+        bound = n if bound is None else bound
         return self._get(
             ("syz", n, bound),
             lambda: first_syzygies(self.system(n), degree_bound=bound, budget=self.budget),
@@ -334,11 +338,24 @@ def check_first_syzygies(ctx: DeskContext, n: int):
     return _verdict(ok), detail
 
 
+def _diagonal_det(*matrices):
+    """Determinant of the matrix whose columns are the diagonals of `matrices`."""
+    columns = [diagonal_entries(m) for m in matrices]
+    return det(matrix_from_columns(matrices[0].ring, columns))
+
+
 def _determinant_members(system: CommutatorSystem, basis: GroebnerBasis) -> list:
     """Membership in `basis` of each determinant candidate of degree <= 3."""
+    X, Y = system.X, system.Y
+    named = {"E": GenericMatrix.identity(system.ring, system.n), "X": X, "Y": Y}
+    named.update({"X^2": X * X, "Y^2": Y * Y})
     return [
-        {"columns": list(labels), "bidegree": list(bideg), "in_colon": basis.contains(det(mat))}
-        for labels, mat, bideg in knutson_candidates(system, 2)
+        {
+            "columns": list(labels),
+            "bidegree": list(bideg),
+            "in_colon": basis.contains(_diagonal_det(*(named[c] for c in labels))),
+        }
+        for labels, bideg in knutson_candidates(system.n, 2)
         if sum(bideg) <= 3
     ]
 
@@ -360,13 +377,12 @@ def check_colon_ideal(ctx: DeskContext, n: int):
 
     E = GenericMatrix.identity(ring, n)
     X, Y = system.X, system.Y
-    cols = lambda *ms: [diagonal_entries(m) for m in ms]
-    d1 = det(matrix_from_columns(ring, cols(E, X, X * Y + Y * X)))
-    d2 = det(matrix_from_columns(ring, cols(E, Y, X * X)))
-    d3 = det(matrix_from_columns(ring, cols(E, X, Y)))
+    d1 = _diagonal_det(E, X, X * Y + Y * X)
+    d2 = _diagonal_det(E, Y, X * X)
+    d3 = _diagonal_det(E, X, Y)
     two = ring.const(2)
     combo = d1 - two * d2 - two * X.trace() * d3
-    combo_ok = ctx.gb_off_diagonal(n).contains(combo)
+    combo_ok = ctx.basis(n, "J").contains(combo)
 
     ok = ok_gens and ok_members and combo_ok
     detail = {
@@ -381,8 +397,8 @@ def check_colon_ideal(ctx: DeskContext, n: int):
 def check_dimension(ctx: DeskContext, n: int):
     """dim of both quotients is n^2 + n, via Hilbert series."""
     expected = n * n + n
-    dim_off = hilbert_of_basis(ctx.gb_off_diagonal(n)).dimension
-    dim_full = hilbert_of_basis(ctx.gb_commutator(n)).dimension
+    dim_off = hilbert_of_basis(ctx.basis(n, "J")).dimension
+    dim_full = hilbert_of_basis(ctx.basis(n, "I")).dimension
     detail = {
         "expected": expected,
         "off_diagonal_quotient": dim_off,
@@ -490,7 +506,7 @@ def check_splice_euler(ctx: DeskContext, n: int):
     columns.  At n=4 the fixture tables must splice onto the conjectured
     table's verified tail and leave exactly the one linked-unknown relation."""
     if n == 3:
-        series = hilbert_of_basis(ctx.gb_commutator(3))
+        series = hilbert_of_basis(ctx.basis(3, "I"))
         table = fixture_store.load_betti_table("n3_betti_display", ctx.fixture_dir)
         constraints = euler_constraints(table, series)  # raises on violation
         residuals = residual_relations(constraints)

@@ -40,10 +40,13 @@ run under grevlex, lex and a block elimination order.  `divide` and
 division `colon_by_element` and `det_bareiss` take their exact quotients
 with; `det_bareiss` is fraction-free elimination and `det_cofactor` a
 first-row expansion with ring arithmetic alone, the two references for
-`genmat.det`.  `trace_residual_by_matrix` is tr(A(XY-YX)) of a word
-expression by the direct route, the full matrix A = `eval_expr` and one
-`dot` of its entries with the f_k: the reference for `trace_residuals`,
-which never forms A.  `evaluate` and `hilbert_function` are the
+`genmat.det`.  `candidate_matrix` builds the diagonal-column matrix a
+`conjecture.knutson_candidates` label tuple names, by powers of the
+generic matrices, since the predictor itself builds none.
+`trace_residual_by_matrix` is tr(A(XY-YX)) of a word expression by the
+direct route, the full matrix A = `eval_expr` and one `dot` of its
+entries with the f_k: the reference for `trace_residuals`, which never
+forms A.  `evaluate` and `hilbert_function` are the
 point evaluation and the Hilbert function of a numerator, which only tests
 ask for.  `finished` is the library's finish (`_minimal`, then
 `interreduce`) over compiled elements, the one way a test builds a
@@ -58,6 +61,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from commsyz.fields import GF
+from commsyz.genmat import GenericMatrix, diagonal_entries, matrix_from_columns
 from commsyz.groebner import Engine, _minimal, interreduce
 from commsyz.polyring import (
     BlockElimination,
@@ -720,6 +724,19 @@ def det_cofactor(m):
         return val
 
     return ring.one if n == 0 else minor(tuple(range(n)))
+
+
+def candidate_matrix(system, labels):
+    """The matrix whose columns are the diagonals of the matrices that
+    `labels` name, each E, X, Y, X^a or Y^a."""
+    columns = []
+    for label in labels:
+        letter, _, a = label.partition("^")
+        power = GenericMatrix.identity(system.ring, system.n)
+        for _ in range(0 if letter == "E" else int(a or 1)):
+            power = power * (system.X if letter == "X" else system.Y)
+        columns.append(diagonal_entries(power))
+    return matrix_from_columns(system.ring, columns)
 
 
 def trace_residual_by_matrix(expr, system):

@@ -448,24 +448,42 @@ def test_predict_commands_flag_conjecture_status(capsys):
     assert len(detail["candidates"]) == 6
 
 
+def refuse_everywhere(monkeypatch, attr) -> set:
+    """Replace `genmat.<attr>` by a function that raises, under that name in
+    every commsyz module that imports it; the names of those modules."""
+    from commsyz import genmat
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{attr} was called")
+
+    patched, original = set(), getattr(genmat, attr)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("commsyz") and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, refuse)
+            patched.add(name)
+    return patched
+
+
 def test_predict_knutson_takes_no_determinant(monkeypatch, capsys):
     """The prediction reads only labels and bidegrees, so it runs with `det`
     replaced by a function that raises, under every name it is imported as."""
-    from commsyz import genmat
-
-    def refuse(m):
-        raise AssertionError("predict knutson took a determinant")
-
-    patched, det = [], genmat.det
-    for name, module in list(sys.modules.items()):
-        if name.startswith("commsyz") and getattr(module, "det", None) is det:
-            monkeypatch.setattr(module, "det", refuse)
-            patched.append(name)
-    assert {"commsyz.genmat", "commsyz.verify"} <= set(patched)
+    assert {"commsyz.genmat", "commsyz.verify"} <= refuse_everywhere(monkeypatch, "det")
     code, rep = run_json(["predict", "knutson", "-n", "4"], capsys)
     assert code == 0
     assert rep["results"][0]["verdict"] == "PASS"
     assert len(rep["results"][0]["detail"]["candidates"]) == 20
+
+
+def test_predict_knutson_builds_no_commutator_system(monkeypatch, capsys):
+    """The candidates are counted, not built: at n=8, where the powers of
+    the generic matrices and 3,432 candidate matrices would cost
+    gigabytes, the prediction runs with `build_system` refused everywhere."""
+    patched = refuse_everywhere(monkeypatch, "build_system")
+    assert {"commsyz.genmat", "commsyz.verify"} <= patched
+    code, rep = run_json(["predict", "knutson", "-n", "8"], capsys)
+    assert code == 0
+    assert rep["results"][0]["verdict"] == "PASS"
+    assert len(rep["results"][0]["detail"]["candidates"]) == 3432
 
 
 def test_check_splice_both_supported_sizes(capsys):

@@ -19,7 +19,7 @@ from commsyz.genmat import (
     product_rewrite_residue_2x2,
 )
 
-from oracles import det_bareiss, det_cofactor
+from oracles import candidate_matrix, det_bareiss, det_cofactor
 
 
 def column(m, j):
@@ -226,11 +226,13 @@ def test_det_by_three_routes_on_random_matrices(field, shape):
 
 
 def test_det_by_both_routes_on_the_checks_matrices():
-    """The knutson_candidates matrices at n = 2, 3, 4, among them every one
-    whose determinant a check takes, and the three of check_colon_ideal."""
+    """The matrices the knutson_candidates labels name at n = 2, 3, 4, among
+    them every one whose determinant a check takes, and the three of
+    check_colon_ideal."""
     seen = []
     for n, field in ((2, QQ), (3, GF(32003)), (4, QQ)):
-        seen += [mat for _, mat, _ in knutson_candidates(build_system(n, field), n - 1)]
+        system = build_system(n, field)
+        seen += [candidate_matrix(system, labels) for labels, _ in knutson_candidates(n, n - 1)]
     sys = build_system(3, GF(32003))
     X, Y = sys.X, sys.Y
     E = GenericMatrix.identity(sys.ring, 3)

@@ -406,7 +406,7 @@ def test_commutator_bases_match_linear_algebra_oracle(ctx):
     p = 32003
     for n, degrees in ((2, (2, 3, 4)), (3, (2, 3))):
         sys = ctx.system(n)
-        gb = ctx.gb_commutator(n)
+        gb = ctx.basis(n, "I")
         leads = [sys.ring.order.decode(g.terms[0][0]) for g in gb]
         nvars = sys.ring.nvars
         for d in degrees:
@@ -554,7 +554,7 @@ def test_a_bounded_basis_builds_no_engine(ctx, monkeypatch):
     barred it still returns the complete n=3 basis at bound 9 and the one
     truncated at 4."""
     gens = list(ctx.system(3).minimal_gens)
-    full = ctx.gb_commutator(3)
+    full = ctx.basis(3, "I")
 
     def barred(self, *args, **kwargs):
         raise AssertionError("buchberger built an Engine")
@@ -632,5 +632,5 @@ def test_the_finish_makes_no_polynomial_round_trip(ctx, monkeypatch):
         assert answers(got) == unbarred_answers[name]
     assert syzygies() == unbarred_syzygies
     assert unbarred_syzygies[1] == [True, True, True, False, False, False]
-    assert unbarred["I3"].elements == ctx.gb_commutator(3).elements
+    assert unbarred["I3"].elements == ctx.basis(3, "I").elements
     assert unbarred["J3:I3"].elements == ctx.colon_generators(3).elements

@@ -123,21 +123,21 @@ def test_series_str_mentions_numerator_and_denominator():
 
 
 def test_commutator_quotient_series_smallest(ctx):
-    series = hilbert_of_basis(ctx.gb_commutator(2))
+    series = hilbert_of_basis(ctx.basis(2, "I"))
     assert list(series.numerator) == [1, 0, -3, 2]
     assert series.dimension == 6
     assert series.multiplicity == 3
 
 
 def test_commutator_quotient_series_three_by_three(ctx):
-    series = hilbert_of_basis(ctx.gb_commutator(3))
+    series = hilbert_of_basis(ctx.basis(3, "I"))
     assert list(series.numerator) == [1, 0, -8, 2, 31, -32, -25, 58, -32, 4, 1]
     assert series.dimension == 12
 
 
 def test_off_diagonal_series_is_a_complete_intersection(ctx):
     for n, quadrics in ((2, 2), (3, 6)):
-        series = hilbert_of_basis(ctx.gb_off_diagonal(n))
+        series = hilbert_of_basis(ctx.basis(n, "J"))
         expect = [1]
         for _ in range(quadrics):
             expect = [
@@ -148,12 +148,12 @@ def test_off_diagonal_series_is_a_complete_intersection(ctx):
             ]
         assert list(series.numerator) == expect
         assert series.dimension == n * n + n
-    assert hilbert_of_basis(ctx.gb_off_diagonal(3)).multiplicity == 64
+    assert hilbert_of_basis(ctx.basis(3, "J")).multiplicity == 64
 
 
 def test_quotient_series_matches_monomial_count_oracle(ctx):
     for n, dmax in ((2, 6), (3, 4)):
-        gb = ctx.gb_commutator(n)
+        gb = ctx.basis(n, "I")
         series = hilbert_of_basis(gb)
         nvars, order = gb.ring.nvars, gb.ring.order
         leads = [order.decode(g.terms[0][0]) for g in gb]

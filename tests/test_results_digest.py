@@ -1,4 +1,4 @@
-"""The JSON `results` of thirty quick CLI runs, pinned by sha256.
+"""The JSON `results` of thirty-three quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -82,6 +82,13 @@ builds a module basis.  `groebner -n 3 --budget-spairs 50` went from 25
 elements, {2: 8, 3: 12, 4: 5}, to the 20 through its truncation degree 3,
 {2: 8, 3: 12}.  `groebner -n 3 --degree-bound 1` went from 8 elements to
 none: truncated at degree 1, it keeps none of the degree-2 generators.
+The last three were recorded before `predict knutson` stopped building the
+generic matrices and before the CLI read every basis through one cached
+route keyed by its degree bound.  `groebner -n 4 --degree-bound 5` pins
+the truncated n=4 basis the CLI now asks the context for;
+`syzygies -n 4 --degree-bound 3` pins the first syzygies that context keys
+by their resolved bound; `predict knutson -n 5` pins the candidate labels,
+bidegrees and feasibility flags, now counted without any polynomial.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -130,6 +137,13 @@ DIGESTS = {
     "groebner -n 3 --degree-bound 9": (
         "1c9e77c25df6a487772ed324e66ebac997e3c9862293ca5d8786b93cd0bd85d0"
     ),
+    "groebner -n 4 --degree-bound 5": (
+        "1251375707b18addc32a2c89955134b7a940cce97f7f903518ab44cce229bb63"
+    ),
+    "syzygies -n 4 --degree-bound 3": (
+        "d831d6c2a34ebdb898a57cea6f231269a38dfcc732446b2bbbdd67bdc775e812"
+    ),
+    "predict knutson -n 5": "9e37b6e3586e6443496bb577c162089efe48745349d75bfa019295c3602d0bdc",
 }
 
 

@@ -210,8 +210,9 @@ def test_a_check_refuses_truncated_first_syzygies(name, n, spairs, d):
 
 def test_desk_context_caches_and_reuses(ctx):
     assert ctx.system(3) is ctx.system(3)
-    assert ctx.gb_commutator(2) is ctx.gb_commutator(2)
-    assert ctx.first_syzygies(3) is ctx.first_syzygies(3)
+    assert ctx.basis(2, "I") is ctx.basis(2, "I")
+    assert ctx.basis(2, "J", 3) is ctx.basis(2, "J", 3) is not ctx.basis(2, "J")
+    assert ctx.first_syzygies(3) is ctx.first_syzygies(3, bound=3)
     fresh = DeskContext(field=GF(32003))
     assert fresh.system(2) is not ctx.system(2)
 
