@@ -72,8 +72,6 @@ EXEMPT = {
     "eval_expr": "held only by the tracer, which wraps it (perfbench/tracer.py)",
     "is_trace_syzygy": "held only by the tracer, which wraps it (perfbench/tracer.py)",
     "compile_poly": "held only by the tracer, which wraps it (perfbench/tracer.py)",
-    "check_product": "a cap guard: runs only past 255 in a packed exponent",
-    "packed_lcm": "a cap guard: runs only past 255 in a packed exponent",
     "MonomialOrder.encode": "a fallback: every order the program builds overrides it",
     "_bad_exponent": "an error path: names an exponent that does not fit",
     "PolyRing.same_signature": "a fallback: runs only for polynomials of two ring objects",

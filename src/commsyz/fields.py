@@ -137,6 +137,6 @@ def field_from_name(name: str):
     name = name.strip().lower()
     if name in ("q", "qq", "rational"):
         return QQ
-    if name.startswith("gf:"):
+    if name.startswith("gf:") and name[3:].isdecimal():
         return PrimeField(int(name[3:]))
     raise ValueError(f"unknown field {name!r} (expected 'q' or 'gf:<prime>')")

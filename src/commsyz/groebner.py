@@ -55,6 +55,7 @@ the `GroebnerBasis` answers from.  No basis compiles or sorts anything else.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from heapq import heappush, heappop
@@ -68,10 +69,8 @@ from .polyring import (
     ModuleOrder,
     PolyRing,
     Polynomial,
-    check_product,
     compile_terms,
     normal_form,
-    packed_lcm,
     sum_of_products,
     vector_terms,
 )
@@ -121,8 +120,8 @@ class Budget:
     def __post_init__(self):
         if self.max_spairs is not None and self.max_spairs < 0:
             raise ValueError("max_spairs must be nonnegative")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
+            raise ValueError("max_seconds must be finite and positive")
 
 
 @dataclass
@@ -200,7 +199,9 @@ class GroebnerBasis:
 class _PairLoop:
     """What both pair loops share: the monic packed elements and their one
     `DegreeBucketReducers`, the degree bound, the budget, the work counts
-    and the flags of a finished run.  `exhausted` holds the reason once the
+    and the flags of a finished run.  The degree bound is at most 255, the
+    cap: a pair past it is dropped and counted as truncated, as any pair
+    past a bound is.  `exhausted` holds the reason once the
     budget has cut the run.  What a finished run can answer is stated once,
     by `complete` and `truncation_degree`: a run is complete, or truncated
     at a degree."""
@@ -208,7 +209,8 @@ class _PairLoop:
     def __init__(self, ring: PolyRing, degree_bound, budget):
         self.ring = ring
         self.reducers = DegreeBucketReducers(ring.order)
-        self.degree_bound = degree_bound
+        # the cap rule (`polyring`): no pair past total degree 255
+        self.degree_bound = _EXP_CAP if degree_bound is None else min(degree_bound, _EXP_CAP)
         self.budget = budget or Budget()
         self.stats = GBStats()
         self.start = time.monotonic()
@@ -249,15 +251,10 @@ class _PairLoop:
         self.exhausted = reason
         self.stats.seconds = time.monotonic() - self.start
 
-    def _spoly(self, a, b, deg: int, v: int):
+    def _spoly(self, a, b, v: int):
         """The S-polynomial of monic a and b, whose lcm has key v (with a's
-        position bits) and degree deg, as unsorted terms, and the key
-        offsets da, db of its two multiples.  Each multiple x^(lcm - lead)
-        is checked at the cap."""
-        order = self.ring.order
-        for g in (a, b):
-            if deg - g.lead_deg + g.tail_deg > _EXP_CAP:
-                check_product(order.packed(v) - g.packed, g.tail, order)
+        position bits), as unsorted terms, and the key offsets da, db of its
+        two multiples."""
         da, db = v - a.lead_v, v - b.lead_v
         terms = [(vt + da, ct) for vt, ct in a.tail]
         terms.extend((vt + db, -ct) for vt, ct in b.tail)
@@ -311,9 +308,13 @@ class Engine(_PairLoop):
     leads share its position (`groups`), and runs the Gebauer-Moeller
     update among them (`_criteria_pairs`), which only queues and reads the
     leads' packed exponents, so the loop decodes no key.  Pairs of lcm
-    degree past `degree_bound` are dropped and counted as truncated.  The
-    budget counts reduced S-pairs.  After `run(d)` `complete` and
-    `truncation_degree` say whether degree d can be decided.
+    degree past `degree_bound`, at most 255, are dropped and counted as
+    truncated.  `add` refuses an element with a term above its lead's
+    degree, so no S-polynomial or reduction step passes the degree of its
+    pair or of the term it reduces: the cap rule (`polyring`) holds.  The
+    library enters homogeneous elements only.  The budget counts reduced
+    S-pairs.  After `run(d)` `complete` and `truncation_degree` say whether
+    degree d can be decided.
     """
 
     def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None):
@@ -324,6 +325,9 @@ class Engine(_PairLoop):
         """Enter a nonzero element (descending packed terms), made monic."""
         terms, _ = self._monic(terms)
         cp = compile_terms(terms, self.ring, len(self.basis))
+        degree = self.ring.order.degree
+        if any(degree(v) > cp.lead_deg for v, _ in cp.tail):
+            raise ValueError("the engine takes no element with a term above its lead's degree")
         group = self.groups.setdefault(cp.lead_v >> self.ring.order.total_bits, [])
         self._criteria_pairs(cp, group)
         group.append(cp)
@@ -334,7 +338,7 @@ class Engine(_PairLoop):
     def _push(self, i, j, lcm):
         v = self.ring.order.key(lcm)
         deg = self.ring.order.degree(v)
-        if self.degree_bound is not None and deg > self.degree_bound:
+        if deg > self.degree_bound:
             self.stats.pairs_truncated += 1
             return
         heappush(self.heap, (deg, self.serial, i, j, v))
@@ -358,7 +362,7 @@ class Engine(_PairLoop):
                 return self._cut(reason)
             deg, _, i, j, v = heappop(heap)
             a, b = basis[i], basis[j]
-            terms, _, _ = self._spoly(a, b, deg, (a.lead_v >> bits << bits) | v)
+            terms, _, _ = self._spoly(a, b, (a.lead_v >> bits << bits) | v)
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
@@ -409,8 +413,8 @@ class SignatureLoop(_PairLoop):
     i with signature e_i, and for a pair (g, h) with lcm L the larger of the
     multiplied signatures (L / lead g) sig(g) and (L / lead h) sig(h) with
     their S-polynomial.  A pair whose two are equal is dropped, and so is
-    every pair past `degree_bound`, counted as truncated.  Of equal
-    signatures, which pop in sequence, only the first is examined.  A
+    every pair past `degree_bound`, at most 255, counted as truncated.  Of
+    equal signatures, which pop in sequence, only the first is examined.  A
     J-pair of signature t*e_i is dropped, and counted as pruned, when
       - F5: the lead of an element of smaller index divides t, so t*e_i is
         the signature of a principal syzygy (checked when queued, and again
@@ -421,11 +425,11 @@ class SignatureLoop(_PairLoop):
     A survivor counts as one reduced pair, and the budget counts those.  It
     is reduced by regular top reduction (`normal_form` with a signature):
     zero records its signature as a syzygy's, anything else enters the
-    basis, made monic, with the J-pair's signature.  Every signature key
-    that is multiplied is cleared by `check_product` past the cap.  Pairs
-    pop in ascending degree, so a cut run is truncated one degree below its
-    next pair (`truncation_degree`); it need not hold the generators it had
-    not reached.
+    basis, made monic, with the J-pair's signature.  A multiplied
+    signature has at most its pair's degree, so it keeps the cap rule
+    (`polyring`).  Pairs pop in ascending degree, so a cut run is truncated
+    one degree below its next pair (`truncation_degree`); it need not hold
+    the generators it had not reached.
 
     With `tracked` generators f_0, ..., f_(m-1) the loop also records
     relations among them modulo the ideal of `gens` (GVW; the G2V step of
@@ -507,10 +511,10 @@ class SignatureLoop(_PairLoop):
         heappush(self.heap, (deg, sig, v, self.serial, i, j))
         self.serial += 1
 
-    def _rewritable(self, deg, sig, v=None) -> bool:
+    def _rewritable(self, sig, v=None) -> bool:
         """The F5 and syzygy criteria, and given its lead key v the cover
-        criterion, for a J-pair of degree deg and signature key sig; u
-        divides the packed e iff (e ^ u ^ (e - u)) & borrow is 0."""
+        criterion, for a J-pair of signature key sig; u divides the packed
+        e iff (e ^ u ^ (e - u)) & borrow is 0."""
         order, bits = self.ring.order, self.bits
         index, e = sig >> bits, order.packed(sig)
         borrow = order.low << _EXP_BITS
@@ -519,11 +523,8 @@ class SignatureLoop(_PairLoop):
                 return True
         if v is not None:
             for u, s, lead in self.covers[index]:
-                if not (e ^ u ^ (e - u)) & borrow:
-                    if deg > _EXP_CAP:
-                        check_product(e - u, ((lead, 0),), order)
-                    if lead + sig - s < v:
-                        return True
+                if not (e ^ u ^ (e - u)) & borrow and lead + sig - s < v:
+                    return True
         t = sig & ((1 << bits) - 1)
         return self.reducers.find(t, (index << bits, self.sigs)) is not None
 
@@ -539,28 +540,25 @@ class SignatureLoop(_PairLoop):
         h, absent, scalar = cp.packed, order.low ^ cp.support, (1 << bits) - 1
         pos, lead = cp.lead_v >> bits, cp.lead_v & scalar  # 0 for a polynomial; the scalar key
         # a variable of lead g absent from lead h adds at least 1 to the lcm
-        slack = None if bound is None else bound - cp.lead_deg
+        slack = bound - cp.lead_deg
         for g in self.basis:
             if pos and g.lead_v >> bits not in (0, pos):
                 continue  # two vectors pair only at one lead position
-            if slack is not None and (g.support & absent).bit_count() > slack:
+            if (g.support & absent).bit_count() > slack:
                 stats.pairs_truncated += 1
                 continue
             l = lcm(g.packed, h)
             v = key(l)
             deg = degree(v)
-            if bound is not None and deg > bound:
+            if deg > bound:
                 stats.pairs_truncated += 1
                 continue
-            if deg > _EXP_CAP:
-                check_product(l - g.packed, ((sigs[g.index], 0),), order)
-                check_product(l - h, ((sig, 0),), order)
             sg, sh = sigs[g.index] + v - (g.lead_v & scalar), sig + v - lead  # scalar offsets
             if sg == sh:
                 stats.pairs_pruned += 1
                 continue
             top, i, j = (sg, g.index, cp.index) if sg > sh else (sh, cp.index, g.index)
-            if self._rewritable(deg, top):
+            if self._rewritable(top):
                 stats.pairs_pruned += 1
                 continue
             # a polynomial pairs with a vector at the vector's position
@@ -583,19 +581,19 @@ class SignatureLoop(_PairLoop):
                 return self._cut(reason)
             deg, sig, v, _, i, j = heappop(heap)
             seen, last = sig == last, sig
-            if seen or self._rewritable(deg, sig, v):
+            if seen or self._rewritable(sig, v):
                 stats.pairs_pruned += 1
                 continue
             if i < 0:
                 terms, da, db = self.gens[j][1], 0, 0
             else:
-                terms, da, db = self._spoly(basis[i], basis[j], deg, v)
+                terms, da, db = self._spoly(basis[i], basis[j], v)
             stats.spairs_reduced += 1
             if deg > stats.max_degree_processed:
                 stats.max_degree_processed = deg
             record = [] if sig >= first else None
             rem = normal_form(terms, self.reducers, fld, record, signature=(sig, self.sigs))
-            rep = None if record is None else self._coefficient(deg, i, j, da, db, record)
+            rep = None if record is None else self._coefficient(i, j, da, db, record)
             if rem:
                 self._add(rem, sig, rep)
             else:
@@ -605,30 +603,19 @@ class SignatureLoop(_PairLoop):
                     self.relations.append(rep)
         stats.seconds = time.monotonic() - self.start
 
-    def _coefficient(self, deg, i, j, da, db, record) -> list:
+    def _coefficient(self, i, j, da, db, record) -> list:
         """The tracked coefficients of a reduced J-pair of tracked index:
         the entry's own for a generator (i < 0, then j is its index), else
         x^da reps[i] - x^db reps[j], less each recorded step's multiple of
-        an element that has coefficients."""
+        an element that has coefficients, as descending packed module terms
+        from the product kernel `sum_of_products`."""
         unit, one, reps = self.ring.order.unit_v, self.ring.field.one, self.reps
         if i < 0:
             parts = [(self.gens[j][2], ((unit, one),), 1)]
         else:
             parts = [(reps[i], ((da + unit, one),), 1), (reps[j], ((db + unit, one),), -1)]
         parts += [(reps[idx], ((delta + unit, cf),), -1) for idx, delta, cf in record]
-        return self._combine(deg, [part for part in parts if part[0] is not None])
-
-    def _combine(self, deg: int, parts) -> list:
-        """sum(sign * m * rep) over parts (rep, m, sign), with rep packed
-        module terms and m a scalar term list, as descending packed terms,
-        by the product kernel `sum_of_products`.  Every product term has
-        degree <= deg, the pair's degree, since the input is homogeneous;
-        past the cap each product is checked."""
-        order = self.ring.order
-        if deg > _EXP_CAP:
-            for rep, m, _ in parts:
-                check_product(packed_lcm(m, order), rep, order)
-        return sum_of_products(parts, order.unit_v, self.ring.field.p)
+        return sum_of_products([pt for pt in parts if pt[0] is not None], unit, self.ring.field.p)
 
     def quotient_generators(self) -> list:
         """Position 0 of the relations, made monic and compiled, and the
@@ -755,14 +742,15 @@ def intersect_ideals(
     (0, c) is a combination of them, so the second components of the basis
     elements whose leads sit at position 1 form a Groebner basis of the
     meet.  The loop raises ValueError on inhomogeneous input, and a budget
-    cut raises IncompleteBasisError."""
+    cut or a pair past total degree 255 (the cap) raises
+    IncompleteBasisError."""
     if not gens_a or not gens_b:
         raise ValueError("both ideals need at least one generator")
     ring = gens_a[0].ring
     vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
     loop = SignatureLoop(ring, vectors, budget=budget)
     loop.run()
-    require(loop, refusal=f"intersection needs a complete module basis ({loop.exhausted})")
+    require(loop, refusal=f"intersection needs a complete module basis ({_cut_at(loop)})")
     morder, scalar = ModuleOrder(ring.order, 2), (1 << ring.order.total_bits) - 1
     # position 1 is the last, so an element led there has every term there
     meet = [
@@ -771,6 +759,12 @@ def intersect_ideals(
         if morder.decode(g.lead_v)[0] == 1
     ]
     return list(interreduce(ring, _minimal(meet, ring.order)))
+
+
+def _cut_at(loop) -> str:
+    """Why a finished loop is incomplete, as a refusal that `require` formats:
+    the budget's reason, or the degree that pairs past the cap truncate it at."""
+    return loop.exhausted or "pairs past the cap; truncated at {d}"
 
 
 def colon_ideal(
@@ -789,8 +783,9 @@ def colon_ideal(
     index form a Groebner basis of that quotient.  A module position carries
     no degree shift, so F must be homogeneous: the loop raises ValueError on
     fs of two degrees, as on any inhomogeneous input or input from another
-    ring, and a budget cut raises IncompleteBasisError.  The result is the
-    reduced Groebner basis in the ring's own order, which is unique.
+    ring, and a budget cut or a pair past total degree 255 (the cap) raises
+    IncompleteBasisError.  The result is the reduced Groebner basis in the
+    ring's own order, which is unique.
     """
     gens = [g for g in gens if not g.is_zero()]
     fs = [f for f in fs if not f.is_zero()]
@@ -801,6 +796,6 @@ def colon_ideal(
     ring = gens[0].ring
     loop = SignatureLoop(ring, gens, budget=budget, tracked=[tuple(fs)])
     loop.run()
-    require(loop, refusal=f"quotient needs a complete signature loop ({loop.exhausted})")
+    require(loop, refusal=f"quotient needs a complete signature loop ({_cut_at(loop)})")
     elements = _minimal(loop.quotient_generators(), ring.order)
     return interreduce(ring, elements, stats=loop.stats)

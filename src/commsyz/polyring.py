@@ -27,20 +27,23 @@ Fraction coefficients as int numerators over one denominator), and the kernel
 builds one Fraction per distinct coefficient sum, which every term with that
 coefficient shares; Fractions are immutable, so sharing is safe.
 
-Additivity holds only while every exponent stays within the 8-bit cap,
-where a key would otherwise borrow silently from its neighbour.  So every key sum (products, reduction steps, S-polynomials)
-first passes the one cap rule, `check_product(e, terms, order)`, which
-raises OverflowError if packed exponents e plus those of some term pass
-255 in a variable.  Products pass the lcm of one side's exponents; a
-reduction step or an S-polynomial passes the multiplier, lcm - lead.  Total
-degrees read from the keys settle almost every check before it is called.
+One cap rule keeps every key sum exact: no monomial has total degree
+above 255.  No exponent exceeds its monomial's total degree, so under the
+rule no byte of a packed key carries or borrows.  The rule holds at three
+edges: every order's `encode` refuses a total degree past 255, `dots`
+raises OverflowError on a product whose degrees pass it, and both pair
+loops cap their degree bound at 255.  Every other new monomial comes from
+a run or reducer with no term above its lead's degree (the signature loop
+takes homogeneous input only, and `Engine` refuses any other element):
+S-polynomials, reduction steps, multiplied signatures, cover products and
+tracked representations keep their pair's degree, or that of the term
+reduced.  A packed lcm takes a byte-wise max, which never carries.
 """
 from __future__ import annotations
 
 import re
 from bisect import insort
 from fractions import Fraction
-from functools import reduce
 from heapq import heappush, heappop
 from math import lcm
 from typing import Sequence
@@ -63,9 +66,10 @@ class MonomialOrder:
     `flip` covers) beside degree fields.  packed(v) = (v & exp_mask) ^ flip
     is the int whose bytes are the exponents, with a module key's position
     bits dropped, and `low` has the low bit of each exponent byte set.  On
-    packed ints a divides b iff b - a borrows out of no byte, and a + b
-    passes the cap iff it carries out of one: (b ^ a ^ (b -/+ a)) & (low << 8)
-    is nonzero exactly then, for every exponent 0..255.
+    packed ints a divides b iff b - a borrows out of no byte:
+    (b ^ a ^ (b - a)) & (low << 8) is nonzero exactly then, for every
+    exponent 0..255.  Under the cap rule (module docstring) a sum of keys
+    never carries out of a byte.
     """
 
     name = "?"
@@ -148,7 +152,15 @@ def _bad_exponent(e):
     return OverflowError(f"exponent {e} exceeds order capacity {_EXP_CAP}")
 
 
+def _capped(deg, v):
+    """The key v of a monomial of total degree deg, refused past the cap."""
+    if deg > _EXP_CAP:
+        raise OverflowError(f"total degree {deg} exceeds the cap {_EXP_CAP}")
+    return v
+
+
 def _grevlex_encode(exps, n):
+    """(total degree, grevlex key) of one block of exponents."""
     deg = 0
     v = 0
     for e in reversed(exps):
@@ -156,9 +168,7 @@ def _grevlex_encode(exps, n):
             raise _bad_exponent(e)
         deg += e
         v = (v << _EXP_BITS) | (_EXP_CAP - e)
-    if deg >= 1 << _DEG_BITS:
-        raise OverflowError("total degree exceeds order capacity")
-    return (deg << (_EXP_BITS * n)) | v
+    return deg, (deg << (_EXP_BITS * n)) | v
 
 
 class Grevlex(MonomialOrder):
@@ -173,7 +183,7 @@ class Grevlex(MonomialOrder):
         self._layout([(0, nvars, self._deg_shift)], flip=True)
 
     def encode(self, exps):
-        return _grevlex_encode(exps, self.nvars)
+        return _capped(*_grevlex_encode(exps, self.nvars))
 
     def degree(self, v):
         return (v >> self._deg_shift) & _DEG_MASK
@@ -195,7 +205,7 @@ class Lex(MonomialOrder):
             if not 0 <= e <= _EXP_CAP:
                 raise _bad_exponent(e)
             v = (v << _EXP_BITS) | e
-        return v
+        return _capped(sum(exps), v)
 
 
 class BlockElimination(MonomialOrder):
@@ -225,9 +235,9 @@ class BlockElimination(MonomialOrder):
         )
 
     def encode(self, exps):
-        vf = _grevlex_encode(exps[: self.front], self.front)
-        vr = _grevlex_encode(exps[self.front:], self._rest)
-        return (vf << self._rest_bits) | vr
+        df, vf = _grevlex_encode(exps[: self.front], self.front)
+        dr, vr = _grevlex_encode(exps[self.front:], self._rest)
+        return _capped(df + dr, (vf << self._rest_bits) | vr)
 
     def degree(self, v):
         vf, vr = v >> self._rest_bits, v & ((1 << self._rest_bits) - 1)
@@ -295,7 +305,7 @@ def sum_of_products(work, unit: int, p, common=1) -> list:
     """sum(scale * a * b) over `work` items (a, b, scale) of term lists, as
     a descending term list keyed by V(a) + V(b) - unit.  Each sum is reduced
     mod p over GF(p) and divided by `common` over QQ, one Fraction per distinct
-    sum shared by the terms that carry it; callers check the cap."""
+    sum shared by the terms that carry it; callers keep to the cap rule."""
     acc = {}
     get = acc.get
     for ta, tb, scale in work:
@@ -314,23 +324,6 @@ def sum_of_products(work, unit: int, p, common=1) -> list:
         live = [(v, shared[c]) for v, c in acc.items() if c]
     live.sort(reverse=True)
     return live
-
-
-def check_product(e: int, terms, order: MonomialOrder):
-    """The one cap rule: raise OverflowError if the packed exponents `e` plus
-    those of some term of `terms` (a scalar or module term list) pass 255 in
-    some variable, which is a carry out of that variable's byte."""
-    carry = order.low << _EXP_BITS
-    for v, _ in terms:
-        t = order.packed(v)
-        if (e ^ t ^ (e + t)) & carry:
-            raise OverflowError(f"product exponent exceeds order capacity {_EXP_CAP}")
-
-
-def packed_lcm(terms, order: MonomialOrder) -> int:
-    """Each variable's largest exponent over a term list, packed: a product
-    with it passes the cap iff a product with one of the terms does."""
-    return reduce(order.lcm, [order.packed(v) for v, _ in terms], 0)
 
 
 class PolyRing:
@@ -421,7 +414,9 @@ class PolyRing:
                 if not ta or not tb:
                     continue
                 if top_a + top_b > _EXP_CAP:
-                    check_product(packed_lcm(ta, self.order), tb, self.order)
+                    raise OverflowError(
+                        f"product degree {top_a + top_b} exceeds the cap {_EXP_CAP}"
+                    )
                 work.append((ta, tb, den_a * den_b))
                 common = lcm(common, den_a * den_b)
             work = [(ta, tb, common // den) for ta, tb, den in work]
@@ -668,24 +663,20 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 class CompiledPoly:
     """A nonzero polynomial or module vector as packed (V, coeff) terms.
 
-    Built from its descending terms, the scalar order, the lead's total
-    degree and tail_deg, the largest total degree among the other terms.
-    The lead's packed exponents (`packed`) and their support mask serve
-    every divisibility test.
+    Built from its descending terms, the scalar order and the lead's total
+    degree.  The lead's packed exponents (`packed`) and their support mask
+    serve every divisibility test.
     """
 
-    __slots__ = (
-        "index", "lead_v", "packed", "support", "lead_deg", "tail", "tail_deg", "lc", "lc_inv"
-    )
+    __slots__ = ("index", "lead_v", "packed", "support", "lead_deg", "tail", "lc", "lc_inv")
 
-    def __init__(self, terms, order: MonomialOrder, lead_deg, tail_deg, field, index: int = -1):
+    def __init__(self, terms, order: MonomialOrder, lead_deg, field, index: int = -1):
         self.index = index
         self.lead_v, self.lc = terms[0]
         self.packed = order.packed(self.lead_v)
         self.support = order.support(self.packed)
         self.lead_deg = lead_deg
         self.tail = terms[1:]
-        self.tail_deg = tail_deg
         self.lc_inv = field.inv(self.lc)
 
 
@@ -693,8 +684,7 @@ def compile_terms(terms, ring: PolyRing, index: int = -1) -> CompiledPoly:
     """CompiledPoly over nonempty descending packed terms of a polynomial or
     of a module vector, whose position bits sit above the order's keys."""
     order = ring.order
-    degs = [order.degree(v) for v, _ in terms]
-    return CompiledPoly(terms, order, degs[0], max(degs[1:], default=0), ring.field, index)
+    return CompiledPoly(terms, order, order.degree(terms[0][0]), ring.field, index)
 
 
 def compile_poly(f: Polynomial, index: int = -1) -> CompiledPoly:
@@ -715,10 +705,11 @@ class DegreeBucketReducers:
     (smallest lead degree wins).
 
     find(v) returns the first reducer, by lead degree and then insertion,
-    whose lead divides v's monomial and sits at v's position or at 0, after
-    `check_product` has cleared the step.  A reducer is filed under its
-    lead's position bits, `lead_v >> order.total_bits`: 0 for a polynomial,
-    which acts on every position, never 0 for a module vector
+    whose lead divides v's monomial and sits at v's position or at 0.  A
+    step by a reducer with no term above its lead's degree adds none above
+    v's, which keeps the cap rule (module docstring).  A reducer is filed
+    under its lead's position bits, `lead_v >> order.total_bits`: 0 for a
+    polynomial, which acts on every position, never 0 for a module vector
     (`ModuleOrder`), which acts only at its own.  Within a position each
     reducer sits in the group of its anchor, the low bit of the highest
     nonzero byte of its lead's packed exponents (0 for a constant lead),
@@ -733,7 +724,7 @@ class DegreeBucketReducers:
     signature = (s, sigs), s the signature key of the element reduced and
     sigs[r.index] that of reducer r: a divisor qualifies only if
     sigs[r.index] plus the scalar offset of v - r.lead_v, its multiplied
-    signature, is below s; past the cap `check_product` clears it first.
+    signature, is below s.
     """
 
     __slots__ = ("order", "scalar", "positions", "serial")
@@ -783,15 +774,10 @@ class DegreeBucketReducers:
                     continue
                 if signature is not None:
                     s, sigs = signature
-                    sig = sigs[r.index]
-                    if deg > _EXP_CAP:
-                        check_product(e - a, ((sig, 0),), order)
-                    if sig + ((v - r.lead_v) & scalar) >= s:
+                    if sigs[r.index] + ((v - r.lead_v) & scalar) >= s:
                         continue
                 best, limit = r, rank
                 break
-        if best is not None and deg - best.lead_deg + best.tail_deg > _EXP_CAP:
-            check_product(e - best.packed, best.tail, order)
         return best
 
 
@@ -804,9 +790,12 @@ def normal_form(terms, reducers, field, record=None, signature=None):
     reduction step, where the subtracted multiple is
     coeff * monomial(delta_v + V(1)) * reducer.  Every key enters the
     accumulator once: a step adds only keys below the one it reduces, which
-    was popped for good.  Over GF(p) a key's int sum is reduced mod p once,
-    when it is popped, so the remainder and the recorded coefficients are
-    residues in 1..p-1 and a key whose sum is a multiple of p is dropped.
+    was popped for good.  No step is checked against the cap: a reducer
+    with no term above its lead's degree, as every store in the library
+    holds, adds none above the term it reduces.  Over GF(p) a key's int sum
+    is reduced mod p once, when it is popped, so the remainder and the
+    recorded coefficients are residues in 1..p-1 and a key whose sum is a
+    multiple of p is dropped.
 
     With `signature` = (s, sigs) it is regular top reduction in the
     signature loop: each step takes `reducers.find(V, signature)`, a reducer

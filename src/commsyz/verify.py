@@ -98,11 +98,12 @@ class CheckResult:
 
 class DeskContext:
     """Lazy cache of the expensive shared objects (systems, bases, colon
-    ideals, syzygy runs).  `budget` caps every engine run it builds.  Every
-    cached basis and syzygy run is keyed by its degree bound, a syzygy run
-    by its resolved bound, so two requests for one bound share one object.
-    `degree_bound` is the bound the `groebner` and `syzygies` subcommands
-    ask for; the checks ask for their own."""
+    ideals, syzygy runs, the determinant candidates' memberships).
+    `budget` caps every engine run it builds.  Every cached basis and
+    syzygy run is keyed by its degree bound, a syzygy run by its resolved
+    bound, so two requests for one bound share one object.  `degree_bound`
+    is the bound the `groebner` and `syzygies` subcommands ask for; the
+    checks ask for their own."""
 
     def __init__(
         self,
@@ -184,6 +185,14 @@ class DeskContext:
             )
 
         return self._get(("colon_new", n), make)
+
+    def determinant_members(self, n: int) -> list:
+        """Membership in the colon ideal of each determinant candidate of
+        degree <= 3, which `check_colon_ideal` and `check_knutson` read."""
+        return self._get(
+            ("det_members", n),
+            lambda: _determinant_members(self.system(n), self.colon_generators(n)),
+        )
 
     def first_syzygies(self, n: int, bound: Optional[int] = None) -> FirstSyzygies:
         """Minimal first syzygies through coefficient degree `bound`, which
@@ -372,7 +381,7 @@ def check_colon_ideal(ctx: DeskContext, n: int):
     expected = sorted([(1, 1), (3, 0), (2, 1), (1, 2), (0, 3)])
     ok_gens = len(new_gens) == 5 and bidegs == expected
 
-    members = _determinant_members(system, ctx.colon_generators(n))
+    members = ctx.determinant_members(n)
     ok_members = all(m["in_colon"] for m in members)
 
     E = GenericMatrix.identity(ring, n)
@@ -608,8 +617,7 @@ def check_knutson(ctx: DeskContext, n: int):
     if n < 3 or n > DESK_LIMIT:
         return _verdict(feas_ok), detail
 
-    system = ctx.system(3)
-    members = _determinant_members(system, ctx.colon_generators(3))
+    members = ctx.determinant_members(3)
     detail["candidates_in_colon"] = members
     ok = feas_ok and all(m["in_colon"] for m in members)
     return _verdict(ok), detail

@@ -29,13 +29,15 @@ homogeneous input before the signature loop, and `engine_basis` is the
 reduced basis it gives: the reference route for the signature loop.
 `engine_module` is one such run over vectors with its module basis, and
 `engine_meet` is the meet it gives, as `intersect_ideals` computed it
-before the signature loop took module runs.  `settled_by_engine` is
-`buchberger`'s completeness test as it ran on a fresh `Engine` over the
-reduced basis: the reference for `groebner._settled`, which reads leads
-alone.
-`near_cap_binomials` is input data for both near the 8-bit cap, in three
-variables of n=2 (`spread`), and `n2_ring` builds the n=2 rings the tests
-run under grevlex, lex and a block elimination order.  `divide` and
+before the signature loop took module runs.  The engine refuses an
+element with a term above its lead's degree, so an inhomogeneous meet
+goes to `tuple_meet`, the same meet over `module_basis_all_pairs`.
+`settled_by_engine` is `buchberger`'s completeness test as it ran on a
+fresh `Engine` over the reduced basis: the reference for
+`groebner._settled`, which reads leads alone.
+`near_cap_binomials` is input data for both near the cap of total degree
+255, in three variables of n=2 (`spread`), and `n2_ring` builds the n=2
+rings the tests run under grevlex, lex and a block elimination order.  `divide` and
 `exact_div` are multivariate division by the library's `normal_form`, the
 division `colon_by_element` and `det_bareiss` take their exact quotients
 with; `det_bareiss` is fraction-free elimination and `det_cofactor` a
@@ -62,7 +64,7 @@ from math import comb
 
 from commsyz.fields import GF
 from commsyz.genmat import GenericMatrix, diagonal_entries, matrix_from_columns
-from commsyz.groebner import Engine, _minimal, interreduce
+from commsyz.groebner import Engine, _minimal, interreduce, require
 from commsyz.polyring import (
     BlockElimination,
     DegreeBucketReducers,
@@ -257,12 +259,12 @@ def naive_combine(terms, field) -> dict:
     return {mon: c for mon, c in acc.items() if not field.is_zero(c)}
 
 
-def largest_product_exponent(pairs) -> int:
-    """Largest single exponent over every term product a_i * b_j of the pairs,
+def largest_product_degree(pairs) -> int:
+    """Largest total degree over every term product a_i * b_j of the pairs,
     cancelled or not; 0 when there is no product."""
     return max(
-        (x + y for a, b in pairs for ma, _ in a.exponent_terms() for mb, _ in b.exponent_terms()
-         for x, y in zip(ma, mb)),
+        (sum(ma) + sum(mb) for a, b in pairs
+         for ma, _ in a.exponent_terms() for mb, _ in b.exponent_terms()),
         default=0,
     )
 
@@ -271,7 +273,7 @@ def naive_products(pairs, field) -> dict:
     """sum(a * b) over the pairs as {exponent tuple: coeff}, zeros dropped.
 
     Term by term on exponent tuples with the field's own operations; nothing
-    is encoded, so exponents past the packed cap pass through unchecked.
+    is encoded, so monomials past the cap pass through unchecked.
     """
     acc = {}
     for a, b in pairs:
@@ -313,8 +315,8 @@ def naive_division(f: dict, divisors: list, key, field, cap=None):
     listed position, whose lead sits at its position and divides it; a term
     no lead divides moves to the remainder.  Returns (remainder, quotients)
     with quotients[i] = {exps: coeff}, so f = sum q_i g_i + remainder.  With
-    a `cap`, a step whose multiple q * g has an exponent past it raises
-    OverflowError.
+    a `cap`, a step whose multiple q * g has a term of total degree past it
+    raises OverflowError.
     """
     term_key = lambda t: (-t[0], key(t[1]))
     leads = [max(g, key=term_key) for g in divisors]
@@ -335,8 +337,8 @@ def naive_division(f: dict, divisors: list, key, field, cap=None):
             continue
         g = divisors[i]
         q = tuple(b - a for a, b in zip(lexps, exps))
-        if cap is not None and any(a + b > cap for _, ge in g for a, b in zip(q, ge)):
-            raise OverflowError(f"step exponent past {cap}")
+        if cap is not None and any(sum(q) + sum(ge) > cap for _, ge in g):
+            raise OverflowError(f"step degree past {cap}")
         cf = field.mul(c, field.inv(g[leads[i]]))
         quotients[i][q] = field.add(quotients[i].get(q, field.coerce(0)), cf)
         for (gpos, gexps), gc in g.items():
@@ -527,19 +529,20 @@ def spread(exps) -> tuple:
     return tuple(out)
 
 
-def near_cap_binomials(order, seed):
-    """Homogeneous binomials of degree 383 in three variables (`spread`)
-    whose exponents lie near 0, 128 and 255: products and reductions among
-    them pass the 8-bit cap in some variable, which `check_product` must
-    catch."""
+def near_cap_binomials(order, seed, degree=170):
+    """Homogeneous binomials of `degree` in three variables (`spread`) whose
+    first two exponents lie near 0, degree / 2 and degree.  At degree 170
+    some pairs among them lie within total degree 255 and reach it, in one
+    variable or spread over several, and the others pass it, where a pair
+    loop truncates; at degree 100 a product of two stays within it."""
     rng = random.Random(seed)
     ring = n2_ring(GF(101), order)
-    near = [0, 1, 2, 126, 127, 128, 129, 253, 254, 255]
+    near = sorted({e + k for e in (0, degree // 2, degree - 2) for k in (0, 1, 2)})
     monomials = set()
     while len(monomials) < 12:
         a, b = rng.choice(near), rng.choice(near)
-        if 0 <= 383 - a - b <= 255:
-            monomials.add((a, b, 383 - a - b))
+        if 0 <= degree - a - b:
+            monomials.add((a, b, degree - a - b))
     monomials = sorted(monomials)
     rng.shuffle(monomials)
     return [
@@ -623,14 +626,35 @@ def engine_module(vectors, bound=None):
 def engine_meet(gens_a, gens_b) -> list:
     """Reduced basis of (A intersect B) from one `engine_module` run over
     the vectors (a, a) and (b, 0): the interreduced second components of
-    its elements whose leads sit at position 1.  Any input is taken."""
+    its elements whose leads sit at position 1.  The engine refuses an
+    inhomogeneous meet with ValueError (`Engine.add`), whose vectors have
+    terms above their lead's degree, and a run truncated at 255, the cap,
+    raises IncompleteBasisError; `tuple_meet` answers any input."""
     ring = gens_a[0].ring
     vectors = [(f, f) for f in gens_a if f] + [(g, ring.zero) for g in gens_b if g]
     engine, basis = engine_module(vectors)
+    require(engine, refusal="the meet needs a complete module basis (truncated at {d})")
     return list(reduced([
         decompile_vector(ring, 2, ((g.lead_v, g.lc), *g.tail), basis.morder)[1]
         for g in engine.basis
         if basis.morder.decode(g.lead_v)[0] == 1
+    ]))
+
+
+def tuple_meet(gens_a, gens_b) -> list:
+    """Reduced basis of (A intersect B) from `module_basis_all_pairs` over
+    the vectors (a, a) and (b, 0) on exponent tuples: the second components
+    of its elements led at position 1.  The reference meet for any input,
+    inhomogeneous too, which `engine_meet` refuses."""
+    ring = gens_a[0].ring
+    at = lambda f, positions: {(p, mon): c for p in positions for mon, c in f.exponent_terms()}
+    vectors = [at(f, (0, 1)) for f in gens_a if f] + [at(g, (0,)) for g in gens_b if g]
+    basis = module_basis_all_pairs(vectors, order_key(ring.order), ring.field)
+    # position 1 is the last, so an element led there has every term there
+    return list(reduced([
+        ring.poly({mon: c for (_, mon), c in g.items()})
+        for g in basis
+        if all(p == 1 for p, _ in g)
     ]))
 
 
@@ -641,7 +665,11 @@ def divide(f, divisors):
     first divisor, by lead degree and then listed position, whose lead
     divides the current lead is used.  No monomial of r is divisible by any
     divisor lead.  The library's `normal_form`, with its quotients rebuilt
-    from the recorded steps.
+    from the recorded steps.  Its reducers need not be homogeneous, so a
+    step may pass total degree 255, which `normal_form` does not check:
+    divide raises OverflowError at the first recorded step whose multiple
+    has a term past it, as `naive_division` does, since every step before
+    it was exact.
     """
     ring = f.ring
     gs = list(divisors)
@@ -651,9 +679,11 @@ def divide(f, divisors):
     record = []
     r = decompile(ring, normal_form(f.terms, reducers, ring.field, record))
     # each step reduces a smaller term, so no quotient key repeats
-    unit = ring.order.unit_v
+    unit, degree = ring.order.unit_v, ring.order.degree
     qacc = [[] for _ in gs]
     for idx, delta, cf in record:
+        if degree(delta + unit) + gs[idx].degree() > 255:
+            raise OverflowError("a division step passes total degree 255")
         qacc[idx].append((delta + unit, cf))
     return [decompile(ring, q) for q in qacc], r
 

@@ -105,6 +105,23 @@ def test_bad_flag_values_are_usage_errors(flag, value, argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+def test_non_finite_time_budgets_are_usage_errors(value, capsys):
+    """A NaN budget never cut a run and put `NaN`, which strict JSON
+    parsers reject, into the report's config."""
+    with pytest.raises(SystemExit) as exc:
+        main(["groebner", "-n", "3", f"--budget-seconds={value}", "--json"])
+    assert exc.value.code == 2
+    assert "max_seconds must be finite and positive" in capsys.readouterr().err
+
+
+def test_a_field_tag_without_a_prime_names_the_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["groebner", "-n", "2", "--field", "gf:abc"])
+    assert exc.value.code == 2
+    assert "unknown field 'gf:abc' (expected 'q' or 'gf:<prime>')" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["groebner"], ["hilbert"], ["syzygies"], ["verify"], ["predict", "betti"]],

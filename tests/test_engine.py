@@ -1,7 +1,7 @@
 """The one Buchberger engine: its minimal-generator selection against the
 restart-based reference, the absence of restarts, budget cuts that must not
-answer silently, and the 8-bit guard on the representations the signature
-loop tracks."""
+answer silently, and the representations the signature loop tracks up to
+total degree 255, the cap."""
 
 import random
 
@@ -295,28 +295,32 @@ def test_first_syzygies_under_a_cut_report_lower_bounds():
 
 
 def _tracked(k):
-    """Signature loop, through degree 300, with w^200*y^5 - z^205, w*y^10
-    and w^k*y^5*z^205 tracked (w, y, z: x_1_1, x_1_2, y_1_1 under lex).
-    The pair of the first two gives y^5*z^205, whose coefficients carry
-    w^199 e_1; it top-reduces the third generator's entry by w^k, which
-    shifts that coefficient past the cap at k = 57, while every polynomial
-    and signature step stays within it."""
+    """Signature loop, bounded at 300 and so at the cap, 255, with
+    w^100*y^5 - z^105, w*y^10 and w^k*y^5*z^105 tracked (w, y, z: x_1_1,
+    x_1_2, y_1_1 under lex).  The pair of the first two gives y^5*z^105,
+    whose coefficients carry w^99 e_1; it top-reduces the third generator's
+    entry by w^k, which shifts that coefficient to w^(99+k) e_1."""
     ring = n2_ring(QQ, "lex")
     w, y, z = (ring.poly({spread(e): 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    gens = [w**200 * y**5 - z**205, w * y**10, w**k * y**5 * z**205]
+    gens = [w**100 * y**5 - z**105, w * y**10, w**k * y**5 * z**105]
     loop = SignatureLoop(ring, [], degree_bound=300, tracked=gens)
     loop.run()
     return ring, gens, loop
 
 
 def test_tracked_representations_are_guarded_at_the_cap():
-    ring, gens, loop = _tracked(56)
-    assert loop.stats.max_degree_processed == 266 and loop.relations
+    """At k = 145 the third generator has degree 255 and its relation a
+    coefficient w^244 e_1, exact; the pair past 255 is truncated.  At k = 146
+    the generator itself passes the cap, and the product forming it raises."""
+    ring, gens, loop = _tracked(145)
+    assert loop.stats.max_degree_processed == 255 and loop.relations
+    assert (loop.complete, loop.truncation_degree, loop.stats.pairs_truncated) == (False, 255, 1)
     for terms in loop.relations:
         vec = decompile_vector(ring, len(gens), terms, loop.morder)
         assert naive_products(zip(vec, gens), ring.field) == {}
-    with pytest.raises(OverflowError):
-        _tracked(57)
+    assert max(g.degree() for g in vec) == 244
+    with pytest.raises(OverflowError, match="product degree 256"):
+        _tracked(146)
 
 
 def test_tracking_refuses_inhomogeneous_input():

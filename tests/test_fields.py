@@ -69,6 +69,9 @@ def test_field_from_name():
         field_from_name("gf:4")
     with pytest.raises(ValueError):
         field_from_name("banana")
+    for tag in ("gf:abc", "gf:", "gf:-7", "gf:7.0"):
+        with pytest.raises(ValueError, match=r"unknown field .* \(expected 'q' or 'gf:<prime>'\)"):
+            field_from_name(tag)
 
 
 def test_gf_coerce_refuses_denominators_divisible_by_p():

@@ -34,6 +34,7 @@ from oracles import (
     n2_ring,
     reduced,
     settled_by_engine,
+    tuple_meet,
     verify_basis,
 )
 
@@ -254,17 +255,21 @@ def test_the_meet_has_the_dimensions_of_a_meet(seed, field, order):
 
 
 def test_an_inhomogeneous_meet_is_answered():
-    """On the Gebauer-Moeller reference route: coprime principal ideals meet
-    in their product, and a meet of inhomogeneous ideals lies in both."""
+    """On the exponent-tuple reference route (`tuple_meet`): coprime
+    principal ideals meet in their product, and a meet of inhomogeneous
+    ideals lies in both.  The Gebauer-Moeller engine refuses that meet:
+    its vectors have terms above their lead's degree."""
     ring = PolyRing(1, QQ)
     a, b = ring.x(1, 1), ring.y(1, 1)
     f, g = a * b - 1, a - b * b
-    assert engine_meet([f], [g]) == [monic(f * g)]
+    assert tuple_meet([f], [g]) == [monic(f * g)]
     A, B = [a * a - b, a * b], [b * b - a, a - 1]
-    meet = engine_meet(A, B)
+    meet = tuple_meet(A, B)
     assert meet
     basis_a, basis_b = engine_basis(A), engine_basis(B)
     assert all(basis_a.contains(m) and basis_b.contains(m) for m in meet)
+    with pytest.raises(ValueError, match="above its lead's degree"):
+        engine_meet(A, B)
 
 
 def test_inhomogeneous_input_is_refused():

@@ -1,18 +1,22 @@
-"""Packed-key arithmetic against exponent-tuple oracles, up to the 8-bit cap.
+"""Packed-key arithmetic against exponent-tuple oracles, up to the cap.
 
+The cap rule: no monomial has total degree above 255 (`polyring`).
 `Polynomial.terms` holds packed order keys; these properties rebuild every
 operation on plain exponent tuples (`tests/oracles.py`) and demand the same
-answer, or an OverflowError exactly when some exponent of the naive
-computation passes 255.  Exponents are drawn near 0, near 128 and near 255,
-so products and division steps land on both sides of the cap.  Three
-variables (x_1_1, x_1_2, y_1_1 of n=2, `oracles.spread`) under grevlex, lex
-and elim (x_1_1 in front of the other seven), over QQ and GF(7).
+answer, or an OverflowError exactly when a product of the naive computation
+passes total degree 255.  Monomials are drawn of total degree near 0, near
+128 and near 255, all of it in one variable or spread over several, so
+products land on both sides of the cap.  Three variables (x_1_1, x_1_2,
+y_1_1 of n=2, `oracles.spread`) under grevlex, lex and elim (x_1_1 in front
+of the other seven), over QQ and GF(7).  Division raises at a step past
+the cap (`oracles.divide`), and the engine refuses an element with a term
+above its lead's degree, so no step of it passes the cap unseen.
 
 The packed-exponent primitives (divisibility, lcm, support mask, key and
 degree) are compared with tuple oracles in five variables, where elim's two
 blocks (3 | 2 and 2 | 3) have a degree field between them, and on module
-keys whose position bits sit above the scalar key; the carry test of
-`check_product` in the eight variables of n=2, elim's blocks 3 | 5.
+keys whose position bits sit above the scalar key; `encode`'s refusal past
+total degree 255 in the eight variables of n=2, elim's blocks 3 | 5.
 """
 
 import pytest
@@ -27,7 +31,6 @@ from commsyz.polyring import (
     Lex,
     ModuleOrder,
     PolyRing,
-    check_product,
     compile_terms,
 )
 from commsyz.syzygy import module_buchberger
@@ -35,7 +38,8 @@ from commsyz.syzygy import module_buchberger
 from oracles import (
     divide,
     engine_basis,
-    largest_product_exponent,
+    largest_product_degree,
+    module_basis_all_pairs,
     mon_divides,
     mon_lcm,
     naive_combine,
@@ -50,10 +54,24 @@ CAP = 255
 RINGS = [n2_ring(field, order) for field in (QQ, GF(7)) for order in ("grevlex", "lex", "elim")]
 
 exponents = st.one_of(st.integers(0, 2), st.integers(126, 130), st.integers(252, 255))
-monomials = st.tuples(exponents, exponents, exponents).map(spread)
+
+
+@st.composite
+def capped(draw, nvars, total=exponents):
+    """Exponents of one total degree, drawn from `total` (near 0, 128 or 255,
+    the cap): all of it in one variable when the cuts coincide, else spread
+    over several."""
+    t = draw(total)
+    cuts = sorted(draw(st.lists(st.integers(0, t), min_size=nvars - 1, max_size=nvars - 1)))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, t]))
+
+
+monomials = capped(3).map(spread)
 # denominators up to 3 stay invertible mod 7
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 term_lists = st.lists(st.tuples(monomials, coeffs), max_size=4)
+
+
 PROPERTY = settings(max_examples=120, deadline=None)
 
 
@@ -93,7 +111,7 @@ def test_products_match_the_oracle_or_raise_past_the_cap(case):
     ring, terms = case
     a, b, c, d = [ring.poly(t) for t in terms]
     for pairs in ([(a, b)], [(a, b), (c, d)], [(a, a)]):
-        if largest_product_exponent(pairs) > CAP:
+        if largest_product_degree(pairs) > CAP:
             with pytest.raises(OverflowError):
                 ring.dot(pairs)
             continue
@@ -110,7 +128,7 @@ def test_monomial_multiples_match_the_oracle_or_raise_past_the_cap(case, mon, c)
     f = ring.poly(terms)
     m = ring.poly({mon: c})
     for pairs in ([(f, m)], [(m, f)]):
-        if largest_product_exponent(pairs) > CAP:
+        if largest_product_degree(pairs) > CAP:
             with pytest.raises(OverflowError):
                 ring.dot(pairs)
         else:
@@ -140,27 +158,46 @@ def test_divide_matches_the_oracle_or_raises_past_the_cap(case):
 
 
 def test_s_polynomials_past_the_cap_raise():
-    """Inhomogeneous, so on the Gebauer-Moeller reference route."""
+    """Inhomogeneous under lex: S(x^2 - y^b, x*y^60) multiplies y^b by
+    y^60, which reaches y^255 at b = 195, where the exponent-tuple route
+    (`module_basis_all_pairs`) finds y^255.  The engine refuses both
+    inputs, whose lead x^2 lies below its tail's degree, so no step of it
+    can carry: unchecked, it returned [y^196, x] at b = 196, as y^256
+    carried into x's byte.  The product past the cap raises where it
+    forms."""
     ring = PolyRing(1, QQ, "lex")
     x, y = ring.x(1, 1), ring.y(1, 1)
-    # S(x^2 - y^b, x*y^60) multiplies y^b by y^60
-    assert y**255 in engine_basis([x**2 - y**195, x * y**60])
-    with pytest.raises(OverflowError):
-        engine_basis([x**2 - y**196, x * y**60])
+    tuples = lambda g: {(0, mon): c for mon, c in g.exponent_terms()}
+    gens = [x**2 - y**195, x * y**60]
+    basis = module_basis_all_pairs([tuples(g) for g in gens], order_key(ring.order), QQ)
+    assert tuples(y**255).keys() in [g.keys() for g in basis]
+    for b in (195, 196):
+        with pytest.raises(ValueError, match="above its lead's degree"):
+            engine_basis([x**2 - y**b, x * y**60])
+    with pytest.raises(OverflowError, match="product degree 256"):
+        (x**2 - y**196) * y**60
 
 
-def test_homogeneous_s_polynomials_past_the_cap_raise():
+def test_homogeneous_s_polynomials_past_the_cap_are_truncated():
     """The same pair made homogeneous by z, on the signature loop:
-    S(x^2*z^(b-2) - y^b, x*y^60) is -y^(b+60)."""
+    S(x^2*z^(b-2) - y^b, x*y^60) is -y^(b+60), a pair of degree b + 60.
+    At b = 195 it gives y^255, whose own pairs pass the cap; at b = 196 it
+    passes the cap itself.  Either basis is truncated at 255, the
+    engine's too, as no lead settles it."""
     ring = PolyRing(2, QQ, "lex")
     x, y, z = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
-    assert y**255 in buchberger([x**2 * z**193 - y**195, x * y**60]).elements
-    with pytest.raises(OverflowError):
-        buchberger([x**2 * z**194 - y**196, x * y**60])
+    for b, elements in ((195, [y**255, x * y**60]), (196, [x * y**60])):
+        gens = [x**2 * z**(b - 2) - y**b, x * y**60]
+        basis = buchberger(gens)
+        assert (basis.complete, basis.truncation_degree) == (False, 255)
+        assert [g for g in elements if g in basis.elements] == elements
+        assert basis.elements == engine_basis(gens).elements
 
 
 @pytest.mark.parametrize("order", ("grevlex", "lex", "elim"))
 def test_module_reduction_steps_past_the_cap_raise(order):
+    """A step reaches y^255; the vector whose step would pass it is a
+    product past the cap, which raises before any step."""
     ring = n2_ring(QQ, order)
     t, x, y = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
     lead = t**100 * x**100  # leads t^100*x^100 - y^200 in all three orders
@@ -173,9 +210,9 @@ def test_module_reduction_steps_past_the_cap_raise(order):
 # -- packed exponents ----------------------------------------------------------
 
 ORDERS5 = [Grevlex(5), Lex(5), BlockElimination(5, 3), BlockElimination(5, 2)]
-monomials5 = st.tuples(*[exponents] * 5)
+monomials5 = capped(5)
 RINGS8 = [n2_ring(GF(7), order, front=3) for order in ("grevlex", "lex", "elim")]
-monomials8 = st.tuples(*[exponents] * 8)
+monomials8 = capped(8)
 
 
 def _packed(order, exps):
@@ -187,10 +224,10 @@ def _packed(order, exps):
 def test_packed_divisibility_and_lcm_match_the_tuples(order, a, b, k):
     pa, pb = _packed(order, a), _packed(order, b)
     assert order.divides(pa, pb) == mon_divides(a, b)
-    lcm = mon_lcm(a, b)
-    assert order.lcm(pa, pb) == order.lcm(pb, pa) == _packed(order, lcm)
-    assert order.divides(pa, _packed(order, lcm)) and order.divides(pb, _packed(order, lcm))
-    if a[k] < CAP:
+    lcm = order.lcm(pa, pb)  # up to degree 510: an lcm key is never encoded
+    assert lcm == order.lcm(pb, pa) and order.decode(order.key(lcm)) == mon_lcm(a, b)
+    assert order.divides(pa, lcm) and order.divides(pb, lcm)
+    if sum(a) < CAP:
         up = a[:k] + (a[k] + 1,) + a[k + 1:]
         assert order.divides(pa, _packed(order, up)) and not order.divides(_packed(order, up), pa)
 
@@ -214,20 +251,20 @@ def test_packed_keys_degrees_and_supports_match_the_tuples(order, a, b, pos):
 @PROPERTY
 @given(
     ring=st.sampled_from(RINGS8),
-    q=monomials8,
+    q=st.tuples(*[exponents] * 8),
     terms=st.lists(st.tuples(st.integers(0, 2), monomials8), min_size=2, max_size=5, unique=True),
 )
 def test_cap_check_matches_the_tuples(ring, q, terms):
+    """`encode` refuses a monomial past total degree 255, and a compiled
+    term list reads its lead's degree and packed exponents off the key."""
     order = ring.order
     morder = ModuleOrder(order, 3)
     keys = sorted({morder.encode(pos, order.encode(e)) for pos, e in terms}, reverse=True)
     cp = compile_terms([(v, 1) for v in keys], ring)
-    tails = [order.decode(morder.decode(v)[1]) for v, _ in cp.tail]
-    assert cp.tail_deg == max(sum(t) for t in tails)
     assert cp.packed == order.packed(keys[0])
     assert cp.lead_deg == sum(order.decode(morder.decode(keys[0])[1]))
-    if any(x + y > CAP for t in tails for x, y in zip(q, t)):
-        with pytest.raises(OverflowError):
-            check_product(_packed(order, q), cp.tail, order)
+    if sum(q) > CAP:
+        with pytest.raises(OverflowError, match=f"total degree {sum(q)} exceeds the cap"):
+            ring.poly({q: 1})
     else:
-        check_product(_packed(order, q), cp.tail, order)
+        assert order.decode(order.encode(q)) == q

@@ -211,7 +211,15 @@ def test_monic_and_scale():
 
 ORDERS9 = (Grevlex(9), Lex(9), BlockElimination(9, 1))
 ORDERS8 = (Grevlex(8), Lex(8), BlockElimination(8, 1))  # the orders of n=2 rings
-exps9_capped = st.tuples(*[st.integers(0, 255)] * 9)
+
+
+@st.composite
+def exps9_capped(draw, total=255):
+    """Nine exponents of total degree <= `total`, the cap: all of it in one
+    variable when the cuts coincide, else spread over several."""
+    t = draw(st.integers(0, total))
+    cuts = sorted(draw(st.lists(st.integers(0, t), min_size=8, max_size=8)))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, t]))
 
 
 @pytest.mark.parametrize("order", ORDERS8, ids=repr)
@@ -228,9 +236,10 @@ def test_decompile_matches_canonical_sort(order):
 
 
 @settings(max_examples=80)
-@given(a=exps9_capped, b=exps9_capped)
-def test_packed_key_is_additive_up_to_the_exponent_cap(a, b):
-    b = tuple(y % (256 - x) for x, y in zip(a, b))  # keeps every a_i + b_i <= 255
+@given(data=st.data())
+def test_packed_key_is_additive_up_to_the_exponent_cap(data):
+    a = data.draw(exps9_capped())
+    b = data.draw(exps9_capped(255 - sum(a)))  # keeps a * b within total degree 255
     for order in ORDERS9:
         unit = order.encode((0,) * 9)
         assert unit == order.unit_v
@@ -239,12 +248,21 @@ def test_packed_key_is_additive_up_to_the_exponent_cap(a, b):
 
 @pytest.mark.parametrize("order", ORDERS9, ids=repr)
 def test_encode_raises_at_exponent_256(order):
-    order.encode((255,) * 9)
-    for i in (0, 8):
-        exps = [0] * 9
-        exps[i] = 256
-        with pytest.raises(OverflowError):
-            order.encode(exps)
+    """Exponent 256 keeps its own message; total degree 256 spread over
+    several variables, each within a byte, passes the cap too."""
+    for total in (255, 256):
+        spread = (29,) * 8 + (total - 232,)
+        for i in (0, 8):
+            single = [0] * 9
+            single[i] = total
+            if total == 255:
+                assert order.decode(order.encode(single)) == tuple(single)
+                assert order.decode(order.encode(spread)) == spread
+                continue
+            with pytest.raises(OverflowError, match="exponent 256 exceeds order capacity 255"):
+                order.encode(single)
+            with pytest.raises(OverflowError, match="total degree 256 exceeds the cap 255"):
+                order.encode(spread)
 
 
 @pytest.mark.parametrize("order", ORDERS8, ids=repr)

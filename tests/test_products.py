@@ -1,8 +1,8 @@
 """The product kernel `PolyRing.dots` and every route into it (`dot`, `*`,
 matrix products, syzygy residuals) against a naive exponent-tuple oracle;
-its exponent-cap guard; that it never encodes or decodes a monomial; and
-that over QQ it packs each operand once per call and builds one Fraction per
-distinct coefficient."""
+its cap guard (no product past total degree 255); that it never encodes or
+decodes a monomial; and that over QQ it packs each operand once per call and
+builds one Fraction per distinct coefficient."""
 
 from fractions import Fraction
 
@@ -146,34 +146,34 @@ def test_products_stop_at_the_exponent_cap(order, field):
 
     for i, other in ((0, 7), (4, 0), (7, 1)):
         a = power(i, 200)
-        want = power(i, 255)
         b = power(i, 55)
-        assert a * b == want
-        assert ring.dot([(a, b)]) == want
-        assert (entry(a) * entry(b))[1, 1] == want
-        c = power(i, 56)
-        for product in (
-            lambda: a * c,
-            lambda: ring.dot([(a, c)]),
-            lambda: ring.dot([(c, a)]),
-            lambda: entry(a) * entry(c),
-        ):
-            with pytest.raises(OverflowError):
-                product()
-        # large exponents of different variables add up to nothing
+        for want, factor in ((power(i, 255), b), (a * power(other, 55), power(other, 55))):
+            assert a * factor == want  # 255 in one variable, then spread over two
+            assert ring.dot([(a, factor)]) == want
+            assert (entry(a) * entry(factor))[1, 1] == want
+        # a product of total degree 256 raises, in one variable or in two
+        for c in (power(i, 56), power(other, 56)):
+            for product in (
+                lambda: a * c,
+                lambda: ring.dot([(a, c)]),
+                lambda: ring.dot([(c, a)]),
+                lambda: entry(a) * entry(c),
+            ):
+                with pytest.raises(OverflowError, match="product degree 256"):
+                    product()
+        # sums of degrees 200 and 55 multiply within the cap
         f = a + power(other, 1)
-        g = power(other, 200) + b
-        assert f * g == a * power(other, 200) + a * b + power(other, 201) + power(other, 1) * b
-        # a monomial multiple on either side, as the cap check takes one side's lcm
-        m = power(other, 200).scale(3)
-        want = (a * power(other, 200) + power(other, 201)).scale(3)
+        g = power(other, 55) + b
+        assert f * g == a * power(other, 55) + a * b + power(other, 56) + power(other, 1) * b
+        m = power(other, 55).scale(3)
+        want = (a * power(other, 55) + power(other, 56)).scale(3)
         assert f * m == m * f == want
-        top = power(other, 255)
+        top = power(other, 56)
         for product in (lambda: f * top, lambda: top * f):
             with pytest.raises(OverflowError):
                 product()
         with pytest.raises(OverflowError):
-            f * (power(other, 1) + c)
+            f * (power(other, 1) + power(i, 56))
 
 
 def test_products_neither_encode_nor_decode(monkeypatch):

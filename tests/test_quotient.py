@@ -10,10 +10,11 @@ one module run), divides by f and meets the quotients.
 The inputs are seeded random homogeneous ideals over GF(7), GF(32003) and
 QQ under grevlex and lex, with generators of mixed degree 1-3, some with f
 in J, where the quotient is the unit ideal; the same over GF(101) too with
-2-3 fs of one degree, where J : f_1 is often larger than J : F; binomials
-near the 8-bit cap under lex, where both routes raise OverflowError; and
-binomials of degree 300 below the cap, where some colons are computed whole
-and agree.  At n=4 a degree bound cuts the loop, which the meet cannot
+2-3 fs of one degree, where J : f_1 is often larger than J : F; and
+binomials of degree 100 and 127 under lex, whose colons reach total degree
+255, the cap: a route whose pairs pass it is truncated there and refuses,
+and where both answer they agree.  Binomials of degree 300 are refused
+where the ring builds them.  At n=4 a degree bound cuts the loop, which the meet cannot
 take: through degree 4 the quotient by the diagonal entries adds the 3
 generators that `colon_bidegrees(4)` predicts.
 """
@@ -140,46 +141,55 @@ def test_the_quotient_generators_form_a_groebner_basis_of_the_colon(ctx):
 
 
 def _two_routes(gens, f) -> str:
-    """Compare the routes on one colon where products may pass the cap.  A
-    route may refuse with OverflowError; the quotient loop must refuse
-    wherever the meet route does, and where it answers, agree with it."""
-    try:
-        got = [g.terms for g in colon_ideal(gens, [f])]
-    except OverflowError:
-        got = None
-    try:
-        want = [g.terms for g in colon_by_meets(gens, [f])]
-    except OverflowError:
-        assert got is None
-        return "both refuse"
-    assert got is None or got == want
-    return "quotient refuses" if got is None else "agree"
+    """Compare the routes on one colon near the cap.  A route whose pairs
+    pass total degree 255 is truncated there and refuses with
+    IncompleteBasisError; where both answer they agree."""
+    answers = []
+    for route in (colon_ideal, colon_by_meets):
+        try:
+            answers.append([g.terms for g in route(gens, [f])])
+        except IncompleteBasisError as refusal:
+            assert str(refusal).endswith("truncated at 255)")
+            answers.append(None)
+    got, want = answers
+    if got is None:
+        return "both refuse" if want is None else "quotient refuses"
+    if want is None:
+        return "meet refuses"
+    assert got == want
+    return "agree"
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_near_the_cap_both_routes_raise_or_agree(seed):
-    """Degree-383 binomials under lex: the last is f, the others span J."""
-    bins = near_cap_binomials("lex", seed)
-    assert _two_routes(bins[:-1], bins[-1]) == "both refuse"
+    """Degree-100 binomials under lex, whose first two exponents lie near 0,
+    50 and 100: the last is f, the others span J.  Neither route raises:
+    the meet answers all six, and the quotient loop refuses the five whose
+    pairs pass 255."""
+    bins = near_cap_binomials("lex", seed, degree=100)
+    want = "agree" if seed == 2 else "quotient refuses"
+    assert _two_routes(bins[:-1], bins[-1]) == want
 
 
 def test_past_degree_255_below_the_cap_the_routes_agree():
-    """Binomials of degree 300 with exponents 46..127 under lex: every key
-    the loop multiplies is checked, and some colons are computed whole.
-    The signature loop may refuse one that the meet route answers; it is
-    never silently wrong."""
+    """Binomials of degree 300 with exponents 46..127, each within a byte,
+    are refused where `poly` builds them.  Their shape at degree 127, the
+    exponents 20..50, is below the cap: the routes agree on most colons,
+    and a route whose pairs pass 255 refuses; none is silently wrong."""
     ring = PolyRing(2, GF(101), "lex")
+    with pytest.raises(OverflowError, match="total degree 300 exceeds the cap 255"):
+        ring.poly({spread((127, 127, 46)): 1})
     outcomes = []
     for seed in range(12):
         rng = random.Random(seed)
         bins = []
         while len(bins) < 3:
-            a, b = rng.randint(60, 127), rng.randint(60, 127)
-            if 46 <= 300 - a - b <= 127:
-                bins.append((a, b, 300 - a - b))
+            a, b = rng.randint(20, 50), rng.randint(20, 50)
+            if 20 <= 127 - a - b <= 50:
+                bins.append((a, b, 127 - a - b))
         f = ring.poly({spread(bins[1]): 1, spread(bins[2]): rng.randint(1, 100)})
         outcomes.append(_two_routes([ring.poly({spread(bins[0]): 1, spread(bins[2]): 1})], f))
-    assert "agree" in outcomes
+    assert outcomes.count("agree") == 7 and "both refuse" in outcomes
 
 
 def test_zero_and_inhomogeneous_input_are_refused():

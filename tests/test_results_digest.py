@@ -1,4 +1,4 @@
-"""The JSON `results` of thirty-three quick CLI runs, pinned by sha256.
+"""The JSON `results` of thirty-four quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -89,6 +89,11 @@ the truncated n=4 basis the CLI now asks the context for;
 `syzygies -n 4 --degree-bound 3` pins the first syzygies that context keys
 by their resolved bound; `predict knutson -n 5` pins the candidate labels,
 bidegrees and feasibility flags, now counted without any polynomial.
+The three `syzygy-check -n 2` digests pin a syzygy, a non-syzygy and an
+entry of total degree 256, x_1_1^128*x_1_2^128, whose exponents each fit
+a byte: the cap rule (no monomial past total degree 255) refuses it where
+the matrix is read, a FAIL with the OverflowError as its error, recorded
+when the cap moved from each exponent to the total degree.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -155,6 +160,9 @@ MATRIX_DIGESTS = {
     ("0; 32003\n0; 0\n", 1): (
         "ef0a57722cfd1287a3fc5ac9e8ba5b32f924cde822e9480244eb2ea0d4d1bcee"
     ),
+    ("x_1_1^128*x_1_2^128; 0\n0; 0\n", 1): (
+        "5650809d2bce2ffeb68b832cdb7398feb15fa1fd899826c42d178edd0501ef02"
+    ),
 }
 
 
@@ -172,7 +180,9 @@ def test_results_match_the_recorded_digest(command):
     assert run_digest(command.split()) == (0, DIGESTS[command])
 
 
-@pytest.mark.parametrize("text, code", list(MATRIX_DIGESTS), ids=("syzygy", "non-syzygy"))
+@pytest.mark.parametrize(
+    "text, code", list(MATRIX_DIGESTS), ids=("syzygy", "non-syzygy", "degree-256")
+)
 def test_syzygy_check_results_match_the_recorded_digest(text, code, tmp_path):
     matrix = tmp_path / "m.mat"
     matrix.write_text(text)

@@ -8,14 +8,15 @@ seeded random homogeneous ideals over GF(7), GF(32003) and QQ under
 grevlex, lex and elim, with and without a degree bound; 40 ideals of 2 to 5
 generators of degree 2-3 in all 8 variables of n=2, bound 6, the shape on
 which a signature loop that rewrites by addition order and drops singular
-results loses leads; and binomials near the 8-bit cap, where a product past
-the cap must raise OverflowError exactly where the engine raises it.  One
-lex input of degree 300, where the loop raises and the engine answers,
-pins that limit.  A shuffle of the generators changes neither the basis,
-the flags nor the work counts, and a bounded basis flagged complete is the
-unbounded one.  A budget cut is a truncation: on 12 more random ideals under
-several budgets, a cut basis, selection and module basis are truncated one
-degree below their next pair and answer as uncut ones through it.
+results loses leads; and binomials of degree 170, whose pairs reach total
+degree 255, the cap, or pass it, where both routes truncate at 255.  The
+lex input of degree 300 on which the loop once raised where the engine
+answered is refused where the ring builds it.  A shuffle of the
+generators changes neither the basis, the flags nor the work counts, and a
+bounded basis flagged complete is the unbounded one.  A budget cut is a
+truncation: on 12 more random ideals under several budgets, a cut basis,
+selection and module basis are truncated one degree below their next
+pair and answer as uncut ones through it.
 """
 
 import random
@@ -30,13 +31,12 @@ from commsyz.groebner import (
     IncompleteBasisError,
     SignatureLoop,
     buchberger,
-    colon_ideal,
     intersect_ideals,
 )
 from commsyz.polyring import PolyRing
 from commsyz.syzygy import module_buchberger, module_membership
 
-from oracles import engine_basis, engine_meet, n2_ring, near_cap_binomials
+from oracles import engine_basis, engine_meet, n2_ring, near_cap_binomials, spread
 
 FIELDS = {"gf7": GF(7), "gf32003": GF(32003), "qq": QQ}
 ORDERS = ("grevlex", "lex", "elim")
@@ -113,32 +113,31 @@ def test_few_generators_in_every_variable_bound_6(seed, monkeypatch):
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("seed", range(6))
 def test_near_the_cap_both_routes_raise_or_agree(seed, order, bound, monkeypatch):
+    """Degree-170 binomials, whose pairs reach total degree 255 or pass it.
+    A bound past the cap is the cap, so neither route raises: both drop
+    the pairs past 255, and their bases agree, truncated at 255 unless
+    `_settled` proves them complete."""
     gens = near_cap_binomials(order, seed)
-    try:
-        want = _terms(engine_basis(gens, bound))
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            _signature_route(monkeypatch, buchberger, gens, degree_bound=bound)
-        return
-    assert _terms(_signature_route(monkeypatch, buchberger, gens, degree_bound=bound)) == want
+    got = _signature_route(monkeypatch, buchberger, gens, degree_bound=bound)
+    assert _terms(got) == _terms(engine_basis(gens, bound))
+    assert got.truncation_degree in (None, 255)
 
 
-def test_the_cover_criterion_overflows_where_the_engine_answers():
-    """The cap is the signature loop's limit.  On this principal lex ideal
-    J of degree 300 and f, a pair the Gebauer-Moeller criteria drop passes
-    the cap in the loop's cover test, so the basis of J + (f), the colon
-    J : f and the meet of J with (f) all raise OverflowError, while the
-    Gebauer-Moeller reference route answers the basis and the meet."""
+def test_the_degree_300_inputs_are_refused_at_the_ring():
+    """The cap is every run's limit, stated before it starts.  On a lex
+    ideal J of degree 300 and an f of degree 300 the signature loop once
+    raised in its cover test where the Gebauer-Moeller route answered; now
+    no term of them can be built: `poly` and `parse` refuse each one, and so
+    does the product that would form it."""
     ring = PolyRing(2, GF(101), "lex")
+    for exps in ((120, 107, 73), (70, 122, 108), (122, 85, 93), (112, 72, 116)):
+        with pytest.raises(OverflowError, match="total degree 300 exceeds the cap 255"):
+            ring.poly({spread(exps): 1})
+        with pytest.raises(OverflowError, match="total degree 300 exceeds the cap 255"):
+            ring.parse("x_1_1^{}*x_1_2^{}*y_1_1^{}".format(*exps))
     a, b, c = ring.x(1, 1), ring.x(1, 2), ring.y(1, 1)
-    J = [ring.const(41) * a**120 * b**107 * c**73 + a**70 * b**122 * c**108]
-    f = a**122 * b**85 * c**93 + ring.const(25) * a**112 * b**72 * c**116
-    for run in (lambda: buchberger(J + [f]), lambda: colon_ideal(J, [f]),
-                lambda: intersect_ideals(J, [f])):
-        with pytest.raises(OverflowError):
-            run()
-    assert len(engine_basis(J + [f])) == 12
-    assert len(engine_meet(J, [f])) == 1
+    with pytest.raises(OverflowError, match="product degree 300"):
+        a**120 * b**107 * c**73
 
 
 def test_a_constant_generator_gives_the_unit_ideal():

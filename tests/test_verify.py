@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from commsyz import cli, verify
+from commsyz import cli, genmat, verify
 from commsyz import fixtures as fixture_store
 from commsyz.fields import GF
 from commsyz.genmat import build_system, det
@@ -38,6 +38,23 @@ def test_determinant_members_take_only_the_determinants_they_read(monkeypatch):
     members = _determinant_members(build_system(3, GF(32003)), everything)
     assert len(members) == len(taken) == 5
     assert [m["columns"] for m in members][-1] == ["E", "Y", "Y^2"]
+
+
+def test_a_verify_run_takes_each_determinant_once(monkeypatch, capsys):
+    """`check_colon_ideal` and `check_knutson` read one cached membership
+    list, so one `verify -n 3` takes 22 determinants: 14 in
+    `check_cofactor`, 3 for the explicit combination and 5 candidates."""
+    taken = []
+
+    def spy(m):
+        taken.append(m)
+        return det(m)
+
+    monkeypatch.setattr(genmat, "det", spy)
+    monkeypatch.setattr(verify, "det", spy)
+    assert cli.main(["verify", "-n", "3", "--json"]) == 0
+    assert len(taken) == 22
+    capsys.readouterr()
 
 
 def test_registry_names_are_unique_and_ordered():
