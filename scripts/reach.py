@@ -54,6 +54,7 @@ COMMAND_LINES = (
     "groebner -n 2 --ideal J --json",
     "colon -n 3",
     "syzygies -n 3",
+    "syzygies -n 3 --degree-bound 4 --budget-spairs 60",
     "syzygy-check -n 2 --matrix {matrix}",
     "hilbert -n 3",
     "check-splice -n 3",

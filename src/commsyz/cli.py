@@ -38,7 +38,6 @@ from commsyz.conjecture import (
 )
 from commsyz.fields import field_from_name
 from commsyz.genmat import GenericMatrix
-from commsyz.groebner import Budget
 from commsyz.hilbert import hilbert_of_basis
 from commsyz.syzygy import trace_residual, trace_residuals
 from commsyz.verify import (
@@ -64,7 +63,6 @@ class RunConfig:
     n: int = 3
     field: str = "gf:32003"
     order: str = "grevlex"
-    budget_seconds: Optional[float] = None
     budget_spairs: Optional[int] = None
     degree_bound: Optional[int] = None
     fixtures: Optional[str] = None
@@ -79,18 +77,12 @@ class RunConfig:
             raise ValueError(f"order must be one of {', '.join(ORDERS)}, not {self.order!r}")
         if self.degree_bound is not None and self.degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        self.budget()  # validates positivity
-
-    def budget(self) -> Optional[Budget]:
-        if self.budget_seconds is None and self.budget_spairs is None:
-            return None
-        return Budget(max_spairs=self.budget_spairs, max_seconds=self.budget_seconds)
 
     def context(self) -> DeskContext:
         return DeskContext(
             field=field_from_name(self.field),
             order=self.order,
-            budget=self.budget(),
+            budget=self.budget_spairs,
             fixture_dir=self.fixtures,
             degree_bound=self.degree_bound,
         )
@@ -204,7 +196,7 @@ def _syzygies(cfg: RunConfig, ctx: DeskContext, n: int):
         "counts": {str(k): v for k, v in sorted(fs.counts.items())},
         "truncation_degree": fs.truncation_degree,
         "word_candidates": words,
-        "stats": _stats(fs.stats),
+        "stats": {**_stats(fs.stats), "selection": _stats(fs.selection)},
     }
     return ("PASS" if fs.complete else "PARTIAL"), detail
 
@@ -300,17 +292,15 @@ FLAGS = {
     "-n": (int, 3, None, "matrix size, at least 2 (default 3)"),
     "--field": (str, "gf:32003", None, "coefficient field: q or gf:<prime> (default gf:32003)"),
     "--order": (str, "grevlex", ORDERS, "monomial order (default grevlex)"),
-    "--budget-seconds": (float, None, None, "wall-clock budget per engine run; a cut yields "
-                         "PARTIAL, truncated through a degree that depends on timing"),
-    "--budget-spairs": (int, None, None, "pairs one engine run may reduce (signature "
-                        "J-pairs and generators; S-pairs in a minimal-generator "
-                        "selection); a cut yields PARTIAL, truncated one degree below "
+    "--budget-spairs": (_nonnegative, None, None, "pairs one signature-loop run may reduce "
+                        "(J-pairs and generator entries; a minimal-generator selection is "
+                        "not capped); a cut yields PARTIAL, truncated one degree below "
                         "its next pair"),
     "--degree-bound": (int, None, None, "truncation degree (bases, syzygies, colon-degrees)"),
     "--fixtures": (_directory, None, None, "directory of fixture JSON files (default: the shipped set)"),
 }
 RING = ("-n", "--field", "--order")
-BUDGET = RING + ("--budget-seconds", "--budget-spairs")
+BUDGET = RING + ("--budget-spairs",)
 
 # the subcommands' own arguments, as (name, add_argument keywords)
 IDEAL = ("--ideal", dict(choices=("I", "J"), default="I", help="full (I) or off-diagonal (J)"))

@@ -1,4 +1,4 @@
-"""The Buchberger engines, with budgets, degree truncation and ideal operations.
+"""The Buchberger engines, with a pair budget, degree truncation and ideal operations.
 
 Two pair loops share one reducer store, `DegreeBucketReducers`, which
 answers find(V) on the packed key, and one normal-form kernel.
@@ -32,15 +32,17 @@ degree d, and `select` decides minimal generators against it (a candidate
 of degree d is minimal iff its normal form against the degree-d basis is
 nonzero).
 
-A budget counts the pairs a run reduces.  In `SignatureLoop` it is the
-J-pairs that pass the criteria and are reduced, each generator's own entry
-included, since a generator is top-reduced on entry too; for a colon ideal,
-those of its one tracked loop, and for the first syzygies, those of the
-tracked loop.  Pairs the criteria drop are not counted.  In a selection
-`Engine` counts its reduced S-pairs.  Both loops pop pairs in degree order,
-so a run that the budget cuts while its next pair has degree d is complete
-through degree d - 1 (the truncated basis of homogeneous input): a cut is a
-truncation, and a finished run is either complete or truncated at a degree.
+A budget is one nonnegative int, the most pairs one `SignatureLoop` run
+may reduce: the J-pairs that pass the criteria and are reduced, each
+generator's own entry included, since a generator is top-reduced on entry
+too; for a colon ideal, those of its one tracked loop, and for the first
+syzygies, those of the tracked loop.  Pairs the criteria drop are not
+counted.  A selection takes no budget: its candidates come from a capped
+loop or a complete colon, and its degree bound is its top candidate's
+degree.  The loop pops pairs in degree order, so a run that the budget cuts
+while its next pair has degree d is complete through degree d - 1 (the
+truncated basis of homogeneous input): a cut is a truncation, and a
+finished run is either complete or truncated at a degree.
 
 Callers: `buchberger` returns the reduced Groebner basis (minimal leads,
 tails in normal form, monic, sorted), which is unique for a given ideal and
@@ -55,7 +57,6 @@ the `GroebnerBasis` answers from.  No basis compiles or sorts anything else.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from heapq import heappush, heappop
@@ -92,36 +93,6 @@ def require(basis, degree: Optional[int] = None, *, refusal: str):
     """
     if not basis.complete and (degree is None or degree > basis.truncation_degree):
         raise IncompleteBasisError(refusal.format(d=basis.truncation_degree))
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Resource limits for one engine run.
-
-    A budget caps one engine run as a whole: a basis, a module basis or a
-    meet, the tracked loop of a colon ideal or of the first syzygies, or a
-    whole minimal-generator selection with every degree it passes through.
-    `max_spairs` counts the pairs the run reduces: in
-    `SignatureLoop`, which runs everything but the selection, the J-pairs
-    that pass its criteria, each generator's entry included; in a selection
-    by `Engine`, its S-pairs.  A cut never raises: the run stops and its
-    result is truncated one degree below its next pair (`complete` False,
-    `truncation_degree` d) and holds only what it knows through d, so
-    `require` answers questions of degree <= d and refuses the rest.  The
-    first syzygies, from two runs, are truncated at the lower of the two
-    degrees (`syzygy.first_syzygies`).  Under `max_seconds` d depends on
-    timing, as the cut result does; under `max_spairs` both are
-    deterministic.
-    """
-
-    max_spairs: Optional[int] = None
-    max_seconds: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_spairs is not None and self.max_spairs < 0:
-            raise ValueError("max_spairs must be nonnegative")
-        if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
-            raise ValueError("max_seconds must be finite and positive")
 
 
 @dataclass
@@ -198,20 +169,19 @@ class GroebnerBasis:
 
 class _PairLoop:
     """What both pair loops share: the monic packed elements and their one
-    `DegreeBucketReducers`, the degree bound, the budget, the work counts
-    and the flags of a finished run.  The degree bound is at most 255, the
-    cap: a pair past it is dropped and counted as truncated, as any pair
-    past a bound is.  `exhausted` holds the reason once the
-    budget has cut the run.  What a finished run can answer is stated once,
-    by `complete` and `truncation_degree`: a run is complete, or truncated
-    at a degree."""
+    `DegreeBucketReducers`, the degree bound, the work counts and the flags
+    of a finished run.  The degree bound is at most 255, the cap: a pair
+    past it is dropped and counted as truncated, as any pair past a bound
+    is.  `exhausted` holds the reason once the signature loop's budget has
+    cut the run.  What a finished run can answer is stated once, by
+    `complete` and `truncation_degree`: a run is complete, or truncated at
+    a degree."""
 
-    def __init__(self, ring: PolyRing, degree_bound, budget):
+    def __init__(self, ring: PolyRing, degree_bound):
         self.ring = ring
         self.reducers = DegreeBucketReducers(ring.order)
         # the cap rule (`polyring`): no pair past total degree 255
         self.degree_bound = _EXP_CAP if degree_bound is None else min(degree_bound, _EXP_CAP)
-        self.budget = budget or Budget()
         self.stats = GBStats()
         self.start = time.monotonic()
         self.basis: list[CompiledPoly] = []  # the monic elements, lead and tail
@@ -229,27 +199,13 @@ class _PairLoop:
         """None for a complete run; after a cut, one below the degree of the
         first queued pair, and at most the degree bound once pairs past it
         were dropped (a generator's entry is queued whatever the bound);
-        otherwise the degree bound.  Read off the queue when asked, since a
-        selection may add elements after a cut: their pairs only lower it."""
+        otherwise the degree bound."""
         if self.complete:
             return None
         if self.exhausted is None:
             return self.degree_bound
         d = self.heap[0][0] - 1
         return min(d, self.degree_bound) if self.stats.pairs_truncated else d
-
-    def _spent(self) -> Optional[str]:
-        """Why the budget stops the run before its next pair, or None."""
-        budget = self.budget
-        if budget.max_spairs is not None and self.stats.spairs_reduced >= budget.max_spairs:
-            return f"S-pair budget ({budget.max_spairs}) exhausted"
-        if budget.max_seconds is not None and time.monotonic() - self.start > budget.max_seconds:
-            return f"time budget ({budget.max_seconds}s) exhausted"
-        return None
-
-    def _cut(self, reason: str) -> None:
-        self.exhausted = reason
-        self.stats.seconds = time.monotonic() - self.start
 
     def _spoly(self, a, b, v: int):
         """The S-polynomial of monic a and b, whose lcm has key v (with a's
@@ -312,13 +268,14 @@ class Engine(_PairLoop):
     truncated.  `add` refuses an element with a term above its lead's
     degree, so no S-polynomial or reduction step passes the degree of its
     pair or of the term it reduces: the cap rule (`polyring`) holds.  The
-    library enters homogeneous elements only.  The budget counts reduced
-    S-pairs.  After `run(d)` `complete` and `truncation_degree` say whether
-    degree d can be decided.
+    library enters homogeneous elements only.  It takes no budget: a
+    selection's candidates come from a capped loop or a complete colon, and
+    its degree bound is its top candidate's degree, so `run(d)` completes
+    the basis through degree d whenever d is within the bound.
     """
 
-    def __init__(self, ring: PolyRing, *, degree_bound=None, budget=None):
-        super().__init__(ring, degree_bound, budget)
+    def __init__(self, ring: PolyRing, *, degree_bound=None):
+        super().__init__(ring, degree_bound)
         self.groups: dict = {}  # lead position bits -> the elements whose leads sit there
 
     def add(self, terms):
@@ -353,13 +310,10 @@ class Engine(_PairLoop):
 
     def run(self, through: Optional[int] = None) -> None:
         """Process the waiting pairs of lcm degree <= through (all of them
-        when None), until the budget cuts the run."""
+        when None)."""
         heap, basis, stats = self.heap, self.basis, self.stats
         fld, bits = self.ring.field, self.ring.order.total_bits
         while heap and (through is None or heap[0][0] <= through):
-            reason = self._spent()
-            if reason:
-                return self._cut(reason)
             deg, _, i, j, v = heappop(heap)
             a, b = basis[i], basis[j]
             terms, _, _ = self._spoly(a, b, (a.lead_v >> bits << bits) | v)
@@ -380,16 +334,13 @@ class Engine(_PairLoop):
 
         Each candidate is decided against the basis completed through its
         degree: it is kept iff its normal form is nonzero, and that normal
-        form enters the basis.  The selection stops at the first candidate
-        it cannot decide, one past the engine's truncation degree (by the
-        bound or a budget cut), so the kept list is exact through that
-        degree; a caller that needs a degree asks `require` of the engine.
+        form enters the basis.  A candidate past the degree bound is decided
+        against the basis truncated at the bound, so a caller that needs its
+        degree asks `require` of the engine.
         """
         kept = []
         for k, (d, terms) in enumerate(candidates):
             self.run(d)
-            if not self.complete and d > self.truncation_degree:
-                break
             rem = normal_form(terms, self.reducers, self.ring.field)
             if rem:
                 kept.append(k)
@@ -422,10 +373,12 @@ class SignatureLoop(_PairLoop):
       - syzygy: the signature of an earlier zero reduction divides it;
       - cover: an element whose signature divides it, multiplied into it,
         has a lead below L.
-    A survivor counts as one reduced pair, and the budget counts those.  It
-    is reduced by regular top reduction (`normal_form` with a signature):
-    zero records its signature as a syzygy's, anything else enters the
-    basis, made monic, with the J-pair's signature.  A multiplied
+    A survivor counts as one reduced pair, and the budget, a nonnegative
+    int or None, caps those: before each pair the loop stops once it has
+    reduced `budget` of them, and `exhausted` says so.  A survivor is
+    reduced by regular top reduction (`normal_form` with a signature): zero
+    records its signature as a syzygy's, anything else enters the basis,
+    made monic, with the J-pair's signature.  A multiplied
     signature has at most its pair's degree, so it keeps the cap rule
     (`polyring`).  Pairs pop in ascending degree, so a cut run is truncated
     one degree below its next pair (`truncation_degree`); it need not hold
@@ -461,7 +414,8 @@ class SignatureLoop(_PairLoop):
     The constructor checks every caller's input: each generator and tracked
     vector nonzero and homogeneous, one vector rank, and every nonzero
     polynomial or component from `ring` or a ring of its signature (another
-    ring's keys name other monomials); anything else raises ValueError.
+    ring's keys name other monomials), and a budget nonnegative; anything
+    else raises ValueError.
     """
 
     def __init__(
@@ -470,10 +424,13 @@ class SignatureLoop(_PairLoop):
         gens: Sequence[Polynomial],
         *,
         degree_bound=None,
-        budget=None,
+        budget: Optional[int] = None,
         tracked: Sequence = (),
     ):
-        super().__init__(ring, degree_bound, budget)
+        super().__init__(ring, degree_bound)
+        if budget is not None and budget < 0:
+            raise ValueError("the S-pair budget must be nonnegative")
+        self.budget = budget
         order, fld = ring.order, ring.field
         for f in (*gens, *tracked):
             for p in f if isinstance(f, tuple) else (f,):
@@ -574,11 +531,12 @@ class SignatureLoop(_PairLoop):
         heap, basis, stats = self.heap, self.basis, self.stats
         order, fld, bits = self.ring.order, self.ring.field, self.bits
         first = self.untracked << bits  # the least tracked signature key
+        budget = float("inf") if self.budget is None else self.budget
         last = None
         while heap:
-            reason = self._spent()
-            if reason:
-                return self._cut(reason)
+            if stats.spairs_reduced >= budget:
+                self.exhausted = f"S-pair budget ({budget}) exhausted"
+                break
             deg, sig, v, _, i, j = heappop(heap)
             seen, last = sig == last, sig
             if seen or self._rewritable(sig, v):
@@ -635,7 +593,7 @@ class SignatureLoop(_PairLoop):
 def buchberger(
     gens: Sequence[Polynomial],
     *,
-    budget: Optional[Budget] = None,
+    budget: Optional[int] = None,
     degree_bound: Optional[int] = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by homogeneous `gens`,
@@ -734,7 +692,7 @@ def intersect_ideals(
     gens_a: Sequence[Polynomial],
     gens_b: Sequence[Polynomial],
     *,
-    budget: Optional[Budget] = None,
+    budget: Optional[int] = None,
 ) -> list:
     """Reduced Groebner basis of (A intersect B) in the ring's order, from
     one signature loop over the rank-2 vectors (a, a), a in A, and (b, 0),
@@ -771,7 +729,7 @@ def colon_ideal(
     gens: Sequence[Polynomial],
     fs: Sequence[Polynomial],
     *,
-    budget: Optional[Budget] = None,
+    budget: Optional[int] = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of (ideal : (f_1, ..., f_m)) for homogeneous
     input and fs of one degree, complete, with the work counts of its one

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .genmat import CommutatorSystem, GenericMatrix
-from .groebner import Budget, Engine, GBStats, SignatureLoop, require
+from .groebner import Engine, GBStats, SignatureLoop, require
 from .polyring import (
     DegreeBucketReducers,
     ModuleOrder,
@@ -239,7 +239,7 @@ def module_buchberger(
     vectors: Sequence,
     *,
     degree_bound: Optional[int] = None,
-    budget: Optional[Budget] = None,
+    budget: Optional[int] = None,
 ) -> ModuleBasis:
     """Groebner basis of the submodule the vectors generate, in the
     position-over-term order, from one signature loop over them
@@ -257,7 +257,7 @@ def module_buchberger(
     return ModuleBasis(loop, ModuleOrder(ring.order, len(vectors[0])))
 
 
-def module_membership(vec, generators: Sequence, *, budget: Optional[Budget] = None) -> bool:
+def module_membership(vec, generators: Sequence, *, budget: Optional[int] = None) -> bool:
     """Is vec in the submodule generated by `generators`?
 
     The input must be homogeneous (ValueError otherwise), and the basis is
@@ -294,7 +294,9 @@ def _koszul_vectors(gens: Sequence[Polynomial]):
 class FirstSyzygies:
     """Minimal first-syzygy data for the minimal generators, complete through
     `degree_bound` or, as a basis is, truncated at `truncation_degree`: the
-    counts, generators and sources then hold only the degrees through it."""
+    counts, generators and sources then hold only the degrees through it.
+    `stats` are the tracked signature loop's work counts and `selection`
+    the selection engine's."""
 
     rank: int
     degree_bound: int
@@ -303,6 +305,7 @@ class FirstSyzygies:
     sources: list         # parallel to generators: 'koszul' or 'pair'
     truncation_degree: Optional[int]  # None when complete through the bound
     stats: GBStats
+    selection: GBStats
 
     @property
     def complete(self) -> bool:
@@ -312,7 +315,7 @@ class FirstSyzygies:
 def first_syzygies(
     system: CommutatorSystem,
     degree_bound: Optional[int] = None,
-    budget: Optional[Budget] = None,
+    budget: Optional[int] = None,
 ) -> FirstSyzygies:
     """Generating set and graded minimal-generator counts of the first-syzygy
     module of the n^2 - 1 minimal commutator generators.
@@ -326,18 +329,18 @@ def first_syzygies(
     criteria is reduced, each zero reduction records a syzygy, and with the
     Koszul relations those generate every syzygy of the generators through
     the bound.  One module engine then selects the minimal ones, Koszul
-    relations first within each degree; `stats` are the signature loop's.
-    The budget caps each of the two runs.  A cut truncates the result at
-    the lower of the two runs' degrees: the loop's truncation degree less
-    2, as the generators are quadrics, and the selection's.  A result
-    truncated at or past the bound is complete.
+    relations first within each degree.  The budget caps the tracked loop
+    alone: a cut truncates the result at the loop's truncation degree less
+    2, as the generators are quadrics, and the selection, bounded by that
+    degree, decides every candidate through it.  A result truncated at or
+    past the bound is complete.
     """
     n = system.n
     bound = n if degree_bound is None else degree_bound
     gens = system.minimal_gens
     if not gens:
         return FirstSyzygies(rank=0, degree_bound=bound, counts={}, generators=[], sources=[],
-                             truncation_degree=None, stats=GBStats())
+                             truncation_degree=None, stats=GBStats(), selection=GBStats())
     ring = gens[0].ring
     m = len(gens)
     loop = SignatureLoop(ring, [], degree_bound=bound + 2, budget=budget, tracked=gens)
@@ -355,10 +358,8 @@ def first_syzygies(
             candidates.append((d, terms, "pair"))
     candidates.sort(key=lambda c: c[0])
 
-    selection = Engine(ring, degree_bound=top, budget=budget)
+    selection = Engine(ring, degree_bound=top)
     kept = [candidates[k] for k in selection.select([c[:2] for c in candidates])]
-    if not selection.complete:  # every kept candidate lies at or below it
-        top = min(top, selection.truncation_degree)
     return FirstSyzygies(
         rank=m,
         degree_bound=bound,
@@ -367,4 +368,5 @@ def first_syzygies(
         sources=[src for _, _, src in kept],
         truncation_degree=None if top >= bound else top,
         stats=loop.stats,
+        selection=selection.stats,
     )

@@ -6,10 +6,10 @@ CLI subcommand, which runs as a suite of one check: a check runs where it
 applies and is omitted where it says nothing about n.  The one desk limit
 rule reports a check SKIPPED when it does Groebner-scale work at n past
 DESK_LIMIT and either does not apply there or has no budget or degree bound.
-Wall-clock timing is reported separately, so two runs with the same
-configuration produce identical result payloads, except under a time
-budget (`--budget-seconds`), whose cut, and so which results are PARTIAL
-and what they hold, depends on timing.
+Every cap is a count: a degree bound, or a budget of pairs the signature
+loop may reduce (`--budget-spairs`).  Wall-clock timing is reported
+separately, so two runs with the same configuration produce identical
+result payloads, PARTIAL ones included.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from commsyz.genmat import (
     product_rewrite_residue_2x2,
 )
 from commsyz.groebner import (
-    Budget,
     Engine,
     GroebnerBasis,
     IncompleteBasisError,
@@ -99,7 +98,8 @@ class CheckResult:
 class DeskContext:
     """Lazy cache of the expensive shared objects (systems, bases, colon
     ideals, syzygy runs, the determinant candidates' memberships).
-    `budget` caps every engine run it builds.  Every cached basis and
+    `budget`, a pair count, caps every signature loop it builds; the
+    selections it runs are not capped.  Every cached basis and
     syzygy run is keyed by its degree bound, a syzygy run by its resolved
     bound, so two requests for one bound share one object.  `degree_bound`
     is the bound the `groebner` and `syzygies` subcommands ask for; the
@@ -109,7 +109,7 @@ class DeskContext:
         self,
         field=None,
         order: str = "grevlex",
-        budget: Optional[Budget] = None,
+        budget: Optional[int] = None,
         fixture_dir=None,
         degree_bound: Optional[int] = None,
     ):
@@ -180,9 +180,7 @@ class DeskContext:
 
         def make():
             base = list(self.system(n).off_diagonal_gens)
-            return minimal_new_generators(
-                base, self.colon_generators(n), budget=self.budget
-            )
+            return minimal_new_generators(base, self.colon_generators(n))
 
         return self._get(("colon_new", n), make)
 
@@ -204,7 +202,7 @@ class DeskContext:
         )
 
 
-def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) -> list:
+def minimal_new_generators(base_gens, gens) -> list:
     """Minimal homogeneous generators that `gens` adds beyond `base_gens`.
 
     Candidates are taken in increasing degree; one is kept iff it is not in
@@ -212,9 +210,9 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
     that holds the base and the kept normal forms (`Engine.select`).  For
     homogeneous input the count is the number of minimal generators of the
     quotient module (ideal / base ideal); with an empty base it is a minimal
-    generating set of the ideal drawn from `gens`.  A selection that a
-    budget cut leaves truncated below the top candidate degree raises
-    IncompleteBasisError.
+    generating set of the ideal drawn from `gens`.  The engine is bounded
+    at the top candidate degree, so it decides every candidate; it takes
+    no budget.
     """
     base = [g for g in base_gens if not g.is_zero()]
     cand = [g for g in gens if not g.is_zero()]
@@ -225,11 +223,10 @@ def minimal_new_generators(base_gens, gens, *, budget: Optional[Budget] = None) 
     for g in base + cand:  # the engine takes raw packed terms and checks no ring
         cand[0].ring.check(g, "generators")
     cand.sort(key=lambda g: (g.degree(), g.terms[0][0]))
-    engine = Engine(cand[0].ring, degree_bound=cand[-1].degree(), budget=budget)
+    engine = Engine(cand[0].ring, degree_bound=cand[-1].degree())
     for g in base:
         engine.add(g.terms)
     kept = engine.select([(g.degree(), g.terms) for g in cand])
-    require(engine, engine.degree_bound, refusal="basis is only valid through degree {d}")
     return [cand[k] for k in kept]
 
 
@@ -686,8 +683,8 @@ def run_suite(ctx: DeskContext, n: int, checks=CHECKS) -> list:
         if check.what and n > DESK_LIMIT and not (applies and bounded):
             reason = _SKIP_GB if not applies else (
                 f"{check.what} at n={n} exceeds the desk-scale limit (n <= {DESK_LIMIT}); "
-                "pass --budget-seconds or --budget-spairs, or --degree-bound where the "
-                "command takes it, to attempt a truncated run"
+                "pass --budget-spairs, or --degree-bound where the command takes it, "
+                "to attempt a truncated run"
             )
             results.append(CheckResult(check.name, "SKIPPED", {"reason": reason}, 0.0))
         elif applies:

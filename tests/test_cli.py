@@ -40,7 +40,7 @@ def test_defaults():
     assert cfg.field == "gf:32003"
     assert cfg.order == "grevlex"
     assert not cfg.json_output
-    assert cfg.budget() is None
+    assert cfg.budget_spairs is None
 
 
 def test_nonprime_field_is_a_usage_error(capsys):
@@ -77,15 +77,11 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="at least 2"):
         RunConfig(command="verify", n=1)
     with pytest.raises(ValueError):
-        RunConfig(command="verify", budget_seconds=-1)
-    with pytest.raises(ValueError):
         RunConfig(command="verify", order="elim")
     with pytest.raises(ValueError):
         RunConfig(command="groebner", degree_bound=-1)
     assert RunConfig(command="groebner", degree_bound=0).degree_bound == 0
-    cfg = RunConfig(command="verify", budget_spairs=10)
-    budget = cfg.budget()
-    assert budget.max_spairs == 10
+    assert RunConfig(command="verify", budget_spairs=10).context().budget == 10
 
 
 @pytest.mark.parametrize(
@@ -107,12 +103,13 @@ def test_bad_flag_values_are_usage_errors(flag, value, argv, capsys):
 
 @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
 def test_non_finite_time_budgets_are_usage_errors(value, capsys):
-    """A NaN budget never cut a run and put `NaN`, which strict JSON
-    parsers reject, into the report's config."""
-    with pytest.raises(SystemExit) as exc:
-        main(["groebner", "-n", "3", f"--budget-seconds={value}", "--json"])
-    assert exc.value.code == 2
-    assert "max_seconds must be finite and positive" in capsys.readouterr().err
+    """No subcommand takes a wall-clock budget, finite or not: every cap is
+    a count, so no result depends on timing."""
+    for command in ("groebner", "syzygies", "colon", "hilbert", "check-splice", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-n", "3", f"--budget-seconds={value}", "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget-seconds" in capsys.readouterr().err
 
 
 def test_a_field_tag_without_a_prime_names_the_format(capsys):
@@ -176,7 +173,7 @@ def test_negative_max_degree_is_a_usage_error(capsys):
 
 
 RING = ("-n", "--field", "--order")
-BUDGET = RING + ("--budget-seconds", "--budget-spairs")
+BUDGET = RING + ("--budget-spairs",)
 #: the shared flags each subcommand's computation reads
 READS = {
     "commutator": RING,
@@ -194,7 +191,7 @@ VALUES = {
     "-n": "3",
     "--field": "q",
     "--order": "lex",
-    "--budget-seconds": "2.5",
+    "--budget-seconds": "2.5",  # taken by none: every cap is a count
     "--budget-spairs": "10",
     "--degree-bound": "2",
     "--fixtures": str(Path(__file__).resolve().parent),  # it must be an existing directory
@@ -203,7 +200,7 @@ VALUES = {
 
 def test_every_subcommand_has_a_row_of_flags_it_reads():
     assert set(READS) == set(COMMANDS)
-    assert sum(len(flags) for flags in READS.values()) == 41
+    assert sum(len(flags) for flags in READS.values()) == 35
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in VALUES])
@@ -368,6 +365,21 @@ def test_groebner_command_reports_stats_in_timing(capsys):
     assert "stats:" in run_cli(["groebner", "-n", "2"], capsys)[1]
 
 
+def test_syzygies_report_the_selection_counts_beside_the_loop(capsys):
+    """The first syzygies run two engines: at n=3, bound 4, the tracked loop
+    reduces 101 pairs and the minimal-generator selection 168.  The timing
+    block keeps the loop's counts at its top level and the selection's under
+    `selection`; a budget of 150 pairs caps the loop alone, so it leaves
+    the run complete with the same `results`."""
+    code, rep = run_json(["syzygies", "-n", "3", "--degree-bound", "4"], capsys)
+    stats = rep["timing"]["stats"]["syzygies"]
+    assert (code, stats["spairs_reduced"], stats["selection"]["spairs_reduced"]) == (0, 101, 168)
+    assert rep["results"][0]["detail"]["counts"] == {"1": 2, "2": 31}
+    code, capped = run_json(["syzygies", "-n", "3", "--degree-bound", "4", "--budget-spairs", "150"], capsys)
+    assert (code, capped["results"]) == (0, rep["results"])
+    assert capped["timing"]["stats"]["syzygies"]["selection"]["spairs_reduced"] == 168
+
+
 def test_colon_command_reports_the_quotient_loop_counts(capsys):
     """The n=3 colon runs one signature loop with a quotient: 150 reduced
     pairs, 12 of them zero reductions, which record the quotient's new
@@ -393,7 +405,7 @@ def test_desk_guard_refuses_big_runs_without_budget(capsys):
         assert code == 0
         (res,) = rep["results"]
         assert (res["name"], res["verdict"]) == (command, "SKIPPED")
-        assert "--budget-seconds or --budget-spairs" in res["detail"]["reason"]
+        assert "pass --budget-spairs, or --degree-bound" in res["detail"]["reason"]
 
 
 def test_desk_guard_lifts_with_explicit_budget(capsys):
@@ -416,6 +428,43 @@ def test_desk_guard_lifts_with_a_degree_bound(capsys):
     (res,) = rep["results"]
     assert (code, res["verdict"]) == (0, "PASS")
     assert res["detail"]["counts"] == {"1": 2, "2": 108, "3": 4}
+
+
+def test_a_wrong_fixture_fails_loudly(tmp_path, capsys):
+    """Fixtures are data, not truth: a copy of the shipped set with cell
+    (3,6) of the n=3 display raised from 28 to 29, and its stated total
+    with it, so the table stays self-consistent, breaks the alternating
+    sum in degree 6."""
+    shipped = Path(importlib.util.find_spec("commsyz.fixtures").origin).parent
+    for path in shipped.glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    target = tmp_path / "n3_betti_display.json"
+    table = json.loads(target.read_text())
+    (cell,) = [e for e in table["entries"] if (e["i"], e["j"]) == (3, 6)]
+    assert cell["count"] == 28
+    cell["count"] = 29
+    table["stated_totals"][3] += 1
+    target.write_text(json.dumps(table))
+    assert run_json(["check-splice", "-n", "3"], capsys)[0] == 0
+    code, rep = run_json(["check-splice", "-n", "3", "--fixtures", str(tmp_path)], capsys)
+    (res,) = rep["results"]
+    assert (code, res["verdict"]) == (1, "FAIL")
+    assert res["detail"]["error"].startswith("Euler constraints violated: degree 6")
+
+
+def test_a_bad_prime_fails_loudly(capsys):
+    """Over GF(2) the n=3 syzygy counts still read {1: 2, 2: 31}, but the
+    trace forms no longer span the quadratic syzygies both ways, so
+    `first-syzygies` FAILs; over GF(3) all eight checks pass."""
+    code, rep = run_json(["verify", "-n", "3", "--field", "gf:2"], capsys)
+    verdicts = {r["name"]: r["verdict"] for r in rep["results"]}
+    (syz,) = [r["detail"] for r in rep["results"] if r["name"] == "first-syzygies"]
+    assert (code, verdicts.pop("first-syzygies")) == (1, "FAIL")
+    assert (syz["counts"], syz["two_way_span"]) == ({"1": 2, "2": 31}, False)
+    assert set(verdicts.values()) == {"PASS"}
+    code, rep = run_json(["verify", "-n", "3", "--field", "gf:3"], capsys)
+    assert code == 0
+    assert [r["verdict"] for r in rep["results"]] == ["PASS"] * 8
 
 
 def test_colon_listing(capsys):

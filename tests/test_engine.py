@@ -11,7 +11,6 @@ from commsyz import groebner, syzygy, verify
 from commsyz.fields import GF, QQ
 from commsyz.genmat import build_system
 from commsyz.groebner import (
-    Budget,
     Engine,
     IncompleteBasisError,
     SignatureLoop,
@@ -43,7 +42,7 @@ from oracles import (
 )
 
 FIELDS = (GF(7), GF(32003), QQ)
-CUT = Budget(max_spairs=0)
+CUT = 0
 
 
 def _forms(ring, rng, degree, nterms):
@@ -183,15 +182,6 @@ def test_membership_against_a_cut_basis_raises():
         module_membership((b * a,), gens, budget=CUT)
 
 
-def test_selection_against_a_cut_basis_raises():
-    ring = PolyRing(2, GF(32003))
-    a, b, c = ring.x(1, 1), ring.y(1, 1), ring.x(1, 2)
-    cand = [a * a + b * c, a * b, b * b * c]  # b^2c = b(a^2 + bc) - a(ab)
-    assert len(minimal_new_generators([], cand)) == 2
-    with pytest.raises(IncompleteBasisError):
-        minimal_new_generators([], cand, budget=CUT)
-
-
 # -- one gate for cut and truncated bases --------------------------------------
 
 R = PolyRing(1, GF(101))
@@ -203,8 +193,8 @@ KINDS = {"complete": {}, "cut": {"budget": CUT}, "truncated": {"degree_bound": 2
 
 
 def _select(kind, f):
-    """Select f against a finished run over GENS (a cut one cut at degree 3),
-    asking the gate for f's degree as a caller of `select` does."""
+    """Select f against a finished run over GENS, asking the gate for f's
+    degree as a caller of `select` does."""
     engine = Engine(R, **KINDS[kind])
     for g in GENS:
         engine.add(g.terms)
@@ -244,44 +234,22 @@ GATE = {
 }
 
 
-#: the consumers whose cut run is truncated at degree 2 or above: the
-#: selection runs after the engine is cut at its degree-3 pair, while every
-#: other cut comes before a degree-2 generator enters (truncated at 1)
-CUT_AT_2 = {"Engine.select"}
-
-
 @pytest.mark.parametrize("consumer", list(GATE))
 def test_every_consumer_asks_the_one_gate(consumer):
+    """Every cut comes before a degree-2 generator enters, so a cut run is
+    truncated at 1 and answers nothing of degree 2."""
     within, past = GATE[consumer]
     past("complete")
-    for kind in ("cut", "truncated"):
+    # a selection takes no budget, so it has no cut run
+    kinds = ("truncated",) if consumer == "Engine.select" else ("cut", "truncated")
+    for kind in kinds:
         with pytest.raises(IncompleteBasisError):
             past(kind)
     if within is not None:
         assert within("truncated") == within("complete")
-        if consumer in CUT_AT_2:
-            assert within("cut") == within("complete")
-        else:
+        if "cut" in kinds:
             with pytest.raises(IncompleteBasisError):
                 within("cut")
-
-
-def test_a_selection_after_a_cut_reads_its_truncation_off_the_queue():
-    """A run cut at its degree-6 pair is truncated at 5.  Keeping a^2 and
-    ab + c^2 then queues their degree-3 pair, which lowers the truncation to
-    2, so the selection stops at the degree-3 candidate ac^2, which that
-    pair would show to lie in the ideal, rather than keep it."""
-    ring = PolyRing(2, GF(32003))
-    a, b, c = ring.x(1, 1), ring.x(1, 2), ring.x(2, 1)
-    engine = Engine(ring, budget=CUT)
-    for g in (a * a * b * b, b * b * c * c):
-        engine.add(g.terms)
-    engine.run()
-    assert engine.truncation_degree == 5
-    low = [a * a, a * b + c * c]
-    assert engine.select([(2, f.terms) for f in low]) == [0, 1]
-    assert engine.truncation_degree == 2
-    assert engine.select([(3, (a * c * c).terms), (3, (a * a * c).terms)]) == []
 
 
 def test_first_syzygies_under_a_cut_report_lower_bounds():

@@ -164,10 +164,10 @@ def test_quotient_series_matches_monomial_count_oracle(ctx):
 
 
 def test_hilbert_of_basis_refuses_partial_input(ctx):
-    from commsyz.groebner import Budget, IncompleteBasisError, buchberger
+    from commsyz.groebner import IncompleteBasisError, buchberger
 
     gens = ctx.system(2).minimal_gens
-    partial = buchberger(gens, budget=Budget(max_spairs=1))
+    partial = buchberger(gens, budget=1)
     with pytest.raises(IncompleteBasisError):
         hilbert_of_basis(partial)
     truncated = buchberger(gens, degree_bound=2)

@@ -26,7 +26,7 @@ import pytest
 from commsyz.conjecture import colon_bidegrees
 from commsyz.fields import GF, QQ
 from commsyz.fixtures import load_betti_table
-from commsyz.groebner import Budget, IncompleteBasisError, SignatureLoop, colon_ideal
+from commsyz.groebner import IncompleteBasisError, SignatureLoop, colon_ideal
 from commsyz.polyring import PolyRing
 from commsyz.verify import DeskContext, minimal_new_generators
 
@@ -219,7 +219,7 @@ def test_a_budget_cut_is_refused_and_the_refusal_is_cached(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(SignatureLoop, "run", counting)
-    ctx = DeskContext(field=GF(32003), budget=Budget(max_spairs=50))
+    ctx = DeskContext(field=GF(32003), budget=50)
     with pytest.raises(IncompleteBasisError) as first:
         ctx.colon_generators(3)
     with pytest.raises(IncompleteBasisError) as again:

@@ -1,4 +1,4 @@
-"""The JSON `results` of thirty-four quick CLI runs, pinned by sha256.
+"""The JSON `results` of thirty-five quick CLI runs, pinned by sha256.
 
 A refactor of the engine must leave every reported result byte-identical;
 the first four digests were recorded before the monomial representation
@@ -94,6 +94,12 @@ entry of total degree 256, x_1_1^128*x_1_2^128, whose exponents each fit
 a byte: the cap rule (no monomial past total degree 255) refuses it where
 the matrix is read, a FAIL with the OverflowError as its error, recorded
 when the cap moved from each exponent to the total degree.
+`syzygies -n 3 --degree-bound 4 --budget-spairs 150` was recorded when
+the budget came to cap the tracked signature loop alone.  That loop needs
+101 pairs and completes; the minimal-generator selection, which reduces
+168, had been capped too and was cut before its degree-4 pairs, so the
+run reported PARTIAL truncated at 3.  It now reports PASS, complete, with
+the results of `syzygies -n 3 --degree-bound 4`.
 A digest that moves means some computed object or its printed form
 changed.
 """
@@ -149,6 +155,9 @@ DIGESTS = {
         "d831d6c2a34ebdb898a57cea6f231269a38dfcc732446b2bbbdd67bdc775e812"
     ),
     "predict knutson -n 5": "9e37b6e3586e6443496bb577c162089efe48745349d75bfa019295c3602d0bdc",
+    "syzygies -n 3 --degree-bound 4 --budget-spairs 150": (
+        "7a2fb2e61c43461c87193aa2006940fa5c86c721cbe82edf907e560c9149a01a"
+    ),
 }
 
 

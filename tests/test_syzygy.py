@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from commsyz import fixtures
 from commsyz.fields import GF, QQ
 from commsyz.genmat import GenericMatrix, build_system
-from commsyz.groebner import Budget, IncompleteBasisError, SignatureLoop, buchberger
+from commsyz.groebner import IncompleteBasisError, SignatureLoop, buchberger
 from commsyz.polyring import Grevlex, PolyRing
 from commsyz.syzygy import (
     ModuleOrder,
@@ -381,14 +381,14 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis(ctx):
     full = module_buchberger(vecs)
     assert (full.complete, full.truncation_degree) == (True, None)
     # cut before the first generator, of degree 2, enters
-    cut = module_buchberger(vecs, budget=Budget(max_spairs=0))
+    cut = module_buchberger(vecs, budget=0)
     assert (cut.complete, cut.truncation_degree) == (False, 1)
     with pytest.raises(IncompleteBasisError):
         cut.contains(vecs[0])
     # like a truncated `buchberger` basis, a cut one holds only its elements
     # through the truncation degree: the loop reached 64, 30 of degree 3
     cut = module_buchberger(
-        ctx.first_syzygies(3, 4).generators, degree_bound=4, budget=Budget(max_spairs=80)
+        ctx.first_syzygies(3, 4).generators, degree_bound=4, budget=80
     )
     assert (cut.truncation_degree, len(cut)) == (2, 34)
     stored = [r for groups in cut.reducers.positions.values() for _, g in groups for _, r in g]
@@ -396,28 +396,35 @@ def test_truncated_module_basis_is_flagged_like_a_truncated_ideal_basis(ctx):
 
 
 #: (n, bound) -> {S-pair budget: the cut run's truncation degree, None when
-#: complete}: the tracked loop's truncation degree less 2, except at n=3
-#: under 150 pairs, where the loop completes and the selection is cut
-#: before its degree-4 pairs
+#: complete}: the tracked loop's truncation degree less 2, or None at or
+#: past the bound.  At n=3 the loop needs 101 pairs, so 150 leaves the run
+#: complete: the budget caps the loop alone, not the selection's 168 pairs.
 CUT_TRUNCATIONS = {
     (2, 2): {b: -1 if b < 3 else 0 if b < 6 else None for b in range(12)},
-    (3, 4): {5: -1, 20: 0, 60: 2, 100: 3, 150: 3, 200: None},
+    (3, 4): {5: -1, 20: 0, 60: 2, 100: 3, 150: None, 200: None},
 }
 
 
 def test_first_syzygies_respects_budget():
-    """A budget cut truncates the first syzygies at a coefficient degree t,
-    and the cut run answers exactly through t: its counts, generators and
-    sources are those of the complete run of degree <= t.  At n=2 every cut
-    below 6 pairs lands before the linear syzygies, so no degree-2 Koszul
-    relation may be counted as minimal."""
+    """A budget cuts the tracked loop alone and truncates the first
+    syzygies at t = min(bound, the loop's truncation degree - 2), or None
+    once t reaches the bound, and the cut run answers exactly through t:
+    its counts, generators and sources are those of the complete run of
+    degree <= t.  At n=2 every cut below 6 pairs lands before the linear
+    syzygies, so no degree-2 Koszul relation may be counted as minimal."""
     for (n, bound), truncations in CUT_TRUNCATIONS.items():
         system = build_system(n, GF(P))
+        gens = system.minimal_gens
         full = first_syzygies(system, degree_bound=bound)
         assert full.complete
         for spairs, t in truncations.items():
-            fs = first_syzygies(system, degree_bound=bound, budget=Budget(max_spairs=spairs))
+            loop = SignatureLoop(gens[0].ring, [], degree_bound=bound + 2, budget=spairs, tracked=gens)
+            loop.run()
+            rule = None if loop.complete else min(bound, loop.truncation_degree - 2)
+            assert t == (None if rule == bound else rule), (n, spairs)
+            fs = first_syzygies(system, degree_bound=bound, budget=spairs)
             assert fs.truncation_degree == t, (n, spairs)
+            assert fs.stats.spairs_reduced == loop.stats.spairs_reduced <= spairs
             top = bound if t is None else t
             through = [vector_degree(v) <= top for v in full.generators]
             assert fs.counts == {d: c for d, c in full.counts.items() if d <= top}

@@ -7,7 +7,7 @@ from commsyz import cli, genmat, verify
 from commsyz import fixtures as fixture_store
 from commsyz.fields import GF
 from commsyz.genmat import build_system, det
-from commsyz.groebner import Budget, IncompleteBasisError
+from commsyz.groebner import IncompleteBasisError
 from commsyz.hilbert import GradedBettiTable
 from commsyz.polyring import PolyRing
 from commsyz.verify import (
@@ -76,7 +76,7 @@ def test_per_size_plan_is_frozen():
         "colon-ideal": "a colon ideal",
         "dimension": "a Hilbert series",
     }
-    for budget in (None, Budget(max_spairs=50)):
+    for budget in (None, 50):
         assert plan(2, budget) == {
             "presentation": "run",
             "matrix-identities": "run",
@@ -122,8 +122,8 @@ def test_desk_limit_rule_reads_the_budget():
     (skipped,) = run_suite(DeskContext(), 4, [check])
     assert skipped.verdict == "SKIPPED"
     assert skipped.detail["reason"].startswith("a Groebner basis at n=4 exceeds")
-    assert "--budget-seconds or --budget-spairs" in skipped.detail["reason"]
-    for ctx in (DeskContext(budget=Budget(max_spairs=1)), DeskContext(degree_bound=5)):
+    assert "pass --budget-spairs, or --degree-bound" in skipped.detail["reason"]
+    for ctx in (DeskContext(budget=1), DeskContext(degree_bound=5)):
         (ran,) = run_suite(ctx, 4, [check])
         assert (ran.verdict, ran.detail) == ("PASS", {"n": 4})
     # with no Groebner-scale work the limit does not apply
@@ -218,7 +218,7 @@ def test_a_check_refuses_truncated_first_syzygies(name, n, spairs, d):
     """The first syzygies cut below the check's bound answer through d
     only, and the check asks the gate for its whole bound."""
     check = next(c for c in CHECKS if c.name == name)
-    result = run_check(check, DeskContext(budget=Budget(max_spairs=spairs)), n)
+    result = run_check(check, DeskContext(budget=spairs), n)
     assert (result.verdict, result.detail) == (
         "PARTIAL",
         {"reason": f"incomplete basis: first syzygies only counted through coefficient degree {d}"},
@@ -258,6 +258,11 @@ def test_minimal_new_generators_toy_case():
     assert minimal_new_generators([a], [a]) == []
     with pytest.raises(ValueError):
         minimal_new_generators([a], [a * a - b])
+    # a candidate the kept ones generate in a higher degree is dropped
+    ring = PolyRing(2, GF(32003))
+    a, b, c = ring.x(1, 1), ring.y(1, 1), ring.x(1, 2)
+    cand = [a * a + b * c, a * b, b * b * c]  # b^2c = b(a^2 + bc) - a(ab)
+    assert sorted(map(str, minimal_new_generators([], cand))) == sorted(map(str, cand[:2]))
 
 
 def test_minimal_new_generators_refuse_another_ring():
@@ -300,8 +305,7 @@ def test_totals_consistency_rules():
 
 
 def test_suite_covers_budgeted_context():
-    budget = Budget(max_spairs=2)
-    ctx = DeskContext(field=GF(32003), budget=budget)
+    ctx = DeskContext(field=GF(32003), budget=2)
     results = run_suite(ctx, 2)
     # a starved budget must degrade verdicts, never crash the suite
     assert all(r.verdict in ("PASS", "PARTIAL", "FAIL") for r in results)
